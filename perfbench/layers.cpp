@@ -54,7 +54,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cerrno>
-#include <cstring>
 #include <deque>
 #include <fstream>
 #include <functional>

@@ -44,6 +44,7 @@ ROOT = os.path.dirname(BENCH)
 BUILD = os.path.join(ROOT, ".bench_build", "perfbench")
 OUT = os.path.join(ROOT, ".bench_out")
 EXPECTED_PATH = os.path.join(BENCH, "expected.json")
+BENCHMARK_PATH = os.path.join(ROOT, "BENCHMARK.json")
 
 WORKLOADS = ["cold-aes1", "cold-pipeline256", "cold-chain1024",
              "serve-warm", "serve-edit"]
@@ -67,38 +68,6 @@ FRESH_STARTS = 10        # serve-warm: extra fresh servers timed to a first
 EDIT_STAGES = 256
 TIMEOUT_S = 30           # per request, per spawn, per shutdown
 
-# The gated latencies are lower quartiles: on a host whose speed drifts,
-# they track the program's own cost far more steadily than the median (the
-# report prints medians and tails too).
-E2E_UNITS = {"setup_s": "s", "p25_ms": "ms", "first_response_ms": "ms",
-             "peak_rss_mb": "MB"}
-
-LAYER_UNITS = {
-    "parse.ms": "ms", "parse.bytes": "bytes", "sema.elaborate_ms": "ms",
-    "cfg.build_ms": "ms", "cfg.labels": "count", "cfg.processes": "count",
-    "ifa.rmlo_ms": "ms", "ifa.rmlo_entries": "count",
-    "rd.t4_ms": "ms", "rd.t4_iterations": "count",
-    "rd.t5_killgen_ms": "ms", "rd.t5_kill_pairs": "count",
-    "rd.t5_gen_pairs": "count", "rd.t5_fixpoint_ms": "ms",
-    "rd.t5_iterations": "count", "rd.t5_result_bytes": "bytes",
-    "rd.slice_hash_ms": "ms", "rd.incr_ms": "ms", "rd.incr_solved": "count",
-    "rd.incr_reused": "count",
-    "ifa.compose_ms": "ms", "ifa.rmgl_entries": "count",
-    "ifa.graph_nodes": "count", "ifa.graph_edges": "count",
-    "ifa.result_bytes": "bytes",
-    "query.build_ms": "ms", "query.reaches_ns": "ns", "query.witness_us": "us",
-    "driver.cache_key_us": "us", "driver.cache_acquire_us": "us",
-    "support.jsonparse_us": "us",
-    "driver.handle_us_p50": "us", "driver.handle_us_p99": "us",
-    "driver.json_us": "us", "driver.json_bytes": "bytes",
-    "driver.v1b_us": "us", "driver.v1b_bytes": "bytes",
-    "driver.store_encode_ms": "ms", "driver.store_write_ms": "ms",
-    "driver.store_blob_bytes": "bytes", "driver.store_load_ms": "ms",
-    "driver.store_decode_ms": "ms",
-    "driver.cache_hit_ratio": "ratio", "driver.cache_evictions": "count",
-    "driver.store_bytes_written": "bytes",
-    "trace.coverage": "ratio",
-}
 # The layer spans that make up one cold `vifc flows --json` run.
 CLI_PATH_MS = ["parse.ms", "sema.elaborate_ms", "cfg.build_ms", "ifa.rmlo_ms",
                "rd.t4_ms", "rd.t5_killgen_ms", "rd.t5_fixpoint_ms",
@@ -698,6 +667,8 @@ class ColdCli:
         if not ms:
             raise BenchError("no successful run of `vifc flows`")
         self.ms = ms
+        # Gated latencies are lower quartiles: on a host whose speed drifts
+        # they track the program's own cost more steadily than medians.
         p25 = percentile(ms, 25)
         d = r.detail
         d["%s_cold_ms" % self.name] = (statistics.median(ms), "ms")
@@ -1077,6 +1048,12 @@ WORKLOAD_CLASS = {"cold-aes1": ColdCli, "cold-pipeline256": ColdCli,
 # Modes
 # --------------------------------------------------------------------------
 
+def metric_units(kind):
+    """Name -> unit of BENCHMARK.json's `end_to_end` or `per_layer` list."""
+    with open(BENCHMARK_PATH) as f:
+        return {m["name"]: m["unit"] for m in json.load(f)[kind]}
+
+
 def run_workload(args, tools, record):
     work = os.path.join(OUT, "%s-%d-%d" % (args.workload, args.seed,
                                            os.getpid()))
@@ -1108,20 +1085,22 @@ def run_workload(args, tools, record):
     report("# build: %s" % json.dumps(record, sort_keys=True))
     for name, (value, unit) in sorted(run.detail.items()):
         report("%-24s %14.6g %s" % (name, value, unit))
-    for name in sorted(e2e):
-        report("%-24s %14.6g %s" % (name, e2e[name], E2E_UNITS[name]))
+    e2e_units = metric_units("end_to_end")
+    for name in sorted(e2e_units):
+        report("%-24s %14.6g %s" % (name, e2e[name], e2e_units[name]))
     report("%-24s %14.6g (%d failed of %d attempted)"
            % ("error_rate", run.failed / max(1, run.attempted), run.failed,
               run.attempted))
     for why in run.problems:
         report("# failed: " + why)
     if args.trace:
-        metrics = {k: run.layer[k] for k in LAYER_UNITS}
-        units = LAYER_UNITS
+        units = metric_units("per_layer")
+        metrics = {k: run.layer[k] for k in units}
         for name in sorted(metrics):
             report("%-28s %16.8g %s" % (name, metrics[name], units[name]))
     else:
-        metrics, units = e2e, E2E_UNITS
+        units = e2e_units
+        metrics = {k: e2e[k] for k in units}
     result = {"correct": run.failed == 0, "attempted": run.attempted,
               "failed": run.failed,
               "metrics": {k: {"value": v, "unit": units[k]}
