@@ -21,13 +21,15 @@
 ///       child's peak RSS starts at its parent's RSS at exec time, so the
 ///       benchmark spawns through this small process rather than directly.
 ///   perfbench_layers trace --source FILE --requests FILE --spans OUT
-///       --store DIR [--statements] [--edited FILE] [--warmup FILE]
-///       [--once] [--serve-store] [--seconds S]
+///       --store DIR [--statements] [--edited FILE] [--edit-loop WARMUP]
 ///       Calls each layer's public functions on FILE in pipeline order,
 ///       timing every call as one span, then replays the request lines
-///       through an in-process Server::handleLine. Prints the per-layer
-///       metrics as one JSON object and writes the spans as Chrome
-///       trace-event JSON (loadable in Perfetto).
+///       through an in-process Server::handleLine for about a second.
+///       With --edit-loop the lines are an edit stream: the server is
+///       backed by an artifact store, warmed up with WARMUP's lines, and
+///       replays each line once. Prints the per-layer metrics as one JSON
+///       object and writes the spans as Chrome trace-event JSON (loadable
+///       in Perfetto).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -373,15 +375,16 @@ double percentile(std::vector<double> V, double P) {
 //===----------------------------------------------------------------------===//
 
 struct TraceArgs {
-  std::string Source, Edited, Requests, Warmup, Spans, Store;
+  std::string Source, Edited, Requests, Spans, Store;
+  /// Set for an edit stream (--edit-loop): the warm-up lines. Each request
+  /// line is then a distinct design, replayed once against a server backed
+  /// by an artifact store, as `vifc serve --store`.
+  std::string EditLoopWarmup;
   bool Statements = false;
-  /// Replay the request lines once instead of cycling them (each line of
-  /// an edit stream is a distinct design, so a second pass would hit).
-  bool Once = false;
-  /// Back the in-process server with an artifact store, as `--store`.
-  bool ServeStore = false;
-  double Seconds = 1;
 };
+
+/// How long the request lines are cycled through the in-process server.
+constexpr double ReplaySeconds = 1;
 
 using Metrics = std::map<std::string, double>;
 
@@ -392,21 +395,40 @@ struct FrontEnd {
   std::optional<ProgramCFG> CFG;
 };
 
+/// Parses, elaborates and builds the CFG of \p Src. With \p T, each step
+/// is one span and its time goes into \p M.
 bool runFrontEnd(const std::string &Src, bool Statements, FrontEnd &F,
-                 DiagnosticEngine &Diags) {
-  if (Statements)
-    F.Stmts.emplace(parseStatementProgram(Src, Diags));
-  else
-    F.Design.emplace(parseDesign(Src, Diags));
+                 DiagnosticEngine &Diags, Trace *T = nullptr,
+                 Metrics *M = nullptr) {
+  auto step = [&](const char *Span, const char *Metric, auto &&Fn) {
+    if (!T) {
+      Fn();
+      return;
+    }
+    SpanScope S(*T, Span, 0);
+    Fn();
+    (*M)[Metric] = S.closeMs();
+  };
+  step("parse", "parse.ms", [&] {
+    if (Statements)
+      F.Stmts.emplace(parseStatementProgram(Src, Diags));
+    else
+      F.Design.emplace(parseDesign(Src, Diags));
+  });
   if (Diags.hasErrors())
     return false;
-  std::optional<ElaboratedProgram> P =
-      Statements ? elaborateStatements(*F.Stmts->Body, Diags, &F.Stmts->Decls)
-                 : elaborateDesign(*F.Design, Diags);
-  if (!P || Diags.hasErrors())
+  step("sema.elaborate", "sema.elaborate_ms", [&] {
+    std::optional<ElaboratedProgram> P =
+        Statements
+            ? elaborateStatements(*F.Stmts->Body, Diags, &F.Stmts->Decls)
+            : elaborateDesign(*F.Design, Diags);
+    if (P)
+      F.Program.emplace(std::move(*P));
+  });
+  if (!F.Program || Diags.hasErrors())
     return false;
-  F.Program.emplace(std::move(*P));
-  F.CFG.emplace(ProgramCFG::build(*F.Program));
+  step("cfg.build", "cfg.build_ms",
+       [&] { F.CFG.emplace(ProgramCFG::build(*F.Program)); });
   return true;
 }
 
@@ -418,38 +440,12 @@ bool traceLayers(const TraceArgs &A, const std::string &Src, Trace &T,
   SpanScope Whole(T, "input", Op);
   DiagnosticEngine Diags;
   FrontEnd F;
-  {
-    SpanScope S(T, "parse", Op);
-    if (A.Statements)
-      F.Stmts.emplace(parseStatementProgram(Src, Diags));
-    else
-      F.Design.emplace(parseDesign(Src, Diags));
-    M["parse.ms"] = S.closeMs();
-  }
   M["parse.bytes"] = static_cast<double>(Src.size());
-  if (Diags.hasErrors()) {
-    std::cerr << "perfbench_layers: parse failed:\n" << Diags.str();
+  if (!runFrontEnd(Src, A.Statements, F, Diags, &T, &M)) {
+    std::cerr << "perfbench_layers: front end failed:\n" << Diags.str();
     return false;
   }
-  {
-    SpanScope S(T, "sema.elaborate", Op);
-    std::optional<ElaboratedProgram> P =
-        A.Statements
-            ? elaborateStatements(*F.Stmts->Body, Diags, &F.Stmts->Decls)
-            : elaborateDesign(*F.Design, Diags);
-    M["sema.elaborate_ms"] = S.closeMs();
-    if (!P || Diags.hasErrors()) {
-      std::cerr << "perfbench_layers: elaboration failed:\n" << Diags.str();
-      return false;
-    }
-    F.Program.emplace(std::move(*P));
-  }
   const ElaboratedProgram &P = *F.Program;
-  {
-    SpanScope S(T, "cfg.build", Op);
-    F.CFG.emplace(ProgramCFG::build(P));
-    M["cfg.build_ms"] = S.closeMs();
-  }
   const ProgramCFG &C = *F.CFG;
   M["cfg.labels"] = static_cast<double>(C.numLabels());
   M["cfg.processes"] = static_cast<double>(C.processes().size());
@@ -699,19 +695,20 @@ bool traceHandle(const TraceArgs &A, Trace &T, Metrics &M) {
     if (Members == 0)
       return false;
   }
+  const bool EditLoop = !A.EditLoopWarmup.empty();
   driver::ServeOptions SO;
-  if (A.ServeStore)
+  if (EditLoop)
     SO.StoreDir = A.Store + "/serve";
   driver::Server Server(SO);
   auto ok = [](const std::string &Resp) {
     return Resp.compare(0, 4, "VIFB") == 0 ||
            Resp.find("\"status\":\"ok\"") != std::string::npos;
   };
-  // Warm-up: the --warmup lines, or else every distinct request line
-  // once, in first-appearance order (inline sources precede the
-  // contentKey lines that refer to them).
+  // Warm-up: the edit loop's warm-up lines, or else every distinct
+  // request line once, in first-appearance order (inline sources precede
+  // the contentKey lines that refer to them).
   std::vector<std::string> Warm =
-      A.Warmup.empty() ? Lines : readLines(A.Warmup);
+      EditLoop ? readLines(A.EditLoopWarmup) : Lines;
   std::map<std::string, bool> Seen;
   {
     SpanScope S(T, "driver.warmup", Op);
@@ -725,10 +722,9 @@ bool traceHandle(const TraceArgs &A, Trace &T, Metrics &M) {
   std::vector<double> Us;
   auto Start = Clock::now();
   size_t I = 0;
-  while (A.Once ? Us.size() < Lines.size()
-                : std::chrono::duration<double>(Clock::now() - Start)
-                              .count() < A.Seconds ||
-                      Us.size() < Lines.size()) {
+  while (Us.size() < Lines.size() ||
+         (!EditLoop && std::chrono::duration<double>(Clock::now() - Start)
+                               .count() < ReplaySeconds)) {
     const std::string &L = Lines[I++ % Lines.size()];
     SpanScope S(T, "driver.handle", Op);
     std::string Resp = Server.handleLine(L);
@@ -763,18 +759,12 @@ int cmdTrace(int Argc, char **Argv) {
       A.Edited = next();
     else if (Arg == "--requests")
       A.Requests = next();
-    else if (Arg == "--warmup")
-      A.Warmup = next();
-    else if (Arg == "--once")
-      A.Once = true;
-    else if (Arg == "--serve-store")
-      A.ServeStore = true;
+    else if (Arg == "--edit-loop")
+      A.EditLoopWarmup = next();
     else if (Arg == "--spans")
       A.Spans = next();
     else if (Arg == "--store")
       A.Store = next();
-    else if (Arg == "--seconds")
-      A.Seconds = std::atof(next().c_str());
     else if (Arg == "--statements")
       A.Statements = true;
     else {

@@ -56,8 +56,8 @@ COLD_INPUT = {
     "cold-chain1024": ("chain1024", True),
 }
 GEN_DESIGNS = ["gen%02d" % i for i in range(1, 17)]
-SETUP_REPEATS = 5        # set-ups per run; setup_s is their median
-WARM_SETUP_REPEATS = 3   # serve-warm's set-up analyzes 18 designs (~1.5 s)
+SETUP_REPEATS = 31       # set-ups per run; setup_s is their median
+WARM_SETUP_REPEATS = 5   # serve-warm's set-up analyzes 18 designs (~1.5 s)
 SERVE_WORKERS = 2
 WARM_CONNECTIONS = 2
 LARGE_SHARE = 0.05       # serve-warm: share of subbytes16 requests
@@ -407,6 +407,14 @@ class WarmMix:
         self.names.append(name)
         return len(self.lines) - 1
 
+    def share(self, idx):
+        """The probability that stream() yields request line idx."""
+        if idx in (self.large_inline, self.large_key):
+            return LARGE_SHARE / 2
+        if idx == self.query:
+            return QUERY_SHARE
+        return (1 - LARGE_SHARE - QUERY_SHARE) / len(self.flows)
+
     def set_content_key(self, key):
         self.large_key = self.add("large_key", "subbytes16", request(
             "flows", content_key=key, options={"statements": True}))
@@ -712,7 +720,7 @@ def write_first_edit(run, inputs, name):
 
 def run_layers(run, source, requests, spans, store, extra):
     args = [run.layers, "trace", "--source", source, "--requests", requests,
-            "--spans", spans, "--store", store, "--seconds", "1"] + extra
+            "--spans", spans, "--store", store] + extra
     r = subprocess.run(args, capture_output=True, text=True, cwd=ROOT,
                        timeout=170)
     if r.returncode != 0:
@@ -800,8 +808,7 @@ class ServeWarm:
         r = self.run
         sel = selectors.DefaultSelector()
         streams, pending = [], {}
-        lat = {k: [] for k in ("json", "v1b", "query", "large_inline",
-                                "large_key")}
+        lat = [[] for _ in self.mix.lines]   # per request line, in us
         for n, c in enumerate(self.conns):
             streams.append(self.mix.stream(n))
             sel.register(c.sock, selectors.EVENT_READ, n)
@@ -830,7 +837,7 @@ class ServeWarm:
                 idx, sent = pending.pop(n)
                 r.attempted += 1
                 if self.verify(idx, resp):
-                    lat[self.mix.kinds[idx]].append((done - sent) * 1e6)
+                    lat[idx].append((done - sent) * 1e6)
                 else:
                     r.fail("serve-warm: wrong response to request %d" % idx)
                 if done < end:
@@ -845,25 +852,34 @@ class ServeWarm:
             c.close()
         rss = self.server.stop(self.conns[0])
         self.fresh_starts()
-        every = [v for vs in lat.values() for v in vs]
+        every = [v for vs in lat for v in vs]
         if not every:
             raise BenchError("serve-warm: no successful request")
+        by_kind = {}
+        for idx, v in enumerate(lat):
+            by_kind.setdefault(self.mix.kinds[idx], []).extend(v)
         d = r.detail
         for kind in ("json", "v1b"):
-            v = lat[kind]
+            v = by_kind[kind]
             d["warm_%s_us_p50" % kind] = (statistics.median(v), "us")
             p = tail_label(len(v))
             if p:
                 d["warm_%s_us_p%d" % (kind, p)] = (percentile(v, p), "us")
         for kind in ("query", "large_inline", "large_key"):
-            if lat[kind]:
-                d["warm_%s_us_p50" % kind] = (statistics.median(lat[kind]),
+            if by_kind.get(kind):
+                d["warm_%s_us_p50" % kind] = (statistics.median(by_kind[kind]),
                                               "us")
         d["warm_rps"] = (len(every) / elapsed, "1/s")
         d["server_rss_mb"] = (rss, "MB")
         d["samples"] = (len(every), "count")
         self.p50_us = statistics.median(every)
-        return {"p25_ms": percentile(every, 25) / 1000,
+        # Each request line's lower quartile, weighted by the line's share
+        # of the mix: every kind of request feeds the gated figure, where
+        # one quartile over the whole pool would land on the small designs.
+        timed = [idx for idx, v in enumerate(lat) if v]
+        p25_us = sum(self.mix.share(i) * percentile(lat[i], 25)
+                     for i in timed) / sum(self.mix.share(i) for i in timed)
+        return {"p25_ms": p25_us / 1000,
                 "first_response_ms": percentile(d.pop("_first"), 25),
                 "peak_rss_mb": rss}
 
@@ -1029,7 +1045,7 @@ class ServeEdit:
         m = run_layers(r, src, req, spans, layers_store,
                        ["--edited", write_first_edit(r, self.inputs,
                                                      "pipeline256"),
-                        "--warmup", warm, "--once", "--serve-store"])
+                        "--edit-loop", warm])
         t = self.totals
         m["driver.cache_hit_ratio"] = t["hits"] / max(1, t["hits"]
                                                       + t["misses"])
