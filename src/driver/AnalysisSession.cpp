@@ -8,7 +8,6 @@
 
 #include "driver/ArtifactStore.h"
 #include "driver/SessionCache.h"
-#include "ifa/LocalDeps.h"
 
 #include <chrono>
 #include <fstream>
@@ -153,9 +152,7 @@ const IFAResult *AnalysisSession::ifa() {
   if (IfaState == State::NotComputed) {
     ++ArtifactEpoch;
     IfaState = State::Failed;
-    const ElaboratedProgram *P = program();
-    const ProgramCFG *C = cfg();
-    if (P && C) {
+    if (program() && cfg()) {
       // Whole-design store hit: the matrices and the flow graph come back
       // without running any solver. The RD tier stays empty until some
       // consumer actually asks for it (reachingDefs()/alfp() upgrade).
@@ -171,40 +168,24 @@ const IFAResult *AnalysisSession::ifa() {
           }
         }
       }
-      if (IfaState != State::Ok)
-        computeIfa(*P, *C);
+      if (IfaState != State::Ok) {
+        Ifa.emplace(solveIfa());
+        IfaState = State::Ok;
+        if (Blobs) {
+          StageTimer T(Times.StoreMs);
+          Blobs->store("dsgn", designKey(), encodeDesignArtifact(*Ifa));
+        }
+      }
     }
   }
   return IfaState == State::Ok ? &*Ifa : nullptr;
 }
 
-void AnalysisSession::computeIfa(const ElaboratedProgram &P,
-                                 const ProgramCFG &C) {
-  {
-    StageTimer T(Times.IfaMs);
-    bool Composed = false;
-    if (Artifacts) {
-      ActiveSignalsResult Active;
-      ReachingDefsResult RD;
-      IncrementalStats S;
-      if (analyzeIncremental(P, C, Opts.Ifa.RD, *Artifacts, Active, RD,
-                             &S)) {
-        IncStats = S;
-        Ifa.emplace(composeInformationFlow(P, C, Opts.Ifa,
-                                           computeLocalDeps(P, C),
-                                           std::move(Active),
-                                           std::move(RD)));
-        Composed = true;
-      }
-    }
-    if (!Composed)
-      Ifa.emplace(analyzeInformationFlow(P, C, Opts.Ifa));
-    IfaState = State::Ok;
-  }
-  if (Blobs) {
-    StageTimer T(Times.StoreMs);
-    Blobs->store("dsgn", designKey(), encodeDesignArtifact(*Ifa));
-  }
+IFAResult AnalysisSession::solveIfa() {
+  StageTimer T(Times.IfaMs);
+  IncStats = IncrementalStats();
+  return analyzeInformationFlow(*Prog, *Cfg, Opts.Ifa, Artifacts,
+                                Artifacts ? &IncStats : nullptr);
 }
 
 void AnalysisSession::upgradeIfa() {
@@ -214,24 +195,7 @@ void AnalysisSession::upgradeIfa() {
   // store-key guarantee (same source, same options, same pipeline).
   ++ArtifactEpoch;
   IfaPartial = false;
-  StageTimer T(Times.IfaMs);
-  IFAResult Full;
-  bool Composed = false;
-  if (Artifacts) {
-    ActiveSignalsResult Active;
-    ReachingDefsResult RD;
-    IncrementalStats S;
-    if (analyzeIncremental(*Prog, *Cfg, Opts.Ifa.RD, *Artifacts, Active,
-                           RD, &S)) {
-      IncStats = S;
-      Full = composeInformationFlow(*Prog, *Cfg, Opts.Ifa,
-                                    computeLocalDeps(*Prog, *Cfg),
-                                    std::move(Active), std::move(RD));
-      Composed = true;
-    }
-  }
-  if (!Composed)
-    Full = analyzeInformationFlow(*Prog, *Cfg, Opts.Ifa);
+  IFAResult Full = solveIfa();
   Ifa->RDDagger = std::move(Full.RDDagger);
   Ifa->RDDaggerPhi = std::move(Full.RDDaggerPhi);
   Ifa->OutgoingLabels = std::move(Full.OutgoingLabels);

@@ -93,7 +93,7 @@ public:
   }
 
   /// How the last ifa() run composed its Table 4/5 results (all zero when
-  /// the cold path ran: no table wired, an uncovered option mode, or a
+  /// no table is wired, under a reference option mode, or after a
   /// whole-design store hit that skipped the solvers entirely).
   const IncrementalStats &incrementalStats() const { return IncStats; }
 
@@ -169,9 +169,10 @@ private:
   /// The store key for whole-design artifacts: the session cache key of
   /// (source, options). Requires the source to be loaded.
   uint64_t designKey();
-  /// The solver path of ifa(): incremental through Artifacts when
-  /// possible, cold otherwise; writes the design blob back on success.
-  void computeIfa(const ElaboratedProgram &P, const ProgramCFG &C);
+  /// The solver path of ifa() and upgradeIfa(): the full pipeline over
+  /// program()/cfg(), reusing per-process artifacts through Artifacts
+  /// when wired (IncStats records how).
+  IFAResult solveIfa();
   /// Fills a partial ifa() result's RD tier in place (see ifaPartial()).
   void upgradeIfa();
 

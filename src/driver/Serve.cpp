@@ -528,7 +528,11 @@ bool Server::serveFd(int Fd, std::string *Error) {
     return true;
   };
 
+  // Buf holds no newline before Scanned, so each read scans only its own
+  // bytes, and the lines it completes are erased once, together: linear
+  // in the stream for multi-MB lines and long pipelined bursts alike.
   std::string Buf;
+  size_t Scanned = 0;
   char Chunk[4096];
   while (!ShuttingDown) {
     ssize_t N = ::read(Fd, Chunk, sizeof(Chunk));
@@ -540,13 +544,15 @@ bool Server::serveFd(int Fd, std::string *Error) {
     if (N == 0)
       break;
     Buf.append(Chunk, static_cast<size_t>(N));
-    size_t NL;
-    while (!ShuttingDown && (NL = Buf.find('\n')) != std::string::npos) {
-      std::string Line = Buf.substr(0, NL);
-      Buf.erase(0, NL + 1);
-      if (!respond(std::move(Line)))
+    size_t Start = 0, NL;
+    while (!ShuttingDown &&
+           (NL = Buf.find('\n', Scanned)) != std::string::npos) {
+      if (!respond(Buf.substr(Start, NL - Start)))
         return false;
+      Start = Scanned = NL + 1;
     }
+    Buf.erase(0, Start);
+    Scanned = Buf.size();
   }
   // A final request without a trailing newline still deserves an answer.
   if (!ShuttingDown && !Buf.empty())

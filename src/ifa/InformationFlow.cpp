@@ -7,6 +7,7 @@
 #include "ifa/InformationFlow.h"
 
 #include "ifa/LocalDeps.h"
+#include "rd/Incremental.h"
 
 #include <algorithm>
 #include <deque>
@@ -136,16 +137,22 @@ struct CopyGraph {
 
 IFAResult vif::analyzeInformationFlow(const ElaboratedProgram &Program,
                                       const ProgramCFG &CFG,
-                                      const IFAOptions &Opts) {
+                                      const IFAOptions &Opts,
+                                      ProcessArtifactTable *Table,
+                                      IncrementalStats *Stats) {
   ResourceMatrix RMlo = computeLocalDeps(Program, CFG);
   ActiveSignalsResult Active;
   ReachingDefsResult RD;
-  if (Opts.RD.ReferenceSolver) {
-    Active = analyzeActiveSignalsReference(Program, CFG);
-    RD = analyzeReachingDefsReference(Program, CFG, Active, Opts.RD);
-  } else {
-    Active = analyzeActiveSignals(Program, CFG, Opts.RD.Jobs);
-    RD = analyzeReachingDefs(Program, CFG, Active, Opts.RD);
+  ProcessArtifactTable Fresh;
+  if (!analyzeIncremental(Program, CFG, Opts.RD, Table ? *Table : Fresh,
+                          Active, RD, Stats)) {
+    if (Opts.RD.ReferenceSolver) {
+      Active = analyzeActiveSignalsReference(Program, CFG);
+      RD = analyzeReachingDefsReference(Program, CFG, Active, Opts.RD);
+    } else {
+      Active = analyzeActiveSignals(Program, CFG, Opts.RD.Jobs);
+      RD = analyzeReachingDefs(Program, CFG, Active, Opts.RD);
+    }
   }
   return composeInformationFlow(Program, CFG, Opts, std::move(RMlo),
                                 std::move(Active), std::move(RD));

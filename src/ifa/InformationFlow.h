@@ -49,6 +49,9 @@
 
 namespace vif {
 
+class ProcessArtifactTable;
+struct IncrementalStats;
+
 struct IFAOptions {
   /// Apply Table 9 (incoming/outgoing interface nodes).
   bool Improved = false;
@@ -110,16 +113,23 @@ struct IFAResult {
 };
 
 /// Runs the full pipeline: local dependencies, reaching definitions,
-/// closure, graph extraction.
+/// closure, graph extraction. Tables 4 and 5 run through the one driver,
+/// rd::analyzeIncremental, reusing per-process artifacts from \p Table
+/// (a fresh throwaway table when null, i.e. a cold run) and adding its
+/// reuse counts to \p Stats when non-null. The validation modes
+/// (ReferenceSolver, EnumerateCrossFlowTuples) take their reference path
+/// instead and leave \p Table and \p Stats untouched.
 IFAResult analyzeInformationFlow(const ElaboratedProgram &Program,
                                  const ProgramCFG &CFG,
-                                 const IFAOptions &Opts = IFAOptions());
+                                 const IFAOptions &Opts = IFAOptions(),
+                                 ProcessArtifactTable *Table = nullptr,
+                                 IncrementalStats *Stats = nullptr);
 
 /// The design-level half of the pipeline: given already-computed RMlo,
 /// active-signal and reaching-definitions results (whether solved cold or
 /// recomposed from per-process artifacts), runs Table 7, the Table 8
 /// closure and graph extraction. analyzeInformationFlow is exactly the
-/// composition of the three solvers with this function.
+/// composition of the Table 4/5 driver and RMlo with this function.
 IFAResult composeInformationFlow(const ElaboratedProgram &Program,
                                  const ProgramCFG &CFG, const IFAOptions &Opts,
                                  ResourceMatrix RMlo,

@@ -171,6 +171,22 @@ public:
       F(It->L);
   }
 
+  /// Calls \p F(DefPair) for every pair in slot \p L, ascending, without
+  /// materializing the PairSet — so, unlike operator[], safe to call from
+  /// several threads at once.
+  template <typename Fn> void forEachPair(size_t L, Fn F) const {
+    assert(L < Slots.size() && "label out of range");
+    const Slot &S = Slots[L];
+    if (S.Dom) {
+      BitMatrix::forEachBit(S.Mat->row(S.Row), (S.Dom->size() + 63) / 64,
+                            [&](size_t I) { F(S.Dom->pair(I)); });
+      return;
+    }
+    if (S.Cached)
+      for (const DefPair &P : *S.Cached)
+        F(P);
+  }
+
   /// Heap footprint in bytes: slot vector, materialized caches, and each
   /// shared domain/matrix counted once across all tables that share it —
   /// callers pass one \p Seen set spanning every table of a result

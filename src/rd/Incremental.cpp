@@ -12,8 +12,6 @@
 #include "support/Hash.h"
 #include "support/Parallel.h"
 
-#include <map>
-
 using namespace vif;
 
 ArtifactBlobStore::~ArtifactBlobStore() = default;
@@ -380,90 +378,11 @@ void ProcessArtifactTable::insertRd(uint64_t Key,
 
 namespace {
 
-/// Sets the signal-id bit of every definition present in row \p RowI of
-/// \p Mat (a matrix over \p A's domain) into \p Out.
-void signalBitsOfRow(const ActiveProcessArtifact &A, const BitMatrix &Mat,
-                     uint32_t RowI, BitSet &Out) {
-  const uint64_t *Row = Mat.row(RowI);
-  size_t WW = (A.Dom->size() + 63) / 64;
-  BitMatrix::forEachBit(Row, WW, [&](size_t I) {
-    DefPair P = A.Dom->pair(I);
-    if (P.N.isSignal())
-      Out.set(P.N.id());
-  });
-}
-
 /// Folds a BitSet into a hash as (count, ascending indices) — the
 /// canonical form, independent of universe padding.
 void hashBitSet(HashBuilder &H, const BitSet &S) {
   H.u64(S.count());
   S.forEach([&H](size_t I) { H.u64(I); });
-}
-
-/// Fills the Table 5 kill/gen slots of process \p P's labels into the
-/// shared whole-program vectors, using the factored cross-flow
-/// quantifications precomputed as bitsets (\p OthersMay / \p OthersMust
-/// are the unions over the *other* processes' wait aggregates). Produces
-/// exactly the sets computeReachingDefsKillGen builds for these labels.
-void fillRdKillGen(const ProgramCFG &CFG, const ProcessCFG &P,
-                   const ActiveProcessArtifact &Act, const BitSet &OthersMay,
-                   const BitSet &OthersMust, const ReachingDefsOptions &Opts,
-                   std::vector<PairSet> &Kill, std::vector<PairSet> &Gen) {
-  std::map<unsigned, PairSet> DefsOfVar;
-  for (LabelId L : P.Labels) {
-    const CFGBlock &B = CFG.block(L);
-    if (B.K != CFGBlock::Kind::VarAssign)
-      continue;
-    const auto *A = cast<VarAssignStmt>(B.S);
-    DefsOfVar[A->targetRef().Id].insert(
-        DefPair{Resource::variable(A->targetRef().Id), L});
-  }
-
-  size_t NumSignals = OthersMay.size();
-  const FlowIndex *FI = Act.MayEntry ? &CFG.flowIndex(P.ProcessId) : nullptr;
-  BitSet May(NumSignals), Must(NumSignals);
-  for (LabelId L : P.Labels) {
-    const CFGBlock &B = CFG.block(L);
-    switch (B.K) {
-    case CFGBlock::Kind::VarAssign: {
-      const auto *A = cast<VarAssignStmt>(B.S);
-      unsigned Var = A->targetRef().Id;
-      Gen[L].insert(DefPair{Resource::variable(Var), L});
-      if (!A->hasSlice()) {
-        Kill[L] = DefsOfVar[Var];
-        Kill[L].insert(DefPair{Resource::variable(Var), InitialLabel});
-      }
-      break;
-    }
-    case CFGBlock::Kind::Wait: {
-      May = OthersMay;
-      Must = OthersMust;
-      if (FI) {
-        uint32_t I = FI->localOf(L);
-        signalBitsOfRow(Act, *Act.MayEntry, I, May);
-        signalBitsOfRow(Act, *Act.MustEntry, I, Must);
-      }
-      May.forEach([&](size_t Sig) {
-        Gen[L].append(DefPair{Resource::signal(static_cast<unsigned>(Sig)), L});
-      });
-      if (Opts.UseMustActiveKill) {
-        // wS(ss_i): the initial "?" plus the (ascending) wait labels —
-        // appended in DefPair order per signal.
-        Must.forEach([&](size_t Sig) {
-          Resource RS = Resource::signal(static_cast<unsigned>(Sig));
-          Kill[L].append(DefPair{RS, InitialLabel});
-          for (LabelId DefL : P.WaitLabels)
-            Kill[L].append(DefPair{RS, DefL});
-        });
-      }
-      break;
-    }
-    case CFGBlock::Kind::Null:
-    case CFGBlock::Kind::SignalAssign:
-    case CFGBlock::Kind::Cond:
-      break;
-    }
-  }
 }
 
 } // namespace
@@ -482,7 +401,6 @@ bool vif::analyzeIncremental(const ElaboratedProgram &Program,
 
   size_t NumLabels = CFG.numLabels();
   size_t NumProcs = CFG.processes().size();
-  size_t NumSignals = Program.Signals.size();
 
   Active = ActiveSignalsResult();
   Active.MayEntry.resize(NumLabels + 1);
@@ -498,7 +416,7 @@ bool vif::analyzeIncremental(const ElaboratedProgram &Program,
   // Phase 1: Table 4 artifacts, keyed by the slice alone (the fixpoint
   // reads nothing outside the process). Kill/gen vectors span all labels
   // but only dirty processes' slots are filled — disjoint writes, so the
-  // misses solve in parallel just like the cold path.
+  // misses solve in parallel. The vectors are freed before Table 5.
   ActiveKillGen AKG;
   AKG.Kill.resize(NumLabels + 1);
   AKG.Gen.resize(NumLabels + 1);
@@ -526,68 +444,15 @@ bool vif::analyzeIncremental(const ElaboratedProgram &Program,
   });
   for (size_t I = 0; I < NumProcs; ++I)
     Active.Iterations += Act[I]->Iterations;
+  AKG = ActiveKillGen();
 
-  // Phase 2: the factored cross-flow aggregates of Table 5's wait
-  // kill/gen (see rd/ReachingDefs.cpp), computed straight off the dense
-  // artifact rows as signal-id bitsets, then turned into per-process
-  // "others" unions with prefix/suffix sweeps — O(P * S / 64) instead of
-  // the quadratic set unions of the cold path.
-  std::vector<BitSet> MayUnion(NumProcs, BitSet(NumSignals));
-  std::vector<BitSet> MustIntersect(NumProcs, BitSet(NumSignals));
-  std::vector<BitSet> MayAtEnd(NumProcs, BitSet(NumSignals));
-  std::vector<uint8_t> HasWaits(NumProcs, 0);
-  for (const ProcessCFG &P : CFG.processes()) {
-    unsigned Pid = P.ProcessId;
-    HasWaits[Pid] = !P.WaitLabels.empty();
-    const ActiveProcessArtifact &A = *Act[Pid];
-    if (!A.MayEntry || P.WaitLabels.empty())
-      continue; // empty domain or no waits: all aggregate sets stay ∅
-    const FlowIndex &FI = CFG.flowIndex(Pid);
-    bool First = true;
-    BitSet Must(NumSignals);
-    for (LabelId L : P.WaitLabels) {
-      uint32_t I = FI.localOf(L);
-      signalBitsOfRow(A, *A.MayEntry, I, MayUnion[Pid]);
-      Must.clearAll();
-      signalBitsOfRow(A, *A.MustEntry, I, Must);
-      if (First)
-        MustIntersect[Pid] = Must;
-      else
-        MustIntersect[Pid].intersectWith(Must);
-      First = false;
-    }
-    signalBitsOfRow(A, *A.MayEntry, FI.localOf(P.WaitLabels.back()),
-                    MayAtEnd[Pid]);
-  }
-
-  auto othersUnion = [&](const std::vector<BitSet> &Per) {
-    std::vector<BitSet> Pre(NumProcs + 1, BitSet(NumSignals));
-    std::vector<BitSet> Suf(NumProcs + 1, BitSet(NumSignals));
-    for (size_t J = 0; J < NumProcs; ++J) {
-      Pre[J + 1] = Pre[J];
-      if (HasWaits[J])
-        Pre[J + 1].unionWith(Per[J]);
-    }
-    for (size_t J = NumProcs; J-- > 0;) {
-      Suf[J] = Suf[J + 1];
-      if (HasWaits[J])
-        Suf[J].unionWith(Per[J]);
-    }
-    std::vector<BitSet> Out(NumProcs, BitSet(NumSignals));
-    for (size_t I = 0; I < NumProcs; ++I) {
-      Out[I] = Pre[I];
-      Out[I].unionWith(Suf[I + 1]);
-    }
-    return Out;
-  };
-  std::vector<BitSet> OthersMay =
-      othersUnion(Opts.HsiehLevitanCrossFlow ? MayAtEnd : MayUnion);
-  std::vector<BitSet> OthersMust = othersUnion(MustIntersect);
-
-  // Phase 3: Table 5 artifacts, keyed by the slice plus everything the
+  // Phase 2: Table 5 artifacts, keyed by the slice plus everything the
   // wait kill/gen sets read from outside the process: the "others"
-  // unions and the two options that shape them.
-  std::vector<PairSet> RdKill(NumLabels + 1), RdGen(NumLabels + 1);
+  // unions of the wait aggregates and the two options that shape them.
+  WaitAggregates Agg = computeWaitAggregates(CFG, Active, Opts);
+  ReachingDefsKillGen KG;
+  KG.Kill.resize(NumLabels + 1);
+  KG.Gen.resize(NumLabels + 1);
   std::vector<std::shared_ptr<const RdProcessArtifact>> Rd(NumProcs);
   std::vector<uint8_t> RdReused(NumProcs, 0);
   parallelFor(Opts.Jobs, NumProcs, [&](size_t PI) {
@@ -596,8 +461,8 @@ bool vif::analyzeIncremental(const ElaboratedProgram &Program,
     const FlowIndex &FI = CFG.flowIndex(Pid);
     HashBuilder KH;
     KH.str("rdpr").u64(Slice[Pid]);
-    hashBitSet(KH, OthersMay[Pid]);
-    hashBitSet(KH, OthersMust[Pid]);
+    hashBitSet(KH, Agg.OthersMay[Pid]);
+    hashBitSet(KH, Agg.OthersMust[Pid]);
     KH.boolean(Opts.UseMustActiveKill).boolean(Opts.HsiehLevitanCrossFlow);
     uint64_t Key = KH.value();
     auto A = Table.findRd(Key);
@@ -606,10 +471,15 @@ bool vif::analyzeIncremental(const ElaboratedProgram &Program,
     if (A) {
       RdReused[Pid] = 1;
     } else {
-      fillRdKillGen(CFG, P, *Act[Pid], OthersMay[Pid], OthersMust[Pid], Opts,
-                    RdKill, RdGen);
+      computeReachingDefsKillGenFor(CFG, P, Active, Agg, Opts, KG);
       auto Solved = std::make_shared<RdProcessArtifact>(
-          solveProcessRd(CFG, P, RdKill, RdGen));
+          solveProcessRd(CFG, P, KG.Kill, KG.Gen));
+      // Only this fixpoint reads P's slots: release them at once, so a
+      // cold run never holds every process's kill/gen together.
+      for (LabelId L : P.Labels) {
+        KG.Kill[L] = PairSet();
+        KG.Gen[L] = PairSet();
+      }
       Table.insertRd(Key, Solved);
       A = std::move(Solved);
     }

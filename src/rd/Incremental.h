@@ -21,6 +21,13 @@
 /// retained rows; the downstream Table 7 / Table 8 pipeline then reruns
 /// over the recomposed inputs (ifa::composeInformationFlow).
 ///
+/// analyzeIncremental is the one Table 4/5 driver of the pipeline: a cold
+/// analysis is analyzeIncremental over a fresh, throwaway table
+/// (ifa::analyzeInformationFlow), which simply misses on every process.
+/// Table 5's kill/gen comes from the one implementation in
+/// rd/ReachingDefs.h (computeWaitAggregates once per design, then
+/// computeReachingDefsKillGenFor per dirty process).
+///
 /// Keying is in *global coordinates*: the slice hash covers the process's
 /// global labels and resource ids (never source locations), so a hash
 /// match guarantees the stored matrices' coordinates are valid verbatim.
@@ -142,9 +149,9 @@ struct IncrementalStats {
 /// otherwise solve and retain it. Results (including iteration totals)
 /// are identical to analyzeActiveSignals + analyzeReachingDefs under the
 /// same options. Returns false without touching the outputs when \p Opts
-/// requests a mode the incremental layer does not cover (the reference
-/// solvers or explicit cf-tuple enumeration) — the caller falls back to
-/// the cold path.
+/// requests one of the validation modes (the reference solvers or
+/// explicit cf-tuple enumeration), which bypass artifact reuse —
+/// ifa::analyzeInformationFlow routes those through their reference path.
 bool analyzeIncremental(const ElaboratedProgram &Program,
                         const ProgramCFG &CFG,
                         const ReachingDefsOptions &Opts,

@@ -87,19 +87,6 @@ PairSet::dottedIntersection(const std::vector<const PairSet *> &Sets) {
   return Result;
 }
 
-std::vector<Resource> PairSet::firstComponents() const {
-  std::vector<Resource> Result;
-  for (const DefPair &P : Pairs)
-    if (Result.empty() || !(Result.back() == P.N))
-      Result.push_back(P.N);
-  return Result;
-}
-
-std::vector<DefPair> PairSet::pairsFor(Resource N) const {
-  auto [It, End] = equalRange(N);
-  return std::vector<DefPair>(It, End);
-}
-
 std::pair<std::vector<DefPair>::const_iterator,
           std::vector<DefPair>::const_iterator>
 PairSet::equalRange(Resource N) const {

@@ -159,14 +159,7 @@ public:
   /// guarantees RD∩ ⊆ RD∪ for the least solution.
   static PairSet dottedIntersection(const std::vector<const PairSet *> &Sets);
 
-  /// fst(D) = {n | (n, l) ∈ D}: the resources, deduplicated and sorted.
-  std::vector<Resource> firstComponents() const;
-
-  /// All pairs whose resource equals \p N.
-  std::vector<DefPair> pairsFor(Resource N) const;
-
-  /// The contiguous range of pairs whose resource equals \p N — the
-  /// allocation-free form of pairsFor.
+  /// The contiguous range of pairs whose resource equals \p N.
   std::pair<std::vector<DefPair>::const_iterator,
             std::vector<DefPair>::const_iterator>
   equalRange(Resource N) const;

@@ -10,9 +10,9 @@
 #include "support/Casting.h"
 #include "support/Parallel.h"
 
+#include <algorithm>
 #include <deque>
 #include <map>
-#include <set>
 
 using namespace vif;
 
@@ -25,124 +25,37 @@ PairSet ReachingDefsResult::atProcessEnd(const ProcessCFG &P) const {
 
 namespace {
 
-/// Sorted signal-id sets with the usual operations; used for the factored
-/// cf quantifications.
-using SigSet = std::set<unsigned>;
-
-SigSet signalsOf(const PairSet &S) {
-  SigSet Result;
-  for (Resource R : S.firstComponents())
-    if (R.isSignal())
-      Result.insert(R.id());
-  return Result;
-}
-
-SigSet unionOf(const SigSet &A, const SigSet &B) {
-  SigSet R = A;
-  R.insert(B.begin(), B.end());
-  return R;
-}
-
-SigSet intersectOf(const SigSet &A, const SigSet &B) {
-  SigSet R;
-  for (unsigned X : A)
-    if (B.count(X))
-      R.insert(X);
-  return R;
-}
-
-/// The cf quantifications at a wait label l of process i:
-///
-///   may(l)  = ⋃_{tuples (l_1..l_n) ∈ cf, l_i = l} ⋃_j fst(RD∪ϕentry(l_j))
-///   must(l) = ⋂˙_{tuples (l_1..l_n) ∈ cf, l_i = l} ⋃_j fst(RD∩ϕentry(l_j))
-///
-/// Factored: tuple components range independently over the WS(ss_j), so
-///   may(l)  = may_i(l) ∪ ⋃_{j≠i} ⋃_{l'∈WS_j} may_j(l')
-///   must(l) = must_i(l) ∪ ⋃_{j≠i} ⋂_{l'∈WS_j} must_j(l')
-/// (processes without wait statements do not contribute a component).
-struct WaitAggregates {
-  /// ⋃_{l'∈WS_j} fst(RD∪ϕentry(l')) per process j.
-  std::vector<SigSet> MayUnion;
-  /// ⋂_{l'∈WS_j} fst(RD∩ϕentry(l')) per process j.
-  std::vector<SigSet> MustIntersect;
-  /// fst(RD∪ϕentry(l_last)) at the textually last wait of process j — the
-  /// Hsieh-Levitan emulation samples other processes only at this final
-  /// synchronization, losing definitions overwritten before the process
-  /// end (the paper's Section 1 criticism).
-  std::vector<SigSet> MayAtEnd;
-  /// Whether process j has any wait labels.
-  std::vector<bool> HasWaits;
-};
-
-WaitAggregates computeAggregates(const ProgramCFG &CFG,
-                                 const ActiveSignalsResult &Active) {
-  WaitAggregates A;
-  size_t N = CFG.processes().size();
-  A.MayUnion.resize(N);
-  A.MustIntersect.resize(N);
-  A.MayAtEnd.resize(N);
-  A.HasWaits.resize(N, false);
-  for (const ProcessCFG &P : CFG.processes()) {
-    bool First = true;
-    for (LabelId L : P.WaitLabels) {
-      A.HasWaits[P.ProcessId] = true;
-      SigSet May = signalsOf(Active.MayEntry[L]);
-      SigSet Must = signalsOf(Active.MustEntry[L]);
-      A.MayUnion[P.ProcessId] =
-          unionOf(A.MayUnion[P.ProcessId], May);
-      A.MustIntersect[P.ProcessId] =
-          First ? Must : intersectOf(A.MustIntersect[P.ProcessId], Must);
-      First = false;
-    }
-    if (!P.WaitLabels.empty())
-      A.MayAtEnd[P.ProcessId] =
-          signalsOf(Active.MayEntry[P.WaitLabels.back()]);
-  }
-  return A;
-}
-
-SigSet factoredMay(const ProgramCFG &CFG, const ActiveSignalsResult &Active,
-                   const WaitAggregates &Agg, LabelId L,
-                   bool HsiehLevitan) {
-  unsigned I = CFG.processOf(L);
-  SigSet Result = signalsOf(Active.MayEntry[L]);
-  for (size_t J = 0; J < Agg.MayUnion.size(); ++J)
-    if (J != I && Agg.HasWaits[J])
-      Result = unionOf(Result,
-                       HsiehLevitan ? Agg.MayAtEnd[J] : Agg.MayUnion[J]);
-  return Result;
-}
-
-SigSet factoredMust(const ProgramCFG &CFG, const ActiveSignalsResult &Active,
-                    const WaitAggregates &Agg, LabelId L) {
-  unsigned I = CFG.processOf(L);
-  SigSet Result = signalsOf(Active.MustEntry[L]);
-  for (size_t J = 0; J < Agg.MustIntersect.size(); ++J)
-    if (J != I && Agg.HasWaits[J])
-      Result = unionOf(Result, Agg.MustIntersect[J]);
-  return Result;
+/// Sets the signal-id bit of every definition in slot \p L of \p T into
+/// \p Out: fst(·) restricted to signals, read straight off the dense rows.
+void signalsInto(const LazyPairSets &T, LabelId L, BitSet &Out) {
+  T.forEachPair(L, [&Out](DefPair P) {
+    if (P.N.isSignal())
+      Out.set(P.N.id());
+  });
 }
 
 /// Reference implementation by explicit tuple enumeration (validation).
 void enumeratedMayMust(const ProgramCFG &CFG,
                        const ActiveSignalsResult &Active, LabelId L,
-                       SigSet &May, SigSet &Must) {
-  May.clear();
-  Must.clear();
+                       size_t NumSignals, BitSet &May, BitSet &Must) {
+  May.resize(NumSignals);
+  Must.resize(NumSignals);
+  BitSet TupleMay(NumSignals), TupleMust(NumSignals);
   bool FirstTuple = true;
   for (const std::vector<LabelId> &Tuple : CFG.crossFlowTuples()) {
-    bool ThroughL = false;
-    for (LabelId T : Tuple)
-      ThroughL |= T == L;
-    if (!ThroughL)
+    if (std::find(Tuple.begin(), Tuple.end(), L) == Tuple.end())
       continue;
-    SigSet TupleMay, TupleMust;
+    TupleMay.clearAll();
+    TupleMust.clearAll();
     for (LabelId T : Tuple) {
-      TupleMay = unionOf(TupleMay, signalsOf(Active.MayEntry[T]));
-      TupleMust = unionOf(TupleMust, signalsOf(Active.MustEntry[T]));
+      signalsInto(Active.MayEntry, T, TupleMay);
+      signalsInto(Active.MustEntry, T, TupleMust);
     }
-    May = unionOf(May, TupleMay);
-    Must = FirstTuple ? TupleMust : intersectOf(Must, TupleMust);
+    May.unionWith(TupleMay);
+    if (FirstTuple)
+      Must = TupleMust;
+    else
+      Must.intersectWith(TupleMust);
     FirstTuple = false;
   }
   // ⋂˙ over an empty family is ∅ — May/Must stay empty if no tuple passes
@@ -151,69 +64,132 @@ void enumeratedMayMust(const ProgramCFG &CFG,
 
 } // namespace
 
+WaitAggregates vif::computeWaitAggregates(const ProgramCFG &CFG,
+                                          const ActiveSignalsResult &Active,
+                                          const ReachingDefsOptions &Opts) {
+  // Table 4 only ever generates pairs of assigned signals, and FS(ss_i)
+  // includes every assignment target, which bounds the signal-id universe.
+  size_t NumSignals = 0;
+  for (const ProcessCFG &P : CFG.processes())
+    if (!P.FreeSigs.empty())
+      NumSignals = std::max<size_t>(NumSignals, P.FreeSigs.back() + 1);
+
+  // Per process j: ⋃_{l'∈WS_j} fst(RD∪ϕentry(l')) (or the last wait's
+  // alone, under Hsieh-Levitan) and ⋂_{l'∈WS_j} fst(RD∩ϕentry(l')); both
+  // stay ∅ for processes without waits, which therefore contribute
+  // nothing to the unions below.
+  size_t NumProcs = CFG.processes().size();
+  std::vector<BitSet> May(NumProcs, BitSet(NumSignals));
+  std::vector<BitSet> Must(NumProcs, BitSet(NumSignals));
+  BitSet Row(NumSignals);
+  for (const ProcessCFG &P : CFG.processes()) {
+    for (size_t I = 0; I < P.WaitLabels.size(); ++I) {
+      LabelId L = P.WaitLabels[I];
+      if (!Opts.HsiehLevitanCrossFlow || I + 1 == P.WaitLabels.size())
+        signalsInto(Active.MayEntry, L, May[P.ProcessId]);
+      Row.clearAll();
+      signalsInto(Active.MustEntry, L, Row);
+      if (I == 0)
+        Must[P.ProcessId] = Row;
+      else
+        Must[P.ProcessId].intersectWith(Row);
+    }
+  }
+
+  // Out[i] = ⋃_{j≠i} Per[j]: a prefix sweep, then a suffix sweep.
+  auto others = [&](const std::vector<BitSet> &Per) {
+    std::vector<BitSet> Out(NumProcs);
+    BitSet Acc(NumSignals);
+    for (size_t I = 0; I < NumProcs; ++I) {
+      Out[I] = Acc;
+      Acc.unionWith(Per[I]);
+    }
+    Acc.clearAll();
+    for (size_t I = NumProcs; I-- > 0;) {
+      Out[I].unionWith(Acc);
+      Acc.unionWith(Per[I]);
+    }
+    return Out;
+  };
+  return WaitAggregates{others(May), others(Must)};
+}
+
+void vif::computeReachingDefsKillGenFor(const ProgramCFG &CFG,
+                                        const ProcessCFG &P,
+                                        const ActiveSignalsResult &Active,
+                                        const WaitAggregates &Agg,
+                                        const ReachingDefsOptions &Opts,
+                                        ReachingDefsKillGen &KG) {
+  std::vector<PairSet> &Kill = KG.Kill, &Gen = KG.Gen;
+  // Per-variable definitions inside this process.
+  std::map<unsigned, PairSet> DefsOfVar;
+  for (LabelId L : P.Labels) {
+    const CFGBlock &B = CFG.block(L);
+    if (B.K != CFGBlock::Kind::VarAssign)
+      continue;
+    const auto *A = cast<VarAssignStmt>(B.S);
+    DefsOfVar[A->targetRef().Id].insert(
+        DefPair{Resource::variable(A->targetRef().Id), L});
+  }
+
+  BitSet May, Must;
+  for (LabelId L : P.Labels) {
+    const CFGBlock &B = CFG.block(L);
+    switch (B.K) {
+    case CFGBlock::Kind::VarAssign: {
+      const auto *A = cast<VarAssignStmt>(B.S);
+      unsigned Var = A->targetRef().Id;
+      Gen[L].insert(DefPair{Resource::variable(Var), L});
+      if (!A->hasSlice()) {
+        Kill[L] = DefsOfVar[Var];
+        Kill[L].insert(DefPair{Resource::variable(Var), InitialLabel});
+      }
+      break;
+    }
+    case CFGBlock::Kind::Wait: {
+      if (Opts.EnumerateCrossFlowTuples) {
+        enumeratedMayMust(CFG, Active, L, Agg.OthersMay[P.ProcessId].size(),
+                          May, Must);
+      } else {
+        May = Agg.OthersMay[P.ProcessId];
+        Must = Agg.OthersMust[P.ProcessId];
+        signalsInto(Active.MayEntry, L, May);
+        signalsInto(Active.MustEntry, L, Must);
+      }
+      May.forEach([&](size_t Sig) {
+        Gen[L].append(DefPair{Resource::signal(static_cast<unsigned>(Sig)), L});
+      });
+      if (Opts.UseMustActiveKill) {
+        // wS(ss_i): the labels where a present signal value can be
+        // defined within process i — the initial "?" plus its (ascending)
+        // wait labels, appended in DefPair order per signal.
+        Must.forEach([&](size_t Sig) {
+          Resource RS = Resource::signal(static_cast<unsigned>(Sig));
+          Kill[L].append(DefPair{RS, InitialLabel});
+          for (LabelId DefL : P.WaitLabels)
+            Kill[L].append(DefPair{RS, DefL});
+        });
+      }
+      break;
+    }
+    case CFGBlock::Kind::Null:
+    case CFGBlock::Kind::SignalAssign:
+    case CFGBlock::Kind::Cond:
+      break;
+    }
+  }
+}
+
 ReachingDefsKillGen
 vif::computeReachingDefsKillGen(const ProgramCFG &CFG,
                                 const ActiveSignalsResult &Active,
                                 const ReachingDefsOptions &Opts) {
-  size_t NumLabels = CFG.numLabels();
-  WaitAggregates Agg = computeAggregates(CFG, Active);
+  WaitAggregates Agg = computeWaitAggregates(CFG, Active, Opts);
   ReachingDefsKillGen KG;
-  std::vector<PairSet> &Kill = KG.Kill, &Gen = KG.Gen;
-  Kill.resize(NumLabels + 1);
-  Gen.resize(NumLabels + 1);
-  for (const ProcessCFG &P : CFG.processes()) {
-    // Per-variable definitions inside this process.
-    std::map<unsigned, PairSet> DefsOfVar;
-    for (LabelId L : P.Labels) {
-      const CFGBlock &B = CFG.block(L);
-      if (B.K != CFGBlock::Kind::VarAssign)
-        continue;
-      const auto *A = cast<VarAssignStmt>(B.S);
-      DefsOfVar[A->targetRef().Id].insert(
-          DefPair{Resource::variable(A->targetRef().Id), L});
-    }
-    // wS(ss_i): the labels where a present signal value can be defined
-    // within process i — its wait labels plus the initial "?".
-    std::vector<LabelId> PresentDefLabels = P.WaitLabels;
-    PresentDefLabels.push_back(InitialLabel);
-
-    for (LabelId L : P.Labels) {
-      const CFGBlock &B = CFG.block(L);
-      switch (B.K) {
-      case CFGBlock::Kind::VarAssign: {
-        const auto *A = cast<VarAssignStmt>(B.S);
-        unsigned Var = A->targetRef().Id;
-        Gen[L].insert(DefPair{Resource::variable(Var), L});
-        if (!A->hasSlice()) {
-          Kill[L] = DefsOfVar[Var];
-          Kill[L].insert(DefPair{Resource::variable(Var), InitialLabel});
-        }
-        break;
-      }
-      case CFGBlock::Kind::Wait: {
-        SigSet May, Must;
-        if (Opts.EnumerateCrossFlowTuples) {
-          enumeratedMayMust(CFG, Active, L, May, Must);
-        } else {
-          May = factoredMay(CFG, Active, Agg, L,
-                            Opts.HsiehLevitanCrossFlow);
-          Must = factoredMust(CFG, Active, Agg, L);
-        }
-        for (unsigned Sig : May)
-          Gen[L].insert(DefPair{Resource::signal(Sig), L});
-        if (Opts.UseMustActiveKill)
-          for (unsigned Sig : Must)
-            for (LabelId DefL : PresentDefLabels)
-              Kill[L].insert(DefPair{Resource::signal(Sig), DefL});
-        break;
-      }
-      case CFGBlock::Kind::Null:
-      case CFGBlock::Kind::SignalAssign:
-      case CFGBlock::Kind::Cond:
-        break;
-      }
-    }
-  }
+  KG.Kill.resize(CFG.numLabels() + 1);
+  KG.Gen.resize(CFG.numLabels() + 1);
+  for (const ProcessCFG &P : CFG.processes())
+    computeReachingDefsKillGenFor(CFG, P, Active, Agg, Opts, KG);
   return KG;
 }
 

@@ -21,8 +21,12 @@
 ///  * entry of init(ss_i) is {(x,?) | x ∈ FV(ss_i)} ∪ {(s,?) | s ∈ FS(ss_i)}.
 ///
 /// The quantifications over cf tuples are computed in factored form (the
-/// tuple components range independently, see cfg/CFG.h); the explicit
-/// product definition is also implemented for validation on small programs.
+/// tuple components range independently, see cfg/CFG.h) as signal-id
+/// bitsets; the explicit product definition is also implemented for
+/// validation on small programs. There is one kill/gen implementation,
+/// computeReachingDefsKillGenFor: the whole-program tables, the ALFP
+/// encoding and the incremental driver (rd/Incremental.h, the one Table
+/// 4/5 driver of the pipeline) all go through it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -107,6 +111,45 @@ struct ReachingDefsKillGen {
   std::vector<PairSet> Kill;
   std::vector<PairSet> Gen;
 };
+
+/// The cf quantifications at a wait label l of process i:
+///
+///   may(l)  = ⋃_{tuples (l_1..l_n) ∈ cf, l_i = l} ⋃_j fst(RD∪ϕentry(l_j))
+///   must(l) = ⋂˙_{tuples (l_1..l_n) ∈ cf, l_i = l} ⋃_j fst(RD∩ϕentry(l_j))
+///
+/// Factored: tuple components range independently over the WS(ss_j), so
+///   may(l)  = may_i(l) ∪ ⋃_{j≠i} ⋃_{l'∈WS_j} may_j(l')
+///   must(l) = must_i(l) ∪ ⋃_{j≠i} ⋂_{l'∈WS_j} must_j(l')
+/// (processes without wait statements do not contribute a component).
+/// These are the ⋃_{j≠i} terms, as signal-id bitsets indexed by
+/// ProcessId; a wait's kill/gen then only adds its own process's row.
+struct WaitAggregates {
+  std::vector<BitSet> OthersMay;
+  std::vector<BitSet> OthersMust;
+};
+
+/// The "others" unions of every process, from per-process wait aggregates
+/// and prefix/suffix sweeps: O(P * S / 64). Under HsiehLevitanCrossFlow a
+/// process's may aggregate is fst(RD∪ϕentry(l_last)) at its textually
+/// last wait only — the emulation samples other processes only at this
+/// final synchronization, losing definitions overwritten before the
+/// process end (the paper's Section 1 criticism).
+WaitAggregates computeWaitAggregates(const ProgramCFG &CFG,
+                                     const ActiveSignalsResult &Active,
+                                     const ReachingDefsOptions &Opts = {});
+
+/// Fills the Table 5 kill/gen sets of the single process \p P into \p KG,
+/// whose vectors must already span all labels (with \p P's slots empty).
+/// The one implementation of Table 5's kill/gen: computeReachingDefsKillGen
+/// is computeWaitAggregates then this for every process, and the
+/// incremental layer (rd/Incremental.h) calls it for dirty processes only.
+/// \p Active is read without materializing any set, so concurrent calls
+/// for distinct processes are safe.
+void computeReachingDefsKillGenFor(const ProgramCFG &CFG, const ProcessCFG &P,
+                                   const ActiveSignalsResult &Active,
+                                   const WaitAggregates &Agg,
+                                   const ReachingDefsOptions &Opts,
+                                   ReachingDefsKillGen &KG);
 
 ReachingDefsKillGen
 computeReachingDefsKillGen(const ProgramCFG &CFG,

@@ -279,37 +279,43 @@ TEST(ReachingDefs, CrossProcessMayActivePropagates) {
   EXPECT_TRUE(Found);
 }
 
-TEST(ReachingDefs, FactoredEqualsEnumeratedOnMesh) {
-  // The factored cf quantification must coincide with the explicit
-  // Cartesian-product definition.
-  for (unsigned Procs : {2u, 3u}) {
-    std::string Source = workloads::syncMeshDesign(Procs, 3, 4);
-    ReachingDefsOptions Fact, Enum;
-    Enum.EnumerateCrossFlowTuples = true;
-    Analyzed AF = analyzeDesign(Source, Fact);
-    Analyzed AE = analyzeDesign(Source, Enum);
-    ASSERT_EQ(AF.CFG.numLabels(), AE.CFG.numLabels());
-    for (LabelId L = 1; L <= AF.CFG.numLabels(); ++L) {
-      EXPECT_TRUE(AF.RD.Entry[L] == AE.RD.Entry[L]) << "entry at " << L;
-      EXPECT_TRUE(AF.RD.Exit[L] == AE.RD.Exit[L]) << "exit at " << L;
-    }
+/// The factored cf quantification must coincide with the explicit
+/// Cartesian-product definition: the Table 5 kill/gen tables themselves,
+/// set for set, and the RD results built on them.
+void expectFactoredEqualsEnumerated(const std::string &Source,
+                                    bool MustKill, const std::string &What) {
+  ReachingDefsOptions Fact, Enum;
+  Fact.UseMustActiveKill = Enum.UseMustActiveKill = MustKill;
+  Enum.EnumerateCrossFlowTuples = true;
+  Analyzed AF = analyzeDesign(Source, Fact);
+  Analyzed AE = analyzeDesign(Source, Enum);
+  ASSERT_EQ(AF.CFG.numLabels(), AE.CFG.numLabels()) << What;
+  ReachingDefsKillGen KF = computeReachingDefsKillGen(AF.CFG, AF.Active, Fact);
+  ReachingDefsKillGen KE = computeReachingDefsKillGen(AE.CFG, AE.Active, Enum);
+  for (LabelId L = 1; L <= AF.CFG.numLabels(); ++L) {
+    EXPECT_TRUE(KF.Kill[L] == KE.Kill[L]) << What << " kill at " << L;
+    EXPECT_TRUE(KF.Gen[L] == KE.Gen[L]) << What << " gen at " << L;
+    EXPECT_TRUE(AF.RD.Entry[L] == AE.RD.Entry[L]) << What << " entry at " << L;
+    EXPECT_TRUE(AF.RD.Exit[L] == AE.RD.Exit[L]) << What << " exit at " << L;
   }
 }
 
+TEST(ReachingDefs, FactoredEqualsEnumeratedOnMesh) {
+  for (unsigned Procs : {2u, 3u})
+    for (bool MustKill : {true, false})
+      expectFactoredEqualsEnumerated(
+          workloads::syncMeshDesign(Procs, 3, 4), MustKill,
+          "procs " + std::to_string(Procs) +
+              (MustKill ? " must-kill" : " no-must-kill"));
+}
+
 TEST(ReachingDefs, FactoredEqualsEnumeratedOnRandomDesigns) {
-  for (uint64_t Seed = 1; Seed <= 12; ++Seed) {
-    std::string Source = workloads::randomDesign(Seed, 3, 6, 3);
-    ReachingDefsOptions Fact, Enum;
-    Enum.EnumerateCrossFlowTuples = true;
-    Analyzed AF = analyzeDesign(Source, Fact);
-    Analyzed AE = analyzeDesign(Source, Enum);
-    for (LabelId L = 1; L <= AF.CFG.numLabels(); ++L) {
-      EXPECT_TRUE(AF.RD.Entry[L] == AE.RD.Entry[L])
-          << "seed " << Seed << " entry at " << L;
-      EXPECT_TRUE(AF.RD.Exit[L] == AE.RD.Exit[L])
-          << "seed " << Seed << " exit at " << L;
-    }
-  }
+  for (uint64_t Seed = 1; Seed <= 12; ++Seed)
+    for (bool MustKill : {true, false})
+      expectFactoredEqualsEnumerated(
+          workloads::randomDesign(Seed, 3, 6, 3), MustKill,
+          "seed " + std::to_string(Seed) +
+              (MustKill ? " must-kill" : " no-must-kill"));
 }
 
 TEST(ReachingDefs, AtProcessEnd) {
@@ -342,15 +348,6 @@ TEST(PairSet, BasicOperations) {
 
 TEST(PairSet, DottedIntersectionOfEmptyFamilyIsEmpty) {
   EXPECT_TRUE(PairSet::dottedIntersection({}).empty());
-}
-
-TEST(PairSet, FirstComponents) {
-  PairSet S;
-  S.insert(DefPair{Resource::signal(3), 1});
-  S.insert(DefPair{Resource::signal(3), 2});
-  S.insert(DefPair{Resource::variable(1), 7});
-  std::vector<Resource> F = S.firstComponents();
-  EXPECT_EQ(F.size(), 2u);
 }
 
 TEST(PairSet, ResourceDecorations) {

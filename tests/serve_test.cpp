@@ -597,6 +597,51 @@ std::vector<std::string> splitLines(const std::string &Text) {
   return Out;
 }
 
+TEST(Serve, FdTransportSplitsMultiMegabyteLinesAnywhere) {
+  // A 4 MB single-line request (its source carries a 4 MB comment) and a
+  // pipelined burst behind it, written in odd-sized pieces so line ends
+  // land anywhere within the server's reads: every response must come
+  // back, in request order.
+  std::string Big = "-- " + std::string(4u << 20, 'x') + "\n" + MuxSource;
+  std::string Payload =
+      R"({"schema":"vifc.v1","id":1,"command":"check","source":")" +
+      jsonEscape(Big) + "\"}\n";
+  constexpr int Pipelined = 16;
+  for (int Id = 2; Id <= Pipelined + 1; ++Id)
+    Payload += muxRequest("check", Id) + (Id % 3 ? "\n" : "\r\n");
+
+  int Fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Fds), 0);
+  std::thread Writer([&] {
+    const size_t Pieces[] = {1, 4093, 7, 65537, 4097, 3, 8191};
+    for (size_t I = 0, Off = 0; Off < Payload.size(); ++I) {
+      size_t Len = std::min(Pieces[I % 7], Payload.size() - Off);
+      writeAll(Fds[1], Payload.substr(Off, Len));
+      Off += Len;
+    }
+    ::shutdown(Fds[1], SHUT_WR);
+  });
+  std::string Out;
+  std::thread Reader([&] { Out = readToEof(Fds[1]); });
+  Server S;
+  std::string Error;
+  EXPECT_TRUE(S.serveFd(Fds[0], &Error)) << Error;
+  // Closing first unblocks the writer too should serveFd stop early.
+  ::close(Fds[0]);
+  Writer.join();
+  Reader.join();
+  ::close(Fds[1]);
+
+  std::vector<std::string> Lines = splitLines(Out);
+  ASSERT_EQ(Lines.size(), static_cast<size_t>(Pipelined + 1));
+  for (int I = 0; I <= Pipelined; ++I) {
+    JsonValue Doc = parseResponse(Lines[I]);
+    ASSERT_NE(Doc.find("id"), nullptr) << Lines[I];
+    EXPECT_EQ(Doc.find("id")->asNumber(), double(I + 1));
+    EXPECT_EQ(str(Doc, "status"), "ok") << Lines[I];
+  }
+}
+
 TEST(ServeConcurrent, SocketpairClientsShareOneServer) {
   // M threads each drive their own descriptor pair against ONE shared
   // server, K requests pipelined up front. handleLine must be safe

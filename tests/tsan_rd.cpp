@@ -7,14 +7,15 @@
 // contention and checks the results against serial runs. Built with
 // -fsanitize=thread when the toolchain supports it and registered as
 // ctest vifc_tsan_rd; any data race in the fan-out — FlowIndex first
-// builds, LazyPairSets slot writes, iteration accounting — aborts the
-// test through TSan's reporting.
+// builds, LazyPairSets slot writes, iteration accounting, the Table 5
+// kill/gen fill reading the shared Table 4 rows in the incremental
+// driver — aborts the test through TSan's reporting.
 //
 //===----------------------------------------------------------------------===//
 
 #include "cfg/CFG.h"
 #include "parse/Parser.h"
-#include "rd/ReachingDefs.h"
+#include "rd/Incremental.h"
 #include "workloads/Synthetic.h"
 
 #include <cstdio>
@@ -51,9 +52,16 @@ bool checkDesign(const std::string &Source, const char *What) {
     ReachingDefsOptions Opts;
     Opts.Jobs = Jobs;
     ReachingDefsResult RD = analyzeReachingDefs(*P, CFG, Active, Opts);
+    // The driver of the pipeline, cold: every process misses.
+    ProcessArtifactTable Table;
+    ActiveSignalsResult IncActive;
+    ReachingDefsResult IncRD;
+    analyzeIncremental(*P, CFG, Opts, Table, IncActive, IncRD);
 
     if (RD.Iterations != SerialRD.Iterations ||
-        Active.Iterations != SerialActive.Iterations) {
+        Active.Iterations != SerialActive.Iterations ||
+        IncRD.Iterations != SerialRD.Iterations ||
+        IncActive.Iterations != SerialActive.Iterations) {
       std::fprintf(stderr, "tsan_rd: %s jobs=%u iteration counts diverge\n",
                    What, Jobs);
       return false;
@@ -61,8 +69,11 @@ bool checkDesign(const std::string &Source, const char *What) {
     for (LabelId L = 1; L <= CFG.numLabels(); ++L)
       if (!(RD.Entry[L] == SerialRD.Entry[L]) ||
           !(RD.Exit[L] == SerialRD.Exit[L]) ||
+          !(IncRD.Entry[L] == SerialRD.Entry[L]) ||
+          !(IncRD.Exit[L] == SerialRD.Exit[L]) ||
           !(Active.MayEntry[L] == SerialActive.MayEntry[L]) ||
-          !(Active.MustExit[L] == SerialActive.MustExit[L])) {
+          !(Active.MustExit[L] == SerialActive.MustExit[L]) ||
+          !(IncActive.MayEntry[L] == SerialActive.MayEntry[L])) {
         std::fprintf(stderr, "tsan_rd: %s jobs=%u differs at label %u\n",
                      What, Jobs, L);
         return false;

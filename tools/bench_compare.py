@@ -19,19 +19,22 @@ baseline / tolerance, and latency-quantile counters (p50_us, p99_us —
 the serve load benchmark) regress when they *grow* beyond
 tolerance * baseline. Counters present on only one side are ignored.
 
-Aggregate rows (`*_BigO`, `*_RMS`, mean/median/stddev) are skipped;
-benchmarks present on only one side are reported but never fail the
-check, so adding or retiring benchmarks does not break CI.
+Aggregate rows (`*_BigO`, `*_RMS`, mean/median/stddev) are skipped. The
+check is strict about coverage: a fresh file without a baseline, or a
+benchmark row present on only one side, fails it just like a regression
+— adding or retiring benchmarks means refreshing the baseline with
+--update in the same change.
 
 With --update, each fresh run is first compared (so the delta is on
-record), then written over its baseline file verbatim — the workflow for
-refreshing committed baselines after a perf PR (see
-bench/baselines/README.md). --update never fails on regressions; it
-reports them and rewrites anyway, since the point is to pin the new
-truth.
+record), then written over its baseline file verbatim (creating it when
+missing) — the workflow for refreshing committed baselines after a perf
+PR (see bench/baselines/README.md). --update never fails on regressions
+or coverage mismatches; it reports them and rewrites anyway, since the
+point is to pin the new truth.
 
 Exit status: 0 all within tolerance (or --update), 1 at least one
-regression, 2 bad invocation or unreadable files.
+regression, missing baseline or one-sided row, 2 bad invocation or
+unreadable files.
 
 Baselines are machine-dependent (see bench/baselines/README.md): run the
 comparison on the machine that produced the baselines, and keep the
@@ -103,11 +106,10 @@ def compare(fresh_path, baseline_path, tolerance):
     print(f"== {os.path.basename(fresh_path)} vs {baseline_path} "
           f"(tolerance {tolerance:.2f}x)")
     for name in sorted(set(fresh) | set(base)):
-        if name not in fresh:
-            print(f"  {name:44s} only in baseline (retired?)")
-            continue
-        if name not in base:
-            print(f"  {name:44s} only in fresh run (new)")
+        if name not in fresh or name not in base:
+            side = "baseline" if name not in fresh else "fresh run"
+            print(f"  {name:44s} only in {side}  MISSING")
+            regressions.append((name, f"only in {side}"))
             continue
         fresh_ns, fresh_counters = fresh[name]
         base_ns, base_counters = base[name]
@@ -115,7 +117,7 @@ def compare(fresh_path, baseline_path, tolerance):
         status = "ok"
         if ratio > tolerance:
             status = "REGRESSED"
-            regressions.append((name, ratio))
+            regressions.append((name, f"x{ratio:.2f}"))
         elif ratio < 1.0 / tolerance:
             status = "faster"
         print(f"  {name:44s} {human(base_ns):>10s} -> "
@@ -130,7 +132,7 @@ def compare(fresh_path, baseline_path, tolerance):
             cstatus = "ok"
             if worse > tolerance:
                 cstatus = "REGRESSED"
-                regressions.append((f"{name}[{counter}]", worse))
+                regressions.append((f"{name}[{counter}]", f"x{worse:.2f}"))
             elif worse < 1.0 / tolerance:
                 cstatus = "better"
             print(f"    {counter:42s} {human_counter(counter, b):>10s} -> "
@@ -161,9 +163,9 @@ def main():
         baseline_path = args.baseline or os.path.join(
             args.baselines, os.path.basename(fresh_path))
         if not os.path.exists(baseline_path):
-            if not args.update:
-                print(f"bench_compare: no baseline {baseline_path}; skipping "
-                      f"(commit one to start tracking)", file=sys.stderr)
+            print(f"== {os.path.basename(fresh_path)}: no baseline "
+                  f"{baseline_path}  MISSING")
+            all_regressions.append((baseline_path, "no baseline"))
         else:
             all_regressions += compare(fresh_path, baseline_path,
                                        args.tolerance)
@@ -184,15 +186,16 @@ def main():
 
     if args.update:
         if all_regressions:
-            print(f"bench_compare: {len(all_regressions)} regression(s) "
-                  f"baked into the refreshed baselines — intended only "
-                  f"after a reviewed perf change", file=sys.stderr)
+            print(f"bench_compare: {len(all_regressions)} regression(s) or "
+                  f"coverage change(s) baked into the refreshed baselines — "
+                  f"intended only after a reviewed perf change",
+                  file=sys.stderr)
         return 0
     if all_regressions:
-        print(f"bench_compare: {len(all_regressions)} regression(s):",
+        print(f"bench_compare: {len(all_regressions)} failure(s):",
               file=sys.stderr)
-        for name, ratio in all_regressions:
-            print(f"  {name}: x{ratio:.2f}", file=sys.stderr)
+        for name, what in all_regressions:
+            print(f"  {name}: {what}", file=sys.stderr)
         return 1
     return 0
 

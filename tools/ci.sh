@@ -85,7 +85,8 @@ fi
 # binaries and diffs them against bench/baselines/ via
 # tools/bench_compare.py. Off by default — baselines are machine-
 # dependent, so this only means something on the machine that produced
-# them. Tune the allowed slowdown with VIFC_BENCH_TOLERANCE (ratio).
+# them. Override bench_compare.py's default allowed slowdown with
+# VIFC_BENCH_TOLERANCE (ratio).
 if [ -z "$SANITIZE" ] && [ "${VIFC_BENCH_COMPARE:-0}" = "1" ] &&
    [ -x "$BUILD_DIR/bench_fig5" ]; then
   mkdir -p "$BUILD_DIR/bench-json"
@@ -97,6 +98,6 @@ if [ -z "$SANITIZE" ] && [ "${VIFC_BENCH_COMPARE:-0}" = "1" ] &&
   done
   python3 tools/bench_compare.py "$BUILD_DIR"/bench-json/*.json \
     --baselines bench/baselines \
-    --tolerance "${VIFC_BENCH_TOLERANCE:-1.5}"
+    ${VIFC_BENCH_TOLERANCE:+--tolerance "$VIFC_BENCH_TOLERANCE"}
   echo "bench compare passed"
 fi

@@ -18,7 +18,10 @@
 /// (5) BitSet closure == IFAOptions::ReferenceClosure, (6) sorted-run
 /// ResourceMatrix == ReferenceResourceMatrix under shuffled replay,
 /// (7) Digraph::transitiveClosure == DFS reachability on the flow graph,
-/// (8) determinism: regeneration and reanalysis are byte/set identical.
+/// (8) determinism: regeneration and reanalysis are byte/set identical,
+/// (9) the factored Table 5 kill/gen == the EnumerateCrossFlowTuples one,
+/// set for set per label, with and without the RD∩ϕ kill (on designs
+/// whose cf-tuple product is at most MaxEnumeratedTuples).
 ///
 /// Query mode, per seed: build a FlowQueryEngine over the improved flow
 /// graph and check it against first-principles graph walks — reaches()
@@ -141,6 +144,36 @@ Digraph naiveClosure(const Digraph &G) {
 
 std::vector<RMEntry> entriesOf(const ResourceMatrix &RM) {
   return std::vector<RMEntry>(RM.begin(), RM.end());
+}
+
+/// Oracle (9) runs only below this cf-tuple product: the enumeration walks
+/// every tuple at every wait label.
+constexpr size_t MaxEnumeratedTuples = 4096;
+
+/// Oracle (9): the factored kill/gen sets against explicit cf-tuple
+/// enumeration, the independent definition of the wait quantifications.
+std::string killGenFailure(const ProgramCFG &CFG,
+                           const ActiveSignalsResult &Active) {
+  size_t Tuples = 1;
+  for (const ProcessCFG &Proc : CFG.processes())
+    if (!Proc.WaitLabels.empty())
+      Tuples = std::min(Tuples * Proc.WaitLabels.size(),
+                        MaxEnumeratedTuples + 1);
+  if (Tuples > MaxEnumeratedTuples)
+    return "";
+  for (bool MustKill : {true, false}) {
+    ReachingDefsOptions Fact, Enum;
+    Fact.UseMustActiveKill = Enum.UseMustActiveKill = MustKill;
+    Enum.EnumerateCrossFlowTuples = true;
+    ReachingDefsKillGen KF = computeReachingDefsKillGen(CFG, Active, Fact);
+    ReachingDefsKillGen KE = computeReachingDefsKillGen(CFG, Active, Enum);
+    for (LabelId L = 1; L <= CFG.numLabels(); ++L)
+      if (!(KF.Kill[L] == KE.Kill[L]) || !(KF.Gen[L] == KE.Gen[L]))
+        return std::string("factored kill/gen differs from cf enumeration "
+                           "(must-kill=") +
+               (MustKill ? "1" : "0") + ") at label " + std::to_string(L);
+  }
+  return "";
 }
 
 /// Runs the whole oracle battery on \p Source. Returns an empty string on
@@ -273,7 +306,9 @@ std::string oracleFailure(const std::string &Source) {
         Again.Graph.sortedEdges() != IfaImproved.Graph.sortedEdges())
       return "re-analysis is not deterministic";
   }
-  return "";
+
+  // (9) factored vs enumerated kill/gen, on the dense Table 4 results.
+  return killGenFailure(CFG, Dense);
 }
 
 /// Exact BFS distance (in edges, length >= 1) from \p Src to \p Sink, or
