@@ -9,6 +9,7 @@
 
 #include "parse/Parser.h"
 #include "sema/Elaborator.h"
+#include "support/Graph.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -59,6 +60,14 @@ inline ElaboratedProgram mustElaborateDesign(const std::string &Source) {
     std::abort();
   }
   return std::move(*P);
+}
+
+/// Prints \p G's edges as "  from->to", in sorted order.
+inline void printEdges(std::FILE *Out, const Digraph &G) {
+  G.forEachSortedEdge([Out](std::string_view From, std::string_view To) {
+    std::fprintf(Out, "  %.*s->%.*s", static_cast<int>(From.size()),
+                 From.data(), static_cast<int>(To.size()), To.data());
+  });
 }
 
 } // namespace bench

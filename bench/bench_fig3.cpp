@@ -29,8 +29,7 @@ const char *ProgramB = "b := a; c := b;";
 void printGraph(std::FILE *Out, const char *Title, const Digraph &G) {
   std::fprintf(Out, "  %s: %zu nodes, %zu edges:", Title, G.numNodes(),
               G.numEdges());
-  for (const auto &[From, To] : G.sortedEdges())
-    std::fprintf(Out, "  %s->%s", From.c_str(), To.c_str());
+  bench::printEdges(Out, G);
   std::fprintf(Out, "\n");
 }
 

@@ -32,8 +32,7 @@ void regenerateFigure(std::FILE *Out) {
 
   IFAResult Plain = analyzeInformationFlow(P, CFG);
   std::fprintf(Out, "Figure 4(a) — basic graph:");
-  for (const auto &[From, To] : Plain.Graph.sortedEdges())
-    std::fprintf(Out, "  %s->%s", From.c_str(), To.c_str());
+  bench::printEdges(Out, Plain.Graph);
   std::fprintf(Out, "\n");
 
   IFAOptions Opts;
@@ -42,8 +41,7 @@ void regenerateFigure(std::FILE *Out) {
   Digraph Interface = Improved.interfaceGraph();
   std::fprintf(Out, "Figure 4(b) — interface graph (%zu nodes):",
               Interface.numNodes());
-  for (const auto &[From, To] : Interface.sortedEdges())
-    std::fprintf(Out, "  %s->%s", From.c_str(), To.c_str());
+  bench::printEdges(Out, Interface);
   std::fprintf(Out, "\n");
   std::fprintf(Out, "b-initial leaks to c: %s (paper: must be no)\n\n",
               Interface.hasEdge("b◦", "c•") ? "YES (bug!)" : "no");

@@ -57,8 +57,7 @@ void regenerateFigure(std::FILE *Out) {
   std::fprintf(Out, "false positives eliminated: %zu\n",
                BaseState.edgesNotIn(OursState).size());
   std::fprintf(Out, "RD-guided edges:");
-  for (const auto &[From, To] : OursState.sortedEdges())
-    std::fprintf(Out, "  %s->%s", From.c_str(), To.c_str());
+  bench::printEdges(Out, OursState);
   std::fprintf(Out, "\n\n");
 }
 

@@ -18,7 +18,7 @@
 #include "gen/Generator.h"
 #include "ifa/InformationFlow.h"
 #include "ifa/Kemmerer.h"
-#include "rd/ReachingDefs.h"
+#include "rd/Incremental.h"
 #include "workloads/Synthetic.h"
 
 #include <benchmark/benchmark.h>
@@ -159,14 +159,17 @@ BENCHMARK(BM_Scaling_Generated_Frontend)
 
 void BM_Scaling_RDOnly(benchmark::State &State) {
   // Isolates the "three bit-vector frameworks" part of the paper's
-  // complexity argument from the closure.
+  // complexity argument from the closure: Tables 4 and 5 through the
+  // production driver, cold (a fresh artifact table per iteration).
   unsigned N = static_cast<unsigned>(State.range(0));
   ElaboratedProgram P =
       mustElaborateStatements(workloads::chainStatements(N));
   ProgramCFG CFG = ProgramCFG::build(P);
   for (auto _ : State) {
-    ActiveSignalsResult Active = analyzeActiveSignals(P, CFG);
-    ReachingDefsResult RD = analyzeReachingDefs(P, CFG, Active);
+    ProcessArtifactTable Table;
+    ActiveSignalsResult Active;
+    ReachingDefsResult RD;
+    analyzeIncremental(P, CFG, {}, Table, Active, RD);
     benchmark::DoNotOptimize(RD.Iterations);
   }
   State.SetComplexityN(N);

@@ -37,8 +37,9 @@ int main() {
 
   std::cout << "information-flow graph of 'leaky' ("
             << R.Graph.numEdges() << " edges):\n";
-  for (const auto &[From, To] : R.Graph.sortedEdges())
+  R.Graph.forEachSortedEdge([](std::string_view From, std::string_view To) {
     std::cout << "  " << From << " -> " << To << '\n';
+  });
 
   FlowPolicy Policy;
   // The designer declares the intended flows; an auditor forbids the rest.

@@ -68,13 +68,15 @@ int main() {
 
   std::cout << "== RD-guided information-flow graph ("
             << Ours.Graph.numEdges() << " edges)\n";
-  for (const auto &[From, To] : Ours.Graph.sortedEdges())
+  Ours.Graph.forEachSortedEdge([](std::string_view From, std::string_view To) {
     std::cout << "  " << From << " -> " << To << '\n';
+  });
 
   std::cout << "\n== Kemmerer's transitive closure ("
             << Base.Graph.numEdges() << " edges)\n";
-  for (const auto &[From, To] : Base.Graph.sortedEdges())
+  Base.Graph.forEachSortedEdge([](std::string_view From, std::string_view To) {
     std::cout << "  " << From << " -> " << To << '\n';
+  });
 
   std::cout << "\nfalse positives of the transitive method: "
             << Base.Graph.edgesNotIn(Ours.Graph).size() << '\n';

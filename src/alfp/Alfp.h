@@ -184,9 +184,6 @@ public:
   const std::string &relationName(RelId R) const;
   unsigned relationArity(RelId R) const;
 
-  /// Number of declared relations (ids are dense, 0..count-1).
-  size_t relationCount() const { return Relations.size(); }
-
   /// Adds a ground fact.
   void fact(RelId R, Tuple T);
 

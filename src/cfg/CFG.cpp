@@ -19,36 +19,16 @@ ProgramCFG::~ProgramCFG() = default;
 ProgramCFG::ProgramCFG(ProgramCFG &&) noexcept = default;
 ProgramCFG &ProgramCFG::operator=(ProgramCFG &&) noexcept = default;
 
-ProgramCFG::ProgramCFG(const ProgramCFG &O)
-    : Blocks(O.Blocks), Procs(O.Procs), StmtLabels(O.StmtLabels),
-      CondLabels(O.CondLabels) {
-  ensureFlowIndexSlots();
-}
-
-ProgramCFG &ProgramCFG::operator=(const ProgramCFG &O) {
-  Blocks = O.Blocks;
-  Procs = O.Procs;
-  StmtLabels = O.StmtLabels;
-  CondLabels = O.CondLabels;
-  ensureFlowIndexSlots();
-  return *this;
-}
-
 const FlowIndex &ProgramCFG::flowIndex(unsigned ProcessId) const {
   assert(ProcessId < Procs.size() && "process id out of range");
-  // The slot vector is pre-sized (ensureFlowIndexSlots is called whenever
-  // Procs changes), so concurrent first accesses for *distinct* processes
-  // — the parallel per-process rd solvers — each build into their own
-  // slot and never reallocate the vector under one another.
+  // The slot vector is pre-sized (build() sizes it once Procs is final),
+  // so concurrent first accesses for *distinct* processes — the parallel
+  // per-process rd solvers — each build into their own slot and never
+  // reallocate the vector under one another.
   assert(FlowIndexes.size() == Procs.size() && "flow index slots not sized");
   if (!FlowIndexes[ProcessId])
     FlowIndexes[ProcessId] = std::make_unique<FlowIndex>(Procs[ProcessId]);
   return *FlowIndexes[ProcessId];
-}
-
-void ProgramCFG::ensureFlowIndexSlots() {
-  FlowIndexes.clear();
-  FlowIndexes.resize(Procs.size());
 }
 
 std::vector<LabelId> ProcessCFG::predecessors(LabelId L) const {
@@ -66,10 +46,8 @@ namespace {
 class CFGBuilder {
 public:
   CFGBuilder(std::vector<CFGBlock> &Blocks,
-             std::map<const Stmt *, LabelId> &StmtLabels,
-             std::map<const Stmt *, LabelId> &CondLabels, unsigned ProcessId)
-      : Blocks(Blocks), StmtLabels(StmtLabels), CondLabels(CondLabels),
-        ProcessId(ProcessId) {}
+             std::map<const Stmt *, LabelId> &StmtLabels, unsigned ProcessId)
+      : Blocks(Blocks), StmtLabels(StmtLabels), ProcessId(ProcessId) {}
 
   struct Segment {
     LabelId Init;
@@ -107,7 +85,6 @@ public:
     case Stmt::Kind::If: {
       const auto *I = cast<IfStmt>(&S);
       LabelId L = newBlock(CFGBlock::Kind::Cond, &S, &I->cond(), P);
-      CondLabels[&S] = L;
       Segment Then = buildStmt(I->thenStmt(), P);
       Segment Else = buildStmt(I->elseStmt(), P);
       P.Flow.emplace_back(L, Then.Init);
@@ -122,7 +99,6 @@ public:
     case Stmt::Kind::While: {
       const auto *W = cast<WhileStmt>(&S);
       LabelId L = newBlock(CFGBlock::Kind::Cond, &S, &W->cond(), P);
-      CondLabels[&S] = L;
       Segment Body = buildStmt(W->body(), P);
       P.Flow.emplace_back(L, Body.Init);
       for (LabelId F : Body.Finals)
@@ -156,7 +132,6 @@ private:
 
   std::vector<CFGBlock> &Blocks;
   std::map<const Stmt *, LabelId> &StmtLabels;
-  std::map<const Stmt *, LabelId> &CondLabels;
   unsigned ProcessId;
 };
 
@@ -167,7 +142,7 @@ ProgramCFG ProgramCFG::build(const ElaboratedProgram &Program) {
   for (const ElabProcess &Proc : Program.Processes) {
     ProcessCFG P;
     P.ProcessId = Proc.Id;
-    CFGBuilder Builder(CFG.Blocks, CFG.StmtLabels, CFG.CondLabels, Proc.Id);
+    CFGBuilder Builder(CFG.Blocks, CFG.StmtLabels, Proc.Id);
     CFGBuilder::Segment Seg = Builder.buildStmt(*Proc.Body, P);
     P.Init = Seg.Init;
     P.Finals = std::move(Seg.Finals);
@@ -176,19 +151,13 @@ ProgramCFG ProgramCFG::build(const ElaboratedProgram &Program) {
     collectStmtObjects(*Proc.Body, P.FreeVars, P.FreeSigs);
     CFG.Procs.push_back(std::move(P));
   }
-  CFG.ensureFlowIndexSlots();
+  CFG.FlowIndexes.resize(CFG.Procs.size());
   return CFG;
 }
 
 LabelId ProgramCFG::labelOf(const Stmt *S) const {
   auto It = StmtLabels.find(S);
   assert(It != StmtLabels.end() && "statement has no label");
-  return It->second;
-}
-
-LabelId ProgramCFG::condLabelOf(const Stmt *S) const {
-  auto It = CondLabels.find(S);
-  assert(It != CondLabels.end() && "statement has no condition label");
   return It->second;
 }
 
@@ -208,44 +177,4 @@ std::vector<LabelId> ProgramCFG::allWaitLabels() const {
     Result.insert(Result.end(), P.WaitLabels.begin(), P.WaitLabels.end());
   std::sort(Result.begin(), Result.end());
   return Result;
-}
-
-std::vector<std::vector<LabelId>>
-ProgramCFG::crossFlowTuples(size_t MaxTuples) const {
-  // Processes without wait statements never participate in a
-  // synchronization; cf ranges over the others.
-  std::vector<const ProcessCFG *> Waiting;
-  for (const ProcessCFG &P : Procs)
-    if (!P.WaitLabels.empty())
-      Waiting.push_back(&P);
-
-  std::vector<std::vector<LabelId>> Tuples;
-  if (Waiting.empty())
-    return Tuples;
-
-  size_t Count = 1;
-  for (const ProcessCFG *P : Waiting) {
-    Count *= P->WaitLabels.size();
-    assert(Count <= MaxTuples && "cross-flow product too large; use the "
-                                 "factored forms instead");
-    (void)MaxTuples;
-  }
-
-  std::vector<size_t> Cursor(Waiting.size(), 0);
-  for (;;) {
-    std::vector<LabelId> Tuple;
-    Tuple.reserve(Waiting.size());
-    for (size_t I = 0; I < Waiting.size(); ++I)
-      Tuple.push_back(Waiting[I]->WaitLabels[Cursor[I]]);
-    Tuples.push_back(std::move(Tuple));
-    // Odometer increment.
-    size_t I = 0;
-    for (; I < Waiting.size(); ++I) {
-      if (++Cursor[I] < Waiting[I]->WaitLabels.size())
-        break;
-      Cursor[I] = 0;
-    }
-    if (I == Waiting.size())
-      return Tuples;
-  }
 }

@@ -20,8 +20,8 @@
 ///    and they sit in different processes (or are the same label).
 ///  * quantifications of the form "⋃/⋂ over tuples through l" which the rd
 ///    module computes from per-process aggregates (see rd/ReachingDefs.cpp).
-/// The explicit tuple enumeration is also implemented for small programs, so
-/// tests can check the factored forms against the definition.
+/// The explicit tuple enumeration lives with the test-only oracles
+/// (tests/oracle/), which check the factored forms against the definition.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -89,9 +89,6 @@ public:
   ~ProgramCFG();
   ProgramCFG(ProgramCFG &&) noexcept;
   ProgramCFG &operator=(ProgramCFG &&) noexcept;
-  /// Copies share no cache; the copy rebuilds its flow indices on demand.
-  ProgramCFG(const ProgramCFG &O);
-  ProgramCFG &operator=(const ProgramCFG &O);
 
   /// Builds the CFG for every process of \p Program. The program must have
   /// been elaborated without errors.
@@ -114,8 +111,6 @@ public:
 
   /// The label of an elementary statement block (assignment, wait, null).
   LabelId labelOf(const Stmt *S) const;
-  /// The label of the condition block of an if or while statement.
-  LabelId condLabelOf(const Stmt *S) const;
 
   /// True if wait labels \p A and \p B occur together in some cf tuple.
   bool cfCompatible(LabelId A, LabelId B) const;
@@ -125,12 +120,6 @@ public:
 
   /// All wait labels of the program, ascending (the paper's WS).
   std::vector<LabelId> allWaitLabels() const;
-
-  /// Materializes cf, the Cartesian product of wait-label sets of processes
-  /// that contain waits. Only for validation on small programs; asserts that
-  /// the product has at most \p MaxTuples elements.
-  std::vector<std::vector<LabelId>>
-  crossFlowTuples(size_t MaxTuples = 1u << 20) const;
 
   /// The CSR successor/predecessor adjacency + reverse postorder of
   /// process \p ProcessId (cfg/FlowIndex.h), built on first use and cached
@@ -142,14 +131,9 @@ public:
   const FlowIndex &flowIndex(unsigned ProcessId) const;
 
 private:
-  /// Resets the per-process FlowIndex cache to one empty slot per
-  /// process; must be called whenever Procs changes.
-  void ensureFlowIndexSlots();
-
   std::vector<CFGBlock> Blocks; ///< Blocks[l-1] is the block labeled l
   std::vector<ProcessCFG> Procs;
   std::map<const Stmt *, LabelId> StmtLabels;
-  std::map<const Stmt *, LabelId> CondLabels;
   mutable std::vector<std::unique_ptr<FlowIndex>> FlowIndexes;
 };
 

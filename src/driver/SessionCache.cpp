@@ -26,7 +26,6 @@ void foreachOptionBit(const SessionOptions &O, F &&Fn) {
   Fn(O.Ifa.ProgramEndOutgoing);
   Fn(O.Ifa.ReferenceClosure);
   Fn(O.Ifa.RD.UseMustActiveKill);
-  Fn(O.Ifa.RD.EnumerateCrossFlowTuples);
   Fn(O.Ifa.RD.ReferenceSolver);
   Fn(O.Ifa.RD.HsiehLevitanCrossFlow);
   // ReachingDefsOptions::Jobs is deliberately not folded in: it changes

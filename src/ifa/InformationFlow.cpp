@@ -56,26 +56,6 @@ private:
 
 } // namespace
 
-Digraph vif::extractFlowGraph(const LabelIndexedRM &RM,
-                              const ElaboratedProgram &Program) {
-  Digraph G;
-  FlowNodeTable Nodes(Program, G);
-  std::vector<std::pair<Digraph::NodeId, Digraph::NodeId>> EdgeList;
-  for (LabelId L = InitialLabel; L <= RM.maxLabel(); ++L) {
-    LabelIndexedRM::RawRun Reads = RM.at(L, Access::R0);
-    if (Reads.empty())
-      continue;
-    for (Access MA : {Access::M0, Access::M1})
-      for (uint32_t M : RM.at(L, MA)) {
-        Digraph::NodeId To = Nodes.nodeOf(M);
-        for (uint32_t R : Reads)
-          EdgeList.emplace_back(Nodes.nodeOf(R), To);
-      }
-  }
-  G.addEdges(std::move(EdgeList));
-  return G;
-}
-
 Digraph vif::extractFlowGraph(const ResourceMatrix &RM,
                               const ElaboratedProgram &Program) {
   // One pass over the ordered entry set: per label, the M0/M1 range comes
@@ -143,16 +123,13 @@ IFAResult vif::analyzeInformationFlow(const ElaboratedProgram &Program,
   ResourceMatrix RMlo = computeLocalDeps(Program, CFG);
   ActiveSignalsResult Active;
   ReachingDefsResult RD;
-  ProcessArtifactTable Fresh;
-  if (!analyzeIncremental(Program, CFG, Opts.RD, Table ? *Table : Fresh,
-                          Active, RD, Stats)) {
-    if (Opts.RD.ReferenceSolver) {
-      Active = analyzeActiveSignalsReference(Program, CFG);
-      RD = analyzeReachingDefsReference(Program, CFG, Active, Opts.RD);
-    } else {
-      Active = analyzeActiveSignals(Program, CFG, Opts.RD.Jobs);
-      RD = analyzeReachingDefs(Program, CFG, Active, Opts.RD);
-    }
+  if (Opts.RD.ReferenceSolver) {
+    Active = analyzeActiveSignalsReference(Program, CFG);
+    RD = analyzeReachingDefsReference(Program, CFG, Active, Opts.RD);
+  } else {
+    ProcessArtifactTable Fresh;
+    analyzeIncremental(Program, CFG, Opts.RD, Table ? *Table : Fresh, Active,
+                       RD, Stats);
   }
   return composeInformationFlow(Program, CFG, Opts, std::move(RMlo),
                                 std::move(Active), std::move(RD));
@@ -380,11 +357,7 @@ IFAResult vif::composeInformationFlow(const ElaboratedProgram &Program,
     }
 
     R.RMgl.insertR0Rows(R0);
-
-    // Graph extraction, through the label-indexed view: the post-closure
-    // RMgl is the largest matrix in the pipeline, so indexed (label,
-    // access) ranges amortize best here.
-    R.Graph = extractFlowGraph(LabelIndexedRM(R.RMgl), Program);
+    R.Graph = extractFlowGraph(R.RMgl, Program);
   } else {
     // The R0 universe: every resource the rows can ever mention is
     // already in some R0 entry (propagation only copies).

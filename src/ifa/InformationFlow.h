@@ -62,10 +62,9 @@ struct IFAOptions {
   bool ProgramEndOutgoing = false;
   /// Runs the Table 8 fixpoint over the retained sorted-vector R0 rows
   /// (per-edge set_union) instead of the word-parallel BitSet rows over
-  /// the design-level resource numbering. Results are identical; the
-  /// differential tests compare complete IFA results through both
-  /// carriers, and the knob stays available as an escape hatch while the
-  /// dense closure is young.
+  /// the design-level resource numbering. Results are identical; the knob
+  /// stays as the oracle that the differential tests and the benchmark's
+  /// expected-graph generator drive through driver::AnalysisSession.
   bool ReferenceClosure = false;
   /// Knobs forwarded to the Reaching Definitions analysis (ablations).
   ReachingDefsOptions RD;
@@ -116,9 +115,9 @@ struct IFAResult {
 /// closure, graph extraction. Tables 4 and 5 run through the one driver,
 /// rd::analyzeIncremental, reusing per-process artifacts from \p Table
 /// (a fresh throwaway table when null, i.e. a cold run) and adding its
-/// reuse counts to \p Stats when non-null. The validation modes
-/// (ReferenceSolver, EnumerateCrossFlowTuples) take their reference path
-/// instead and leave \p Table and \p Stats untouched.
+/// reuse counts to \p Stats when non-null. Under Opts.RD.ReferenceSolver
+/// they run through the sorted-vector reference solvers instead, leaving
+/// \p Table and \p Stats untouched.
 IFAResult analyzeInformationFlow(const ElaboratedProgram &Program,
                                  const ProgramCFG &CFG,
                                  const IFAOptions &Opts = IFAOptions(),
@@ -139,10 +138,9 @@ IFAResult composeInformationFlow(const ElaboratedProgram &Program,
 /// Extracts flow edges from a resource matrix: r -> m for every label with
 /// both (m, l, M0/M1) and (r, l, R0). Shared by this analysis and the
 /// Kemmerer baseline so that the two differ only in their closure. Works
-/// id-based over a label-indexed view: node names are materialized once
-/// per node, never per edge, and edges are bulk-inserted as id pairs.
-Digraph extractFlowGraph(const LabelIndexedRM &RM,
-                         const ElaboratedProgram &Program);
+/// id-based in one pass over the ordered entries: node names are
+/// materialized once per node, never per edge, and edges are bulk-inserted
+/// as id pairs.
 Digraph extractFlowGraph(const ResourceMatrix &RM,
                          const ElaboratedProgram &Program);
 

@@ -124,24 +124,6 @@ void ResourceMatrix::print(std::ostream &OS,
     OS << E.N.name(Program) << "@" << E.L << ":" << accessName(E.A) << '\n';
 }
 
-void ReferenceResourceMatrix::insertR0Rows(
-    const std::vector<std::vector<uint32_t>> &Rows) {
-  // Rows are visited in (label, resource) ascending order, which is entry
-  // order for the fixed R0 access — each hinted insert lands just before
-  // the hint, so the sweep is amortized O(1) per entry.
-  auto Hint = Entries.begin();
-  for (LabelId L = 0; L < Rows.size(); ++L)
-    for (uint32_t Raw : Rows[L]) {
-      RMEntry E{L, Access::R0, Resource::fromRaw(Raw)};
-      while (Hint != Entries.end() && *Hint < E)
-        ++Hint;
-      if (Hint != Entries.end() && *Hint == E)
-        continue; // already present (an RMlo entry the closure re-derived)
-      Hint = Entries.insert(Hint, E);
-      ++Hint;
-    }
-}
-
 LabelIndexedRM::LabelIndexedRM(const ResourceMatrix &RM) {
   if (RM.empty())
     return;

@@ -20,11 +20,10 @@
 /// are the rows every consumer indexes, plus an insert buffer that is
 /// merged in lazily — single inserts append, bulk R0 writes (the closure's
 /// fixpoint rows, the largest matrix in the pipeline) are one linear
-/// merge. The historical std::set backend is retained below as
-/// ReferenceResourceMatrix, the oracle for the differential tests. The
-/// lazy merge mutates on const reads, so a matrix must not be read from
-/// multiple threads concurrently (per-design results never are; see the
-/// LazyPairSets note in rd/DenseDomain.h).
+/// merge. The historical std::set backend is a test-only oracle in
+/// tests/oracle/. The lazy merge mutates on const reads, so a matrix must
+/// not be read from multiple threads concurrently (per-design results
+/// never are; see the LazyPairSets note in rd/DenseDomain.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,7 +34,6 @@
 #include "support/BitSet.h"
 
 #include <iosfwd>
-#include <set>
 #include <unordered_set>
 
 namespace vif {
@@ -139,30 +137,6 @@ private:
   /// duplicate-free (and disjoint from Entries) by PendingKeys.
   mutable std::vector<RMEntry> Pending;
   mutable std::unordered_set<uint64_t> PendingKeys;
-};
-
-/// The historical std::set-backed matrix, retained as the oracle for the
-/// dense backend: tests/rm_differential_test.cpp drives both through the
-/// same operation streams and asserts byte-identical entry sequences.
-class ReferenceResourceMatrix {
-public:
-  bool insert(Resource N, LabelId L, Access A) {
-    return Entries.insert(RMEntry{L, A, N}).second;
-  }
-  bool contains(Resource N, LabelId L, Access A) const {
-    return Entries.count(RMEntry{L, A, N}) != 0;
-  }
-
-  /// The hinted-sweep bulk insert of the pre-dense implementation.
-  void insertR0Rows(const std::vector<std::vector<uint32_t>> &Rows);
-
-  size_t size() const { return Entries.size(); }
-
-  std::set<RMEntry>::const_iterator begin() const { return Entries.begin(); }
-  std::set<RMEntry>::const_iterator end() const { return Entries.end(); }
-
-private:
-  std::set<RMEntry> Entries;
 };
 
 /// A zero-copy, label-indexed view over a matrix (the "RMgl view"): for

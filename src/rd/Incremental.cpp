@@ -285,11 +285,6 @@ bool vif::decodeRdArtifact(std::string_view Blob, RdProcessArtifact &A) {
 ProcessArtifactTable::ProcessArtifactTable(size_t MaxEntries)
     : Cap(MaxEntries ? MaxEntries : 1) {}
 
-size_t ProcessArtifactTable::size() const {
-  std::lock_guard<std::mutex> G(M);
-  return Map.size();
-}
-
 std::shared_ptr<const void> ProcessArtifactTable::find(uint64_t Key) {
   std::lock_guard<std::mutex> G(M);
   auto It = Map.find(Key);
@@ -387,18 +382,13 @@ void hashBitSet(HashBuilder &H, const BitSet &S) {
 
 } // namespace
 
-bool vif::analyzeIncremental(const ElaboratedProgram &Program,
+void vif::analyzeIncremental(const ElaboratedProgram &Program,
                              const ProgramCFG &CFG,
                              const ReachingDefsOptions &Opts,
                              ProcessArtifactTable &Table,
                              ActiveSignalsResult &Active,
                              ReachingDefsResult &RD,
                              IncrementalStats *Stats) {
-  // The reference solvers and the explicit tuple enumeration are
-  // validation modes; they bypass artifact reuse entirely.
-  if (Opts.ReferenceSolver || Opts.EnumerateCrossFlowTuples)
-    return false;
-
   size_t NumLabels = CFG.numLabels();
   size_t NumProcs = CFG.processes().size();
 
@@ -497,5 +487,4 @@ bool vif::analyzeIncremental(const ElaboratedProgram &Program,
       Stats->RdSolved += !RdReused[I];
     }
   }
-  return true;
 }

@@ -21,12 +21,14 @@
 /// retained rows; the downstream Table 7 / Table 8 pipeline then reruns
 /// over the recomposed inputs (ifa::composeInformationFlow).
 ///
-/// analyzeIncremental is the one Table 4/5 driver of the pipeline: a cold
+/// analyzeIncremental is the one production Table 4/5 driver: a cold
 /// analysis is analyzeIncremental over a fresh, throwaway table
 /// (ifa::analyzeInformationFlow), which simply misses on every process.
-/// Table 5's kill/gen comes from the one implementation in
-/// rd/ReachingDefs.h (computeWaitAggregates once per design, then
-/// computeReachingDefsKillGenFor per dirty process).
+/// It has no validation modes: the cf quantifications are always factored
+/// (computeWaitAggregates once per design, then
+/// computeReachingDefsKillGenFor per dirty process, both in
+/// rd/ReachingDefs.h), and the sorted-vector reference solvers are a
+/// separate path that ifa::analyzeInformationFlow selects.
 ///
 /// Keying is in *global coordinates*: the slice hash covers the process's
 /// global labels and resource ids (never source locations), so a hash
@@ -116,7 +118,6 @@ public:
   /// Artifacts served (memory or backing store) resp. not found.
   size_t hits() const { return Hits.load(std::memory_order_relaxed); }
   size_t misses() const { return Misses.load(std::memory_order_relaxed); }
-  size_t size() const;
 
 private:
   std::shared_ptr<const void> find(uint64_t Key);
@@ -146,13 +147,11 @@ struct IncrementalStats {
 
 /// Computes the Table 4 and Table 5 results for \p Program through the
 /// artifact table: per process, reuse a keyed artifact when present,
-/// otherwise solve and retain it. Results (including iteration totals)
-/// are identical to analyzeActiveSignals + analyzeReachingDefs under the
-/// same options. Returns false without touching the outputs when \p Opts
-/// requests one of the validation modes (the reference solvers or
-/// explicit cf-tuple enumeration), which bypass artifact reuse —
-/// ifa::analyzeInformationFlow routes those through their reference path.
-bool analyzeIncremental(const ElaboratedProgram &Program,
+/// otherwise solve and retain it. Results (including iteration totals) do
+/// not depend on which artifacts were reused, nor on Opts.Jobs.
+/// Opts.ReferenceSolver is not consulted here — it selects
+/// ifa::analyzeInformationFlow's reference path instead of this driver.
+void analyzeIncremental(const ElaboratedProgram &Program,
                         const ProgramCFG &CFG,
                         const ReachingDefsOptions &Opts,
                         ProcessArtifactTable &Table,

@@ -8,7 +8,6 @@
 
 #include "cfg/FlowIndex.h"
 #include "support/Casting.h"
-#include "support/Parallel.h"
 
 #include <algorithm>
 #include <deque>
@@ -32,34 +31,6 @@ void signalsInto(const LazyPairSets &T, LabelId L, BitSet &Out) {
     if (P.N.isSignal())
       Out.set(P.N.id());
   });
-}
-
-/// Reference implementation by explicit tuple enumeration (validation).
-void enumeratedMayMust(const ProgramCFG &CFG,
-                       const ActiveSignalsResult &Active, LabelId L,
-                       size_t NumSignals, BitSet &May, BitSet &Must) {
-  May.resize(NumSignals);
-  Must.resize(NumSignals);
-  BitSet TupleMay(NumSignals), TupleMust(NumSignals);
-  bool FirstTuple = true;
-  for (const std::vector<LabelId> &Tuple : CFG.crossFlowTuples()) {
-    if (std::find(Tuple.begin(), Tuple.end(), L) == Tuple.end())
-      continue;
-    TupleMay.clearAll();
-    TupleMust.clearAll();
-    for (LabelId T : Tuple) {
-      signalsInto(Active.MayEntry, T, TupleMay);
-      signalsInto(Active.MustEntry, T, TupleMust);
-    }
-    May.unionWith(TupleMay);
-    if (FirstTuple)
-      Must = TupleMust;
-    else
-      Must.intersectWith(TupleMust);
-    FirstTuple = false;
-  }
-  // ⋂˙ over an empty family is ∅ — May/Must stay empty if no tuple passes
-  // through L (impossible for a genuine wait label).
 }
 
 } // namespace
@@ -147,15 +118,10 @@ void vif::computeReachingDefsKillGenFor(const ProgramCFG &CFG,
       break;
     }
     case CFGBlock::Kind::Wait: {
-      if (Opts.EnumerateCrossFlowTuples) {
-        enumeratedMayMust(CFG, Active, L, Agg.OthersMay[P.ProcessId].size(),
-                          May, Must);
-      } else {
-        May = Agg.OthersMay[P.ProcessId];
-        Must = Agg.OthersMust[P.ProcessId];
-        signalsInto(Active.MayEntry, L, May);
-        signalsInto(Active.MustEntry, L, Must);
-      }
+      May = Agg.OthersMay[P.ProcessId];
+      Must = Agg.OthersMust[P.ProcessId];
+      signalsInto(Active.MayEntry, L, May);
+      signalsInto(Active.MustEntry, L, Must);
       May.forEach([&](size_t Sig) {
         Gen[L].append(DefPair{Resource::signal(static_cast<unsigned>(Sig)), L});
       });
@@ -191,38 +157,6 @@ vif::computeReachingDefsKillGen(const ProgramCFG &CFG,
   for (const ProcessCFG &P : CFG.processes())
     computeReachingDefsKillGenFor(CFG, P, Active, Agg, Opts, KG);
   return KG;
-}
-
-ReachingDefsResult
-vif::analyzeReachingDefs(const ElaboratedProgram &Program,
-                         const ProgramCFG &CFG,
-                         const ActiveSignalsResult &Active,
-                         const ReachingDefsOptions &Opts) {
-  size_t NumLabels = CFG.numLabels();
-  ReachingDefsResult R;
-  R.Entry.resize(NumLabels + 1);
-  R.Exit.resize(NumLabels + 1);
-
-  ReachingDefsKillGen KG = computeReachingDefsKillGen(CFG, Active, Opts);
-
-  // Forward may analysis, per-process flow, run densely: every pair that
-  // can ever be present comes from the initial {(n, ?)} set or some gen
-  // set, so those pairs form the process's bit-vector domain. Processes
-  // are independent fixpoints writing disjoint label slots, so they fan
-  // out over a thread pool (Opts.Jobs); iteration counts are accumulated
-  // per process and summed after the join.
-  size_t NumProcs = CFG.processes().size();
-  std::vector<size_t> Iterations(NumProcs, 0);
-  parallelFor(Opts.Jobs, NumProcs, [&](size_t ProcIdx) {
-    const ProcessCFG &P = CFG.processes()[ProcIdx];
-    RdProcessArtifact A = solveProcessRd(CFG, P, KG.Kill, KG.Gen);
-    Iterations[ProcIdx] = A.Iterations;
-    installProcessRd(R, CFG, P, A);
-  });
-  for (size_t N : Iterations)
-    R.Iterations += N;
-  (void)Program;
-  return R;
 }
 
 RdProcessArtifact vif::solveProcessRd(const ProgramCFG &CFG,

@@ -20,13 +20,13 @@
 ///    (x, ?) pair standing for the initial value;
 ///  * entry of init(ss_i) is {(x,?) | x ∈ FV(ss_i)} ∪ {(s,?) | s ∈ FS(ss_i)}.
 ///
-/// The quantifications over cf tuples are computed in factored form (the
-/// tuple components range independently, see cfg/CFG.h) as signal-id
-/// bitsets; the explicit product definition is also implemented for
-/// validation on small programs. There is one kill/gen implementation,
-/// computeReachingDefsKillGenFor: the whole-program tables, the ALFP
-/// encoding and the incremental driver (rd/Incremental.h, the one Table
-/// 4/5 driver of the pipeline) all go through it.
+/// The quantifications over cf tuples are computed in factored form only
+/// (the tuple components range independently, see cfg/CFG.h), as signal-id
+/// bitsets; the explicit tuple product is a test-only oracle
+/// (tests/oracle/Oracles.h). There is one kill/gen implementation,
+/// computeReachingDefsKillGenFor, and one solver driver: analyzeIncremental
+/// (rd/Incremental.h) calls both per process, and the ALFP encoding reads
+/// the whole-program kill/gen tables.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,14 +42,11 @@ struct ReachingDefsOptions {
   /// DESIGN.md): present-value definitions of signals then survive every
   /// synchronization, as in a naive adaptation of Reaching Definitions.
   bool UseMustActiveKill = true;
-  /// Computes the wait kill/gen sets by explicit enumeration of cf tuples
-  /// instead of the factored form (validation only; exponential).
-  bool EnumerateCrossFlowTuples = false;
   /// Routes the whole pipeline through the retained sorted-vector
   /// reference solvers (analyzeActiveSignalsReference /
   /// analyzeReachingDefsReference) instead of the dense bit-vector ones.
-  /// Used by the differential tests to compare complete IFA results, and
-  /// available as an escape hatch while the dense solvers are young.
+  /// Stays as the oracle that the differential tests and the benchmark's
+  /// expected-graph generator drive through driver::AnalysisSession.
   bool ReferenceSolver = false;
   /// Worker threads for the per-process fixpoints (both the active-signal
   /// and the RDcf solvers): each process is an independent fixpoint with
@@ -90,15 +87,10 @@ struct ReachingDefsResult {
   }
 };
 
-/// Runs RDcf for the whole program, given the Table 4 results \p Active.
-ReachingDefsResult analyzeReachingDefs(const ElaboratedProgram &Program,
-                                       const ProgramCFG &CFG,
-                                       const ActiveSignalsResult &Active,
-                                       const ReachingDefsOptions &Opts = {});
-
-/// The original sorted-vector-PairSet worklist solver, retained as the
-/// oracle for the dense one (differential tests assert identical Entry and
-/// Exit sets on every workload family).
+/// The original sorted-vector-PairSet worklist solver for the whole
+/// program, given the Table 4 results \p Active; retained as the oracle
+/// for the dense per-process one (differential tests assert identical
+/// Entry and Exit sets on every workload family).
 ReachingDefsResult
 analyzeReachingDefsReference(const ElaboratedProgram &Program,
                              const ProgramCFG &CFG,
@@ -141,8 +133,8 @@ WaitAggregates computeWaitAggregates(const ProgramCFG &CFG,
 /// Fills the Table 5 kill/gen sets of the single process \p P into \p KG,
 /// whose vectors must already span all labels (with \p P's slots empty).
 /// The one implementation of Table 5's kill/gen: computeReachingDefsKillGen
-/// is computeWaitAggregates then this for every process, and the
-/// incremental layer (rd/Incremental.h) calls it for dirty processes only.
+/// is computeWaitAggregates then this for every process, and
+/// analyzeIncremental (rd/Incremental.h) calls it for dirty processes only.
 /// \p Active is read without materializing any set, so concurrent calls
 /// for distinct processes are safe.
 void computeReachingDefsKillGenFor(const ProgramCFG &CFG, const ProcessCFG &P,
@@ -166,10 +158,9 @@ struct RdProcessArtifact {
   uint64_t Iterations = 0;
 };
 
-/// Solves the RDcf fixpoint of one process given the per-label kill/gen
-/// vectors (only \p P's label slots are read): exactly the per-process
-/// body of analyzeReachingDefs, exposed so dirty processes can be
-/// re-solved in isolation.
+/// Solves the dense RDcf fixpoint of one process given the per-label
+/// kill/gen vectors (only \p P's label slots are read), so each dirty
+/// process is solved in isolation by analyzeIncremental.
 RdProcessArtifact solveProcessRd(const ProgramCFG &CFG, const ProcessCFG &P,
                                  const std::vector<PairSet> &Kill,
                                  const std::vector<PairSet> &Gen);

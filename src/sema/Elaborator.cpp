@@ -28,13 +28,6 @@ const char *vif::signalClassName(SignalClass C) {
   return "?";
 }
 
-std::string ElaboratedProgram::resourceName(ObjectRef Ref) const {
-  assert(Ref.isResolved() && "resource name of unresolved reference");
-  if (Ref.isVariable())
-    return variable(Ref.Id).UniqueName;
-  return signal(Ref.Id).UniqueName;
-}
-
 std::vector<unsigned> ElaboratedProgram::inputSignals() const {
   std::vector<unsigned> Result;
   for (const ElabSignal &S : Signals)

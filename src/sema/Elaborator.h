@@ -104,10 +104,6 @@ struct ElaboratedProgram {
     return Processes[Id];
   }
 
-  /// The node name for a resolved object in analysis results: the unique
-  /// name of the variable or signal.
-  std::string resourceName(ObjectRef Ref) const;
-
   /// Ids of all In/InOut resp. Out/InOut port signals.
   std::vector<unsigned> inputSignals() const;
   std::vector<unsigned> outputSignals() const;

@@ -87,11 +87,6 @@ bool Simulator::isWaiting(unsigned ProcId) const {
   return Procs[ProcId].WaitingAt != nullptr;
 }
 
-bool Simulator::isFinished(unsigned ProcId) const {
-  const Process &P = Procs[ProcId];
-  return !P.WaitingAt && P.Cont.empty();
-}
-
 bool Simulator::execStmt(unsigned ProcId, const Stmt &S) {
   Process &Proc = Procs[ProcId];
   ProcessContext Ctx(*this, ProcId);

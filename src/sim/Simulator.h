@@ -93,9 +93,6 @@ public:
 
   /// True if process \p ProcId is parked at a wait statement.
   bool isWaiting(unsigned ProcId) const;
-  /// True if process \p ProcId ran off the end of its body (only possible
-  /// for non-looped statement programs).
-  bool isFinished(unsigned ProcId) const;
 
   /// Diagnostic description of why the simulation got stuck, if it did.
   const std::string &stuckReason() const { return StuckReason; }

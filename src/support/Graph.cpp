@@ -245,24 +245,6 @@ Digraph::NodeId Digraph::id(std::string_view Name) const {
   return It->second;
 }
 
-std::vector<std::string> Digraph::sortedNodes() const {
-  ensureRank();
-  std::vector<std::string> Result;
-  Result.reserve(RankOrder.size());
-  for (NodeId Id : RankOrder)
-    Result.emplace_back(Names[Id]);
-  return Result;
-}
-
-std::vector<std::pair<std::string, std::string>> Digraph::sortedEdges() const {
-  std::vector<std::pair<std::string, std::string>> Result;
-  Result.reserve(numEdges());
-  forEachSortedEdge([&Result](std::string_view From, std::string_view To) {
-    Result.emplace_back(From, To);
-  });
-  return Result;
-}
-
 std::vector<Digraph::NodeId> Digraph::successors(NodeId Id) const {
   flushEdges();
   std::vector<NodeId> Result;
@@ -410,8 +392,20 @@ Digraph::edgesNotIn(const Digraph &Other) const {
 }
 
 bool Digraph::sameFlows(const Digraph &Other) const {
-  return sortedNodes() == Other.sortedNodes() &&
-         sortedEdges() == Other.sortedEdges();
+  ensureSortedViews();
+  Other.ensureSortedViews();
+  if (Names.size() != Other.Names.size() || Edges.size() != Other.Edges.size())
+    return false;
+  for (size_t I = 0; I < RankOrder.size(); ++I)
+    if (Names[RankOrder[I]] != Other.Names[Other.RankOrder[I]])
+      return false;
+  for (size_t I = 0; I < EdgeOrder.size(); ++I) {
+    const auto &[From, To] = Edges[EdgeOrder[I]];
+    const auto &[OFrom, OTo] = Other.Edges[Other.EdgeOrder[I]];
+    if (Names[From] != Other.Names[OFrom] || Names[To] != Other.Names[OTo])
+      return false;
+  }
+  return true;
 }
 
 void Digraph::printDOT(std::ostream &OS, std::string_view Title) const {

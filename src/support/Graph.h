@@ -109,25 +109,12 @@ public:
 
   /// Node names in insertion order.
   const std::vector<std::string_view> &nodes() const { return Names; }
-  /// Node names sorted lexicographically (a per-call copy; prefer
-  /// rankedNodes() on hot paths).
-  std::vector<std::string> sortedNodes() const;
-  /// All edges as (from, to) name pairs, sorted lexicographically (a
-  /// per-call copy; prefer forEachSortedEdge on hot paths).
-  std::vector<std::pair<std::string, std::string>> sortedEdges() const;
 
   /// Node ids in lexicographic name order (the rank permutation). The
   /// reference stays valid until the next node insertion.
   const std::vector<NodeId> &rankedNodes() const {
     ensureRank();
     return RankOrder;
-  }
-  /// Lexicographic rank of node \p Id: name(rankedNodes()[rankOf(Id)]) ==
-  /// name(Id).
-  NodeId rankOf(NodeId Id) const {
-    ensureRank();
-    assert(Id < RankOf.size() && "node id out of range");
-    return RankOf[Id];
   }
 
   /// Forces the lazy edge flush, rank permutation and sorted-edge
@@ -141,7 +128,6 @@ public:
 
   /// Streams the edges in lexicographic (from-name, to-name) order as
   /// string_view pairs, without materializing any intermediate vector.
-  /// Exactly the order of sortedEdges().
   template <typename Callback> void forEachSortedEdge(Callback &&CB) const {
     ensureSortedViews();
     for (uint32_t Index : EdgeOrder) {

@@ -99,12 +99,6 @@ public:
     return true;
   }
 
-  /// Tasks queued but not yet claimed by a worker.
-  size_t queued() const {
-    std::lock_guard<std::mutex> G(M);
-    return Queue.size();
-  }
-
   unsigned threads() const { return static_cast<unsigned>(Workers.size()); }
 
   /// Rejects further enqueues, runs every task still queued, and joins
@@ -140,7 +134,7 @@ private:
     }
   }
 
-  mutable std::mutex M;
+  std::mutex M;
   std::condition_variable CV;
   std::deque<std::function<void()>> Queue;
   const size_t MaxQueued;

@@ -9,6 +9,7 @@
 #include "ifa/AlfpClosure.h"
 #include "ifa/AlfpRd.h"
 #include "parse/Parser.h"
+#include "rd/Incremental.h"
 #include "workloads/Synthetic.h"
 
 #include <gtest/gtest.h>
@@ -362,8 +363,10 @@ void expectRdAlfpMatchesNative(const std::string &Source, bool IsDesign) {
   }
   ASSERT_TRUE(P.has_value()) << Diags.str();
   ProgramCFG CFG = ProgramCFG::build(*P);
-  ActiveSignalsResult Active = analyzeActiveSignals(*P, CFG);
-  ReachingDefsResult Native = analyzeReachingDefs(*P, CFG, Active);
+  ProcessArtifactTable Table;
+  ActiveSignalsResult Active;
+  ReachingDefsResult Native;
+  analyzeIncremental(*P, CFG, {}, Table, Active, Native);
   AlfpRdResult Alfp = solveRdWithAlfp(*P, CFG, Active);
   ASSERT_TRUE(Alfp.Solved) << Alfp.Error;
   for (LabelId L = 1; L <= CFG.numLabels(); ++L) {

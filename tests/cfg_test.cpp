@@ -5,8 +5,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "cfg/CFG.h"
+#include "oracle/Oracles.h"
 #include "parse/Parser.h"
 #include "support/Casting.h"
+#include "workloads/Synthetic.h"
 
 #include <gtest/gtest.h>
 
@@ -159,8 +161,7 @@ TEST(CFG, CrossFlowCompatibility) {
   EXPECT_FALSE(CFG.cfCompatible(CFG.process(0).Init, W2[0]));
 }
 
-TEST(CFG, CrossFlowTuples) {
-  ElaboratedProgram P = elabDesign(R"(
+const char *TwoWaitsThenOne = R"(
     entity e is port(clk : in std_logic; q : out std_logic); end e;
     architecture rtl of e is
       signal s : std_logic;
@@ -168,24 +169,43 @@ TEST(CFG, CrossFlowTuples) {
       p1 : process begin s <= clk; wait on clk; s <= s; wait on s;
       end process p1;
       p2 : process begin q <= s; wait on s; end process p2;
-    end rtl;)");
+    end rtl;)";
+
+TEST(CFG, CrossFlowTuples) {
+  ElaboratedProgram P = elabDesign(TwoWaitsThenOne);
   ProgramCFG CFG = ProgramCFG::build(P);
-  auto Tuples = CFG.crossFlowTuples();
+  auto Tuples = crossFlowTuples(CFG);
+  ASSERT_TRUE(Tuples.has_value());
   // |cf| = |WS(p1)| * |WS(p2)| = 2 * 1.
-  ASSERT_EQ(Tuples.size(), 2u);
-  for (const auto &T : Tuples)
+  ASSERT_EQ(Tuples->size(), 2u);
+  for (const auto &T : *Tuples)
     EXPECT_EQ(T.size(), 2u);
   // Every tuple component pair must be cf-compatible.
-  for (const auto &T : Tuples)
+  for (const auto &T : *Tuples)
     for (LabelId A : T)
       for (LabelId B : T)
         EXPECT_TRUE(CFG.cfCompatible(A, B));
 }
 
+TEST(CFG, CrossFlowTuplesRefusesPastTheBound) {
+  ElaboratedProgram P = elabDesign(TwoWaitsThenOne);
+  ProgramCFG CFG = ProgramCFG::build(P);
+  EXPECT_FALSE(crossFlowTuples(CFG, 1).has_value());
+  ASSERT_TRUE(crossFlowTuples(CFG, 2).has_value());
+  EXPECT_EQ(crossFlowTuples(CFG, 2)->size(), 2u);
+  // 3^64 tuples: refused up front, without overflowing the count.
+  ElaboratedProgram MeshP = elabDesign(workloads::syncMeshDesign(64, 3, 4));
+  ProgramCFG Mesh = ProgramCFG::build(MeshP);
+  EXPECT_FALSE(crossFlowTuples(Mesh).has_value());
+  EXPECT_FALSE(computeReachingDefsKillGenEnumerated(Mesh, {}).has_value());
+}
+
 TEST(CFG, ProcessWithoutWaitsExcludedFromCf) {
   ElaboratedProgram P = elabStmts("a := b; c := a;");
   ProgramCFG CFG = ProgramCFG::build(P);
-  EXPECT_TRUE(CFG.crossFlowTuples().empty());
+  auto Tuples = crossFlowTuples(CFG);
+  ASSERT_TRUE(Tuples.has_value());
+  EXPECT_TRUE(Tuples->empty());
   EXPECT_TRUE(CFG.allWaitLabels().empty());
 }
 

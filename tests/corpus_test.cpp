@@ -67,7 +67,7 @@ TEST(Corpus, GeneratedDesignsElaborateAndSolversAgree) {
     IFAResult Dense = analyzeInformationFlow(*P, CFG);
     IFAResult Ref = analyzeInformationFlow(*P, CFG, RefRD);
     EXPECT_TRUE(Dense.RMgl == Ref.RMgl) << File;
-    EXPECT_EQ(Dense.Graph.sortedEdges(), Ref.Graph.sortedEdges()) << File;
+    EXPECT_TRUE(Dense.Graph.sameFlows(Ref.Graph)) << File;
 
     // BitSet closure vs the retained sorted-vector rows.
     IFAOptions RefClos;

@@ -1,0 +1,73 @@
+//===- oracle/Oracles.h - Test-only reference implementations ---*- C++ -*-===//
+//
+// Part of the vif project; see DESIGN.md for the paper reference.
+//
+//===----------------------------------------------------------------------===//
+///
+/// \file
+/// Independent (exponential or set-backed) implementations that the
+/// differential tests, vifc-fuzz and the ablation benches check and time
+/// the production code against. Never linked into vifc itself.
+///
+//===----------------------------------------------------------------------===//
+
+#ifndef VIF_ORACLE_ORACLES_H
+#define VIF_ORACLE_ORACLES_H
+
+#include "ifa/ResourceMatrix.h"
+#include "rd/ReachingDefs.h"
+
+#include <optional>
+#include <set>
+
+namespace vif {
+
+/// The paper's cross-flow relation cf, materialized: the Cartesian product
+/// of the wait-label sets of the processes that contain waits, components
+/// in process order. Production code quantifies over it in factored form
+/// only (rd/ReachingDefs.h). Returns std::nullopt, enumerating nothing,
+/// when the product exceeds \p MaxTuples.
+std::optional<std::vector<std::vector<LabelId>>>
+crossFlowTuples(const ProgramCFG &CFG, size_t MaxTuples = 1u << 20);
+
+/// computeReachingDefsKillGen with each wait label's cf quantifications
+/// evaluated by enumerating the tuples through it, per their definition:
+///
+///   may(l)  = ⋃_{tuples ∋ l} ⋃_j fst(RD∪ϕentry(l_j))
+///   must(l) = ⋂˙_{tuples ∋ l} ⋃_j fst(RD∩ϕentry(l_j))
+///
+/// Opts.HsiehLevitanCrossFlow is not modelled. Returns std::nullopt when
+/// cf has more than \p MaxTuples tuples.
+std::optional<ReachingDefsKillGen>
+computeReachingDefsKillGenEnumerated(const ProgramCFG &CFG,
+                                     const ActiveSignalsResult &Active,
+                                     const ReachingDefsOptions &Opts = {},
+                                     size_t MaxTuples = 1u << 20);
+
+/// The historical std::set-backed Resource Matrix, the oracle for the dense
+/// sorted-run backend: driven through the same operation streams, both must
+/// yield identical entry sequences.
+class ReferenceResourceMatrix {
+public:
+  bool insert(Resource N, LabelId L, Access A) {
+    return Entries.insert(RMEntry{L, A, N}).second;
+  }
+  bool contains(Resource N, LabelId L, Access A) const {
+    return Entries.count(RMEntry{L, A, N}) != 0;
+  }
+
+  /// The hinted-sweep bulk insert of the pre-dense implementation.
+  void insertR0Rows(const std::vector<std::vector<uint32_t>> &Rows);
+
+  size_t size() const { return Entries.size(); }
+
+  std::set<RMEntry>::const_iterator begin() const { return Entries.begin(); }
+  std::set<RMEntry>::const_iterator end() const { return Entries.end(); }
+
+private:
+  std::set<RMEntry> Entries;
+};
+
+} // namespace vif
+
+#endif // VIF_ORACLE_ORACLES_H

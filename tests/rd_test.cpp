@@ -4,8 +4,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "oracle/Oracles.h"
 #include "parse/Parser.h"
-#include "rd/ReachingDefs.h"
+#include "rd/Incremental.h"
 #include "workloads/Synthetic.h"
 
 #include <gtest/gtest.h>
@@ -21,6 +22,13 @@ struct Analyzed {
   ReachingDefsResult RD;
 };
 
+/// Tables 4 and 5 through the production driver, cold.
+void analyze(Analyzed &A, const ReachingDefsOptions &Opts) {
+  A.CFG = ProgramCFG::build(A.Program);
+  ProcessArtifactTable Table;
+  analyzeIncremental(A.Program, A.CFG, Opts, Table, A.Active, A.RD);
+}
+
 Analyzed analyzeStmts(const std::string &Source,
                       ReachingDefsOptions Opts = {}) {
   DiagnosticEngine Diags;
@@ -28,9 +36,7 @@ Analyzed analyzeStmts(const std::string &Source,
   auto P = elaborateStatements(*Prog.Body, Diags, &Prog.Decls);
   EXPECT_TRUE(P.has_value()) << Diags.str();
   Analyzed A{std::move(*P), {}, {}, {}};
-  A.CFG = ProgramCFG::build(A.Program);
-  A.Active = analyzeActiveSignals(A.Program, A.CFG);
-  A.RD = analyzeReachingDefs(A.Program, A.CFG, A.Active, Opts);
+  analyze(A, Opts);
   return A;
 }
 
@@ -41,9 +47,7 @@ Analyzed analyzeDesign(const std::string &Source,
   auto P = elaborateDesign(F, Diags);
   EXPECT_TRUE(P.has_value()) << Diags.str();
   Analyzed A{std::move(*P), {}, {}, {}};
-  A.CFG = ProgramCFG::build(A.Program);
-  A.Active = analyzeActiveSignals(A.Program, A.CFG);
-  A.RD = analyzeReachingDefs(A.Program, A.CFG, A.Active, Opts);
+  analyze(A, Opts);
   return A;
 }
 
@@ -211,11 +215,10 @@ TEST(ReachingDefs, SliceVarAssignDoesNotKill) {
       Diags);
   auto P = elaborateStatements(*Prog.Body, Diags, &Prog.Decls);
   ASSERT_TRUE(P.has_value()) << Diags.str();
-  ProgramCFG CFG = ProgramCFG::build(*P);
-  ActiveSignalsResult Active = analyzeActiveSignals(*P, CFG);
-  ReachingDefsResult RD = analyzeReachingDefs(*P, CFG, Active);
-  EXPECT_TRUE(RD.Entry[3].contains(var(*P, "v", 1)));
-  EXPECT_TRUE(RD.Entry[3].contains(var(*P, "v", 2)));
+  Analyzed A{std::move(*P), {}, {}, {}};
+  analyze(A, {});
+  EXPECT_TRUE(A.RD.Entry[3].contains(var(A.Program, "v", 1)));
+  EXPECT_TRUE(A.RD.Entry[3].contains(var(A.Program, "v", 2)));
 }
 
 TEST(ReachingDefs, WaitDefinesPresentValueOfMayActiveSignals) {
@@ -280,23 +283,20 @@ TEST(ReachingDefs, CrossProcessMayActivePropagates) {
 }
 
 /// The factored cf quantification must coincide with the explicit
-/// Cartesian-product definition: the Table 5 kill/gen tables themselves,
-/// set for set, and the RD results built on them.
+/// Cartesian-product definition (the test-only oracle), set for set in the
+/// Table 5 kill/gen tables — the only RD input the quantification shapes.
 void expectFactoredEqualsEnumerated(const std::string &Source,
                                     bool MustKill, const std::string &What) {
-  ReachingDefsOptions Fact, Enum;
-  Fact.UseMustActiveKill = Enum.UseMustActiveKill = MustKill;
-  Enum.EnumerateCrossFlowTuples = true;
-  Analyzed AF = analyzeDesign(Source, Fact);
-  Analyzed AE = analyzeDesign(Source, Enum);
-  ASSERT_EQ(AF.CFG.numLabels(), AE.CFG.numLabels()) << What;
-  ReachingDefsKillGen KF = computeReachingDefsKillGen(AF.CFG, AF.Active, Fact);
-  ReachingDefsKillGen KE = computeReachingDefsKillGen(AE.CFG, AE.Active, Enum);
-  for (LabelId L = 1; L <= AF.CFG.numLabels(); ++L) {
-    EXPECT_TRUE(KF.Kill[L] == KE.Kill[L]) << What << " kill at " << L;
-    EXPECT_TRUE(KF.Gen[L] == KE.Gen[L]) << What << " gen at " << L;
-    EXPECT_TRUE(AF.RD.Entry[L] == AE.RD.Entry[L]) << What << " entry at " << L;
-    EXPECT_TRUE(AF.RD.Exit[L] == AE.RD.Exit[L]) << What << " exit at " << L;
+  ReachingDefsOptions Opts;
+  Opts.UseMustActiveKill = MustKill;
+  Analyzed A = analyzeDesign(Source, Opts);
+  ReachingDefsKillGen KF = computeReachingDefsKillGen(A.CFG, A.Active, Opts);
+  std::optional<ReachingDefsKillGen> KE =
+      computeReachingDefsKillGenEnumerated(A.CFG, A.Active, Opts);
+  ASSERT_TRUE(KE.has_value()) << What;
+  for (LabelId L = 1; L <= A.CFG.numLabels(); ++L) {
+    EXPECT_TRUE(KF.Kill[L] == KE->Kill[L]) << What << " kill at " << L;
+    EXPECT_TRUE(KF.Gen[L] == KE->Gen[L]) << What << " gen at " << L;
   }
 }
 

@@ -4,9 +4,10 @@
 //
 // The ResourceMatrix runs on a dense sorted-run backend (flat entry
 // vector + lazily merged insert buffer); the historical std::set backend
-// is retained as ReferenceResourceMatrix. Likewise the Table 8 closure
-// propagates BitSet R0 rows over a design-level resource numbering, with
-// the sorted-vector rows retained behind IFAOptions::ReferenceClosure.
+// is the test-only oracle ReferenceResourceMatrix (tests/oracle/).
+// Likewise the Table 8 closure propagates BitSet R0 rows over a
+// design-level resource numbering, with the sorted-vector rows retained
+// behind IFAOptions::ReferenceClosure.
 // These tests drive both backends through identical operation streams on
 // the paper figures and the synthetic families and assert byte-identical
 // entry sequences, equal flow graphs, and — for Digraph's Warshall
@@ -17,6 +18,7 @@
 
 #include "ifa/InformationFlow.h"
 #include "ifa/Kemmerer.h"
+#include "oracle/Oracles.h"
 #include "parse/Parser.h"
 #include "workloads/AesVhdl.h"
 #include "workloads/Synthetic.h"

@@ -71,21 +71,19 @@ TEST(SessionCacheKey, EveryOptionParticipates) {
   SessionOptions Base;
   uint64_t BaseKey = sessionCacheKey(MuxSource, Base);
 
+  // One variant per bit of the foreachOptionBit fold, in fold order.
   std::vector<SessionOptions> Variants(7, Base);
   Variants[0].Statements = true;
   Variants[1].Ifa.Improved = true;
   Variants[2].Ifa.ProgramEndOutgoing = true;
   Variants[3].Ifa.ReferenceClosure = true;
   Variants[4].Ifa.RD.UseMustActiveKill = false;
-  Variants[5].Ifa.RD.EnumerateCrossFlowTuples = true;
-  Variants[6].Ifa.RD.ReferenceSolver = true;
+  Variants[5].Ifa.RD.ReferenceSolver = true;
+  Variants[6].Ifa.RD.HsiehLevitanCrossFlow = true;
 
   std::vector<uint64_t> Keys{BaseKey};
   for (const SessionOptions &V : Variants)
     Keys.push_back(sessionCacheKey(MuxSource, V));
-  SessionOptions HL;
-  HL.Ifa.RD.HsiehLevitanCrossFlow = true;
-  Keys.push_back(sessionCacheKey(MuxSource, HL));
 
   for (size_t A = 0; A < Keys.size(); ++A)
     for (size_t B = A + 1; B < Keys.size(); ++B)

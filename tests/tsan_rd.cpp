@@ -8,8 +8,8 @@
 // -fsanitize=thread when the toolchain supports it and registered as
 // ctest vifc_tsan_rd; any data race in the fan-out — FlowIndex first
 // builds, LazyPairSets slot writes, iteration accounting, the Table 5
-// kill/gen fill reading the shared Table 4 rows in the incremental
-// driver — aborts the test through TSan's reporting.
+// kill/gen fill reading the shared Table 4 rows, concurrent artifact
+// table lookups — aborts the test through TSan's reporting.
 //
 //===----------------------------------------------------------------------===//
 
@@ -38,11 +38,12 @@ bool checkDesign(const std::string &Source, const char *What) {
     return false;
   }
 
-  // Serial reference.
+  // Serial reference: the driver of the pipeline, cold, on one thread.
   ProgramCFG SerialCFG = ProgramCFG::build(*P);
-  ActiveSignalsResult SerialActive = analyzeActiveSignals(*P, SerialCFG);
-  ReachingDefsResult SerialRD =
-      analyzeReachingDefs(*P, SerialCFG, SerialActive);
+  ProcessArtifactTable SerialTable;
+  ActiveSignalsResult SerialActive;
+  ReachingDefsResult SerialRD;
+  analyzeIncremental(*P, SerialCFG, {}, SerialTable, SerialActive, SerialRD);
 
   for (unsigned Jobs : {2u, 4u, 8u}) {
     // A fresh CFG per run so the FlowIndex slots are first-built under
@@ -51,16 +52,17 @@ bool checkDesign(const std::string &Source, const char *What) {
     ActiveSignalsResult Active = analyzeActiveSignals(*P, CFG, Jobs);
     ReachingDefsOptions Opts;
     Opts.Jobs = Jobs;
-    ReachingDefsResult RD = analyzeReachingDefs(*P, CFG, Active, Opts);
-    // The driver of the pipeline, cold: every process misses.
+    // The driver cold (every process misses), then warm over the same
+    // table (every process hits).
     ProcessArtifactTable Table;
-    ActiveSignalsResult IncActive;
-    ReachingDefsResult IncRD;
-    analyzeIncremental(*P, CFG, Opts, Table, IncActive, IncRD);
+    ActiveSignalsResult IncActive, WarmActive;
+    ReachingDefsResult RD, WarmRD;
+    analyzeIncremental(*P, CFG, Opts, Table, IncActive, RD);
+    analyzeIncremental(*P, CFG, Opts, Table, WarmActive, WarmRD);
 
     if (RD.Iterations != SerialRD.Iterations ||
         Active.Iterations != SerialActive.Iterations ||
-        IncRD.Iterations != SerialRD.Iterations ||
+        WarmRD.Iterations != SerialRD.Iterations ||
         IncActive.Iterations != SerialActive.Iterations) {
       std::fprintf(stderr, "tsan_rd: %s jobs=%u iteration counts diverge\n",
                    What, Jobs);
@@ -69,11 +71,12 @@ bool checkDesign(const std::string &Source, const char *What) {
     for (LabelId L = 1; L <= CFG.numLabels(); ++L)
       if (!(RD.Entry[L] == SerialRD.Entry[L]) ||
           !(RD.Exit[L] == SerialRD.Exit[L]) ||
-          !(IncRD.Entry[L] == SerialRD.Entry[L]) ||
-          !(IncRD.Exit[L] == SerialRD.Exit[L]) ||
+          !(WarmRD.Entry[L] == SerialRD.Entry[L]) ||
+          !(WarmRD.Exit[L] == SerialRD.Exit[L]) ||
           !(Active.MayEntry[L] == SerialActive.MayEntry[L]) ||
           !(Active.MustExit[L] == SerialActive.MustExit[L]) ||
-          !(IncActive.MayEntry[L] == SerialActive.MayEntry[L])) {
+          !(IncActive.MayEntry[L] == SerialActive.MayEntry[L]) ||
+          !(WarmActive.MustExit[L] == SerialActive.MustExit[L])) {
         std::fprintf(stderr, "tsan_rd: %s jobs=%u differs at label %u\n",
                      What, Jobs, L);
         return false;

@@ -15,6 +15,13 @@ cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release -DVIFC_WERROR=ON \
 cmake --build "$BUILD_DIR" -j"$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"
 
+# The benchmark's own build (perfbench/CMakeLists.txt: this tree with tests,
+# benches and examples off, plus perfbench_layers), so a library-layout
+# change that breaks it fails here rather than in the benchmark.
+cmake -B "$BUILD_DIR/perfbench" -S perfbench -DVIFC_WERROR=ON
+cmake --build "$BUILD_DIR/perfbench" -j"$(nproc)"
+echo "perfbench build passed"
+
 # Differential fuzz smoke straight through the CLI (ctest's
 # vifc_fuzz_smoke covers seeds 1-200; this fixed range extends it and
 # proves the reproducer interface works from a shell).

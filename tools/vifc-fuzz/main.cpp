@@ -12,16 +12,18 @@
 ///             [--seed N] [--mutants N] [--minimize] [--dump DIR] [--quiet]
 ///
 /// Oracle mode, per seed: generate a valid-by-construction design, then
-/// assert (1) parse + elaborate succeed, (2) dense RD == ReferenceSolver
-/// label by label, (3) --jobs invariance of both RD fixpoints, (4) full
+/// assert (1) parse + elaborate succeed, (2) the production Table 4/5
+/// driver (analyzeIncremental over a fresh table) == ReferenceSolver label
+/// by label, (3) --jobs invariance of both RD fixpoints, (4) full
 /// IFA through the dense solvers == through the reference solvers,
 /// (5) BitSet closure == IFAOptions::ReferenceClosure, (6) sorted-run
 /// ResourceMatrix == ReferenceResourceMatrix under shuffled replay,
 /// (7) Digraph::transitiveClosure == DFS reachability on the flow graph,
 /// (8) determinism: regeneration and reanalysis are byte/set identical,
-/// (9) the factored Table 5 kill/gen == the EnumerateCrossFlowTuples one,
-/// set for set per label, with and without the RD∩ϕ kill (on designs
-/// whose cf-tuple product is at most MaxEnumeratedTuples).
+/// (9) the factored Table 5 kill/gen == the cf-tuple enumeration oracle
+/// (tests/oracle/Oracles.h), set for set per label, with and without
+/// the RD∩ϕ kill (on designs whose cf-tuple product is at most
+/// MaxEnumeratedTuples).
 ///
 /// Query mode, per seed: build a FlowQueryEngine over the improved flow
 /// graph and check it against first-principles graph walks — reaches()
@@ -37,9 +39,9 @@
 /// Incremental mode, per seed: route the Table 4/5 solvers through a
 /// ProcessArtifactTable (rd/Incremental.h) — once against a cold table and
 /// once against the warmed table, which must reuse every artifact — and
-/// require the recomposed results and the full composed IFA to match the
-/// cold path set for set, label by label. The table persists across seeds,
-/// so cross-design artifact sharing is fuzzed too.
+/// require the recomposed results and the full composed IFA to match a
+/// cold run over a fresh table set for set, label by label. The table
+/// persists across seeds, so cross-design artifact sharing is fuzzed too.
 ///
 /// Any failing seed prints a one-line reproducer (`vifc-fuzz --seed N`)
 /// and, with --minimize, a greedily reduced source. Exit code: 0 clean,
@@ -52,6 +54,7 @@
 #include "gen/Mutator.h"
 #include "ifa/InformationFlow.h"
 #include "ifa/LocalDeps.h"
+#include "oracle/Oracles.h"
 #include "parse/Parser.h"
 #include "query/FlowQueryEngine.h"
 #include "rd/Incremental.h"
@@ -154,21 +157,17 @@ constexpr size_t MaxEnumeratedTuples = 4096;
 /// enumeration, the independent definition of the wait quantifications.
 std::string killGenFailure(const ProgramCFG &CFG,
                            const ActiveSignalsResult &Active) {
-  size_t Tuples = 1;
-  for (const ProcessCFG &Proc : CFG.processes())
-    if (!Proc.WaitLabels.empty())
-      Tuples = std::min(Tuples * Proc.WaitLabels.size(),
-                        MaxEnumeratedTuples + 1);
-  if (Tuples > MaxEnumeratedTuples)
-    return "";
   for (bool MustKill : {true, false}) {
-    ReachingDefsOptions Fact, Enum;
-    Fact.UseMustActiveKill = Enum.UseMustActiveKill = MustKill;
-    Enum.EnumerateCrossFlowTuples = true;
-    ReachingDefsKillGen KF = computeReachingDefsKillGen(CFG, Active, Fact);
-    ReachingDefsKillGen KE = computeReachingDefsKillGen(CFG, Active, Enum);
+    ReachingDefsOptions Opts;
+    Opts.UseMustActiveKill = MustKill;
+    std::optional<ReachingDefsKillGen> KE =
+        computeReachingDefsKillGenEnumerated(CFG, Active, Opts,
+                                             MaxEnumeratedTuples);
+    if (!KE)
+      return ""; // cf too large to enumerate
+    ReachingDefsKillGen KF = computeReachingDefsKillGen(CFG, Active, Opts);
     for (LabelId L = 1; L <= CFG.numLabels(); ++L)
-      if (!(KF.Kill[L] == KE.Kill[L]) || !(KF.Gen[L] == KE.Gen[L]))
+      if (!(KF.Kill[L] == KE->Kill[L]) || !(KF.Gen[L] == KE->Gen[L]))
         return std::string("factored kill/gen differs from cf enumeration "
                            "(must-kill=") +
                (MustKill ? "1" : "0") + ") at label " + std::to_string(L);
@@ -187,8 +186,17 @@ std::string oracleFailure(const std::string &Source) {
     return "generator emitted an invalid design:\n" + Err;
   ProgramCFG CFG = ProgramCFG::build(*P);
 
-  // (2) dense vs reference solvers, label by label.
-  ActiveSignalsResult Dense = analyzeActiveSignals(*P, CFG);
+  // (2) the production driver, cold, vs the reference solvers, label by
+  // label; (3) the same driver on 4 threads.
+  ActiveSignalsResult Dense, DenseJ;
+  ReachingDefsResult RDDense, RDJ;
+  ReachingDefsOptions JobsOpts;
+  JobsOpts.Jobs = 4;
+  {
+    ProcessArtifactTable Fresh, FreshJ;
+    analyzeIncremental(*P, CFG, {}, Fresh, Dense, RDDense);
+    analyzeIncremental(*P, CFG, JobsOpts, FreshJ, DenseJ, RDJ);
+  }
   ActiveSignalsResult Ref = analyzeActiveSignalsReference(*P, CFG);
   for (LabelId L = 1; L <= CFG.numLabels(); ++L) {
     if (!(Dense.MayEntry[L] == Ref.MayEntry[L]) ||
@@ -198,7 +206,6 @@ std::string oracleFailure(const std::string &Source) {
         !(Dense.MustExit[L] == Ref.MustExit[L]))
       return "active-signal must sets disagree at label " + std::to_string(L);
   }
-  ReachingDefsResult RDDense = analyzeReachingDefs(*P, CFG, Dense);
   ReachingDefsResult RDRef = analyzeReachingDefsReference(*P, CFG, Ref);
   for (LabelId L = 1; L <= CFG.numLabels(); ++L)
     if (!(RDDense.Entry[L] == RDRef.Entry[L]) ||
@@ -206,10 +213,6 @@ std::string oracleFailure(const std::string &Source) {
       return "reaching-defs sets disagree at label " + std::to_string(L);
 
   // (3) --jobs invariance of both fixpoints.
-  ActiveSignalsResult DenseJ = analyzeActiveSignals(*P, CFG, 4);
-  ReachingDefsOptions JobsOpts;
-  JobsOpts.Jobs = 4;
-  ReachingDefsResult RDJ = analyzeReachingDefs(*P, CFG, DenseJ, JobsOpts);
   for (LabelId L = 1; L <= CFG.numLabels(); ++L) {
     if (!(DenseJ.MayEntry[L] == Dense.MayEntry[L]) ||
         !(DenseJ.MustExit[L] == Dense.MustExit[L]))
@@ -229,8 +232,7 @@ std::string oracleFailure(const std::string &Source) {
   IFAResult IfaRef = analyzeInformationFlow(*P, CFG, RefRD);
   if (!(IfaDense.RMgl == IfaRef.RMgl))
     return "IFA RMgl differs between dense and reference RD";
-  if (IfaDense.Graph.numNodes() != IfaRef.Graph.numNodes() ||
-      IfaDense.Graph.sortedEdges() != IfaRef.Graph.sortedEdges())
+  if (!IfaDense.Graph.sameFlows(IfaRef.Graph))
     return "IFA flow graph differs between dense and reference RD";
 
   // (5) BitSet closure vs ReferenceClosure, plain and improved. The
@@ -303,7 +305,7 @@ std::string oracleFailure(const std::string &Source) {
     Improved.Improved = true;
     IFAResult Again = analyzeInformationFlow(*P2, CFG2, Improved);
     if (!(Again.RMgl == IfaImproved.RMgl) ||
-        Again.Graph.sortedEdges() != IfaImproved.Graph.sortedEdges())
+        !Again.Graph.sameFlows(IfaImproved.Graph))
       return "re-analysis is not deterministic";
   }
 
@@ -459,8 +461,9 @@ std::string mutationFailure(const std::string &Mutant) {
   return "";
 }
 
-/// Incremental battery: Table 4/5 through \p Table vs the cold solvers,
-/// label by label, then the composed IFA vs analyzeInformationFlow. When
+/// Incremental battery: Table 4/5 through \p Table vs a cold run over a
+/// fresh table, label by label, then the composed IFA vs
+/// analyzeInformationFlow. When
 /// \p ExpectFullReuse (the table was warmed by a previous run of the same
 /// source) additionally require that no fixpoint ran. Returns a failure
 /// description or empty.
@@ -477,8 +480,7 @@ std::string incrementalFailure(const std::string &Source,
   ActiveSignalsResult ActInc;
   ReachingDefsResult RdInc;
   IncrementalStats Stats;
-  if (!analyzeIncremental(*P, CFG, RdOpts, Table, ActInc, RdInc, &Stats))
-    return "incremental layer declined default options";
+  analyzeIncremental(*P, CFG, RdOpts, Table, ActInc, RdInc, &Stats);
   size_t NumProcs = CFG.processes().size();
   if (Stats.ActiveSolved + Stats.ActiveReused != NumProcs ||
       Stats.RdSolved + Stats.RdReused != NumProcs)
@@ -488,8 +490,12 @@ std::string incrementalFailure(const std::string &Source,
            "/" + std::to_string(Stats.RdSolved) +
            " processes on an unchanged design";
 
-  ActiveSignalsResult ActCold = analyzeActiveSignals(*P, CFG);
-  ReachingDefsResult RdCold = analyzeReachingDefs(*P, CFG, ActCold);
+  ActiveSignalsResult ActCold;
+  ReachingDefsResult RdCold;
+  {
+    ProcessArtifactTable Fresh;
+    analyzeIncremental(*P, CFG, RdOpts, Fresh, ActCold, RdCold);
+  }
   for (LabelId L = 1; L <= CFG.numLabels(); ++L) {
     if (!(ActInc.MayEntry[L] == ActCold.MayEntry[L]) ||
         !(ActInc.MayExit[L] == ActCold.MayExit[L]) ||
@@ -513,7 +519,7 @@ std::string incrementalFailure(const std::string &Source,
                                          std::move(ActInc), std::move(RdInc));
   if (!(Inc.RMlo == Cold.RMlo) || !(Inc.RMgl == Cold.RMgl))
     return "composed IFA matrices differ from the cold pipeline";
-  if (Inc.Graph.sortedEdges() != Cold.Graph.sortedEdges())
+  if (!Inc.Graph.sameFlows(Cold.Graph))
     return "composed IFA flow graph differs from the cold pipeline";
   return "";
 }
