@@ -7,8 +7,8 @@
 #include "driver/ArtifactStore.h"
 
 #include "support/BinaryIO.h"
+#include "support/Hash.h"
 
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -22,20 +22,9 @@ namespace fs = std::filesystem;
 
 namespace {
 
-uint64_t fnv1a(std::string_view S) {
-  uint64_t H = 14695981039346656037ull;
-  for (unsigned char C : S) {
-    H ^= C;
-    H *= 1099511628211ull;
-  }
-  return H;
-}
-
-std::string hex16(uint64_t V) {
-  char Buf[17];
-  std::snprintf(Buf, sizeof(Buf), "%016llx",
-                static_cast<unsigned long long>(V));
-  return Buf;
+/// The blob checksum: FNV-1a over the payload bytes.
+uint64_t checksum(std::string_view S) {
+  return HashBuilder().bytes(S.data(), S.size()).value();
 }
 
 /// Frames tagged sections inside a blob payload, mirroring the v1b frame
@@ -149,7 +138,7 @@ ArtifactStore::ArtifactStore(std::string Directory)
 }
 
 std::string ArtifactStore::fileName(const char (&Kind)[5], uint64_t Key) {
-  return std::string(Kind, 4) + "-" + hex16(Key) + ".bin";
+  return std::string(Kind, 4) + "-" + HashBuilder::hex(Key) + ".bin";
 }
 
 bool ArtifactStore::load(const char (&Kind)[5], uint64_t Key,
@@ -173,7 +162,7 @@ bool ArtifactStore::load(const char (&Kind)[5], uint64_t Key,
           std::memcmp(Magic, ArtifactStoreMagic, 4) == 0 &&
           Version == ArtifactStoreVersion &&
           std::memcmp(StoredKind, Kind, 4) == 0 && StoredKey == Key &&
-          Check == fnv1a(Body)) {
+          Check == checksum(Body)) {
         Payload.assign(Body);
         Hits.fetch_add(1, std::memory_order_relaxed);
         BytesRead.fetch_add(Blob.size(), std::memory_order_relaxed);
@@ -195,14 +184,14 @@ void ArtifactStore::store(const char (&Kind)[5], uint64_t Key,
   W.bytes(Kind, 4);
   W.u64(Key);
   W.str(Payload);
-  W.u64(fnv1a(Payload));
+  W.u64(checksum(Payload));
   std::string Blob = W.take();
 
   // Temp name is per-thread so concurrent writers of the same key never
   // interleave; the final rename is atomic, so readers see old-or-new.
   uint64_t Tid = std::hash<std::thread::id>{}(std::this_thread::get_id());
   fs::path Tmp = fs::path(Dir) /
-                 (".tmp-" + fileName(Kind, Key) + "-" + hex16(Tid));
+                 (".tmp-" + fileName(Kind, Key) + "-" + HashBuilder::hex(Tid));
   {
     std::ofstream Out(Tmp, std::ios::binary | std::ios::trunc);
     if (!Out)

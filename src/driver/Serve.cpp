@@ -17,7 +17,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <istream>
@@ -231,46 +230,13 @@ std::string parseRequest(const JsonValue &Doc, ServeRequest &R) {
   return "";
 }
 
-/// Echoes the request's "id" member (validated as string/number/null).
-/// Integral numbers round-trip exactly; fractional ones go through the
-/// writer's %.6g double formatting (SERVER.md tells clients to use
-/// strings or integers).
+/// Echoes the request's "id" member (validated as string/number/null) in
+/// the one rendering the v1b IDNT section shares (renderIdToken).
 void writeId(JsonWriter &J, const JsonValue *Id) {
   if (!Id)
     return;
   J.key("id");
-  if (Id->isString()) {
-    J.value(Id->asString());
-  } else if (Id->isNumber()) {
-    double N = Id->asNumber();
-    // 2^53: the largest range where double holds integers exactly.
-    if (N == std::floor(N) && std::abs(N) <= 9007199254740992.0)
-      J.value(static_cast<long long>(N));
-    else
-      J.value(N);
-  } else {
-    J.null();
-  }
-}
-
-/// The request's "id" as a standalone JSON value token — what writeId
-/// would emit after the key — for echoing into a v1b IDNT section.
-/// Empty when the request carried no id.
-std::string renderIdToken(const JsonValue *Id) {
-  if (!Id)
-    return "";
-  if (Id->isString())
-    return "\"" + jsonEscape(Id->asString()) + "\"";
-  if (Id->isNumber()) {
-    double N = Id->asNumber();
-    char Num[32];
-    if (N == std::floor(N) && std::abs(N) <= 9007199254740992.0)
-      std::snprintf(Num, sizeof(Num), "%lld", static_cast<long long>(N));
-    else
-      std::snprintf(Num, sizeof(Num), "%.6g", N);
-    return Num;
-  }
-  return "null";
+  J.rawValue(renderIdToken(*Id));
 }
 
 std::string errorResponse(const JsonValue *Id, std::string_view Code,
@@ -310,12 +276,7 @@ namespace {
 /// hash (the same builder the session cache keys with, minus options —
 /// a contentKey names bytes, not an analysis).
 std::string contentKeyOf(std::string_view Source) {
-  HashBuilder H;
-  H.str(Source);
-  char Buf[17];
-  std::snprintf(Buf, sizeof(Buf), "%016llx",
-                static_cast<unsigned long long>(H.value()));
-  return Buf;
+  return HashBuilder().str(Source).hex();
 }
 
 } // namespace
@@ -468,7 +429,7 @@ std::string Server::handleLine(const std::string &Line) {
     // One self-delimiting binary frame; no timings or cache statistics,
     // so identical requests yield byte-identical responses.
     std::string Frame;
-    writeV1bDesign(Frame, D, B, renderIdToken(Id));
+    writeV1bDesign(Frame, D, B, Id ? renderIdToken(*Id) : "");
     return Frame;
   }
 

@@ -6,41 +6,19 @@
 
 #include "driver/V1b.h"
 
+#include "support/BinaryIO.h"
 #include "support/Json.h"
 #include "support/JsonParse.h"
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <ostream>
-#include <sstream>
-#include <vector>
 
 using namespace vif;
 using namespace vif::driver;
 
 namespace {
-
-//===----------------------------------------------------------------------===//
-// Little-endian primitives
-//===----------------------------------------------------------------------===//
-
-void putU8(std::string &B, uint8_t V) { B.push_back(static_cast<char>(V)); }
-
-void putU32(std::string &B, uint32_t V) {
-  for (int I = 0; I < 4; ++I)
-    B.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-}
-
-void putU64(std::string &B, uint64_t V) {
-  for (int I = 0; I < 8; ++I)
-    B.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-}
-
-/// u32 length prefix + raw bytes.
-void putStr(std::string &B, std::string_view S) {
-  putU32(B, static_cast<uint32_t>(S.size()));
-  B.append(S.data(), S.size());
-}
 
 /// Accumulates sections, then wraps them in the frame header. Section
 /// payloads are built independently so each one's length prefix is exact.
@@ -48,25 +26,27 @@ class FrameBuilder {
 public:
   /// Tags are written through this single call so tools/schema_check.py
   /// can grep the emitted section table out of this file.
-  void section(const char (&Tag)[5], std::string Payload) {
-    Body.append(Tag, 4);
-    putU64(Body, Payload.size());
-    Body += Payload;
+  void section(const char (&Tag)[5], std::string_view Payload) {
+    Body.bytes(Tag, 4);
+    Body.u64(Payload.size());
+    Body.bytes(Payload.data(), Payload.size());
     ++Count;
   }
 
   void finish(std::string &Out) const {
     // Header: magic, u32 version, u64 total frame length, u32 section
     // count, then the section bytes.
-    Out.append(V1bMagic, 4);
-    putU32(Out, V1bVersion);
-    putU64(Out, 4 + 4 + 8 + 4 + Body.size());
-    putU32(Out, Count);
-    Out += Body;
+    ByteWriter H;
+    H.bytes(V1bMagic, 4);
+    H.u32(V1bVersion);
+    H.u64(4 + 4 + 8 + 4 + Body.size());
+    H.u32(Count);
+    Out += H.data();
+    Out += Body.data();
   }
 
 private:
-  std::string Body;
+  ByteWriter Body;
   uint32_t Count = 0;
 };
 
@@ -98,98 +78,6 @@ uint8_t methodCode(FlowMethod M) {
   return 0xff;
 }
 
-const char *commandName(uint8_t Code) {
-  switch (Code) {
-  case 0:
-    return "check";
-  case 1:
-    return "flows";
-  case 2:
-    return "rm";
-  case 3:
-    return "report";
-  case 4:
-    return "query";
-  }
-  return nullptr;
-}
-
-const char *methodName(uint8_t Code) {
-  switch (Code) {
-  case 0:
-    return "native";
-  case 1:
-    return "alfp";
-  case 2:
-    return "kemmerer";
-  }
-  return nullptr;
-}
-
-//===----------------------------------------------------------------------===//
-// Decoder cursor
-//===----------------------------------------------------------------------===//
-
-/// Bounds-checked little-endian reader over one byte range. Every getter
-/// sets Failed (and returns 0/"") past the end instead of reading wild.
-struct Cursor {
-  explicit Cursor(std::string_view Bytes) : Bytes(Bytes) {}
-
-  bool take(size_t N, std::string_view &Out) {
-    if (Failed || Bytes.size() - Off < N) {
-      Failed = true;
-      return false;
-    }
-    Out = Bytes.substr(Off, N);
-    Off += N;
-    return true;
-  }
-
-  uint8_t u8() {
-    std::string_view S;
-    return take(1, S) ? static_cast<uint8_t>(S[0]) : 0;
-  }
-
-  uint32_t u32() {
-    std::string_view S;
-    if (!take(4, S))
-      return 0;
-    uint32_t V = 0;
-    for (int I = 3; I >= 0; --I)
-      V = (V << 8) | static_cast<uint8_t>(S[I]);
-    return V;
-  }
-
-  uint64_t u64() {
-    std::string_view S;
-    if (!take(8, S))
-      return 0;
-    uint64_t V = 0;
-    for (int I = 7; I >= 0; --I)
-      V = (V << 8) | static_cast<uint8_t>(S[I]);
-    return V;
-  }
-
-  std::string_view str() {
-    uint32_t N = u32();
-    std::string_view S;
-    take(N, S);
-    return S;
-  }
-
-  bool atEnd() const { return !Failed && Off == Bytes.size(); }
-
-  std::string_view Bytes;
-  size_t Off = 0;
-  bool Failed = false;
-};
-
-bool fail(std::string *Error, const char *Message) {
-  if (Error)
-    *Error = Message;
-  return false;
-}
-
 } // namespace
 
 void vif::driver::writeV1bDesign(std::string &Out, const DesignResult &D,
@@ -197,19 +85,19 @@ void vif::driver::writeV1bDesign(std::string &Out, const DesignResult &D,
                                  std::string_view IdToken) {
   FrameBuilder F;
   {
-    std::string Meta;
-    putU8(Meta, commandCode(Opts.Mode));
-    putU8(Meta, methodCode(Opts.Method));
-    putU8(Meta, D.Ok ? 1 : 0);
-    putU8(Meta, D.Unreadable ? 1 : 0);
-    putStr(Meta, D.Name);
-    putU64(Meta, D.NumProcesses);
-    putU64(Meta, D.NumSignals);
-    putU64(Meta, D.NumVariables);
-    F.section("META", std::move(Meta));
+    ByteWriter Meta;
+    Meta.u8(commandCode(Opts.Mode));
+    Meta.u8(methodCode(Opts.Method));
+    Meta.u8(D.Ok ? 1 : 0);
+    Meta.u8(D.Unreadable ? 1 : 0);
+    Meta.str32(D.Name);
+    Meta.u64(D.NumProcesses);
+    Meta.u64(D.NumSignals);
+    Meta.u64(D.NumVariables);
+    F.section("META", Meta.data());
   }
   if (!IdToken.empty())
-    F.section("IDNT", std::string(IdToken));
+    F.section("IDNT", IdToken);
   if (!D.Diagnostics.empty())
     F.section("DIAG", D.Diagnostics);
   if (D.Ok &&
@@ -218,63 +106,63 @@ void vif::driver::writeV1bDesign(std::string &Out, const DesignResult &D,
     const Digraph &G = *D.Graph;
     {
       // Node string table, lexicographic (rank) order.
-      std::string Nodes;
-      putU32(Nodes, static_cast<uint32_t>(G.numNodes()));
+      ByteWriter Nodes;
+      Nodes.u32(static_cast<uint32_t>(G.numNodes()));
       for (Digraph::NodeId Id : G.rankedNodes())
-        putStr(Nodes, G.name(Id));
-      F.section("NODE", std::move(Nodes));
+        Nodes.str32(G.name(Id));
+      F.section("NODE", Nodes.data());
     }
     {
       // Edges as (from, to) indices into the NODE table, sorted — the
       // same order the JSON edgeList streams in, two u32s per edge.
-      std::string EdgeSec;
-      putU64(EdgeSec, G.numEdges());
-      EdgeSec.reserve(EdgeSec.size() + 8 * G.numEdges());
+      ByteWriter EdgeSec;
+      EdgeSec.u64(G.numEdges());
+      EdgeSec.reserve(8 + 8 * G.numEdges());
       G.forEachSortedEdgeRanked(
           [&EdgeSec](Digraph::NodeId From, Digraph::NodeId To) {
-            putU32(EdgeSec, From);
-            putU32(EdgeSec, To);
+            EdgeSec.u32(From);
+            EdgeSec.u32(To);
           });
-      F.section("EDGE", std::move(EdgeSec));
+      F.section("EDGE", EdgeSec.data());
     }
   }
   if (D.Ok && Opts.Mode == BatchMode::Matrices) {
-    std::string Mtrx;
-    putU64(Mtrx, D.RMloEntries);
-    putU64(Mtrx, D.RMglEntries);
-    F.section("MTRX", std::move(Mtrx));
+    ByteWriter Mtrx;
+    Mtrx.u64(D.RMloEntries);
+    Mtrx.u64(D.RMglEntries);
+    F.section("MTRX", Mtrx.data());
   }
   if (D.Ok && Opts.Mode == BatchMode::Report) {
-    std::string Viol;
-    putU32(Viol, static_cast<uint32_t>(D.Violations.size()));
+    ByteWriter Viol;
+    Viol.u32(static_cast<uint32_t>(D.Violations.size()));
     for (const PolicyViolation &V : D.Violations) {
-      putStr(Viol, V.From);
-      putStr(Viol, V.To);
-      putU8(Viol, V.ViaPath ? 1 : 0);
+      Viol.str32(V.From);
+      Viol.str32(V.To);
+      Viol.u8(V.ViaPath ? 1 : 0);
     }
-    F.section("VIOL", std::move(Viol));
+    F.section("VIOL", Viol.data());
   }
   if (D.Ok && Opts.Mode == BatchMode::Query) {
     // Query result: from, to, reaches flag, witness steps (node string +
     // resource string + mark code 0 plain / 1 incoming / 2 outgoing),
     // then the forward and backward reachable-name sets.
-    std::string Qres;
-    putStr(Qres, Opts.QueryFrom);
-    putStr(Qres, Opts.QueryTo);
-    putU8(Qres, D.Reaches ? 1 : 0);
-    putU32(Qres, static_cast<uint32_t>(D.Witness.size()));
+    ByteWriter Qres;
+    Qres.str32(Opts.QueryFrom);
+    Qres.str32(Opts.QueryTo);
+    Qres.u8(D.Reaches ? 1 : 0);
+    Qres.u32(static_cast<uint32_t>(D.Witness.size()));
     for (const query::WitnessStep &Step : D.Witness) {
-      putStr(Qres, Step.Node);
-      putStr(Qres, Step.Resource);
-      putU8(Qres, static_cast<uint8_t>(Step.Mark));
+      Qres.str32(Step.Node);
+      Qres.str32(Step.Resource);
+      Qres.u8(static_cast<uint8_t>(Step.Mark));
     }
-    putU32(Qres, static_cast<uint32_t>(D.Forward.size()));
+    Qres.u32(static_cast<uint32_t>(D.Forward.size()));
     for (const std::string &Node : D.Forward)
-      putStr(Qres, Node);
-    putU32(Qres, static_cast<uint32_t>(D.Backward.size()));
+      Qres.str32(Node);
+    Qres.u32(static_cast<uint32_t>(D.Backward.size()));
     for (const std::string &Node : D.Backward)
-      putStr(Qres, Node);
-    F.section("QRES", std::move(Qres));
+      Qres.str32(Node);
+    F.section("QRES", Qres.data());
   }
   F.finish(Out);
 }
@@ -292,225 +180,21 @@ void vif::driver::printBatchV1b(std::ostream &OS, const BatchResult &R,
 uint64_t vif::driver::v1bFrameLength(std::string_view Bytes) {
   if (Bytes.size() < 16 || std::memcmp(Bytes.data(), V1bMagic, 4) != 0)
     return 0;
-  Cursor C(Bytes.substr(8));
-  return C.u64();
+  return ByteReader(Bytes.substr(8)).u64();
 }
 
-bool vif::driver::decodeV1bToJson(std::string_view Frame,
-                                  std::string &JsonOut, std::string *Error) {
-  Cursor C(Frame);
-  std::string_view Magic;
-  if (!C.take(4, Magic) || std::memcmp(Magic.data(), V1bMagic, 4) != 0)
-    return fail(Error, "not a v1b frame (bad magic)");
-  if (C.u32() != V1bVersion)
-    return fail(Error, "unsupported v1b version");
-  uint64_t FrameLen = C.u64();
-  if (FrameLen != Frame.size())
-    return fail(Error, "frame length mismatch");
-  uint32_t SectionCount = C.u32();
-
-  // Collect the section payloads by tag; unknown tags are skipped.
-  std::string_view Meta, IdTok, Diag, NodeSec, EdgeSec, Mtrx, Viol, Qres;
-  bool HasMeta = false, HasNode = false, HasEdge = false, HasMtrx = false,
-       HasViol = false, HasQres = false;
-  for (uint32_t I = 0; I < SectionCount; ++I) {
-    std::string_view Tag;
-    if (!C.take(4, Tag))
-      return fail(Error, "truncated section header");
-    uint64_t Len = C.u64();
-    std::string_view Payload;
-    if (!C.take(Len, Payload))
-      return fail(Error, "truncated section payload");
-    if (Tag == "META") {
-      Meta = Payload;
-      HasMeta = true;
-    } else if (Tag == "IDNT") {
-      IdTok = Payload;
-    } else if (Tag == "DIAG") {
-      Diag = Payload;
-    } else if (Tag == "NODE") {
-      NodeSec = Payload;
-      HasNode = true;
-    } else if (Tag == "EDGE") {
-      EdgeSec = Payload;
-      HasEdge = true;
-    } else if (Tag == "MTRX") {
-      Mtrx = Payload;
-      HasMtrx = true;
-    } else if (Tag == "VIOL") {
-      Viol = Payload;
-      HasViol = true;
-    } else if (Tag == "QRES") {
-      Qres = Payload;
-      HasQres = true;
-    }
-  }
-  if (!C.atEnd())
-    return fail(Error, "trailing bytes after last section");
-  if (!HasMeta)
-    return fail(Error, "missing META section");
-
-  Cursor M(Meta);
-  uint8_t Command = M.u8();
-  uint8_t Method = M.u8();
-  bool Ok = M.u8() != 0;
-  bool Unreadable = M.u8() != 0;
-  std::string_view Name = M.str();
-  uint64_t Processes = M.u64();
-  uint64_t Signals = M.u64();
-  uint64_t Variables = M.u64();
-  if (!M.atEnd())
-    return fail(Error, "malformed META section");
-  const char *CommandStr = commandName(Command);
-  const char *MethodStr = methodName(Method);
-  if (!CommandStr || !MethodStr)
-    return fail(Error, "unknown command or method code");
-
-  std::ostringstream OS;
-  JsonWriter J(OS, JsonStyle::Compact);
-  J.beginObject();
-  J.member("schema", "vifc.v1");
-  if (!IdTok.empty()) {
-    // The token is a complete JSON value (string, number or null); parse
-    // and re-emit it so JsonOut stays well-formed even on a hostile frame.
-    std::string ParseError;
-    std::optional<JsonValue> Id = parseJson(IdTok, &ParseError);
-    if (!Id || (!Id->isString() && !Id->isNumber() && !Id->isNull()))
-      return fail(Error, "malformed IDNT section");
-    J.key("id");
-    if (Id->isString()) {
-      J.value(Id->asString());
-    } else if (Id->isNumber()) {
-      double N = Id->asNumber();
-      if (N == std::floor(N) && std::abs(N) <= 9007199254740992.0)
-        J.value(static_cast<long long>(N));
-      else
-        J.value(N);
-    } else {
-      J.null();
-    }
-  }
-  J.member("command", CommandStr);
-  if (Command == 1) // flows
-    J.member("method", MethodStr);
-  J.member("file", Name);
-  J.member("status", Ok ? "ok" : "error");
-  if (Unreadable)
-    J.member("unreadable", true);
-  if (!Diag.empty())
-    J.member("diagnostics", Diag);
-  if (Ok) {
-    J.member("processes", Processes);
-    J.member("signals", Signals);
-    J.member("variables", Variables);
-  }
-  if (Ok && HasNode && HasEdge) {
-    Cursor N(NodeSec);
-    uint32_t NodeCount = N.u32();
-    std::vector<std::string_view> Nodes;
-    Nodes.reserve(NodeCount);
-    for (uint32_t I = 0; I < NodeCount && !N.Failed; ++I)
-      Nodes.push_back(N.str());
-    if (!N.atEnd() || Nodes.size() != NodeCount)
-      return fail(Error, "malformed NODE section");
-    Cursor E(EdgeSec);
-    uint64_t EdgeCount = E.u64();
-    J.key("graph");
-    J.beginObject();
-    J.member("nodes", NodeCount);
-    J.member("edges", EdgeCount);
-    J.key("edgeList");
-    J.beginArray();
-    for (uint64_t I = 0; I < EdgeCount; ++I) {
-      uint32_t From = E.u32(), To = E.u32();
-      if (E.Failed || From >= NodeCount || To >= NodeCount)
-        return fail(Error, "malformed EDGE section");
-      J.beginObject();
-      J.member("from", Nodes[From]);
-      J.member("to", Nodes[To]);
-      J.endObject();
-    }
-    J.endArray();
-    J.endObject();
-    if (!E.atEnd())
-      return fail(Error, "malformed EDGE section");
-  }
-  if (Ok && HasMtrx) {
-    Cursor X(Mtrx);
-    uint64_t RMlo = X.u64(), RMgl = X.u64();
-    if (!X.atEnd())
-      return fail(Error, "malformed MTRX section");
-    J.key("matrices");
-    J.beginObject();
-    J.member("rmlo", RMlo);
-    J.member("rmgl", RMgl);
-    J.endObject();
-  }
-  if (Ok && HasViol) {
-    Cursor V(Viol);
-    uint32_t Count = V.u32();
-    J.key("violations");
-    J.beginArray();
-    for (uint32_t I = 0; I < Count; ++I) {
-      std::string_view From = V.str(), To = V.str();
-      bool ViaPath = V.u8() != 0;
-      if (V.Failed)
-        return fail(Error, "malformed VIOL section");
-      J.beginObject();
-      J.member("from", From);
-      J.member("to", To);
-      J.member("viaPath", ViaPath);
-      J.endObject();
-    }
-    J.endArray();
-    if (!V.atEnd())
-      return fail(Error, "malformed VIOL section");
-  }
-  if (Ok && HasQres) {
-    Cursor Q(Qres);
-    std::string_view From = Q.str(), To = Q.str();
-    bool Reaches = Q.u8() != 0;
-    J.key("query");
-    J.beginObject();
-    J.member("from", From);
-    J.member("to", To);
-    J.member("reaches", Reaches);
-    uint32_t WitnessCount = Q.u32();
-    if (Reaches) {
-      J.key("witness");
-      J.beginArray();
-    }
-    for (uint32_t I = 0; I < WitnessCount; ++I) {
-      std::string_view Node = Q.str(), Resource = Q.str();
-      uint8_t Mark = Q.u8();
-      if (Q.Failed || Mark > 2 || !Reaches)
-        return fail(Error, "malformed QRES section");
-      J.beginObject();
-      J.member("node", Node);
-      J.member("resource", Resource);
-      J.member("kind",
-               query::nodeMarkName(static_cast<query::NodeMark>(Mark)));
-      J.endObject();
-    }
-    if (Reaches)
-      J.endArray();
-    for (const char *Key : {"reachableFrom", "whatReaches"}) {
-      uint32_t Count = Q.u32();
-      J.key(Key);
-      J.beginArray();
-      for (uint32_t I = 0; I < Count; ++I) {
-        std::string_view Node = Q.str();
-        if (Q.Failed)
-          return fail(Error, "malformed QRES section");
-        J.value(Node);
-      }
-      J.endArray();
-    }
-    J.endObject();
-    if (!Q.atEnd())
-      return fail(Error, "malformed QRES section");
-  }
-  J.endObject();
-  JsonOut = OS.str();
-  return true;
+std::string vif::driver::renderIdToken(const JsonValue &Id) {
+  if (Id.isString())
+    return "\"" + jsonEscape(Id.asString()) + "\"";
+  if (!Id.isNumber())
+    return "null";
+  double N = Id.asNumber();
+  if (!std::isfinite(N))
+    return "null"; // JSON has no Inf/NaN
+  char Num[32];
+  if (N == std::floor(N) && std::abs(N) <= 9007199254740992.0)
+    std::snprintf(Num, sizeof(Num), "%lld", static_cast<long long>(N));
+  else
+    std::snprintf(Num, sizeof(Num), "%.6g", N);
+  return Num;
 }

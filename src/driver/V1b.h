@@ -12,10 +12,9 @@
 /// u32 edge-rank pairs, verdicts); docs/SCHEMA.md specifies the layout
 /// normatively and tools/schema_check.py pins the section table against
 /// it. Requested with `"format": "v1b"` in `vifc serve` and
-/// `--format=v1b` on the CLI. The decoder below maps a frame back to the
-/// equivalent design-level `vifc.v1` JSON document (minus the
-/// non-deterministic timing/cache members) and exists for tests and as
-/// the reference reader.
+/// `--format=v1b` on the CLI. The reference reader, which maps a frame
+/// back to the equivalent design-level `vifc.v1` JSON document, is
+/// test-only (tests/oracle/V1bDecode.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,6 +29,7 @@
 #include <string_view>
 
 namespace vif {
+class JsonValue;
 namespace driver {
 
 /// Frame magic ("VIFB") and format version. Versioning policy
@@ -47,6 +47,14 @@ inline constexpr uint32_t V1bVersion = 1;
 void writeV1bDesign(std::string &Out, const DesignResult &D,
                     const BatchOptions &Opts, std::string_view IdToken = {});
 
+/// The request "id" (a string, number or null JSON value) as a JSON value
+/// token: the one rendering that JSON responses echo after "id" and the
+/// IDNT section carries. Integral numbers within ±2^53 (where a double
+/// holds integers exactly) print as integers; other finite numbers use
+/// JsonWriter's %.6g double formatting and non-finite ones print null
+/// (docs/SERVER.md tells clients to use strings or integers).
+std::string renderIdToken(const JsonValue &Id);
+
 /// One frame per design, in input order (the `--format=v1b` CLI output).
 void printBatchV1b(std::ostream &OS, const BatchResult &R,
                    const BatchOptions &Opts);
@@ -55,14 +63,6 @@ void printBatchV1b(std::ostream &OS, const BatchResult &R,
 /// header; 0 when \p Bytes is too short or not a v1b frame. Stream
 /// readers use this to split concatenated frames.
 uint64_t v1bFrameLength(std::string_view Bytes);
-
-/// Decodes one complete frame back into the equivalent design-level
-/// vifc.v1 JSON document (compact style) — the serve JSON response minus
-/// its "cacheHit", "timings", "wallMs" and "cache" members. Returns false
-/// (setting \p Error when non-null) on malformed input. Unknown section
-/// tags are skipped, per the version-1 compatibility policy.
-bool decodeV1bToJson(std::string_view Frame, std::string &JsonOut,
-                     std::string *Error = nullptr);
 
 } // namespace driver
 } // namespace vif

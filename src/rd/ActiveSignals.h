@@ -49,6 +49,12 @@ struct ActiveSignalsResult {
   /// Number of worklist iterations used (for the complexity experiments).
   size_t Iterations = 0;
 
+  /// Sizes all four tables to \p NumSlots empty slots.
+  void resize(size_t NumSlots) {
+    for (LazyPairSets *T : {&MayEntry, &MayExit, &MustEntry, &MustExit})
+      T->resize(NumSlots);
+  }
+
   /// Heap footprint in bytes; the four tables share their per-process
   /// domains and matrices, counted once (cache byte-budget accounting).
   size_t memoryBytes() const {
@@ -73,44 +79,28 @@ ActiveSignalsResult
 analyzeActiveSignalsReference(const ElaboratedProgram &Program,
                               const ProgramCFG &CFG);
 
-/// The Table 4 kill/gen sets per label (shared by the worklist solver and
-/// the ALFP encoding of the equations; vectors indexed by label).
-struct ActiveKillGen {
-  std::vector<PairSet> Kill;
-  std::vector<PairSet> Gen;
-};
+/// The sorted-vector twin of solveGenKill (rd/DenseDomain.h) behind both
+/// reference solvers: chaotic iteration over \p P's labels in label order,
+/// writing eager sets into \p P's slots of \p Entry / \p Exit and, when
+/// \p MustEntry is non-null, the ⋂˙ component into \p MustEntry /
+/// \p MustExit. Returns the number of worklist iterations.
+size_t solveGenKillReference(const ProcessCFG &P,
+                             const ReachingDefsKillGen &KG,
+                             const PairSet &Initial, LazyPairSets &Entry,
+                             LazyPairSets &Exit,
+                             LazyPairSets *MustEntry = nullptr,
+                             LazyPairSets *MustExit = nullptr);
 
-ActiveKillGen computeActiveKillGen(const ProgramCFG &CFG);
+/// The Table 4 kill/gen sets of every label.
+ReachingDefsKillGen computeActiveKillGen(const ProgramCFG &CFG);
 
 /// Fills the Table 4 kill/gen sets of the single process \p P into \p KG,
 /// whose vectors must already span all labels. computeActiveKillGen is
 /// this per process; the incremental layer (rd/Incremental.h) calls it for
-/// dirty processes only.
+/// dirty processes only, then solveGenKill with no initial facts and the
+/// must component.
 void computeActiveKillGenFor(const ProgramCFG &CFG, const ProcessCFG &P,
-                             ActiveKillGen &KG);
-
-/// One process's dense Table 4 solution — the unit the incremental layer
-/// caches and recomposes whole-program results from. Rows are indexed by
-/// the process's FlowIndex local label order; the matrices are null when
-/// the domain is empty (every set stays ∅).
-struct ActiveProcessArtifact {
-  std::shared_ptr<const DefPairDomain> Dom;
-  std::shared_ptr<const BitMatrix> MayEntry, MayExit, MustEntry, MustExit;
-  uint64_t Iterations = 0;
-};
-
-/// Solves the Table 4 fixpoint of one process: exactly the per-process body
-/// of analyzeActiveSignals, exposed so dirty processes can be re-solved in
-/// isolation.
-ActiveProcessArtifact solveProcessActive(const ProgramCFG &CFG,
-                                         const ProcessCFG &P,
-                                         const ActiveKillGen &KG);
-
-/// Installs \p A's rows into the whole-program result tables (the label
-/// slots of \p P only; the shared matrices are referenced, not copied).
-void installProcessActive(ActiveSignalsResult &R, const ProgramCFG &CFG,
-                          const ProcessCFG &P,
-                          const ActiveProcessArtifact &A);
+                             ReachingDefsKillGen &KG);
 
 } // namespace vif
 

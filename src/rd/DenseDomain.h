@@ -12,8 +12,11 @@
 /// actually occur in one process's fixpoint — the pairs generated by some
 /// label plus the initial (n, ?) definitions. Entry/Exit/Kill/Gen sets
 /// then live as rows of a few support/BitSet.h BitMatrix buffers over
-/// that numbering (one allocation per table, not per label), and the
-/// solvers run word-at-a-time (rd/ActiveSignals.cpp, rd/ReachingDefs.cpp).
+/// that numbering (one allocation per table, not per label), and one
+/// solver, solveGenKill, runs both frameworks word-at-a-time: Table 4
+/// (RD∪ϕ and RD∩ϕ, rd/ActiveSignals.h) and Table 5 (RDcf,
+/// rd/ReachingDefs.h) differ only in their initial facts and in whether
+/// the ⋂˙ must component is carried along.
 ///
 /// LazyPairSets is the boundary back to the classic representation: result
 /// structs keep their `Result.Entry[L]` PairSet surface, but each set is
@@ -229,6 +232,50 @@ private:
 
   std::vector<Slot> Slots;
 };
+
+/// The kill/gen sets of Table 4 or Table 5 per label (shared by the
+/// solvers and the ALFP encoding of the equations; vectors indexed by
+/// label).
+struct ReachingDefsKillGen {
+  std::vector<PairSet> Kill;
+  std::vector<PairSet> Gen;
+};
+
+/// One process's dense solution of Table 4 or Table 5 — the unit the
+/// incremental layer (rd/Incremental.h) caches and recomposes
+/// whole-program results from. Rows are indexed by the process's FlowIndex
+/// local label order. Entry/Exit are the may rows (RD∪ϕ resp. RDcf);
+/// MustEntry/MustExit (RD∩ϕ) are present for Table 4 only. Every matrix is
+/// null when the domain is empty (every set stays ∅).
+struct RdProcessArtifact {
+  std::shared_ptr<const DefPairDomain> Dom;
+  std::shared_ptr<const BitMatrix> Entry, Exit, MustEntry, MustExit;
+  uint64_t Iterations = 0;
+};
+
+/// The one per-process gen/kill bit-vector solver: chaotic iteration from
+/// ⊥ = ∅ to the least fixpoint of
+///
+///   entry(l) = (l = init ? Initial : ∅) ∪ ⋃ {exit(l') | (l', l) ∈ flow}
+///   exit(l)  = (entry(l) \ Kill[l]) ∪ Gen[l]
+///
+/// over the domain Initial ∪ ⋃ Gen[l], worklist seeded in reverse
+/// postorder. With \p Must it also solves the ⋂˙ component (∅ at init
+/// and over an empty predecessor family), Table 4's RD∩ϕ; without it the
+/// loop does no must work at all. Only \p P's slots of \p Kill and \p Gen
+/// are read, so each process is solved in isolation.
+RdProcessArtifact solveGenKill(const ProgramCFG &CFG, const ProcessCFG &P,
+                               const std::vector<PairSet> &Kill,
+                               const std::vector<PairSet> &Gen,
+                               const PairSet &Initial, bool Must);
+
+/// Installs \p A's rows into the label slots of \p P (the shared matrices
+/// are referenced, not copied): the may rows into \p Entry / \p Exit and,
+/// when \p A carries them, the must rows into \p MustEntry / \p MustExit.
+void installProcessRows(const ProgramCFG &CFG, const ProcessCFG &P,
+                        const RdProcessArtifact &A, LazyPairSets &Entry,
+                        LazyPairSets &Exit, LazyPairSets *MustEntry = nullptr,
+                        LazyPairSets *MustExit = nullptr);
 
 } // namespace vif
 

@@ -12,6 +12,8 @@
 #include "support/Hash.h"
 #include "support/Parallel.h"
 
+#include <algorithm>
+
 using namespace vif;
 
 ArtifactBlobStore::~ArtifactBlobStore() = default;
@@ -168,81 +170,9 @@ std::shared_ptr<BitMatrix> decodeMatrix(ByteReader &R, uint32_t NL,
   return M;
 }
 
-/// Shared header of both artifact payloads; returns false if the sizes
-/// are inconsistent with the remaining bytes (so corrupt headers are
-/// rejected before any allocation is sized from them). \p NumMatrices is
-/// the matrix count that must follow the domain.
-bool decodeHeader(ByteReader &R, uint64_t &Iterations, uint32_t &NL,
-                  uint32_t &K, std::shared_ptr<const DefPairDomain> &DomOut,
-                  size_t NumMatrices) {
-  Iterations = R.u64();
-  NL = R.u32();
-  K = R.u32();
-  if (!R.ok() || K > R.remaining() / 8)
-    return false;
-  auto Dom = std::make_shared<DefPairDomain>();
-  for (uint32_t I = 0; I < K; ++I) {
-    uint32_t Raw = R.u32();
-    LabelId L = R.u32();
-    Dom->add(DefPair{Resource::fromRaw(Raw), L});
-  }
-  Dom->finalize();
-  // Unsorted or duplicated pairs shrink under finalize — corrupt.
-  if (!R.ok() || Dom->size() != K)
-    return false;
-  if (K) {
-    uint64_t RowBytes = uint64_t((K + 63) / 64) * 8;
-    if (uint64_t(NL) > R.remaining() / RowBytes / NumMatrices)
-      return false;
-  }
-  DomOut = std::move(Dom);
-  return true;
-}
-
 } // namespace
 
-std::string vif::encodeActiveArtifact(const ActiveProcessArtifact &A) {
-  ByteWriter W;
-  W.u64(A.Iterations);
-  size_t K = A.Dom ? A.Dom->size() : 0;
-  size_t NL = A.MayEntry ? A.MayEntry->numRows() : 0;
-  W.u32(static_cast<uint32_t>(NL));
-  W.u32(static_cast<uint32_t>(K));
-  for (size_t I = 0; I < K; ++I) {
-    DefPair P = A.Dom->pair(I);
-    W.u32(P.N.raw());
-    W.u32(P.L);
-  }
-  if (K) {
-    size_t WW = (K + 63) / 64;
-    encodeMatrix(W, *A.MayEntry, NL, WW);
-    encodeMatrix(W, *A.MayExit, NL, WW);
-    encodeMatrix(W, *A.MustEntry, NL, WW);
-    encodeMatrix(W, *A.MustExit, NL, WW);
-  }
-  return W.take();
-}
-
-bool vif::decodeActiveArtifact(std::string_view Blob,
-                               ActiveProcessArtifact &A) {
-  ByteReader R(Blob);
-  ActiveProcessArtifact Out;
-  uint32_t NL = 0, K = 0;
-  if (!decodeHeader(R, Out.Iterations, NL, K, Out.Dom, 4))
-    return false;
-  if (K) {
-    Out.MayEntry = decodeMatrix(R, NL, K);
-    Out.MayExit = decodeMatrix(R, NL, K);
-    Out.MustEntry = decodeMatrix(R, NL, K);
-    Out.MustExit = decodeMatrix(R, NL, K);
-  }
-  if (!R.ok() || !R.atEnd())
-    return false;
-  A = std::move(Out);
-  return true;
-}
-
-std::string vif::encodeRdArtifact(const RdProcessArtifact &A) {
+std::string vif::encodeProcessArtifact(const RdProcessArtifact &A) {
   ByteWriter W;
   W.u64(A.Iterations);
   size_t K = A.Dom ? A.Dom->size() : 0;
@@ -256,21 +186,46 @@ std::string vif::encodeRdArtifact(const RdProcessArtifact &A) {
   }
   if (K) {
     size_t WW = (K + 63) / 64;
-    encodeMatrix(W, *A.Entry, NL, WW);
-    encodeMatrix(W, *A.Exit, NL, WW);
+    for (const auto *M : {&A.Entry, &A.Exit, &A.MustEntry, &A.MustExit})
+      if (*M)
+        encodeMatrix(W, **M, NL, WW);
   }
   return W.take();
 }
 
-bool vif::decodeRdArtifact(std::string_view Blob, RdProcessArtifact &A) {
+bool vif::decodeProcessArtifact(std::string_view Blob, bool Must,
+                                RdProcessArtifact &A) {
   ByteReader R(Blob);
   RdProcessArtifact Out;
-  uint32_t NL = 0, K = 0;
-  if (!decodeHeader(R, Out.Iterations, NL, K, Out.Dom, 2))
+  Out.Iterations = R.u64();
+  uint32_t NL = R.u32();
+  uint32_t K = R.u32();
+  // Sizes inconsistent with the remaining bytes are rejected before any
+  // allocation is sized from them.
+  if (!R.ok() || K > R.remaining() / 8)
     return false;
+  auto Dom = std::make_shared<DefPairDomain>();
+  for (uint32_t I = 0; I < K; ++I) {
+    uint32_t Raw = R.u32();
+    LabelId L = R.u32();
+    Dom->add(DefPair{Resource::fromRaw(Raw), L});
+  }
+  Dom->finalize();
+  // Unsorted or duplicated pairs shrink under finalize — corrupt.
+  if (!R.ok() || Dom->size() != K)
+    return false;
+  Out.Dom = std::move(Dom);
   if (K) {
+    size_t NumMatrices = Must ? 4 : 2;
+    uint64_t RowBytes = uint64_t((K + 63) / 64) * 8;
+    if (uint64_t(NL) > R.remaining() / RowBytes / NumMatrices)
+      return false;
     Out.Entry = decodeMatrix(R, NL, K);
     Out.Exit = decodeMatrix(R, NL, K);
+    if (Must) {
+      Out.MustEntry = decodeMatrix(R, NL, K);
+      Out.MustExit = decodeMatrix(R, NL, K);
+    }
   }
   if (!R.ok() || !R.atEnd())
     return false;
@@ -285,7 +240,8 @@ bool vif::decodeRdArtifact(std::string_view Blob, RdProcessArtifact &A) {
 ProcessArtifactTable::ProcessArtifactTable(size_t MaxEntries)
     : Cap(MaxEntries ? MaxEntries : 1) {}
 
-std::shared_ptr<const void> ProcessArtifactTable::find(uint64_t Key) {
+std::shared_ptr<const RdProcessArtifact>
+ProcessArtifactTable::findInMemory(uint64_t Key) {
   std::lock_guard<std::mutex> G(M);
   auto It = Map.find(Key);
   if (It == Map.end())
@@ -294,8 +250,8 @@ std::shared_ptr<const void> ProcessArtifactTable::find(uint64_t Key) {
   return It->second.Value;
 }
 
-void ProcessArtifactTable::insert(uint64_t Key,
-                                  std::shared_ptr<const void> V) {
+void ProcessArtifactTable::insertInMemory(
+    uint64_t Key, std::shared_ptr<const RdProcessArtifact> V) {
   std::lock_guard<std::mutex> G(M);
   auto It = Map.find(Key);
   if (It != Map.end()) {
@@ -311,60 +267,27 @@ void ProcessArtifactTable::insert(uint64_t Key,
   }
 }
 
-std::shared_ptr<const ActiveProcessArtifact>
-ProcessArtifactTable::findActive(uint64_t Key) {
-  if (auto V = find(Key)) {
-    Hits.fetch_add(1, std::memory_order_relaxed);
-    return std::static_pointer_cast<const ActiveProcessArtifact>(V);
-  }
-  if (Backing) {
-    std::string Blob;
-    if (Backing->load("actv", Key, Blob)) {
-      auto A = std::make_shared<ActiveProcessArtifact>();
-      if (decodeActiveArtifact(Blob, *A)) {
-        insert(Key, A);
-        Hits.fetch_add(1, std::memory_order_relaxed);
-        return A;
-      }
-    }
-  }
-  Misses.fetch_add(1, std::memory_order_relaxed);
-  return nullptr;
-}
-
-void ProcessArtifactTable::insertActive(
-    uint64_t Key, std::shared_ptr<const ActiveProcessArtifact> A) {
-  if (Backing)
-    Backing->store("actv", Key, encodeActiveArtifact(*A));
-  insert(Key, std::move(A));
-}
-
 std::shared_ptr<const RdProcessArtifact>
-ProcessArtifactTable::findRd(uint64_t Key) {
-  if (auto V = find(Key)) {
-    Hits.fetch_add(1, std::memory_order_relaxed);
-    return std::static_pointer_cast<const RdProcessArtifact>(V);
-  }
-  if (Backing) {
+ProcessArtifactTable::find(const char (&Kind)[5], uint64_t Key, bool Must) {
+  std::shared_ptr<const RdProcessArtifact> A = findInMemory(Key);
+  if (!A && Backing) {
     std::string Blob;
-    if (Backing->load("rdpr", Key, Blob)) {
-      auto A = std::make_shared<RdProcessArtifact>();
-      if (decodeRdArtifact(Blob, *A)) {
-        insert(Key, A);
-        Hits.fetch_add(1, std::memory_order_relaxed);
-        return A;
-      }
+    RdProcessArtifact Decoded;
+    if (Backing->load(Kind, Key, Blob) &&
+        decodeProcessArtifact(Blob, Must, Decoded)) {
+      A = std::make_shared<const RdProcessArtifact>(std::move(Decoded));
+      insertInMemory(Key, A);
     }
   }
-  Misses.fetch_add(1, std::memory_order_relaxed);
-  return nullptr;
+  (A ? Hits : Misses).fetch_add(1, std::memory_order_relaxed);
+  return A;
 }
 
-void ProcessArtifactTable::insertRd(uint64_t Key,
-                                    std::shared_ptr<const RdProcessArtifact> A) {
+void ProcessArtifactTable::insert(const char (&Kind)[5], uint64_t Key,
+                                  std::shared_ptr<const RdProcessArtifact> A) {
   if (Backing)
-    Backing->store("rdpr", Key, encodeRdArtifact(*A));
-  insert(Key, std::move(A));
+    Backing->store(Kind, Key, encodeProcessArtifact(*A));
+  insertInMemory(Key, std::move(A));
 }
 
 //===----------------------------------------------------------------------===//
@@ -380,6 +303,57 @@ void hashBitSet(HashBuilder &H, const BitSet &S) {
   S.forEach([&H](size_t I) { H.u64(I); });
 }
 
+/// One phase of analyzeIncremental — Table 4 or Table 5 — for every
+/// process: look its artifact up under Key(P), else fill P's kill/gen
+/// slots with Fill (which returns the initial facts), solve, and insert;
+/// then install it. Kill/gen vectors span all labels but only dirty
+/// processes' slots are filled — disjoint writes, so the misses solve in
+/// parallel. Returns how many artifacts were reused; adds the iteration
+/// total to \p Iterations.
+template <typename KeyFn, typename FillFn, typename InstallFn>
+size_t runPhase(const ProgramCFG &CFG, unsigned Jobs,
+                              ProcessArtifactTable &Table,
+                              const char (&Kind)[5], bool Must, KeyFn Key,
+                              FillFn Fill, InstallFn Install,
+                              size_t &Iterations) {
+  size_t NumProcs = CFG.processes().size();
+  ReachingDefsKillGen KG;
+  KG.Kill.resize(CFG.numLabels() + 1);
+  KG.Gen.resize(CFG.numLabels() + 1);
+  std::vector<uint64_t> Its(NumProcs, 0);
+  std::vector<uint8_t> Reused(NumProcs, 0);
+  parallelFor(Jobs, NumProcs, [&](size_t PI) {
+    const ProcessCFG &P = CFG.processes()[PI];
+    uint64_t K = Key(P);
+    auto A = Table.find(Kind, K, Must);
+    // A shape mismatch (hash collision, stale blob) re-solves.
+    if (A && A->Entry &&
+        (A->Entry->numRows() != CFG.flowIndex(P.ProcessId).numLabels() ||
+         !A->MustEntry == Must))
+      A = nullptr;
+    if (A) {
+      Reused[PI] = 1;
+    } else {
+      PairSet Initial = Fill(P, KG);
+      auto Solved = std::make_shared<RdProcessArtifact>(
+          solveGenKill(CFG, P, KG.Kill, KG.Gen, Initial, Must));
+      // Only this fixpoint reads P's slots: release them at once, so a
+      // cold run never holds every process's kill/gen together.
+      for (LabelId L : P.Labels) {
+        KG.Kill[L] = PairSet();
+        KG.Gen[L] = PairSet();
+      }
+      Table.insert(Kind, K, Solved);
+      A = std::move(Solved);
+    }
+    Install(P, *A);
+    Its[PI] = A->Iterations;
+  });
+  for (uint64_t N : Its)
+    Iterations += N;
+  return std::count(Reused.begin(), Reused.end(), 1);
+}
+
 } // namespace
 
 void vif::analyzeIncremental(const ElaboratedProgram &Program,
@@ -390,13 +364,9 @@ void vif::analyzeIncremental(const ElaboratedProgram &Program,
                              ReachingDefsResult &RD,
                              IncrementalStats *Stats) {
   size_t NumLabels = CFG.numLabels();
-  size_t NumProcs = CFG.processes().size();
 
   Active = ActiveSignalsResult();
-  Active.MayEntry.resize(NumLabels + 1);
-  Active.MayExit.resize(NumLabels + 1);
-  Active.MustEntry.resize(NumLabels + 1);
-  Active.MustExit.resize(NumLabels + 1);
+  Active.resize(NumLabels + 1);
   RD = ReachingDefsResult();
   RD.Entry.resize(NumLabels + 1);
   RD.Exit.resize(NumLabels + 1);
@@ -404,87 +374,50 @@ void vif::analyzeIncremental(const ElaboratedProgram &Program,
   std::vector<uint64_t> Slice = hashProcessSlices(Program, CFG);
 
   // Phase 1: Table 4 artifacts, keyed by the slice alone (the fixpoint
-  // reads nothing outside the process). Kill/gen vectors span all labels
-  // but only dirty processes' slots are filled — disjoint writes, so the
-  // misses solve in parallel. The vectors are freed before Table 5.
-  ActiveKillGen AKG;
-  AKG.Kill.resize(NumLabels + 1);
-  AKG.Gen.resize(NumLabels + 1);
-  std::vector<std::shared_ptr<const ActiveProcessArtifact>> Act(NumProcs);
-  std::vector<uint8_t> ActReused(NumProcs, 0);
-  parallelFor(Opts.Jobs, NumProcs, [&](size_t PI) {
-    const ProcessCFG &P = CFG.processes()[PI];
-    unsigned Pid = P.ProcessId;
-    const FlowIndex &FI = CFG.flowIndex(Pid);
-    uint64_t Key = HashBuilder().str("actv").u64(Slice[Pid]).value();
-    auto A = Table.findActive(Key);
-    if (A && A->MayEntry && A->MayEntry->numRows() != FI.numLabels())
-      A = nullptr; // shape mismatch (hash collision / stale blob): re-solve
-    if (A) {
-      ActReused[Pid] = 1;
-    } else {
-      computeActiveKillGenFor(CFG, P, AKG);
-      auto Solved = std::make_shared<ActiveProcessArtifact>(
-          solveProcessActive(CFG, P, AKG));
-      Table.insertActive(Key, Solved);
-      A = std::move(Solved);
-    }
-    installProcessActive(Active, CFG, P, *A);
-    Act[Pid] = std::move(A);
-  });
-  for (size_t I = 0; I < NumProcs; ++I)
-    Active.Iterations += Act[I]->Iterations;
-  AKG = ActiveKillGen();
+  // reads nothing outside the process).
+  size_t ActReused = runPhase(
+      CFG, Opts.Jobs, Table, "actv", /*Must=*/true,
+      [&](const ProcessCFG &P) {
+        return HashBuilder().str("actv").u64(Slice[P.ProcessId]).value();
+      },
+      [&](const ProcessCFG &P, ReachingDefsKillGen &KG) {
+        computeActiveKillGenFor(CFG, P, KG);
+        return PairSet();
+      },
+      [&](const ProcessCFG &P, const RdProcessArtifact &A) {
+        installProcessRows(CFG, P, A, Active.MayEntry, Active.MayExit,
+                           &Active.MustEntry, &Active.MustExit);
+      },
+      Active.Iterations);
 
   // Phase 2: Table 5 artifacts, keyed by the slice plus everything the
   // wait kill/gen sets read from outside the process: the "others"
   // unions of the wait aggregates and the two options that shape them.
   WaitAggregates Agg = computeWaitAggregates(CFG, Active, Opts);
-  ReachingDefsKillGen KG;
-  KG.Kill.resize(NumLabels + 1);
-  KG.Gen.resize(NumLabels + 1);
-  std::vector<std::shared_ptr<const RdProcessArtifact>> Rd(NumProcs);
-  std::vector<uint8_t> RdReused(NumProcs, 0);
-  parallelFor(Opts.Jobs, NumProcs, [&](size_t PI) {
-    const ProcessCFG &P = CFG.processes()[PI];
-    unsigned Pid = P.ProcessId;
-    const FlowIndex &FI = CFG.flowIndex(Pid);
-    HashBuilder KH;
-    KH.str("rdpr").u64(Slice[Pid]);
-    hashBitSet(KH, Agg.OthersMay[Pid]);
-    hashBitSet(KH, Agg.OthersMust[Pid]);
-    KH.boolean(Opts.UseMustActiveKill).boolean(Opts.HsiehLevitanCrossFlow);
-    uint64_t Key = KH.value();
-    auto A = Table.findRd(Key);
-    if (A && A->Entry && A->Entry->numRows() != FI.numLabels())
-      A = nullptr; // shape mismatch (hash collision / stale blob): re-solve
-    if (A) {
-      RdReused[Pid] = 1;
-    } else {
-      computeReachingDefsKillGenFor(CFG, P, Active, Agg, Opts, KG);
-      auto Solved = std::make_shared<RdProcessArtifact>(
-          solveProcessRd(CFG, P, KG.Kill, KG.Gen));
-      // Only this fixpoint reads P's slots: release them at once, so a
-      // cold run never holds every process's kill/gen together.
-      for (LabelId L : P.Labels) {
-        KG.Kill[L] = PairSet();
-        KG.Gen[L] = PairSet();
-      }
-      Table.insertRd(Key, Solved);
-      A = std::move(Solved);
-    }
-    installProcessRd(RD, CFG, P, *A);
-    Rd[Pid] = std::move(A);
-  });
-  for (size_t I = 0; I < NumProcs; ++I)
-    RD.Iterations += Rd[I]->Iterations;
+  size_t RdReused = runPhase(
+      CFG, Opts.Jobs, Table, "rdpr", /*Must=*/false,
+      [&](const ProcessCFG &P) {
+        HashBuilder KH;
+        KH.str("rdpr").u64(Slice[P.ProcessId]);
+        hashBitSet(KH, Agg.OthersMay[P.ProcessId]);
+        hashBitSet(KH, Agg.OthersMust[P.ProcessId]);
+        KH.boolean(Opts.UseMustActiveKill).boolean(Opts.HsiehLevitanCrossFlow);
+        return KH.value();
+      },
+      [&](const ProcessCFG &P, ReachingDefsKillGen &KG) {
+        computeReachingDefsKillGenFor(CFG, P, Active, Agg, Opts, KG);
+        return initialDefs(P);
+      },
+      [&](const ProcessCFG &P, const RdProcessArtifact &A) {
+        installProcessRd(RD, CFG, P, A);
+      },
+      RD.Iterations);
 
   if (Stats) {
-    for (size_t I = 0; I < NumProcs; ++I) {
-      Stats->ActiveReused += ActReused[I];
-      Stats->ActiveSolved += !ActReused[I];
-      Stats->RdReused += RdReused[I];
-      Stats->RdSolved += !RdReused[I];
-    }
+    size_t NumProcs = CFG.processes().size();
+    Stats->ActiveReused += ActReused;
+    Stats->ActiveSolved += NumProcs - ActReused;
+    Stats->RdReused += RdReused;
+    Stats->RdSolved += NumProcs - RdReused;
   }
 }

@@ -13,8 +13,8 @@
 ///  * additionally the factored cross-flow contributions of the *other*
 ///    processes' wait aggregates for Table 5,
 ///
-/// so each solved ActiveProcessArtifact / RdProcessArtifact is keyed by a
-/// canonical hash of exactly those inputs and retained in a
+/// so each solved RdProcessArtifact (one type for both tables) is keyed by
+/// a canonical hash of exactly those inputs and retained in a
 /// ProcessArtifactTable across re-analyses. Re-analyzing an edited design
 /// re-solves only processes whose keys changed and recomposes the
 /// whole-program ActiveSignalsResult / ReachingDefsResult from the
@@ -84,14 +84,16 @@ public:
 std::vector<uint64_t> hashProcessSlices(const ElaboratedProgram &Program,
                                         const ProgramCFG &CFG);
 
-/// Binary codecs for the per-process artifacts (the payloads stored
-/// through ArtifactBlobStore). Decoders are bounds-checked and validate
-/// shape invariants; they return false on any anomaly, which the table
-/// treats as a miss.
-std::string encodeActiveArtifact(const ActiveProcessArtifact &A);
-bool decodeActiveArtifact(std::string_view Blob, ActiveProcessArtifact &A);
-std::string encodeRdArtifact(const RdProcessArtifact &A);
-bool decodeRdArtifact(std::string_view Blob, RdProcessArtifact &A);
+/// The binary codec of a per-process artifact (the payload stored through
+/// ArtifactBlobStore): iterations, shape, domain, then the Entry and Exit
+/// matrices, followed by MustEntry and MustExit when \p A carries them —
+/// the "actv" payload of Table 4 has four matrices, the "rdpr" payload of
+/// Table 5 two. The decoder expects the must matrices iff \p Must; it is
+/// bounds-checked, validates shape invariants, and returns false on any
+/// anomaly, which the table treats as a miss.
+std::string encodeProcessArtifact(const RdProcessArtifact &A);
+bool decodeProcessArtifact(std::string_view Blob, bool Must,
+                           RdProcessArtifact &A);
 
 /// A thread-safe, LRU-bounded in-memory table of per-process artifacts,
 /// optionally backed by an ArtifactBlobStore. One table is shared by all
@@ -109,22 +111,26 @@ public:
   /// the table is shared.
   void setBacking(ArtifactBlobStore *S) { Backing = S; }
 
-  std::shared_ptr<const ActiveProcessArtifact> findActive(uint64_t Key);
-  void insertActive(uint64_t Key,
-                    std::shared_ptr<const ActiveProcessArtifact> A);
-  std::shared_ptr<const RdProcessArtifact> findRd(uint64_t Key);
-  void insertRd(uint64_t Key, std::shared_ptr<const RdProcessArtifact> A);
+  /// The artifact stored under \p Key, from memory or else from the
+  /// backing store's \p Kind namespace (decoded with or without the must
+  /// matrices, per \p Must); null on a miss.
+  std::shared_ptr<const RdProcessArtifact>
+  find(const char (&Kind)[5], uint64_t Key, bool Must);
+  /// Retains \p A under \p Key and writes it through to the backing store.
+  void insert(const char (&Kind)[5], uint64_t Key,
+              std::shared_ptr<const RdProcessArtifact> A);
 
   /// Artifacts served (memory or backing store) resp. not found.
   size_t hits() const { return Hits.load(std::memory_order_relaxed); }
   size_t misses() const { return Misses.load(std::memory_order_relaxed); }
 
 private:
-  std::shared_ptr<const void> find(uint64_t Key);
-  void insert(uint64_t Key, std::shared_ptr<const void> V);
+  std::shared_ptr<const RdProcessArtifact> findInMemory(uint64_t Key);
+  void insertInMemory(uint64_t Key,
+                      std::shared_ptr<const RdProcessArtifact> V);
 
   struct Entry {
-    std::shared_ptr<const void> Value;
+    std::shared_ptr<const RdProcessArtifact> Value;
     std::list<uint64_t>::iterator LruIt;
   };
 

@@ -6,11 +6,9 @@
 
 #include "rd/ReachingDefs.h"
 
-#include "cfg/FlowIndex.h"
 #include "support/Casting.h"
 
 #include <algorithm>
-#include <deque>
 #include <map>
 
 using namespace vif;
@@ -159,95 +157,25 @@ vif::computeReachingDefsKillGen(const ProgramCFG &CFG,
   return KG;
 }
 
-RdProcessArtifact vif::solveProcessRd(const ProgramCFG &CFG,
-                                      const ProcessCFG &P,
-                                      const std::vector<PairSet> &Kill,
-                                      const std::vector<PairSet> &Gen) {
-  RdProcessArtifact A;
+PairSet vif::initialDefs(const ProcessCFG &P) {
   PairSet Initial;
   for (unsigned Var : P.FreeVars)
     Initial.insert(DefPair{Resource::variable(Var), InitialLabel});
   for (unsigned Sig : P.FreeSigs)
     Initial.insert(DefPair{Resource::signal(Sig), InitialLabel});
+  return Initial;
+}
 
-  auto Dom = std::make_shared<DefPairDomain>();
-  Dom->addAll(Initial);
-  for (LabelId L : P.Labels)
-    Dom->addAll(Gen[L]);
-  Dom->finalize();
-  A.Dom = Dom;
-  size_t K = Dom->size();
-  if (K == 0)
-    return A; // nothing is ever defined: every set stays ∅ (the default)
-
-  const FlowIndex &FI = CFG.flowIndex(P.ProcessId);
-  size_t NL = FI.numLabels();
-  size_t W = (K + 63) / 64;
-
-  // Whole-table BitMatrix rows instead of per-label BitSets; the two
-  // result tables are shared with the label slots installed later.
-  std::vector<uint64_t> InitialMask(W, 0);
-  Dom->maskInto(Initial, InitialMask.data());
-  BitMatrix KillM(NL, K), GenM(NL, K);
-  for (uint32_t I = 0; I < NL; ++I) {
-    Dom->maskInto(Kill[FI.label(I)], KillM.row(I));
-    Dom->maskInto(Gen[FI.label(I)], GenM.row(I));
-  }
-
-  auto Entry = std::make_shared<BitMatrix>(NL, K);
-  auto Exit = std::make_shared<BitMatrix>(NL, K);
-
-  std::deque<uint32_t> Work(FI.rpo().begin(), FI.rpo().end());
-  std::vector<uint8_t> InWork(NL, 1);
-  uint32_t InitLocal = FI.localOf(P.Init);
-
-  std::vector<uint64_t> In(W);
-  while (!Work.empty()) {
-    uint32_t I = Work.front();
-    Work.pop_front();
-    InWork[I] = 0;
-    ++A.Iterations;
-
-    // The init label carries the initial {(n, ?)} definitions; if it is
-    // re-entered (possible in bare statement programs without the
-    // isolated-entry wrapper) predecessor exits are merged as well.
-    if (I == InitLocal)
-      BitMatrix::copy(In.data(), InitialMask.data(), W);
-    else
-      BitMatrix::clear(In.data(), W);
-    for (uint32_t Pred : FI.preds(I))
-      BitMatrix::orInto(In.data(), Exit->row(Pred), W);
-    BitMatrix::copy(Entry->row(I), In.data(), W);
-
-    BitMatrix::subtract(In.data(), KillM.row(I), W);
-    BitMatrix::orInto(In.data(), GenM.row(I), W);
-
-    if (BitMatrix::equal(In.data(), Exit->row(I), W))
-      continue;
-    BitMatrix::copy(Exit->row(I), In.data(), W);
-    for (uint32_t Succ : FI.succs(I))
-      if (!InWork[Succ]) {
-        Work.push_back(Succ);
-        InWork[Succ] = 1;
-      }
-  }
-
-  A.Entry = std::move(Entry);
-  A.Exit = std::move(Exit);
-  return A;
+RdProcessArtifact vif::solveProcessRd(const ProgramCFG &CFG,
+                                      const ProcessCFG &P,
+                                      const std::vector<PairSet> &Kill,
+                                      const std::vector<PairSet> &Gen) {
+  return solveGenKill(CFG, P, Kill, Gen, initialDefs(P), /*Must=*/false);
 }
 
 void vif::installProcessRd(ReachingDefsResult &R, const ProgramCFG &CFG,
                            const ProcessCFG &P, const RdProcessArtifact &A) {
-  if (!A.Entry)
-    return; // empty domain: the default (empty) slots are already right
-  const FlowIndex &FI = CFG.flowIndex(P.ProcessId);
-  size_t NL = FI.numLabels();
-  for (uint32_t I = 0; I < NL; ++I) {
-    LabelId L = FI.label(I);
-    R.Entry.setDense(L, A.Dom, A.Entry, I);
-    R.Exit.setDense(L, A.Dom, A.Exit, I);
-  }
+  installProcessRows(CFG, P, A, R.Entry, R.Exit);
 }
 
 ReachingDefsResult
@@ -261,57 +189,9 @@ vif::analyzeReachingDefsReference(const ElaboratedProgram &Program,
   R.Exit.resize(NumLabels + 1);
 
   ReachingDefsKillGen KG = computeReachingDefsKillGen(CFG, Active, Opts);
-  const std::vector<PairSet> &Kill = KG.Kill;
-  const std::vector<PairSet> &Gen = KG.Gen;
-
-  for (const ProcessCFG &P : CFG.processes()) {
-    PairSet Initial;
-    for (unsigned Var : P.FreeVars)
-      Initial.insert(DefPair{Resource::variable(Var), InitialLabel});
-    for (unsigned Sig : P.FreeSigs)
-      Initial.insert(DefPair{Resource::signal(Sig), InitialLabel});
-
-    std::vector<PairSet> Exit(NumLabels + 1);
-
-    std::map<LabelId, std::vector<LabelId>> Preds;
-    for (const auto &[From, To] : P.Flow)
-      Preds[To].push_back(From);
-
-    std::deque<LabelId> Work(P.Labels.begin(), P.Labels.end());
-    std::vector<bool> InWork(NumLabels + 1, false);
-    for (LabelId L : P.Labels)
-      InWork[L] = true;
-
-    while (!Work.empty()) {
-      LabelId L = Work.front();
-      Work.pop_front();
-      InWork[L] = false;
-      ++R.Iterations;
-
-      PairSet In;
-      if (L == P.Init)
-        In = Initial;
-      for (LabelId Pred : Preds[L])
-        In.unionWith(Exit[Pred]);
-      R.Entry.setEager(L, In);
-
-      PairSet Out = std::move(In);
-      Out.subtract(Kill[L]);
-      Out.unionWith(Gen[L]);
-
-      if (Out == Exit[L])
-        continue;
-      Exit[L] = std::move(Out);
-      for (const auto &[From, To] : P.Flow)
-        if (From == L && !InWork[To]) {
-          Work.push_back(To);
-          InWork[To] = true;
-        }
-    }
-
-    for (LabelId L : P.Labels)
-      R.Exit.setEager(L, std::move(Exit[L]));
-  }
+  for (const ProcessCFG &P : CFG.processes())
+    R.Iterations +=
+        solveGenKillReference(P, KG, initialDefs(P), R.Entry, R.Exit);
   (void)Program;
   return R;
 }

@@ -97,13 +97,6 @@ analyzeReachingDefsReference(const ElaboratedProgram &Program,
                              const ActiveSignalsResult &Active,
                              const ReachingDefsOptions &Opts = {});
 
-/// The Table 5 kill/gen sets per label (shared by the worklist solver and
-/// the ALFP encoding of the equations; vectors indexed by label).
-struct ReachingDefsKillGen {
-  std::vector<PairSet> Kill;
-  std::vector<PairSet> Gen;
-};
-
 /// The cf quantifications at a wait label l of process i:
 ///
 ///   may(l)  = ⋃_{tuples (l_1..l_n) ∈ cf, l_i = l} ⋃_j fst(RD∪ϕentry(l_j))
@@ -148,25 +141,18 @@ computeReachingDefsKillGen(const ProgramCFG &CFG,
                            const ActiveSignalsResult &Active,
                            const ReachingDefsOptions &Opts = {});
 
-/// One process's dense Table 5 solution — the unit the incremental layer
-/// caches and recomposes whole-program results from. Rows are indexed by
-/// the process's FlowIndex local label order; the matrices are null when
-/// the domain is empty (every set stays ∅).
-struct RdProcessArtifact {
-  std::shared_ptr<const DefPairDomain> Dom;
-  std::shared_ptr<const BitMatrix> Entry, Exit;
-  uint64_t Iterations = 0;
-};
+/// The initial definitions of process \p P at its init label:
+/// {(x,?) | x ∈ FV(ss_i)} ∪ {(s,?) | s ∈ FS(ss_i)}.
+PairSet initialDefs(const ProcessCFG &P);
 
 /// Solves the dense RDcf fixpoint of one process given the per-label
-/// kill/gen vectors (only \p P's label slots are read), so each dirty
-/// process is solved in isolation by analyzeIncremental.
+/// kill/gen vectors (only \p P's label slots are read): solveGenKill with
+/// initialDefs(P) and no must component.
 RdProcessArtifact solveProcessRd(const ProgramCFG &CFG, const ProcessCFG &P,
                                  const std::vector<PairSet> &Kill,
                                  const std::vector<PairSet> &Gen);
 
-/// Installs \p A's rows into the whole-program result tables (the label
-/// slots of \p P only; the shared matrices are referenced, not copied).
+/// Installs \p A's rows into the label slots of \p P in \p R.
 void installProcessRd(ReachingDefsResult &R, const ProgramCFG &CFG,
                       const ProcessCFG &P, const RdProcessArtifact &A);
 

@@ -5,9 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Byte-level encode/decode helpers shared by every binary artifact format
-/// in the project (the v1b graph format in driver/V1b.cpp and the on-disk
-/// artifact store in driver/ArtifactStore.cpp). Writers append to a
+/// Byte-level encode/decode helpers shared by every binary format in the
+/// project: the v1b response frames (driver/V1b.cpp, whose strings carry
+/// a u32 length prefix — str32), the on-disk artifact store's blob
+/// envelope (driver/ArtifactStore.cpp) and the per-process artifact
+/// payloads inside it (rd/Incremental.cpp). Writers append to a
 /// std::string; readers carry an Ok flag that latches false on the first
 /// out-of-bounds read, so decoders can run a whole parse and check once at
 /// the end — the discipline that lets corrupt store entries degrade to
@@ -52,6 +54,13 @@ public:
     bytes(S.data(), S.size());
   }
 
+  /// Length-prefixed string with a u32 length (the v1b string form).
+  void str32(std::string_view S) {
+    u32(static_cast<uint32_t>(S.size()));
+    bytes(S.data(), S.size());
+  }
+
+  void reserve(size_t N) { Buf.reserve(N); }
   size_t size() const { return Buf.size(); }
   const std::string &data() const { return Buf; }
   std::string take() { return std::move(Buf); }
@@ -119,6 +128,9 @@ public:
     }
     return raw(static_cast<size_t>(Len));
   }
+
+  /// Length-prefixed string written by ByteWriter::str32.
+  std::string_view str32() { return raw(u32()); }
 
   size_t remaining() const { return static_cast<size_t>(End - P); }
   bool atEnd() const { return P == End; }

@@ -8,6 +8,9 @@
 /// A small incremental content hash (64-bit FNV-1a) for content-addressed
 /// caching: the driver's SessionCache keys sessions by the hash of the
 /// VHDL source text plus the analysis options (see driver/SessionCache.h).
+/// It is the project's one FNV-1a and one hex formatter: serve's
+/// contentKeys, the artifact store's file names and blob checksums, and
+/// the per-process slice keys (rd/Incremental.h) all come from here.
 /// Not cryptographic — collisions are tolerable for a cache (a collision
 /// serves the wrong artifact, so keys also fold in lengths to keep the
 /// accidental-collision surface small) and the stream is trusted local
@@ -50,10 +53,12 @@ public:
   uint64_t value() const { return H; }
 
   /// 16 lowercase hex digits of value().
-  std::string hex() const {
+  std::string hex() const { return hex(H); }
+
+  /// 16 lowercase hex digits of \p V (zero-padded, like "%016llx").
+  static std::string hex(uint64_t V) {
     static const char Digits[] = "0123456789abcdef";
     std::string Out(16, '0');
-    uint64_t V = H;
     for (int I = 15; I >= 0; --I, V >>= 4)
       Out[static_cast<size_t>(I)] = Digits[V & 0xf];
     return Out;

@@ -134,6 +134,11 @@ void JsonWriter::value(std::string_view V) {
   Buf += '"';
 }
 
+void JsonWriter::rawValue(std::string_view Token) {
+  prefix();
+  Buf += Token;
+}
+
 void JsonWriter::value(bool V) {
   prefix();
   Buf += (V ? "true" : "false");

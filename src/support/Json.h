@@ -84,6 +84,8 @@ public:
   void value(int V) { value(static_cast<long long>(V)); }
   void value(unsigned V) { value(static_cast<unsigned long long>(V)); }
   void null();
+  /// Emits \p Token, an already-rendered JSON value, verbatim.
+  void rawValue(std::string_view Token);
 
   /// key() + value() in one call.
   template <typename T> void member(std::string_view K, const T &V) {

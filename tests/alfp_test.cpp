@@ -7,7 +7,7 @@
 #include "alfp/Alfp.h"
 #include "alfp/AlfpParser.h"
 #include "ifa/AlfpClosure.h"
-#include "ifa/AlfpRd.h"
+#include "oracle/AlfpRd.h"
 #include "parse/Parser.h"
 #include "rd/Incremental.h"
 #include "workloads/Synthetic.h"

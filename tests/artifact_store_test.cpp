@@ -11,7 +11,9 @@
 /// codecs, restart survival (a fresh session over a warm store produces
 /// byte-identical results without invoking any solver), and the
 /// incremental path (editing one process of an N-process design re-solves
-/// exactly one process, with results equal to a cold run).
+/// exactly one process, with results equal to a cold run), and a store
+/// written by an earlier build (tests/inputs/store) that must keep serving
+/// byte for byte.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -380,6 +383,111 @@ TEST(Incremental, UnchangedReanalysisReusesEverything) {
   EXPECT_EQ(B.incrementalStats().RdSolved, 0u);
   EXPECT_EQ(B.incrementalStats().RdReused, 5u);
   EXPECT_EQ(renderIfa(A), renderIfa(B));
+}
+
+//===----------------------------------------------------------------------===//
+// A store written by an earlier build
+//===----------------------------------------------------------------------===//
+
+// tests/inputs/store holds what `vifc flows --store` wrote for smoke.vhd
+// and corpus/gen_2.vhd (6 processes) before Tables 4 and 5 shared one
+// solver, one artifact type and one codec. The store format promises that
+// such a store keeps serving: every blob re-encodes to the same bytes, and
+// a fresh run finds every design and per-process artifact in it.
+const std::string GoldenStore = std::string(VIFC_INPUTS_DIR) + "/store";
+
+std::vector<std::filesystem::path> goldenFiles() {
+  std::vector<std::filesystem::path> Files;
+  for (const auto &E : std::filesystem::directory_iterator(GoldenStore))
+    Files.push_back(E.path());
+  std::sort(Files.begin(), Files.end());
+  return Files;
+}
+
+TEST(GoldenStore, EveryBlobReencodesByteForByte) {
+  ArtifactStore Store(GoldenStore);
+  TempStoreDir Out;
+  ArtifactStore Copy(Out.Path);
+  size_t PerProcess = 0, Designs = 0;
+  for (const std::filesystem::path &File : goldenFiles()) {
+    std::string Name = File.filename().string(); // "<kind>-<16 hex>.bin"
+    ASSERT_EQ(Name.size(), 25u) << Name;
+    const char Kind[5] = {Name[0], Name[1], Name[2], Name[3], '\0'};
+    uint64_t Key = std::stoull(Name.substr(5, 16), nullptr, 16);
+    std::string Payload, Again;
+    ASSERT_TRUE(Store.load(Kind, Key, Payload)) << Name;
+    std::string_view K(Kind);
+    if (K == "actv" || K == "rdpr") {
+      RdProcessArtifact A;
+      ASSERT_TRUE(decodeProcessArtifact(Payload, K == "actv", A)) << Name;
+      EXPECT_EQ(A.MustEntry != nullptr, K == "actv" && A.Dom->size() > 0)
+          << Name;
+      Again = encodeProcessArtifact(A);
+      ++PerProcess;
+    } else {
+      ASSERT_EQ(K, "dsgn") << Name;
+      IFAResult R;
+      ASSERT_TRUE(decodeDesignArtifact(Payload, R.RMlo, R.RMgl, R.Graph));
+      Again = encodeDesignArtifact(R);
+      ++Designs;
+    }
+    EXPECT_EQ(Again, Payload) << Name;
+    // The envelope (header, checksum) is byte-identical too.
+    Copy.store(Kind, Key, Again);
+    EXPECT_EQ(readFile(Out.Path + "/" + Name), readFile(File.string()))
+        << Name;
+  }
+  EXPECT_EQ(PerProcess, 14u); // 1 + 6 processes, Tables 4 and 5
+  EXPECT_EQ(Designs, 2u);
+  EXPECT_EQ(Store.counters().Misses, 0u);
+}
+
+TEST(GoldenStore, ServedAsAllHits) {
+  for (const char *Input : {"smoke.vhd", "corpus/gen_2.vhd"}) {
+    std::string Source = readFile(std::string(VIFC_INPUTS_DIR) + "/" + Input);
+    TempStoreDir Dir; // a copy, so a miss could never write into the tree
+    for (const std::filesystem::path &File : goldenFiles())
+      std::filesystem::copy_file(File,
+                                 Dir.Path + "/" + File.filename().string());
+
+    ArtifactStore Store(Dir.Path);
+    AnalysisSession S = AnalysisSession::fromSource(Input, Source);
+    S.setArtifacts(nullptr, &Store);
+    AnalysisSession Cold = AnalysisSession::fromSource(Input, Source);
+    // The dsgn blob answers the flow request without any solver.
+    EXPECT_EQ(renderIfa(S), renderIfa(Cold)) << Input;
+    EXPECT_TRUE(S.ifaPartial()) << Input;
+
+    // Tables 4 and 5 through the store: every actv and rdpr artifact is
+    // found, and the served sets are the cold solution's.
+    const ElaboratedProgram &P = *Cold.program();
+    const ProgramCFG &C = *Cold.cfg();
+    ProcessArtifactTable Table, Fresh;
+    Table.setBacking(&Store);
+    ActiveSignalsResult Active, ColdActive;
+    ReachingDefsResult RD, ColdRD;
+    IncrementalStats Stats;
+    analyzeIncremental(P, C, {}, Table, Active, RD, &Stats);
+    analyzeIncremental(P, C, {}, Fresh, ColdActive, ColdRD);
+    size_t Procs = C.processes().size();
+    EXPECT_EQ(Stats.ActiveReused, Procs) << Input;
+    EXPECT_EQ(Stats.ActiveSolved, 0u) << Input;
+    EXPECT_EQ(Stats.RdReused, Procs) << Input;
+    EXPECT_EQ(Stats.RdSolved, 0u) << Input;
+    EXPECT_EQ(Table.misses(), 0u) << Input;
+    EXPECT_EQ(Store.counters().Misses, 0u) << Input;
+    EXPECT_EQ(Store.counters().Writes, 0u) << Input;
+    EXPECT_EQ(Active.Iterations, ColdActive.Iterations) << Input;
+    EXPECT_EQ(RD.Iterations, ColdRD.Iterations) << Input;
+    for (LabelId L = 1; L <= C.numLabels(); ++L) {
+      EXPECT_TRUE(Active.MayEntry[L] == ColdActive.MayEntry[L]) << L;
+      EXPECT_TRUE(Active.MayExit[L] == ColdActive.MayExit[L]) << L;
+      EXPECT_TRUE(Active.MustEntry[L] == ColdActive.MustEntry[L]) << L;
+      EXPECT_TRUE(Active.MustExit[L] == ColdActive.MustExit[L]) << L;
+      EXPECT_TRUE(RD.Entry[L] == ColdRD.Entry[L]) << L;
+      EXPECT_TRUE(RD.Exit[L] == ColdRD.Exit[L]) << L;
+    }
+  }
 }
 
 } // namespace

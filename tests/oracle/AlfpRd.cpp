@@ -1,10 +1,10 @@
-//===- ifa/AlfpRd.cpp -----------------------------------------------------===//
+//===- oracle/AlfpRd.cpp --------------------------------------------------===//
 //
 // Part of the vif project; see DESIGN.md for the paper reference.
 //
 //===----------------------------------------------------------------------===//
 
-#include "ifa/AlfpRd.h"
+#include "oracle/AlfpRd.h"
 
 #include "alfp/Alfp.h"
 
@@ -60,7 +60,7 @@ AlfpRdResult vif::solveRdWithAlfp(const ElaboratedProgram &Program,
     for (const auto &[From, To] : Proc.Flow)
       P.fact(Flow, {label(From), label(To)});
 
-  ActiveKillGen PhiKG = computeActiveKillGen(CFG);
+  ReachingDefsKillGen PhiKG = computeActiveKillGen(CFG);
   ReachingDefsKillGen CfKG = computeReachingDefsKillGen(CFG, Active, Opts);
   for (LabelId L = 1; L <= CFG.numLabels(); ++L) {
     for (const DefPair &D : PhiKG.Kill[L])

@@ -1,4 +1,4 @@
-//===- ifa/AlfpRd.h - RD equations via the ALFP engine ----------*- C++ -*-===//
+//===- oracle/AlfpRd.h - RD equations via the ALFP engine -------*- C++ -*-===//
 //
 // Part of the vif project; see DESIGN.md for the paper reference.
 //
@@ -27,8 +27,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef VIF_IFA_ALFPRD_H
-#define VIF_IFA_ALFPRD_H
+#ifndef VIF_ORACLE_ALFPRD_H
+#define VIF_ORACLE_ALFPRD_H
 
 #include "rd/ReachingDefs.h"
 
@@ -54,4 +54,4 @@ AlfpRdResult solveRdWithAlfp(const ElaboratedProgram &Program,
 
 } // namespace vif
 
-#endif // VIF_IFA_ALFPRD_H
+#endif // VIF_ORACLE_ALFPRD_H

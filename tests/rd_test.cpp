@@ -7,6 +7,7 @@
 #include "oracle/Oracles.h"
 #include "parse/Parser.h"
 #include "rd/Incremental.h"
+#include "workloads/AesVhdl.h"
 #include "workloads/Synthetic.h"
 
 #include <gtest/gtest.h>
@@ -169,6 +170,36 @@ TEST(ActiveSignals, MustIsSubsetOfMay) {
     for (const DefPair &D : A.Active.MustExit[L])
       EXPECT_TRUE(A.Active.MayExit[L].contains(D));
   }
+}
+
+/// Pins the absolute worklist iteration counts of Tables 4 and 5 (cold
+/// driver and whole-program Table 4), so a change to the solver's schedule
+/// or transfer functions shows here: the cold/incremental/parallel tests
+/// only compare runs with each other.
+void expectIterations(const Analyzed &A, size_t Active, size_t RD,
+                      const char *What) {
+  EXPECT_EQ(A.Active.Iterations, Active) << What;
+  EXPECT_EQ(A.RD.Iterations, RD) << What;
+  EXPECT_EQ(analyzeActiveSignals(A.Program, A.CFG).Iterations, Active)
+      << What;
+}
+
+TEST(SolverIterations, PaperFigures) {
+  expectIterations(analyzeStmts("c := b; b := a;"), 0, 2, "fig3(a)");
+  expectIterations(analyzeStmts("b := a; c := b;"), 0, 2, "fig3(b)/fig4");
+  expectIterations(analyzeStmts(workloads::shiftRowsStatements()), 0, 24,
+                   "fig5");
+}
+
+TEST(SolverIterations, SignalProgramsAndDesigns) {
+  expectIterations(analyzeStmts("if c then s <= a; t <= b; else s <= b;"
+                                " end if; while d loop t <= a; end loop;"
+                                " u <= t; null;"),
+                   12, 9, "branch+loop");
+  expectIterations(analyzeDesign(workloads::pipelineDesign(16)), 64, 112,
+                   "pipeline/16");
+  expectIterations(analyzeDesign(workloads::syncMeshDesign(4, 3, 4)), 36,
+                   68, "mesh 4x3x4");
 }
 
 //===----------------------------------------------------------------------===//

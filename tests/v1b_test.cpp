@@ -20,6 +20,8 @@
 #include "driver/Serve.h"
 #include "driver/V1b.h"
 #include "gen/Generator.h"
+#include "oracle/V1bDecode.h"
+#include "support/BinaryIO.h"
 #include "support/Json.h"
 #include "support/JsonParse.h"
 
@@ -184,6 +186,45 @@ TEST(V1b, IdTokenForms) {
       "{\"command\":\"check\",\"format\":\"v1b\",\"source\":\"" +
       jsonEscape(MuxSource) + "\"}");
   EXPECT_EQ(decode(NoId).find("\"id\""), std::string::npos);
+}
+
+/// The raw payload of section \p Tag in \p Frame ("" when absent).
+std::string sectionPayload(std::string_view Frame, std::string_view Tag) {
+  ByteReader R(Frame.substr(16)); // past magic, version and frame length
+  uint32_t Count = R.u32();
+  for (uint32_t I = 0; I < Count && R.ok(); ++I) {
+    std::string_view T = R.raw(4);
+    std::string_view Payload = R.raw(R.u64());
+    if (R.ok() && T == Tag)
+      return std::string(Payload);
+  }
+  return "";
+}
+
+TEST(V1b, IdntCarriesTheJsonResponsesIdTokenVerbatim) {
+  Server S;
+  struct Case {
+    const char *IdJson;
+    const char *Token; // what both the JSON "id" and IDNT must read
+  } Cases[] = {
+      {"\"a\\\"b\"", "\"a\\\"b\""},
+      {"42", "42"},
+      {"-7", "-7"},
+      {"9007199254740992", "9007199254740992"}, // 2^53, still exact
+      {"1e300", "1e+300"},                      // integral, past 2^53
+      {"2.5", "2.5"},
+      {"1e999", "null"}, // overflows to infinity: JSON has no Inf
+      {"null", "null"},
+  };
+  for (const Case &C : Cases) {
+    std::string Json = S.handleLine(request("check", C.IdJson, false));
+    size_t At = Json.find("\"id\":");
+    ASSERT_NE(At, std::string::npos) << Json;
+    At += 5;
+    EXPECT_EQ(Json.substr(At, Json.find(",\"", At) - At), C.Token) << Json;
+    std::string Frame = S.handleLine(request("check", C.IdJson, true));
+    EXPECT_EQ(sectionPayload(Frame, "IDNT"), C.Token) << C.IdJson;
+  }
 }
 
 TEST(V1b, AnalysisFailureStillFrames) {

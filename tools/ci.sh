@@ -10,6 +10,18 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-ci}"
 SANITIZE="${VIFC_SANITIZE:-}"
 
+# The figures ROADMAP's quality aim tracks: C++ lines under src/, source
+# lines under tools/, and the option bits folded into the session-cache
+# key (foreachOptionBit in src/driver/SessionCache.cpp).
+src_lines=$(find src -type f \( -name '*.cpp' -o -name '*.h' \) -print0 \
+  | xargs -0 cat | wc -l)
+tools_lines=$(find tools -type f \( -name '*.cpp' -o -name '*.h' \
+  -o -name '*.py' -o -name '*.sh' \) -print0 | xargs -0 cat | wc -l)
+option_bits=$(sed -n '/^void foreachOptionBit/,/^}/p' \
+  src/driver/SessionCache.cpp | grep -c 'Fn(O\.')
+echo "tracked: src_lines=$src_lines tools_lines=$tools_lines" \
+  "option_bits=$option_bits"
+
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release -DVIFC_WERROR=ON \
   -DVIFC_SANITIZE="$SANITIZE"
 cmake --build "$BUILD_DIR" -j"$(nproc)"
