@@ -6,46 +6,47 @@
 
 #include "rd/ActiveSignals.h"
 
+#include "cfg/FlowIndex.h"
 #include "support/Casting.h"
 #include "support/Parallel.h"
 
+#include <algorithm>
 #include <deque>
 #include <map>
 
 using namespace vif;
 
-void vif::computeActiveKillGenFor(const ProgramCFG &CFG, const ProcessCFG &P,
-                                  ReachingDefsKillGen &KG) {
+ProcessKillGen vif::computeActiveKillGenFor(const ProgramCFG &CFG,
+                                            const ProcessCFG &P) {
+  const FlowIndex &FI = CFG.flowIndex(P.ProcessId);
+  ProcessKillGen KG(FI.numLabels());
+  // Every signal this process assigns, ascending.
+  std::vector<Resource> Assigned;
+  for (LabelId L : P.Labels)
+    if (CFG.block(L).K == CFGBlock::Kind::SignalAssign)
+      Assigned.push_back(Resource::signal(
+          cast<SignalAssignStmt>(CFG.block(L).S)->targetRef().Id));
+  std::sort(Assigned.begin(), Assigned.end());
+  Assigned.erase(std::unique(Assigned.begin(), Assigned.end()),
+                 Assigned.end());
 
-  // All signal-assignment definitions of this process, and per signal.
-  PairSet AllSignalDefs;
-  std::map<unsigned, PairSet> DefsOfSignal;
-  for (LabelId L : P.Labels) {
-    const CFGBlock &B = CFG.block(L);
-    if (B.K != CFGBlock::Kind::SignalAssign)
-      continue;
-    const auto *A = cast<SignalAssignStmt>(B.S);
-    DefPair D{Resource::signal(A->targetRef().Id), L};
-    AllSignalDefs.insert(D);
-    DefsOfSignal[A->targetRef().Id].insert(D);
-  }
-
-  for (LabelId L : P.Labels) {
+  for (uint32_t I = 0; I < FI.numLabels(); ++I) {
+    LabelId L = FI.label(I);
     const CFGBlock &B = CFG.block(L);
     switch (B.K) {
     case CFGBlock::Kind::SignalAssign: {
       const auto *A = cast<SignalAssignStmt>(B.S);
-      unsigned Sig = A->targetRef().Id;
+      Resource S = Resource::signal(A->targetRef().Id);
       // Whole assignments kill every assignment to s in this process;
       // slice assignments only generate (Table 4 lists no kill for them).
       if (!A->hasSlice())
-        KG.Kill[L] = DefsOfSignal[Sig];
-      KG.Gen[L].insert(DefPair{Resource::signal(Sig), L});
+        KG.Kill[I].push_back(S);
+      KG.Gen[I].append(DefPair{S, L});
       break;
     }
     case CFGBlock::Kind::Wait:
       // Synchronization consumes all active values of the process.
-      KG.Kill[L] = AllSignalDefs;
+      KG.Kill[I] = Assigned;
       break;
     case CFGBlock::Kind::Null:
     case CFGBlock::Kind::VarAssign:
@@ -53,14 +54,22 @@ void vif::computeActiveKillGenFor(const ProgramCFG &CFG, const ProcessCFG &P,
       break;
     }
   }
+  return KG;
 }
 
 ReachingDefsKillGen vif::computeActiveKillGen(const ProgramCFG &CFG) {
   ReachingDefsKillGen KG;
   KG.Kill.resize(CFG.numLabels() + 1);
   KG.Gen.resize(CFG.numLabels() + 1);
-  for (const ProcessCFG &P : CFG.processes())
-    computeActiveKillGenFor(CFG, P, KG);
+  for (const ProcessCFG &P : CFG.processes()) {
+    ProcessKillGen F = computeActiveKillGenFor(CFG, P);
+    // A killed signal's definitions are its assignments: the gens.
+    DefPairDomain Sites;
+    for (const PairSet &G : F.Gen)
+      Sites.addAll(G);
+    Sites.finalize();
+    expandKillGen(CFG, P, F, Sites, KG);
+  }
   return KG;
 }
 
@@ -71,8 +80,6 @@ vif::analyzeActiveSignals(const ElaboratedProgram &Program,
   ActiveSignalsResult R;
   R.resize(CFG.numLabels() + 1);
 
-  ReachingDefsKillGen KG = computeActiveKillGen(CFG);
-
   // Each process is an independent fixpoint over its own labels and
   // domain; the loop body writes only that process's label slots, so the
   // processes fan out over a thread pool. Iteration counts accumulate
@@ -82,8 +89,8 @@ vif::analyzeActiveSignals(const ElaboratedProgram &Program,
   std::vector<size_t> Iterations(NumProcs, 0);
   parallelFor(Jobs, NumProcs, [&](size_t ProcIdx) {
     const ProcessCFG &P = CFG.processes()[ProcIdx];
-    RdProcessArtifact A =
-        solveGenKill(CFG, P, KG.Kill, KG.Gen, PairSet(), /*Must=*/true);
+    RdProcessArtifact A = solveGenKill(CFG, P, computeActiveKillGenFor(CFG, P),
+                                       PairSet(), /*Must=*/true);
     Iterations[ProcIdx] = A.Iterations;
     installProcessRows(CFG, P, A, R.MayEntry, R.MayExit, &R.MustEntry,
                        &R.MustExit);

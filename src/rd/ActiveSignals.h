@@ -91,16 +91,18 @@ size_t solveGenKillReference(const ProcessCFG &P,
                              LazyPairSets *MustEntry = nullptr,
                              LazyPairSets *MustExit = nullptr);
 
-/// The Table 4 kill/gen sets of every label.
-ReachingDefsKillGen computeActiveKillGen(const ProgramCFG &CFG);
+/// The Table 4 kill/gen of the single process \p P, factored: a whole
+/// signal assignment kills {s}, a wait kills every signal \p P assigns.
+/// The incremental layer (rd/Incremental.h) and analyzeActiveSignals call
+/// it per process, then solveGenKill with no initial facts and the must
+/// component.
+ProcessKillGen computeActiveKillGenFor(const ProgramCFG &CFG,
+                                       const ProcessCFG &P);
 
-/// Fills the Table 4 kill/gen sets of the single process \p P into \p KG,
-/// whose vectors must already span all labels. computeActiveKillGen is
-/// this per process; the incremental layer (rd/Incremental.h) calls it for
-/// dirty processes only, then solveGenKill with no initial facts and the
-/// must component.
-void computeActiveKillGenFor(const ProgramCFG &CFG, const ProcessCFG &P,
-                             ReachingDefsKillGen &KG);
+/// The Table 4 kill/gen sets of every label as explicit pairs (a killed
+/// signal stands for every assignment to it in the process): the
+/// oracle-only view of computeActiveKillGenFor.
+ReachingDefsKillGen computeActiveKillGen(const ProgramCFG &CFG);
 
 } // namespace vif
 

@@ -10,9 +10,11 @@
 ///
 /// A DefPairDomain densely numbers the (Resource, Label) pairs that can
 /// actually occur in one process's fixpoint — the pairs generated by some
-/// label plus the initial (n, ?) definitions. Entry/Exit/Kill/Gen sets
-/// then live as rows of a few support/BitSet.h BitMatrix buffers over
-/// that numbering (one allocation per table, not per label), and one
+/// label plus the initial (n, ?) definitions. The numbering follows
+/// DefPair order, so all definitions of one resource form one contiguous
+/// index range. Entry/Exit sets then live as rows of a few
+/// support/BitSet.h BitMatrix buffers over that numbering (one allocation
+/// per table, not per label), a kill is a list of such ranges, and one
 /// solver, solveGenKill, runs both frameworks word-at-a-time: Table 4
 /// (RD∪ϕ and RD∩ϕ, rd/ActiveSignals.h) and Table 5 (RDcf,
 /// rd/ReachingDefs.h) differ only in their initial facts and in whether
@@ -80,23 +82,11 @@ public:
   std::pair<size_t, size_t> rangeOf(Resource N) const {
     auto Lo = std::lower_bound(Pairs.begin(), Pairs.end(),
                                DefPair{N, InitialLabel});
-    auto Hi = Lo;
-    while (Hi != Pairs.end() && Hi->N == N)
-      ++Hi;
+    auto Hi = std::upper_bound(
+        Lo, Pairs.end(), N,
+        [](Resource R, const DefPair &P) { return R < P.N; });
     return {static_cast<size_t>(Lo - Pairs.begin()),
             static_cast<size_t>(Hi - Pairs.begin())};
-  }
-
-  /// Sets the bit of every \p S member that lies in the domain into the
-  /// word span \p Row (a BitMatrix row over this domain). Pairs outside
-  /// the domain are dropped — sound for kill masks, since a pair no gen
-  /// or initial set produces can never be present.
-  void maskInto(const PairSet &S, uint64_t *Row) const {
-    for (const DefPair &P : S) {
-      size_t I = indexOf(P);
-      if (I != npos)
-        Row[I >> 6] |= uint64_t(1) << (I & 63);
-    }
   }
 
   /// Materializes the sorted-vector PairSet of a word span over this
@@ -233,13 +223,36 @@ private:
   std::vector<Slot> Slots;
 };
 
-/// The kill/gen sets of Table 4 or Table 5 per label (shared by the
-/// solvers and the ALFP encoding of the equations; vectors indexed by
-/// label).
+/// The kill/gen of Table 4 or Table 5 for one process, in factored form:
+/// rows indexed by the process's local labels (FlowIndex order). Kill[I]
+/// lists *killed resources*, ascending: n ∈ Kill[I] means every
+/// definition of n dies at label I. Gen[I] holds the pairs label I
+/// generates. solveGenKill turns each killed resource into its contiguous
+/// DefPairDomain range, so the production path never builds a kill pair.
+struct ProcessKillGen {
+  std::vector<std::vector<Resource>> Kill;
+  std::vector<PairSet> Gen;
+
+  explicit ProcessKillGen(size_t NumLabels = 0)
+      : Kill(NumLabels), Gen(NumLabels) {}
+};
+
+/// The kill/gen sets of Table 4 or Table 5 as explicit pairs, vectors
+/// indexed by global label: an oracle-only view of the factored form
+/// (expandKillGen), read by the ALFP encoding, the reference solvers and
+/// the enumerated cf oracle.
 struct ReachingDefsKillGen {
   std::vector<PairSet> Kill;
   std::vector<PairSet> Gen;
 };
+
+/// Expands \p F, the factored kill/gen of process \p P, into \p P's
+/// global label slots of \p KG: each killed resource n stands for every
+/// pair of n in \p Sites, and the gens are copied as they are. \p KG's
+/// vectors must already span all labels.
+void expandKillGen(const ProgramCFG &CFG, const ProcessCFG &P,
+                   const ProcessKillGen &F, const DefPairDomain &Sites,
+                   ReachingDefsKillGen &KG);
 
 /// One process's dense solution of Table 4 or Table 5 — the unit the
 /// incremental layer (rd/Incremental.h) caches and recomposes
@@ -257,16 +270,19 @@ struct RdProcessArtifact {
 /// ⊥ = ∅ to the least fixpoint of
 ///
 ///   entry(l) = (l = init ? Initial : ∅) ∪ ⋃ {exit(l') | (l', l) ∈ flow}
-///   exit(l)  = (entry(l) \ Kill[l]) ∪ Gen[l]
+///   exit(l)  = (entry(l) \ kill(l)) ∪ gen(l)
 ///
-/// over the domain Initial ∪ ⋃ Gen[l], worklist seeded in reverse
-/// postorder. With \p Must it also solves the ⋂˙ component (∅ at init
-/// and over an empty predecessor family), Table 4's RD∩ϕ; without it the
-/// loop does no must work at all. Only \p P's slots of \p Kill and \p Gen
-/// are read, so each process is solved in isolation.
+/// over the domain Initial ∪ ⋃ gen(l), worklist seeded in reverse
+/// postorder. kill(l) is \p KG's killed resources at l, each cleared as
+/// its whole domain range a word at a time. The ⋃ join is push-style:
+/// when exit(l) grows it is ORed into the entry row of each successor,
+/// which is sound because may rows only grow from ⊥, so processing a
+/// label reads its entry row as it stands. With \p Must it also solves
+/// the ⋂˙ component (∅ at init and over an empty predecessor family),
+/// Table 4's RD∩ϕ, pulled from the predecessors' must exits; without it
+/// the loop does no must work at all.
 RdProcessArtifact solveGenKill(const ProgramCFG &CFG, const ProcessCFG &P,
-                               const std::vector<PairSet> &Kill,
-                               const std::vector<PairSet> &Gen,
+                               const ProcessKillGen &KG,
                                const PairSet &Initial, bool Must);
 
 /// Installs \p A's rows into the label slots of \p P (the shared matrices

@@ -304,22 +304,16 @@ void hashBitSet(HashBuilder &H, const BitSet &S) {
 }
 
 /// One phase of analyzeIncremental — Table 4 or Table 5 — for every
-/// process: look its artifact up under Key(P), else fill P's kill/gen
-/// slots with Fill (which returns the initial facts), solve, and insert;
-/// then install it. Kill/gen vectors span all labels but only dirty
-/// processes' slots are filled — disjoint writes, so the misses solve in
-/// parallel. Returns how many artifacts were reused; adds the iteration
-/// total to \p Iterations.
-template <typename KeyFn, typename FillFn, typename InstallFn>
+/// process: look its artifact up under Key(P), else Solve(P) and insert
+/// it; then install it. Misses solve in parallel (each reads and writes
+/// only its own process). Returns how many artifacts were reused; adds the
+/// iteration total to \p Iterations.
+template <typename KeyFn, typename SolveFn, typename InstallFn>
 size_t runPhase(const ProgramCFG &CFG, unsigned Jobs,
-                              ProcessArtifactTable &Table,
-                              const char (&Kind)[5], bool Must, KeyFn Key,
-                              FillFn Fill, InstallFn Install,
-                              size_t &Iterations) {
+                ProcessArtifactTable &Table, const char (&Kind)[5], bool Must,
+                KeyFn Key, SolveFn Solve, InstallFn Install,
+                size_t &Iterations) {
   size_t NumProcs = CFG.processes().size();
-  ReachingDefsKillGen KG;
-  KG.Kill.resize(CFG.numLabels() + 1);
-  KG.Gen.resize(CFG.numLabels() + 1);
   std::vector<uint64_t> Its(NumProcs, 0);
   std::vector<uint8_t> Reused(NumProcs, 0);
   parallelFor(Jobs, NumProcs, [&](size_t PI) {
@@ -334,15 +328,7 @@ size_t runPhase(const ProgramCFG &CFG, unsigned Jobs,
     if (A) {
       Reused[PI] = 1;
     } else {
-      PairSet Initial = Fill(P, KG);
-      auto Solved = std::make_shared<RdProcessArtifact>(
-          solveGenKill(CFG, P, KG.Kill, KG.Gen, Initial, Must));
-      // Only this fixpoint reads P's slots: release them at once, so a
-      // cold run never holds every process's kill/gen together.
-      for (LabelId L : P.Labels) {
-        KG.Kill[L] = PairSet();
-        KG.Gen[L] = PairSet();
-      }
+      auto Solved = std::make_shared<RdProcessArtifact>(Solve(P));
       Table.insert(Kind, K, Solved);
       A = std::move(Solved);
     }
@@ -380,9 +366,9 @@ void vif::analyzeIncremental(const ElaboratedProgram &Program,
       [&](const ProcessCFG &P) {
         return HashBuilder().str("actv").u64(Slice[P.ProcessId]).value();
       },
-      [&](const ProcessCFG &P, ReachingDefsKillGen &KG) {
-        computeActiveKillGenFor(CFG, P, KG);
-        return PairSet();
+      [&](const ProcessCFG &P) {
+        return solveGenKill(CFG, P, computeActiveKillGenFor(CFG, P),
+                            PairSet(), /*Must=*/true);
       },
       [&](const ProcessCFG &P, const RdProcessArtifact &A) {
         installProcessRows(CFG, P, A, Active.MayEntry, Active.MayExit,
@@ -404,9 +390,10 @@ void vif::analyzeIncremental(const ElaboratedProgram &Program,
         KH.boolean(Opts.UseMustActiveKill).boolean(Opts.HsiehLevitanCrossFlow);
         return KH.value();
       },
-      [&](const ProcessCFG &P, ReachingDefsKillGen &KG) {
-        computeReachingDefsKillGenFor(CFG, P, Active, Agg, Opts, KG);
-        return initialDefs(P);
+      [&](const ProcessCFG &P) {
+        return solveGenKill(
+            CFG, P, computeReachingDefsKillGenFor(CFG, P, Active, Agg, Opts),
+            initialDefs(P), /*Must=*/false);
       },
       [&](const ProcessCFG &P, const RdProcessArtifact &A) {
         installProcessRd(RD, CFG, P, A);

@@ -6,10 +6,10 @@
 
 #include "rd/ReachingDefs.h"
 
+#include "cfg/FlowIndex.h"
 #include "support/Casting.h"
 
 #include <algorithm>
-#include <map>
 
 using namespace vif;
 
@@ -83,36 +83,23 @@ WaitAggregates vif::computeWaitAggregates(const ProgramCFG &CFG,
   return WaitAggregates{others(May), others(Must)};
 }
 
-void vif::computeReachingDefsKillGenFor(const ProgramCFG &CFG,
-                                        const ProcessCFG &P,
-                                        const ActiveSignalsResult &Active,
-                                        const WaitAggregates &Agg,
-                                        const ReachingDefsOptions &Opts,
-                                        ReachingDefsKillGen &KG) {
-  std::vector<PairSet> &Kill = KG.Kill, &Gen = KG.Gen;
-  // Per-variable definitions inside this process.
-  std::map<unsigned, PairSet> DefsOfVar;
-  for (LabelId L : P.Labels) {
-    const CFGBlock &B = CFG.block(L);
-    if (B.K != CFGBlock::Kind::VarAssign)
-      continue;
-    const auto *A = cast<VarAssignStmt>(B.S);
-    DefsOfVar[A->targetRef().Id].insert(
-        DefPair{Resource::variable(A->targetRef().Id), L});
-  }
-
+ProcessKillGen vif::computeReachingDefsKillGenFor(
+    const ProgramCFG &CFG, const ProcessCFG &P,
+    const ActiveSignalsResult &Active, const WaitAggregates &Agg,
+    const ReachingDefsOptions &Opts) {
+  const FlowIndex &FI = CFG.flowIndex(P.ProcessId);
+  ProcessKillGen KG(FI.numLabels());
   BitSet May, Must;
-  for (LabelId L : P.Labels) {
+  for (uint32_t I = 0; I < FI.numLabels(); ++I) {
+    LabelId L = FI.label(I);
     const CFGBlock &B = CFG.block(L);
     switch (B.K) {
     case CFGBlock::Kind::VarAssign: {
       const auto *A = cast<VarAssignStmt>(B.S);
-      unsigned Var = A->targetRef().Id;
-      Gen[L].insert(DefPair{Resource::variable(Var), L});
-      if (!A->hasSlice()) {
-        Kill[L] = DefsOfVar[Var];
-        Kill[L].insert(DefPair{Resource::variable(Var), InitialLabel});
-      }
+      Resource X = Resource::variable(A->targetRef().Id);
+      KG.Gen[I].append(DefPair{X, L});
+      if (!A->hasSlice())
+        KG.Kill[I].push_back(X);
       break;
     }
     case CFGBlock::Kind::Wait: {
@@ -121,19 +108,13 @@ void vif::computeReachingDefsKillGenFor(const ProgramCFG &CFG,
       signalsInto(Active.MayEntry, L, May);
       signalsInto(Active.MustEntry, L, Must);
       May.forEach([&](size_t Sig) {
-        Gen[L].append(DefPair{Resource::signal(static_cast<unsigned>(Sig)), L});
+        KG.Gen[I].append(
+            DefPair{Resource::signal(static_cast<unsigned>(Sig)), L});
       });
-      if (Opts.UseMustActiveKill) {
-        // wS(ss_i): the labels where a present signal value can be
-        // defined within process i — the initial "?" plus its (ascending)
-        // wait labels, appended in DefPair order per signal.
+      if (Opts.UseMustActiveKill)
         Must.forEach([&](size_t Sig) {
-          Resource RS = Resource::signal(static_cast<unsigned>(Sig));
-          Kill[L].append(DefPair{RS, InitialLabel});
-          for (LabelId DefL : P.WaitLabels)
-            Kill[L].append(DefPair{RS, DefL});
+          KG.Kill[I].push_back(Resource::signal(static_cast<unsigned>(Sig)));
         });
-      }
       break;
     }
     case CFGBlock::Kind::Null:
@@ -142,6 +123,7 @@ void vif::computeReachingDefsKillGenFor(const ProgramCFG &CFG,
       break;
     }
   }
+  return KG;
 }
 
 ReachingDefsKillGen
@@ -152,8 +134,24 @@ vif::computeReachingDefsKillGen(const ProgramCFG &CFG,
   ReachingDefsKillGen KG;
   KG.Kill.resize(CFG.numLabels() + 1);
   KG.Gen.resize(CFG.numLabels() + 1);
-  for (const ProcessCFG &P : CFG.processes())
-    computeReachingDefsKillGenFor(CFG, P, Active, Agg, Opts, KG);
+  for (const ProcessCFG &P : CFG.processes()) {
+    ProcessKillGen F = computeReachingDefsKillGenFor(CFG, P, Active, Agg, Opts);
+    // What a killed resource stands for: (n, ?), plus every assignment to
+    // a variable (its gens) or every wait label of the process for a
+    // signal — wS(ss_i), where a present value can be defined.
+    DefPairDomain Sites;
+    for (uint32_t I = 0; I < F.Kill.size(); ++I) {
+      Sites.addAll(F.Gen[I]);
+      for (Resource N : F.Kill[I]) {
+        Sites.add(DefPair{N, InitialLabel});
+        if (N.isSignal())
+          for (LabelId W : P.WaitLabels)
+            Sites.add(DefPair{N, W});
+      }
+    }
+    Sites.finalize();
+    expandKillGen(CFG, P, F, Sites, KG);
+  }
   return KG;
 }
 
@@ -170,7 +168,16 @@ RdProcessArtifact vif::solveProcessRd(const ProgramCFG &CFG,
                                       const ProcessCFG &P,
                                       const std::vector<PairSet> &Kill,
                                       const std::vector<PairSet> &Gen) {
-  return solveGenKill(CFG, P, Kill, Gen, initialDefs(P), /*Must=*/false);
+  const FlowIndex &FI = CFG.flowIndex(P.ProcessId);
+  ProcessKillGen KG(FI.numLabels());
+  for (uint32_t I = 0; I < FI.numLabels(); ++I) {
+    LabelId L = FI.label(I);
+    for (const DefPair &D : Kill[L])
+      if (KG.Kill[I].empty() || KG.Kill[I].back() != D.N)
+        KG.Kill[I].push_back(D.N);
+    KG.Gen[I] = Gen[L];
+  }
+  return solveGenKill(CFG, P, KG, initialDefs(P), /*Must=*/false);
 }
 
 void vif::installProcessRd(ReachingDefsResult &R, const ProgramCFG &CFG,

@@ -123,19 +123,23 @@ WaitAggregates computeWaitAggregates(const ProgramCFG &CFG,
                                      const ActiveSignalsResult &Active,
                                      const ReachingDefsOptions &Opts = {});
 
-/// Fills the Table 5 kill/gen sets of the single process \p P into \p KG,
-/// whose vectors must already span all labels (with \p P's slots empty).
-/// The one implementation of Table 5's kill/gen: computeReachingDefsKillGen
-/// is computeWaitAggregates then this for every process, and
-/// analyzeIncremental (rd/Incremental.h) calls it for dirty processes only.
+/// The Table 5 kill/gen of the single process \p P, factored: a whole
+/// variable assignment kills {x}, and a wait kills the signals that must
+/// be active at it (under UseMustActiveKill). The one implementation of
+/// Table 5's kill/gen: analyzeIncremental (rd/Incremental.h) calls it for
+/// dirty processes only, and computeReachingDefsKillGen expands it.
 /// \p Active is read without materializing any set, so concurrent calls
 /// for distinct processes are safe.
-void computeReachingDefsKillGenFor(const ProgramCFG &CFG, const ProcessCFG &P,
-                                   const ActiveSignalsResult &Active,
-                                   const WaitAggregates &Agg,
-                                   const ReachingDefsOptions &Opts,
-                                   ReachingDefsKillGen &KG);
+ProcessKillGen computeReachingDefsKillGenFor(const ProgramCFG &CFG,
+                                             const ProcessCFG &P,
+                                             const ActiveSignalsResult &Active,
+                                             const WaitAggregates &Agg,
+                                             const ReachingDefsOptions &Opts);
 
+/// The Table 5 kill/gen sets of every label as explicit pairs: the
+/// oracle-only view of computeReachingDefsKillGenFor. A killed variable x
+/// stands for (x, ?) and every assignment to x in the process, a killed
+/// signal s for (s, ?) and (s, l) at every wait label l of the process.
 ReachingDefsKillGen
 computeReachingDefsKillGen(const ProgramCFG &CFG,
                            const ActiveSignalsResult &Active,
@@ -145,9 +149,12 @@ computeReachingDefsKillGen(const ProgramCFG &CFG,
 /// {(x,?) | x ∈ FV(ss_i)} ∪ {(s,?) | s ∈ FS(ss_i)}.
 PairSet initialDefs(const ProcessCFG &P);
 
-/// Solves the dense RDcf fixpoint of one process given the per-label
-/// kill/gen vectors (only \p P's label slots are read): solveGenKill with
-/// initialDefs(P) and no must component.
+/// Solves the dense RDcf fixpoint of one process from explicit per-label
+/// kill/gen vectors (only \p P's label slots are read): collapses each
+/// kill row to its distinct resources, then solveGenKill with
+/// initialDefs(P) and no must component. Exact when every kill row
+/// covers each of its resources' whole range in the process domain, as
+/// every table computeReachingDefsKillGen builds does.
 RdProcessArtifact solveProcessRd(const ProgramCFG &CFG, const ProcessCFG &P,
                                  const std::vector<PairSet> &Kill,
                                  const std::vector<PairSet> &Gen);

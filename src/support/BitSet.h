@@ -252,11 +252,6 @@ public:
     for (size_t I = 0; I < W; ++I)
       Dst[I] &= Src[I];
   }
-  /// Dst &= ~Src.
-  static void subtract(uint64_t *Dst, const uint64_t *Src, size_t W) {
-    for (size_t I = 0; I < W; ++I)
-      Dst[I] &= ~Src[I];
-  }
   static void copy(uint64_t *Dst, const uint64_t *Src, size_t W) {
     for (size_t I = 0; I < W; ++I)
       Dst[I] = Src[I];
@@ -264,6 +259,22 @@ public:
   static void clear(uint64_t *Dst, size_t W) {
     for (size_t I = 0; I < W; ++I)
       Dst[I] = 0;
+  }
+  /// Clears bits [First, Last) of the word span \p Row.
+  static void clearRange(uint64_t *Row, size_t First, size_t Last) {
+    if (First >= Last)
+      return;
+    size_t FW = First >> 6, LW = (Last - 1) >> 6;
+    uint64_t Lo = ~uint64_t(0) << (First & 63);        // bits >= First
+    uint64_t Hi = ~uint64_t(0) >> (63 - ((Last - 1) & 63)); // bits < Last
+    if (FW == LW) {
+      Row[FW] &= ~(Lo & Hi);
+      return;
+    }
+    Row[FW] &= ~Lo;
+    for (size_t I = FW + 1; I < LW; ++I)
+      Row[I] = 0;
+    Row[LW] &= ~Hi;
   }
   static bool equal(const uint64_t *A, const uint64_t *B, size_t W) {
     for (size_t I = 0; I < W; ++I)

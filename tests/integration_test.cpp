@@ -108,6 +108,10 @@ TEST(AesIntegration, AnalysisOfTheCoreFindsKeyToCiphertextFlows) {
   EXPECT_TRUE(R.Graph.hasEdge("key_0", "ct_0"));
   // And the ct ports never flow back into pt.
   EXPECT_FALSE(R.Graph.hasEdge("ct_0", "pt_0"));
+  // The whole graph, as the reference solvers compute it
+  // (perfbench/expected.json, input aes1).
+  EXPECT_EQ(R.Graph.numNodes(), 251u);
+  EXPECT_EQ(R.Graph.numEdges(), 16896u);
 }
 
 TEST(AesIntegration, PolicyAuditOnLeakyCore) {

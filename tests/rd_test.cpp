@@ -191,6 +191,11 @@ TEST(SolverIterations, PaperFigures) {
                    "fig5");
 }
 
+TEST(SolverIterations, AesCore) {
+  expectIterations(analyzeDesign(workloads::aesCoreDesign(1)), 28995, 72213,
+                   "aes core, 1 round");
+}
+
 TEST(SolverIterations, SignalProgramsAndDesigns) {
   expectIterations(analyzeStmts("if c then s <= a; t <= b; else s <= b;"
                                 " end if; while d loop t <= a; end loop;"
@@ -349,6 +354,92 @@ TEST(ReachingDefs, FactoredEqualsEnumeratedOnRandomDesigns) {
               (MustKill ? " must-kill" : " no-must-kill"));
 }
 
+/// The PairSet kill tables are a view of the factored kill/gen, and
+/// solveProcessRd collapses each kill row back to its resources. That is
+/// exact only if every kill row covers each of its resources' whole range
+/// in the process domain (\p Initial of the process plus its gens).
+void expectKillRowsCoverRanges(const ProgramCFG &CFG,
+                               const ReachingDefsKillGen &KG, bool Initial,
+                               const std::string &What) {
+  for (const ProcessCFG &P : CFG.processes()) {
+    DefPairDomain Dom;
+    if (Initial)
+      Dom.addAll(initialDefs(P));
+    for (LabelId L : P.Labels)
+      Dom.addAll(KG.Gen[L]);
+    Dom.finalize();
+    for (LabelId L : P.Labels)
+      for (const DefPair &D : KG.Kill[L]) {
+        auto [First, Last] = Dom.rangeOf(D.N);
+        for (size_t I = First; I < Last; ++I)
+          EXPECT_TRUE(KG.Kill[L].contains(Dom.pair(I)))
+              << What << ": kill at " << L << " misses part of a range";
+      }
+  }
+}
+
+/// Checks both views of \p A under \p Opts: the precondition above for
+/// Tables 4 and 5, and that solveProcessRd over the Table 5 view returns
+/// the production artifact — domain, rows and iterations — byte for byte.
+void expectViewsMatchProduction(const Analyzed &A,
+                                const ReachingDefsOptions &Opts,
+                                const std::string &What) {
+  expectKillRowsCoverRanges(A.CFG, computeActiveKillGen(A.CFG), false,
+                            What + " (Table 4)");
+  ReachingDefsKillGen KG = computeReachingDefsKillGen(A.CFG, A.Active, Opts);
+  expectKillRowsCoverRanges(A.CFG, KG, true, What + " (Table 5)");
+  WaitAggregates Agg = computeWaitAggregates(A.CFG, A.Active, Opts);
+  for (const ProcessCFG &P : A.CFG.processes()) {
+    RdProcessArtifact Prod = solveGenKill(
+        A.CFG, P, computeReachingDefsKillGenFor(A.CFG, P, A.Active, Agg, Opts),
+        initialDefs(P), /*Must=*/false);
+    RdProcessArtifact View = solveProcessRd(A.CFG, P, KG.Kill, KG.Gen);
+    EXPECT_EQ(View.Iterations, Prod.Iterations) << What;
+    EXPECT_EQ(encodeProcessArtifact(View), encodeProcessArtifact(Prod))
+        << What << ": process " << P.ProcessId;
+  }
+}
+
+void expectViewsMatchProductionUnderAllOptions(bool IsDesign,
+                                               const std::string &Source,
+                                               const std::string &What) {
+  ReachingDefsOptions NoMustKill, HsiehLevitan;
+  NoMustKill.UseMustActiveKill = false;
+  HsiehLevitan.HsiehLevitanCrossFlow = true;
+  for (const auto &[Opts, Name] :
+       {std::pair{ReachingDefsOptions(), ""},
+        std::pair{NoMustKill, " no-must-kill"},
+        std::pair{HsiehLevitan, " hsieh-levitan"}}) {
+    Analyzed A = IsDesign ? analyzeDesign(Source, Opts)
+                          : analyzeStmts(Source, Opts);
+    expectViewsMatchProduction(A, Opts, What + Name);
+  }
+}
+
+TEST(KillGenView, PaperFigures) {
+  expectViewsMatchProductionUnderAllOptions(false, "c := b; b := a;",
+                                            "fig3(a)");
+  expectViewsMatchProductionUnderAllOptions(false, "b := a; c := b;",
+                                            "fig3(b)/fig4");
+  expectViewsMatchProductionUnderAllOptions(
+      false, workloads::shiftRowsStatements(), "fig5");
+}
+
+TEST(KillGenView, SyntheticFamilies) {
+  expectViewsMatchProductionUnderAllOptions(
+      true, workloads::pipelineDesign(5), "pipeline/5");
+  for (unsigned Procs : {2u, 3u})
+    expectViewsMatchProductionUnderAllOptions(
+        true, workloads::syncMeshDesign(Procs, 3, 4),
+        "mesh " + std::to_string(Procs));
+  expectViewsMatchProductionUnderAllOptions(
+      false, workloads::tempReuseLadder(6, 4), "ladder");
+  for (uint64_t Seed = 1; Seed <= 8; ++Seed)
+    expectViewsMatchProductionUnderAllOptions(
+        true, workloads::randomDesign(Seed, 3, 6, 3),
+        "random seed " + std::to_string(Seed));
+}
+
 TEST(ReachingDefs, AtProcessEnd) {
   Analyzed A = analyzeStmts("x := a; if c then x := b; end if;");
   PairSet End = A.RD.atProcessEnd(A.CFG.process(0));
@@ -375,6 +466,23 @@ TEST(PairSet, BasicOperations) {
   S.intersectWith(T);
   EXPECT_EQ(S.size(), 1u);
   EXPECT_TRUE(S.contains(P2));
+}
+
+TEST(DefPairDomain, RangeOfIsEachResourcesContiguousRun) {
+  DefPairDomain Dom;
+  Resource X = Resource::variable(1), Y = Resource::variable(2),
+           S = Resource::signal(1);
+  for (DefPair D : {DefPair{Y, 4}, DefPair{X, InitialLabel}, DefPair{S, 2},
+                    DefPair{X, 7}, DefPair{Y, 4}, DefPair{X, 3}})
+    Dom.add(D);
+  Dom.finalize();
+  ASSERT_EQ(Dom.size(), 5u); // (x,?) (x,3) (x,7) (y,4) (s,2)
+  EXPECT_EQ(Dom.rangeOf(X), (std::pair<size_t, size_t>{0, 3}));
+  EXPECT_EQ(Dom.rangeOf(Y), (std::pair<size_t, size_t>{3, 4}));
+  EXPECT_EQ(Dom.rangeOf(S), (std::pair<size_t, size_t>{4, 5}));
+  auto [First, Last] = Dom.rangeOf(Resource::variable(9));
+  EXPECT_EQ(First, Last) << "absent resource: empty range";
+  EXPECT_EQ(DefPairDomain().rangeOf(X), (std::pair<size_t, size_t>{0, 0}));
 }
 
 TEST(PairSet, DottedIntersectionOfEmptyFamilyIsEmpty) {

@@ -110,7 +110,8 @@ if [ -z "$SANITIZE" ] && [ "${VIFC_BENCH_COMPARE:-0}" = "1" ] &&
    [ -x "$BUILD_DIR/bench_fig5" ]; then
   mkdir -p "$BUILD_DIR/bench-json"
   for b in bench_fig5 bench_scaling bench_alfp bench_ablation \
-           bench_bitset bench_serve bench_query bench_incremental; do
+           bench_bitset bench_serve bench_query bench_incremental \
+           bench_aes; do
     name=$(sed -e 's/bench_fig5/BENCH_closure/' -e 's/bench_/BENCH_/' <<<"$b")
     "$BUILD_DIR/$b" --benchmark_format=json --benchmark_min_time=0.1 \
       2>/dev/null > "$BUILD_DIR/bench-json/$name.json"
