@@ -7,7 +7,8 @@
 // flow information into account; many edges are false positives... Our
 // analysis correctly eliminates the edges introduced by the overwritten
 // variables." This bench reports, per component, the edge counts of both
-// methods and the number of eliminated false positives.
+// methods and the number of eliminated false positives, and times the
+// whole AES core at 1 and 10 rounds.
 //
 //===----------------------------------------------------------------------===//
 
@@ -98,6 +99,20 @@ void BM_Aes_CoreOneRound_Analysis(benchmark::State &State) {
   State.counters["labels"] = static_cast<double>(CFG.numLabels());
 }
 BENCHMARK(BM_Aes_CoreOneRound_Analysis)->Unit(benchmark::kMillisecond);
+
+// The whole 10-round core (103 339 labels): the scale of whole-design
+// hardware IF tools, and Table 5's memory bound (kept rows, not labels ×
+// definitions) end to end.
+void BM_Aes_CoreTenRounds_Analysis(benchmark::State &State) {
+  ElaboratedProgram P = mustElaborateDesign(workloads::aesCoreDesign(10));
+  ProgramCFG CFG = ProgramCFG::build(P);
+  for (auto _ : State) {
+    IFAResult R = analyzeInformationFlow(P, CFG);
+    benchmark::DoNotOptimize(R.Graph.numEdges());
+  }
+  State.counters["labels"] = static_cast<double>(CFG.numLabels());
+}
+BENCHMARK(BM_Aes_CoreTenRounds_Analysis)->Unit(benchmark::kMillisecond);
 
 void BM_Aes_CoreParseElaborate(benchmark::State &State) {
   std::string Source = workloads::aesCoreDesign(1);

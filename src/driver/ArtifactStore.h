@@ -51,7 +51,7 @@ namespace vif {
 namespace driver {
 
 inline constexpr char ArtifactStoreMagic[4] = {'V', 'I', 'F', 'S'};
-inline constexpr uint32_t ArtifactStoreVersion = 1;
+inline constexpr uint32_t ArtifactStoreVersion = 2;
 
 /// A directory-backed ArtifactBlobStore. Thread-safe: loads are
 /// independent reads, stores are atomic renames, counters are atomics.

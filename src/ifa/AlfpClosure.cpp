@@ -94,7 +94,9 @@ AlfpClosureResult vif::closeWithAlfp(const ElaboratedProgram &Program,
 
   for (LabelId L = 1; L <= NumLabels; ++L) {
     P.fact(Real, {E.label(L)});
-    for (const DefPair &D : Native.RD.Entry[L])
+    // RDcf is only ever joined with rmlo(n, l, r0) (Table 7), so RD†
+    // holds every fact the closure can use.
+    for (const DefPair &D : Native.RDDagger[L])
       P.fact(RDcf, {E.resource(D.N), E.label(D.L), E.label(L)});
     if (CFG.isWaitLabel(L)) {
       P.fact(WS, {E.label(L)});

@@ -115,6 +115,18 @@ struct CopyGraph {
 
 } // namespace
 
+ResourceRows vif::tableSevenReads(const ResourceMatrix &RMlo,
+                                  size_t NumLabels) {
+  ResourceRows Reads(NumLabels + 1);
+  LabelIndexedRM LoIdx(RMlo);
+  for (LabelId L = 0; L <= NumLabels; ++L) {
+    for (uint32_t Raw : LoIdx.at(L, Access::R0))
+      Reads.Items.push_back(Resource::fromRaw(Raw));
+    Reads.closeRow();
+  }
+  return Reads;
+}
+
 IFAResult vif::analyzeInformationFlow(const ElaboratedProgram &Program,
                                       const ProgramCFG &CFG,
                                       const IFAOptions &Opts,
@@ -128,8 +140,9 @@ IFAResult vif::analyzeInformationFlow(const ElaboratedProgram &Program,
     RD = analyzeReachingDefsReference(Program, CFG, Active, Opts.RD);
   } else {
     ProcessArtifactTable Fresh;
+    ResourceRows Reads = tableSevenReads(RMlo, CFG.numLabels());
     analyzeIncremental(Program, CFG, Opts.RD, Table ? *Table : Fresh, Active,
-                       RD, Stats);
+                       RD, Stats, &Reads);
   }
   return composeInformationFlow(Program, CFG, Opts, std::move(RMlo),
                                 std::move(Active), std::move(RD));

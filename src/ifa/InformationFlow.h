@@ -124,6 +124,10 @@ IFAResult analyzeInformationFlow(const ElaboratedProgram &Program,
                                  ProcessArtifactTable *Table = nullptr,
                                  IncrementalStats *Stats = nullptr);
 
+/// Per label 0..\p NumLabels, the resources Table 7 reads there (its
+/// (n, l, R0) entries in \p RMlo): the keep-sets of analyzeIncremental.
+ResourceRows tableSevenReads(const ResourceMatrix &RMlo, size_t NumLabels);
+
 /// The design-level half of the pipeline: given already-computed RMlo,
 /// active-signal and reaching-definitions results (whether solved cold or
 /// recomposed from per-process artifacts), runs Table 7, the Table 8

@@ -81,22 +81,20 @@ vif::analyzeActiveSignals(const ElaboratedProgram &Program,
   R.resize(CFG.numLabels() + 1);
 
   // Each process is an independent fixpoint over its own labels and
-  // domain; the loop body writes only that process's label slots, so the
-  // processes fan out over a thread pool. Iteration counts accumulate
-  // per process and are summed after the join, keeping the total
-  // deterministic under any Jobs value.
-  size_t NumProcs = CFG.processes().size();
-  std::vector<size_t> Iterations(NumProcs, 0);
-  parallelFor(Jobs, NumProcs, [&](size_t ProcIdx) {
+  // domain, so the processes fan out over a thread pool; their rows are
+  // installed after the join, in process order, and iteration counts are
+  // summed there, keeping the result deterministic under any Jobs value.
+  std::vector<RdProcessArtifact> Solved(CFG.processes().size());
+  parallelFor(Jobs, Solved.size(), [&](size_t ProcIdx) {
     const ProcessCFG &P = CFG.processes()[ProcIdx];
-    RdProcessArtifact A = solveGenKill(CFG, P, computeActiveKillGenFor(CFG, P),
-                                       PairSet(), /*Must=*/true);
-    Iterations[ProcIdx] = A.Iterations;
-    installProcessRows(CFG, P, A, R.MayEntry, R.MayExit, &R.MustEntry,
-                       &R.MustExit);
+    Solved[ProcIdx] = solveGenKill(CFG, P, computeActiveKillGenFor(CFG, P),
+                                   PairSet(), /*Must=*/true);
   });
-  for (size_t N : Iterations)
-    R.Iterations += N;
+  for (const ProcessCFG &P : CFG.processes()) {
+    R.Iterations += Solved[P.ProcessId].Iterations;
+    installProcessRows(P, Solved[P.ProcessId], R.MayEntry, R.MayExit,
+                       &R.MustEntry, &R.MustExit);
+  }
   return R;
 }
 
@@ -106,7 +104,10 @@ size_t vif::solveGenKillReference(const ProcessCFG &P,
                                   LazyPairSets &Exit, LazyPairSets *MustEntry,
                                   LazyPairSets *MustExit) {
   size_t NumSlots = KG.Kill.size();
-  std::vector<PairSet> Exits(NumSlots), MustExits(NumSlots);
+  std::vector<PairSet> Sets[4]; // Entry, Exit, MustEntry, MustExit
+  for (std::vector<PairSet> &S : Sets)
+    S.resize(NumSlots);
+  std::vector<PairSet> &Exits = Sets[1], &MustExits = Sets[3];
 
   std::map<LabelId, std::vector<LabelId>> Preds;
   for (const auto &[From, To] : P.Flow)
@@ -132,7 +133,7 @@ size_t vif::solveGenKillReference(const ProcessCFG &P,
       In.unionWith(Exits[Pred]);
       PredMustExits.push_back(&MustExits[Pred]);
     }
-    Entry.setEager(L, In);
+    Sets[0][L] = In;
     PairSet Out = std::move(In);
     Out.subtract(KG.Kill[L]);
     Out.unionWith(KG.Gen[L]);
@@ -142,7 +143,7 @@ size_t vif::solveGenKillReference(const ProcessCFG &P,
     if (MustEntry) {
       if (L != P.Init)
         MustIn = PairSet::dottedIntersection(PredMustExits);
-      MustEntry->setEager(L, MustIn);
+      Sets[2][L] = MustIn;
       PairSet MustOut = std::move(MustIn);
       MustOut.subtract(KG.Kill[L]);
       MustOut.unionWith(KG.Gen[L]);
@@ -159,11 +160,17 @@ size_t vif::solveGenKillReference(const ProcessCFG &P,
       }
   }
 
-  for (LabelId L : P.Labels) {
-    Exit.setEager(L, std::move(Exits[L]));
-    if (MustExit)
-      MustExit->setEager(L, std::move(MustExits[L]));
+  // Installed as kept rows of every label, like the full-row view.
+  RdProcessArtifact A;
+  for (int T = 0; T < (MustEntry ? 4 : 2); ++T) {
+    auto R = std::make_shared<PairRows>();
+    for (LabelId L : P.Labels) {
+      R->Items.insert(R->Items.end(), Sets[T][L].begin(), Sets[T][L].end());
+      R->closeRow();
+    }
+    A.Tables[T] = std::move(R);
   }
+  installProcessRows(P, A, Entry, Exit, MustEntry, MustExit);
   return Iterations;
 }
 

@@ -37,9 +37,10 @@
 namespace vif {
 
 /// Per-label results of the active-signal analyses; tables are indexed by
-/// label (entry 0, the "?" label, is unused). The solver runs densely over
-/// per-process BitSet domains; `Result.MayEntry[L]` etc. materialize the
-/// classic sorted-vector PairSet on first access (see rd/DenseDomain.h).
+/// label (entry 0, the "?" label, is unused), holding what the solve kept
+/// (RowKeep, rd/DenseDomain.h): production keeps MayEntry and MustEntry
+/// at wait labels only; analyzeActiveSignals and the reference solver
+/// fill every slot. `Result.MayEntry[L]` etc. materialize a PairSet.
 struct ActiveSignalsResult {
   LazyPairSets MayEntry;  ///< RD∪ϕ entry(l)
   LazyPairSets MayExit;   ///< RD∪ϕ exit(l)
@@ -64,10 +65,11 @@ struct ActiveSignalsResult {
   }
 };
 
-/// Runs both analyses for every process of \p Program, as a bit-vector
-/// framework: dense (Sig, Lab) domains, CSR adjacency, RPO-seeded
-/// worklist. \p Jobs > 1 fans the independent per-process fixpoints over
-/// a thread pool (results identical for every value).
+/// Runs both analyses for every process, keeping every row (the full-row
+/// view). \p Jobs > 1 fans the per-process fixpoints over a thread pool
+/// (results identical for every value). Production never calls it; it
+/// stays for the tests and perfbench/layers.cpp until ROADMAP item 1
+/// moves the benchmark onto the production path.
 ActiveSignalsResult analyzeActiveSignals(const ElaboratedProgram &Program,
                                          const ProgramCFG &CFG,
                                          unsigned Jobs = 1);

@@ -8,142 +8,209 @@
 
 #include "cfg/FlowIndex.h"
 
-#include <deque>
-
 using namespace vif;
 
 namespace {
 
+using Range = std::pair<size_t, size_t>;
+
+/// One table's kept pairs of the current round, in schedule order: the
+/// label at RPO position Q emitted Buf[At[Q] .. At[Q + 1]).
+struct RowSink {
+  const DefPairDomain &Dom;
+  std::vector<DefPair> Buf;
+  std::vector<uint32_t> At;
+
+  /// Emits the set bits of \p Row in the index range \p R.
+  void emit(const uint64_t *Row, Range R) {
+    for (size_t WI = R.first >> 6; WI << 6 < R.second; ++WI)
+      for (uint64_t Word = Row[WI]; Word; Word &= Word - 1) {
+        size_t B = (WI << 6) + static_cast<size_t>(__builtin_ctzll(Word));
+        if (B >= R.first && B < R.second)
+          Buf.push_back(Dom.pair(B));
+      }
+  }
+  /// The round's pairs as CSR rows in local label order.
+  std::shared_ptr<const PairRows> take(const std::vector<uint32_t> &Pos) {
+    auto R = std::make_shared<PairRows>(Pos.size());
+    for (uint32_t Q : Pos) {
+      R->Items.insert(R->Items.end(), Buf.begin() + At[Q],
+                      Buf.begin() + At[Q + 1]);
+      R->closeRow();
+    }
+    return R;
+  }
+};
+
 /// solveGenKill, with the must component compiled in or out.
 template <bool Must>
 RdProcessArtifact solve(const ProgramCFG &CFG, const ProcessCFG &P,
-                        const ProcessKillGen &KG, const PairSet &Initial) {
-  RdProcessArtifact A;
-  // The dense domain: only initial and gen'd pairs can ever be present
-  // (⊥ = ∅ and the transfer functions add nothing else).
-  auto Dom = std::make_shared<DefPairDomain>();
-  Dom->addAll(Initial);
-  for (const PairSet &G : KG.Gen)
-    Dom->addAll(G);
-  Dom->finalize();
-  A.Dom = Dom;
-  size_t K = Dom->size();
-  if (K == 0)
-    return A; // nothing is ever defined: every set stays ∅ (the default)
-
+                        const ProcessKillGen &KG, const PairSet &Initial,
+                        const RowKeep &Keep) {
   const FlowIndex &FI = CFG.flowIndex(P.ProcessId);
   size_t NL = FI.numLabels();
-  size_t W = (K + 63) / 64;
+  // The domain: only initial and gen'd pairs can ever be present (⊥ = ∅
+  // and the transfer functions add nothing else), of tracked resources.
+  bool Prune = !Keep.Full && std::all_of(Keep.Whole.begin(), Keep.Whole.end(),
+                                         [](uint8_t W) { return !W; });
+  std::vector<Resource> Only = Keep.Reads.Items;
+  std::sort(Only.begin(), Only.end());
+  DefPairDomain Dom;
+  auto track = [&](const DefPair &D) {
+    if (!Prune || std::binary_search(Only.begin(), Only.end(), D.N))
+      Dom.add(D);
+  };
+  std::for_each(Initial.begin(), Initial.end(), track);
+  for (const PairSet &G : KG.Gen)
+    std::for_each(G.begin(), G.end(), track);
+  Dom.finalize();
+  size_t K = Dom.size(), W = (K + 63) / 64, RW = Must ? 2 * W : W;
 
-  // The transfer functions resolved against the domain once, in CSR
-  // form: label I clears the index ranges KillRanges[KillStart[I] ..
-  // KillStart[I + 1]) (a killed resource's whole range; adjacent ranges
-  // merged, empty ones dropped) and sets the indices GenBits[GenStart[I]
-  // .. GenStart[I + 1]).
-  std::vector<uint32_t> KillStart(NL + 1, 0), GenStart(NL + 1, 0);
-  std::vector<std::pair<size_t, size_t>> KillRanges;
-  std::vector<size_t> GenBits;
+  // The kept facts of Entry, Exit, MustEntry and MustExit, this round, in
+  // reverse postorder (Pos is each label's place in it).
+  const std::vector<uint32_t> &Order = FI.rpo();
+  std::vector<uint32_t> Pos(NL);
+  for (uint32_t Q = 0; Q < NL; ++Q)
+    Pos[Order[Q]] = Q;
+  std::vector<RowSink> Sinks(4, RowSink{Dom, {}, {}});
+  for (RowSink &S : Sinks)
+    S.At.assign(NL + 1, 0);
+  RowSink &Entry = Sinks[0], &Exit = Sinks[1], &MustEntry = Sinks[2],
+          &MustExit = Sinks[3];
+  RdProcessArtifact A;
+  auto finish = [&] {
+    for (int T = 0; T < 4; ++T)
+      if (RdProcessArtifact::present(T, Keep.keepsExits(), Must))
+        A.Tables[T] = Sinks[T].take(Pos);
+    return std::move(A);
+  };
+  if (K == 0) // nothing is ever defined: every kept row stays ∅
+    return finish();
+
+  // The transfer functions and the kept entry ranges resolved against the
+  // domain once, as CSR rows per label: the index ranges Kill clears (a
+  // killed resource's whole range; adjacent ranges merged, empty ones
+  // dropped), the indices GenBits sets and the ranges Kept keeps.
+  Rows<Range> Kill(NL), Kept(NL);
+  Rows<size_t> GenBits(NL);
+  auto addRange = [](Rows<Range> &V, Range R) {
+    if (R.first == R.second)
+      return;
+    if (V.Items.size() > V.Start.back() && V.Items.back().second == R.first)
+      V.Items.back().second = R.second;
+    else
+      V.Items.push_back(R);
+  };
+  auto whole = [&](uint32_t I, uint8_t Bit) {
+    return Keep.Full || (Keep.Whole[I] & Bit);
+  };
   for (uint32_t I = 0; I < NL; ++I) {
-    KillStart[I] = static_cast<uint32_t>(KillRanges.size());
-    for (Resource N : KG.Kill[I]) {
-      auto [First, Last] = Dom->rangeOf(N);
-      if (First == Last)
-        continue;
-      if (KillRanges.size() > KillStart[I] && KillRanges.back().second == First)
-        KillRanges.back().second = Last;
-      else
-        KillRanges.push_back({First, Last});
-    }
-    GenStart[I] = static_cast<uint32_t>(GenBits.size());
+    for (Resource N : KG.Kill[I])
+      addRange(Kill, Dom.rangeOf(N));
     for (const DefPair &D : KG.Gen[I])
-      GenBits.push_back(Dom->indexOf(D));
+      if (size_t B = Dom.indexOf(D); B != DefPairDomain::npos)
+        GenBits.Items.push_back(B);
+    if (whole(I, 1))
+      addRange(Kept, {0, K});
+    else
+      for (const Resource *N = Keep.Reads.begin(I); N != Keep.Reads.end(I);
+           ++N)
+        addRange(Kept, Dom.rangeOf(*N));
+    Kill.closeRow();
+    GenBits.closeRow();
+    Kept.closeRow();
   }
-  KillStart[NL] = static_cast<uint32_t>(KillRanges.size());
-  GenStart[NL] = static_cast<uint32_t>(GenBits.size());
-  // exit = (entry \ kill) ∪ gen, in place on a row.
+  // exit = (entry \ kill) ∪ gen, in place on a W-word span.
   auto transfer = [&](uint32_t I, uint64_t *Row) {
-    for (uint32_t J = KillStart[I]; J < KillStart[I + 1]; ++J)
-      BitMatrix::clearRange(Row, KillRanges[J].first, KillRanges[J].second);
-    for (uint32_t J = GenStart[I]; J < GenStart[I + 1]; ++J)
-      Row[GenBits[J] >> 6] |= uint64_t(1) << (GenBits[J] & 63);
+    for (const Range *R = Kill.begin(I); R != Kill.end(I); ++R)
+      BitMatrix::clearRange(Row, R->first, R->second);
+    for (const size_t *B = GenBits.begin(I); B != GenBits.end(I); ++B)
+      Row[*B >> 6] |= uint64_t(1) << (*B & 63);
   };
 
-  // All per-label sets live as rows of whole-table matrices shared with
-  // the label slots installed later — two (or four) allocations per
-  // process, not one per label.
-  auto Entry = std::make_shared<BitMatrix>(NL, K);
-  auto Exit = std::make_shared<BitMatrix>(NL, K);
-  std::shared_ptr<BitMatrix> MustEntry, MustExit;
-  if (Must) {
-    MustEntry = std::make_shared<BitMatrix>(NL, K);
-    MustExit = std::make_shared<BitMatrix>(NL, K);
-  }
-
-  // Entry equations, may component. The paper assumes isolated entries
-  // (the null;while wrapper guarantees them for processes); bare
-  // statement programs may re-enter their init label, so its entry is
-  // the initial facts plus the predecessor exits like any other. Every
-  // entry row starts at its non-flow part (Initial at init, else ∅) and
-  // receives each predecessor exit as it grows, so it always equals the
-  // union over the current predecessor exits.
-  uint32_t InitLocal = FI.localOf(P.Init);
+  // The schedule: a label with a retreating out-edge (to itself or an
+  // earlier label in reverse postorder) owns a persistent exit row; any
+  // other label with successors takes a pool row, released once the label
+  // at position LastUse[I] (its last forward successor) has read it.
+  std::vector<uint32_t> LastUse(NL, 0), Persist(NL, 0);
+  size_t NumPersist = 0;
+  for (uint32_t I = 0; I < NL; ++I)
+    for (uint32_t S : FI.succs(I)) {
+      if (Pos[S] <= Pos[I] && !Persist[I])
+        Persist[I] = static_cast<uint32_t>(++NumPersist);
+      LastUse[I] = std::max(LastUse[I], Pos[S]);
+    }
+  std::vector<uint64_t> Persistent(NumPersist * RW), In(RW), Out(RW);
+  std::vector<uint64_t *> ExitOf(NL, nullptr), Free;
+  for (uint32_t I = 0; I < NL; ++I)
+    if (Persist[I])
+      ExitOf[I] = Persistent.data() + (Persist[I] - 1) * RW;
+  std::vector<std::vector<uint64_t>> Pool;
+  std::vector<uint64_t> InitRow(W);
   for (const DefPair &D : Initial)
-    Entry->set(InitLocal, Dom->indexOf(D));
+    if (size_t B = Dom.indexOf(D); B != DefPairDomain::npos)
+      InitRow[B >> 6] |= uint64_t(1) << (B & 63);
+  uint32_t InitLocal = FI.localOf(P.Init);
 
-  // The worklist starts in reverse postorder so the first sweep sees
-  // predecessors first on acyclic stretches.
-  std::deque<uint32_t> Work(FI.rpo().begin(), FI.rpo().end());
-  std::vector<uint8_t> InWork(NL, 1);
-  std::vector<uint64_t> Out(W), MustIn(Must ? W : 0);
-  while (!Work.empty()) {
-    uint32_t I = Work.front();
-    Work.pop_front();
-    InWork[I] = 0;
-    ++A.Iterations;
-
-    BitMatrix::copy(Out.data(), Entry->row(I), W);
-    transfer(I, Out.data());
-    bool MayChanged = !BitMatrix::equal(Out.data(), Exit->row(I), W);
-    bool Changed = MayChanged;
-
-    if constexpr (Must) {
-      // The must component keeps ∅ at init: the program-start path
-      // carries no facts and dominates the ⋂˙ — and ⋂˙ over an empty
-      // predecessor family is ∅ as well.
+  for (bool Changed = true; Changed;) {
+    Changed = false;
+    A.Iterations += NL;
+    for (RowSink &S : Sinks)
+      S.Buf.clear();
+    for (uint32_t Q = 0; Q < NL; ++Q) {
+      uint32_t I = Order[Q];
+      // The entry: the may half is Initial at init plus the union of the
+      // predecessor exits; the must half keeps ∅ at init (the
+      // program-start path carries no facts and dominates the ⋂˙), and ⋂˙
+      // over an empty predecessor family is ∅ as well.
+      BitMatrix::clear(In.data(), RW);
+      if (I == InitLocal)
+        bits::orWords(In.data(), InitRow.data(), W);
       FlowIndex::Range Preds = FI.preds(I);
-      BitMatrix::clear(MustIn.data(), W);
-      if (I != InitLocal && !Preds.empty()) {
-        BitMatrix::copy(MustIn.data(), MustExit->row(Preds.First[0]), W);
-        for (const uint32_t *It = Preds.First + 1; It != Preds.Last; ++It)
-          BitMatrix::andWith(MustIn.data(), MustExit->row(*It), W);
+      for (uint32_t U : Preds)
+        bits::orWords(In.data(), ExitOf[U], W);
+      if (Must && I != InitLocal && !Preds.empty()) {
+        BitMatrix::copy(In.data() + W, ExitOf[Preds.First[0]] + W, W);
+        for (const uint32_t *U = Preds.First + 1; U != Preds.Last; ++U)
+          BitMatrix::andWith(In.data() + W, ExitOf[*U] + W, W);
       }
-      BitMatrix::copy(MustEntry->row(I), MustIn.data(), W);
-      transfer(I, MustIn.data());
-      if (!BitMatrix::equal(MustIn.data(), MustExit->row(I), W)) {
-        BitMatrix::copy(MustExit->row(I), MustIn.data(), W);
+      for (uint32_t U : Preds)
+        if (!Persist[U] && LastUse[U] == Q && ExitOf[U]) {
+          Free.push_back(ExitOf[U]);
+          ExitOf[U] = nullptr;
+        }
+      for (const Range *R = Kept.begin(I); R != Kept.end(I); ++R) {
+        Entry.emit(In.data(), *R);
+        if (Must)
+          MustEntry.emit(In.data() + W, *R);
+      }
+
+      // The exit, into a fresh pool row when a later label reads it.
+      uint64_t *Row = Out.data();
+      if (!Persist[I] && LastUse[I] > Q) {
+        if (Free.empty())
+          Free.push_back(Pool.emplace_back(RW).data());
+        ExitOf[I] = Row = Free.back();
+        Free.pop_back();
+      }
+      BitMatrix::copy(Row, In.data(), RW);
+      transfer(I, Row);
+      if (Must)
+        transfer(I, Row + W);
+      if (whole(I, 2)) {
+        Exit.emit(Row, {0, K});
+        if (Must)
+          MustExit.emit(Row + W, {0, K});
+      }
+      if (Persist[I] && !BitMatrix::equal(ExitOf[I], Row, RW)) {
+        BitMatrix::copy(ExitOf[I], Row, RW);
         Changed = true;
       }
+      for (RowSink &S : Sinks)
+        S.At[Q + 1] = static_cast<uint32_t>(S.Buf.size());
     }
-
-    if (!Changed)
-      continue;
-    if (MayChanged) {
-      BitMatrix::copy(Exit->row(I), Out.data(), W);
-      for (uint32_t Succ : FI.succs(I))
-        bits::orWords(Entry->row(Succ), Out.data(), W);
-    }
-    for (uint32_t Succ : FI.succs(I))
-      if (!InWork[Succ]) {
-        Work.push_back(Succ);
-        InWork[Succ] = 1;
-      }
   }
-
-  A.Entry = std::move(Entry);
-  A.Exit = std::move(Exit);
-  A.MustEntry = std::move(MustEntry);
-  A.MustExit = std::move(MustExit);
-  return A;
+  return finish();
 }
 
 } // namespace
@@ -151,9 +218,10 @@ RdProcessArtifact solve(const ProgramCFG &CFG, const ProcessCFG &P,
 RdProcessArtifact vif::solveGenKill(const ProgramCFG &CFG,
                                     const ProcessCFG &P,
                                     const ProcessKillGen &KG,
-                                    const PairSet &Initial, bool Must) {
-  return Must ? solve<true>(CFG, P, KG, Initial)
-              : solve<false>(CFG, P, KG, Initial);
+                                    const PairSet &Initial, bool Must,
+                                    const RowKeep &Keep) {
+  return Must ? solve<true>(CFG, P, KG, Initial, Keep)
+              : solve<false>(CFG, P, KG, Initial, Keep);
 }
 
 void vif::expandKillGen(const ProgramCFG &CFG, const ProcessCFG &P,
@@ -173,20 +241,12 @@ void vif::expandKillGen(const ProgramCFG &CFG, const ProcessCFG &P,
   }
 }
 
-void vif::installProcessRows(const ProgramCFG &CFG, const ProcessCFG &P,
-                             const RdProcessArtifact &A, LazyPairSets &Entry,
-                             LazyPairSets &Exit, LazyPairSets *MustEntry,
+void vif::installProcessRows(const ProcessCFG &P, const RdProcessArtifact &A,
+                             LazyPairSets &Entry, LazyPairSets &Exit,
+                             LazyPairSets *MustEntry,
                              LazyPairSets *MustExit) {
-  if (!A.Entry)
-    return; // empty domain: the default (empty) slots are already right
-  const FlowIndex &FI = CFG.flowIndex(P.ProcessId);
-  for (uint32_t I = 0; I < FI.numLabels(); ++I) {
-    LabelId L = FI.label(I);
-    Entry.setDense(L, A.Dom, A.Entry, I);
-    Exit.setDense(L, A.Dom, A.Exit, I);
-    if (A.MustEntry) {
-      MustEntry->setDense(L, A.Dom, A.MustEntry, I);
-      MustExit->setDense(L, A.Dom, A.MustExit, I);
-    }
-  }
+  LazyPairSets *Tables[] = {&Entry, &Exit, MustEntry, MustExit};
+  for (int T = 0; T < 4; ++T)
+    if (A.Tables[T])
+      Tables[T]->setRows(P.Labels, A.Tables[T]);
 }

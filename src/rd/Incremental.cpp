@@ -143,89 +143,63 @@ std::vector<uint64_t> vif::hashProcessSlices(const ElaboratedProgram &Program,
 // Artifact codecs
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-void encodeMatrix(ByteWriter &W, const BitMatrix &M, size_t NL, size_t WW) {
-  for (size_t I = 0; I < NL; ++I) {
-    const uint64_t *Row = M.row(I);
-    for (size_t J = 0; J < WW; ++J)
-      W.u64(Row[J]);
-  }
-}
-
-/// Reads an NL x K matrix; bits beyond K in the last payload word are
-/// masked off so garbage padding can never index outside the domain.
-std::shared_ptr<BitMatrix> decodeMatrix(ByteReader &R, uint32_t NL,
-                                        uint32_t K) {
-  auto M = std::make_shared<BitMatrix>(NL, K);
-  size_t WW = (K + 63) / 64;
-  uint64_t LastMask =
-      (K % 64) ? ((uint64_t(1) << (K % 64)) - 1) : ~uint64_t(0);
-  for (uint32_t I = 0; I < NL; ++I) {
-    uint64_t *Row = M->row(I);
-    for (size_t J = 0; J < WW; ++J)
-      Row[J] = R.u64();
-    Row[WW - 1] &= LastMask;
-  }
-  return M;
-}
-
-} // namespace
-
 std::string vif::encodeProcessArtifact(const RdProcessArtifact &A) {
   ByteWriter W;
   W.u64(A.Iterations);
-  size_t K = A.Dom ? A.Dom->size() : 0;
-  size_t NL = A.Entry ? A.Entry->numRows() : 0;
-  W.u32(static_cast<uint32_t>(NL));
-  W.u32(static_cast<uint32_t>(K));
-  for (size_t I = 0; I < K; ++I) {
-    DefPair P = A.Dom->pair(I);
-    W.u32(P.N.raw());
-    W.u32(P.L);
-  }
-  if (K) {
-    size_t WW = (K + 63) / 64;
-    for (const auto *M : {&A.Entry, &A.Exit, &A.MustEntry, &A.MustExit})
-      if (*M)
-        encodeMatrix(W, **M, NL, WW);
+  const auto &Entry = A.Tables[RdProcessArtifact::Entry];
+  W.u32(Entry ? static_cast<uint32_t>(Entry->numRows()) : 0);
+  uint8_t Mask = 0;
+  for (int T = 0; T < 4; ++T)
+    Mask |= (A.Tables[T] ? 1 : 0) << T;
+  W.u8(Mask);
+  for (const auto &T : A.Tables) {
+    if (!T)
+      continue;
+    const PairRows &R = *T;
+    W.u32(static_cast<uint32_t>(R.Items.size()));
+    for (size_t I = 0; I < R.numRows(); ++I)
+      W.u32(R.Start[I + 1] - R.Start[I]);
+    for (const DefPair &P : R.Items) {
+      W.u32(P.N.raw());
+      W.u32(P.L);
+    }
   }
   return W.take();
 }
 
-bool vif::decodeProcessArtifact(std::string_view Blob, bool Must,
-                                RdProcessArtifact &A) {
+bool vif::decodeProcessArtifact(std::string_view Blob, RdProcessArtifact &A) {
   ByteReader R(Blob);
   RdProcessArtifact Out;
   Out.Iterations = R.u64();
   uint32_t NL = R.u32();
-  uint32_t K = R.u32();
-  // Sizes inconsistent with the remaining bytes are rejected before any
+  uint8_t Mask = R.u8();
+  // Every table has NL rows, and Entry is always present. Sizes
+  // inconsistent with the remaining bytes are rejected before any
   // allocation is sized from them.
-  if (!R.ok() || K > R.remaining() / 8)
+  if (!R.ok() || Mask > 15 || !(Mask & 1))
     return false;
-  auto Dom = std::make_shared<DefPairDomain>();
-  for (uint32_t I = 0; I < K; ++I) {
-    uint32_t Raw = R.u32();
-    LabelId L = R.u32();
-    Dom->add(DefPair{Resource::fromRaw(Raw), L});
-  }
-  Dom->finalize();
-  // Unsorted or duplicated pairs shrink under finalize — corrupt.
-  if (!R.ok() || Dom->size() != K)
-    return false;
-  Out.Dom = std::move(Dom);
-  if (K) {
-    size_t NumMatrices = Must ? 4 : 2;
-    uint64_t RowBytes = uint64_t((K + 63) / 64) * 8;
-    if (uint64_t(NL) > R.remaining() / RowBytes / NumMatrices)
+  for (int T = 0; T < 4; ++T) {
+    if (!(Mask & (1 << T)))
+      continue;
+    uint32_t NumPairs = R.u32();
+    if (!R.ok() || NL > R.remaining() / 4 ||
+        NumPairs > (R.remaining() - uint64_t(NL) * 4) / 8)
       return false;
-    Out.Entry = decodeMatrix(R, NL, K);
-    Out.Exit = decodeMatrix(R, NL, K);
-    if (Must) {
-      Out.MustEntry = decodeMatrix(R, NL, K);
-      Out.MustExit = decodeMatrix(R, NL, K);
+    auto Rows = std::make_shared<PairRows>();
+    for (uint32_t I = 0; I < NL; ++I) {
+      uint32_t Len = R.u32();
+      if (Len > NumPairs - Rows->Start.back())
+        return false;
+      Rows->Start.push_back(Rows->Start.back() + Len);
     }
+    // Rows must be strictly ascending, as every solve emits them.
+    for (uint32_t I = 0; I < NL; ++I)
+      for (uint32_t J = Rows->Start[I]; J < Rows->Start[I + 1]; ++J) {
+        Rows->Items.push_back({Resource::fromRaw(R.u32()), R.u32()});
+        if (J > Rows->Start[I] && !(Rows->Items[J - 1] < Rows->Items[J]))
+          return false;
+      }
+    Out.Tables[T] = std::move(Rows);
   }
   if (!R.ok() || !R.atEnd())
     return false;
@@ -268,13 +242,13 @@ void ProcessArtifactTable::insertInMemory(
 }
 
 std::shared_ptr<const RdProcessArtifact>
-ProcessArtifactTable::find(const char (&Kind)[5], uint64_t Key, bool Must) {
+ProcessArtifactTable::find(const char (&Kind)[5], uint64_t Key) {
   std::shared_ptr<const RdProcessArtifact> A = findInMemory(Key);
   if (!A && Backing) {
     std::string Blob;
     RdProcessArtifact Decoded;
     if (Backing->load(Kind, Key, Blob) &&
-        decodeProcessArtifact(Blob, Must, Decoded)) {
+        decodeProcessArtifact(Blob, Decoded)) {
       A = std::make_shared<const RdProcessArtifact>(std::move(Decoded));
       insertInMemory(Key, A);
     }
@@ -303,27 +277,71 @@ void hashBitSet(HashBuilder &H, const BitSet &S) {
   S.forEach([&H](size_t I) { H.u64(I); });
 }
 
+/// The production keep-set of process \p P for Table 4 or 5 (see
+/// RowKeep), or the full-row view when \p Reads is null.
+RowKeep keepOf(const ElaboratedProgram &Program, const ProgramCFG &CFG,
+               const ProcessCFG &P, const ResourceRows *Reads, bool Table4) {
+  RowKeep K;
+  if (!Reads)
+    return K;
+  K.Full = false;
+  K.Whole.reserve(P.Labels.size());
+  K.Reads.Start.reserve(P.Labels.size() + 1);
+  bool EndExits = !Table4 && !Program.process(P.ProcessId).Looped;
+  for (LabelId L : P.Labels) {
+    bool Final = std::count(P.Finals.begin(), P.Finals.end(), L);
+    K.Whole.push_back(Table4 ? CFG.isWaitLabel(L) : (EndExits && Final) * 2);
+    if (!Table4)
+      K.Reads.Items.insert(K.Reads.Items.end(), Reads->begin(L),
+                           Reads->end(L));
+    K.Reads.closeRow();
+  }
+  return K;
+}
+
+/// True when \p A has the layout a solve of \p NL labels under \p K
+/// emits (RdProcessArtifact::present, NL rows each) and nothing in a row
+/// the keep-set skips, only the label's reads in a restricted entry row.
+bool fitsKeep(const RdProcessArtifact &A, const RowKeep &K, size_t NL,
+              bool Must) {
+  for (int T = 0; T < 4; ++T) {
+    const std::shared_ptr<const PairRows> &R = A.Tables[T];
+    uint8_t Bit = T % 2 ? 2 : 1;
+    if (bool(R) != RdProcessArtifact::present(T, K.keepsExits(), Must) ||
+        (R && R->numRows() != NL))
+      return false;
+    for (uint32_t I = 0; R && !K.Full && I < NL; ++I)
+      for (const DefPair *D = R->begin(I); D != R->end(I); ++D)
+        if (!(K.Whole[I] & Bit) &&
+            (Bit == 2 || !std::binary_search(K.Reads.begin(I),
+                                             K.Reads.end(I), D->N)))
+          return false;
+  }
+  return true;
+}
+
 /// One phase of analyzeIncremental — Table 4 or Table 5 — for every
 /// process: look its artifact up under Key(P), else Solve(P) and insert
-/// it; then install it. Misses solve in parallel (each reads and writes
-/// only its own process). Returns how many artifacts were reused; adds the
+/// it; then install it into the given tables. Misses solve in parallel
+/// (each reads only its own process); installs run after the join, in
+/// process order. Returns how many artifacts were reused; adds the
 /// iteration total to \p Iterations.
-template <typename KeyFn, typename SolveFn, typename InstallFn>
+template <typename KeyFn, typename SolveFn>
 size_t runPhase(const ProgramCFG &CFG, unsigned Jobs,
                 ProcessArtifactTable &Table, const char (&Kind)[5], bool Must,
-                KeyFn Key, SolveFn Solve, InstallFn Install,
+                const std::vector<RowKeep> &Keeps, KeyFn Key, SolveFn Solve,
+                LazyPairSets &Entry, LazyPairSets &Exit,
+                LazyPairSets *MustEntry, LazyPairSets *MustExit,
                 size_t &Iterations) {
   size_t NumProcs = CFG.processes().size();
-  std::vector<uint64_t> Its(NumProcs, 0);
+  std::vector<std::shared_ptr<const RdProcessArtifact>> Arts(NumProcs);
   std::vector<uint8_t> Reused(NumProcs, 0);
   parallelFor(Jobs, NumProcs, [&](size_t PI) {
     const ProcessCFG &P = CFG.processes()[PI];
     uint64_t K = Key(P);
-    auto A = Table.find(Kind, K, Must);
-    // A shape mismatch (hash collision, stale blob) re-solves.
-    if (A && A->Entry &&
-        (A->Entry->numRows() != CFG.flowIndex(P.ProcessId).numLabels() ||
-         !A->MustEntry == Must))
+    auto A = Table.find(Kind, K);
+    // A layout mismatch (hash collision, stale blob) is a miss.
+    if (A && !fitsKeep(*A, Keeps[PI], P.Labels.size(), Must))
       A = nullptr;
     if (A) {
       Reused[PI] = 1;
@@ -332,11 +350,13 @@ size_t runPhase(const ProgramCFG &CFG, unsigned Jobs,
       Table.insert(Kind, K, Solved);
       A = std::move(Solved);
     }
-    Install(P, *A);
-    Its[PI] = A->Iterations;
+    Arts[PI] = std::move(A);
   });
-  for (uint64_t N : Its)
-    Iterations += N;
+  for (size_t PI = 0; PI < NumProcs; ++PI) {
+    Iterations += Arts[PI]->Iterations;
+    installProcessRows(CFG.processes()[PI], *Arts[PI], Entry, Exit,
+                       MustEntry, MustExit);
+  }
   return std::count(Reused.begin(), Reused.end(), 1);
 }
 
@@ -347,8 +367,8 @@ void vif::analyzeIncremental(const ElaboratedProgram &Program,
                              const ReachingDefsOptions &Opts,
                              ProcessArtifactTable &Table,
                              ActiveSignalsResult &Active,
-                             ReachingDefsResult &RD,
-                             IncrementalStats *Stats) {
+                             ReachingDefsResult &RD, IncrementalStats *Stats,
+                             const ResourceRows *Reads) {
   size_t NumLabels = CFG.numLabels();
 
   Active = ActiveSignalsResult();
@@ -358,47 +378,52 @@ void vif::analyzeIncremental(const ElaboratedProgram &Program,
   RD.Exit.resize(NumLabels + 1);
 
   std::vector<uint64_t> Slice = hashProcessSlices(Program, CFG);
+  std::vector<RowKeep> ActKeep, RdKeep;
+  for (const ProcessCFG &P : CFG.processes()) {
+    ActKeep.push_back(keepOf(Program, CFG, P, Reads, /*Table4=*/true));
+    RdKeep.push_back(keepOf(Program, CFG, P, Reads, /*Table4=*/false));
+  }
 
   // Phase 1: Table 4 artifacts, keyed by the slice alone (the fixpoint
-  // reads nothing outside the process).
+  // reads nothing outside the process). Both phases key the full-row view
+  // apart from the kept rows.
   size_t ActReused = runPhase(
-      CFG, Opts.Jobs, Table, "actv", /*Must=*/true,
+      CFG, Opts.Jobs, Table, "actv", /*Must=*/true, ActKeep,
       [&](const ProcessCFG &P) {
-        return HashBuilder().str("actv").u64(Slice[P.ProcessId]).value();
+        return HashBuilder()
+            .str("actv")
+            .u64(Slice[P.ProcessId])
+            .boolean(!Reads)
+            .value();
       },
       [&](const ProcessCFG &P) {
         return solveGenKill(CFG, P, computeActiveKillGenFor(CFG, P),
-                            PairSet(), /*Must=*/true);
+                            PairSet(), /*Must=*/true, ActKeep[P.ProcessId]);
       },
-      [&](const ProcessCFG &P, const RdProcessArtifact &A) {
-        installProcessRows(CFG, P, A, Active.MayEntry, Active.MayExit,
-                           &Active.MustEntry, &Active.MustExit);
-      },
+      Active.MayEntry, Active.MayExit, &Active.MustEntry, &Active.MustExit,
       Active.Iterations);
 
   // Phase 2: Table 5 artifacts, keyed by the slice plus everything the
   // wait kill/gen sets read from outside the process: the "others"
   // unions of the wait aggregates and the two options that shape them.
+  // (The slice fixes the read sets the kept rows are restricted to.)
   WaitAggregates Agg = computeWaitAggregates(CFG, Active, Opts);
   size_t RdReused = runPhase(
-      CFG, Opts.Jobs, Table, "rdpr", /*Must=*/false,
+      CFG, Opts.Jobs, Table, "rdpr", /*Must=*/false, RdKeep,
       [&](const ProcessCFG &P) {
         HashBuilder KH;
         KH.str("rdpr").u64(Slice[P.ProcessId]);
         hashBitSet(KH, Agg.OthersMay[P.ProcessId]);
         hashBitSet(KH, Agg.OthersMust[P.ProcessId]);
         KH.boolean(Opts.UseMustActiveKill).boolean(Opts.HsiehLevitanCrossFlow);
-        return KH.value();
+        return KH.boolean(!Reads).value();
       },
       [&](const ProcessCFG &P) {
         return solveGenKill(
             CFG, P, computeReachingDefsKillGenFor(CFG, P, Active, Agg, Opts),
-            initialDefs(P), /*Must=*/false);
+            initialDefs(P), /*Must=*/false, RdKeep[P.ProcessId]);
       },
-      [&](const ProcessCFG &P, const RdProcessArtifact &A) {
-        installProcessRd(RD, CFG, P, A);
-      },
-      RD.Iterations);
+      RD.Entry, RD.Exit, nullptr, nullptr, RD.Iterations);
 
   if (Stats) {
     size_t NumProcs = CFG.processes().size();

@@ -32,7 +32,7 @@
 ///
 /// Keying is in *global coordinates*: the slice hash covers the process's
 /// global labels and resource ids (never source locations), so a hash
-/// match guarantees the stored matrices' coordinates are valid verbatim.
+/// match guarantees the stored rows' coordinates are valid verbatim.
 /// Edits that shift labels or ids downstream simply miss and re-solve —
 /// conservative, never wrong. Edits confined to one process's expressions
 /// keep every other process's labels, so only the edited process misses.
@@ -85,15 +85,14 @@ std::vector<uint64_t> hashProcessSlices(const ElaboratedProgram &Program,
                                         const ProgramCFG &CFG);
 
 /// The binary codec of a per-process artifact (the payload stored through
-/// ArtifactBlobStore): iterations, shape, domain, then the Entry and Exit
-/// matrices, followed by MustEntry and MustExit when \p A carries them —
-/// the "actv" payload of Table 4 has four matrices, the "rdpr" payload of
-/// Table 5 two. The decoder expects the must matrices iff \p Must; it is
-/// bounds-checked, validates shape invariants, and returns false on any
-/// anomaly, which the table treats as a miss.
+/// ArtifactBlobStore): iterations, row count, a mask of the tables
+/// present, then per table its pair count, row lengths and pairs — the
+/// kept rows, never a labels × domain matrix. The decoder is
+/// bounds-checked, requires rows to be strictly ascending, and returns
+/// false on any anomaly; analyzeIncremental also treats an artifact whose
+/// layout disagrees with the process's keep-set as a miss.
 std::string encodeProcessArtifact(const RdProcessArtifact &A);
-bool decodeProcessArtifact(std::string_view Blob, bool Must,
-                           RdProcessArtifact &A);
+bool decodeProcessArtifact(std::string_view Blob, RdProcessArtifact &A);
 
 /// A thread-safe, LRU-bounded in-memory table of per-process artifacts,
 /// optionally backed by an ArtifactBlobStore. One table is shared by all
@@ -112,10 +111,9 @@ public:
   void setBacking(ArtifactBlobStore *S) { Backing = S; }
 
   /// The artifact stored under \p Key, from memory or else from the
-  /// backing store's \p Kind namespace (decoded with or without the must
-  /// matrices, per \p Must); null on a miss.
-  std::shared_ptr<const RdProcessArtifact>
-  find(const char (&Kind)[5], uint64_t Key, bool Must);
+  /// backing store's \p Kind namespace; null on a miss.
+  std::shared_ptr<const RdProcessArtifact> find(const char (&Kind)[5],
+                                                uint64_t Key);
   /// Retains \p A under \p Key and writes it through to the backing store.
   void insert(const char (&Kind)[5], uint64_t Key,
               std::shared_ptr<const RdProcessArtifact> A);
@@ -157,12 +155,20 @@ struct IncrementalStats {
 /// not depend on which artifacts were reused, nor on Opts.Jobs.
 /// Opts.ReferenceSolver is not consulted here — it selects
 /// ifa::analyzeInformationFlow's reference path instead of this driver.
+///
+/// \p Reads lists per label the resources Table 7 reads there (RMlo's R0
+/// entries). With it (production: ifa::analyzeInformationFlow) \p Active
+/// and \p RD keep only what Table 7, the wait kill/gen and `--alfp` read
+/// (RowKeep, rd/DenseDomain.h). Without it they hold every row, the
+/// full-row view kept for the tests and perfbench/layers.cpp until
+/// ROADMAP item 1 moves the benchmark onto the production path.
 void analyzeIncremental(const ElaboratedProgram &Program,
                         const ProgramCFG &CFG,
                         const ReachingDefsOptions &Opts,
                         ProcessArtifactTable &Table,
                         ActiveSignalsResult &Active, ReachingDefsResult &RD,
-                        IncrementalStats *Stats = nullptr);
+                        IncrementalStats *Stats = nullptr,
+                        const ResourceRows *Reads = nullptr);
 
 } // namespace vif
 

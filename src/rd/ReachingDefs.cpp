@@ -180,9 +180,9 @@ RdProcessArtifact vif::solveProcessRd(const ProgramCFG &CFG,
   return solveGenKill(CFG, P, KG, initialDefs(P), /*Must=*/false);
 }
 
-void vif::installProcessRd(ReachingDefsResult &R, const ProgramCFG &CFG,
+void vif::installProcessRd(ReachingDefsResult &R, const ProgramCFG &,
                            const ProcessCFG &P, const RdProcessArtifact &A) {
-  installProcessRows(CFG, P, A, R.Entry, R.Exit);
+  installProcessRows(P, A, R.Entry, R.Exit);
 }
 
 ReachingDefsResult

@@ -65,22 +65,23 @@ struct ReachingDefsOptions {
   bool HsiehLevitanCrossFlow = false;
 };
 
-/// Per-label results of RDcf; tables indexed by label. Solved densely over
-/// per-process (Resource, Label) BitSet domains; `Result.Entry[L]` /
-/// `Result.Exit[L]` materialize sorted-vector PairSets on first access
-/// (see rd/DenseDomain.h), and forEachPairOf serves resource-indexed
-/// queries straight off the dense representation.
+/// Per-label results of RDcf; tables indexed by label, holding what the
+/// solve kept (RowKeep, rd/DenseDomain.h): production keeps RD† (each
+/// Entry restricted to the label's R0 reads) and Exit at the final labels
+/// of non-looped processes; solveProcessRd and analyzeIncremental without
+/// read sets fill every slot. `Result.Entry[L]` materializes a PairSet;
+/// forEachPairOf serves resource-indexed queries off the kept rows.
 struct ReachingDefsResult {
   LazyPairSets Entry; ///< RDcf entry(l)
   LazyPairSets Exit;  ///< RDcf exit(l)
   size_t Iterations = 0;
 
   /// Definitions reaching the end of process \p P: the union of exits of
-  /// its final labels (used by the program-end outgoing extension).
+  /// its final labels (used by the program-end outgoing extension; kept
+  /// by production for non-looped processes only).
   PairSet atProcessEnd(const ProcessCFG &P) const;
 
-  /// Heap footprint in bytes; Entry and Exit share their per-process
-  /// domains and matrices, counted once (cache byte-budget accounting).
+  /// Heap footprint in bytes (cache byte-budget accounting).
   size_t memoryBytes() const {
     std::unordered_set<const void *> Seen;
     return Entry.memoryBytes(Seen) + Exit.memoryBytes(Seen);
@@ -149,12 +150,14 @@ computeReachingDefsKillGen(const ProgramCFG &CFG,
 /// {(x,?) | x ∈ FV(ss_i)} ∪ {(s,?) | s ∈ FS(ss_i)}.
 PairSet initialDefs(const ProcessCFG &P);
 
-/// Solves the dense RDcf fixpoint of one process from explicit per-label
-/// kill/gen vectors (only \p P's label slots are read): collapses each
-/// kill row to its distinct resources, then solveGenKill with
-/// initialDefs(P) and no must component. Exact when every kill row
+/// Solves the RDcf fixpoint of one process from explicit per-label
+/// kill/gen vectors (only \p P's label slots are read), keeping every row:
+/// collapses each kill row to its distinct resources, then solveGenKill
+/// with initialDefs(P) and no must component. Exact when every kill row
 /// covers each of its resources' whole range in the process domain, as
-/// every table computeReachingDefsKillGen builds does.
+/// every table computeReachingDefsKillGen builds does. Production never
+/// calls it nor installProcessRd; they stay for the tests and perfbench/
+/// layers.cpp until ROADMAP item 1 moves the benchmark to production.
 RdProcessArtifact solveProcessRd(const ProgramCFG &CFG, const ProcessCFG &P,
                                  const std::vector<PairSet> &Kill,
                                  const std::vector<PairSet> &Gen);

@@ -363,17 +363,34 @@ void expectRdAlfpMatchesNative(const std::string &Source, bool IsDesign) {
   }
   ASSERT_TRUE(P.has_value()) << Diags.str();
   ProgramCFG CFG = ProgramCFG::build(*P);
+  // The full-row view of the production solver...
   ProcessArtifactTable Table;
   ActiveSignalsResult Active;
   ReachingDefsResult Native;
   analyzeIncremental(*P, CFG, {}, Table, Active, Native);
   AlfpRdResult Alfp = solveRdWithAlfp(*P, CFG, Active);
   ASSERT_TRUE(Alfp.Solved) << Alfp.Error;
+  // ... and the rows production keeps: Table 4 at waits, RD† of Table 5.
+  IFAResult Prod = analyzeInformationFlow(*P, CFG);
+  LabelIndexedRM Lo(Prod.RMlo);
   for (LabelId L = 1; L <= CFG.numLabels(); ++L) {
     EXPECT_TRUE(Alfp.MayPhiEntry[L] == Active.MayEntry[L])
         << "RD∪ϕ entry mismatch at label " << L << "\n" << Source;
     EXPECT_TRUE(Alfp.CfEntry[L] == Native.Entry[L])
         << "RDcf entry mismatch at label " << L << "\n" << Source;
+    EXPECT_TRUE(Prod.Active.MayEntry[L] ==
+                (CFG.isWaitLabel(L) ? Alfp.MayPhiEntry[L] : PairSet()))
+        << "kept RD∪ϕ entry mismatch at label " << L << "\n" << Source;
+    PairSet Dagger;
+    for (const DefPair &D : Alfp.CfEntry[L]) {
+      bool Read = false;
+      for (uint32_t Raw : Lo.at(L, Access::R0))
+        Read |= Raw == D.N.raw();
+      if (Read)
+        Dagger.append(D);
+    }
+    EXPECT_TRUE(Prod.RD.Entry[L] == Dagger)
+        << "RD† mismatch at label " << L << "\n" << Source;
   }
 }
 

@@ -11,14 +11,17 @@
 /// codecs, restart survival (a fresh session over a warm store produces
 /// byte-identical results without invoking any solver), and the
 /// incremental path (editing one process of an N-process design re-solves
-/// exactly one process, with results equal to a cold run), and a store
-/// written by an earlier build (tests/inputs/store) that must keep serving
-/// byte for byte.
+/// exactly one process, with results equal to a cold run; a served
+/// artifact whose layout disagrees with the process is a miss), a store
+/// written by an earlier build in the current format (tests/inputs/
+/// store-v2) that must keep serving byte for byte, and one in format 1
+/// (tests/inputs/store) that must read as clean misses.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "driver/AnalysisSession.h"
 #include "driver/ArtifactStore.h"
+#include "parse/Parser.h"
 #include "workloads/Synthetic.h"
 
 #include <gtest/gtest.h>
@@ -27,6 +30,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <sstream>
 #include <string>
 
@@ -386,22 +391,131 @@ TEST(Incremental, UnchangedReanalysisReusesEverything) {
 }
 
 //===----------------------------------------------------------------------===//
-// A store written by an earlier build
+// Layout checks on served per-process artifacts
 //===----------------------------------------------------------------------===//
 
-// tests/inputs/store holds what `vifc flows --store` wrote for smoke.vhd
-// and corpus/gen_2.vhd (6 processes) before Tables 4 and 5 shared one
-// solver, one artifact type and one codec. The store format promises that
-// such a store keeps serving: every blob re-encodes to the same bytes, and
-// a fresh run finds every design and per-process artifact in it.
-const std::string GoldenStore = std::string(VIFC_INPUTS_DIR) + "/store";
+/// An in-memory blob store that serves every per-process payload back
+/// with Tamper applied to the decoded artifact.
+struct TamperingStore final : ArtifactBlobStore {
+  std::map<std::pair<std::string, uint64_t>, std::string> Blobs;
+  std::function<void(RdProcessArtifact &)> Tamper;
 
-std::vector<std::filesystem::path> goldenFiles() {
+  bool load(const char (&Kind)[5], uint64_t Key,
+            std::string &Payload) override {
+    auto It = Blobs.find({Kind, Key});
+    RdProcessArtifact A;
+    if (It == Blobs.end() || !decodeProcessArtifact(It->second, A))
+      return false;
+    Tamper(A);
+    Payload = encodeProcessArtifact(A);
+    return true;
+  }
+  void store(const char (&Kind)[5], uint64_t Key,
+             std::string_view Payload) override {
+    Blobs[{Kind, Key}] = std::string(Payload);
+  }
+};
+
+/// \p R with \p F applied to a copy of its rows (null stays null).
+std::shared_ptr<const PairRows>
+editRows(const std::shared_ptr<const PairRows> &R,
+         const std::function<void(PairRows &)> &F) {
+  if (!R)
+    return R;
+  auto Copy = std::make_shared<PairRows>(*R);
+  F(*Copy);
+  return Copy;
+}
+
+TEST(Incremental, ServedArtifactWithTheWrongLayoutIsAMiss) {
+  std::string Source = workloads::pipelineDesign(4);
+  DiagnosticEngine Diags;
+  DesignFile F = parseDesign(Source, Diags);
+  std::optional<ElaboratedProgram> P = elaborateDesign(F, Diags);
+  ASSERT_TRUE(P.has_value()) << Diags.str();
+  ProgramCFG CFG = ProgramCFG::build(*P);
+  IFAResult Cold = analyzeInformationFlow(*P, CFG);
+  size_t Procs = CFG.processes().size();
+
+  TamperingStore Store;
+  {
+    ProcessArtifactTable Writer;
+    Writer.setBacking(&Store);
+    analyzeInformationFlow(*P, CFG, {}, &Writer);
+  }
+  ASSERT_EQ(Store.Blobs.size(), 2 * Procs);
+
+  auto appendRow = [](PairRows &R) { R.closeRow(); };
+  // A fact no keep-set of this design asks for, at the first label.
+  auto foreignFact = [](PairRows &R) {
+    R.Items.insert(R.Items.begin() + R.Start[1],
+                   DefPair{Resource::signal(0x0ffffff0), 1});
+    for (size_t I = 1; I < R.Start.size(); ++I)
+      ++R.Start[I];
+  };
+  const std::pair<const char *, std::function<void(RdProcessArtifact &)>>
+      Tampers[] = {
+          {"untouched", [](RdProcessArtifact &) {}},
+          {"one label too many",
+           [&](RdProcessArtifact &A) {
+             for (auto &T : A.Tables)
+               T = editRows(T, appendRow);
+           }},
+          {"a fact outside the keep-set",
+           [&](RdProcessArtifact &A) {
+             A.Tables[A.Entry] = editRows(A.Tables[A.Entry], foreignFact);
+           }},
+          {"must tables toggled",
+           [](RdProcessArtifact &A) {
+             auto &Must = A.Tables[A.MustEntry];
+             Must = Must ? nullptr : A.Tables[A.Entry];
+           }}};
+  for (const auto &[What, Tamper] : Tampers) {
+    Store.Tamper = Tamper;
+    ProcessArtifactTable Table;
+    Table.setBacking(&Store);
+    IncrementalStats Stats;
+    IFAResult R = analyzeInformationFlow(*P, CFG, {}, &Table, &Stats);
+    bool Served = std::string(What) == "untouched";
+    EXPECT_EQ(Stats.ActiveReused, Served ? Procs : 0u) << What;
+    EXPECT_EQ(Stats.RdReused, Served ? Procs : 0u) << What;
+    EXPECT_TRUE(R.RMgl == Cold.RMgl) << What;
+    EXPECT_TRUE(R.Graph.sameFlows(Cold.Graph)) << What;
+    for (LabelId L = 1; L <= CFG.numLabels(); ++L) {
+      EXPECT_TRUE(R.RD.Entry[L] == Cold.RD.Entry[L]) << What << " " << L;
+      EXPECT_TRUE(R.Active.MayEntry[L] == Cold.Active.MayEntry[L])
+          << What << " " << L;
+    }
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Stores written by earlier builds
+//===----------------------------------------------------------------------===//
+
+// tests/inputs/store-v2 holds what `vifc flows --store` wrote for smoke.vhd
+// and corpus/gen_2.vhd (6 processes) in store format 2, whose per-process
+// blobs carry the kept rows. The store format promises that such a store
+// keeps serving: every blob re-encodes to the same bytes, and a fresh run
+// finds every design and per-process artifact in it. tests/inputs/store
+// holds the same designs in format 1 (dense matrices): every blob of it
+// must read as a clean miss.
+const std::string GoldenStore = std::string(VIFC_INPUTS_DIR) + "/store-v2";
+const std::string FormatOneStore = std::string(VIFC_INPUTS_DIR) + "/store";
+
+std::vector<std::filesystem::path> goldenFiles(const std::string &Dir) {
   std::vector<std::filesystem::path> Files;
-  for (const auto &E : std::filesystem::directory_iterator(GoldenStore))
+  for (const auto &E : std::filesystem::directory_iterator(Dir))
     Files.push_back(E.path());
   std::sort(Files.begin(), Files.end());
   return Files;
+}
+
+/// Splits "<kind>-<16 hex>.bin" into its kind and key.
+std::pair<std::string, uint64_t> blobName(const std::filesystem::path &File) {
+  std::string Name = File.filename().string();
+  EXPECT_EQ(Name.size(), 25u) << Name;
+  return {Name.substr(0, 4), std::stoull(Name.substr(5, 16), nullptr, 16)};
 }
 
 TEST(GoldenStore, EveryBlobReencodesByteForByte) {
@@ -409,84 +523,112 @@ TEST(GoldenStore, EveryBlobReencodesByteForByte) {
   TempStoreDir Out;
   ArtifactStore Copy(Out.Path);
   size_t PerProcess = 0, Designs = 0;
-  for (const std::filesystem::path &File : goldenFiles()) {
-    std::string Name = File.filename().string(); // "<kind>-<16 hex>.bin"
-    ASSERT_EQ(Name.size(), 25u) << Name;
-    const char Kind[5] = {Name[0], Name[1], Name[2], Name[3], '\0'};
-    uint64_t Key = std::stoull(Name.substr(5, 16), nullptr, 16);
+  for (const std::filesystem::path &File : goldenFiles(GoldenStore)) {
+    auto [K, Key] = blobName(File);
+    const char Kind[5] = {K[0], K[1], K[2], K[3], '\0'};
     std::string Payload, Again;
-    ASSERT_TRUE(Store.load(Kind, Key, Payload)) << Name;
-    std::string_view K(Kind);
+    ASSERT_TRUE(Store.load(Kind, Key, Payload)) << File;
     if (K == "actv" || K == "rdpr") {
       RdProcessArtifact A;
-      ASSERT_TRUE(decodeProcessArtifact(Payload, K == "actv", A)) << Name;
-      EXPECT_EQ(A.MustEntry != nullptr, K == "actv" && A.Dom->size() > 0)
-          << Name;
+      ASSERT_TRUE(decodeProcessArtifact(Payload, A)) << File;
+      EXPECT_EQ(A.Tables[A.MustEntry] != nullptr, K == "actv") << File;
       Again = encodeProcessArtifact(A);
       ++PerProcess;
     } else {
-      ASSERT_EQ(K, "dsgn") << Name;
+      ASSERT_EQ(K, "dsgn") << File;
       IFAResult R;
       ASSERT_TRUE(decodeDesignArtifact(Payload, R.RMlo, R.RMgl, R.Graph));
       Again = encodeDesignArtifact(R);
       ++Designs;
     }
-    EXPECT_EQ(Again, Payload) << Name;
+    EXPECT_EQ(Again, Payload) << File;
     // The envelope (header, checksum) is byte-identical too.
     Copy.store(Kind, Key, Again);
-    EXPECT_EQ(readFile(Out.Path + "/" + Name), readFile(File.string()))
-        << Name;
+    EXPECT_EQ(readFile(Out.Path + "/" + File.filename().string()),
+              readFile(File.string()))
+        << File;
   }
   EXPECT_EQ(PerProcess, 14u); // 1 + 6 processes, Tables 4 and 5
   EXPECT_EQ(Designs, 2u);
   EXPECT_EQ(Store.counters().Misses, 0u);
 }
 
+/// What serveFromCopy saw of the store.
+struct Served {
+  IncrementalStats Stats;          ///< Tables 4 and 5 through the store
+  ArtifactStore::Counters Counters; ///< the store, after Tables 4 and 5
+  size_t Misses = 0;               ///< the artifact table's misses
+  bool Partial = false; ///< a session's flow request came from a dsgn blob
+};
+
+/// Runs \p Input over a copy of the store in \p Dir, checking the answers
+/// against a cold run.
+Served serveFromCopy(const std::string &Dir, const char *Input) {
+  std::string Source = readFile(std::string(VIFC_INPUTS_DIR) + "/" + Input);
+  TempStoreDir Copy; // so a miss could never write into the tree
+  for (const std::filesystem::path &File : goldenFiles(Dir))
+    std::filesystem::copy_file(File,
+                               Copy.Path + "/" + File.filename().string());
+  AnalysisSession Cold = AnalysisSession::fromSource(Input, Source);
+  const ElaboratedProgram &P = *Cold.program();
+  const ProgramCFG &C = *Cold.cfg();
+
+  // Tables 4 and 5 through the store, set for set against the cold run.
+  ArtifactStore Store(Copy.Path);
+  ProcessArtifactTable Table;
+  Table.setBacking(&Store);
+  Served Out;
+  IFAResult R = analyzeInformationFlow(P, C, {}, &Table, &Out.Stats);
+  const IFAResult &ColdR = *Cold.ifa();
+  EXPECT_EQ(R.Active.Iterations, ColdR.Active.Iterations) << Input;
+  EXPECT_EQ(R.RD.Iterations, ColdR.RD.Iterations) << Input;
+  for (LabelId L = 1; L <= C.numLabels(); ++L) {
+    EXPECT_TRUE(R.Active.MayEntry[L] == ColdR.Active.MayEntry[L]) << L;
+    EXPECT_TRUE(R.Active.MustEntry[L] == ColdR.Active.MustEntry[L]) << L;
+    EXPECT_TRUE(R.RD.Entry[L] == ColdR.RD.Entry[L]) << L;
+    EXPECT_TRUE(R.RD.Exit[L] == ColdR.RD.Exit[L]) << L;
+  }
+  Out.Counters = Store.counters();
+  Out.Misses = Table.misses();
+
+  AnalysisSession S = AnalysisSession::fromSource(Input, Source);
+  S.setArtifacts(nullptr, &Store);
+  EXPECT_EQ(renderIfa(S), renderIfa(Cold)) << Input;
+  Out.Partial = S.ifaPartial();
+  return Out;
+}
+
 TEST(GoldenStore, ServedAsAllHits) {
   for (const char *Input : {"smoke.vhd", "corpus/gen_2.vhd"}) {
-    std::string Source = readFile(std::string(VIFC_INPUTS_DIR) + "/" + Input);
-    TempStoreDir Dir; // a copy, so a miss could never write into the tree
-    for (const std::filesystem::path &File : goldenFiles())
-      std::filesystem::copy_file(File,
-                                 Dir.Path + "/" + File.filename().string());
+    Served S = serveFromCopy(GoldenStore, Input);
+    EXPECT_EQ(S.Stats.ActiveSolved, 0u) << Input;
+    EXPECT_EQ(S.Stats.RdSolved, 0u) << Input;
+    EXPECT_GT(S.Stats.ActiveReused, 0u) << Input;
+    EXPECT_EQ(S.Misses, 0u) << Input;
+    EXPECT_EQ(S.Counters.Misses, 0u) << Input;
+    EXPECT_EQ(S.Counters.Writes, 0u) << Input;
+    EXPECT_TRUE(S.Partial) << Input;
+  }
+}
 
-    ArtifactStore Store(Dir.Path);
-    AnalysisSession S = AnalysisSession::fromSource(Input, Source);
-    S.setArtifacts(nullptr, &Store);
-    AnalysisSession Cold = AnalysisSession::fromSource(Input, Source);
-    // The dsgn blob answers the flow request without any solver.
-    EXPECT_EQ(renderIfa(S), renderIfa(Cold)) << Input;
-    EXPECT_TRUE(S.ifaPartial()) << Input;
-
-    // Tables 4 and 5 through the store: every actv and rdpr artifact is
-    // found, and the served sets are the cold solution's.
-    const ElaboratedProgram &P = *Cold.program();
-    const ProgramCFG &C = *Cold.cfg();
-    ProcessArtifactTable Table, Fresh;
-    Table.setBacking(&Store);
-    ActiveSignalsResult Active, ColdActive;
-    ReachingDefsResult RD, ColdRD;
-    IncrementalStats Stats;
-    analyzeIncremental(P, C, {}, Table, Active, RD, &Stats);
-    analyzeIncremental(P, C, {}, Fresh, ColdActive, ColdRD);
-    size_t Procs = C.processes().size();
-    EXPECT_EQ(Stats.ActiveReused, Procs) << Input;
-    EXPECT_EQ(Stats.ActiveSolved, 0u) << Input;
-    EXPECT_EQ(Stats.RdReused, Procs) << Input;
-    EXPECT_EQ(Stats.RdSolved, 0u) << Input;
-    EXPECT_EQ(Table.misses(), 0u) << Input;
-    EXPECT_EQ(Store.counters().Misses, 0u) << Input;
-    EXPECT_EQ(Store.counters().Writes, 0u) << Input;
-    EXPECT_EQ(Active.Iterations, ColdActive.Iterations) << Input;
-    EXPECT_EQ(RD.Iterations, ColdRD.Iterations) << Input;
-    for (LabelId L = 1; L <= C.numLabels(); ++L) {
-      EXPECT_TRUE(Active.MayEntry[L] == ColdActive.MayEntry[L]) << L;
-      EXPECT_TRUE(Active.MayExit[L] == ColdActive.MayExit[L]) << L;
-      EXPECT_TRUE(Active.MustEntry[L] == ColdActive.MustEntry[L]) << L;
-      EXPECT_TRUE(Active.MustExit[L] == ColdActive.MustExit[L]) << L;
-      EXPECT_TRUE(RD.Entry[L] == ColdRD.Entry[L]) << L;
-      EXPECT_TRUE(RD.Exit[L] == ColdRD.Exit[L]) << L;
-    }
+TEST(GoldenStore, FormatOneBlobsAreCleanMisses) {
+  ArtifactStore Store(FormatOneStore);
+  size_t Files = 0;
+  for (const std::filesystem::path &File : goldenFiles(FormatOneStore)) {
+    auto [K, Key] = blobName(File);
+    const char Kind[5] = {K[0], K[1], K[2], K[3], '\0'};
+    std::string Payload;
+    EXPECT_FALSE(Store.load(Kind, Key, Payload)) << File;
+    ++Files;
+  }
+  EXPECT_EQ(Files, 16u);
+  EXPECT_EQ(Store.counters().Hits, 0u);
+  // A run over the old store re-solves everything, right.
+  for (const char *Input : {"smoke.vhd", "corpus/gen_2.vhd"}) {
+    Served S = serveFromCopy(FormatOneStore, Input);
+    EXPECT_EQ(S.Stats.ActiveReused + S.Stats.RdReused, 0u) << Input;
+    EXPECT_EQ(S.Counters.Hits, 0u) << Input;
+    EXPECT_FALSE(S.Partial) << Input;
   }
 }
 

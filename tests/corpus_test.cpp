@@ -4,15 +4,16 @@
 //
 // Sweeps tests/inputs/corpus/: `gen_<seed>.vhd` are generated designs
 // (small and medium, regenerable with `vifc-fuzz --seed N --dump`) that
-// must elaborate and keep the dense and reference solver families in
-// agreement; `crash_*.vhd` are minimized inputs that used to crash the
-// frontend and must now produce diagnostics. The corpus pins the exact
-// bytes: even if the generator's output drifts, these inputs keep
-// exercising today's shapes.
+// must elaborate and keep the dense and reference solver families (and the
+// ALFP closure) in agreement; `crash_*.vhd` are minimized inputs that used
+// to crash the frontend and must now produce diagnostics. The corpus pins
+// the exact bytes: even if the generator's output drifts, these inputs
+// keep exercising today's shapes.
 //
 //===----------------------------------------------------------------------===//
 
-#include "ifa/InformationFlow.h"
+#include "ifa/AlfpClosure.h"
+#include "oracle/Oracles.h"
 #include "parse/Parser.h"
 
 #include <gtest/gtest.h>
@@ -68,6 +69,29 @@ TEST(Corpus, GeneratedDesignsElaborateAndSolversAgree) {
     IFAResult Ref = analyzeInformationFlow(*P, CFG, RefRD);
     EXPECT_TRUE(Dense.RMgl == Ref.RMgl) << File;
     EXPECT_TRUE(Dense.Graph.sameFlows(Ref.Graph)) << File;
+
+    // The rows production keeps vs the reference rows, restricted alike.
+    ActiveSignalsResult RefActive = analyzeActiveSignalsReference(*P, CFG);
+    EXPECT_EQ(keptRowsFailure(*P, CFG, Dense, RefActive,
+                              analyzeReachingDefsReference(*P, CFG,
+                                                           RefActive)),
+              "")
+        << File;
+
+    // `flows --alfp` reads RDcf only through RD†: its closure and graph
+    // are the native ones, plain and improved (below 200 labels: the ALFP
+    // engine takes seconds on the medium designs).
+    for (bool Improved : {false, true}) {
+      if (CFG.numLabels() > 200)
+        break;
+      IFAOptions Opts;
+      Opts.Improved = Improved;
+      IFAResult Native = analyzeInformationFlow(*P, CFG, Opts);
+      AlfpClosureResult Alfp = closeWithAlfp(*P, CFG, Native, Opts);
+      ASSERT_TRUE(Alfp.Solved) << File << ": " << Alfp.Error;
+      // The CLI extracts its graph from this matrix.
+      EXPECT_TRUE(Alfp.RMgl == Native.RMgl) << File;
+    }
 
     // BitSet closure vs the retained sorted-vector rows.
     IFAOptions RefClos;

@@ -122,3 +122,74 @@ void ReferenceResourceMatrix::insertR0Rows(
       ++Hint;
     }
 }
+
+std::string vif::keptRowsFailure(const ElaboratedProgram &Program,
+                                 const ProgramCFG &CFG, const IFAResult &Prod,
+                                 const ActiveSignalsResult &Active,
+                                 const ReachingDefsResult &RD) {
+  LabelIndexedRM Lo(Prod.RMlo);
+  auto restrict = [](const PairSet &S, const std::set<Resource> &Keep) {
+    PairSet Out;
+    for (const DefPair &D : S)
+      if (Keep.count(D.N))
+        Out.append(D);
+    return Out;
+  };
+  auto readsAt = [&Lo](LabelId L) {
+    std::set<Resource> Reads;
+    for (uint32_t Raw : Lo.at(L, Access::R0))
+      Reads.insert(Resource::fromRaw(Raw));
+    return Reads;
+  };
+  for (const ProcessCFG &P : CFG.processes()) {
+    bool EndExits = !Program.process(P.ProcessId).Looped;
+    std::set<Resource> Tracked;
+    for (LabelId L : P.Labels)
+      for (Resource N : readsAt(L))
+        Tracked.insert(N);
+    for (unsigned V : EndExits ? P.FreeVars : std::vector<unsigned>())
+      Tracked.insert(Resource::variable(V));
+    for (unsigned S : EndExits ? P.FreeSigs : std::vector<unsigned>())
+      Tracked.insert(Resource::signal(S));
+    for (LabelId L : P.Labels) {
+      bool Wait = CFG.isWaitLabel(L);
+      bool Final = EndExits && std::count(P.Finals.begin(), P.Finals.end(), L);
+      const PairSet None;
+      const std::pair<const char *, std::pair<PairSet, PairSet>> Rows[] = {
+          {"RD∪ϕ entry", {Prod.Active.MayEntry[L],
+                          Wait ? Active.MayEntry[L] : None}},
+          {"RD∩ϕ entry", {Prod.Active.MustEntry[L],
+                          Wait ? Active.MustEntry[L] : None}},
+          {"RD∪ϕ exit", {Prod.Active.MayExit[L], None}},
+          {"RD∩ϕ exit", {Prod.Active.MustExit[L], None}},
+          {"RDcf entry", {Prod.RD.Entry[L], restrict(RD.Entry[L], readsAt(L))}},
+          {"RDcf exit", {Prod.RD.Exit[L],
+                         Final ? restrict(RD.Exit[L], Tracked) : None}}};
+      for (const auto &[Name, Sets] : Rows)
+        if (!(Sets.first == Sets.second))
+          return std::string(Name) + " disagrees at label " +
+                 std::to_string(L);
+    }
+  }
+  return "";
+}
+
+std::string vif::fullRowsFailure(const ProgramCFG &CFG,
+                                 const ActiveSignalsResult &Active,
+                                 const ReachingDefsResult &RD,
+                                 const ActiveSignalsResult &RefActive,
+                                 const ReachingDefsResult &RefRD) {
+  const std::pair<const char *, std::pair<const LazyPairSets *,
+                                          const LazyPairSets *>>
+      Tables[] = {{"RD∪ϕ entry", {&Active.MayEntry, &RefActive.MayEntry}},
+                  {"RD∪ϕ exit", {&Active.MayExit, &RefActive.MayExit}},
+                  {"RD∩ϕ entry", {&Active.MustEntry, &RefActive.MustEntry}},
+                  {"RD∩ϕ exit", {&Active.MustExit, &RefActive.MustExit}},
+                  {"RDcf entry", {&RD.Entry, &RefRD.Entry}},
+                  {"RDcf exit", {&RD.Exit, &RefRD.Exit}}};
+  for (LabelId L = 1; L <= CFG.numLabels(); ++L)
+    for (const auto &[Name, T] : Tables)
+      if (!((*T.first)[L] == (*T.second)[L]))
+        return std::string(Name) + " disagrees at label " + std::to_string(L);
+  return "";
+}

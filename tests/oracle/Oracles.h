@@ -14,7 +14,7 @@
 #ifndef VIF_ORACLE_ORACLES_H
 #define VIF_ORACLE_ORACLES_H
 
-#include "ifa/ResourceMatrix.h"
+#include "ifa/InformationFlow.h"
 #include "rd/ReachingDefs.h"
 
 #include <optional>
@@ -43,6 +43,29 @@ computeReachingDefsKillGenEnumerated(const ProgramCFG &CFG,
                                      const ActiveSignalsResult &Active,
                                      const ReachingDefsOptions &Opts = {},
                                      size_t MaxTuples = 1u << 20);
+
+/// Compares the rows production keeps in \p Prod (an analyzeInformationFlow
+/// result; see RowKeep in rd/DenseDomain.h) with full rows — the reference
+/// solvers' or any full-row view — restricted the same way: Table 4's may
+/// and must entries at wait labels (its exits empty), Table 5's entries
+/// restricted to each label's R0 reads in Prod.RMlo, and its exits at the
+/// final labels of non-looped processes, restricted to the resources read
+/// in the process plus FV ∪ FS. Returns "" when they agree set for set,
+/// else the first difference.
+std::string keptRowsFailure(const ElaboratedProgram &Program,
+                            const ProgramCFG &CFG, const IFAResult &Prod,
+                            const ActiveSignalsResult &Active,
+                            const ReachingDefsResult &RD);
+
+/// Compares two full-row results of Tables 4 and 5 (the full-row view of
+/// the production solver, the reference solvers) at every label of every
+/// table. Returns "" when they agree set for set, else the first
+/// difference.
+std::string fullRowsFailure(const ProgramCFG &CFG,
+                            const ActiveSignalsResult &Active,
+                            const ReachingDefsResult &RD,
+                            const ActiveSignalsResult &RefActive,
+                            const ReachingDefsResult &RefRD);
 
 /// The historical std::set-backed Resource Matrix, the oracle for the dense
 /// sorted-run backend: driven through the same operation streams, both must

@@ -85,12 +85,13 @@ void checkInvariants(const Analyzed &A, const std::string &Tag) {
                            << To << " missing from Kemmerer's closure";
   }
 
-  // RD∩ ⊆ RD∪.
+  // RD∩ ⊆ RD∪, at every label of the full-row view.
+  ActiveSignalsResult Full = analyzeActiveSignals(A.Program, A.CFG);
   for (LabelId L = 1; L <= A.CFG.numLabels(); ++L) {
-    for (const DefPair &D : A.R.Active.MustEntry[L])
-      EXPECT_TRUE(A.R.Active.MayEntry[L].contains(D)) << Tag;
-    for (const DefPair &D : A.R.Active.MustExit[L])
-      EXPECT_TRUE(A.R.Active.MayExit[L].contains(D)) << Tag;
+    for (const DefPair &D : Full.MustEntry[L])
+      EXPECT_TRUE(Full.MayEntry[L].contains(D)) << Tag;
+    for (const DefPair &D : Full.MustExit[L])
+      EXPECT_TRUE(Full.MayExit[L].contains(D)) << Tag;
   }
 
   // RMlo ⊆ RMgl; the closure only adds R0 entries (plus the outgoing M

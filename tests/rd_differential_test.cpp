@@ -2,16 +2,19 @@
 //
 // Part of the vif project; see DESIGN.md for the paper reference.
 //
-// The rd fixpoints run densely (BitSets over per-process DefPairDomains,
-// rd/DenseDomain.h) through the one production driver, analyzeIncremental;
-// the original sorted-vector solvers are retained as oracles. These tests
-// run both over the paper's figure programs and the synthetic families and
-// assert identical Entry/Exit sets label by label, and identical IFA
-// results end to end.
+// The rd fixpoints run as bit vectors (the round-robin solveGenKill over
+// per-process DefPairDomains, rd/DenseDomain.h) through the one production
+// driver, analyzeIncremental; the original sorted-vector solvers are
+// retained as oracles. These tests run both over the paper's figure
+// programs, every workload family and generated designs with nested loops,
+// and assert, label by label, that the rows production keeps equal the
+// reference rows restricted the same way, that the full-row view equals
+// them everywhere, and that the IFA results are identical end to end.
 //
 //===----------------------------------------------------------------------===//
 
-#include "ifa/InformationFlow.h"
+#include "gen/Generator.h"
+#include "oracle/Oracles.h"
 #include "parse/Parser.h"
 #include "rd/Incremental.h"
 #include "workloads/AesVhdl.h"
@@ -40,36 +43,26 @@ ElaboratedProgram elaborate(const std::string &Source, bool IsDesign) {
 }
 
 /// Asserts that the production driver (cold, over a fresh artifact table)
-/// and the reference solvers agree on every per-label set of both rd
-/// analyses.
+/// keeps exactly the reference solvers' rows restricted to its keep-sets,
+/// and that its full-row view agrees with them on every per-label set of
+/// both rd analyses.
 void expectSolversAgree(const std::string &Source, bool IsDesign,
-                        const char *What) {
+                        const std::string &What) {
   ElaboratedProgram P = elaborate(Source, IsDesign);
   ProgramCFG CFG = ProgramCFG::build(P);
+
+  ActiveSignalsResult Ref = analyzeActiveSignalsReference(P, CFG);
+  ReachingDefsResult RDRef = analyzeReachingDefsReference(P, CFG, Ref);
+  EXPECT_EQ(keptRowsFailure(P, CFG, analyzeInformationFlow(P, CFG), Ref,
+                            RDRef),
+            "")
+      << What;
 
   ProcessArtifactTable Table;
   ActiveSignalsResult Dense;
   ReachingDefsResult RDDense;
   analyzeIncremental(P, CFG, {}, Table, Dense, RDDense);
-  ActiveSignalsResult Ref = analyzeActiveSignalsReference(P, CFG);
-  for (LabelId L = 1; L <= CFG.numLabels(); ++L) {
-    EXPECT_TRUE(Dense.MayEntry[L] == Ref.MayEntry[L])
-        << What << ": MayEntry at " << L;
-    EXPECT_TRUE(Dense.MayExit[L] == Ref.MayExit[L])
-        << What << ": MayExit at " << L;
-    EXPECT_TRUE(Dense.MustEntry[L] == Ref.MustEntry[L])
-        << What << ": MustEntry at " << L;
-    EXPECT_TRUE(Dense.MustExit[L] == Ref.MustExit[L])
-        << What << ": MustExit at " << L;
-  }
-
-  ReachingDefsResult RDRef = analyzeReachingDefsReference(P, CFG, Ref);
-  for (LabelId L = 1; L <= CFG.numLabels(); ++L) {
-    EXPECT_TRUE(RDDense.Entry[L] == RDRef.Entry[L])
-        << What << ": RD Entry at " << L;
-    EXPECT_TRUE(RDDense.Exit[L] == RDRef.Exit[L])
-        << What << ": RD Exit at " << L;
-  }
+  EXPECT_EQ(fullRowsFailure(CFG, Dense, RDDense, Ref, RDRef), "") << What;
 }
 
 /// Asserts that the full IFA pipeline produces identical matrices and
@@ -139,6 +132,29 @@ TEST(RdDifferential, RandomDesigns) {
   for (uint64_t Seed = 1; Seed <= 8; ++Seed)
     expectSolversAgree(workloads::randomDesign(Seed, 3, 6, 3), true,
                        "randomDesign");
+}
+
+TEST(RdDifferential, AesComponentsAndLeakyCore) {
+  expectSolversAgree(workloads::addRoundKeyStatements(4), false,
+                     "addRoundKey");
+  expectSolversAgree(workloads::subBytesStatements(2), false, "subBytes");
+  expectSolversAgree(workloads::mixColumnsStatements(), false, "mixColumns");
+  expectSolversAgree(workloads::leakyCoreDesign(), true, "leakyCore");
+  expectSolversAgree(workloads::randomStatements(3, 12, 4), false,
+                     "randomStatements");
+}
+
+TEST(RdDifferential, GeneratedDesignsWithNestedLoops) {
+  // Nesting depth 3 puts whiles inside whiles and ifs: several retreating
+  // edges per process, so the round-robin needs more than two rounds.
+  for (uint64_t Seed = 1; Seed <= 12; ++Seed) {
+    gen::GenOptions Opts;
+    Opts.Seed = Seed;
+    Opts.MaxDepth = 3;
+    Opts.StmtsPerProcess = 10;
+    expectSolversAgree(gen::generateDesign(Opts), true,
+                       "generated seed " + std::to_string(Seed));
+  }
 }
 
 TEST(IfaDifferential, SyntheticGraphs) {

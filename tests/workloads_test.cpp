@@ -223,6 +223,33 @@ TEST(Synthetic, AesCoreDesignElaborates) {
       << "44 key-schedule words x 4 bytes + state + temps";
 }
 
+TEST(Synthetic, AesCoreKeepsOnlyWhatTableSevenReads) {
+  // Tables 4 and 5 keep the wait entries and RD† (29 233 pairs), not the
+  // labels × defs rows: ~113 MB for one round before they were dropped.
+  Analyzed A = elaborate(workloads::aesCoreDesign(1), true);
+  IFAResult R = analyzeInformationFlow(A.Program, A.CFG);
+  EXPECT_LE(R.RD.memoryBytes() + R.Active.memoryBytes(), size_t(8) << 20);
+  size_t Dagger = 0;
+  for (const PairSet &S : R.RDDagger)
+    Dagger += S.size();
+  EXPECT_EQ(Dagger, 29233u);
+  EXPECT_EQ(R.Graph.numNodes(), 251u);
+  EXPECT_EQ(R.Graph.numEdges(), 16896u);
+}
+
+TEST(Synthetic, AesCoreTenRoundsEndToEnd) {
+  // Pinned once from the dense labels × defs solver this one replaced.
+  Analyzed A = elaborate(workloads::aesCoreDesign(10), true);
+  EXPECT_EQ(A.CFG.numLabels(), 103339u);
+  IFAResult R = analyzeInformationFlow(A.Program, A.CFG);
+  EXPECT_EQ(R.Graph.numNodes(), 251u);
+  EXPECT_EQ(R.Graph.numEdges(), 23440u);
+  size_t Dagger = 0;
+  for (const PairSet &S : R.RDDagger)
+    Dagger += S.size();
+  EXPECT_EQ(Dagger, 104105u);
+}
+
 TEST(Synthetic, LeakyCoreHasTheAdvertisedLeak) {
   Analyzed A = elaborate(workloads::leakyCoreDesign(), true);
   IFAResult R = analyzeInformationFlow(A.Program, A.CFG);

@@ -12,9 +12,10 @@
 ///             [--seed N] [--mutants N] [--minimize] [--dump DIR] [--quiet]
 ///
 /// Oracle mode, per seed: generate a valid-by-construction design, then
-/// assert (1) parse + elaborate succeed, (2) the production Table 4/5
-/// driver (analyzeIncremental over a fresh table) == ReferenceSolver label
-/// by label, (3) --jobs invariance of both RD fixpoints, (4) full
+/// assert (1) parse + elaborate succeed, (2) the rows the production Table
+/// 4/5 driver keeps == ReferenceSolver's restricted alike, and its
+/// full-row view == ReferenceSolver, label by label, (3) --jobs
+/// invariance of the kept rows, (4) full
 /// IFA through the dense solvers == through the reference solvers,
 /// (5) BitSet closure == IFAOptions::ReferenceClosure, (6) sorted-run
 /// ResourceMatrix == ReferenceResourceMatrix under shuffled replay,
@@ -39,9 +40,11 @@
 /// Incremental mode, per seed: route the Table 4/5 solvers through a
 /// ProcessArtifactTable (rd/Incremental.h) — once against a cold table and
 /// once against the warmed table, which must reuse every artifact — and
-/// require the recomposed results and the full composed IFA to match a
-/// cold run over a fresh table set for set, label by label. The table
-/// persists across seeds, so cross-design artifact sharing is fuzzed too.
+/// require the kept rows to match the reference solvers' rows restricted
+/// alike, set for set, label by label, and the composed IFA to match a
+/// cold run.
+/// The table persists across seeds, so cross-design artifact sharing is
+/// fuzzed too.
 ///
 /// Any failing seed prints a one-line reproducer (`vifc-fuzz --seed N`)
 /// and, with --minimize, a greedily reduced source. Exit code: 0 clean,
@@ -53,7 +56,6 @@
 #include "gen/Minimizer.h"
 #include "gen/Mutator.h"
 #include "ifa/InformationFlow.h"
-#include "ifa/LocalDeps.h"
 #include "oracle/Oracles.h"
 #include "parse/Parser.h"
 #include "query/FlowQueryEngine.h"
@@ -186,43 +188,28 @@ std::string oracleFailure(const std::string &Source) {
     return "generator emitted an invalid design:\n" + Err;
   ProgramCFG CFG = ProgramCFG::build(*P);
 
-  // (2) the production driver, cold, vs the reference solvers, label by
-  // label; (3) the same driver on 4 threads.
-  ActiveSignalsResult Dense, DenseJ;
-  ReachingDefsResult RDDense, RDJ;
-  ReachingDefsOptions JobsOpts;
-  JobsOpts.Jobs = 4;
-  {
-    ProcessArtifactTable Fresh, FreshJ;
-    analyzeIncremental(*P, CFG, {}, Fresh, Dense, RDDense);
-    analyzeIncremental(*P, CFG, JobsOpts, FreshJ, DenseJ, RDJ);
-  }
+  // (2) the rows the production driver keeps (cold, over a fresh table)
+  // vs the reference solvers' rows restricted alike, label by label, and
+  // its full-row view vs the reference rows everywhere; (3) the kept rows
+  // again on 4 threads.
   ActiveSignalsResult Ref = analyzeActiveSignalsReference(*P, CFG);
-  for (LabelId L = 1; L <= CFG.numLabels(); ++L) {
-    if (!(Dense.MayEntry[L] == Ref.MayEntry[L]) ||
-        !(Dense.MayExit[L] == Ref.MayExit[L]))
-      return "active-signal may sets disagree at label " + std::to_string(L);
-    if (!(Dense.MustEntry[L] == Ref.MustEntry[L]) ||
-        !(Dense.MustExit[L] == Ref.MustExit[L]))
-      return "active-signal must sets disagree at label " + std::to_string(L);
-  }
   ReachingDefsResult RDRef = analyzeReachingDefsReference(*P, CFG, Ref);
-  for (LabelId L = 1; L <= CFG.numLabels(); ++L)
-    if (!(RDDense.Entry[L] == RDRef.Entry[L]) ||
-        !(RDDense.Exit[L] == RDRef.Exit[L]))
-      return "reaching-defs sets disagree at label " + std::to_string(L);
-
-  // (3) --jobs invariance of both fixpoints.
-  for (LabelId L = 1; L <= CFG.numLabels(); ++L) {
-    if (!(DenseJ.MayEntry[L] == Dense.MayEntry[L]) ||
-        !(DenseJ.MustExit[L] == Dense.MustExit[L]))
-      return "active signals not --jobs invariant at label " +
-             std::to_string(L);
-    if (!(RDJ.Entry[L] == RDDense.Entry[L]) ||
-        !(RDJ.Exit[L] == RDDense.Exit[L]))
-      return "reaching defs not --jobs invariant at label " +
-             std::to_string(L);
+  IFAOptions Jobs4;
+  Jobs4.RD.Jobs = 4;
+  for (const IFAOptions &O : {IFAOptions(), Jobs4})
+    if (std::string Why = keptRowsFailure(
+            *P, CFG, analyzeInformationFlow(*P, CFG, O), Ref, RDRef);
+        !Why.empty())
+      return "kept rows (jobs=" + std::to_string(O.RD.Jobs) + "): " + Why;
+  ActiveSignalsResult Dense;
+  ReachingDefsResult RDDense;
+  {
+    ProcessArtifactTable Fresh;
+    analyzeIncremental(*P, CFG, {}, Fresh, Dense, RDDense);
   }
+  if (std::string Why = fullRowsFailure(CFG, Dense, RDDense, Ref, RDRef);
+      !Why.empty())
+    return "full rows: " + Why;
 
   // (4) full IFA dense vs routed through the reference solvers.
   IFAOptions Plain;
@@ -461,9 +448,9 @@ std::string mutationFailure(const std::string &Mutant) {
   return "";
 }
 
-/// Incremental battery: Table 4/5 through \p Table vs a cold run over a
-/// fresh table, label by label, then the composed IFA vs
-/// analyzeInformationFlow. When
+/// Incremental battery: the production pipeline with Tables 4/5 through
+/// \p Table — its kept rows vs the reference solvers' rows restricted
+/// alike, label by label, then the composed IFA vs a cold run. When
 /// \p ExpectFullReuse (the table was warmed by a previous run of the same
 /// source) additionally require that no fixpoint ran. Returns a failure
 /// description or empty.
@@ -476,11 +463,9 @@ std::string incrementalFailure(const std::string &Source,
     return "generator emitted an invalid design:\n" + Err;
   ProgramCFG CFG = ProgramCFG::build(*P);
 
-  ReachingDefsOptions RdOpts;
-  ActiveSignalsResult ActInc;
-  ReachingDefsResult RdInc;
+  IFAOptions IfaOpts;
   IncrementalStats Stats;
-  analyzeIncremental(*P, CFG, RdOpts, Table, ActInc, RdInc, &Stats);
+  IFAResult Inc = analyzeInformationFlow(*P, CFG, IfaOpts, &Table, &Stats);
   size_t NumProcs = CFG.processes().size();
   if (Stats.ActiveSolved + Stats.ActiveReused != NumProcs ||
       Stats.RdSolved + Stats.RdReused != NumProcs)
@@ -490,33 +475,18 @@ std::string incrementalFailure(const std::string &Source,
            "/" + std::to_string(Stats.RdSolved) +
            " processes on an unchanged design";
 
-  ActiveSignalsResult ActCold;
-  ReachingDefsResult RdCold;
-  {
-    ProcessArtifactTable Fresh;
-    analyzeIncremental(*P, CFG, RdOpts, Fresh, ActCold, RdCold);
-  }
-  for (LabelId L = 1; L <= CFG.numLabels(); ++L) {
-    if (!(ActInc.MayEntry[L] == ActCold.MayEntry[L]) ||
-        !(ActInc.MayExit[L] == ActCold.MayExit[L]) ||
-        !(ActInc.MustEntry[L] == ActCold.MustEntry[L]) ||
-        !(ActInc.MustExit[L] == ActCold.MustExit[L]))
-      return "incremental active signals disagree at label " +
-             std::to_string(L);
-    if (!(RdInc.Entry[L] == RdCold.Entry[L]) ||
-        !(RdInc.Exit[L] == RdCold.Exit[L]))
-      return "incremental reaching defs disagree at label " +
-             std::to_string(L);
-  }
-  if (ActInc.Iterations != ActCold.Iterations ||
-      RdInc.Iterations != RdCold.Iterations)
-    return "incremental iteration totals differ from the cold run";
+  // The kept rows vs the reference solvers' rows restricted alike.
+  ActiveSignalsResult Ref = analyzeActiveSignalsReference(*P, CFG);
+  if (std::string Why = keptRowsFailure(
+          *P, CFG, Inc, Ref,
+          analyzeReachingDefsReference(*P, CFG, Ref, IfaOpts.RD));
+      !Why.empty())
+    return "incremental " + Why;
 
-  IFAOptions IfaOpts;
   IFAResult Cold = analyzeInformationFlow(*P, CFG, IfaOpts);
-  IFAResult Inc = composeInformationFlow(*P, CFG, IfaOpts,
-                                         computeLocalDeps(*P, CFG),
-                                         std::move(ActInc), std::move(RdInc));
+  if (Inc.Active.Iterations != Cold.Active.Iterations ||
+      Inc.RD.Iterations != Cold.RD.Iterations)
+    return "incremental iteration totals differ from the cold run";
   if (!(Inc.RMlo == Cold.RMlo) || !(Inc.RMgl == Cold.RMgl))
     return "composed IFA matrices differ from the cold pipeline";
   if (!Inc.Graph.sameFlows(Cold.Graph))
