@@ -17,6 +17,30 @@ void vif::driver::writeSchemaTag(JsonWriter &J) {
   J.member("schema", SchemaVersion);
 }
 
+namespace {
+
+/// The elements of "edgeList": one {"from", "to"} object per edge in
+/// sorted order. Each node's name is escaped once, straight into its
+/// rank's edge head (the separator and the object through the "to" key)
+/// and edge tail (the "to" value through the closing brace), so an edge
+/// costs two appends of the bytes beginObject/member/endObject would emit.
+void writeEdgeObjects(JsonWriter &J, const Digraph &G) {
+  std::vector<std::string> F = J.stringObjectFrame({"from", "to"});
+  std::vector<std::string> Head, Tail;
+  Head.reserve(G.numNodes());
+  Tail.reserve(G.numNodes());
+  for (Digraph::NodeId Id : G.rankedNodes()) {
+    std::string Name = jsonEscape(G.name(Id));
+    Head.push_back(F[0] + Name + F[1]);
+    Tail.push_back(Name + F[2]);
+  }
+  G.forEachSortedEdgeRanked([&](Digraph::NodeId From, Digraph::NodeId To) {
+    J.rawElement({Head[From], Tail[To]});
+  });
+}
+
+} // namespace
+
 void vif::driver::writeDesignBody(JsonWriter &J, const DesignResult &D,
                                   const BatchOptions &Opts) {
   J.member("file", D.Name);
@@ -41,13 +65,7 @@ void vif::driver::writeDesignBody(JsonWriter &J, const DesignResult &D,
     J.key("edgeList");
     J.beginArray();
     if (D.Graph)
-      D.Graph->forEachSortedEdge(
-          [&J](std::string_view From, std::string_view To) {
-            J.beginObject();
-            J.member("from", From);
-            J.member("to", To);
-            J.endObject();
-          });
+      writeEdgeObjects(J, *D.Graph);
     J.endArray();
     J.endObject();
   }

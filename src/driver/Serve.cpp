@@ -21,7 +21,6 @@
 #include <cstring>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <thread>
 
 #include <csignal>
@@ -241,15 +240,15 @@ void writeId(JsonWriter &J, const JsonValue *Id) {
 
 std::string errorResponse(const JsonValue *Id, std::string_view Code,
                           std::string_view Message) {
-  std::ostringstream OS;
-  JsonWriter J(OS, JsonStyle::Compact);
+  std::string Out;
+  JsonWriter J(Out, JsonStyle::Compact);
   J.beginObject();
   writeSchemaTag(J);
   writeId(J, Id);
   J.member("status", "error");
   writeErrorObject(J, Code, Message);
   J.endObject();
-  return OS.str();
+  return Out;
 }
 
 /// Best-effort write of \p Line + '\n' to \p Fd; errors are the peer's
@@ -359,8 +358,8 @@ std::string Server::handleLine(const std::string &Line) {
   if (std::string Msg = parseRequest(*Doc, R); !Msg.empty())
     return errorResponse(Id, "bad-request", Msg);
 
-  std::ostringstream OS;
-  JsonWriter J(OS, JsonStyle::Compact);
+  std::string Out;
+  JsonWriter J(Out, JsonStyle::Compact);
 
   if (R.Command == "ping" || R.Command == "shutdown") {
     if (R.Command == "shutdown")
@@ -371,7 +370,7 @@ std::string Server::handleLine(const std::string &Line) {
     J.member("command", R.Command);
     J.member("status", "ok");
     J.endObject();
-    return OS.str();
+    return Out;
   }
 
   if (R.Command == "stats") {
@@ -387,7 +386,7 @@ std::string Server::handleLine(const std::string &Line) {
     if (Store)
       writeStoreObject(J, *Store);
     J.endObject();
-    return OS.str();
+    return Out;
   }
 
   BatchOptions B;
@@ -445,7 +444,7 @@ std::string Server::handleLine(const std::string &Line) {
   J.member("wallMs", WallMs);
   writeCacheObject(J, Cache);
   J.endObject();
-  return OS.str();
+  return Out;
 }
 
 void Server::run(std::istream &In, std::ostream &Out) {

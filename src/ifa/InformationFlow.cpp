@@ -412,30 +412,51 @@ IFAResult vif::composeInformationFlow(const ElaboratedProgram &Program,
 
     // Graph extraction straight off the bitset rows: the rows carry every
     // R0 entry (they were seeded from RMgl and only grew), so the
-    // pre-write-back view is only consulted for the M0/M1 runs. Node ids
-    // per universe bit are cached so each read node is materialized once.
+    // pre-write-back view is only consulted for the M0/M1 runs. Each
+    // modified node gathers its predecessors as one word-OR of the
+    // label's row, so every edge is emitted exactly once. Node ids keep
+    // their first-sighting order — per label the first mod, then the read
+    // bits not named before, then the other mods — because the store's
+    // design blobs record the graph by node id.
     Digraph G;
     {
       FlowNodeTable Nodes(Program, G);
       LabelIndexedRM GlIdx(R.RMgl);
-      constexpr Digraph::NodeId NoNode = ~Digraph::NodeId(0);
-      std::vector<Digraph::NodeId> ReadNode(K, NoNode);
-      std::vector<std::pair<Digraph::NodeId, Digraph::NodeId>> EdgeList;
+      std::vector<Digraph::NodeId> ReadNode(K);
+      BitSet Named(K), Fresh;
+      std::vector<BitSet> PredsOf; // indexed by node id
       for (LabelId L = InitialLabel; L <= GlIdx.maxLabel(); ++L) {
         const BitSet &Reads = R0[L];
         if (Reads.none())
           continue;
+        bool ReadsNamed = false;
         for (Access MA : {Access::M0, Access::M1})
           for (uint32_t M : GlIdx.at(L, MA)) {
             Digraph::NodeId To = Nodes.nodeOf(M);
-            Reads.forEach([&](size_t I) {
-              Digraph::NodeId &From = ReadNode[I];
-              if (From == NoNode)
-                From = Nodes.nodeOf(Universe[I]);
-              EdgeList.emplace_back(From, To);
-            });
+            if (!ReadsNamed) {
+              ReadsNamed = true;
+              Fresh = Reads;
+              Fresh.subtract(Named);
+              Fresh.forEach([&](size_t I) {
+                ReadNode[I] = Nodes.nodeOf(Universe[I]);
+              });
+              Named.unionWith(Fresh);
+            }
+            if (PredsOf.size() <= To)
+              PredsOf.resize(static_cast<size_t>(To) + 1);
+            if (PredsOf[To].size() != K)
+              PredsOf[To].resize(K);
+            PredsOf[To].unionWith(Reads);
           }
       }
+      size_t NumEdges = 0;
+      for (const BitSet &Preds : PredsOf)
+        NumEdges += Preds.count();
+      std::vector<std::pair<Digraph::NodeId, Digraph::NodeId>> EdgeList;
+      EdgeList.reserve(NumEdges);
+      for (Digraph::NodeId To = 0; To < PredsOf.size(); ++To)
+        PredsOf[To].forEach(
+            [&](size_t I) { EdgeList.emplace_back(ReadNode[I], To); });
       G.addEdges(std::move(EdgeList));
     }
     R.Graph = std::move(G);

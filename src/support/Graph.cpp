@@ -142,24 +142,61 @@ void Digraph::addEdges(std::vector<std::pair<NodeId, NodeId>> EdgeList) {
 // readers (two query threads over one cached session graph) serialize only
 // on first use; after that the fast path is a single atomic load.
 
+namespace {
+
+using Edge = std::pair<Digraph::NodeId, Digraph::NodeId>;
+
+/// The bucket offsets of a stable counting sort of \p Items by \p Key,
+/// whose values lie below \p NumKeys: entry K is the number of items
+/// keyed below K. Two scatters through such offsets, minor key first, are
+/// an LSD radix sort, linear in items plus buckets.
+template <typename T, typename KeyFn>
+std::vector<uint32_t> bucketStarts(const std::vector<T> &Items,
+                                   size_t NumKeys, KeyFn Key) {
+  std::vector<uint32_t> Start(NumKeys + 1, 0);
+  for (const T &X : Items)
+    ++Start[Key(X) + 1];
+  for (size_t K = 0; K < NumKeys; ++K)
+    Start[K + 1] += Start[K];
+  return Start;
+}
+
+} // namespace
+
 void Digraph::flushEdges() const {
   if (!EdgesDirty.load(std::memory_order_acquire))
     return;
   std::lock_guard<std::mutex> Lock(*ViewMutex);
   if (!EdgesDirty.load(std::memory_order_relaxed))
     return;
-  std::sort(Pending.begin(), Pending.end());
+  // (from, to) order by two counting passes over the node ids: to, then
+  // from. The raw list may hold many duplicates (the Kemmerer and ALFP
+  // extractions emit one pair per label and read), so the deduplicated
+  // result keeps only its own size and the raw list is released.
+  size_t N = Names.size();
+  std::vector<uint32_t> ToStart =
+      bucketStarts(Pending, N, [](const Edge &E) { return E.second; });
+  std::vector<uint32_t> FromStart =
+      bucketStarts(Pending, N, [](const Edge &E) { return E.first; });
+  {
+    std::vector<Edge> ByTo(Pending.size());
+    for (const Edge &E : Pending)
+      ByTo[ToStart[E.second]++] = E;
+    for (const Edge &E : ByTo)
+      Pending[FromStart[E.first]++] = E;
+  }
   Pending.erase(std::unique(Pending.begin(), Pending.end()), Pending.end());
   if (Edges.empty()) {
+    Pending.shrink_to_fit();
     Edges.swap(Pending);
   } else {
-    std::vector<std::pair<NodeId, NodeId>> Merged;
+    std::vector<Edge> Merged;
     Merged.reserve(Edges.size() + Pending.size());
     std::set_union(Edges.begin(), Edges.end(), Pending.begin(),
                    Pending.end(), std::back_inserter(Merged));
     Edges.swap(Merged);
-    Pending.clear();
   }
+  std::vector<Edge>().swap(Pending);
   EdgeOrderValid.store(false, std::memory_order_relaxed);
   EdgesDirty.store(false, std::memory_order_release);
 }
@@ -186,16 +223,19 @@ void Digraph::ensureEdgeOrder() const {
   std::lock_guard<std::mutex> Lock(*ViewMutex);
   if (EdgeOrderValid.load(std::memory_order_relaxed))
     return;
+  // (rank[from], rank[to]) order by the same two counting passes over
+  // the ranks, scattering edge indices.
+  size_t N = Names.size();
+  auto FromRank = [this](const Edge &E) { return RankOf[E.first]; };
+  auto ToRank = [this](const Edge &E) { return RankOf[E.second]; };
+  std::vector<uint32_t> ToStart = bucketStarts(Edges, N, ToRank);
+  std::vector<uint32_t> FromStart = bucketStarts(Edges, N, FromRank);
+  std::vector<uint32_t> ByTo(Edges.size());
+  for (uint32_t I = 0; I < Edges.size(); ++I)
+    ByTo[ToStart[ToRank(Edges[I])]++] = I;
   EdgeOrder.resize(Edges.size());
-  std::iota(EdgeOrder.begin(), EdgeOrder.end(), uint32_t(0));
-  std::sort(EdgeOrder.begin(), EdgeOrder.end(),
-            [this](uint32_t A, uint32_t B) {
-              const auto &EA = Edges[A], &EB = Edges[B];
-              NodeId FA = RankOf[EA.first], FB = RankOf[EB.first];
-              if (FA != FB)
-                return FA < FB;
-              return RankOf[EA.second] < RankOf[EB.second];
-            });
+  for (uint32_t I : ByTo)
+    EdgeOrder[FromStart[FromRank(Edges[I])]++] = I;
   EdgeOrderValid.store(true, std::memory_order_release);
 }
 

@@ -50,8 +50,10 @@ class BitMatrix;
 /// graphs, the Warshall closure below) never pays per-edge ordered-set
 /// node allocations. Sorted iteration orders are likewise cached lazily: a
 /// lexicographic node-rank permutation and an edge permutation sorted by
-/// (rank[from], rank[to]) are computed once and reused, so emitting a
-/// result costs an integer sort the first time and nothing after. The lazy
+/// (rank[from], rank[to]) are computed once and reused. Both edge orders
+/// are two stable counting passes over node-sized buckets (minor key,
+/// then major key), so a flush and the first sorted emission are linear
+/// in edges plus nodes; only the node ranking compares strings. The lazy
 /// merge mutates on const reads, but builds are internally synchronized:
 /// each view flips an atomic flag under a per-graph mutex (double-checked),
 /// so concurrent const readers — e.g. two query threads touching the same
@@ -79,7 +81,7 @@ public:
   /// Bulk-inserts edges given as id pairs over existing nodes. The list is
   /// sorted and deduplicated on the next flush, so callers — in particular
   /// the id-based flow-graph extraction — can append pairs freely and hand
-  /// them over in one O(E log E) pass instead of E ordered insertions.
+  /// them over in one linear pass instead of E ordered insertions.
   void addEdges(std::vector<std::pair<NodeId, NodeId>> EdgeList);
 
   /// Pre-sizes the name table and index for \p N expected nodes.
@@ -207,7 +209,8 @@ private:
   /// Copies \p Name into the arena and returns the stable view.
   std::string_view intern(std::string_view Name);
 
-  /// Merges Pending into the sorted, deduplicated Edges vector.
+  /// Merges Pending into the sorted, deduplicated Edges vector and
+  /// releases Pending.
   void flushEdges() const;
   /// Computes RankOrder/RankOf if stale.
   void ensureRank() const;

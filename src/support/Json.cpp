@@ -69,8 +69,8 @@ std::string vif::jsonEscape(std::string_view S) {
 }
 
 void JsonWriter::flush() {
-  if (!Buf.empty()) {
-    OS.write(Buf.data(), static_cast<std::streamsize>(Buf.size()));
+  if (OS && !Buf.empty()) {
+    OS->write(Buf.data(), static_cast<std::streamsize>(Buf.size()));
     Buf.clear();
   }
 }
@@ -80,6 +80,8 @@ void JsonWriter::indent() {
 }
 
 void JsonWriter::prefix() {
+  if (Buf.size() >= ChunkBytes)
+    flush();
   if (AfterKey) {
     AfterKey = false;
     return;
@@ -113,7 +115,7 @@ void JsonWriter::close(char C) {
   if (Stack.empty()) {
     if (!Compact)
       Buf += '\n';
-    // The document is complete; hand it to the stream in one write.
+    // The document is complete; hand the rest to the stream.
     flush();
   }
 }
@@ -137,6 +139,48 @@ void JsonWriter::value(std::string_view V) {
 void JsonWriter::rawValue(std::string_view Token) {
   prefix();
   Buf += Token;
+}
+
+void JsonWriter::rawElement(std::initializer_list<std::string_view> Pieces) {
+  assert(!AfterKey && !Stack.empty() && "an element needs an open array");
+  if (Buf.size() >= ChunkBytes)
+    flush();
+  bool First = Stack.back()++ == 0;
+  for (std::string_view Piece : Pieces) {
+    if (First) {
+      assert(!Piece.empty() && Piece[0] == ',' && "element without a comma");
+      Piece.remove_prefix(1);
+      First = false;
+    }
+    Buf += Piece;
+  }
+}
+
+std::vector<std::string> JsonWriter::stringObjectFrame(
+    std::initializer_list<std::string_view> Keys) const {
+  assert(Keys.size() != 0 && "an object frame needs a member");
+  // The object sits one level below the open array, its members two.
+  std::string Break, MemberBreak;
+  if (!Compact) {
+    Break = "\n" + std::string(Stack.size() * IndentWidth, ' ');
+    MemberBreak = "\n" + std::string((Stack.size() + 1) * IndentWidth, ' ');
+  }
+  std::vector<std::string> Frame;
+  std::string Piece = "," + Break + "{";
+  for (std::string_view K : Keys) {
+    if (!Frame.empty())
+      Piece += ',';
+    Piece += MemberBreak;
+    Piece += '"';
+    jsonEscapeTo(Piece, K);
+    Piece += Compact ? "\":\"" : "\": \"";
+    Frame.push_back(std::move(Piece));
+    Piece = "\"";
+  }
+  Piece += Break;
+  Piece += '}';
+  Frame.push_back(std::move(Piece));
+  return Frame;
 }
 
 void JsonWriter::value(bool V) {

@@ -17,7 +17,9 @@
 #ifndef VIF_SUPPORT_JSON_H
 #define VIF_SUPPORT_JSON_H
 
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -47,15 +49,27 @@ enum class JsonStyle : uint8_t { Pretty, Compact };
 ///   J.key("designs"); J.beginArray(); ... J.endArray();
 ///   J.endObject();   // emits the final newline (Pretty style only)
 ///
-/// Output is batched in an internal buffer and reaches the stream when
-/// the top-level container closes (or on destruction), so emitting a
-/// large document costs string appends, not per-token ostream calls.
+/// Output is batched in an internal buffer that is handed to the stream
+/// in chunks of about ChunkBytes (and the rest when the top-level
+/// container closes or on destruction), so emitting a large document
+/// costs string appends, not per-token ostream calls, and never holds
+/// more than one chunk. A writer over a std::string appends straight to
+/// it instead: the whole response is built once, in place.
 class JsonWriter {
 public:
+  /// The buffered bytes that trigger a write to the stream.
+  static constexpr size_t ChunkBytes = size_t(64) << 10;
+
   explicit JsonWriter(std::ostream &OS, unsigned IndentWidth = 2)
-      : OS(OS), IndentWidth(IndentWidth) {}
+      : OS(&OS), IndentWidth(IndentWidth) {
+    Buf.reserve(ChunkBytes + 1024);
+  }
   JsonWriter(std::ostream &OS, JsonStyle Style, unsigned IndentWidth = 2)
-      : OS(OS), IndentWidth(IndentWidth),
+      : JsonWriter(OS, IndentWidth) {
+    Compact = Style == JsonStyle::Compact;
+  }
+  JsonWriter(std::string &Out, JsonStyle Style, unsigned IndentWidth = 2)
+      : Buf(Out), IndentWidth(IndentWidth),
         Compact(Style == JsonStyle::Compact) {}
   JsonWriter(const JsonWriter &) = delete;
   JsonWriter &operator=(const JsonWriter &) = delete;
@@ -87,6 +101,22 @@ public:
   /// Emits \p Token, an already-rendered JSON value, verbatim.
   void rawValue(std::string_view Token);
 
+  /// The fixed bytes of an object whose members \p Keys all hold strings,
+  /// laid out as the next element of the open array: piece 0 runs from
+  /// the comma that separates it from the previous element through the
+  /// first value's opening quote, piece I from value I-1's closing quote
+  /// through value I's opening quote, and the last piece closes the last
+  /// value and the object. So rawElement({F[0], V0, F[1], V1, F[2]}), with
+  /// V0 and V1 already escaped, emits the bytes beginObject,
+  /// member("k0", V0), member("k1", V1), endObject would; adjacent pieces
+  /// may be joined up front. The bulk path for large arrays of objects.
+  std::vector<std::string>
+  stringObjectFrame(std::initializer_list<std::string_view> Keys) const;
+  /// Emits one already-rendered element of the open array, given in
+  /// pieces whose first starts with the separating comma (as
+  /// stringObjectFrame lays it out); the array's first element drops it.
+  void rawElement(std::initializer_list<std::string_view> Pieces);
+
   /// key() + value() in one call.
   template <typename T> void member(std::string_view K, const T &V) {
     key(K);
@@ -96,16 +126,19 @@ public:
 private:
   void open(char C);
   void close(char C);
-  /// Emits the separator/indentation due before the next value.
+  /// Emits the separator/indentation due before the next value, after
+  /// handing a full chunk to the stream.
   void prefix();
   void indent();
-  /// Writes the buffered output to the stream.
+  /// Writes the buffered output to the stream (no-op for a string sink).
   void flush();
 
-  std::ostream &OS;
-  /// Pending output; flushed when the outermost container closes and on
-  /// destruction.
-  std::string Buf;
+  /// The stream sink, or null when the writer appends to a string.
+  std::ostream *OS = nullptr;
+  /// Pending output of a stream sink.
+  std::string Own;
+  /// Where output is appended: Own, or the caller's string.
+  std::string &Buf = Own;
   unsigned IndentWidth;
   /// Compact style: no newlines, no indentation, no trailing newline.
   bool Compact = false;

@@ -9,10 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 using namespace vif;
 
@@ -254,6 +258,122 @@ TEST(Digraph, ConcurrentLazyViewsAreSafe) {
     T.join();
   // Each thread saw all 63 edges plus one complete rank table.
   EXPECT_EQ(Sum.load(), 8 * (Expect + 1));
+}
+
+TEST(Digraph, FlushReleasesTheDuplicateRawList) {
+  // 10 edges handed over as 100 000 raw pairs (the Kemmerer and ALFP
+  // extractions emit one pair per label and read) must cost what the 10
+  // edges cost, also when a second raw list merges into flushed edges.
+  auto Chain = [](Digraph &G) {
+    for (unsigned I = 0; I <= 10; ++I)
+      G.addNode("n" + std::to_string(I));
+  };
+  Digraph Plain, Dup;
+  Chain(Plain);
+  Chain(Dup);
+  std::vector<std::pair<Digraph::NodeId, Digraph::NodeId>> Ten, Raw;
+  for (Digraph::NodeId I = 0; I < 10; ++I)
+    Ten.emplace_back(I, I + 1);
+  for (unsigned I = 0; I < 100000; ++I)
+    Raw.push_back(Ten[(I * 7) % 10]);
+  Plain.addEdges(Ten);
+  Dup.addEdges(Raw);
+  EXPECT_EQ(Dup.numEdges(), 10u);
+  EXPECT_EQ(Plain.numEdges(), 10u);
+  EXPECT_LE(Dup.memoryBytes(), Plain.memoryBytes() + 256);
+  Dup.addEdges(Raw);
+  EXPECT_EQ(Dup.numEdges(), 10u);
+  EXPECT_LE(Dup.memoryBytes(), Plain.memoryBytes() + 256);
+}
+
+/// The std::sort reference the lazy views must match: every edge as a
+/// (from-name, to-name) pair, sorted and deduplicated.
+using NamePairs = std::vector<std::pair<std::string, std::string>>;
+
+void expectViewsMatch(const Digraph &G, NamePairs Want, unsigned Trial) {
+  std::sort(Want.begin(), Want.end());
+  Want.erase(std::unique(Want.begin(), Want.end()), Want.end());
+
+  NamePairs Sorted;
+  G.forEachSortedEdge([&](std::string_view From, std::string_view To) {
+    Sorted.emplace_back(From, To);
+  });
+  EXPECT_EQ(Sorted, Want) << "forEachSortedEdge, trial " << Trial;
+
+  const std::vector<Digraph::NodeId> &Ranked = G.rankedNodes();
+  ASSERT_EQ(Ranked.size(), G.numNodes());
+  EXPECT_TRUE(std::is_sorted(Ranked.begin(), Ranked.end(),
+                             [&G](Digraph::NodeId A, Digraph::NodeId B) {
+                               return G.name(A) < G.name(B);
+                             }));
+  std::vector<std::pair<Digraph::NodeId, Digraph::NodeId>> RankPairs;
+  NamePairs ByRank;
+  G.forEachSortedEdgeRanked([&](Digraph::NodeId From, Digraph::NodeId To) {
+    RankPairs.emplace_back(From, To);
+    ByRank.emplace_back(G.name(Ranked[From]), G.name(Ranked[To]));
+  });
+  EXPECT_TRUE(std::is_sorted(RankPairs.begin(), RankPairs.end()))
+      << "trial " << Trial;
+  EXPECT_EQ(ByRank, Want) << "forEachSortedEdgeRanked, trial " << Trial;
+
+  std::vector<std::pair<Digraph::NodeId, Digraph::NodeId>> Ids, WantIds;
+  G.forEachEdgeId([&](Digraph::NodeId From, Digraph::NodeId To) {
+    Ids.emplace_back(From, To);
+  });
+  for (const auto &[From, To] : Want)
+    WantIds.emplace_back(G.id(From), G.id(To));
+  std::sort(WantIds.begin(), WantIds.end());
+  EXPECT_EQ(Ids, WantIds) << "edge storage order, trial " << Trial;
+  EXPECT_EQ(G.numEdges(), Want.size());
+}
+
+TEST(Digraph, SortedViewsMatchAComparisonSort) {
+  std::mt19937 Rng(17);
+  for (unsigned Trial = 0; Trial < 200; ++Trial) {
+    Digraph G;
+    NamePairs Want;
+    // Numbered names whose string order differs from their numeric order
+    // (x_10 < x_2), inserted in shuffled order, so ids, numbers and ranks
+    // all disagree.
+    unsigned N = 1 + Rng() % 40;
+    std::vector<unsigned> Numbers(N);
+    for (unsigned I = 0; I < N; ++I)
+      Numbers[I] = I;
+    std::shuffle(Numbers.begin(), Numbers.end(), Rng);
+    for (unsigned Number : Numbers)
+      G.addNode("x_" + std::to_string(Number));
+    auto RandomEdges = [&](size_t Count) {
+      std::vector<std::pair<Digraph::NodeId, Digraph::NodeId>> List;
+      for (size_t I = 0; I < Count; ++I) {
+        Digraph::NodeId From = Rng() % G.numNodes(), To = Rng() % G.numNodes();
+        // Duplicates: every pair appears once or three times.
+        for (unsigned Copy = 0; Copy < (Rng() % 2 ? 3u : 1u); ++Copy) {
+          List.emplace_back(From, To);
+          Want.emplace_back(G.name(From), G.name(To));
+        }
+      }
+      return List;
+    };
+
+    G.addEdges(RandomEdges(Rng() % (3 * N)));
+    for (const auto &[From, To] : RandomEdges(Rng() % 4))
+      G.addEdge(From, To);
+    expectViewsMatch(G, Want, Trial);
+
+    // A second batch merges into the flushed edges.
+    G.addEdges(RandomEdges(Rng() % (2 * N)));
+    expectViewsMatch(G, Want, Trial);
+
+    // Nodes added after the views were built re-rank the old ones
+    // ("a" sorts first, "x_" + N + "0" between existing names, "z" last)
+    // while the cached edge order, kept across node insertions, stays right.
+    for (std::string Name : {std::string("a"), "x_" + std::to_string(N) + "0",
+                             std::string("z")})
+      G.addNode(Name);
+    expectViewsMatch(G, Want, Trial);
+    G.addEdges(RandomEdges(Rng() % N + 1));
+    expectViewsMatch(G, Want, Trial);
+  }
 }
 
 } // namespace

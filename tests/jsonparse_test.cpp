@@ -10,6 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 using namespace vif;
 
@@ -136,6 +139,62 @@ TEST(JsonWriterCompact, SingleLineNoTrailingNewline) {
   J.endObject();
   J.endObject();
   EXPECT_EQ(OS.str(), R"({"a":1,"b":["x"],"c":{}})");
+}
+
+// The string sink, the chunked stream sink and the object-frame bulk path
+// all write the bytes beginObject/member/endObject would, in both styles
+// and at any depth; the document is large enough to span several chunks.
+TEST(JsonWriterSinks, StreamChunksStringSinkAndFramesAgree) {
+  const std::vector<std::pair<std::string, std::string>> Pairs = {
+      {"a", "b"}, {"q\"uote", "back\\slash"}, {"tab\t", "n\xe2\x97\xa6"}};
+  auto Document = [&](JsonWriter &J, bool Framed) {
+    J.beginObject();
+    J.key("outer");
+    J.beginArray();
+    J.beginObject();
+    J.key("edges");
+    J.beginArray();
+    std::vector<std::string> F;
+    if (Framed)
+      F = J.stringObjectFrame({"from", "to"});
+    for (unsigned I = 0; I < 10000; ++I) {
+      const auto &[From, To] = Pairs[I % Pairs.size()];
+      if (Framed) {
+        J.rawElement({F[0], jsonEscape(From), F[1], jsonEscape(To), F[2]});
+      } else {
+        J.beginObject();
+        J.member("from", From);
+        J.member("to", To);
+        J.endObject();
+      }
+    }
+    J.endArray();
+    J.endObject();
+    J.endArray();
+    J.endObject();
+  };
+  for (JsonStyle Style : {JsonStyle::Pretty, JsonStyle::Compact}) {
+    std::ostringstream Plain, Framed;
+    std::string InPlace;
+    {
+      JsonWriter J(Plain, Style);
+      Document(J, false);
+    }
+    {
+      JsonWriter J(Framed, Style);
+      Document(J, true);
+    }
+    {
+      JsonWriter J(InPlace, Style);
+      Document(J, true);
+    }
+    EXPECT_GT(Plain.str().size(), 4 * JsonWriter::ChunkBytes);
+    EXPECT_EQ(Framed.str(), Plain.str());
+    EXPECT_EQ(InPlace, Plain.str());
+    JsonValue V = parseOk(Plain.str());
+    EXPECT_EQ(V.find("outer")->elements()[0].find("edges")->elements().size(),
+              10000u);
+  }
 }
 
 } // namespace

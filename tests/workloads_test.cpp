@@ -234,7 +234,12 @@ TEST(Synthetic, AesCoreKeepsOnlyWhatTableSevenReads) {
     Dagger += S.size();
   EXPECT_EQ(Dagger, 29233u);
   EXPECT_EQ(R.Graph.numNodes(), 251u);
+  // The extraction hands over one pair per edge (it once pushed 876 052
+  // raw pairs here): flushing its list into the 16 896 sorted edges
+  // neither drops pairs nor releases any excess.
+  size_t Unflushed = R.Graph.memoryBytes();
   EXPECT_EQ(R.Graph.numEdges(), 16896u);
+  EXPECT_EQ(R.Graph.memoryBytes(), Unflushed);
 }
 
 TEST(Synthetic, AesCoreTenRoundsEndToEnd) {

@@ -34,6 +34,36 @@ cmake -B "$BUILD_DIR/perfbench" -S perfbench -DVIFC_WERROR=ON
 cmake --build "$BUILD_DIR/perfbench" -j"$(nproc)"
 echo "perfbench build passed"
 
+# The chunked JSON writer end to end: the benchmark's chain/1024 input
+# (524 800 edges, a 42 MB document, hundreds of 64 KB chunks) must parse
+# and list the same edge sequence as the text output.
+if command -v python3 >/dev/null; then
+  chain_dir=$(mktemp -d)
+  "$BUILD_DIR/perfbench/perfbench_layers" gen "$chain_dir" >/dev/null
+  "$BUILD_DIR/vifc" flows --json --statements "$chain_dir/chain1024.vhd" \
+    > "$chain_dir/chain.json"
+  "$BUILD_DIR/vifc" flows --statements "$chain_dir/chain1024.vhd" \
+    > "$chain_dir/chain.txt"
+  python3 - "$chain_dir" <<'PY'
+import json
+import sys
+
+d = sys.argv[1]
+with open(d + "/chain.json") as f:
+    doc = json.load(f)
+edges = [(e["from"], e["to"])
+         for e in doc["designs"][0]["graph"]["edgeList"]]
+with open(d + "/chain.txt") as f:
+    text = [tuple(line.split(" -> ")) for line in f.read().splitlines()[1:]]
+assert len(edges) == 524800, "chain1024: %d edges" % len(edges)
+assert edges == text, "chain1024: JSON and text edge sequences differ"
+PY
+  rm -rf "$chain_dir"
+  echo "chain1024 JSON check passed"
+else
+  echo "python3 not found; skipping chain1024 JSON check"
+fi
+
 # Differential fuzz smoke straight through the CLI (ctest's
 # vifc_fuzz_smoke covers seeds 1-200; this fixed range extends it and
 # proves the reproducer interface works from a shell).
