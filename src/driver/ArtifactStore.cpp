@@ -62,23 +62,79 @@ std::string encodeMatrix(const ResourceMatrix &M) {
   return W.take();
 }
 
-bool decodeMatrix(std::string_view Blob, ResourceMatrix &M) {
+/// Reads one (u32 label, u8 access, u32 resource) entry; the access byte
+/// is returned unchecked in \p A.
+RMEntry readEntry(ByteReader &R, uint8_t &A) {
+  RMEntry E;
+  E.L = R.u32();
+  A = R.u8();
+  E.N = Resource::fromRaw(R.u32());
+  E.A = static_cast<Access>(A);
+  return E;
+}
+
+/// Decodes a matrix section into the form the pipeline builds: flat, or
+/// (\p R0AsRows, the closed RMgl) flat non-R0 entries plus R0 rows when
+/// ResourceMatrix::rowsPay — the rule the closure's adoption applies, so
+/// the row allocation is bounded by the section's own R0 entry count. One
+/// validating scan reads every entry — access in range and strictly
+/// ascending, which also rejects the duplicates and reorderings only
+/// corruption produces — fills the flat part and numbers the rows; a
+/// second scan sets the row bits (or, for sparse rows, reads every entry
+/// flat). No per-entry insert.
+bool decodeMatrix(std::string_view Blob, ResourceMatrix &M, bool R0AsRows) {
+  constexpr size_t EntryBytes = 9;
   ByteReader R(Blob);
   uint64_t N = R.u64();
-  if (N > R.remaining() / 9) // 9 bytes per entry
+  if (!R.ok() || N > R.remaining() / EntryBytes ||
+      R.remaining() != N * EntryBytes)
     return false;
+  std::vector<RMEntry> Flat;
+  if (!R0AsRows)
+    Flat.reserve(static_cast<size_t>(N));
+  R0Rows Rows;
+  size_t NumRows = 0, NumR0 = 0;
+  RMEntry Prev;
   for (uint64_t I = 0; I < N; ++I) {
-    uint32_t L = R.u32();
-    uint8_t A = R.u8();
-    uint32_t Raw = R.u32();
-    if (A > static_cast<uint8_t>(Access::R1))
+    uint8_t A;
+    RMEntry E = readEntry(R, A);
+    if (A > static_cast<uint8_t>(Access::R1) || (I && !(Prev < E)))
       return false;
-    // The encoder walks a deduplicated matrix; a duplicate is corruption.
-    if (!M.insert(Resource::fromRaw(Raw), static_cast<LabelId>(L),
-                  static_cast<Access>(A)))
-      return false;
+    Prev = E;
+    if (R0AsRows && E.A == Access::R0) {
+      Rows.name(E.N.raw());
+      NumRows = static_cast<size_t>(E.L) + 1;
+      ++NumR0;
+    } else {
+      Flat.push_back(E);
+    }
   }
-  return R.ok() && R.atEnd();
+  if (NumR0 == 0) {
+    M = ResourceMatrix(std::move(Flat));
+    return true;
+  }
+  Rows.number();
+  bool Keep = ResourceMatrix::rowsPay(NumRows, Rows.Universe.size(), NumR0);
+  if (Keep) {
+    Rows.layout(NumRows);
+  } else {
+    Flat.clear();
+    Flat.reserve(static_cast<size_t>(N));
+  }
+  ByteReader Again(Blob);
+  Again.u64();
+  for (uint64_t I = 0; I < N; ++I) {
+    uint8_t A;
+    RMEntry E = readEntry(Again, A);
+    if (!Keep)
+      Flat.push_back(E);
+    else if (E.A == Access::R0)
+      Rows.set(E.L, E.N.raw());
+  }
+  M = ResourceMatrix(std::move(Flat));
+  if (Keep)
+    M.insertR0Rows(std::move(Rows));
+  return true;
 }
 
 std::string encodeGraph(const Digraph &G) {
@@ -235,7 +291,7 @@ bool vif::driver::decodeDesignArtifact(std::string_view Payload,
   if (!readSection(R, "RMLO", Lo) || !readSection(R, "RMGL", Gl) ||
       !readSection(R, "GRPH", Gr) || !R.atEnd())
     return false;
-  return decodeMatrix(Lo, RMlo) && decodeMatrix(Gl, RMgl) &&
+  return decodeMatrix(Lo, RMlo, false) && decodeMatrix(Gl, RMgl, true) &&
          decodeGraph(Gr, Graph);
 }
 

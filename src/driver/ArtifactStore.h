@@ -16,7 +16,12 @@
 ///   "dsgn"           whole-design results — RMlo, the closed RMgl and the
 ///                    flow graph — keyed by the session cache key, letting
 ///                    a fresh process skip every solver for a previously
-///                    analyzed (source, options) pair;
+///                    analyzed (source, options) pair. Each matrix is its
+///                    sorted entry stream, decoded by one validating
+///                    pass straight into the factored form (a second
+///                    pass sets RMgl's Table 8 rows, or reads them flat
+///                    where ResourceMatrix::rowsPay says they are too
+///                    sparse);
 ///   "qidx"           the flow-query reachability index (closure matrix +
 ///                    CSR adjacency) for the same key.
 ///
@@ -104,8 +109,11 @@ private:
 /// Codecs for the whole-design blob (kind "dsgn"): the partial IFAResult
 /// — RMlo, RMgl and the flow graph — that every batch mode except the
 /// RD/ALFP inspectors consumes. The payload is framed in tagged sections
-/// ("RMLO", "RMGL", "GRPH") mirroring v1b; decode returns false on any
-/// anomaly and leaves the outputs unspecified.
+/// ("RMLO", "RMGL", "GRPH") mirroring v1b. A matrix section is a u64
+/// entry count and (u32 label, u8 access, u32 resource) entries in
+/// strictly ascending order. Decode returns false on any anomaly — an
+/// entry out of order or repeated, an access past R1, a count the
+/// payload cannot hold — and leaves the outputs unspecified.
 std::string encodeDesignArtifact(const IFAResult &R);
 bool decodeDesignArtifact(std::string_view Payload, ResourceMatrix &RMlo,
                           ResourceMatrix &RMgl, Digraph &Graph);

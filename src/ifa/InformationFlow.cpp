@@ -318,10 +318,11 @@ IFAResult vif::composeInformationFlow(const ElaboratedProgram &Program,
   // carrier is a design-level analogue of rd/DenseDomain: every resource
   // with an R0 entry anywhere gets a bit in one shared numbering (sorted
   // by raw id, so set-bit order is entry order), each label's row is a
-  // support/BitSet over it, and a copy-edge propagation is one
-  // word-parallel unionWith whose grew bit drives the worklist. The
-  // sorted-vector rows (per-edge set_union) are retained behind
-  // Opts.ReferenceClosure as the oracle for the differential tests.
+  // row of one support/BitMatrix over it, and a copy-edge propagation is
+  // one word-parallel orInto whose grew bit drives the worklist. RMgl
+  // then adopts the rows. The sorted-vector rows (per-edge
+  // set_union) are retained behind Opts.ReferenceClosure as the oracle
+  // for the differential tests; they are adopted through the same path.
   //
   // FIFO worklist seeded in ascending label order: copy edges mostly point
   // from textually earlier definitions to later uses, so this approximates
@@ -374,34 +375,28 @@ IFAResult vif::composeInformationFlow(const ElaboratedProgram &Program,
   } else {
     // The R0 universe: every resource the rows can ever mention is
     // already in some R0 entry (propagation only copies).
-    std::vector<uint32_t> Universe;
+    R0Rows Fix;
     for (const RMEntry &E : R.RMgl)
       if (E.A == Access::R0)
-        Universe.push_back(E.N.raw());
-    std::sort(Universe.begin(), Universe.end());
-    Universe.erase(std::unique(Universe.begin(), Universe.end()),
-                   Universe.end());
-    auto bitOf = [&Universe](uint32_t Raw) {
-      return static_cast<size_t>(
-          std::lower_bound(Universe.begin(), Universe.end(), Raw) -
-          Universe.begin());
-    };
-
-    size_t K = Universe.size();
-    std::vector<BitSet> R0(static_cast<size_t>(MaxLabel) + 1, BitSet(K));
+        Fix.name(E.N.raw());
+    Fix.number();
+    Fix.layout(static_cast<size_t>(MaxLabel) + 1);
     for (const RMEntry &E : R.RMgl)
       if (E.A == Access::R0)
-        R0[E.L].set(bitOf(E.N.raw()));
+        Fix.set(E.L, E.N.raw());
+    const std::vector<uint32_t> &Universe = Fix.Universe;
+    BitMatrix &R0 = Fix.Bits;
+    size_t K = Universe.size(), W = R0.wordsPerRow();
 
     while (!Work.empty()) {
       LabelId Src = Work.front();
       Work.pop_front();
       InWork[Src] = 0;
-      const BitSet &SrcSet = R0[Src];
-      if (SrcSet.none())
+      const uint64_t *SrcSet = R0.row(Src);
+      if (BitMatrix::none(SrcSet, W))
         continue;
       for (LabelId Dst : Copies.Succs[Src]) {
-        if (!R0[Dst].unionWith(SrcSet))
+        if (!BitMatrix::orInto(R0.row(Dst), SrcSet, W))
           continue;
         if (!InWork[Dst] && Copies.hasSuccs(Dst)) {
           Work.push_back(Dst);
@@ -412,7 +407,7 @@ IFAResult vif::composeInformationFlow(const ElaboratedProgram &Program,
 
     // Graph extraction straight off the bitset rows: the rows carry every
     // R0 entry (they were seeded from RMgl and only grew), so the
-    // pre-write-back view is only consulted for the M0/M1 runs. Each
+    // pre-adoption view is only consulted for the M0/M1 runs. Each
     // modified node gathers its predecessors as one word-OR of the
     // label's row, so every edge is emitted exactly once. Node ids keep
     // their first-sighting order — per label the first mod, then the read
@@ -423,48 +418,49 @@ IFAResult vif::composeInformationFlow(const ElaboratedProgram &Program,
       FlowNodeTable Nodes(Program, G);
       LabelIndexedRM GlIdx(R.RMgl);
       std::vector<Digraph::NodeId> ReadNode(K);
-      BitSet Named(K), Fresh;
-      std::vector<BitSet> PredsOf; // indexed by node id
+      BitMatrix Scratch(2, K);
+      uint64_t *Named = Scratch.row(0), *Fresh = Scratch.row(1);
+      // (modified node, label) per M0/M1 entry at a label with reads.
+      std::vector<std::pair<Digraph::NodeId, LabelId>> ModsAt;
       for (LabelId L = InitialLabel; L <= GlIdx.maxLabel(); ++L) {
-        const BitSet &Reads = R0[L];
-        if (Reads.none())
+        const uint64_t *Reads = R0.row(L);
+        if (BitMatrix::none(Reads, W))
           continue;
         bool ReadsNamed = false;
         for (Access MA : {Access::M0, Access::M1})
           for (uint32_t M : GlIdx.at(L, MA)) {
-            Digraph::NodeId To = Nodes.nodeOf(M);
-            if (!ReadsNamed) {
-              ReadsNamed = true;
-              Fresh = Reads;
-              Fresh.subtract(Named);
-              Fresh.forEach([&](size_t I) {
-                ReadNode[I] = Nodes.nodeOf(Universe[I]);
-              });
-              Named.unionWith(Fresh);
-            }
-            if (PredsOf.size() <= To)
-              PredsOf.resize(static_cast<size_t>(To) + 1);
-            if (PredsOf[To].size() != K)
-              PredsOf[To].resize(K);
-            PredsOf[To].unionWith(Reads);
+            ModsAt.emplace_back(Nodes.nodeOf(M), L);
+            if (ReadsNamed)
+              continue;
+            ReadsNamed = true;
+            BitMatrix::copy(Fresh, Reads, W);
+            BitMatrix::subtract(Fresh, Named, W);
+            BitMatrix::forEachBit(Fresh, W, [&](size_t I) {
+              ReadNode[I] = Nodes.nodeOf(Universe[I]);
+            });
+            BitMatrix::orInto(Named, Fresh, W);
           }
       }
+      BitMatrix PredsOf(G.numNodes(), K);
+      for (const auto &[To, L] : ModsAt)
+        BitMatrix::orInto(PredsOf.row(To), R0.row(L), W);
       size_t NumEdges = 0;
-      for (const BitSet &Preds : PredsOf)
-        NumEdges += Preds.count();
+      for (Digraph::NodeId To = 0; To < PredsOf.numRows(); ++To)
+        NumEdges += BitMatrix::count(PredsOf.row(To), W);
       std::vector<std::pair<Digraph::NodeId, Digraph::NodeId>> EdgeList;
       EdgeList.reserve(NumEdges);
-      for (Digraph::NodeId To = 0; To < PredsOf.size(); ++To)
-        PredsOf[To].forEach(
-            [&](size_t I) { EdgeList.emplace_back(ReadNode[I], To); });
+      for (Digraph::NodeId To = 0; To < PredsOf.numRows(); ++To)
+        BitMatrix::forEachBit(PredsOf.row(To), W, [&](size_t I) {
+          EdgeList.emplace_back(ReadNode[I], To);
+        });
       G.addEdges(std::move(EdgeList));
     }
     R.Graph = std::move(G);
 
-    // Write the fixpoint back: one linear merge of the bitset rows into
-    // the dense entry buffer (post-closure RMgl is the largest matrix in
-    // the pipeline).
-    R.RMgl.insertR0Rows(R0, Universe);
+    // RMgl keeps the fixpoint rows as they are: the closed matrix is the
+    // flat pre-closure entries plus these rows (entered flat only where
+    // the rows are too sparse to pay, see ResourceMatrix::rowsPay).
+    R.RMgl.insertR0Rows(std::move(Fix));
   }
 
   // Ensure every resource appears as a node even when isolated, matching

@@ -7,6 +7,7 @@
 #include "ifa/ResourceMatrix.h"
 
 #include <algorithm>
+#include <cassert>
 #include <iterator>
 #include <ostream>
 
@@ -26,7 +27,23 @@ const char *vif::accessName(Access A) {
   return "?";
 }
 
+void R0Rows::number() {
+  std::sort(Universe.begin(), Universe.end());
+  Named = {};
+}
+
 bool ResourceMatrix::insert(Resource N, LabelId L, Access A) {
+  if (inRows(L, A)) {
+    auto It = std::lower_bound(Universe.begin(), Universe.end(), N.raw());
+    assert(It != Universe.end() && *It == N.raw() &&
+           "R0 insert at a row label outside the rows' universe");
+    size_t B = static_cast<size_t>(It - Universe.begin());
+    if (Rows.test(L, B))
+      return false;
+    Rows.set(L, B);
+    ++RowEntries;
+    return true;
+  }
   RMEntry E{L, A, N};
   if (std::binary_search(Entries.begin(), Entries.end(), E))
     return false;
@@ -37,6 +54,11 @@ bool ResourceMatrix::insert(Resource N, LabelId L, Access A) {
 }
 
 bool ResourceMatrix::contains(Resource N, LabelId L, Access A) const {
+  if (inRows(L, A)) {
+    auto It = std::lower_bound(Universe.begin(), Universe.end(), N.raw());
+    return It != Universe.end() && *It == N.raw() &&
+           Rows.test(L, static_cast<size_t>(It - Universe.begin()));
+  }
   RMEntry E{L, A, N};
   return std::binary_search(Entries.begin(), Entries.end(), E) ||
          PendingKeys.count(keyOf(E)) != 0;
@@ -61,46 +83,74 @@ void ResourceMatrix::flush() const {
   PendingKeys.clear();
 }
 
-void ResourceMatrix::insertR0Rows(
-    const std::vector<std::vector<uint32_t>> &Rows) {
+void ResourceMatrix::insertR0Rows(R0Rows New) {
+  assert(Rows.numRows() == 0 && Universe.empty() && "rows adopted twice");
+  assert(New.Bits.numBits() == New.Universe.size() && "universe mismatch");
   flush();
-  // The rows stream in (label, resource) ascending order, which is entry
-  // order for the fixed R0 access, so the whole batch is one set_union
-  // with the present entries (duplicates — RMlo entries the closure
-  // re-derived — collapse in the merge).
-  std::vector<RMEntry> New;
-  for (LabelId L = 0; L < Rows.size(); ++L)
-    for (uint32_t Raw : Rows[L])
-      New.push_back(RMEntry{L, Access::R0, Resource::fromRaw(Raw)});
-  if (New.empty())
+  const BitMatrix &Bits = New.Bits;
+  size_t NumRows = Bits.numRows(), W = Bits.wordsPerRow(), Count = 0;
+  for (size_t L = 0; L < NumRows; ++L)
+    Count += BitMatrix::count(Bits.row(L), W);
+  // Present R0 entries at row labels are already row bits.
+  Entries.erase(std::remove_if(Entries.begin(), Entries.end(),
+                               [NumRows](const RMEntry &E) {
+                                 return E.A == Access::R0 && E.L < NumRows;
+                               }),
+                Entries.end());
+  if (rowsPay(NumRows, New.Universe.size(), Count)) {
+    Universe = std::move(New.Universe);
+    Rows = std::move(New.Bits);
+    RowEntries = Count;
     return;
+  }
+  // Wide sparse rows: the entries are the smaller form.
+  std::vector<RMEntry> FromRows;
+  FromRows.reserve(Count);
+  for (size_t L = 0; L < NumRows; ++L)
+    BitMatrix::forEachBit(Bits.row(L), W, [&](size_t I) {
+      FromRows.push_back(RMEntry{static_cast<LabelId>(L), Access::R0,
+                                 Resource::fromRaw(New.Universe[I])});
+    });
   std::vector<RMEntry> Merged;
-  Merged.reserve(Entries.size() + New.size());
-  std::set_union(Entries.begin(), Entries.end(), New.begin(), New.end(),
-                 std::back_inserter(Merged));
+  Merged.reserve(Entries.size() + FromRows.size());
+  std::merge(Entries.begin(), Entries.end(), FromRows.begin(),
+             FromRows.end(), std::back_inserter(Merged));
   Entries.swap(Merged);
 }
 
-void ResourceMatrix::insertR0Rows(const std::vector<BitSet> &Rows,
-                                  const std::vector<uint32_t> &Universe) {
-  flush();
-  std::vector<RMEntry> New;
-  for (LabelId L = 0; L < Rows.size(); ++L)
-    Rows[L].forEach([&](size_t I) {
-      New.push_back(RMEntry{L, Access::R0, Resource::fromRaw(Universe[I])});
-    });
-  if (New.empty())
-    return;
-  std::vector<RMEntry> Merged;
-  Merged.reserve(Entries.size() + New.size());
-  std::set_union(Entries.begin(), Entries.end(), New.begin(), New.end(),
-                 std::back_inserter(Merged));
-  Entries.swap(Merged);
+void ResourceMatrix::insertR0Rows(const std::vector<BitSet> &BitRows,
+                                  const std::vector<uint32_t> &NewUniverse) {
+  R0Rows New;
+  New.Universe = NewUniverse;
+  New.layout(BitRows.size());
+  for (size_t L = 0; L < BitRows.size(); ++L)
+    BitRows[L].forEach([&](size_t I) { New.Bits.set(L, I); });
+  insertR0Rows(std::move(New));
+}
+
+void ResourceMatrix::insertR0Rows(
+    const std::vector<std::vector<uint32_t>> &RawRows) {
+  R0Rows New;
+  for (const std::vector<uint32_t> &Row : RawRows)
+    for (uint32_t Raw : Row)
+      New.name(Raw);
+  New.number();
+  New.layout(RawRows.size());
+  for (size_t L = 0; L < RawRows.size(); ++L)
+    for (uint32_t Raw : RawRows[L])
+      New.set(static_cast<LabelId>(L), Raw);
+  insertR0Rows(std::move(New));
 }
 
 std::vector<Resource> ResourceMatrix::resourcesAt(LabelId L, Access A) const {
-  flush();
   std::vector<Resource> Result;
+  if (inRows(L, A)) {
+    BitMatrix::forEachBit(Rows.row(L), Rows.wordsPerRow(), [&](size_t I) {
+      Result.push_back(Resource::fromRaw(Universe[I]));
+    });
+    return Result;
+  }
+  flush();
   auto It = std::lower_bound(Entries.begin(), Entries.end(),
                              RMEntry{L, A, Resource()});
   for (; It != Entries.end() && It->L == L && It->A == A; ++It)
@@ -109,29 +159,84 @@ std::vector<Resource> ResourceMatrix::resourcesAt(LabelId L, Access A) const {
 }
 
 std::vector<LabelId> ResourceMatrix::labels() const {
-  flush();
   std::vector<LabelId> Result;
-  for (const RMEntry &E : Entries)
+  for (const RMEntry &E : *this)
     if (Result.empty() || Result.back() != E.L)
       Result.push_back(E.L);
   return Result;
 }
 
+ResourceMatrix::const_iterator ResourceMatrix::begin() const {
+  flush();
+  const_iterator It(*this, Entries.data(), Entries.data() + Entries.size(),
+                    0);
+  It.seekRow(0, 0);
+  It.settle();
+  return It;
+}
+
+ResourceMatrix::const_iterator ResourceMatrix::end() const {
+  flush();
+  const RMEntry *Last = Entries.data() + Entries.size();
+  return const_iterator(*this, Last, Last, Rows.numRows());
+}
+
+void ResourceMatrix::const_iterator::seekRow(size_t L, size_t From) {
+  const BitMatrix &R = M->Rows;
+  size_t W = R.wordsPerRow();
+  for (; L < R.numRows(); ++L, From = 0) {
+    const uint64_t *Row = R.row(L);
+    for (size_t WI = From >> 6; WI < W; ++WI) {
+      uint64_t Word = Row[WI];
+      if (WI == From >> 6)
+        Word &= ~uint64_t(0) << (From & 63);
+      if (Word) {
+        RowL = L;
+        Bit = (WI << 6) + static_cast<size_t>(__builtin_ctzll(Word));
+        return;
+      }
+    }
+  }
+  RowL = R.numRows();
+  Bit = 0;
+}
+
+void ResourceMatrix::const_iterator::settle() {
+  bool HasRow = RowL < M->Rows.numRows();
+  if (!HasRow && Flat == FlatEnd)
+    return;
+  RMEntry RowHead;
+  if (HasRow)
+    RowHead = RMEntry{static_cast<LabelId>(RowL), Access::R0,
+                      Resource::fromRaw(M->Universe[Bit])};
+  FromRow = HasRow && (Flat == FlatEnd || RowHead < *Flat);
+  Cur = FromRow ? RowHead : *Flat;
+}
+
+bool ResourceMatrix::operator==(const ResourceMatrix &O) const {
+  return size() == O.size() && std::equal(begin(), end(), O.begin());
+}
+
 void ResourceMatrix::print(std::ostream &OS,
                            const ElaboratedProgram &Program) const {
-  flush();
-  for (const RMEntry &E : Entries)
+  for (const RMEntry &E : *this)
     OS << E.N.name(Program) << "@" << E.L << ":" << accessName(E.A) << '\n';
 }
 
-LabelIndexedRM::LabelIndexedRM(const ResourceMatrix &RM) {
-  if (RM.empty())
+LabelIndexedRM::LabelIndexedRM(const ResourceMatrix &RM) : Matrix(&RM) {
+  for (LabelId L = static_cast<LabelId>(RM.Rows.numRows()); L-- > 0;)
+    if (!BitMatrix::none(RM.Rows.row(L), RM.Rows.wordsPerRow())) {
+      MaxLabel = L;
+      break;
+    }
+  RM.flush();
+  if (RM.Entries.empty())
     return;
-  // begin() flushes, so the borrowed buffer is the final sorted storage.
-  const RMEntry *First = RM.begin(), *Last = RM.end();
+  const RMEntry *First = RM.Entries.data();
+  const RMEntry *Last = First + RM.Entries.size();
   Entries = First;
-  MaxLabel = (Last - 1)->L;
-  size_t NumSlots = (static_cast<size_t>(MaxLabel) + 1) * 4;
+  MaxLabel = std::max(MaxLabel, (Last - 1)->L);
+  size_t NumSlots = (static_cast<size_t>((Last - 1)->L) + 1) * 4;
   SlotStart.assign(NumSlots + 1, 0);
   for (const RMEntry *E = First; E != Last; ++E)
     ++SlotStart[static_cast<size_t>(E->L) * 4 + static_cast<size_t>(E->A) +

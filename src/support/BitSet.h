@@ -213,7 +213,7 @@ public:
   void reset(size_t NumRows, size_t NumBits) {
     Rows = NumRows;
     Bits = NumBits;
-    WPR = ((NumBits + 63) / 64 + 3) & ~size_t(3);
+    WPR = wordsPerRowFor(NumBits);
     Words.assign(Rows * WPR + 3, 0);
     uintptr_t P = reinterpret_cast<uintptr_t>(Words.data());
     Base = Words.data() + (((P + 31) & ~uintptr_t(31)) - P) / 8;
@@ -222,6 +222,10 @@ public:
   size_t numRows() const { return Rows; }
   size_t numBits() const { return Bits; }
   size_t wordsPerRow() const { return WPR; }
+  /// The padded row width, in words, of a matrix of \p NumBits columns.
+  static size_t wordsPerRowFor(size_t NumBits) {
+    return ((NumBits + 63) / 64 + 3) & ~size_t(3);
+  }
 
   uint64_t *row(size_t R) {
     assert(R < Rows && "row out of range");
@@ -252,6 +256,11 @@ public:
     for (size_t I = 0; I < W; ++I)
       Dst[I] &= Src[I];
   }
+  /// Dst &= ~Src (and-not).
+  static void subtract(uint64_t *Dst, const uint64_t *Src, size_t W) {
+    for (size_t I = 0; I < W; ++I)
+      Dst[I] &= ~Src[I];
+  }
   static void copy(uint64_t *Dst, const uint64_t *Src, size_t W) {
     for (size_t I = 0; I < W; ++I)
       Dst[I] = Src[I];
@@ -281,6 +290,18 @@ public:
       if (A[I] != B[I])
         return false;
     return true;
+  }
+  static bool none(const uint64_t *Span, size_t W) {
+    for (size_t I = 0; I < W; ++I)
+      if (Span[I])
+        return false;
+    return true;
+  }
+  static size_t count(const uint64_t *Span, size_t W) {
+    size_t N = 0;
+    for (size_t I = 0; I < W; ++I)
+      N += static_cast<size_t>(__builtin_popcountll(Span[I]));
+    return N;
   }
   /// Calls \p F(index) for every set bit of the \p W-word span, ascending.
   template <typename Fn>

@@ -41,6 +41,16 @@ std::string vif::workloads::chainStatements(unsigned N) {
   return OS.str();
 }
 
+std::string vif::workloads::independentCopies(unsigned N) {
+  std::ostringstream OS;
+  for (unsigned I = 0; I < N; ++I)
+    OS << "variable a_" << I << " : std_logic;\n"
+       << "variable x_" << I << " : std_logic;\n";
+  for (unsigned I = 0; I < N; ++I)
+    OS << "x_" << I << " := a_" << I << ";\n";
+  return OS.str();
+}
+
 std::string vif::workloads::tempReuseLadder(unsigned Groups, unsigned Temps) {
   std::ostringstream OS;
   for (unsigned G = 0; G < Groups; ++G)

@@ -25,6 +25,11 @@ namespace workloads {
 /// n-edge path; Kemmerer's closure is the O(n^2)-edge order relation.
 std::string chainStatements(unsigned N);
 
+/// x_i := a_i for i < N: N independent copies. Each label reads one of
+/// ~2N resources, so the closed RMgl's Table 8 rows are wide and nearly
+/// empty — the shape whose R0 entries are cheaper flat than as rows.
+std::string independentCopies(unsigned N);
+
 /// \p Groups groups of \p Temps values rotated through shared temporaries —
 /// the generalized ShiftRows shape. Nodes a_G_T, temporaries t_T.
 std::string tempReuseLadder(unsigned Groups, unsigned Temps);

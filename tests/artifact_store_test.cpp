@@ -22,6 +22,7 @@
 #include "driver/AnalysisSession.h"
 #include "driver/ArtifactStore.h"
 #include "parse/Parser.h"
+#include "support/BinaryIO.h"
 #include "workloads/Synthetic.h"
 
 #include <gtest/gtest.h>
@@ -228,6 +229,146 @@ TEST(ArtifactCodec, DesignBlobRoundTrips) {
   ResourceMatrix A, B;
   Digraph G;
   EXPECT_FALSE(decodeDesignArtifact(Blob + "z", A, B, G));
+}
+
+/// The design blob's tagged sections, split and re-joined byte for byte.
+std::vector<std::pair<std::string, std::string>>
+splitSections(std::string_view Payload) {
+  std::vector<std::pair<std::string, std::string>> Sections;
+  ByteReader R(Payload);
+  while (R.ok() && !R.atEnd()) {
+    char Tag[4];
+    R.bytes(Tag, 4);
+    std::string_view Body = R.str();
+    Sections.emplace_back(std::string(Tag, 4), std::string(Body));
+  }
+  EXPECT_TRUE(R.ok());
+  return Sections;
+}
+
+std::string
+joinSections(const std::vector<std::pair<std::string, std::string>> &S) {
+  ByteWriter W;
+  for (const auto &[Tag, Body] : S) {
+    W.bytes(Tag.data(), 4);
+    W.str(Body);
+  }
+  return W.take();
+}
+
+TEST(ArtifactCodec, CorruptMatrixSectionsAreMisses) {
+  // A matrix section is a u64 entry count and 9-byte (u32 label, u8
+  // access, u32 resource) entries in strictly ascending order. Every
+  // fault below must make the whole design blob undecodable, so the
+  // store reads it as a miss — in RMLO (decoded flat) and in RMGL
+  // (decoded into flat entries plus R0 rows) alike.
+  constexpr size_t Head = 8, Entry = 9;
+  for (const std::string &Source :
+       {std::string(MuxSource), workloads::pipelineDesign(4)}) {
+    AnalysisSession S =
+        AnalysisSession::fromSource("d.vhd", Source, SessionOptions());
+    const IFAResult *R = S.ifa();
+    ASSERT_NE(R, nullptr);
+    std::string Blob = encodeDesignArtifact(*R);
+    auto Sections = splitSections(Blob);
+    ASSERT_EQ(Sections.size(), 3u);
+    ASSERT_EQ(joinSections(Sections), Blob);
+
+    auto decodes = [](const std::string &Payload) {
+      ResourceMatrix Lo, Gl;
+      Digraph G;
+      return decodeDesignArtifact(Payload, Lo, Gl, G);
+    };
+    ASSERT_TRUE(decodes(Blob));
+    for (size_t SI : {size_t(0), size_t(1)}) {
+      const std::string &Body = Sections[SI].second;
+      size_t N = (Body.size() - Head) / Entry;
+      ASSERT_GE(N, 3u) << Sections[SI].first;
+      auto at = [&](size_t I) { return Head + I * Entry; };
+      // Probe the ends, the middle and the first R0 entry (a row bit in
+      // RMGL).
+      std::vector<size_t> Probes = {0, N / 2, N - 2};
+      for (size_t I = 0; I + 1 < N; ++I)
+        if (Body[at(I) + 4] == static_cast<char>(Access::R0)) {
+          Probes.push_back(I);
+          break;
+        }
+      auto expectMiss = [&](std::string Faulty, const char *What,
+                            size_t I) {
+        auto Copy = Sections;
+        Copy[SI].second = std::move(Faulty);
+        EXPECT_FALSE(decodes(joinSections(Copy)))
+            << Sections[SI].first << ": " << What << " at entry " << I;
+      };
+      for (size_t I : Probes) {
+        std::string Swapped = Body;
+        std::swap_ranges(Swapped.begin() + at(I),
+                         Swapped.begin() + at(I + 1),
+                         Swapped.begin() + at(I + 1));
+        expectMiss(Swapped, "two entries swapped", I);
+
+        std::string Repeated = Body;
+        Repeated.insert(at(I + 1), Body, at(I), Entry);
+        ByteWriter Count;
+        Count.u64(N + 1);
+        Repeated.replace(0, Head, Count.take());
+        expectMiss(Repeated, "an entry repeated", I);
+
+        std::string BadAccess = Body;
+        BadAccess[at(I) + 4] = 4;
+        expectMiss(BadAccess, "access byte 4", I);
+      }
+      std::string Overcount = Body;
+      ByteWriter Count;
+      Count.u64(N + 1);
+      Overcount.replace(0, Head, Count.take());
+      expectMiss(Overcount, "entry count past the payload", N);
+    }
+  }
+}
+
+TEST(ArtifactCodec, WideSparseRowsRoundTripAsHits) {
+  // 4 096 independent copies: the closed RMgl's Table 8 rows would be
+  // ~2N bits wide and one bit deep, so both the closure and the decoder
+  // keep those R0 entries flat (ResourceMatrix::rowsPay). The blob the
+  // store wrote must decode as a hit, re-encode byte for byte, and serve
+  // a restart without a solver.
+  SessionOptions Opts;
+  Opts.Statements = true;
+  std::string Source = workloads::independentCopies(4096);
+  TempStoreDir Dir;
+  std::string Cold;
+  {
+    ArtifactStore Store(Dir.Path);
+    ProcessArtifactTable Table;
+    Table.setBacking(&Store);
+    AnalysisSession S = AnalysisSession::fromSource("c.vhd", Source, Opts);
+    S.setArtifacts(&Table, &Store);
+    Cold = renderIfa(S);
+    const IFAResult *R = S.ifa();
+    ASSERT_NE(R, nullptr);
+    std::string Blob = encodeDesignArtifact(*R);
+    ResourceMatrix Lo, Gl;
+    Digraph G;
+    ASSERT_TRUE(decodeDesignArtifact(Blob, Lo, Gl, G));
+    EXPECT_TRUE(Gl == R->RMgl);
+    EXPECT_LE(Gl.memoryBytes(), 2 * Gl.size() * sizeof(RMEntry));
+    IFAResult Decoded;
+    Decoded.RMlo = std::move(Lo);
+    Decoded.RMgl = std::move(Gl);
+    Decoded.Graph = std::move(G);
+    EXPECT_EQ(encodeDesignArtifact(Decoded), Blob);
+  }
+  ArtifactStore Store(Dir.Path);
+  ProcessArtifactTable Table;
+  Table.setBacking(&Store);
+  AnalysisSession S = AnalysisSession::fromSource("c.vhd", Source, Opts);
+  S.setArtifacts(&Table, &Store);
+  EXPECT_EQ(renderIfa(S), Cold);
+  EXPECT_EQ(S.timings().IfaMs, 0.0);
+  EXPECT_GE(Store.counters().Hits, 1u);
+  EXPECT_EQ(Store.counters().Misses, 0u);
+  EXPECT_EQ(Store.counters().Writes, 0u);
 }
 
 TEST(ArtifactCodec, QueryIndexRoundTripsAndValidatesShape) {

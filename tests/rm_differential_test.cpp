@@ -3,8 +3,9 @@
 // Part of the vif project; see DESIGN.md for the paper reference.
 //
 // The ResourceMatrix runs on a dense sorted-run backend (flat entry
-// vector + lazily merged insert buffer); the historical std::set backend
-// is the test-only oracle ReferenceResourceMatrix (tests/oracle/).
+// vector + lazily merged insert buffer, plus adopted R0 bit rows); the
+// historical std::set backend is the test-only oracle
+// ReferenceResourceMatrix (tests/oracle/).
 // Likewise the Table 8 closure propagates BitSet R0 rows over a
 // design-level resource numbering, with the sorted-vector rows retained
 // behind IFAOptions::ReferenceClosure.
@@ -26,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 
 using namespace vif;
 
@@ -201,6 +203,177 @@ TEST(RmBackendDifferential, BulkR0RowsAgree) {
     EXPECT_TRUE(extractFlowGraph(DenseBits, P).sameFlows(
         extractFlowGraph(R.RMgl, P)))
         << W.Name;
+  }
+}
+
+/// Checks a closed RMgl (flat entries plus adopted R0 rows) against a
+/// ReferenceResourceMatrix built entry by entry from its per-slot answers
+/// (resourcesAt), four ways: size(), the iterated entry sequence, the
+/// print bytes, and contains/resourcesAt on every (label, access) slot —
+/// empty slots and labels past the last one included. Each reader walks
+/// the factored form by a different path, so they must all agree with
+/// the one std::set relation.
+void expectMatchesEntryByEntry(const ResourceMatrix &RM,
+                               const ElaboratedProgram &P,
+                               const std::string &What) {
+  std::vector<LabelId> Labels = RM.labels();
+  LabelId Past = (Labels.empty() ? 0 : Labels.back()) + 3;
+  const Access Accesses[] = {Access::M0, Access::M1, Access::R0, Access::R1};
+  ReferenceResourceMatrix Ref;
+  std::vector<Resource> Seen[4]; // every resource named per access
+  for (LabelId L = 0; L <= Past; ++L)
+    for (Access A : Accesses)
+      for (Resource N : RM.resourcesAt(L, A)) {
+        EXPECT_TRUE(Ref.insert(N, L, A)) << What << ": slot repeats " << L;
+        Seen[static_cast<size_t>(A)].push_back(N);
+      }
+  for (std::vector<Resource> &S : Seen) {
+    std::sort(S.begin(), S.end());
+    S.erase(std::unique(S.begin(), S.end()), S.end());
+  }
+
+  // 1. size.
+  ASSERT_EQ(RM.size(), Ref.size()) << What;
+  // 2. entry sequence.
+  std::vector<RMEntry> Stream = entriesOf(RM), RefStream = entriesOf(Ref);
+  ASSERT_EQ(Stream.size(), RefStream.size()) << What;
+  for (size_t I = 0; I < Stream.size(); ++I)
+    ASSERT_TRUE(Stream[I] == RefStream[I]) << What << ": entry " << I;
+  std::vector<LabelId> RefLabels;
+  for (const RMEntry &E : RefStream)
+    if (RefLabels.empty() || RefLabels.back() != E.L)
+      RefLabels.push_back(E.L);
+  EXPECT_EQ(Labels, RefLabels) << What;
+  // 3. print bytes.
+  std::ostringstream Printed, RefPrinted;
+  RM.print(Printed, P);
+  for (const RMEntry &E : RefStream)
+    RefPrinted << E.N.name(P) << "@" << E.L << ":" << accessName(E.A)
+               << '\n';
+  EXPECT_EQ(Printed.str(), RefPrinted.str()) << What;
+  // 4. per-slot answers: contains on every member and on 16 other
+  // resources the access names somewhere, rotating with the label.
+  LabelIndexedRM View(RM);
+  EXPECT_EQ(View.maxLabel(), Labels.empty() ? 0 : Labels.back()) << What;
+  for (LabelId L = 0; L <= Past; ++L)
+    for (Access A : Accesses) {
+      std::vector<Resource> At = RM.resourcesAt(L, A);
+      LabelIndexedRM::RawRun Run = View.at(L, A);
+      ASSERT_EQ(Run.size(), At.size()) << What << " @" << L;
+      size_t I = 0;
+      for (uint32_t Raw : Run)
+        EXPECT_EQ(Raw, At[I++].raw()) << What << " @" << L;
+      for (Resource N : At)
+        ASSERT_TRUE(RM.contains(N, L, A)) << What << " @" << L;
+      const std::vector<Resource> &Names = Seen[static_cast<size_t>(A)];
+      for (size_t K = 0; K < std::min<size_t>(16, Names.size()); ++K) {
+        Resource N = Names[(L * 7 + K) % Names.size()];
+        ASSERT_EQ(RM.contains(N, L, A), Ref.contains(N, L, A))
+            << What << ": " << N.name(P) << "@" << L << ":"
+            << accessName(A);
+      }
+    }
+}
+
+TEST(RmBackendDifferential, FactoredRmglMatchesReferenceEntryByEntry) {
+  std::vector<Workload> All = corpus();
+  All.push_back({"aes-core", workloads::aesCoreDesign(1), true});
+  All.push_back({"chain300", workloads::chainStatements(300), false});
+  All.push_back({"pipeline64", workloads::pipelineDesign(64), true});
+  // Wide sparse rows: RMgl enters them flat (ResourceMatrix::rowsPay).
+  All.push_back({"copies256", workloads::independentCopies(256), false});
+  for (const Workload &W : All) {
+    ElaboratedProgram P = elaborate(W.Source, W.IsDesign);
+    ProgramCFG CFG = ProgramCFG::build(P);
+    // Plain, --improved, --end-out, and the reference closure's
+    // sorted-vector rows going through the same adoption.
+    for (int Mode = 0; Mode < 4; ++Mode) {
+      IFAOptions Opts;
+      Opts.Improved = Mode == 1;
+      Opts.ProgramEndOutgoing = Mode == 2;
+      Opts.ReferenceClosure = Mode == 3;
+      IFAResult R = analyzeInformationFlow(P, CFG, Opts);
+      std::string What = std::string(W.Name) + " mode " +
+                         std::to_string(Mode);
+      expectMatchesEntryByEntry(R.RMgl, P, What);
+      // RMlo has no rows; it answers through the flat part alone.
+      if (Mode == 0)
+        expectMatchesEntryByEntry(R.RMlo, P, What + " RMlo");
+    }
+  }
+}
+
+TEST(RmBackendDifferential, AdoptedRowsStayOneSet) {
+  // One adoption amid an insert stream, as the closure does it: the rows
+  // start from the present R0 entries at their labels and add more, and
+  // later R0 inserts at row labels name resources of the rows' universe.
+  // Odd seeds lay out dense rows (kept as rows), even seeds sparse ones
+  // (entered flat, see ResourceMatrix::rowsPay): the same set as the
+  // reference either way.
+  const Access Accesses[] = {Access::M0, Access::M1, Access::R0, Access::R1};
+  for (uint64_t Seed = 1; Seed <= 20; ++Seed) {
+    Rng R(Seed);
+    auto randomResource = [&R] {
+      unsigned Id = static_cast<unsigned>(R.next() % 12);
+      return R.next() % 2 ? Resource::variable(Id) : Resource::signal(Id);
+    };
+    ResourceMatrix Dense;
+    ReferenceResourceMatrix Ref;
+    size_t NumRows = 4 + R.next() % 16;
+    std::vector<uint32_t> Universe;
+    auto insertSome = [&](size_t Count) {
+      for (size_t I = 0; I < Count; ++I) {
+        Resource N = randomResource();
+        LabelId L = static_cast<LabelId>(R.next() % 24);
+        Access A = Accesses[R.next() % 4];
+        if (A == Access::R0 && L < NumRows && !Universe.empty())
+          N = Resource::fromRaw(Universe[R.next() % Universe.size()]);
+        EXPECT_EQ(Dense.insert(N, L, A), Ref.insert(N, L, A)) << Seed;
+      }
+    };
+    auto expectSame = [&](const char *When) {
+      ASSERT_EQ(Dense.size(), Ref.size()) << Seed << " " << When;
+      std::vector<RMEntry> A = entriesOf(Dense), B = entriesOf(Ref);
+      ASSERT_EQ(A.size(), B.size()) << Seed << " " << When;
+      for (size_t I = 0; I < A.size(); ++I)
+        ASSERT_TRUE(A[I] == B[I]) << Seed << " " << When << " at " << I;
+      for (size_t I = 0; I < 200; ++I) {
+        Resource N = randomResource();
+        LabelId L = static_cast<LabelId>(R.next() % 26);
+        Access Acc = Accesses[R.next() % 4];
+        ASSERT_EQ(Dense.contains(N, L, Acc), Ref.contains(N, L, Acc))
+            << Seed << " " << When;
+      }
+    };
+    insertSome(60);
+    std::vector<RMEntry> Present = entriesOf(Ref);
+    auto atRowLabel = [NumRows](const RMEntry &E) {
+      return E.A == Access::R0 && E.L < NumRows;
+    };
+    R0Rows New;
+    for (size_t I = 0; I < 8; ++I)
+      New.name(randomResource().raw());
+    for (const RMEntry &E : Present)
+      if (atRowLabel(E))
+        New.name(E.N.raw());
+    New.number();
+    New.layout(NumRows);
+    for (const RMEntry &E : Present)
+      if (atRowLabel(E))
+        New.set(E.L, E.N.raw());
+    unsigned OneIn = Seed % 2 ? 2 : 24;
+    for (size_t L = 0; L < NumRows; ++L)
+      for (size_t B = 0; B < New.Universe.size(); ++B)
+        if (R.next() % OneIn == 0) {
+          New.Bits.set(L, B);
+          Ref.insert(Resource::fromRaw(New.Universe[B]),
+                     static_cast<LabelId>(L), Access::R0);
+        }
+    Universe = New.Universe;
+    Dense.insertR0Rows(std::move(New));
+    expectSame("after the adoption");
+    insertSome(60);
+    expectSame("after inserts over the rows");
   }
 }
 

@@ -240,6 +240,23 @@ TEST(Synthetic, AesCoreKeepsOnlyWhatTableSevenReads) {
   size_t Unflushed = R.Graph.memoryBytes();
   EXPECT_EQ(R.Graph.numEdges(), 16896u);
   EXPECT_EQ(R.Graph.memoryBytes(), Unflushed);
+  // RMgl keeps the Table 8 rows instead of flattening them into 890 814
+  // 12-byte entries (~10 MB, and ~32 MB of merge buffers on the way).
+  EXPECT_EQ(R.RMgl.size(), 890814u);
+  EXPECT_LE(R.RMgl.memoryBytes(), size_t(2) << 20);
+  EXPECT_GE(R.memoryBytes(), R.RMlo.memoryBytes() + R.RMgl.memoryBytes());
+}
+
+TEST(Synthetic, WideSparseRowsStayFlat) {
+  // 4 096 independent copies: each label reads one of ~2N resources.
+  // Kept as Table 8 rows the closed RMgl would cost a padded ~2N-bit row
+  // per label (~2 MB, ~20x the entries); RMgl enters such rows flat
+  // instead, which costs the entries plus the insert buffer's slack.
+  Analyzed A = elaborate(workloads::independentCopies(4096), false);
+  IFAResult R = analyzeInformationFlow(A.Program, A.CFG);
+  EXPECT_EQ(R.RMgl.size(), 8192u);
+  EXPECT_EQ(R.Graph.numEdges(), 4096u);
+  EXPECT_LE(R.RMgl.memoryBytes(), 4 * R.RMgl.size() * sizeof(RMEntry));
 }
 
 TEST(Synthetic, AesCoreTenRoundsEndToEnd) {

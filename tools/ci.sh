@@ -98,6 +98,31 @@ store_out2=$("$BUILD_DIR/vifc" flows --store "$store_dir" \
 rm -rf "$store_dir"
 echo "store smoke passed"
 
+# Large-matrix store step: pipeline/256 (66 560 RMgl entries, nearly all of
+# them Table 8 rows) through `vifc rm --store`. The restart must be a pure
+# hit with byte-identical stdout, so the RMGL section decodes back into the
+# same matrix; the --json entry count must match the text's RMgl lines.
+store_dir=$(mktemp -d)
+"$BUILD_DIR/perfbench/perfbench_layers" gen "$store_dir" >/dev/null
+"$BUILD_DIR/vifc" rm --store "$store_dir/s" "$store_dir/pipeline256.vhd" \
+  >"$store_dir/out1" 2>"$store_dir/err1"
+"$BUILD_DIR/vifc" rm --store "$store_dir/s" "$store_dir/pipeline256.vhd" \
+  >"$store_dir/out2" 2>"$store_dir/err2"
+cmp -s "$store_dir/out1" "$store_dir/out2" \
+  && grep -q '1 hit(s), 0 miss(es), 0 write(s)' "$store_dir/err2" \
+  || { echo "large-matrix store step failed:"
+       cat "$store_dir/err1" "$store_dir/err2"; exit 1; }
+rmgl_lines=$(sed -n '/^== RMgl/,$p' "$store_dir/out1" | grep -vc '^== ')
+if command -v python3 >/dev/null; then
+  "$BUILD_DIR/vifc" rm --json "$store_dir/pipeline256.vhd" \
+    | python3 -c 'import json, sys
+n = json.load(sys.stdin)["designs"][0]["matrices"]["rmgl"]
+assert n == int(sys.argv[1]) == 66560, "rmgl: %d json, %s text" % (n, sys.argv[1])' \
+      "$rmgl_lines"
+fi
+rm -rf "$store_dir"
+echo "large-matrix store step passed"
+
 # Concurrent serve smoke: N TCP clients against a spawned server with a
 # worker pool — request/response pairing, stats balance, clean shutdown
 # (tools/serve_load_smoke.py).
