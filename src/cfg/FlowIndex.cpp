@@ -6,24 +6,20 @@
 
 #include "cfg/FlowIndex.h"
 
-#include <algorithm>
-
 using namespace vif;
 
-FlowIndex::FlowIndex(const ProcessCFG &P) : Labels(P.Labels) {
-  size_t N = Labels.size();
-
-  auto Local = [this](LabelId L) {
-    auto It = std::lower_bound(Labels.begin(), Labels.end(), L);
-    assert(It != Labels.end() && *It == L && "label not in process");
-    return static_cast<uint32_t>(It - Labels.begin());
-  };
+FlowIndex::FlowIndex(const ProcessCFG &P)
+    : First(P.Labels.empty() ? 0 : P.Labels.front()),
+      NumLabels(P.Labels.size()) {
+  size_t N = NumLabels;
+  assert((N == 0 || P.Labels.back() - First + 1 == N) &&
+         "process labels are not one contiguous run");
 
   // Counting sort of the flow edges into CSR form, both directions.
   std::vector<uint32_t> SuccCount(N, 0), PredCount(N, 0);
   for (const auto &[From, To] : P.Flow) {
-    ++SuccCount[Local(From)];
-    ++PredCount[Local(To)];
+    ++SuccCount[localOf(From)];
+    ++PredCount[localOf(To)];
   }
   SuccStart.assign(N + 1, 0);
   PredStart.assign(N + 1, 0);
@@ -36,7 +32,7 @@ FlowIndex::FlowIndex(const ProcessCFG &P) : Labels(P.Labels) {
   std::vector<uint32_t> SuccFill(SuccStart.begin(), SuccStart.end() - 1);
   std::vector<uint32_t> PredFill(PredStart.begin(), PredStart.end() - 1);
   for (const auto &[From, To] : P.Flow) {
-    uint32_t F = Local(From), T = Local(To);
+    uint32_t F = localOf(From), T = localOf(To);
     SuccList[SuccFill[F]++] = T;
     PredList[PredFill[T]++] = F;
   }
@@ -52,7 +48,7 @@ FlowIndex::FlowIndex(const ProcessCFG &P) : Labels(P.Labels) {
       uint32_t NextSucc;
     };
     std::vector<Frame> Stack;
-    uint32_t Init = Local(P.Init);
+    uint32_t Init = localOf(P.Init);
     Visited[Init] = 1;
     Stack.push_back({Init, 0});
     while (!Stack.empty()) {
@@ -74,10 +70,4 @@ FlowIndex::FlowIndex(const ProcessCFG &P) : Labels(P.Labels) {
   for (uint32_t I = 0; I < N; ++I)
     if (!Visited[I])
       RPO.push_back(I);
-}
-
-uint32_t FlowIndex::localOf(LabelId L) const {
-  auto It = std::lower_bound(Labels.begin(), Labels.end(), L);
-  assert(It != Labels.end() && *It == L && "label not in process");
-  return static_cast<uint32_t>(It - Labels.begin());
 }

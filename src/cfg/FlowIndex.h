@@ -7,7 +7,7 @@
 /// \file
 /// Compressed-sparse-row successor/predecessor adjacency over one process's
 /// flow relation, in local label indices (positions within the ascending
-/// ProcessCFG::Labels vector), built once per process and shared by the
+/// ProcessCFG::Labels run), built once per process and shared by the
 /// dense rd solvers. Also provides a reverse postorder from init(ss), which
 /// seeds the worklists so forward analyses see predecessors before
 /// successors on the first sweep.
@@ -19,6 +19,7 @@
 
 #include "cfg/CFG.h"
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -29,13 +30,18 @@ public:
   explicit FlowIndex(const ProcessCFG &P);
 
   /// Number of labels in the process.
-  size_t numLabels() const { return Labels.size(); }
+  size_t numLabels() const { return NumLabels; }
 
   /// The global label at local index \p I.
-  LabelId label(size_t I) const { return Labels[I]; }
+  LabelId label(size_t I) const { return First + static_cast<LabelId>(I); }
 
   /// The local index of global label \p L (must belong to the process).
-  uint32_t localOf(LabelId L) const;
+  /// ProgramCFG::build numbers each process's labels as one contiguous
+  /// run, so it is the offset from the first.
+  uint32_t localOf(LabelId L) const {
+    assert(L - First < NumLabels && "label not in process");
+    return L - First;
+  }
 
   /// Successors / predecessors of local index \p I, as local indices.
   struct Range {
@@ -59,7 +65,9 @@ public:
   const std::vector<uint32_t> &rpo() const { return RPO; }
 
 private:
-  std::vector<LabelId> Labels; ///< ascending; == ProcessCFG::Labels
+  /// ProcessCFG::Labels, a contiguous run: First, First + 1, ...
+  LabelId First = 0;
+  size_t NumLabels = 0;
   std::vector<uint32_t> SuccStart, SuccList;
   std::vector<uint32_t> PredStart, PredList;
   std::vector<uint32_t> RPO;

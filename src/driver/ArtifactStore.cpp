@@ -9,6 +9,7 @@
 #include "support/BinaryIO.h"
 #include "support/Hash.h"
 
+#include <cassert>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -51,133 +52,231 @@ bool readSection(ByteReader &R, const char (&Tag)[5],
   return R.ok() && std::memcmp(T, Tag, 4) == 0;
 }
 
-std::string encodeMatrix(const ResourceMatrix &M) {
-  ByteWriter W;
-  W.u64(M.size());
-  for (const RMEntry &E : M) {
-    W.u32(E.L);
-    W.u8(static_cast<uint8_t>(E.A));
-    W.u32(E.N.raw());
+/// Raw u64 words, little-endian: a plain copy on little-endian hosts.
+void putWords(ByteWriter &W, const uint64_t *Words, size_t N) {
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+  W.bytes(Words, N * sizeof(uint64_t));
+#else
+  for (size_t I = 0; I < N; ++I)
+    W.u64(Words[I]);
+#endif
+}
+
+void getWords(ByteReader &R, uint64_t *Words, size_t N) {
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+  R.bytes(Words, N * sizeof(uint64_t));
+#else
+  for (size_t I = 0; I < N; ++I)
+    Words[I] = R.u64();
+#endif
+}
+
+/// A matrix's flat entries: a varint count, then per entry the label
+/// delta, the access byte and the resource — a delta to the previous
+/// one within a (label, access) run, absolute where a run starts.
+void encodeEntries(ByteWriter &W, const std::vector<RMEntry> &Entries) {
+  W.varint(static_cast<uint32_t>(Entries.size()));
+  LabelId PrevL = 0;
+  int PrevA = -1;
+  uint32_t PrevN = 0;
+  for (const RMEntry &E : Entries) {
+    int A = static_cast<int>(E.A);
+    bool SameRun = E.L == PrevL && A == PrevA;
+    W.varint(E.L - PrevL);
+    W.u8(static_cast<uint8_t>(A));
+    W.varint(SameRun ? E.N.raw() - PrevN : E.N.raw());
+    PrevL = E.L;
+    PrevA = A;
+    PrevN = E.N.raw();
   }
+}
+
+/// Reads encodeEntries' stream. The grammar admits only ascending
+/// labels; within a label an access above R1 or below the previous one
+/// (entries out of order), a zero resource delta (an entry repeated), a
+/// label or resource past 32 bits, or a count the payload cannot hold
+/// fails the decode.
+bool decodeEntries(ByteReader &R, std::vector<RMEntry> &Out) {
+  uint32_t N = R.varint();
+  if (!R.ok() || N > R.remaining() / 3) // an entry takes at least 3 bytes
+    return false;
+  Out.reserve(N);
+  uint64_t L = 0, Res = 0;
+  int PrevA = -1;
+  for (uint32_t I = 0; I < N; ++I) {
+    uint32_t DL = R.varint();
+    int A = R.u8();
+    uint32_t X = R.varint();
+    L += DL;
+    if (DL)
+      PrevA = -1;
+    if (A > static_cast<int>(Access::R1) || A < PrevA ||
+        (A == PrevA && X == 0))
+      return false;
+    Res = A == PrevA ? Res + X : X;
+    if (L > UINT32_MAX || Res > UINT32_MAX)
+      return false;
+    PrevA = A;
+    Out.push_back(RMEntry{static_cast<LabelId>(L), static_cast<Access>(A),
+                          Resource::fromRaw(static_cast<uint32_t>(Res))});
+  }
+  return R.ok();
+}
+
+/// The R0 rows of a matrix: the universe size, then (when non-zero) the
+/// universe as delta varints, the row count and each row's meaningful
+/// words. Zero-width rows (no R0 entry anywhere) are written as none.
+void encodeRows(ByteWriter &W, const ResourceMatrix &M) {
+  const std::vector<uint32_t> &Universe = M.rowUniverse();
+  W.varint(static_cast<uint32_t>(Universe.size()));
+  if (Universe.empty())
+    return;
+  uint32_t Prev = 0;
+  for (uint32_t Raw : Universe) {
+    W.varint(Raw - Prev);
+    Prev = Raw;
+  }
+  const BitMatrix &Rows = M.rows();
+  size_t Words = (Universe.size() + 63) / 64;
+  W.varint(static_cast<uint32_t>(Rows.numRows()));
+  for (size_t L = 0; L < Rows.numRows(); ++L)
+    putWords(W, Rows.row(L), Words);
+}
+
+/// Reads encodeRows' part into \p Rows (no rows: zero rows). A universe
+/// not strictly ascending, a row count of zero beside a universe or past
+/// the payload, or a bit set past the universe fails the decode.
+bool decodeRows(ByteReader &R, R0Rows &Rows) {
+  uint32_t U = R.varint();
+  if (!R.ok() || U > R.remaining()) // an id takes at least a byte
+    return false;
+  if (U == 0)
+    return true;
+  Rows.Universe.resize(U);
+  uint64_t Raw = 0;
+  for (uint32_t I = 0; I < U; ++I) {
+    uint32_t D = R.varint();
+    Raw += D;
+    if ((I && D == 0) || Raw > UINT32_MAX)
+      return false;
+    Rows.Universe[I] = static_cast<uint32_t>(Raw);
+  }
+  size_t Words = (static_cast<size_t>(U) + 63) / 64;
+  uint32_t NumRows = R.varint();
+  if (!R.ok() || NumRows == 0 ||
+      NumRows > R.remaining() / (Words * sizeof(uint64_t)))
+    return false;
+  Rows.layout(NumRows);
+  uint64_t Padding = U % 64 ? ~uint64_t(0) << (U % 64) : 0;
+  for (uint32_t L = 0; L < NumRows; ++L) {
+    uint64_t *Row = Rows.Bits.row(L);
+    getWords(R, Row, Words);
+    if (Row[Words - 1] & Padding)
+      return false;
+  }
+  return R.ok();
+}
+
+/// A matrix section: the flat entries, then — for RMGL — the R0 rows.
+std::string encodeMatrix(const ResourceMatrix &M, bool WithRows) {
+  assert((WithRows || M.rows().numRows() == 0) && "rows in a flat section");
+  ByteWriter W;
+  const std::vector<RMEntry> &Flat = M.flatEntries();
+  size_t RowWords = M.rows().numRows() * ((M.rowUniverse().size() + 63) / 64);
+  W.reserve(Flat.size() * 4 + M.rowUniverse().size() * 2 +
+            RowWords * sizeof(uint64_t) + 16);
+  encodeEntries(W, Flat);
+  if (WithRows)
+    encodeRows(W, M);
   return W.take();
 }
 
-/// Reads one (u32 label, u8 access, u32 resource) entry; the access byte
-/// is returned unchecked in \p A.
-RMEntry readEntry(ByteReader &R, uint8_t &A) {
-  RMEntry E;
-  E.L = R.u32();
-  A = R.u8();
-  E.N = Resource::fromRaw(R.u32());
-  E.A = static_cast<Access>(A);
-  return E;
-}
-
-/// Decodes a matrix section into the form the pipeline builds: flat, or
-/// (\p R0AsRows, the closed RMgl) flat non-R0 entries plus R0 rows when
-/// ResourceMatrix::rowsPay — the rule the closure's adoption applies, so
-/// the row allocation is bounded by the section's own R0 entry count. One
-/// validating scan reads every entry — access in range and strictly
-/// ascending, which also rejects the duplicates and reorderings only
-/// corruption produces — fills the flat part and numbers the rows; a
-/// second scan sets the row bits (or, for sparse rows, reads every entry
-/// flat). No per-entry insert.
-bool decodeMatrix(std::string_view Blob, ResourceMatrix &M, bool R0AsRows) {
-  constexpr size_t EntryBytes = 9;
+/// Decodes a matrix section straight into the factored form: the flat
+/// entries as they are, the rows adopted through insertR0Rows.
+bool decodeMatrix(std::string_view Blob, ResourceMatrix &M, bool WithRows) {
   ByteReader R(Blob);
-  uint64_t N = R.u64();
-  if (!R.ok() || N > R.remaining() / EntryBytes ||
-      R.remaining() != N * EntryBytes)
-    return false;
   std::vector<RMEntry> Flat;
-  if (!R0AsRows)
-    Flat.reserve(static_cast<size_t>(N));
   R0Rows Rows;
-  size_t NumRows = 0, NumR0 = 0;
-  RMEntry Prev;
-  for (uint64_t I = 0; I < N; ++I) {
-    uint8_t A;
-    RMEntry E = readEntry(R, A);
-    if (A > static_cast<uint8_t>(Access::R1) || (I && !(Prev < E)))
-      return false;
-    Prev = E;
-    if (R0AsRows && E.A == Access::R0) {
-      Rows.name(E.N.raw());
-      NumRows = static_cast<size_t>(E.L) + 1;
-      ++NumR0;
-    } else {
-      Flat.push_back(E);
-    }
-  }
-  if (NumR0 == 0) {
-    M = ResourceMatrix(std::move(Flat));
-    return true;
-  }
-  Rows.number();
-  bool Keep = ResourceMatrix::rowsPay(NumRows, Rows.Universe.size(), NumR0);
-  if (Keep) {
-    Rows.layout(NumRows);
-  } else {
-    Flat.clear();
-    Flat.reserve(static_cast<size_t>(N));
-  }
-  ByteReader Again(Blob);
-  Again.u64();
-  for (uint64_t I = 0; I < N; ++I) {
-    uint8_t A;
-    RMEntry E = readEntry(Again, A);
-    if (!Keep)
-      Flat.push_back(E);
-    else if (E.A == Access::R0)
-      Rows.set(E.L, E.N.raw());
-  }
+  if (!decodeEntries(R, Flat) || (WithRows && !decodeRows(R, Rows)) ||
+      !R.atEnd())
+    return false;
+  size_t NumFlat = Flat.size(), NumRows = Rows.Bits.numRows();
   M = ResourceMatrix(std::move(Flat));
-  if (Keep)
-    M.insertR0Rows(std::move(Rows));
-  return true;
+  if (NumRows == 0)
+    return true;
+  M.insertR0Rows(std::move(Rows));
+  // The adoption drops flat R0 entries at row labels and enters rows
+  // that do not pay (ResourceMatrix::rowsPay) flat. The encoder writes
+  // neither, so either one is a corrupt section.
+  return M.flatEntries().size() == NumFlat && M.rows().numRows() == NumRows;
 }
 
+/// The flow graph: the node names in id order, then per node its
+/// out-degree and successors — ascending, so the first absolute and the
+/// rest as deltas — which is the (from, to) order of forEachEdgeId.
 std::string encodeGraph(const Digraph &G) {
   ByteWriter W;
-  W.u64(G.numNodes());
-  for (std::string_view Name : G.nodes())
-    W.str(Name);
-  W.u64(G.numEdges());
-  G.forEachEdgeId([&W](Digraph::NodeId From, Digraph::NodeId To) {
-    W.u32(From);
-    W.u32(To);
+  size_t N = G.numNodes();
+  W.varint(static_cast<uint32_t>(N));
+  for (std::string_view Name : G.nodes()) {
+    W.varint(static_cast<uint32_t>(Name.size()));
+    W.bytes(Name.data(), Name.size());
+  }
+  std::vector<uint32_t> Degree(N, 0);
+  G.forEachEdgeId([&](Digraph::NodeId From, Digraph::NodeId) {
+    ++Degree[From];
   });
+  W.reserve(W.size() + N + G.numEdges() * 2);
+  Digraph::NodeId Next = 0, Prev = 0;
+  G.forEachEdgeId([&](Digraph::NodeId From, Digraph::NodeId To) {
+    bool First = Next <= From;
+    while (Next <= From)
+      W.varint(Degree[Next++]);
+    W.varint(First ? To : To - Prev);
+    Prev = To;
+  });
+  while (Next < N)
+    W.varint(Degree[Next++]);
   return W.take();
 }
 
+/// Reads encodeGraph's section. A repeated name, a degree past the node
+/// count or the payload, a zero successor delta (an edge repeated) or a
+/// successor past the node count (out of range, or a delta that wraps
+/// back to an earlier one) fails the decode.
 bool decodeGraph(std::string_view Blob, Digraph &G) {
   ByteReader R(Blob);
-  uint64_t N = R.u64();
-  if (N > R.remaining() / 8) // every name costs at least its length prefix
+  uint32_t N = R.varint();
+  if (!R.ok() || N > R.remaining() / 2) // a name length and a degree each
     return false;
-  G.reserveNodes(static_cast<size_t>(N));
-  for (uint64_t I = 0; I < N; ++I) {
-    std::string_view Name = R.str();
+  G.reserveNodes(N);
+  for (uint32_t I = 0; I < N; ++I) {
+    std::string_view Name = R.raw(R.varint());
     if (!R.ok())
       return false;
     G.addNode(Name);
   }
   if (G.numNodes() != N) // duplicate names can only come from corruption
     return false;
-  uint64_t NumEdges = R.u64();
-  if (NumEdges > R.remaining() / 8)
-    return false;
   std::vector<std::pair<Digraph::NodeId, Digraph::NodeId>> Edges;
-  Edges.reserve(static_cast<size_t>(NumEdges));
-  for (uint64_t I = 0; I < NumEdges; ++I) {
-    uint32_t From = R.u32();
-    uint32_t To = R.u32();
-    if (From >= N || To >= N)
+  Edges.reserve(R.remaining()); // an edge takes at least a byte
+  for (Digraph::NodeId From = 0; From < N; ++From) {
+    uint32_t Degree = R.varint();
+    if (!R.ok() || Degree > N || Degree > R.remaining())
       return false;
-    Edges.emplace_back(From, To);
+    uint64_t To = 0;
+    for (uint32_t K = 0; K < Degree; ++K) {
+      uint32_t D = R.varint();
+      To += D;
+      if ((K && D == 0) || To >= N)
+        return false;
+      Edges.emplace_back(From, static_cast<Digraph::NodeId>(To));
+    }
   }
+  if (!R.ok() || !R.atEnd())
+    return false;
   G.addEdges(std::move(Edges));
-  return R.ok() && R.atEnd();
+  return true;
 }
 
 } // namespace
@@ -200,11 +299,17 @@ std::string ArtifactStore::fileName(const char (&Kind)[5], uint64_t Key) {
 bool ArtifactStore::load(const char (&Kind)[5], uint64_t Key,
                          std::string &Payload) {
   if (Usable) {
+    // One sized read of the whole file.
     std::ifstream In(fs::path(Dir) / fileName(Kind, Key),
-                     std::ios::binary);
-    if (In) {
-      std::string Blob((std::istreambuf_iterator<char>(In)),
-                       std::istreambuf_iterator<char>());
+                     std::ios::binary | std::ios::ate);
+    std::streamoff Size = In ? static_cast<std::streamoff>(In.tellg()) : -1;
+    std::string Blob;
+    if (Size > 0) {
+      Blob.resize(static_cast<size_t>(Size));
+      In.seekg(0);
+      In.read(Blob.data(), Size);
+    }
+    if (In && Size > 0) {
       ByteReader R(Blob);
       char Magic[4];
       R.bytes(Magic, 4);
@@ -276,8 +381,8 @@ void ArtifactStore::store(const char (&Kind)[5], uint64_t Key,
 
 std::string vif::driver::encodeDesignArtifact(const IFAResult &R) {
   SectionFramer F;
-  F.section("RMLO", encodeMatrix(R.RMlo));
-  F.section("RMGL", encodeMatrix(R.RMgl));
+  F.section("RMLO", encodeMatrix(R.RMlo, false));
+  F.section("RMGL", encodeMatrix(R.RMgl, true));
   F.section("GRPH", encodeGraph(R.Graph));
   return F.take();
 }
@@ -305,11 +410,8 @@ std::string vif::driver::encodeQueryIndex(const query::FlowQueryEngine &E) {
   size_t Words = (N + 63) / 64; // meaningful words per row (bits == rows)
   ByteWriter W;
   W.u64(N);
-  for (size_t RI = 0; RI < N; ++RI) {
-    const uint64_t *Row = C.row(RI);
-    for (size_t WI = 0; WI < Words; ++WI)
-      W.u64(Row[WI]);
-  }
+  for (size_t RI = 0; RI < N; ++RI)
+    putWords(W, C.row(RI), Words);
   W.u64(E.rowStart().size());
   for (uint32_t V : E.rowStart())
     W.u32(V);
@@ -338,8 +440,7 @@ vif::driver::decodeQueryIndex(std::string_view Payload,
   BitMatrix Closure(static_cast<size_t>(N), static_cast<size_t>(N));
   for (uint64_t RI = 0; RI < N; ++RI) {
     uint64_t *Row = Closure.row(static_cast<size_t>(RI));
-    for (size_t WI = 0; WI < Words; ++WI)
-      Row[WI] = R.u64();
+    getWords(R, Row, Words);
     // Padding bits beyond N in the last word must stay clear — the
     // matrix's word-level consumers rely on it.
     if (N % 64)

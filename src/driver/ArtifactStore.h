@@ -16,12 +16,11 @@
 ///   "dsgn"           whole-design results — RMlo, the closed RMgl and the
 ///                    flow graph — keyed by the session cache key, letting
 ///                    a fresh process skip every solver for a previously
-///                    analyzed (source, options) pair. Each matrix is its
-///                    sorted entry stream, decoded by one validating
-///                    pass straight into the factored form (a second
-///                    pass sets RMgl's Table 8 rows, or reads them flat
-///                    where ResourceMatrix::rowsPay says they are too
-///                    sparse);
+///                    analyzed (source, options) pair. Each part is
+///                    written in the shape it has in memory: flat matrix
+///                    entries and successor lists as delta varints,
+///                    RMgl's Table 8 rows as raw words that the decoder
+///                    adopts as they are;
 ///   "qidx"           the flow-query reachability index (closure matrix +
 ///                    CSR adjacency) for the same key.
 ///
@@ -56,7 +55,7 @@ namespace vif {
 namespace driver {
 
 inline constexpr char ArtifactStoreMagic[4] = {'V', 'I', 'F', 'S'};
-inline constexpr uint32_t ArtifactStoreVersion = 2;
+inline constexpr uint32_t ArtifactStoreVersion = 3;
 
 /// A directory-backed ArtifactBlobStore. Thread-safe: loads are
 /// independent reads, stores are atomic renames, counters are atomics.
@@ -109,11 +108,14 @@ private:
 /// Codecs for the whole-design blob (kind "dsgn"): the partial IFAResult
 /// — RMlo, RMgl and the flow graph — that every batch mode except the
 /// RD/ALFP inspectors consumes. The payload is framed in tagged sections
-/// ("RMLO", "RMGL", "GRPH") mirroring v1b. A matrix section is a u64
-/// entry count and (u32 label, u8 access, u32 resource) entries in
-/// strictly ascending order. Decode returns false on any anomaly — an
-/// entry out of order or repeated, an access past R1, a count the
-/// payload cannot hold — and leaves the outputs unspecified.
+/// ("RMLO", "RMGL", "GRPH") mirroring v1b; docs/SCHEMA.md gives the
+/// grammar. A matrix section is its flat entries as delta varints in
+/// (label, access, resource) order; RMGL adds the R0 rows (universe and
+/// raw words), and GRPH is the node names and each node's successor
+/// list. Decode accepts exactly what encode writes — strictly ascending
+/// entries, universes and successor lists, canonical varints, clear
+/// padding bits — so a decoded payload re-encodes to the same bytes; on
+/// any anomaly it returns false and leaves the outputs unspecified.
 std::string encodeDesignArtifact(const IFAResult &R);
 bool decodeDesignArtifact(std::string_view Payload, ResourceMatrix &RMlo,
                           ResourceMatrix &RMgl, Digraph &Graph);

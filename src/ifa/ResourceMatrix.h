@@ -33,10 +33,10 @@
 /// flat (rowsPay) — e.g. N independent copies: one-bit rows over ~2N
 /// resources. RMlo and the ALFP matrix have no rows. Every reader (size,
 /// contains, resourcesAt, labels, iteration, print, ==, LabelIndexedRM)
-/// merges the two parts in entry order on the fly, and the store writes
-/// the same entry stream as before and decodes it straight into this
-/// form, by the same rule — one validating pass, then one pass that sets
-/// the row bits (driver/ArtifactStore.cpp). The historical std::set
+/// merges the two parts in entry order on the fly. The store writes the
+/// two parts as they are — flat entries as delta varints, the rows as
+/// their universe and raw words — and its decoder adopts the rows back
+/// through insertR0Rows (driver/ArtifactStore.cpp). The historical std::set
 /// backend is a test-only oracle in tests/oracle/.
 /// The lazy merge mutates on const reads, so a matrix must not be read
 /// from multiple threads concurrently (per-design results never are; see
@@ -82,8 +82,9 @@ struct RMEntry {
 /// Universe holds raw resource ids, strictly ascending — the design-level
 /// numbering the closure solves over — so set-bit order is entry order.
 /// Built from an R0 entry stream in two passes: name() every raw id,
-/// number(), then layout() and set() every entry. The closure's seed, the
-/// reference closure's rows and the store decoder all number rows so.
+/// number(), then layout() and set() every entry. The closure's seed and
+/// the reference closure's rows number rows so; the store decoder reads a
+/// numbered Universe and the row words back as they were written.
 struct R0Rows {
   std::vector<uint32_t> Universe;
   BitMatrix Bits;
@@ -150,6 +151,17 @@ public:
                UniverseSize * sizeof(uint32_t) <=
            Entries * sizeof(RMEntry);
   }
+
+  /// The factored parts as they are stored: the flat entries (sorted;
+  /// none is an R0 entry at a row label), and the R0 rows with the raw
+  /// resource id of each bit (zero rows and an empty universe when the
+  /// matrix holds none). The store's codec writes these.
+  const std::vector<RMEntry> &flatEntries() const {
+    flush();
+    return Entries;
+  }
+  const std::vector<uint32_t> &rowUniverse() const { return Universe; }
+  const BitMatrix &rows() const { return Rows; }
 
   size_t size() const {
     flush();

@@ -15,7 +15,11 @@
 /// the end — the discipline that lets corrupt store entries degrade to
 /// cache misses instead of undefined behavior.
 ///
-/// All integers are little-endian regardless of host order.
+/// All integers are little-endian regardless of host order. varint is
+/// the unsigned LEB128 form of a u32 field (7 bits per byte, low group
+/// first, the high bit set on every byte but the last): 1 to 5 bytes,
+/// and the reader accepts only the shortest form, so a decoded stream
+/// re-encodes to the bytes it came from.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,6 +46,12 @@ public:
   void u64(uint64_t V) {
     for (int I = 0; I < 8; ++I)
       Buf.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
+  }
+
+  void varint(uint32_t V) {
+    for (; V >= 0x80; V >>= 7)
+      Buf.push_back(static_cast<char>((V & 0x7f) | 0x80));
+    Buf.push_back(static_cast<char>(V));
   }
 
   void bytes(const void *Data, size_t Len) {
@@ -99,6 +109,28 @@ public:
     for (int I = 0; I < 8; ++I)
       V |= static_cast<uint64_t>(static_cast<unsigned char>(*P++)) << (8 * I);
     return V;
+  }
+
+  /// A varint u32. An overlong form (a final zero byte after the first),
+  /// a sixth byte or a value past 32 bits returns 0 and latches ok()
+  /// false, like a read past the end.
+  uint32_t varint() {
+    uint32_t V = 0;
+    for (unsigned Shift = 0; Shift < 35; Shift += 7) {
+      if (!need(1))
+        return 0;
+      uint8_t B = static_cast<uint8_t>(*P++);
+      if (Shift == 28 && B > 0x0f)
+        break; // past 32 bits, or a continuation into a sixth byte
+      V |= static_cast<uint32_t>(B & 0x7f) << Shift;
+      if (!(B & 0x80)) {
+        if (B == 0 && Shift != 0)
+          break; // overlong
+        return V;
+      }
+    }
+    OkFlag = false;
+    return 0;
   }
 
   void bytes(void *Dst, size_t Len) {

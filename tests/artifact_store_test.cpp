@@ -14,8 +14,9 @@
 /// exactly one process, with results equal to a cold run; a served
 /// artifact whose layout disagrees with the process is a miss), a store
 /// written by an earlier build in the current format (tests/inputs/
-/// store-v2) that must keep serving byte for byte, and one in format 1
-/// (tests/inputs/store) that must read as clean misses.
+/// store-v3) that must keep serving byte for byte, and ones in formats 2
+/// and 1 (tests/inputs/store-v2, tests/inputs/store) that must read as
+/// clean misses.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +24,7 @@
 #include "driver/ArtifactStore.h"
 #include "parse/Parser.h"
 #include "support/BinaryIO.h"
+#include "workloads/AesVhdl.h"
 #include "workloads/Synthetic.h"
 
 #include <gtest/gtest.h>
@@ -256,15 +258,115 @@ joinSections(const std::vector<std::pair<std::string, std::string>> &S) {
   return W.take();
 }
 
+/// A matrix section's parts, written by the test in the section grammar
+/// of docs/SCHEMA.md with every delta taken mod 2^32, so a fault can put
+/// any value anywhere: an entry out of order becomes a delta that wraps
+/// past 32 bits.
+struct MatrixParts {
+  std::vector<RMEntry> Flat;
+  std::vector<uint8_t> Access; ///< the access byte of each flat entry
+  std::vector<uint32_t> Universe;
+  uint32_t NumRows = 0;
+  std::vector<uint64_t> Words; ///< NumRows × ceil(|Universe| / 64)
+
+  MatrixParts(const ResourceMatrix &M) : Flat(M.flatEntries()) {
+    for (const RMEntry &E : Flat)
+      Access.push_back(static_cast<uint8_t>(E.A));
+    Universe = M.rowUniverse();
+    if (Universe.empty())
+      return;
+    NumRows = static_cast<uint32_t>(M.rows().numRows());
+    size_t W = (Universe.size() + 63) / 64;
+    for (uint32_t L = 0; L < NumRows; ++L)
+      Words.insert(Words.end(), M.rows().row(L), M.rows().row(L) + W);
+  }
+
+  std::string write(bool WithRows, uint32_t ExtraCount = 0,
+                    uint32_t ExtraRows = 0) const {
+    ByteWriter W;
+    W.varint(static_cast<uint32_t>(Flat.size()) + ExtraCount);
+    uint32_t PrevL = 0, PrevN = 0;
+    int PrevA = -1;
+    for (size_t I = 0; I < Flat.size(); ++I) {
+      const RMEntry &E = Flat[I];
+      bool SameRun = E.L == PrevL && Access[I] == PrevA;
+      W.varint(E.L - PrevL);
+      W.u8(Access[I]);
+      W.varint(SameRun ? E.N.raw() - PrevN : E.N.raw());
+      PrevL = E.L;
+      PrevA = Access[I];
+      PrevN = E.N.raw();
+    }
+    if (!WithRows)
+      return W.take();
+    W.varint(static_cast<uint32_t>(Universe.size()));
+    if (Universe.empty())
+      return W.take();
+    uint32_t Prev = 0;
+    for (uint32_t Raw : Universe) {
+      W.varint(Raw - Prev);
+      Prev = Raw;
+    }
+    W.varint(NumRows + ExtraRows);
+    for (uint64_t Word : Words)
+      W.u64(Word);
+    return W.take();
+  }
+};
+
+/// The flow graph's parts, written alike: names, then each node's
+/// out-degree and successor deltas (mod 2^32) in edge-list order.
+struct GraphParts {
+  std::vector<std::string> Names;
+  std::vector<std::pair<uint32_t, uint32_t>> Edges;
+
+  GraphParts(const Digraph &G) {
+    for (std::string_view Name : G.nodes())
+      Names.emplace_back(Name);
+    G.forEachEdgeId([&](Digraph::NodeId From, Digraph::NodeId To) {
+      Edges.emplace_back(From, To);
+    });
+  }
+
+  std::string write() const {
+    ByteWriter W;
+    W.varint(static_cast<uint32_t>(Names.size()));
+    for (const std::string &Name : Names) {
+      W.varint(static_cast<uint32_t>(Name.size()));
+      W.bytes(Name.data(), Name.size());
+    }
+    size_t E = 0;
+    for (uint32_t From = 0; From < Names.size(); ++From) {
+      size_t First = E;
+      while (E < Edges.size() && Edges[E].first == From)
+        ++E;
+      W.varint(static_cast<uint32_t>(E - First));
+      for (size_t K = First; K < E; ++K)
+        W.varint(Edges[K].second - (K == First ? 0 : Edges[K - 1].second));
+    }
+    return W.take();
+  }
+};
+
+/// \p Body with its leading varint \p V rewritten as \p Bytes.
+std::string replaceLeadingVarint(const std::string &Body, uint32_t V,
+                                 std::string Bytes) {
+  ByteWriter W;
+  W.varint(V);
+  return Bytes + Body.substr(W.size());
+}
+
 TEST(ArtifactCodec, CorruptMatrixSectionsAreMisses) {
-  // A matrix section is a u64 entry count and 9-byte (u32 label, u8
-  // access, u32 resource) entries in strictly ascending order. Every
-  // fault below must make the whole design blob undecodable, so the
-  // store reads it as a miss — in RMLO (decoded flat) and in RMGL
-  // (decoded into flat entries plus R0 rows) alike.
-  constexpr size_t Head = 8, Entry = 9;
+  // Every fault below must make the whole design blob undecodable, so
+  // the store reads it as a miss — in RMLO (flat) and in RMGL (flat
+  // entries plus the Table 8 rows) alike, and in GRPH. The faults are
+  // built from the decoded parts and re-written in the section grammar;
+  // the unfaulted parts must write back to the encoder's exact bytes.
+  // pipelineDesign(16) is the smallest pipeline whose RMgl keeps rows.
+  size_t RowDesigns = 0, OutOfOrder = 0;
   for (const std::string &Source :
-       {std::string(MuxSource), workloads::pipelineDesign(4)}) {
+       {std::string(MuxSource), workloads::pipelineDesign(4),
+        workloads::pipelineDesign(16)}) {
     AnalysisSession S =
         AnalysisSession::fromSource("d.vhd", Source, SessionOptions());
     const IFAResult *R = S.ifa();
@@ -280,51 +382,148 @@ TEST(ArtifactCodec, CorruptMatrixSectionsAreMisses) {
       return decodeDesignArtifact(Payload, Lo, Gl, G);
     };
     ASSERT_TRUE(decodes(Blob));
+    auto expectMiss = [&](size_t SI, std::string Faulty,
+                          const std::string &What) {
+      auto Copy = Sections;
+      Copy[SI].second = std::move(Faulty);
+      EXPECT_FALSE(decodes(joinSections(Copy)))
+          << Sections[SI].first << ": " << What;
+    };
+
     for (size_t SI : {size_t(0), size_t(1)}) {
+      bool WithRows = SI == 1;
+      const MatrixParts Parts(WithRows ? R->RMgl : R->RMlo);
       const std::string &Body = Sections[SI].second;
-      size_t N = (Body.size() - Head) / Entry;
+      ASSERT_EQ(Parts.write(WithRows), Body) << Sections[SI].first;
+      size_t N = Parts.Flat.size();
       ASSERT_GE(N, 3u) << Sections[SI].first;
-      auto at = [&](size_t I) { return Head + I * Entry; };
-      // Probe the ends, the middle and the first R0 entry (a row bit in
-      // RMGL).
+      // Probe the ends, the middle and the first flat R0 entry.
       std::vector<size_t> Probes = {0, N / 2, N - 2};
       for (size_t I = 0; I + 1 < N; ++I)
-        if (Body[at(I) + 4] == static_cast<char>(Access::R0)) {
+        if (Parts.Flat[I].A == Access::R0) {
           Probes.push_back(I);
           break;
         }
-      auto expectMiss = [&](std::string Faulty, const char *What,
-                            size_t I) {
-        auto Copy = Sections;
-        Copy[SI].second = std::move(Faulty);
-        EXPECT_FALSE(decodes(joinSections(Copy)))
-            << Sections[SI].first << ": " << What << " at entry " << I;
-      };
       for (size_t I : Probes) {
-        std::string Swapped = Body;
-        std::swap_ranges(Swapped.begin() + at(I),
-                         Swapped.begin() + at(I + 1),
-                         Swapped.begin() + at(I + 1));
-        expectMiss(Swapped, "two entries swapped", I);
+        std::string At = " at entry " + std::to_string(I);
+        MatrixParts Swapped = Parts;
+        std::swap(Swapped.Flat[I], Swapped.Flat[I + 1]);
+        std::swap(Swapped.Access[I], Swapped.Access[I + 1]);
+        expectMiss(SI, Swapped.write(WithRows), "two entries swapped" + At);
 
-        std::string Repeated = Body;
-        Repeated.insert(at(I + 1), Body, at(I), Entry);
-        ByteWriter Count;
-        Count.u64(N + 1);
-        Repeated.replace(0, Head, Count.take());
-        expectMiss(Repeated, "an entry repeated", I);
+        MatrixParts Repeated = Parts;
+        Repeated.Flat.insert(Repeated.Flat.begin() + I + 1, Parts.Flat[I]);
+        Repeated.Access.insert(Repeated.Access.begin() + I + 1,
+                               Parts.Access[I]);
+        expectMiss(SI, Repeated.write(WithRows), "an entry repeated" + At);
 
-        std::string BadAccess = Body;
-        BadAccess[at(I) + 4] = 4;
-        expectMiss(BadAccess, "access byte 4", I);
+        MatrixParts BadAccess = Parts;
+        BadAccess.Access[I] = 4;
+        expectMiss(SI, BadAccess.write(WithRows), "access byte 4" + At);
       }
-      std::string Overcount = Body;
-      ByteWriter Count;
-      Count.u64(N + 1);
-      Overcount.replace(0, Head, Count.take());
-      expectMiss(Overcount, "entry count past the payload", N);
+      expectMiss(SI, Parts.write(WithRows, 1),
+                 "entry count past the payload");
+      uint32_t Count = static_cast<uint32_t>(N);
+      ByteWriter Short;
+      Short.varint(Count);
+      std::string Long = Short.take(); // the count, with one more group
+      Long.back() |= static_cast<char>(0x80);
+      Long.push_back('\0');
+      expectMiss(SI, replaceLeadingVarint(Body, Count, Long),
+                 "an overlong varint");
+      std::string Wide; // the count in five bytes, plus bit 32
+      for (int Shift = 0; Shift < 28; Shift += 7)
+        Wide.push_back(static_cast<char>(((Count >> Shift) & 0x7f) | 0x80));
+      Wide.push_back(static_cast<char>((Count >> 28) | 0x10));
+      expectMiss(SI, replaceLeadingVarint(Body, Count, Wide),
+                 "a varint past 32 bits");
     }
+
+    // GRPH: an edge repeated, two edges out of order, an edge past the
+    // node count.
+    const GraphParts G(R->Graph);
+    ASSERT_EQ(G.write(), Sections[2].second);
+    ASSERT_FALSE(G.Edges.empty());
+    GraphParts Dup = G;
+    Dup.Edges.insert(Dup.Edges.begin(), G.Edges[0]);
+    expectMiss(2, Dup.write(), "a duplicate edge");
+    for (size_t I = 0; I + 1 < G.Edges.size(); ++I)
+      if (G.Edges[I].first == G.Edges[I + 1].first) {
+        // Two successors of one node (none in the mux).
+        GraphParts Swapped = G;
+        std::swap(Swapped.Edges[I], Swapped.Edges[I + 1]);
+        expectMiss(2, Swapped.write(), "an out-of-order edge");
+        ++OutOfOrder;
+        break;
+      }
+    GraphParts Far = G;
+    Far.Edges.back().second = static_cast<uint32_t>(G.Names.size());
+    expectMiss(2, Far.write(), "an out-of-range edge");
+
+    // The RMGL rows: universe, padding, a flat entry the rows hold, and
+    // the row count.
+    const MatrixParts Gl(R->RMgl);
+    if (Gl.NumRows == 0) // rows too sparse to pay, entered flat
+      continue;
+    ++RowDesigns;
+    ASSERT_GE(Gl.Universe.size(), 2u);
+    ASSERT_GT(Gl.NumRows, 1u);
+    ASSERT_NE(Gl.Universe.size() % 64, 0u);
+    MatrixParts Unsorted = Gl;
+    std::swap(Unsorted.Universe[0], Unsorted.Universe[1]);
+    expectMiss(1, Unsorted.write(true), "a universe not ascending");
+    MatrixParts RepeatedId = Gl;
+    RepeatedId.Universe[1] = RepeatedId.Universe[0];
+    expectMiss(1, RepeatedId.write(true), "a universe id repeated");
+    size_t W = (Gl.Universe.size() + 63) / 64;
+    for (uint32_t L : {uint32_t(0), Gl.NumRows - 1}) {
+      MatrixParts Padded = Gl;
+      Padded.Words[L * W + W - 1] |= uint64_t(1)
+                                     << (Gl.Universe.size() % 64);
+      expectMiss(1, Padded.write(true),
+                 "a row padding bit set in row " + std::to_string(L));
+    }
+    MatrixParts AtRow = Gl;
+    RMEntry Extra{Gl.NumRows - 1, Access::R0,
+                  Resource::fromRaw(Gl.Universe[0])};
+    auto Pos = std::lower_bound(AtRow.Flat.begin(), AtRow.Flat.end(), Extra);
+    AtRow.Access.insert(AtRow.Access.begin() + (Pos - AtRow.Flat.begin()),
+                        static_cast<uint8_t>(Access::R0));
+    AtRow.Flat.insert(Pos, Extra);
+    expectMiss(1, AtRow.write(true), "a flat R0 entry at a row label");
+    expectMiss(1, Gl.write(true, 0, 1), "a row count past the payload");
   }
+  EXPECT_EQ(RowDesigns, 1u);
+  EXPECT_EQ(OutOfOrder, 2u);
+}
+
+TEST(ArtifactCodec, DesignBlobTracksTheRows) {
+  // The dsgn payload is the matrices' and the graph's in-memory shape:
+  // dense Table 8 rows travel as their words, so the payload shrinks
+  // with them, and sparse rows (entered flat) cost no more than the
+  // 9-byte entries and 8-byte edges of store format 2.
+  auto payload = [](const std::string &Source, bool Statements) {
+    SessionOptions Opts;
+    Opts.Statements = Statements;
+    AnalysisSession S = AnalysisSession::fromSource("d.vhd", Source, Opts);
+    const IFAResult *R = S.ifa();
+    EXPECT_NE(R, nullptr);
+    if (!R)
+      return std::make_pair(size_t(0), size_t(0));
+    size_t FormatTwo = 3 * 12 + 2 * 8 + (R->RMlo.size() + R->RMgl.size()) * 9 +
+                       8 + 8 + R->Graph.numEdges() * 8;
+    for (std::string_view Name : R->Graph.nodes())
+      FormatTwo += 8 + Name.size();
+    return std::make_pair(encodeDesignArtifact(*R).size(), FormatTwo);
+  };
+  auto [Pipeline, PipelineTwo] = payload(workloads::pipelineDesign(256), false);
+  EXPECT_LE(Pipeline, size_t(160) << 10);
+  EXPECT_GT(PipelineTwo, size_t(800) << 10); // 877 KB in format 2
+  auto [Aes, AesTwo] = payload(workloads::aesCoreDesign(1), false);
+  EXPECT_LE(Aes, size_t(1536) << 10);
+  EXPECT_GT(AesTwo, size_t(8) << 20); // 8.4 MB in format 2
+  auto [Copies, CopiesTwo] = payload(workloads::independentCopies(4096), true);
+  EXPECT_LE(Copies, CopiesTwo);
 }
 
 TEST(ArtifactCodec, WideSparseRowsRoundTripAsHits) {
@@ -634,14 +833,16 @@ TEST(Incremental, ServedArtifactWithTheWrongLayoutIsAMiss) {
 // Stores written by earlier builds
 //===----------------------------------------------------------------------===//
 
-// tests/inputs/store-v2 holds what `vifc flows --store` wrote for smoke.vhd
-// and corpus/gen_2.vhd (6 processes) in store format 2, whose per-process
-// blobs carry the kept rows. The store format promises that such a store
-// keeps serving: every blob re-encodes to the same bytes, and a fresh run
-// finds every design and per-process artifact in it. tests/inputs/store
-// holds the same designs in format 1 (dense matrices): every blob of it
-// must read as a clean miss.
-const std::string GoldenStore = std::string(VIFC_INPUTS_DIR) + "/store-v2";
+// tests/inputs/store-v3 holds what `vifc flows --store` wrote for smoke.vhd
+// and corpus/gen_2.vhd (6 processes) in store format 3, whose design
+// blobs carry RMgl's Table 8 rows as words. The store format promises
+// that such a store keeps serving: every blob re-encodes to the same
+// bytes, and a fresh run finds every design and per-process artifact in
+// it. tests/inputs/store-v2 and tests/inputs/store hold the same designs
+// in format 2 (9-byte matrix entries) and format 1 (dense matrices):
+// every blob of them must read as a clean miss.
+const std::string GoldenStore = std::string(VIFC_INPUTS_DIR) + "/store-v3";
+const std::string FormatTwoStore = std::string(VIFC_INPUTS_DIR) + "/store-v2";
 const std::string FormatOneStore = std::string(VIFC_INPUTS_DIR) + "/store";
 
 std::vector<std::filesystem::path> goldenFiles(const std::string &Dir) {
@@ -752,10 +953,12 @@ TEST(GoldenStore, ServedAsAllHits) {
   }
 }
 
-TEST(GoldenStore, FormatOneBlobsAreCleanMisses) {
-  ArtifactStore Store(FormatOneStore);
+/// Every blob of the old-format store in \p Dir reads as a miss, and a
+/// run over it re-solves everything, right.
+void expectCleanMisses(const std::string &Dir) {
+  ArtifactStore Store(Dir);
   size_t Files = 0;
-  for (const std::filesystem::path &File : goldenFiles(FormatOneStore)) {
+  for (const std::filesystem::path &File : goldenFiles(Dir)) {
     auto [K, Key] = blobName(File);
     const char Kind[5] = {K[0], K[1], K[2], K[3], '\0'};
     std::string Payload;
@@ -766,11 +969,19 @@ TEST(GoldenStore, FormatOneBlobsAreCleanMisses) {
   EXPECT_EQ(Store.counters().Hits, 0u);
   // A run over the old store re-solves everything, right.
   for (const char *Input : {"smoke.vhd", "corpus/gen_2.vhd"}) {
-    Served S = serveFromCopy(FormatOneStore, Input);
+    Served S = serveFromCopy(Dir, Input);
     EXPECT_EQ(S.Stats.ActiveReused + S.Stats.RdReused, 0u) << Input;
     EXPECT_EQ(S.Counters.Hits, 0u) << Input;
     EXPECT_FALSE(S.Partial) << Input;
   }
+}
+
+TEST(GoldenStore, FormatOneBlobsAreCleanMisses) {
+  expectCleanMisses(FormatOneStore);
+}
+
+TEST(GoldenStore, FormatTwoBlobsAreCleanMisses) {
+  expectCleanMisses(FormatTwoStore);
 }
 
 } // namespace

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "cfg/CFG.h"
+#include "cfg/FlowIndex.h"
 #include "oracle/Oracles.h"
 #include "parse/Parser.h"
 #include "support/Casting.h"
@@ -233,6 +234,25 @@ TEST(CFG, StmtLabelLookup) {
   const auto *C = cast<CompoundStmt>(P.Processes[0].Body.get());
   EXPECT_EQ(CFG.labelOf(C->stmts()[0].get()), 1u);
   EXPECT_EQ(CFG.labelOf(C->stmts()[1].get()), 2u);
+}
+
+TEST(FlowIndex, ProcessLabelsAreOneRun) {
+  // FlowIndex maps a label to its local index as the offset from the
+  // process's first label, which needs each process's labels to be one
+  // contiguous run.
+  ElaboratedProgram P = elabDesign(workloads::pipelineDesign(3));
+  ProgramCFG CFG = ProgramCFG::build(P);
+  LabelId Next = 1;
+  for (const ProcessCFG &Proc : CFG.processes()) {
+    FlowIndex FI(Proc);
+    ASSERT_EQ(FI.numLabels(), Proc.Labels.size());
+    for (uint32_t I = 0; I < FI.numLabels(); ++I) {
+      EXPECT_EQ(Proc.Labels[I], Next++);
+      EXPECT_EQ(FI.localOf(Proc.Labels[I]), I);
+      EXPECT_EQ(FI.label(I), Proc.Labels[I]);
+    }
+  }
+  EXPECT_EQ(Next, CFG.numLabels() + 1);
 }
 
 } // namespace

@@ -102,6 +102,9 @@ echo "store smoke passed"
 # them Table 8 rows) through `vifc rm --store`. The restart must be a pure
 # hit with byte-identical stdout, so the RMGL section decodes back into the
 # same matrix; the --json entry count must match the text's RMgl lines.
+# The design blob holds the rows as words, so it stays within 160 KB (it
+# was 877 KB as 9-byte entries). Then the AES core (890 814 RMgl entries)
+# through `vifc flows --store`: its restart must be a pure hit too.
 store_dir=$(mktemp -d)
 "$BUILD_DIR/perfbench/perfbench_layers" gen "$store_dir" >/dev/null
 "$BUILD_DIR/vifc" rm --store "$store_dir/s" "$store_dir/pipeline256.vhd" \
@@ -112,6 +115,18 @@ cmp -s "$store_dir/out1" "$store_dir/out2" \
   && grep -q '1 hit(s), 0 miss(es), 0 write(s)' "$store_dir/err2" \
   || { echo "large-matrix store step failed:"
        cat "$store_dir/err1" "$store_dir/err2"; exit 1; }
+dsgn_bytes=$(cat "$store_dir"/s/dsgn-*.bin | wc -c)
+[ "$dsgn_bytes" -le $((160 * 1024)) ] \
+  || { echo "large-matrix store step failed: pipeline256 dsgn blob is" \
+         "$dsgn_bytes bytes"; exit 1; }
+for run in 1 2; do
+  "$BUILD_DIR/vifc" flows --store "$store_dir/a" "$store_dir/aes1.vhd" \
+    >"$store_dir/aesout$run" 2>"$store_dir/aeserr$run"
+done
+cmp -s "$store_dir/aesout1" "$store_dir/aesout2" \
+  && grep -q '1 hit(s), 0 miss(es), 0 write(s)' "$store_dir/aeserr2" \
+  || { echo "large-matrix store step failed (AES core):"
+       cat "$store_dir/aeserr1" "$store_dir/aeserr2"; exit 1; }
 rmgl_lines=$(sed -n '/^== RMgl/,$p' "$store_dir/out1" | grep -vc '^== ')
 if command -v python3 >/dev/null; then
   "$BUILD_DIR/vifc" rm --json "$store_dir/pipeline256.vhd" \

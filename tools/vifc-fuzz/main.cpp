@@ -8,7 +8,8 @@
 /// vifc-fuzz: drive randomized designs (src/gen) through every retained
 /// dense/reference oracle pair and through destructive source mutation.
 ///
-///   vifc-fuzz [--mode oracle|query|mutate|all] [--start N] [--count N]
+///   vifc-fuzz [--mode oracle|query|mutate|incremental|blob|all]
+///             [--start N] [--count N]
 ///             [--seed N] [--mutants N] [--minimize] [--dump DIR] [--quiet]
 ///
 /// Oracle mode, per seed: generate a valid-by-construction design, then
@@ -46,12 +47,21 @@
 /// The table persists across seeds, so cross-design artifact sharing is
 /// fuzzed too.
 ///
+/// Blob mode, per seed: encode the design blob ("dsgn", driver/
+/// ArtifactStore.h) of the plain and the improved analysis, require it to
+/// decode to the same matrices and graph and re-encode byte for byte,
+/// then apply seeded bit flips, truncations and insertions to its
+/// sections (re-framed, so the section decoders see them) and to the
+/// whole payload. Every mutant must either fail to decode or re-encode to
+/// exactly its own bytes: the decoder accepts only canonical payloads.
+///
 /// Any failing seed prints a one-line reproducer (`vifc-fuzz --seed N`)
 /// and, with --minimize, a greedily reduced source. Exit code: 0 clean,
 /// 1 failures found, 2 usage error.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "driver/ArtifactStore.h"
 #include "gen/Generator.h"
 #include "gen/Minimizer.h"
 #include "gen/Mutator.h"
@@ -60,6 +70,7 @@
 #include "parse/Parser.h"
 #include "query/FlowQueryEngine.h"
 #include "rd/Incremental.h"
+#include "support/BinaryIO.h"
 
 #include <algorithm>
 #include <cstdint>
@@ -74,7 +85,7 @@ using namespace vif;
 namespace {
 
 struct Options {
-  enum class Mode { Oracle, Query, Mutate, Incremental, All };
+  enum class Mode { Oracle, Query, Mutate, Incremental, Blob, All };
   Mode M = Mode::All;
   uint64_t Start = 1;
   uint64_t Count = 50;
@@ -88,7 +99,7 @@ struct Options {
 int usage() {
   std::cerr
       << "usage: vifc-fuzz [options]\n"
-         "  --mode oracle|query|mutate|incremental|all\n"
+         "  --mode oracle|query|mutate|incremental|blob|all\n"
          "                            which battery to run (default all)\n"
          "  --start N                 first seed (default 1)\n"
          "  --count N                 number of seeds (default 50)\n"
@@ -300,6 +311,29 @@ std::string oracleFailure(const std::string &Source) {
   return killGenFailure(CFG, Dense);
 }
 
+/// A splitmix64 stream seeded by an FNV-1a hash of a source text, so the
+/// batteries that sample (query pairs, blob mutants) stay pure functions
+/// of the source.
+class SourceStream {
+public:
+  explicit SourceStream(std::string_view Source) {
+    for (char C : Source) {
+      H ^= static_cast<unsigned char>(C);
+      H *= 0x100000001b3ull;
+    }
+  }
+  uint64_t operator()() {
+    H += 0x9e3779b97f4a7c15ull;
+    uint64_t Z = H;
+    Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebull;
+    return Z ^ (Z >> 31);
+  }
+
+private:
+  uint64_t H = 0xcbf29ce484222325ull;
+};
+
 /// Exact BFS distance (in edges, length >= 1) from \p Src to \p Sink, or
 /// SIZE_MAX when unreachable. Matches FlowQueryEngine's witness semantics:
 /// Src == Sink asks for the shortest cycle through the node.
@@ -352,7 +386,7 @@ std::string queryFailure(const std::string &Source) {
   };
 
   // Ordered pair sample: exhaustive on small graphs, otherwise 256 pairs
-  // drawn from a splitmix64 stream seeded by an FNV-1a hash of the source.
+  // drawn from the source's SourceStream.
   std::vector<std::pair<Digraph::NodeId, Digraph::NodeId>> Pairs;
   if (N == 0)
     return Q.reaches("a", "a") ? "empty graph answers reaches" : "";
@@ -361,20 +395,9 @@ std::string queryFailure(const std::string &Source) {
       for (Digraph::NodeId B = 0; B < N; ++B)
         Pairs.emplace_back(A, B);
   } else {
-    uint64_t H = 0xcbf29ce484222325ull;
-    for (char C : Source) {
-      H ^= static_cast<unsigned char>(C);
-      H *= 0x100000001b3ull;
-    }
-    auto next = [&H]() {
-      H += 0x9e3779b97f4a7c15ull;
-      uint64_t Z = H;
-      Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ull;
-      Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebull;
-      return Z ^ (Z >> 31);
-    };
+    SourceStream Next(Source);
     for (size_t I = 0; I < 256; ++I)
-      Pairs.emplace_back(next() % N, next() % N);
+      Pairs.emplace_back(Next() % N, Next() % N);
   }
 
   for (auto [A, B] : Pairs) {
@@ -494,6 +517,100 @@ std::string incrementalFailure(const std::string &Source,
   return "";
 }
 
+/// True if \p M iterates strictly ascending, size() entries in all.
+bool strictlyAscending(const ResourceMatrix &M) {
+  size_t N = 0;
+  RMEntry Prev;
+  for (const RMEntry &E : M) {
+    if (N++ && !(Prev < E))
+      return false;
+    Prev = E;
+  }
+  return N == M.size();
+}
+
+/// Blob mutants per design blob.
+constexpr unsigned BlobMutants = 48;
+
+/// Blob battery: the design blob of \p Source round-trips, and each
+/// seeded mutant of it fails to decode or re-encodes to its own bytes
+/// (and decodes to matrices that are sets). A pure function of the
+/// source, so it doubles as the minimizer predicate.
+std::string blobFailure(const std::string &Source) {
+  std::string Err;
+  std::optional<ElaboratedProgram> P = frontend(Source, Err);
+  if (!P)
+    return "generator emitted an invalid design:\n" + Err;
+  ProgramCFG CFG = ProgramCFG::build(*P);
+  SourceStream Next(Source);
+  auto decode = [](std::string_view Payload, IFAResult &R) {
+    return driver::decodeDesignArtifact(Payload, R.RMlo, R.RMgl, R.Graph);
+  };
+
+  for (bool Improved : {false, true}) {
+    IFAOptions Opts;
+    Opts.Improved = Improved;
+    IFAResult IR = analyzeInformationFlow(*P, CFG, Opts);
+    std::string Payload = driver::encodeDesignArtifact(IR);
+    std::string Mode = Improved ? " (improved)" : " (plain)";
+    IFAResult Back;
+    if (!decode(Payload, Back))
+      return "design blob does not decode" + Mode;
+    if (!(Back.RMlo == IR.RMlo) || !(Back.RMgl == IR.RMgl) ||
+        !Back.Graph.sameFlows(IR.Graph))
+      return "design blob decodes to a different result" + Mode;
+    if (driver::encodeDesignArtifact(Back) != Payload)
+      return "design blob does not re-encode byte for byte" + Mode;
+
+    // The sections, so a mutated body can be re-framed and reach the
+    // section decoders.
+    std::vector<std::pair<std::string, std::string>> Sections;
+    ByteReader Frame(Payload);
+    while (Frame.ok() && !Frame.atEnd()) {
+      char Tag[4];
+      Frame.bytes(Tag, 4);
+      Sections.emplace_back(std::string(Tag, 4), std::string(Frame.str()));
+    }
+    for (unsigned K = 0; K < BlobMutants; ++K) {
+      size_t Target = Next() % (Sections.size() + 1); // the last: all
+      std::string Bytes =
+          Target < Sections.size() ? Sections[Target].second : Payload;
+      switch (Next() % 3) {
+      case 0: // flip 1-3 bits
+        for (uint64_t F = 0, NF = 1 + Next() % 3; F < NF && !Bytes.empty();
+             ++F)
+          Bytes[Next() % Bytes.size()] ^= static_cast<char>(1 << (Next() % 8));
+        break;
+      case 1: // truncate
+        Bytes.resize(Bytes.empty() ? 0 : Next() % Bytes.size());
+        break;
+      default: // insert 1-4 copies of a random byte
+        Bytes.insert(Bytes.empty() ? 0 : Next() % (Bytes.size() + 1),
+                     std::string(1 + Next() % 4, static_cast<char>(Next())));
+        break;
+      }
+      std::string Mutant = Bytes;
+      if (Target < Sections.size()) {
+        ByteWriter W;
+        for (size_t I = 0; I < Sections.size(); ++I) {
+          W.bytes(Sections[I].first.data(), 4);
+          W.str(I == Target ? Bytes : Sections[I].second);
+        }
+        Mutant = W.take();
+      }
+      IFAResult M;
+      if (!decode(Mutant, M))
+        continue;
+      std::string What = "blob mutant " + std::to_string(K);
+      if (driver::encodeDesignArtifact(M) != Mutant)
+        return What + " decodes but does not re-encode to its bytes" + Mode;
+      if (!strictlyAscending(M.RMlo) || !strictlyAscending(M.RMgl))
+        return What + " decodes to a matrix that is not a set" + Mode;
+    }
+  }
+  return "";
+}
+
 void reportFailure(uint64_t Seed, const std::string &What,
                    const std::string &Source, const Options &Opts,
                    const std::function<bool(const std::string &)> &Pred) {
@@ -534,6 +651,8 @@ int main(int argc, char **argv) {
         Opts.M = Options::Mode::Mutate;
       else if (M == "incremental")
         Opts.M = Options::Mode::Incremental;
+      else if (M == "blob")
+        Opts.M = Options::Mode::Blob;
       else if (M == "all")
         Opts.M = Options::Mode::All;
       else
@@ -581,9 +700,11 @@ int main(int argc, char **argv) {
       Opts.M == Options::Mode::Mutate || Opts.M == Options::Mode::All;
   bool RunIncremental = Opts.M == Options::Mode::Incremental ||
                         Opts.M == Options::Mode::All;
+  bool RunBlob =
+      Opts.M == Options::Mode::Blob || Opts.M == Options::Mode::All;
   unsigned Failures = 0;
   uint64_t OracleRuns = 0, QueryRuns = 0, MutantRuns = 0,
-           IncrementalRuns = 0;
+           IncrementalRuns = 0, BlobRuns = 0;
   // Shared across seeds so cross-design artifact reuse is fuzzed too;
   // content-hashed keys make false sharing a reportable failure.
   ProcessArtifactTable SharedTable;
@@ -647,6 +768,18 @@ int main(int argc, char **argv) {
         std::cout << "seed " << Seed << ": incremental battery ok\n";
       }
     }
+    if (RunBlob) {
+      ++BlobRuns;
+      std::string What = blobFailure(Source);
+      if (!What.empty()) {
+        ++Failures;
+        reportFailure(Seed, What, Source, Opts, [](const std::string &S) {
+          return !blobFailure(S).empty();
+        });
+      } else if (!Opts.Quiet) {
+        std::cout << "seed " << Seed << ": blob battery ok\n";
+      }
+    }
     if (RunMutate) {
       for (unsigned K = 0; K < Opts.Mutants; ++K) {
         gen::MutateOptions MOpts;
@@ -670,6 +803,7 @@ int main(int argc, char **argv) {
 
   std::cout << "vifc-fuzz: " << OracleRuns << " oracle seeds, " << QueryRuns
             << " query seeds, " << IncrementalRuns << " incremental seeds, "
-            << MutantRuns << " mutants, " << Failures << " failure(s)\n";
+            << BlobRuns << " blob seeds, " << MutantRuns << " mutants, "
+            << Failures << " failure(s)\n";
   return Failures ? 1 : 0;
 }
