@@ -34,6 +34,8 @@
 namespace vif {
 namespace driver {
 
+class ArtifactStore;
+
 /// Wall-clock cost of each computed stage, milliseconds. A stage that was
 /// never requested stays 0.
 struct StageTimings {
@@ -83,11 +85,12 @@ public:
   AnalysisSession &operator=(AnalysisSession &&) = default;
 
   /// Wires the incremental/persistence layer in: per-process Table 4/5
-  /// artifacts are reused through \p Table, whole-design artifacts (the
-  /// matrices + flow graph, the query index) through \p Store. Either may
-  /// be null; neither is owned. Call before the first analysis accessor —
-  /// artifacts already computed are never retrofitted.
-  void setArtifacts(ProcessArtifactTable *Table, ArtifactBlobStore *Store) {
+  /// artifacts are reused through the in-memory \p Table, whole-design
+  /// artifacts (the matrices + flow graph, the query index) through the
+  /// on-disk \p Store. Either may be null; neither is owned. Call before
+  /// the first analysis accessor — artifacts already computed are never
+  /// retrofitted.
+  void setArtifacts(ProcessArtifactTable *Table, ArtifactStore *Store) {
     Artifacts = Table;
     Blobs = Store;
   }
@@ -193,7 +196,7 @@ private:
 
   /// Borrowed wiring of the incremental layer; see setArtifacts().
   ProcessArtifactTable *Artifacts = nullptr;
-  ArtifactBlobStore *Blobs = nullptr;
+  ArtifactStore *Blobs = nullptr;
   IncrementalStats IncStats;
   bool IfaPartial = false;
 

@@ -412,12 +412,6 @@ std::string vif::driver::encodeQueryIndex(const query::FlowQueryEngine &E) {
   W.u64(N);
   for (size_t RI = 0; RI < N; ++RI)
     putWords(W, C.row(RI), Words);
-  W.u64(E.rowStart().size());
-  for (uint32_t V : E.rowStart())
-    W.u32(V);
-  W.u64(E.succList().size());
-  for (Digraph::NodeId S : E.succList())
-    W.u32(S);
   SectionFramer F;
   F.section("QIDX", W.take());
   return F.take();
@@ -446,21 +440,7 @@ vif::driver::decodeQueryIndex(std::string_view Payload,
     if (N % 64)
       Row[Words - 1] &= ~uint64_t(0) >> (64 - N % 64);
   }
-  uint64_t RSCount = R.u64();
-  if (RSCount != N + 1 || RSCount > R.remaining() / 4)
-    return std::nullopt;
-  std::vector<uint32_t> RowStart(static_cast<size_t>(RSCount));
-  for (uint32_t &V : RowStart)
-    V = R.u32();
-  uint64_t SCount = R.u64();
-  if (SCount > R.remaining() / 4)
-    return std::nullopt;
-  std::vector<Digraph::NodeId> Succ(static_cast<size_t>(SCount));
-  for (Digraph::NodeId &S : Succ)
-    S = R.u32();
   if (!R.ok() || !R.atEnd())
     return std::nullopt;
-  return query::FlowQueryEngine::fromIndex(Graph, std::move(Closure),
-                                           std::move(RowStart),
-                                           std::move(Succ));
+  return query::FlowQueryEngine::fromIndex(Graph, std::move(Closure));
 }

@@ -5,24 +5,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The persistent half of the incremental layer (rd/Incremental.h): a
-/// directory of binary blobs keyed by (kind, hash), written atomically and
-/// read back with the same bounds-checked framing discipline as the v1b
-/// graph format. Four blob kinds exist today:
+/// The on-disk store of whole-design results: a directory of binary blobs
+/// keyed by (kind, hash), written atomically and read back with the same
+/// bounds-checked framing discipline as the v1b graph format. Two blob
+/// kinds exist, both keyed by the session cache key of (source, options):
 ///
-///   "actv" / "rdpr"  per-process Table 4 / Table 5 artifacts, payloads
-///                    produced by rd/Incremental.h's codecs and consulted
-///                    by ProcessArtifactTable on memory misses;
 ///   "dsgn"           whole-design results — RMlo, the closed RMgl and the
-///                    flow graph — keyed by the session cache key, letting
-///                    a fresh process skip every solver for a previously
-///                    analyzed (source, options) pair. Each part is
-///                    written in the shape it has in memory: flat matrix
-///                    entries and successor lists as delta varints,
-///                    RMgl's Table 8 rows as raw words that the decoder
-///                    adopts as they are;
-///   "qidx"           the flow-query reachability index (closure matrix +
-///                    CSR adjacency) for the same key.
+///                    flow graph — letting a fresh process skip every
+///                    solver for a previously analyzed (source, options)
+///                    pair. Each part is written in the shape it has in
+///                    memory: flat matrix entries and successor lists as
+///                    delta varints, RMgl's Table 8 rows as raw words that
+///                    the decoder adopts as they are;
+///   "qidx"           the flow-query reachability closure.
+///
+/// Per-process Table 4/5 artifacts are not persisted: re-solving them
+/// costs less than writing and reading them back.
 ///
 /// Every blob is one file `<kind>-<16 hex digits of key>.bin` framed as
 ///
@@ -43,7 +41,6 @@
 
 #include "ifa/InformationFlow.h"
 #include "query/FlowQueryEngine.h"
-#include "rd/Incremental.h"
 
 #include <atomic>
 #include <cstdint>
@@ -57,12 +54,14 @@ namespace driver {
 inline constexpr char ArtifactStoreMagic[4] = {'V', 'I', 'F', 'S'};
 inline constexpr uint32_t ArtifactStoreVersion = 3;
 
-/// A directory-backed ArtifactBlobStore. Thread-safe: loads are
-/// independent reads, stores are atomic renames, counters are atomics.
-/// The directory is created on construction; if that fails the store
-/// stays constructible but every load misses and every store is a no-op
-/// (a missing `--store` directory must never fail an analysis).
-class ArtifactStore final : public ArtifactBlobStore {
+/// A directory of blobs. Thread-safe: loads are independent reads, stores
+/// are atomic renames, counters are atomics. \p Kind is a four-character
+/// tag ("dsgn", "qidx") namespacing the key space; load returns false on
+/// any miss — absent, corrupt or mismatched entries are indistinguishable
+/// to the caller. The directory is created on construction; if that fails
+/// the store stays constructible but every load misses and every store is
+/// a no-op (a missing `--store` directory must never fail an analysis).
+class ArtifactStore {
 public:
   explicit ArtifactStore(std::string Directory);
 
@@ -70,10 +69,8 @@ public:
   /// True when the backing directory exists and is usable.
   bool usable() const { return Usable; }
 
-  bool load(const char (&Kind)[5], uint64_t Key,
-            std::string &Payload) override;
-  void store(const char (&Kind)[5], uint64_t Key,
-             std::string_view Payload) override;
+  bool load(const char (&Kind)[5], uint64_t Key, std::string &Payload);
+  void store(const char (&Kind)[5], uint64_t Key, std::string_view Payload);
 
   /// A consistent snapshot of the store counters (surfaced through
   /// `vifc --store` summaries and the serve `stats` document).
@@ -121,9 +118,10 @@ bool decodeDesignArtifact(std::string_view Payload, ResourceMatrix &RMlo,
                           ResourceMatrix &RMgl, Digraph &Graph);
 
 /// Codecs for the query-index blob (kind "qidx", section "QIDX"): the
-/// reachability closure and CSR adjacency of a FlowQueryEngine over
-/// \p Graph. decode validates every shape invariant against the graph
-/// and returns nullopt on any mismatch (a miss; the engine is rebuilt).
+/// reachability closure of a FlowQueryEngine over \p Graph. decode
+/// checks the closure's shape against the graph, builds the adjacency
+/// from the graph itself, and returns nullopt on any mismatch (a miss;
+/// the engine is rebuilt).
 std::string encodeQueryIndex(const query::FlowQueryEngine &E);
 std::optional<query::FlowQueryEngine>
 decodeQueryIndex(std::string_view Payload, const Digraph &Graph);

@@ -199,7 +199,6 @@ DesignResult vif::driver::analyzeDesign(const BatchInput &In,
       In.Source ? AnalysisSession::fromSource(In.Name, *In.Source,
                                               Opts.Session)
                 : AnalysisSession::fromFile(In.Name, Opts.Session));
-  S->setArtifacts(Opts.Artifacts, Opts.Store);
   DesignResult D = resultFromSession(*S, In.Name, Opts);
   if (D.Graph && !D.GraphOwner)
     D.GraphOwner = std::move(S);

@@ -76,11 +76,6 @@ struct BatchOptions {
   /// `vifc serve` case) — reuse every artifact already computed. Inputs
   /// that cannot be read bypass the cache. Not owned.
   SessionCache *Cache = nullptr;
-  /// Incremental/persistence wiring for the sessions the batch builds
-  /// itself (when Cache is set, its own wiring applies instead — see
-  /// SessionCache::setArtifacts). Neither is owned.
-  ProcessArtifactTable *Artifacts = nullptr;
-  ArtifactBlobStore *Store = nullptr;
 };
 
 /// The outcome of one design, in input order.

@@ -282,10 +282,8 @@ std::string contentKeyOf(std::string_view Source) {
 
 Server::Server(ServeOptions Opts)
     : Opts(Opts), Cache(Opts.CacheCapacity, Opts.CacheBytes) {
-  if (!Opts.StoreDir.empty()) {
+  if (!Opts.StoreDir.empty())
     Store = std::make_unique<ArtifactStore>(Opts.StoreDir);
-    Artifacts.setBacking(Store.get());
-  }
   Cache.setArtifacts(&Artifacts, Store.get());
 }
 

@@ -60,10 +60,9 @@ struct ServeOptions {
   std::function<void(uint16_t)> OnListening;
   /// Session defaults a request's "options" object overrides per field.
   SessionOptions Session;
-  /// When non-empty, the server persists analysis artifacts under this
-  /// directory (driver/ArtifactStore.h) and serves them back across
-  /// restarts; the per-process artifact table is backed by it. Empty =
-  /// in-memory incrementality only.
+  /// When non-empty, the server persists whole-design artifacts under
+  /// this directory (driver/ArtifactStore.h) and serves them back across
+  /// restarts. Per-process incrementality is in memory either way.
   std::string StoreDir;
 };
 
@@ -120,9 +119,6 @@ public:
   /// The on-disk artifact store; null unless ServeOptions::StoreDir was
   /// set.
   const ArtifactStore *artifactStore() const { return Store.get(); }
-  /// The shared per-process artifact table every session analyzes
-  /// through.
-  ProcessArtifactTable &artifactTable() { return Artifacts; }
   uint64_t requestsHandled() const {
     return Requests.load(std::memory_order_relaxed);
   }
@@ -142,9 +138,9 @@ private:
 
   ServeOptions Opts;
   SessionCache Cache;
-  /// On-disk artifact store (ServeOptions::StoreDir) and the per-process
-  /// artifact table shared by all sessions; wired into Cache before any
-  /// request runs.
+  /// On-disk artifact store (ServeOptions::StoreDir) and the in-memory
+  /// per-process artifact table shared by all sessions; wired into Cache
+  /// before any request runs.
   std::unique_ptr<ArtifactStore> Store;
   ProcessArtifactTable Artifacts;
   /// The content-key map behind "contentKey" requests: source bytes by

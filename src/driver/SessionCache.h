@@ -171,12 +171,10 @@ public:
   /// all entries through \p Table, whole-design artifacts through
   /// \p Store. Neither is owned; configure before the cache is shared
   /// across threads.
-  void setArtifacts(ProcessArtifactTable *Table, ArtifactBlobStore *Store) {
+  void setArtifacts(ProcessArtifactTable *Table, ArtifactStore *Store) {
     ArtTable = Table;
     ArtStore = Store;
   }
-  ProcessArtifactTable *artifactTable() const { return ArtTable; }
-  ArtifactBlobStore *artifactStore() const { return ArtStore; }
 
   Stats stats() const;
   size_t size() const;
@@ -205,7 +203,7 @@ private:
   size_t Cap;
   size_t BytesBudget;
   ProcessArtifactTable *ArtTable = nullptr;
-  ArtifactBlobStore *ArtStore = nullptr;
+  ArtifactStore *ArtStore = nullptr;
   /// Sum of Entry::Bytes over resident (indexed) entries; guarded by M.
   size_t TotalBytes = 0;
   mutable std::mutex M;

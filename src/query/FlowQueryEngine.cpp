@@ -42,6 +42,10 @@ WitnessStep vif::query::makeWitnessStep(std::string_view Node) {
 
 FlowQueryEngine::FlowQueryEngine(const Digraph &Graph) : G(&Graph) {
   G->reachabilityClosure(Closure);
+  buildAdjacency();
+}
+
+void FlowQueryEngine::buildAdjacency() {
   // CSR adjacency from the flat sorted edge vector: a counting pass sizes
   // the rows, then edges are streamed into place. forEachEdgeId visits
   // (from, to) ascending, so each row ends up sorted — the tie-break the
@@ -59,23 +63,14 @@ FlowQueryEngine::FlowQueryEngine(const Digraph &Graph) : G(&Graph) {
   });
 }
 
-std::optional<FlowQueryEngine>
-FlowQueryEngine::fromIndex(const Digraph &G, BitMatrix Closure,
-                           std::vector<uint32_t> RowStart,
-                           std::vector<Digraph::NodeId> Succ) {
+std::optional<FlowQueryEngine> FlowQueryEngine::fromIndex(const Digraph &G,
+                                                          BitMatrix Closure) {
   size_t N = G.numNodes();
-  if (Closure.numRows() != N || Closure.numBits() != N ||
-      RowStart.size() != N + 1 || RowStart.front() != 0 ||
-      RowStart.back() != Succ.size())
+  if (Closure.numRows() != N || Closure.numBits() != N)
     return std::nullopt;
-  for (size_t I = 0; I < N; ++I)
-    if (RowStart[I] > RowStart[I + 1])
-      return std::nullopt;
-  for (Digraph::NodeId S : Succ)
-    if (S >= N)
-      return std::nullopt;
-  return FlowQueryEngine(G, std::move(Closure), std::move(RowStart),
-                         std::move(Succ));
+  FlowQueryEngine E(G, std::move(Closure));
+  E.buildAdjacency();
+  return E;
 }
 
 bool FlowQueryEngine::reaches(std::string_view Src,

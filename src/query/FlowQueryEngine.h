@@ -69,21 +69,17 @@ class FlowQueryEngine {
 public:
   explicit FlowQueryEngine(const Digraph &G);
 
-  /// Rebuilds an engine from a previously computed index (the on-disk
-  /// "qidx" artifact): validates every shape invariant against \p G and
-  /// returns nullopt on any mismatch, in which case the caller rebuilds
-  /// from the graph. The successor lists themselves are trusted — the
-  /// store key ties the blob to the exact (source, options) pair that
-  /// produced \p G, so a shape-valid index is the one \p G would build.
-  static std::optional<FlowQueryEngine>
-  fromIndex(const Digraph &G, BitMatrix Closure,
-            std::vector<uint32_t> RowStart,
-            std::vector<Digraph::NodeId> Succ);
+  /// Rebuilds an engine from a previously computed reachability closure
+  /// (the on-disk "qidx" artifact). Returns nullopt, and the caller
+  /// rebuilds from the graph, unless \p Closure is N × N for \p G's N
+  /// nodes. The adjacency comes from \p G, as in the constructor. The
+  /// closure is trusted: the store key ties the blob to the exact
+  /// (source, options) pair that produced \p G.
+  static std::optional<FlowQueryEngine> fromIndex(const Digraph &G,
+                                                  BitMatrix Closure);
 
-  /// The reachability-index internals (what the artifact store persists).
+  /// The reachability closure (what the artifact store persists).
   const BitMatrix &closureMatrix() const { return Closure; }
-  const std::vector<uint32_t> &rowStart() const { return RowStart; }
-  const std::vector<Digraph::NodeId> &succList() const { return Succ; }
 
   size_t numNodes() const { return G->numNodes(); }
   size_t numEdges() const { return Succ.size(); }
@@ -116,11 +112,10 @@ public:
   size_t memoryBytes() const;
 
 private:
-  FlowQueryEngine(const Digraph &Graph, BitMatrix Closure,
-                  std::vector<uint32_t> RowStart,
-                  std::vector<Digraph::NodeId> Succ)
-      : G(&Graph), Closure(std::move(Closure)),
-        RowStart(std::move(RowStart)), Succ(std::move(Succ)) {}
+  FlowQueryEngine(const Digraph &Graph, BitMatrix Closure)
+      : G(&Graph), Closure(std::move(Closure)) {}
+  /// Fills RowStart/Succ from the graph's edges.
+  void buildAdjacency();
 
   /// Borrowed, never null (a pointer so the engine stays movable).
   const Digraph *G;

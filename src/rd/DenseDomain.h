@@ -252,10 +252,10 @@ struct RowKeep {
 };
 
 /// One process's solution of Table 4 or 5 as far as a RowKeep asked — the
-/// unit rd/Incremental.h caches and persists. Each table has one CSR row
-/// per local label (FlowIndex order), empty where the keep-set skips it.
+/// unit rd/Incremental.h caches. Each table has one CSR row per local
+/// label (FlowIndex order), empty where the keep-set skips it.
 struct RdProcessArtifact {
-  enum Table { Entry, Exit, MustEntry, MustExit }; ///< codec order
+  enum Table { Entry, Exit, MustEntry, MustExit };
   std::array<std::shared_ptr<const PairRows>, 4> Tables;
   uint64_t Iterations = 0;
 

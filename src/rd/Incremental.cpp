@@ -7,7 +7,6 @@
 #include "rd/Incremental.h"
 
 #include "cfg/FlowIndex.h"
-#include "support/BinaryIO.h"
 #include "support/Casting.h"
 #include "support/Hash.h"
 #include "support/Parallel.h"
@@ -15,8 +14,6 @@
 #include <algorithm>
 
 using namespace vif;
-
-ArtifactBlobStore::~ArtifactBlobStore() = default;
 
 //===----------------------------------------------------------------------===//
 // Slice hashing
@@ -140,74 +137,6 @@ std::vector<uint64_t> vif::hashProcessSlices(const ElaboratedProgram &Program,
 }
 
 //===----------------------------------------------------------------------===//
-// Artifact codecs
-//===----------------------------------------------------------------------===//
-
-std::string vif::encodeProcessArtifact(const RdProcessArtifact &A) {
-  ByteWriter W;
-  W.u64(A.Iterations);
-  const auto &Entry = A.Tables[RdProcessArtifact::Entry];
-  W.u32(Entry ? static_cast<uint32_t>(Entry->numRows()) : 0);
-  uint8_t Mask = 0;
-  for (int T = 0; T < 4; ++T)
-    Mask |= (A.Tables[T] ? 1 : 0) << T;
-  W.u8(Mask);
-  for (const auto &T : A.Tables) {
-    if (!T)
-      continue;
-    const PairRows &R = *T;
-    W.u32(static_cast<uint32_t>(R.Items.size()));
-    for (size_t I = 0; I < R.numRows(); ++I)
-      W.u32(R.Start[I + 1] - R.Start[I]);
-    for (const DefPair &P : R.Items) {
-      W.u32(P.N.raw());
-      W.u32(P.L);
-    }
-  }
-  return W.take();
-}
-
-bool vif::decodeProcessArtifact(std::string_view Blob, RdProcessArtifact &A) {
-  ByteReader R(Blob);
-  RdProcessArtifact Out;
-  Out.Iterations = R.u64();
-  uint32_t NL = R.u32();
-  uint8_t Mask = R.u8();
-  // Every table has NL rows, and Entry is always present. Sizes
-  // inconsistent with the remaining bytes are rejected before any
-  // allocation is sized from them.
-  if (!R.ok() || Mask > 15 || !(Mask & 1))
-    return false;
-  for (int T = 0; T < 4; ++T) {
-    if (!(Mask & (1 << T)))
-      continue;
-    uint32_t NumPairs = R.u32();
-    if (!R.ok() || NL > R.remaining() / 4 ||
-        NumPairs > (R.remaining() - uint64_t(NL) * 4) / 8)
-      return false;
-    auto Rows = std::make_shared<PairRows>();
-    for (uint32_t I = 0; I < NL; ++I) {
-      uint32_t Len = R.u32();
-      if (Len > NumPairs - Rows->Start.back())
-        return false;
-      Rows->Start.push_back(Rows->Start.back() + Len);
-    }
-    // Rows must be strictly ascending, as every solve emits them.
-    for (uint32_t I = 0; I < NL; ++I)
-      for (uint32_t J = Rows->Start[I]; J < Rows->Start[I + 1]; ++J) {
-        Rows->Items.push_back({Resource::fromRaw(R.u32()), R.u32()});
-        if (J > Rows->Start[I] && !(Rows->Items[J - 1] < Rows->Items[J]))
-          return false;
-      }
-    Out.Tables[T] = std::move(Rows);
-  }
-  if (!R.ok() || !R.atEnd())
-    return false;
-  A = std::move(Out);
-  return true;
-}
-
-//===----------------------------------------------------------------------===//
 // ProcessArtifactTable
 //===----------------------------------------------------------------------===//
 
@@ -215,53 +144,35 @@ ProcessArtifactTable::ProcessArtifactTable(size_t MaxEntries)
     : Cap(MaxEntries ? MaxEntries : 1) {}
 
 std::shared_ptr<const RdProcessArtifact>
-ProcessArtifactTable::findInMemory(uint64_t Key) {
-  std::lock_guard<std::mutex> G(M);
-  auto It = Map.find(Key);
-  if (It == Map.end())
-    return nullptr;
-  Lru.splice(Lru.begin(), Lru, It->second.LruIt);
-  return It->second.Value;
-}
-
-void ProcessArtifactTable::insertInMemory(
-    uint64_t Key, std::shared_ptr<const RdProcessArtifact> V) {
-  std::lock_guard<std::mutex> G(M);
-  auto It = Map.find(Key);
-  if (It != Map.end()) {
-    It->second.Value = std::move(V);
-    Lru.splice(Lru.begin(), Lru, It->second.LruIt);
-    return;
-  }
-  Lru.push_front(Key);
-  Map.emplace(Key, Entry{std::move(V), Lru.begin()});
-  while (Map.size() > Cap) {
-    Map.erase(Lru.back());
-    Lru.pop_back();
-  }
-}
-
-std::shared_ptr<const RdProcessArtifact>
-ProcessArtifactTable::find(const char (&Kind)[5], uint64_t Key) {
-  std::shared_ptr<const RdProcessArtifact> A = findInMemory(Key);
-  if (!A && Backing) {
-    std::string Blob;
-    RdProcessArtifact Decoded;
-    if (Backing->load(Kind, Key, Blob) &&
-        decodeProcessArtifact(Blob, Decoded)) {
-      A = std::make_shared<const RdProcessArtifact>(std::move(Decoded));
-      insertInMemory(Key, A);
+ProcessArtifactTable::find(uint64_t Key) {
+  std::shared_ptr<const RdProcessArtifact> A;
+  {
+    std::lock_guard<std::mutex> G(M);
+    auto It = Map.find(Key);
+    if (It != Map.end()) {
+      Lru.splice(Lru.begin(), Lru, It->second.LruIt);
+      A = It->second.Value;
     }
   }
   (A ? Hits : Misses).fetch_add(1, std::memory_order_relaxed);
   return A;
 }
 
-void ProcessArtifactTable::insert(const char (&Kind)[5], uint64_t Key,
+void ProcessArtifactTable::insert(uint64_t Key,
                                   std::shared_ptr<const RdProcessArtifact> A) {
-  if (Backing)
-    Backing->store(Kind, Key, encodeProcessArtifact(*A));
-  insertInMemory(Key, std::move(A));
+  std::lock_guard<std::mutex> G(M);
+  auto It = Map.find(Key);
+  if (It != Map.end()) {
+    It->second.Value = std::move(A);
+    Lru.splice(Lru.begin(), Lru, It->second.LruIt);
+    return;
+  }
+  Lru.push_front(Key);
+  Map.emplace(Key, Entry{std::move(A), Lru.begin()});
+  while (Map.size() > Cap) {
+    Map.erase(Lru.back());
+    Lru.pop_back();
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -328,7 +239,7 @@ bool fitsKeep(const RdProcessArtifact &A, const RowKeep &K, size_t NL,
 /// iteration total to \p Iterations.
 template <typename KeyFn, typename SolveFn>
 size_t runPhase(const ProgramCFG &CFG, unsigned Jobs,
-                ProcessArtifactTable &Table, const char (&Kind)[5], bool Must,
+                ProcessArtifactTable &Table, bool Must,
                 const std::vector<RowKeep> &Keeps, KeyFn Key, SolveFn Solve,
                 LazyPairSets &Entry, LazyPairSets &Exit,
                 LazyPairSets *MustEntry, LazyPairSets *MustExit,
@@ -339,15 +250,15 @@ size_t runPhase(const ProgramCFG &CFG, unsigned Jobs,
   parallelFor(Jobs, NumProcs, [&](size_t PI) {
     const ProcessCFG &P = CFG.processes()[PI];
     uint64_t K = Key(P);
-    auto A = Table.find(Kind, K);
-    // A layout mismatch (hash collision, stale blob) is a miss.
+    auto A = Table.find(K);
+    // A layout mismatch (a key collision) is a miss.
     if (A && !fitsKeep(*A, Keeps[PI], P.Labels.size(), Must))
       A = nullptr;
     if (A) {
       Reused[PI] = 1;
     } else {
       auto Solved = std::make_shared<RdProcessArtifact>(Solve(P));
-      Table.insert(Kind, K, Solved);
+      Table.insert(K, Solved);
       A = std::move(Solved);
     }
     Arts[PI] = std::move(A);
@@ -388,7 +299,7 @@ void vif::analyzeIncremental(const ElaboratedProgram &Program,
   // reads nothing outside the process). Both phases key the full-row view
   // apart from the kept rows.
   size_t ActReused = runPhase(
-      CFG, Opts.Jobs, Table, "actv", /*Must=*/true, ActKeep,
+      CFG, Opts.Jobs, Table, /*Must=*/true, ActKeep,
       [&](const ProcessCFG &P) {
         return HashBuilder()
             .str("actv")
@@ -409,7 +320,7 @@ void vif::analyzeIncremental(const ElaboratedProgram &Program,
   // (The slice fixes the read sets the kept rows are restricted to.)
   WaitAggregates Agg = computeWaitAggregates(CFG, Active, Opts);
   size_t RdReused = runPhase(
-      CFG, Opts.Jobs, Table, "rdpr", /*Must=*/false, RdKeep,
+      CFG, Opts.Jobs, Table, /*Must=*/false, RdKeep,
       [&](const ProcessCFG &P) {
         HashBuilder KH;
         KH.str("rdpr").u64(Slice[P.ProcessId]);

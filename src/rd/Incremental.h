@@ -37,10 +37,10 @@
 /// conservative, never wrong. Edits confined to one process's expressions
 /// keep every other process's labels, so only the edited process misses.
 ///
-/// The table can be backed by an ArtifactBlobStore (implemented on disk by
-/// driver/ArtifactStore.cpp): lookups fall through to the store on a
-/// memory miss and solved artifacts are written back, which is what lets a
-/// fresh session skip the solvers entirely for previously-analyzed code.
+/// The table lives in memory only, so reuse lasts one run of the program
+/// (a `vifc serve` lifetime, a batch). Across restarts the driver's
+/// whole-design store (driver/ArtifactStore.h) serves unchanged designs,
+/// and an edited design re-solves all of its processes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,27 +53,9 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <string>
-#include <string_view>
 #include <unordered_map>
 
 namespace vif {
-
-/// A key → blob persistence interface for analysis artifacts. Implemented
-/// by driver::ArtifactStore over a directory of files; the rd layer only
-/// sees this interface (it must not depend on the driver). \p Kind is a
-/// four-character tag ("actv", "rdpr", ...) namespacing the key space.
-/// load returns false on any miss — absent, corrupt, or mismatched
-/// entries are indistinguishable to the caller. Implementations must be
-/// safe to call from multiple threads.
-class ArtifactBlobStore {
-public:
-  virtual ~ArtifactBlobStore();
-  virtual bool load(const char (&Kind)[5], uint64_t Key,
-                    std::string &Payload) = 0;
-  virtual void store(const char (&Kind)[5], uint64_t Key,
-                     std::string_view Payload) = 0;
-};
 
 /// The canonical per-process slice hash: process \p P's global labels,
 /// flow, block statements (target/value/condition structure, resolved
@@ -84,20 +66,12 @@ public:
 std::vector<uint64_t> hashProcessSlices(const ElaboratedProgram &Program,
                                         const ProgramCFG &CFG);
 
-/// The binary codec of a per-process artifact (the payload stored through
-/// ArtifactBlobStore): iterations, row count, a mask of the tables
-/// present, then per table its pair count, row lengths and pairs — the
-/// kept rows, never a labels × domain matrix. The decoder is
-/// bounds-checked, requires rows to be strictly ascending, and returns
-/// false on any anomaly; analyzeIncremental also treats an artifact whose
-/// layout disagrees with the process's keep-set as a miss.
-std::string encodeProcessArtifact(const RdProcessArtifact &A);
-bool decodeProcessArtifact(std::string_view Blob, RdProcessArtifact &A);
-
-/// A thread-safe, LRU-bounded in-memory table of per-process artifacts,
-/// optionally backed by an ArtifactBlobStore. One table is shared by all
-/// sessions of a SessionCache, so artifacts survive design-level
-/// evictions and are reused across designs that share process slices.
+/// A thread-safe, LRU-bounded in-memory table of per-process artifacts.
+/// One table is shared by all sessions of a SessionCache, so artifacts
+/// survive design-level evictions and are reused across designs that
+/// share process slices. Table 4 and Table 5 artifacts share one key
+/// space; analyzeIncremental checks a found artifact's layout, so a
+/// 64-bit key collision costs a re-solve, never a wrong answer.
 class ProcessArtifactTable {
 public:
   /// \p MaxEntries bounds the in-memory map (artifact structs are small —
@@ -105,28 +79,17 @@ public:
   /// of processes before evicting least-recently-used entries).
   explicit ProcessArtifactTable(size_t MaxEntries = 1u << 16);
 
-  /// Attaches (or detaches, with nullptr) the on-disk backing store.
-  /// Not synchronized against concurrent find/insert — wire it up before
-  /// the table is shared.
-  void setBacking(ArtifactBlobStore *S) { Backing = S; }
+  /// The artifact stored under \p Key; null on a miss.
+  std::shared_ptr<const RdProcessArtifact> find(uint64_t Key);
+  /// Retains \p A under \p Key, evicting the least recently used entry
+  /// beyond the bound.
+  void insert(uint64_t Key, std::shared_ptr<const RdProcessArtifact> A);
 
-  /// The artifact stored under \p Key, from memory or else from the
-  /// backing store's \p Kind namespace; null on a miss.
-  std::shared_ptr<const RdProcessArtifact> find(const char (&Kind)[5],
-                                                uint64_t Key);
-  /// Retains \p A under \p Key and writes it through to the backing store.
-  void insert(const char (&Kind)[5], uint64_t Key,
-              std::shared_ptr<const RdProcessArtifact> A);
-
-  /// Artifacts served (memory or backing store) resp. not found.
+  /// Artifacts served resp. not found.
   size_t hits() const { return Hits.load(std::memory_order_relaxed); }
   size_t misses() const { return Misses.load(std::memory_order_relaxed); }
 
 private:
-  std::shared_ptr<const RdProcessArtifact> findInMemory(uint64_t Key);
-  void insertInMemory(uint64_t Key,
-                      std::shared_ptr<const RdProcessArtifact> V);
-
   struct Entry {
     std::shared_ptr<const RdProcessArtifact> Value;
     std::list<uint64_t>::iterator LruIt;
@@ -136,7 +99,6 @@ private:
   std::unordered_map<uint64_t, Entry> Map;
   std::list<uint64_t> Lru; ///< most recent first
   size_t Cap;
-  ArtifactBlobStore *Backing = nullptr;
   std::atomic<size_t> Hits{0}, Misses{0};
 };
 

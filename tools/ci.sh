@@ -104,7 +104,16 @@ echo "store smoke passed"
 # same matrix; the --json entry count must match the text's RMgl lines.
 # The design blob holds the rows as words, so it stays within 160 KB (it
 # was 877 KB as 9-byte entries). Then the AES core (890 814 RMgl entries)
-# through `vifc flows --store`: its restart must be a pure hit too.
+# through `vifc flows --store`: its restart must be a pure hit too. Each
+# priming run persists the design blob and nothing per process: it
+# reports one write and leaves one dsgn file and no actv/rdpr file.
+expect_one_design_blob() { # <store dir> <priming stderr> <what>
+  grep -q ', 1 write(s),' "$2" \
+    && [ "$(ls "$1" | grep -c '^dsgn-.*\.bin$')" = 1 ] \
+    && ! ls "$1" | grep -q '^\(actv\|rdpr\)-' \
+    || { echo "large-matrix store step failed ($3): priming did not write" \
+           "exactly one design blob:"; cat "$2"; ls "$1"; exit 1; }
+}
 store_dir=$(mktemp -d)
 "$BUILD_DIR/perfbench/perfbench_layers" gen "$store_dir" >/dev/null
 "$BUILD_DIR/vifc" rm --store "$store_dir/s" "$store_dir/pipeline256.vhd" \
@@ -115,6 +124,7 @@ cmp -s "$store_dir/out1" "$store_dir/out2" \
   && grep -q '1 hit(s), 0 miss(es), 0 write(s)' "$store_dir/err2" \
   || { echo "large-matrix store step failed:"
        cat "$store_dir/err1" "$store_dir/err2"; exit 1; }
+expect_one_design_blob "$store_dir/s" "$store_dir/err1" pipeline256
 dsgn_bytes=$(cat "$store_dir"/s/dsgn-*.bin | wc -c)
 [ "$dsgn_bytes" -le $((160 * 1024)) ] \
   || { echo "large-matrix store step failed: pipeline256 dsgn blob is" \
@@ -127,6 +137,7 @@ cmp -s "$store_dir/aesout1" "$store_dir/aesout2" \
   && grep -q '1 hit(s), 0 miss(es), 0 write(s)' "$store_dir/aeserr2" \
   || { echo "large-matrix store step failed (AES core):"
        cat "$store_dir/aeserr1" "$store_dir/aeserr2"; exit 1; }
+expect_one_design_blob "$store_dir/a" "$store_dir/aeserr1" "AES core"
 rmgl_lines=$(sed -n '/^== RMgl/,$p' "$store_dir/out1" | grep -vc '^== ')
 if command -v python3 >/dev/null; then
   "$BUILD_DIR/vifc" rm --json "$store_dir/pipeline256.vhd" \

@@ -237,12 +237,11 @@ const ElaboratedProgram *loadSingle(AnalysisSession &S) {
   return P;
 }
 
-/// The CLI-owned `--store DIR` state: the on-disk artifact store plus the
-/// per-process artifact table it backs, attached to whichever session or
-/// batch the command runs. Disabled (all no-ops) when DIR is empty.
+/// The CLI-owned `--store DIR` state: the on-disk artifact store,
+/// attached to whichever session or batch the command runs. Disabled (all
+/// no-ops) when DIR is empty.
 struct StoreContext {
   std::unique_ptr<driver::ArtifactStore> Store;
-  ProcessArtifactTable Table;
 
   explicit StoreContext(const std::string &Dir) {
     if (Dir.empty())
@@ -251,13 +250,9 @@ struct StoreContext {
     if (!Store->usable())
       std::cerr << "warning: cannot use artifact store directory '" << Dir
                 << "'; continuing without persistence\n";
-    Table.setBacking(Store.get());
   }
 
-  void attach(AnalysisSession &S) {
-    if (Store)
-      S.setArtifacts(&Table, Store.get());
-  }
+  void attach(AnalysisSession &S) { S.setArtifacts(nullptr, Store.get()); }
 
   /// The one-line store summary printed to stderr after non-JSON runs, so
   /// scripted callers can observe hit/miss traffic without parsing JSON.
@@ -481,8 +476,7 @@ int cmdServe(const Options &Opt) {
 int cmdBatch(const Options &Opt, driver::BatchMode Mode) {
   driver::SessionCache Cache;
   StoreContext SC(Opt.StoreDir);
-  if (SC.Store)
-    Cache.setArtifacts(&SC.Table, SC.Store.get());
+  Cache.setArtifacts(nullptr, SC.Store.get());
   driver::BatchOptions B;
   B.Mode = Mode;
   B.Method = Opt.Kemmerer ? driver::FlowMethod::Kemmerer
@@ -502,10 +496,6 @@ int cmdBatch(const Options &Opt, driver::BatchMode Mode) {
   B.Jobs = Opt.Jobs;
   B.CaptureRenderedText = !Opt.Json && !Opt.V1bOut;
   B.Cache = &Cache;
-  if (SC.Store) {
-    B.Artifacts = &SC.Table;
-    B.Store = SC.Store.get();
-  }
 
   std::vector<driver::BatchInput> Inputs;
   Inputs.reserve(Opt.Files.size());
