@@ -158,14 +158,13 @@ const IFAResult *AnalysisSession::ifa() {
       // consumer actually asks for it (reachingDefs()/alfp() upgrade).
       if (Blobs) {
         StageTimer T(Times.StoreMs);
-        std::string Payload;
-        if (Blobs->load("dsgn", designKey(), Payload)) {
-          IFAResult R;
-          if (decodeDesignArtifact(Payload, R.RMlo, R.RMgl, R.Graph)) {
-            Ifa.emplace(std::move(R));
-            IfaPartial = true;
-            IfaState = State::Ok;
-          }
+        IFAResult R;
+        if (Blobs->load("dsgn", designKey(), [&](std::string_view Payload) {
+              return decodeDesignArtifact(Payload, R.RMlo, R.RMgl, R.Graph);
+            })) {
+          Ifa.emplace(std::move(R));
+          IfaPartial = true;
+          IfaState = State::Ok;
         }
       }
       if (IfaState != State::Ok) {
@@ -254,14 +253,14 @@ const query::FlowQueryEngine *AnalysisSession::queryEngine() {
     if (const IFAResult *R = ifa()) {
       if (Blobs) {
         StageTimer T(Times.StoreMs);
-        std::string Payload;
-        if (Blobs->load("qidx", designKey(), Payload)) {
-          if (std::optional<query::FlowQueryEngine> E =
-                  decodeQueryIndex(Payload, R->Graph)) {
-            Query.emplace(std::move(*E));
-            QueryState = State::Ok;
-          }
-        }
+        if (Blobs->load("qidx", designKey(), [&](std::string_view Payload) {
+              std::optional<query::FlowQueryEngine> E =
+                  decodeQueryIndex(Payload, R->Graph);
+              if (E)
+                Query.emplace(std::move(*E));
+              return E.has_value();
+            }))
+          QueryState = State::Ok;
       }
       if (QueryState != State::Ok) {
         {

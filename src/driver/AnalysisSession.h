@@ -8,12 +8,12 @@
 /// The driver layer owns the parse → elaborate → CFG → RD → IFA pipeline
 /// end-to-end. An AnalysisSession loads one source and computes each
 /// artifact lazily, at most once, caching it for every later consumer —
-/// the CLI adapters, the batch runner, tests and benches all share the
-/// same pipeline instead of re-wiring it by hand. Failed stages are
-/// cached too: a session never re-parses a broken design and never
-/// reports the same diagnostic twice. Repeated accessor calls return the
-/// same object (pointer-identical), which downstream caching layers rely
-/// on.
+/// the batch runner (and through it the CLI and serve), tests and
+/// benches share the same pipeline instead of re-wiring it by hand.
+/// Failed stages are cached too: a session never re-parses a broken
+/// design and never reports the same diagnostic twice. Repeated accessor
+/// calls return the same object (pointer-identical), which downstream
+/// caching layers rely on.
 ///
 //===----------------------------------------------------------------------===//
 

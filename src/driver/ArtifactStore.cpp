@@ -298,6 +298,15 @@ std::string ArtifactStore::fileName(const char (&Kind)[5], uint64_t Key) {
 
 bool ArtifactStore::load(const char (&Kind)[5], uint64_t Key,
                          std::string &Payload) {
+  return load(Kind, Key, [&](std::string_view Body) {
+    Payload.assign(Body);
+    return true;
+  });
+}
+
+bool ArtifactStore::load(
+    const char (&Kind)[5], uint64_t Key,
+    const std::function<bool(std::string_view)> &Decode) {
   if (Usable) {
     // One sized read of the whole file.
     std::ifstream In(fs::path(Dir) / fileName(Kind, Key),
@@ -319,12 +328,13 @@ bool ArtifactStore::load(const char (&Kind)[5], uint64_t Key,
       uint64_t StoredKey = R.u64();
       std::string_view Body = R.str();
       uint64_t Check = R.u64();
+      // The hit is settled only once the payload decodes: a sound
+      // envelope around a payload the decoder rejects is a miss.
       if (R.ok() && R.atEnd() &&
           std::memcmp(Magic, ArtifactStoreMagic, 4) == 0 &&
           Version == ArtifactStoreVersion &&
           std::memcmp(StoredKind, Kind, 4) == 0 && StoredKey == Key &&
-          Check == checksum(Body)) {
-        Payload.assign(Body);
+          Check == checksum(Body) && Decode(Body)) {
         Hits.fetch_add(1, std::memory_order_relaxed);
         BytesRead.fetch_add(Blob.size(), std::memory_order_relaxed);
         return true;

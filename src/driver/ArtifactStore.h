@@ -44,6 +44,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -69,13 +70,20 @@ public:
   /// True when the backing directory exists and is usable.
   bool usable() const { return Usable; }
 
+  /// Reads blob (\p Kind, \p Key) and hands its payload to \p Decode.
+  /// The load counts as a hit only when the envelope checks out *and*
+  /// \p Decode accepts the payload; everything else is one miss. The
+  /// payload view dies with the call.
+  bool load(const char (&Kind)[5], uint64_t Key,
+            const std::function<bool(std::string_view)> &Decode);
+  /// The same, copying an envelope-checked payload out into \p Payload.
   bool load(const char (&Kind)[5], uint64_t Key, std::string &Payload);
   void store(const char (&Kind)[5], uint64_t Key, std::string_view Payload);
 
   /// A consistent snapshot of the store counters (surfaced through
   /// `vifc --store` summaries and the serve `stats` document).
   struct Counters {
-    uint64_t Hits = 0;        ///< loads served from disk
+    uint64_t Hits = 0;        ///< loads whose payload decoded
     uint64_t Misses = 0;      ///< loads that found nothing usable
     uint64_t Writes = 0;      ///< blobs written back
     uint64_t BytesRead = 0;   ///< file bytes of served loads

@@ -14,8 +14,6 @@
 #include <algorithm>
 #include <chrono>
 #include <ostream>
-#include <sstream>
-#include <thread>
 
 using namespace vif;
 using namespace vif::driver;
@@ -36,6 +34,14 @@ const char *vif::driver::batchModeName(BatchMode M) {
   return "?";
 }
 
+std::optional<BatchMode> vif::driver::parseBatchMode(std::string_view Name) {
+  for (BatchMode M : {BatchMode::Check, BatchMode::Flows, BatchMode::Matrices,
+                      BatchMode::Report, BatchMode::Query})
+    if (Name == batchModeName(M))
+      return M;
+  return std::nullopt;
+}
+
 const char *vif::driver::flowMethodName(FlowMethod M) {
   switch (M) {
   case FlowMethod::Native:
@@ -46,6 +52,15 @@ const char *vif::driver::flowMethodName(FlowMethod M) {
     return "kemmerer";
   }
   return "?";
+}
+
+std::optional<FlowMethod>
+vif::driver::parseFlowMethod(std::string_view Name) {
+  for (FlowMethod M :
+       {FlowMethod::Native, FlowMethod::Alfp, FlowMethod::Kemmerer})
+    if (Name == flowMethodName(M))
+      return M;
+  return std::nullopt;
 }
 
 namespace {
@@ -67,6 +82,7 @@ DesignResult resultFromSession(AnalysisSession &S, const std::string &Name,
                                const BatchOptions &Opts) {
   DesignResult D;
   D.Name = Name;
+  std::string AlfpError;
 
   const ElaboratedProgram *P = S.program();
   if (P) {
@@ -99,10 +115,10 @@ DesignResult resultFromSession(AnalysisSession &S, const std::string &Name,
             auto G = std::make_shared<Digraph>(
                 extractFlowGraph(A->RMgl, *P));
             recordGraph(D, *G);
-            D.GraphOwner = std::move(G);
+            D.Owner = std::move(G);
             D.Ok = true;
           } else {
-            D.Diagnostics = "alfp error: " + A->Error + "\n";
+            AlfpError = "alfp error: " + A->Error + "\n";
           }
         }
         break;
@@ -110,15 +126,13 @@ DesignResult resultFromSession(AnalysisSession &S, const std::string &Name,
       break;
     case BatchMode::Matrices:
       if (const IFAResult *R = S.ifa()) {
+        // size() flushes pending entries, so printing through the
+        // borrowed pointers later is a pure read.
         D.RMloEntries = R->RMlo.size();
         D.RMglEntries = R->RMgl.size();
-        if (Opts.CaptureRenderedText) {
-          std::ostringstream Lo, Gl;
-          R->RMlo.print(Lo, *P);
-          R->RMgl.print(Gl, *P);
-          D.RMloText = Lo.str();
-          D.RMglText = Gl.str();
-        }
+        D.RMlo = &R->RMlo;
+        D.RMgl = &R->RMgl;
+        D.Program = P;
         D.Ok = true;
       }
       break;
@@ -148,15 +162,11 @@ DesignResult resultFromSession(AnalysisSession &S, const std::string &Name,
       }
       break;
     }
-  } else {
-    D.Unreadable = S.unreadable();
   }
 
   // Diagnostics accompany both failures (errors) and successes (warnings,
-  // notes); unreadable inputs have none, so synthesize one line.
-  D.Diagnostics += S.diagnostics().str();
-  if (D.Unreadable)
-    D.Diagnostics += "error: cannot read '" + D.Name + "'\n";
+  // notes); an ALFP verdict comes last, after the front end's.
+  D.Diagnostics = S.diagnostics().str() + AlfpError;
   D.Timings = S.timings();
   return D;
 }
@@ -165,43 +175,38 @@ DesignResult resultFromSession(AnalysisSession &S, const std::string &Name,
 
 DesignResult vif::driver::analyzeDesign(const BatchInput &In,
                                         const BatchOptions &Opts) {
-  if (Opts.Cache) {
-    // Content-addressed path: read the input first so the cache can key
-    // on its bytes. Unreadable inputs fall through to the uncached path,
-    // which reproduces the cannot-read result cheaply.
-    auto ReadStart = std::chrono::steady_clock::now();
-    std::string FileSource;
-    bool Readable = In.Source || readSourceFile(In.Name, FileSource);
-    double ReadMs = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - ReadStart)
-                        .count();
-    if (Readable) {
-      // Inline sources go in as a view (no copy on a hit); file reads
-      // hand their buffer over.
-      SessionCache::Ref Ref =
-          In.Source
-              ? Opts.Cache->acquire(In.Name, *In.Source, Opts.Session)
-              : Opts.Cache->acquireOwned(In.Name, std::move(FileSource),
-                                         Opts.Session);
-      DesignResult D = resultFromSession(Ref.session(), In.Name, Opts);
-      // A borrowed graph lives in the cached session; keep the entry (not
-      // its lock) alive for as long as the result is.
-      if (D.Graph && !D.GraphOwner)
-        D.GraphOwner = Ref.keepAlive();
-      D.CacheHit = Ref.hit();
-      // The session never read a file (it was built fromSource), so its
-      // ReadMs is 0; report this request's read instead.
-      D.Timings.ReadMs += ReadMs;
-      return D;
-    }
+  // Read the input first so the cache can key on its bytes.
+  auto ReadStart = std::chrono::steady_clock::now();
+  std::string FileSource;
+  bool Readable = In.Source || readSourceFile(In.Name, FileSource);
+  double ReadMs = std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - ReadStart)
+                      .count();
+  if (!Readable) {
+    DesignResult D;
+    D.Name = In.Name;
+    D.Unreadable = true;
+    D.Diagnostics = "error: cannot read '" + In.Name + "'\n";
+    D.Timings.ReadMs = ReadMs;
+    return D;
   }
-  auto S = std::make_shared<AnalysisSession>(
-      In.Source ? AnalysisSession::fromSource(In.Name, *In.Source,
-                                              Opts.Session)
-                : AnalysisSession::fromFile(In.Name, Opts.Session));
-  DesignResult D = resultFromSession(*S, In.Name, Opts);
-  if (D.Graph && !D.GraphOwner)
-    D.GraphOwner = std::move(S);
+  std::optional<SessionCache> OwnCache;
+  SessionCache &Cache = Opts.Cache ? *Opts.Cache : OwnCache.emplace(1);
+  // Inline sources go in as a view (no copy on a hit); file reads hand
+  // their buffer over.
+  SessionCache::Ref Ref =
+      In.Source ? Cache.acquire(In.Name, *In.Source, Opts.Session)
+                : Cache.acquireOwned(In.Name, std::move(FileSource),
+                                     Opts.Session);
+  DesignResult D = resultFromSession(Ref.session(), In.Name, Opts);
+  // Borrowed artifacts live in the cached session; keep the entry (not
+  // its lock) alive for as long as the result is.
+  if ((D.Graph || D.RMgl) && !D.Owner)
+    D.Owner = Ref.keepAlive();
+  D.CacheHit = Ref.hit();
+  // The session never read a file (it was built fromSource), so its
+  // ReadMs is 0; report this request's read instead.
+  D.Timings.ReadMs += ReadMs;
   return D;
 }
 
@@ -212,8 +217,7 @@ BatchResult vif::driver::runBatch(const std::vector<BatchInput> &Inputs,
   R.Designs.resize(Inputs.size());
 
   size_t N = Inputs.size();
-  unsigned HW = std::thread::hardware_concurrency();
-  unsigned Jobs = Opts.Jobs ? Opts.Jobs : std::min(HW ? HW : 1u, 8u);
+  unsigned Jobs = Opts.Jobs ? Opts.Jobs : defaultJobs();
   Jobs = static_cast<unsigned>(std::min<size_t>(Jobs, N));
   // Stdin is a single stream: several "-" inputs racing to drain it from
   // different workers would split it nondeterministically, so serialize.
@@ -224,8 +228,14 @@ BatchResult vif::driver::runBatch(const std::vector<BatchInput> &Inputs,
   if (StdinInputs > 1)
     Jobs = 1;
 
+  // Without a caller's cache, duplicate inputs still share one session
+  // through a cache that lives for this batch.
+  std::optional<SessionCache> OwnCache;
+  BatchOptions WithCache = Opts;
+  if (!Opts.Cache)
+    WithCache.Cache = &OwnCache.emplace();
   parallelFor(Jobs, N, [&](size_t I) {
-    R.Designs[I] = analyzeDesign(Inputs[I], Opts);
+    R.Designs[I] = analyzeDesign(Inputs[I], WithCache);
   });
 
   for (const DesignResult &D : R.Designs) {
@@ -238,55 +248,62 @@ BatchResult vif::driver::runBatch(const std::vector<BatchInput> &Inputs,
   return R;
 }
 
+void vif::driver::printDesignText(std::ostream &OS, const DesignResult &D,
+                                  const BatchOptions &Opts, bool Shape) {
+  if (Shape)
+    OS << D.NumProcesses << " process(es), " << D.NumSignals
+       << " signal(s), " << D.NumVariables << " variable(s)\n";
+  switch (Opts.Mode) {
+  case BatchMode::Check:
+    break;
+  case BatchMode::Flows:
+    OS << D.NumNodes << " node(s), " << D.NumEdges << " edge(s)\n";
+    if (D.Graph)
+      D.Graph->forEachSortedEdge(
+          [&OS](std::string_view From, std::string_view To) {
+            OS << From << " -> " << To << '\n';
+          });
+    break;
+  case BatchMode::Matrices:
+    OS << "== RMlo (" << D.RMloEntries << " entries)\n";
+    D.RMlo->print(OS, *D.Program);
+    OS << "== RMgl (" << D.RMglEntries << " entries)\n";
+    D.RMgl->print(OS, *D.Program);
+    break;
+  case BatchMode::Report:
+    OS << D.ReportText;
+    break;
+  case BatchMode::Query: {
+    OS << "reaches(" << Opts.QueryFrom << ", " << Opts.QueryTo
+       << "): " << (D.Reaches ? "yes" : "no") << '\n';
+    if (D.Reaches) {
+      OS << "witness:";
+      for (const query::WitnessStep &Step : D.Witness)
+        OS << (&Step == D.Witness.data() ? " " : " -> ") << Step.Node;
+      OS << '\n';
+    }
+    auto PrintSet = [&OS](const char *Label,
+                          const std::vector<std::string> &Set) {
+      OS << Label << " (" << Set.size() << "):";
+      for (const std::string &Node : Set)
+        OS << ' ' << Node;
+      OS << '\n';
+    };
+    PrintSet("reachable-from", D.Forward);
+    PrintSet("what-reaches", D.Backward);
+    break;
+  }
+  }
+}
+
 void vif::driver::printBatchText(std::ostream &OS, const BatchResult &R,
                                  const BatchOptions &Opts) {
   for (const DesignResult &D : R.Designs) {
     OS << "== " << D.Name << ": " << (D.Ok ? "ok" : "FAILED") << '\n';
     if (!D.Diagnostics.empty())
       OS << D.Diagnostics;
-    if (!D.Ok)
-      continue;
-    OS << D.NumProcesses << " process(es), " << D.NumSignals
-       << " signal(s), " << D.NumVariables << " variable(s)\n";
-    switch (Opts.Mode) {
-    case BatchMode::Check:
-      break;
-    case BatchMode::Flows:
-      OS << D.NumNodes << " node(s), " << D.NumEdges << " edge(s)\n";
-      if (D.Graph)
-        D.Graph->forEachSortedEdge(
-            [&OS](std::string_view From, std::string_view To) {
-              OS << From << " -> " << To << '\n';
-            });
-      break;
-    case BatchMode::Matrices:
-      OS << "== RMlo (" << D.RMloEntries << " entries)\n" << D.RMloText;
-      OS << "== RMgl (" << D.RMglEntries << " entries)\n" << D.RMglText;
-      break;
-    case BatchMode::Report:
-      OS << D.ReportText;
-      break;
-    case BatchMode::Query: {
-      OS << "reaches(" << Opts.QueryFrom << ", " << Opts.QueryTo
-         << "): " << (D.Reaches ? "yes" : "no") << '\n';
-      if (D.Reaches) {
-        OS << "witness:";
-        for (const query::WitnessStep &Step : D.Witness)
-          OS << (&Step == D.Witness.data() ? " " : " -> ") << Step.Node;
-        OS << '\n';
-      }
-      auto PrintSet = [&OS](const char *Label,
-                            const std::vector<std::string> &Set) {
-        OS << Label << " (" << Set.size() << "):";
-        for (const std::string &Node : Set)
-          OS << ' ' << Node;
-        OS << '\n';
-      };
-      PrintSet("reachable-from", D.Forward);
-      PrintSet("what-reaches", D.Backward);
-      break;
-    }
-    }
+    if (D.Ok)
+      printDesignText(OS, D, Opts, /*Shape=*/true);
   }
   OS << "--\n"
      << R.Designs.size() << " design(s): " << R.NumOk << " ok, "

@@ -8,9 +8,10 @@
 /// Runs one AnalysisSession per input design, concurrently over a small
 /// thread pool, and aggregates the per-design outcomes — program shape,
 /// graph sizes, policy verdicts, timings — into deterministic text or
-/// machine-readable JSON. This is the engine behind `vifc`'s multi-FILE /
-/// `--json` operation and the substrate for sweeping whole design suites
-/// the way SEIF's harness sweeps Verilog designs. A broken design never
+/// machine-readable JSON. This is the one engine behind every `vifc`
+/// analysis command (one FILE or many, text, JSON or v1b) and behind
+/// `vifc serve`, and the substrate for sweeping whole design suites the
+/// way SEIF's harness sweeps Verilog designs. A broken design never
 /// stops the batch: its diagnostics ride along in its result slot.
 ///
 //===----------------------------------------------------------------------===//
@@ -27,6 +28,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -48,12 +50,17 @@ struct BatchInput {
 /// What each design's session computes and reports.
 enum class BatchMode : uint8_t { Check, Flows, Matrices, Report, Query };
 
+/// The command name of a mode ("check", "flows", "rm", "report",
+/// "query"), and back; parseBatchMode returns nullopt for any other name.
 const char *batchModeName(BatchMode M);
+std::optional<BatchMode> parseBatchMode(std::string_view Name);
 
 /// Which closure produces the flow graph in Flows mode.
 enum class FlowMethod : uint8_t { Native, Alfp, Kemmerer };
 
+/// The method name ("native", "alfp", "kemmerer"), and back.
 const char *flowMethodName(FlowMethod M);
+std::optional<FlowMethod> parseFlowMethod(std::string_view Name);
 
 struct BatchOptions {
   BatchMode Mode = BatchMode::Check;
@@ -66,15 +73,15 @@ struct BatchOptions {
   std::string QueryTo;
   /// Worker threads; 0 picks min(#designs, #cores, 8).
   unsigned Jobs = 0;
-  /// Capture the rendered matrix/report texts per design. printBatchText
-  /// needs them; JSON consumers (counts + verdicts only) turn this off so
-  /// large suites don't pay for formatting that is thrown away.
+  /// Capture the rendered audit report per design (Report mode). The
+  /// text renderers need it; JSON and v1b consumers (counts + verdicts
+  /// only) turn it off. Matrices are borrowed, never captured.
   bool CaptureRenderedText = true;
-  /// When set, sessions come from this content-addressed cache instead of
-  /// being built fresh: designs whose (source, options) were seen before —
-  /// in this batch or by an earlier request against the same cache (the
-  /// `vifc serve` case) — reuse every artifact already computed. Inputs
-  /// that cannot be read bypass the cache. Not owned.
+  /// The content-addressed cache sessions come from: designs whose
+  /// (source, options) were seen before — in this batch or by an earlier
+  /// request against the same cache (the `vifc serve` case) — reuse every
+  /// artifact already computed. When null, runBatch (or a lone
+  /// analyzeDesign) uses a cache of its own. Not owned.
   SessionCache *Cache = nullptr;
 };
 
@@ -97,7 +104,7 @@ struct DesignResult {
   size_t NumVariables = 0;
 
   /// Flows / Report modes: the flow graph, borrowed from the session that
-  /// computed it (or owned through GraphOwner). Its sorted views are
+  /// computed it (or owned through Owner). Its sorted views are
   /// materialized before the producing session's lock is released, so all
   /// reads through this pointer — forEachSortedEdge, rankedNodes — are
   /// pure and need no further synchronization. Null in other modes and on
@@ -105,15 +112,19 @@ struct DesignResult {
   size_t NumNodes = 0;
   size_t NumEdges = 0;
   const Digraph *Graph = nullptr;
-  /// Keeps *Graph alive: the cache entry, the ad-hoc session, or a
-  /// standalone graph (the ALFP extraction). Never dereferenced.
-  std::shared_ptr<const void> GraphOwner;
 
-  /// Matrices mode: entry counts and the rendered matrices.
+  /// Matrices mode: entry counts, and the matrices with the program that
+  /// names their resources, borrowed like Graph (flushed by size() under
+  /// the session's lock, so printing is a pure read).
   size_t RMloEntries = 0;
   size_t RMglEntries = 0;
-  std::string RMloText;
-  std::string RMglText;
+  const ResourceMatrix *RMlo = nullptr;
+  const ResourceMatrix *RMgl = nullptr;
+  const ElaboratedProgram *Program = nullptr;
+
+  /// Keeps everything borrowed above alive: the cache entry, or a
+  /// standalone graph (the ALFP extraction). Never dereferenced.
+  std::shared_ptr<const void> Owner;
 
   /// Report mode: the audit report and the policy verdicts.
   std::string ReportText;
@@ -148,9 +159,16 @@ DesignResult analyzeDesign(const BatchInput &In, const BatchOptions &Opts);
 BatchResult runBatch(const std::vector<BatchInput> &Inputs,
                      const BatchOptions &Opts);
 
-/// Human-readable rendering, one block per design in input order.
+/// Human-readable rendering, one block per design in input order: a
+/// header, the diagnostics, then printDesignText with the shape line.
 void printBatchText(std::ostream &OS, const BatchResult &R,
                     const BatchOptions &Opts);
+
+/// The text of one successful design: its program-shape line when
+/// \p Shape is set, then what Opts.Mode reports. printBatchText prints it
+/// under each design's header; `vifc` prints it alone for a single FILE.
+void printDesignText(std::ostream &OS, const DesignResult &D,
+                     const BatchOptions &Opts, bool Shape);
 
 /// One vifc.v1 JSON document with a per-design array and a summary
 /// object (delegates to driver/Serialize.h's writeBatchDocument).

@@ -19,9 +19,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <istream>
-#include <ostream>
-#include <thread>
 
 #include <csignal>
 #include <netinet/in.h>
@@ -61,22 +58,6 @@ struct ServeRequest {
   bool V1b = false;
 };
 
-bool isAnalysisCommand(const std::string &C, BatchMode &Mode) {
-  if (C == "check")
-    Mode = BatchMode::Check;
-  else if (C == "flows")
-    Mode = BatchMode::Flows;
-  else if (C == "rm")
-    Mode = BatchMode::Matrices;
-  else if (C == "report")
-    Mode = BatchMode::Report;
-  else if (C == "query")
-    Mode = BatchMode::Query;
-  else
-    return false;
-  return true;
-}
-
 /// Returns the name of the first duplicated member of \p Obj, or "".
 /// The protocol is strict about duplicates: last-one-wins would silently
 /// analyze the wrong input, and our find() lookups take the first.
@@ -110,15 +91,10 @@ std::string parseRequestOptions(const JsonValue &Options, ServeRequest &R) {
         return "option \"method\" only applies to \"flows\"";
       if (!Value.isString())
         return "option \"method\" must be a string";
-      const std::string &M = Value.asString();
-      if (M == "native")
-        R.Method = FlowMethod::Native;
-      else if (M == "alfp")
-        R.Method = FlowMethod::Alfp;
-      else if (M == "kemmerer")
-        R.Method = FlowMethod::Kemmerer;
-      else
-        return "unknown method \"" + M + "\"";
+      std::optional<FlowMethod> M = parseFlowMethod(Value.asString());
+      if (!M)
+        return "unknown method \"" + Value.asString() + "\"";
+      R.Method = *M;
     } else if (Key == "from" || Key == "to") {
       if (R.Mode != BatchMode::Query)
         return "option \"" + Key + "\" only applies to \"query\"";
@@ -202,7 +178,10 @@ std::string parseRequest(const JsonValue &Doc, ServeRequest &R) {
 
   if (R.Command.empty())
     return "missing \"command\"";
-  bool Analysis = isAnalysisCommand(R.Command, R.Mode);
+  std::optional<BatchMode> Mode = parseBatchMode(R.Command);
+  bool Analysis = Mode.has_value();
+  if (Analysis)
+    R.Mode = *Mode;
   if (!Analysis && R.Command != "ping" && R.Command != "stats" &&
       R.Command != "shutdown")
     return "unknown command \"" + R.Command + "\"";
@@ -251,20 +230,16 @@ std::string errorResponse(const JsonValue *Id, std::string_view Code,
   return Out;
 }
 
-/// Best-effort write of \p Line + '\n' to \p Fd; errors are the peer's
-/// problem (used for the admission-control `overloaded` response).
-void writeLineBestEffort(int Fd, const std::string &Line) {
-  std::string Out = Line + '\n';
-  size_t Off = 0;
-  while (Off < Out.size()) {
-    ssize_t W = ::write(Fd, Out.data() + Off, Out.size() - Off);
-    if (W < 0) {
-      if (errno == EINTR)
-        continue;
-      return;
-    }
-    Off += static_cast<size_t>(W);
+/// Writes \p Line + '\n' to \p Fd; false (errno set) on a write error.
+bool writeLine(int Fd, std::string Line) {
+  Line += '\n';
+  for (size_t Off = 0; Off < Line.size();) {
+    ssize_t W = ::write(Fd, Line.data() + Off, Line.size() - Off);
+    if (W < 0 && errno != EINTR)
+      return false;
+    Off += W < 0 ? 0 : static_cast<size_t>(W);
   }
+  return true;
 }
 
 } // namespace
@@ -317,10 +292,7 @@ std::string Server::rememberContent(const std::string &Source) {
 }
 
 unsigned Server::effectiveWorkers() const {
-  if (Opts.Workers)
-    return Opts.Workers;
-  unsigned HW = std::thread::hardware_concurrency();
-  return std::max(1u, std::min(HW ? HW : 1u, 8u));
+  return Opts.Workers ? Opts.Workers : defaultJobs();
 }
 
 std::string Server::handleLine(const std::string &Line) {
@@ -445,18 +417,7 @@ std::string Server::handleLine(const std::string &Line) {
   return Out;
 }
 
-void Server::run(std::istream &In, std::ostream &Out) {
-  std::string Line;
-  while (!ShuttingDown && std::getline(In, Line)) {
-    if (!Line.empty() && Line.back() == '\r')
-      Line.pop_back();
-    if (Line.empty())
-      continue;
-    Out << handleLine(Line) << '\n' << std::flush;
-  }
-}
-
-bool Server::serveFd(int Fd, std::string *Error) {
+bool Server::serveFd(int InFd, int OutFd, std::string *Error) {
   // A peer that disconnects before reading its response must cost us an
   // EPIPE write error (handled below), not a fatal SIGPIPE — also when
   // callers hand us their own fd without going through listenAndServe.
@@ -471,19 +432,7 @@ bool Server::serveFd(int Fd, std::string *Error) {
       Line.pop_back();
     if (Line.empty())
       return true;
-    std::string Resp = handleLine(Line);
-    Resp += '\n';
-    size_t Off = 0;
-    while (Off < Resp.size()) {
-      ssize_t W = ::write(Fd, Resp.data() + Off, Resp.size() - Off);
-      if (W < 0) {
-        if (errno == EINTR)
-          continue;
-        return fail("write");
-      }
-      Off += static_cast<size_t>(W);
-    }
-    return true;
+    return writeLine(OutFd, handleLine(Line)) || fail("write");
   };
 
   // Buf holds no newline before Scanned, so each read scans only its own
@@ -493,7 +442,7 @@ bool Server::serveFd(int Fd, std::string *Error) {
   size_t Scanned = 0;
   char Chunk[4096];
   while (!ShuttingDown) {
-    ssize_t N = ::read(Fd, Chunk, sizeof(Chunk));
+    ssize_t N = ::read(InFd, Chunk, sizeof(Chunk));
     if (N < 0) {
       if (errno == EINTR)
         continue;
@@ -613,7 +562,7 @@ bool Server::listenAndServe(uint16_t Port, std::string *Error) {
         ::close(Conn);
       });
       if (!Queued) {
-        writeLineBestEffort(Conn, Overloaded);
+        writeLine(Conn, Overloaded); // best effort: the peer's problem
         ::close(Conn);
       }
     }

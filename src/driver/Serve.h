@@ -17,10 +17,12 @@
 /// The core is transport-agnostic and thread-safe: handleLine() maps one
 /// request string to one response string and may be called from many
 /// threads at once (the SessionCache underneath serializes per entry).
-/// The stdio/fd loops are thin single-connection wrappers; listenAndServe
-/// is the concurrent TCP front end — an accept loop handing connections
-/// to a fixed WorkerPool (support/Parallel.h) with bounded admission,
-/// which is also what makes the server testable in-process.
+/// serveFd() is the one request loop around it, for one connection: over
+/// fds 0 and 1 it is the stdio transport, over a socket one TCP client.
+/// listenAndServe is the concurrent TCP front end — an accept loop
+/// handing connections to serveFd on a fixed WorkerPool
+/// (support/Parallel.h) with bounded admission, which is also what makes
+/// the server testable in-process.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,7 +35,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -85,16 +86,20 @@ public:
     return ShuttingDown.load(std::memory_order_acquire);
   }
 
-  /// The stdio loop: one request per line on \p In, one response per
-  /// line on \p Out (flushed per response). Returns at EOF or shutdown.
-  /// Blank lines are ignored.
-  void run(std::istream &In, std::ostream &Out);
-
-  /// The same loop over a connected file descriptor (one client).
-  /// Requests on one descriptor are answered in order (pipelining);
-  /// distinct descriptors may be served from distinct threads in
-  /// parallel. Returns false with \p Error set on a transport failure.
-  bool serveFd(int Fd, std::string *Error = nullptr);
+  /// The request loop of one client: one request per line read from
+  /// \p InFd, one response per line written to \p OutFd. A trailing CR
+  /// is stripped, blank lines are skipped, a final line without a
+  /// newline is still answered, and the loop returns at EOF or after
+  /// answering a shutdown. Requests are answered in order (pipelining);
+  /// distinct clients may be served from distinct threads in parallel.
+  /// Returns false with \p Error set ("read: ..." or "write: ...") on a
+  /// transport failure; a reader that went away is a write error, never
+  /// a SIGPIPE. `vifc serve` runs it over fds 0 and 1.
+  bool serveFd(int InFd, int OutFd, std::string *Error = nullptr);
+  /// The same loop over one connected socket.
+  bool serveFd(int Fd, std::string *Error = nullptr) {
+    return serveFd(Fd, Fd, Error);
+  }
 
   /// Binds 127.0.0.1:\p Port (0 = ephemeral, reported via boundPort()
   /// and ServeOptions::OnListening) and serves connections over a fixed

@@ -35,6 +35,13 @@
 
 namespace vif {
 
+/// The worker count "0 = auto" resolves to: the hardware concurrency,
+/// capped at 8.
+inline unsigned defaultJobs() {
+  unsigned HW = std::thread::hardware_concurrency();
+  return std::min(HW ? HW : 1u, 8u);
+}
+
 /// Runs \p Fn(I) for every I in [0, N), over min(\p Jobs, N) threads.
 /// Jobs <= 1 (and N <= 1) runs inline on the calling thread — the
 /// serial path has zero threading overhead and is the default everywhere.

@@ -22,10 +22,12 @@
 
 #include "driver/AnalysisSession.h"
 #include "driver/ArtifactStore.h"
+#include "driver/Serve.h"
 #include "driver/SessionCache.h"
 #include "parse/Parser.h"
 #include "support/BinaryIO.h"
 #include "support/Hash.h"
+#include "support/Json.h"
 #include "workloads/AesVhdl.h"
 #include "workloads/Synthetic.h"
 
@@ -646,6 +648,50 @@ TEST(ArtifactCodec, QueryIndexWithAdjacencyIsAMiss) {
   ASSERT_TRUE(
       Store.load("qidx", sessionCacheKey(Source, SessionOptions()), Payload));
   EXPECT_EQ(Payload, encodeQueryIndex(*Q));
+}
+
+TEST(ArtifactStore, UndecodablePayloadIsAMissNotAHit) {
+  // A sound envelope around a payload the decoder rejects is a miss: the
+  // hit is settled after decoding, in the session and in serve's stats.
+  TempStoreDir Dir;
+  std::string Source = workloads::pipelineDesign(5);
+  uint64_t Key = sessionCacheKey(Source, SessionOptions());
+  {
+    ArtifactStore Store(Dir.Path);
+    AnalysisSession S =
+        AnalysisSession::fromSource("pipe.vhd", Source, SessionOptions());
+    S.setArtifacts(nullptr, &Store);
+    ASSERT_NE(S.queryEngine(), nullptr);
+    // Overwrite the primed qidx blob: valid framing, garbage payload.
+    Store.store("qidx", Key, "not a query index");
+  }
+  ArtifactStore Store(Dir.Path);
+  AnalysisSession S =
+      AnalysisSession::fromSource("pipe.vhd", Source, SessionOptions());
+  S.setArtifacts(nullptr, &Store);
+  ASSERT_NE(S.queryEngine(), nullptr);
+  ArtifactStore::Counters C = Store.counters();
+  EXPECT_EQ(C.Hits, 1u);   // dsgn
+  EXPECT_EQ(C.Misses, 1u); // qidx
+  EXPECT_EQ(C.Writes, 1u); // qidx rewritten
+  EXPECT_EQ(C.BytesRead,
+            std::filesystem::file_size(std::filesystem::path(Dir.Path) /
+                                       ArtifactStore::fileName("dsgn", Key)));
+
+  // The same store traffic through serve, after breaking qidx again.
+  Store.store("qidx", Key, "not a query index");
+  ServeOptions SO;
+  SO.StoreDir = Dir.Path;
+  Server Srv(SO);
+  std::string Query = R"({"command":"query","source":")" +
+                      jsonEscape(Source) +
+                      R"(","options":{"from":"s_0","to":"s_1"}})";
+  ASSERT_NE(Srv.handleLine(Query).find("\"status\":\"ok\""),
+            std::string::npos);
+  std::string Stats = Srv.handleLine(R"({"command":"stats"})");
+  EXPECT_NE(Stats.find(R"("store":{"hits":1,"misses":1,"writes":1,)"),
+            std::string::npos)
+      << Stats;
 }
 
 TEST(RestartSurvival, WarmDiskRunInvokesNoSolver) {

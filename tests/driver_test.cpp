@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 using namespace vif;
@@ -218,7 +219,15 @@ TEST(Batch, MatricesModeCountsEntries) {
   ASSERT_TRUE(R.Designs[0].Ok);
   EXPECT_GT(R.Designs[0].RMloEntries, 0u);
   EXPECT_GE(R.Designs[0].RMglEntries, R.Designs[0].RMloEntries);
-  EXPECT_FALSE(R.Designs[0].RMglText.empty());
+  // The matrices are borrowed, not rendered: they stay readable after
+  // the batch and print as many lines as they count entries.
+  ASSERT_NE(R.Designs[0].RMgl, nullptr);
+  EXPECT_EQ(R.Designs[0].RMgl->size(), R.Designs[0].RMglEntries);
+  std::ostringstream OS;
+  printDesignText(OS, R.Designs[0], Opts, /*Shape=*/false);
+  std::string Text = OS.str();
+  EXPECT_EQ(static_cast<size_t>(std::count(Text.begin(), Text.end(), '\n')),
+            2 + R.Designs[0].RMloEntries + R.Designs[0].RMglEntries);
 }
 
 TEST(Json, EscapesControlAndQuoteCharacters) {

@@ -440,21 +440,6 @@ TEST(Serve, StoreBackedServerSurvivesRestart) {
   std::filesystem::remove_all(Dir);
 }
 
-TEST(Serve, RunLoopSkipsBlanksAndStopsOnShutdown) {
-  Server S;
-  std::istringstream In(muxRequest("check", 1) + "\n\n\r\n" +
-                        R"({"command":"shutdown"})" + "\n" +
-                        muxRequest("check", 99) + "\n");
-  std::ostringstream Out;
-  S.run(In, Out);
-  std::string Text = Out.str();
-  // Two responses: the check and the shutdown; the post-shutdown line is
-  // never read.
-  EXPECT_EQ(std::count(Text.begin(), Text.end(), '\n'), 2);
-  EXPECT_EQ(Text.find("\"id\":99"), std::string::npos);
-  EXPECT_EQ(S.requestsHandled(), 2u);
-}
-
 TEST(Serve, FdTransportOverSocketpair) {
   int Fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Fds), 0);
@@ -597,6 +582,66 @@ std::vector<std::string> splitLines(const std::string &Text) {
     if (!Line.empty() && Line != "\r")
       Out.push_back(Line);
   return Out;
+}
+
+/// A pipe whose two ends close with it.
+struct Pipe {
+  int Fds[2] = {-1, -1};
+  Pipe() { EXPECT_EQ(::pipe(Fds), 0); }
+  ~Pipe() {
+    closeRead();
+    closeWrite();
+  }
+  int readEnd() const { return Fds[0]; }
+  int writeEnd() const { return Fds[1]; }
+  void closeRead() { closeEnd(0); }
+  void closeWrite() { closeEnd(1); }
+
+private:
+  void closeEnd(int I) {
+    if (Fds[I] >= 0)
+      ::close(Fds[I]);
+    Fds[I] = -1;
+  }
+};
+
+// The stdio transport: serveFd over a request pipe and a response pipe,
+// as `vifc serve` runs it over fds 0 and 1.
+TEST(Serve, RunLoopSkipsBlanksAndStopsOnShutdown) {
+  Pipe Requests, Responses;
+  ASSERT_TRUE(writeAll(Requests.writeEnd(),
+                       muxRequest("check", 1) + "\n\n\r\n" +
+                           R"({"command":"shutdown"})" + "\n" +
+                           muxRequest("check", 99) + "\n"));
+  Requests.closeWrite();
+  Server S;
+  std::string Error;
+  EXPECT_TRUE(S.serveFd(Requests.readEnd(), Responses.writeEnd(), &Error))
+      << Error;
+  Responses.closeWrite();
+  std::string Text = readToEof(Responses.readEnd());
+  // Two responses: the check and the shutdown; the post-shutdown line is
+  // never read.
+  EXPECT_EQ(std::count(Text.begin(), Text.end(), '\n'), 2);
+  EXPECT_EQ(Text.find("\"id\":99"), std::string::npos);
+  EXPECT_EQ(S.requestsHandled(), 2u);
+}
+
+// A reader that went away before its response is a write error the loop
+// reports, not a SIGPIPE that kills the process.
+TEST(Serve, ReaderClosingEarlyIsAWriteError) {
+  Pipe Requests, Responses;
+  ASSERT_TRUE(writeAll(Requests.writeEnd(), muxRequest("check", 1) + "\n" +
+                                                muxRequest("check", 2) +
+                                                "\n"));
+  Requests.closeWrite();
+  Responses.closeRead();
+  Server S;
+  std::string Error;
+  EXPECT_FALSE(S.serveFd(Requests.readEnd(), Responses.writeEnd(), &Error));
+  EXPECT_EQ(Error.rfind("write: ", 0), 0u) << Error;
+  // The loop stopped at the first failed write.
+  EXPECT_EQ(S.requestsHandled(), 1u);
 }
 
 TEST(Serve, FdTransportSplitsMultiMegabyteLinesAnywhere) {

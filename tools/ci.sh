@@ -73,7 +73,9 @@ echo "fuzz smoke passed"
 
 # Serve smoke: the long-lived mode must answer line-delimited vifc.v1
 # requests with a cache hit on the repeated one (full protocol coverage
-# lives in ctest's vifc_serve_smoke and tests/serve_test.cpp).
+# lives in ctest's vifc_serve_smoke and tests/serve_test.cpp). A reader
+# that closed stdout before its response makes `vifc serve` exit 1 with a
+# write error, not die of SIGPIPE.
 serve_out=$(printf '%s\n%s\n' \
   '{"schema":"vifc.v1","id":1,"command":"flows","path":"tests/inputs/smoke.vhd"}' \
   '{"schema":"vifc.v1","id":2,"command":"flows","path":"tests/inputs/smoke.vhd"}' \
@@ -81,11 +83,27 @@ serve_out=$(printf '%s\n%s\n' \
 echo "$serve_out" | grep -q '"schema":"vifc.v1"' \
   && echo "$serve_out" | grep -q '"cacheHit":true' \
   || { echo "serve smoke failed:"; echo "$serve_out"; exit 1; }
+if command -v python3 >/dev/null; then
+  python3 - "$BUILD_DIR/vifc" <<'PY'
+import os
+import subprocess
+import sys
+
+r, w = os.pipe()
+os.close(r)
+p = subprocess.run([sys.argv[1], "serve"], input=b'{"command":"ping"}\n',
+                   stdout=w, stderr=subprocess.PIPE)
+assert p.returncode == 1 and b"error: write: " in p.stderr, \
+    "serve with a closed reader: rc %d, %r" % (p.returncode, p.stderr)
+PY
+fi
 echo "serve smoke passed"
 
 # Store smoke: two invocations sharing a --store directory. The second
 # must be a pure hit — its stderr summary reports one load served and
-# nothing solved or written — and stdout must be byte-identical.
+# nothing solved or written — and stdout must be byte-identical. Then
+# `query --store` twice: the restart serves both the design and the query
+# index from disk.
 store_dir=$(mktemp -d)
 store_out1=$("$BUILD_DIR/vifc" flows --store "$store_dir" \
   tests/inputs/smoke.vhd 2>"$store_dir/err1")
@@ -95,6 +113,13 @@ store_out2=$("$BUILD_DIR/vifc" flows --store "$store_dir" \
   && grep -q '1 hit(s), 0 miss(es), 0 write(s)' "$store_dir/err2" \
   || { echo "store smoke failed:"; cat "$store_dir/err1" "$store_dir/err2"
        exit 1; }
+for run in 1 2; do
+  "$BUILD_DIR/vifc" query --store "$store_dir/q" --from sel --to q \
+    tests/inputs/smoke.vhd >/dev/null 2>"$store_dir/qerr$run"
+done
+grep -q '2 hit(s), 0 miss(es), 0 write(s)' "$store_dir/qerr2" \
+  || { echo "store smoke failed (query):"; cat "$store_dir/qerr1" \
+         "$store_dir/qerr2"; exit 1; }
 rm -rf "$store_dir"
 echo "store smoke passed"
 
@@ -139,6 +164,14 @@ cmp -s "$store_dir/aesout1" "$store_dir/aesout2" \
        cat "$store_dir/aeserr1" "$store_dir/aeserr2"; exit 1; }
 expect_one_design_blob "$store_dir/a" "$store_dir/aeserr1" "AES core"
 rmgl_lines=$(sed -n '/^== RMgl/,$p' "$store_dir/out1" | grep -vc '^== ')
+# One FILE and two FILEs print the same RMgl lines per design.
+rmgl_block() { awk '/^== RMgl/ { on = 1; next } /^(== |--$)/ { on = 0 } on' "$1"; }
+"$BUILD_DIR/vifc" rm "$store_dir/pipeline256.vhd" "$store_dir/pipeline256.vhd" \
+  >"$store_dir/out3"
+cmp -s <(rmgl_block "$store_dir/out1"; rmgl_block "$store_dir/out1") \
+  <(rmgl_block "$store_dir/out3") \
+  || { echo "large-matrix store step failed: one-FILE and two-FILE rm" \
+         "print different RMgl lines"; exit 1; }
 if command -v python3 >/dev/null; then
   "$BUILD_DIR/vifc" rm --json "$store_dir/pipeline256.vhd" \
     | python3 -c 'import json, sys

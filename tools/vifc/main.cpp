@@ -16,15 +16,16 @@
 ///   vifc datalog FILE.alfp                 solve ALFP, print ?-queries
 ///   vifc serve   [--cache N] [--listen PORT]
 ///
-/// FILE may be "-" for stdin. With several FILEs or --json the command
-/// runs as a batch over the driver layer's thread pool; single-file text
-/// output is byte-identical to the historical format. All JSON output is
-/// the versioned vifc.v1 wire format (docs/SCHEMA.md); `serve` speaks
-/// line-delimited vifc.v1 requests/responses (docs/SERVER.md).
+/// FILE may be "-" for stdin. All JSON output is the versioned vifc.v1
+/// wire format (docs/SCHEMA.md); `serve` speaks line-delimited vifc.v1
+/// requests/responses (docs/SERVER.md).
 ///
-/// Every command is a thin adapter over vifc::driver (AnalysisSession for
-/// one design, Batch + SessionCache for many, Server for serve); the
-/// pipeline itself lives in src/driver.
+/// The analysis commands (check, flows, rm, report, query) make one
+/// engine call, driver::runBatch over every FILE, and render its result
+/// in one of four ways: v1b frames, one JSON document, batch text (several
+/// FILEs, or query), or single-FILE text — the design's text alone, with
+/// its diagnostics on stderr. `serve` runs driver::Server; only `sim` and
+/// `datalog` drive an AnalysisSession directly.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,9 +37,9 @@
 #include "driver/Serve.h"
 #include "driver/SessionCache.h"
 #include "driver/V1b.h"
-#include "ifa/Report.h"
 #include "sim/Simulator.h"
 #include "sim/VcdWriter.h"
+#include "support/Parallel.h"
 
 #include <algorithm>
 #include <cerrno>
@@ -47,10 +48,11 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
+#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 using namespace vif;
 using driver::AnalysisSession;
@@ -166,11 +168,6 @@ struct Options {
       S.Ifa.RD.Jobs = Jobs ? Jobs : defaultJobs();
     return S;
   }
-
-  static unsigned defaultJobs() {
-    unsigned HW = std::thread::hardware_concurrency();
-    return std::min(HW ? HW : 1u, 8u);
-  }
 };
 
 /// Which commands accept which option. One row per flag; commands as a
@@ -220,69 +217,12 @@ bool checkFlagApplies(const std::string &Command, const std::string &Flag) {
   return true; // not a registered flag; caller diagnoses unknown options
 }
 
-/// Prints the session's diagnostics the way the historical CLI did: the
-/// cannot-read message first (if any), then every parse/elaboration
-/// diagnostic.
-void printDiags(AnalysisSession &S) {
+int cmdSim(const Options &Opt) {
+  AnalysisSession S = AnalysisSession::fromFile(Opt.Files[0], Opt.session());
+  const ElaboratedProgram *Program = S.program();
   if (S.unreadable())
     std::cerr << "error: cannot read '" << S.name() << "'\n";
   S.diagnostics().print(std::cerr);
-}
-
-/// Loads the single input through the pipeline; nullptr (after printing
-/// diagnostics) on failure.
-const ElaboratedProgram *loadSingle(AnalysisSession &S) {
-  const ElaboratedProgram *P = S.program();
-  printDiags(S);
-  return P;
-}
-
-/// The CLI-owned `--store DIR` state: the on-disk artifact store,
-/// attached to whichever session or batch the command runs. Disabled (all
-/// no-ops) when DIR is empty.
-struct StoreContext {
-  std::unique_ptr<driver::ArtifactStore> Store;
-
-  explicit StoreContext(const std::string &Dir) {
-    if (Dir.empty())
-      return;
-    Store = std::make_unique<driver::ArtifactStore>(Dir);
-    if (!Store->usable())
-      std::cerr << "warning: cannot use artifact store directory '" << Dir
-                << "'; continuing without persistence\n";
-  }
-
-  void attach(AnalysisSession &S) { S.setArtifacts(nullptr, Store.get()); }
-
-  /// The one-line store summary printed to stderr after non-JSON runs, so
-  /// scripted callers can observe hit/miss traffic without parsing JSON.
-  void printSummary() const {
-    if (!Store)
-      return;
-    driver::ArtifactStore::Counters C = Store->counters();
-    std::cerr << "vifc: store: " << C.Hits << " hit(s), " << C.Misses
-              << " miss(es), " << C.Writes << " write(s), " << C.BytesRead
-              << " B read, " << C.BytesWritten << " B written\n";
-  }
-};
-
-int cmdCheck(const Options &Opt) {
-  AnalysisSession S = AnalysisSession::fromFile(Opt.Files[0], Opt.session());
-  StoreContext SC(Opt.StoreDir);
-  SC.attach(S);
-  const ElaboratedProgram *Program = loadSingle(S);
-  if (!Program)
-    return 1;
-  std::cout << "ok: " << Program->Processes.size() << " process(es), "
-            << Program->Signals.size() << " signal(s), "
-            << Program->Variables.size() << " variable(s)\n";
-  SC.printSummary();
-  return 0;
-}
-
-int cmdSim(const Options &Opt) {
-  AnalysisSession S = AnalysisSession::fromFile(Opt.Files[0], Opt.session());
-  const ElaboratedProgram *Program = loadSingle(S);
   if (!Program)
     return 1;
   Simulator::Options SimOpts;
@@ -321,81 +261,6 @@ int cmdSim(const Options &Opt) {
     }
   }
   return Status == SimStatus::Stuck ? 1 : 0;
-}
-
-int cmdFlows(const Options &Opt) {
-  AnalysisSession S = AnalysisSession::fromFile(Opt.Files[0], Opt.session());
-  StoreContext SC(Opt.StoreDir);
-  SC.attach(S);
-  const ElaboratedProgram *Program = loadSingle(S);
-  if (!Program)
-    return 1;
-
-  const Digraph *Graph = nullptr;
-  Digraph AlfpGraph;
-  std::string Title;
-  if (Opt.Kemmerer) {
-    Graph = &S.kemmerer()->Graph;
-    Title = "kemmerer";
-  } else if (Opt.Alfp) {
-    const AlfpClosureResult *A = S.alfp();
-    if (!A->Solved) {
-      std::cerr << "alfp error: " << A->Error << '\n';
-      return 1;
-    }
-    AlfpGraph = extractFlowGraph(A->RMgl, *Program);
-    Graph = &AlfpGraph;
-    Title = "flows-alfp";
-  } else {
-    Graph = &S.ifa()->Graph;
-    Title = "flows";
-  }
-  if (Opt.Dot) {
-    Graph->printDOT(std::cout, Title);
-    return 0;
-  }
-  std::cout << Graph->numNodes() << " node(s), " << Graph->numEdges()
-            << " edge(s)\n";
-  Graph->forEachSortedEdge([](std::string_view From, std::string_view To) {
-    std::cout << From << " -> " << To << '\n';
-  });
-  SC.printSummary();
-  return 0;
-}
-
-int cmdRM(const Options &Opt) {
-  AnalysisSession S = AnalysisSession::fromFile(Opt.Files[0], Opt.session());
-  StoreContext SC(Opt.StoreDir);
-  SC.attach(S);
-  const ElaboratedProgram *Program = loadSingle(S);
-  if (!Program)
-    return 1;
-  const IFAResult *R = S.ifa();
-  std::cout << "== RMlo (" << R->RMlo.size() << " entries)\n";
-  R->RMlo.print(std::cout, *Program);
-  std::cout << "== RMgl (" << R->RMgl.size() << " entries)\n";
-  R->RMgl.print(std::cout, *Program);
-  SC.printSummary();
-  return 0;
-}
-
-int cmdReport(const Options &Opt) {
-  AnalysisSession S = AnalysisSession::fromFile(Opt.Files[0], Opt.session());
-  StoreContext SC(Opt.StoreDir);
-  SC.attach(S);
-  const ElaboratedProgram *Program = loadSingle(S);
-  if (!Program)
-    return 1;
-  const IFAResult *R = S.ifa();
-  ReportOptions RepOpts;
-  for (const auto &[From, To] : Opt.Forbidden)
-    RepOpts.Policy.Forbidden.push_back({From, To});
-  std::vector<PolicyViolation> Violations =
-      checkFlowPolicy(R->Graph, RepOpts.Policy);
-  RepOpts.Violations = &Violations;
-  writeAuditReport(std::cout, *Program, *R, RepOpts);
-  SC.printSummary();
-  return Violations.empty() ? 0 : 1;
 }
 
 int cmdDatalog(const Options &Opt) {
@@ -457,26 +322,65 @@ int cmdServe(const Options &Opt) {
     std::cerr << "vifc serve: listening on 127.0.0.1:" << Port << '\n';
   };
   driver::Server Server(SO);
-  if (Opt.ListenGiven) {
-    std::string Error;
-    if (!Server.listenAndServe(static_cast<uint16_t>(Opt.ListenPort),
-                               &Error)) {
-      std::cerr << "error: " << Error << '\n';
-      return 1;
-    }
-    return 0;
+  std::string Error;
+  bool Ok = Opt.ListenGiven
+                ? Server.listenAndServe(
+                      static_cast<uint16_t>(Opt.ListenPort), &Error)
+                : Server.serveFd(STDIN_FILENO, STDOUT_FILENO, &Error);
+  if (!Ok) {
+    std::cerr << "error: " << Error << '\n';
+    return 1;
   }
-  Server.run(std::cin, std::cout);
   return 0;
 }
 
-/// Multi-FILE and/or --json operation: run the batch engine — through a
-/// per-invocation content-addressed session cache, so duplicate inputs
-/// are analyzed once — and render.
-int cmdBatch(const Options &Opt, driver::BatchMode Mode) {
+/// Single-FILE text: the diagnostics on stderr, then the design's text
+/// alone — no batch header or summary. `check` prefixes its shape line
+/// with "ok: ", and `flows --dot` prints Graphviz instead of the edge
+/// list. Returns whether the run went on to print the store summary.
+bool printSingleText(const driver::DesignResult &D,
+                     const driver::BatchOptions &B, bool Dot) {
+  std::cerr << D.Diagnostics;
+  if (!D.Ok)
+    return false;
+  if (Dot) {
+    D.Graph->printDOT(std::cout, B.Method == driver::FlowMethod::Kemmerer
+                                     ? "kemmerer"
+                                 : B.Method == driver::FlowMethod::Alfp
+                                     ? "flows-alfp"
+                                     : "flows");
+    return false;
+  }
+  bool Check = B.Mode == driver::BatchMode::Check;
+  if (Check)
+    std::cout << "ok: ";
+  driver::printDesignText(std::cout, D, B, /*Shape=*/Check);
+  return true;
+}
+
+/// Every analysis command: run the batch engine over the FILEs —
+/// through a per-invocation content-addressed session cache, so
+/// duplicate inputs are analyzed once — and render.
+int cmdAnalyze(const Options &Opt, driver::BatchMode Mode) {
+  std::unique_ptr<driver::ArtifactStore> Store;
+  if (!Opt.StoreDir.empty()) {
+    Store = std::make_unique<driver::ArtifactStore>(Opt.StoreDir);
+    if (!Store->usable())
+      std::cerr << "warning: cannot use artifact store directory '"
+                << Opt.StoreDir << "'; continuing without persistence\n";
+  }
+  // The one-line store summary printed to stderr after text runs, so
+  // scripted callers can observe hit/miss traffic without parsing JSON.
+  auto printStoreSummary = [&Store] {
+    if (!Store)
+      return;
+    driver::ArtifactStore::Counters C = Store->counters();
+    std::cerr << "vifc: store: " << C.Hits << " hit(s), " << C.Misses
+              << " miss(es), " << C.Writes << " write(s), " << C.BytesRead
+              << " B read, " << C.BytesWritten << " B written\n";
+  };
   driver::SessionCache Cache;
-  StoreContext SC(Opt.StoreDir);
-  Cache.setArtifacts(nullptr, SC.Store.get());
+  Cache.setArtifacts(nullptr, Store.get());
   driver::BatchOptions B;
   B.Mode = Mode;
   B.Method = Opt.Kemmerer ? driver::FlowMethod::Kemmerer
@@ -485,8 +389,8 @@ int cmdBatch(const Options &Opt, driver::BatchMode Mode) {
   B.Session = Opt.session();
   // --jobs fans out across designs when there are several; keep each
   // design's rd solvers serial then so the two pool levels don't
-  // multiply. With a single design (`--json FILE`) the design pool is
-  // one worker, so the whole budget goes to the solvers instead.
+  // multiply. With a single design the design pool is one worker, so
+  // the whole budget goes to the solvers instead.
   if (Opt.Files.size() > 1)
     B.Session.Ifa.RD.Jobs = 1;
   for (const auto &[From, To] : Opt.Forbidden)
@@ -503,13 +407,18 @@ int cmdBatch(const Options &Opt, driver::BatchMode Mode) {
     Inputs.push_back({File, std::nullopt});
 
   driver::BatchResult R = driver::runBatch(Inputs, B);
+  // query is new with the batch engine, so it has no single-FILE text
+  // format of its own: it always prints the batch text.
   if (Opt.V1bOut)
     driver::printBatchV1b(std::cout, R, B);
   else if (Opt.Json)
     driver::printBatchJson(std::cout, R, B);
-  else {
+  else if (Opt.Files.size() == 1 && Mode != driver::BatchMode::Query) {
+    if (printSingleText(R.Designs.front(), B, Opt.Dot))
+      printStoreSummary();
+  } else {
     driver::printBatchText(std::cout, R, B);
-    SC.printSummary();
+    printStoreSummary();
   }
 
   bool Bad = !R.allOk() ||
@@ -593,10 +502,10 @@ int main(int Argc, char **Argv) {
   Opt.Command = Args[0];
   // Validate the command before its flags, so `vifc frobnicate --json`
   // says "unknown command", not something misleading about --json.
-  const char *Commands[] = {"check",  "sim",   "flows",   "rm",
-                            "report", "query", "datalog", "serve"};
-  if (std::find(std::begin(Commands), std::end(Commands), Opt.Command) ==
-      std::end(Commands)) {
+  std::optional<driver::BatchMode> Mode =
+      driver::parseBatchMode(Opt.Command);
+  if (!Mode && Opt.Command != "sim" && Opt.Command != "datalog" &&
+      Opt.Command != "serve") {
     std::cerr << "unknown command '" << Opt.Command << "'\n";
     return usage();
   }
@@ -741,8 +650,7 @@ int main(int Argc, char **Argv) {
     return usage();
   }
 
-  bool SingleOnly = Opt.Command == "sim" || Opt.Command == "datalog";
-  if (SingleOnly && Opt.Files.size() > 1) {
+  if (!Mode && Opt.Files.size() > 1) {
     std::cerr << "error: '" << Opt.Command
               << "' accepts exactly one FILE\n";
     return usage();
@@ -761,23 +669,9 @@ int main(int Argc, char **Argv) {
     return usage();
   }
 
-  bool Batch =
-      !SingleOnly && (Opt.Json || Opt.V1bOut || Opt.Files.size() > 1);
-  if (Opt.Command == "check")
-    return Batch ? cmdBatch(Opt, driver::BatchMode::Check) : cmdCheck(Opt);
+  if (Mode)
+    return cmdAnalyze(Opt, *Mode);
   if (Opt.Command == "sim")
     return cmdSim(Opt);
-  if (Opt.Command == "flows")
-    return Batch ? cmdBatch(Opt, driver::BatchMode::Flows) : cmdFlows(Opt);
-  if (Opt.Command == "rm")
-    return Batch ? cmdBatch(Opt, driver::BatchMode::Matrices) : cmdRM(Opt);
-  if (Opt.Command == "report")
-    return Batch ? cmdBatch(Opt, driver::BatchMode::Report)
-                 : cmdReport(Opt);
-  // query is new with the batch engine, so it has no historical
-  // single-file text format to preserve: every shape runs through it.
-  if (Opt.Command == "query")
-    return cmdBatch(Opt, driver::BatchMode::Query);
-  // The command set was validated up front, so this is datalog.
   return cmdDatalog(Opt);
 }
