@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <iterator>
 #include <ostream>
 
@@ -219,8 +220,26 @@ bool ResourceMatrix::operator==(const ResourceMatrix &O) const {
 
 void ResourceMatrix::print(std::ostream &OS,
                            const ElaboratedProgram &Program) const {
-  for (const RMEntry &E : *this)
-    OS << E.N.name(Program) << "@" << E.L << ":" << accessName(E.A) << '\n';
+  // Lines are framed into a 64 KB buffer and written a chunk at a time:
+  // the AES core's RMgl is 13.8 MB of text, and five stream calls per
+  // entry cost more than the closure that produced it.
+  constexpr size_t Chunk = 1 << 16;
+  std::string Buf;
+  Buf.reserve(Chunk + 256);
+  char Label[16];
+  for (const RMEntry &E : *this) {
+    Buf += E.N.name(Program);
+    Buf += '@';
+    Buf.append(Label, std::to_chars(Label, Label + sizeof(Label), E.L).ptr);
+    Buf += ':';
+    Buf += accessName(E.A);
+    Buf += '\n';
+    if (Buf.size() >= Chunk) {
+      OS.write(Buf.data(), static_cast<std::streamsize>(Buf.size()));
+      Buf.clear();
+    }
+  }
+  OS.write(Buf.data(), static_cast<std::streamsize>(Buf.size()));
 }
 
 LabelIndexedRM::LabelIndexedRM(const ResourceMatrix &RM) : Matrix(&RM) {
