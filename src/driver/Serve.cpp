@@ -179,19 +179,17 @@ std::string parseRequest(const JsonValue &Doc, ServeRequest &R) {
   if (R.Command.empty())
     return "missing \"command\"";
   std::optional<BatchMode> Mode = parseBatchMode(R.Command);
-  bool Analysis = Mode.has_value();
-  if (Analysis)
-    R.Mode = *Mode;
-  if (!Analysis && R.Command != "ping" && R.Command != "stats" &&
+  if (!Mode && R.Command != "ping" && R.Command != "stats" &&
       R.Command != "shutdown")
     return "unknown command \"" + R.Command + "\"";
 
-  if (!Analysis) {
+  if (!Mode) {
     if (!R.Path.empty() || R.HasSource || R.HasContentKey ||
         !R.Name.empty() || Options || HasFormat)
       return "\"" + R.Command + "\" takes no input or options";
     return "";
   }
+  R.Mode = *Mode;
 
   if (int(R.HasSource) + int(R.HasContentKey) + int(!R.Path.empty()) != 1)
     return "exactly one of \"path\", \"source\" or \"contentKey\" is "
@@ -553,7 +551,7 @@ bool Server::listenAndServe(uint16_t Port, std::string *Error) {
         // not connections that never reached a worker).
         if (!shuttingDown()) {
           std::string ConnError;
-          if (!serveFd(Conn, &ConnError))
+          if (!serveFd(Conn, Conn, &ConnError))
             // One broken connection must not take the server down:
             // log and keep serving everyone else (docs/SERVER.md).
             std::fprintf(stderr, "vifc serve: connection error: %s\n",

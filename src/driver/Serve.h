@@ -94,12 +94,9 @@ public:
   /// distinct clients may be served from distinct threads in parallel.
   /// Returns false with \p Error set ("read: ..." or "write: ...") on a
   /// transport failure; a reader that went away is a write error, never
-  /// a SIGPIPE. `vifc serve` runs it over fds 0 and 1.
+  /// a SIGPIPE. `vifc serve` runs it over fds 0 and 1, and listenAndServe
+  /// over each accepted socket (InFd == OutFd).
   bool serveFd(int InFd, int OutFd, std::string *Error = nullptr);
-  /// The same loop over one connected socket.
-  bool serveFd(int Fd, std::string *Error = nullptr) {
-    return serveFd(Fd, Fd, Error);
-  }
 
   /// Binds 127.0.0.1:\p Port (0 = ephemeral, reported via boundPort()
   /// and ServeOptions::OnListening) and serves connections over a fixed

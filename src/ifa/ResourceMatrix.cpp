@@ -220,9 +220,8 @@ bool ResourceMatrix::operator==(const ResourceMatrix &O) const {
 
 void ResourceMatrix::print(std::ostream &OS,
                            const ElaboratedProgram &Program) const {
-  // Lines are framed into a 64 KB buffer and written a chunk at a time:
-  // the AES core's RMgl is 13.8 MB of text, and five stream calls per
-  // entry cost more than the closure that produced it.
+  // Written in 64 KB chunks: the AES core's RMgl is 13.8 MB of text, and
+  // five stream calls per entry cost more than the closure behind it.
   constexpr size_t Chunk = 1 << 16;
   std::string Buf;
   Buf.reserve(Chunk + 256);

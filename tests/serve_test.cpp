@@ -453,7 +453,7 @@ TEST(Serve, FdTransportOverSocketpair) {
 
   Server S;
   std::string Error;
-  EXPECT_TRUE(S.serveFd(Fds[0], &Error)) << Error;
+  EXPECT_TRUE(S.serveFd(Fds[0], Fds[0], &Error)) << Error;
   EXPECT_TRUE(S.shuttingDown());
   // Close the server side first so the drain below sees EOF.
   ::close(Fds[0]);
@@ -672,7 +672,7 @@ TEST(Serve, FdTransportSplitsMultiMegabyteLinesAnywhere) {
   std::thread Reader([&] { Out = readToEof(Fds[1]); });
   Server S;
   std::string Error;
-  EXPECT_TRUE(S.serveFd(Fds[0], &Error)) << Error;
+  EXPECT_TRUE(S.serveFd(Fds[0], Fds[0], &Error)) << Error;
   // Closing first unblocks the writer too should serveFd stop early.
   ::close(Fds[0]);
   Writer.join();
@@ -714,7 +714,7 @@ TEST(ServeConcurrent, SocketpairClientsShareOneServer) {
         ++Failures;
       ::shutdown(Fds[1], SHUT_WR);
       std::string Error;
-      if (!S.serveFd(Fds[0], &Error))
+      if (!S.serveFd(Fds[0], Fds[0], &Error))
         ++Failures;
       ::close(Fds[0]);
       std::vector<std::string> Lines = splitLines(readToEof(Fds[1]));

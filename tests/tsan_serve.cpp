@@ -146,7 +146,7 @@ bool hammerServeFd() {
       }
       ::shutdown(Fds[1], SHUT_WR);
       std::string Error;
-      if (!S.serveFd(Fds[0], &Error)) {
+      if (!S.serveFd(Fds[0], Fds[0], &Error)) {
         std::fprintf(stderr, "tsan_serve: serveFd: %s\n", Error.c_str());
         ++Failures;
       }

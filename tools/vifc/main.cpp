@@ -24,8 +24,8 @@
 /// engine call, driver::runBatch over every FILE, and render its result
 /// in one of four ways: v1b frames, one JSON document, batch text (several
 /// FILEs, or query), or single-FILE text — the design's text alone, with
-/// its diagnostics on stderr. `serve` runs driver::Server; only `sim` and
-/// `datalog` drive an AnalysisSession directly.
+/// its diagnostics on stderr. `serve` runs driver::Server; only `sim`
+/// drives an AnalysisSession directly.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -160,12 +160,6 @@ struct Options {
     S.Statements = Statements;
     S.Ifa.Improved = Improved;
     S.Ifa.ProgramEndOutgoing = EndOut;
-    // Single-file operation: --jobs parallelizes the per-process rd
-    // fixpoints inside the one analysis (0 = auto). Batch operation
-    // overrides this back to 1 — there the pool fans out across designs
-    // and nesting both levels would oversubscribe.
-    if (JobsGiven)
-      S.Ifa.RD.Jobs = Jobs ? Jobs : defaultJobs();
     return S;
   }
 };
@@ -264,14 +258,13 @@ int cmdSim(const Options &Opt) {
 }
 
 int cmdDatalog(const Options &Opt) {
-  AnalysisSession S = AnalysisSession::fromFile(Opt.Files[0], Opt.session());
-  const std::string *Source = S.source();
-  if (!Source) {
+  std::string Source;
+  if (!driver::readSourceFile(Opt.Files[0], Source)) {
     std::cerr << "error: cannot read '" << Opt.Files[0] << "'\n";
     return 1;
   }
   DiagnosticEngine Diags;
-  alfp::ParsedProgram PP = alfp::parseAlfp(*Source, Diags);
+  alfp::ParsedProgram PP = alfp::parseAlfp(Source, Diags);
   Diags.print(std::cerr);
   if (Diags.hasErrors())
     return 1;
@@ -387,12 +380,14 @@ int cmdAnalyze(const Options &Opt, driver::BatchMode Mode) {
              : Opt.Alfp   ? driver::FlowMethod::Alfp
                           : driver::FlowMethod::Native;
   B.Session = Opt.session();
-  // --jobs fans out across designs when there are several; keep each
-  // design's rd solvers serial then so the two pool levels don't
-  // multiply. With a single design the design pool is one worker, so
-  // the whole budget goes to the solvers instead.
+  // --jobs fans out across designs when there are several, with each
+  // design's rd solvers serial so the two pool levels don't multiply.
+  // With a single design the design pool is one worker, so the whole
+  // budget goes to its per-process rd fixpoints instead (0 = auto).
   if (Opt.Files.size() > 1)
     B.Session.Ifa.RD.Jobs = 1;
+  else if (Opt.JobsGiven)
+    B.Session.Ifa.RD.Jobs = Opt.Jobs ? Opt.Jobs : defaultJobs();
   for (const auto &[From, To] : Opt.Forbidden)
     B.Policy.Forbidden.push_back({From, To});
   B.QueryFrom = Opt.QueryFrom;
