@@ -254,11 +254,9 @@ const query::FlowQueryEngine *AnalysisSession::queryEngine() {
       if (Blobs) {
         StageTimer T(Times.StoreMs);
         if (Blobs->load("qidx", designKey(), [&](std::string_view Payload) {
-              std::optional<query::FlowQueryEngine> E =
-                  decodeQueryIndex(Payload, R->Graph);
-              if (E)
+              if (auto E = decodeQueryIndex(Payload, R->Graph))
                 Query.emplace(std::move(*E));
-              return E.has_value();
+              return Query.has_value();
             }))
           QueryState = State::Ok;
       }

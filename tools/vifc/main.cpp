@@ -330,7 +330,7 @@ int cmdServe(const Options &Opt) {
 /// Single-FILE text: the diagnostics on stderr, then the design's text
 /// alone — no batch header or summary. `check` prefixes its shape line
 /// with "ok: ", and `flows --dot` prints Graphviz instead of the edge
-/// list. Returns whether the run went on to print the store summary.
+/// list. Returns whether the store summary line should follow.
 bool printSingleText(const driver::DesignResult &D,
                      const driver::BatchOptions &B, bool Dot) {
   std::cerr << D.Diagnostics;
