@@ -165,6 +165,45 @@ TEST(Elaborator, VariablesArePerProcess) {
   EXPECT_EQ(P->Variables[1].UniqueName, "p2.v");
 }
 
+TEST(Elaborator, HomonymsAcrossThreeProcessesGetQualified) {
+  // A variable keeps its bare name until a later process declares a
+  // homonym; then both are qualified with their process names, the
+  // earlier one retroactively. Names used once stay bare.
+  auto P = elabOk(std::string(Header) + R"(
+    architecture rtl of e is
+    begin
+      p1 : process
+        variable x, y, z : std_logic;
+      begin
+        x := clk; y := x; z := y; q <= z; wait on clk;
+      end process p1;
+      p2 : process
+        variable x, w : std_logic;
+      begin
+        x := clk; w := x; wait on clk;
+      end process p2;
+      p3 : process
+        variable x, y, w, only3 : std_logic;
+      begin
+        x := clk; y := x; w := y; only3 := w; wait on clk;
+      end process p3;
+    end rtl;)");
+  ASSERT_TRUE(P);
+  std::vector<std::string> Unique;
+  std::vector<unsigned> Owner;
+  for (const ElabVariable &V : P->Variables) {
+    Unique.push_back(V.UniqueName);
+    Owner.push_back(V.ProcessId);
+  }
+  EXPECT_EQ(Unique, (std::vector<std::string>{"p1.x", "p1.y", "z", "p2.x",
+                                              "p2.w", "p3.x", "p3.y", "p3.w",
+                                              "only3"}));
+  EXPECT_EQ(Owner, (std::vector<unsigned>{0, 0, 0, 1, 1, 2, 2, 2, 2}));
+  EXPECT_EQ(P->Processes[0].Variables, (std::vector<unsigned>{0, 1, 2}));
+  EXPECT_EQ(P->Processes[1].Variables, (std::vector<unsigned>{3, 4}));
+  EXPECT_EQ(P->Processes[2].Variables, (std::vector<unsigned>{5, 6, 7, 8}));
+}
+
 TEST(Elaborator, TypeErrors) {
   expectError(std::string(Header) +
                   "architecture rtl of e is signal v : "
