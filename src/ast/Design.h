@@ -167,6 +167,14 @@ struct Architecture {
   SourceRange Range;
 };
 
+/// A stand-alone statement program: optional variable/signal declarations
+/// followed by a statement list (the shape of the paper's function-level
+/// examples).
+struct StatementProgram {
+  std::vector<Decl> Decls;
+  StmtPtr Body;
+};
+
 /// A parsed VHDL1 program: a sequence of entities and architectures.
 struct DesignFile {
   std::vector<Entity> Entities;

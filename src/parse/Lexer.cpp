@@ -6,9 +6,8 @@
 
 #include "parse/Lexer.h"
 
-#include <cctype>
 #include <cstdint>
-#include <unordered_map>
+#include <cstring>
 
 using namespace vif;
 
@@ -132,60 +131,126 @@ const char *vif::tokenKindName(TokenKind K) {
 
 namespace {
 
-const std::unordered_map<std::string, TokenKind> &keywordTable() {
-  static const std::unordered_map<std::string, TokenKind> Table = {
-      {"architecture", TokenKind::KwArchitecture},
-      {"and", TokenKind::KwAnd},
-      {"begin", TokenKind::KwBegin},
-      {"block", TokenKind::KwBlock},
-      {"downto", TokenKind::KwDownto},
-      {"else", TokenKind::KwElse},
-      {"elsif", TokenKind::KwElsif},
-      {"end", TokenKind::KwEnd},
-      {"entity", TokenKind::KwEntity},
-      {"if", TokenKind::KwIf},
-      {"in", TokenKind::KwIn},
-      {"inout", TokenKind::KwInout},
-      {"is", TokenKind::KwIs},
-      {"loop", TokenKind::KwLoop},
-      {"nand", TokenKind::KwNand},
-      {"nor", TokenKind::KwNor},
-      {"not", TokenKind::KwNot},
-      {"null", TokenKind::KwNull},
-      {"of", TokenKind::KwOf},
-      {"on", TokenKind::KwOn},
-      {"or", TokenKind::KwOr},
-      {"out", TokenKind::KwOut},
-      {"port", TokenKind::KwPort},
-      {"process", TokenKind::KwProcess},
-      {"signal", TokenKind::KwSignal},
-      {"std_logic", TokenKind::KwStdLogic},
-      {"std_logic_vector", TokenKind::KwStdLogicVector},
-      {"then", TokenKind::KwThen},
-      {"to", TokenKind::KwTo},
-      {"until", TokenKind::KwUntil},
-      {"variable", TokenKind::KwVariable},
-      {"wait", TokenKind::KwWait},
-      {"while", TokenKind::KwWhile},
-      {"xnor", TokenKind::KwXnor},
-      {"xor", TokenKind::KwXor},
-  };
-  return Table;
-}
+/// ASCII character classes. Letters and digits are ASCII only, as in the
+/// C locale: every other byte is a bad character outside literals.
+enum : uint8_t { Letter = 1, Digit = 2, IdentCont = 4 };
+
+struct CharClasses {
+  uint8_t Of[256] = {};
+  constexpr CharClasses() {
+    for (int C = 'a'; C <= 'z'; ++C)
+      Of[C] = Of[C - 'a' + 'A'] = Letter | IdentCont;
+    for (int C = '0'; C <= '9'; ++C)
+      Of[C] = Digit | IdentCont;
+    Of[static_cast<unsigned char>('_')] = IdentCont;
+  }
+  bool is(char C, uint8_t Class) const {
+    return (Of[static_cast<unsigned char>(C)] & Class) != 0;
+  }
+};
+
+constexpr CharClasses Chars;
 
 char lowered(char C) {
-  return static_cast<char>(std::tolower(static_cast<unsigned char>(C)));
+  return C >= 'A' && C <= 'Z' ? static_cast<char>(C - 'A' + 'a') : C;
 }
 
-bool isIdentStart(char C) {
-  return std::isalpha(static_cast<unsigned char>(C)) != 0;
-}
+struct Keyword {
+  std::string_view Spelling;
+  TokenKind K;
+};
 
-bool isIdentCont(char C) {
-  return std::isalnum(static_cast<unsigned char>(C)) != 0 || C == '_';
+/// Sorted by length, so a lookup compares only same-length spellings.
+constexpr Keyword Keywords[] = {
+    {"if", TokenKind::KwIf},
+    {"in", TokenKind::KwIn},
+    {"is", TokenKind::KwIs},
+    {"of", TokenKind::KwOf},
+    {"on", TokenKind::KwOn},
+    {"or", TokenKind::KwOr},
+    {"to", TokenKind::KwTo},
+    {"and", TokenKind::KwAnd},
+    {"end", TokenKind::KwEnd},
+    {"nor", TokenKind::KwNor},
+    {"not", TokenKind::KwNot},
+    {"out", TokenKind::KwOut},
+    {"xor", TokenKind::KwXor},
+    {"else", TokenKind::KwElse},
+    {"loop", TokenKind::KwLoop},
+    {"nand", TokenKind::KwNand},
+    {"null", TokenKind::KwNull},
+    {"port", TokenKind::KwPort},
+    {"then", TokenKind::KwThen},
+    {"wait", TokenKind::KwWait},
+    {"xnor", TokenKind::KwXnor},
+    {"begin", TokenKind::KwBegin},
+    {"block", TokenKind::KwBlock},
+    {"elsif", TokenKind::KwElsif},
+    {"inout", TokenKind::KwInout},
+    {"until", TokenKind::KwUntil},
+    {"while", TokenKind::KwWhile},
+    {"downto", TokenKind::KwDownto},
+    {"entity", TokenKind::KwEntity},
+    {"signal", TokenKind::KwSignal},
+    {"process", TokenKind::KwProcess},
+    {"variable", TokenKind::KwVariable},
+    {"std_logic", TokenKind::KwStdLogic},
+    {"architecture", TokenKind::KwArchitecture},
+    {"std_logic_vector", TokenKind::KwStdLogicVector},
+};
+
+constexpr size_t NumKeywords = sizeof(Keywords) / sizeof(Keywords[0]);
+constexpr size_t MaxKeywordLength = 16;
+
+/// FirstKeyword[L] is the index of the first keyword of length >= L.
+struct KeywordIndex {
+  uint8_t FirstKeyword[MaxKeywordLength + 2] = {};
+  constexpr KeywordIndex() {
+    size_t I = 0;
+    for (size_t L = 0; L <= MaxKeywordLength + 1; ++L) {
+      while (I < NumKeywords && Keywords[I].Spelling.size() < L)
+        ++I;
+      FirstKeyword[L] = static_cast<uint8_t>(I);
+    }
+  }
+};
+
+constexpr KeywordIndex ByLength;
+
+/// The keyword spelled by the lowercased, non-empty \p Word, or
+/// Identifier. Same-length keywords differ in their first or last letter,
+/// so those two bytes reject an identifier before any string compare.
+TokenKind keywordKind(std::string_view Word) {
+  if (Word.size() > MaxKeywordLength)
+    return TokenKind::Identifier;
+  for (size_t I = ByLength.FirstKeyword[Word.size()],
+              E = ByLength.FirstKeyword[Word.size() + 1];
+       I != E; ++I) {
+    std::string_view KW = Keywords[I].Spelling;
+    if (KW.front() == Word.front() && KW.back() == Word.back() && KW == Word)
+      return Keywords[I].K;
+  }
+  return TokenKind::Identifier;
 }
 
 } // namespace
+
+TokenStream::TokenStream(const std::vector<Token> &Owned) {
+  Tokens.reserve(Owned.size());
+  for (const Token &T : Owned) {
+    StreamToken S;
+    S.K = T.K;
+    S.Loc = T.Loc;
+    if (T.is(TokenKind::IntLiteral)) {
+      S.Value = T.IntValue;
+    } else {
+      S.Spelling = {static_cast<uint32_t>(Text.size()),
+                    static_cast<uint32_t>(T.Text.size())};
+      Text += T.Text;
+    }
+    Tokens.push_back(S);
+  }
+}
 
 Lexer::Lexer(std::string Source, DiagnosticEngine &Diags)
     : Source(std::move(Source)), Diags(Diags) {}
@@ -206,41 +271,81 @@ char Lexer::advance() {
 }
 
 void Lexer::skipTrivia() {
-  while (!atEnd()) {
-    char C = peek();
-    if (C == ' ' || C == '\t' || C == '\r' || C == '\n') {
-      advance();
-      continue;
+  // Locals, not members, in the loops: the lexer writes lowercased
+  // spellings through char pointers, which may alias any member.
+  const char *Text = Source.data();
+  size_t P = Pos, N = Source.size();
+  unsigned L = Line, C = Col;
+  while (P < N) {
+    char Ch = Text[P];
+    if (Ch == ' ' || Ch == '\t' || Ch == '\r') {
+      ++P;
+      ++C;
+    } else if (Ch == '\n') {
+      ++P;
+      ++L;
+      C = 1;
+    } else if (Ch == '-' && P + 1 < N && Text[P + 1] == '-') {
+      const void *NL = std::memchr(Text + P, '\n', N - P);
+      size_t End = NL ? static_cast<size_t>(static_cast<const char *>(NL) - Text)
+                      : N;
+      C += static_cast<unsigned>(End - P);
+      P = End;
+    } else {
+      break;
     }
-    if (C == '-' && peek(1) == '-') {
-      while (!atEnd() && peek() != '\n')
-        advance();
-      continue;
-    }
-    return;
   }
+  Pos = P;
+  Line = L;
+  Col = C;
 }
 
-Token Lexer::make(TokenKind K, SourceLoc Loc, std::string Text) const {
-  Token T;
+StreamToken Lexer::make(TokenKind K, SourceLoc Loc, size_t Offset,
+                        size_t Length) {
+  StreamToken T;
   T.K = K;
-  T.Text = std::move(Text);
   T.Loc = Loc;
+  T.Spelling = {static_cast<uint32_t>(Offset), static_cast<uint32_t>(Length)};
   return T;
 }
 
-std::vector<Token> Lexer::lexAll() {
-  std::vector<Token> Tokens;
-  for (;;) {
-    Token T = lexOne();
-    bool Done = T.is(TokenKind::Eof);
-    Tokens.push_back(std::move(T));
-    if (Done)
-      return Tokens;
+TokenStream Lexer::lex() {
+  TokenStream Stream;
+  // Spellings are 32-bit offsets; a source that long cannot be lexed in
+  // memory anyway (its token vector alone would need 96 GiB).
+  if (Source.size() >= UINT32_MAX) {
+    Diags.error(loc(), "source text too large");
+    Pos = Source.size();
+  } else {
+    // Every token but Eof spans at least one byte, so this bound holds for
+    // any input: the vector is sized once, and the pages past the tokens
+    // actually lexed are never touched.
+    Stream.Tokens.reserve(Source.size() + 1);
   }
+  for (;;) {
+    StreamToken T = lexOne();
+    Stream.Tokens.push_back(T);
+    if (T.is(TokenKind::Eof))
+      break;
+  }
+  Stream.Text = std::move(Source);
+  return Stream;
 }
 
-Token Lexer::lexOne() {
+std::vector<Token> Lexer::lexAll() {
+  TokenStream Stream = lex();
+  std::vector<Token> Tokens(Stream.size());
+  for (size_t I = 0; I < Stream.size(); ++I) {
+    const StreamToken &S = Stream[I];
+    Tokens[I].K = S.K;
+    Tokens[I].Text = std::string(Stream.text(S));
+    Tokens[I].IntValue = S.intValue();
+    Tokens[I].Loc = S.Loc;
+  }
+  return Tokens;
+}
+
+StreamToken Lexer::lexOne() {
   // The error-recovery arms loop back here instead of recursing: recovery
   // once per bad byte must cost a loop iteration, not a stack frame
   // (megabytes of garbage input would otherwise overflow the stack).
@@ -250,41 +355,50 @@ Token Lexer::lexOne() {
     if (atEnd())
       return make(TokenKind::Eof, Start);
 
+    size_t Begin = Pos;
     char C = advance();
 
-    if (isIdentStart(C)) {
-      std::string Ident(1, lowered(C));
-      while (!atEnd() && isIdentCont(peek()))
-        Ident.push_back(lowered(advance()));
-      auto It = keywordTable().find(Ident);
-      if (It != keywordTable().end())
-        return make(It->second, Start);
-      return make(TokenKind::Identifier, Start, std::move(Ident));
+    if (Chars.is(C, Letter)) {
+      // Lowercase the spelling in place: the stream's text is the
+      // lexer's own copy of the source.
+      char *Text = Source.data();
+      size_t End = Pos, N = Source.size();
+      Text[Begin] = lowered(C);
+      while (End < N && Chars.is(Text[End], IdentCont)) {
+        Text[End] = lowered(Text[End]);
+        ++End;
+      }
+      skipInLine(End - Pos);
+      TokenKind K =
+          keywordKind(std::string_view(Source).substr(Begin, End - Begin));
+      if (K != TokenKind::Identifier)
+        return make(K, Start);
+      return make(TokenKind::Identifier, Start, Begin, End - Begin);
     }
 
-    if (std::isdigit(static_cast<unsigned char>(C))) {
+    if (Chars.is(C, Digit)) {
       // Accumulate with an explicit overflow check: a digit run longer
       // than int64 holds (fuzzed inputs produce them) must saturate with
       // a diagnostic, not wrap through signed overflow.
       const int64_t Max = INT64_MAX;
       int64_t Value = C - '0';
       bool Overflow = false;
-      while (!atEnd() && std::isdigit(static_cast<unsigned char>(peek()))) {
-        int64_t Digit = advance() - '0';
-        if (Value > (Max - Digit) / 10) {
+      const char *Text = Source.data();
+      size_t End = Pos, N = Source.size();
+      for (; End < N && Chars.is(Text[End], Digit); ++End) {
+        int64_t D = Text[End] - '0';
+        if (!Overflow && Value > (Max - D) / 10) {
           Overflow = true;
           Value = Max;
-          while (!atEnd() &&
-                 std::isdigit(static_cast<unsigned char>(peek())))
-            advance();
-          break;
         }
-        Value = Value * 10 + Digit;
+        if (!Overflow)
+          Value = Value * 10 + D;
       }
+      skipInLine(End - Pos);
       if (Overflow)
         Diags.error(Start, "integer literal too large");
-      Token T = make(TokenKind::IntLiteral, Start);
-      T.IntValue = Value;
+      StreamToken T = make(TokenKind::IntLiteral, Start);
+      T.Value = Value;
       return T;
     }
 
@@ -295,20 +409,24 @@ Token Lexer::lexOne() {
         Diags.error(Start, "malformed character literal");
         continue;
       }
-      char Body = advance();
+      size_t Body = Pos;
+      advance();
       advance(); // closing tick
-      return make(TokenKind::CharLiteral, Start, std::string(1, Body));
+      return make(TokenKind::CharLiteral, Start, Body, 1);
     }
     case '"': {
-      std::string Body;
-      while (!atEnd() && peek() != '"' && peek() != '\n')
-        Body.push_back(advance());
+      const char *Text = Source.data();
+      size_t Body = Pos, End = Pos, N = Source.size();
+      while (End < N && Text[End] != '"' && Text[End] != '\n')
+        ++End;
+      skipInLine(End - Pos);
+      StreamToken T = make(TokenKind::StringLiteral, Start, Body, End - Body);
       if (atEnd() || peek() != '"') {
         Diags.error(Start, "unterminated string literal");
-        return make(TokenKind::StringLiteral, Start, std::move(Body));
+        return T;
       }
       advance(); // closing quote
-      return make(TokenKind::StringLiteral, Start, std::move(Body));
+      return T;
     }
     case '(':
       return make(TokenKind::LParen, Start);

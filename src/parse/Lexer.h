@@ -26,20 +26,32 @@ class Lexer {
 public:
   Lexer(std::string Source, DiagnosticEngine &Diags);
 
-  /// Lexes the entire input. The result always ends with an Eof token; on
+  /// Lexes the entire input, handing the lexer's copy of the source to the
+  /// stream as its text. The result always ends with an Eof token; on
   /// malformed input, errors are reported to the diagnostic engine and the
-  /// offending characters are skipped.
+  /// offending characters are skipped. A lexer lexes once.
+  TokenStream lex();
+
+  /// lex(), with each token's spelling copied out of the stream.
   std::vector<Token> lexAll();
 
 private:
-  Token lexOne();
+  StreamToken lexOne();
   char peek(unsigned Ahead = 0) const;
   char advance();
+  /// Consumes the run of \p Len bytes at Pos, none of them a newline.
+  void skipInLine(size_t Len) {
+    Pos += Len;
+    Col += static_cast<unsigned>(Len);
+  }
   bool atEnd() const { return Pos >= Source.size(); }
   SourceLoc loc() const { return SourceLoc(Line, Col); }
   void skipTrivia();
 
-  Token make(TokenKind K, SourceLoc Loc, std::string Text = "") const;
+  /// A token spelled by Source[Offset, Offset + Length); the lexer keeps
+  /// sources under 4 GiB, so both fit the token's 32-bit range.
+  StreamToken make(TokenKind K, SourceLoc Loc, size_t Offset = 0,
+                   size_t Length = 0);
 
   std::string Source;
   DiagnosticEngine &Diags;

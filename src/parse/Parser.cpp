@@ -12,22 +12,25 @@
 
 using namespace vif;
 
-Parser::Parser(std::vector<Token> Tokens, DiagnosticEngine &Diags)
+Parser::Parser(TokenStream Tokens, DiagnosticEngine &Diags)
     : Tokens(std::move(Tokens)), Diags(Diags) {
   assert(!this->Tokens.empty() &&
          this->Tokens.back().is(TokenKind::Eof) &&
          "token stream must end with Eof");
 }
 
-const Token &Parser::peek(unsigned Ahead) const {
+Parser::Parser(const std::vector<Token> &Tokens, DiagnosticEngine &Diags)
+    : Parser(TokenStream(Tokens), Diags) {}
+
+const StreamToken &Parser::peek(unsigned Ahead) const {
   size_t I = Index + Ahead;
   if (I >= Tokens.size())
     I = Tokens.size() - 1; // Eof
   return Tokens[I];
 }
 
-Token Parser::consume() {
-  Token T = cur();
+const StreamToken &Parser::consume() {
+  const StreamToken &T = cur();
   if (!at(TokenKind::Eof))
     ++Index;
   return T;
@@ -92,7 +95,7 @@ Entity Parser::parseEntity() {
   Entity E;
   SourceLoc Start = cur().Loc;
   expect(TokenKind::KwEntity, "entity declaration");
-  E.Name = cur().Text;
+  E.Name = curText();
   expect(TokenKind::Identifier, "entity declaration");
   expect(TokenKind::KwIs, "entity declaration");
   expect(TokenKind::KwPort, "entity declaration");
@@ -104,8 +107,8 @@ Entity Parser::parseEntity() {
   if (at(TokenKind::KwEntity))
     consume(); // optional "end entity name;"
   if (at(TokenKind::Identifier)) {
-    if (cur().Text != E.Name)
-      Diags.error(cur().Loc, "entity name '" + cur().Text +
+    if (curText() != E.Name)
+      Diags.error(cur().Loc, "entity name '" + curText() +
                                  "' at end does not match '" + E.Name + "'");
     consume();
   }
@@ -121,11 +124,11 @@ std::vector<Port> Parser::parsePortList() {
     P.Range = SourceRange(cur().Loc);
     // A port item may declare several names at once: a, b : in std_logic.
     std::vector<std::string> Names;
-    Names.push_back(cur().Text);
+    Names.push_back(curText());
     if (!expect(TokenKind::Identifier, "port declaration"))
       return Ports;
     while (accept(TokenKind::Comma)) {
-      Names.push_back(cur().Text);
+      Names.push_back(curText());
       if (!expect(TokenKind::Identifier, "port declaration"))
         return Ports;
     }
@@ -158,7 +161,7 @@ Type Parser::parseType() {
   if (accept(TokenKind::KwStdLogicVector)) {
     expect(TokenKind::LParen, "vector type");
     bool Neg1 = accept(TokenKind::Minus);
-    int Z1 = static_cast<int>(cur().IntValue) * (Neg1 ? -1 : 1);
+    int Z1 = static_cast<int>(cur().intValue()) * (Neg1 ? -1 : 1);
     expect(TokenKind::IntLiteral, "vector range");
     bool Downto = true;
     if (accept(TokenKind::KwDownto))
@@ -168,7 +171,7 @@ Type Parser::parseType() {
     else
       Diags.error(cur().Loc, "expected 'downto' or 'to' in vector range");
     bool Neg2 = accept(TokenKind::Minus);
-    int Z2 = static_cast<int>(cur().IntValue) * (Neg2 ? -1 : 1);
+    int Z2 = static_cast<int>(cur().intValue()) * (Neg2 ? -1 : 1);
     expect(TokenKind::IntLiteral, "vector range");
     expect(TokenKind::RParen, "vector type");
     if (Downto ? Z1 < Z2 : Z1 > Z2) {
@@ -188,10 +191,10 @@ Architecture Parser::parseArchitecture() {
   Architecture A;
   SourceLoc Start = cur().Loc;
   expect(TokenKind::KwArchitecture, "architecture body");
-  A.Name = cur().Text;
+  A.Name = curText();
   expect(TokenKind::Identifier, "architecture body");
   expect(TokenKind::KwOf, "architecture body");
-  A.EntityName = cur().Text;
+  A.EntityName = curText();
   expect(TokenKind::Identifier, "architecture body");
   expect(TokenKind::KwIs, "architecture body");
   A.Decls = parseDeclList();
@@ -203,8 +206,8 @@ Architecture Parser::parseArchitecture() {
   if (at(TokenKind::KwArchitecture))
     consume(); // optional "end architecture name;"
   if (at(TokenKind::Identifier)) {
-    if (cur().Text != A.Name)
-      Diags.error(cur().Loc, "architecture name '" + cur().Text +
+    if (curText() != A.Name)
+      Diags.error(cur().Loc, "architecture name '" + curText() +
                                  "' at end does not match '" + A.Name + "'");
     consume();
   }
@@ -222,13 +225,13 @@ std::vector<Decl> Parser::parseDeclList() {
                                     : Decl::Kind::Signal;
     consume();
     std::vector<std::string> Names;
-    Names.push_back(cur().Text);
+    Names.push_back(curText());
     if (!expect(TokenKind::Identifier, "declaration")) {
       skipToSemi();
       continue;
     }
     while (accept(TokenKind::Comma)) {
-      Names.push_back(cur().Text);
+      Names.push_back(curText());
       if (!expect(TokenKind::Identifier, "declaration"))
         break;
     }
@@ -256,7 +259,8 @@ ConcStmtPtr Parser::parseConcStmt() {
   SourceLoc Start = cur().Loc;
   // label : process ... | label : block ... | signal assignment.
   if (at(TokenKind::Identifier) && peek().is(TokenKind::Colon)) {
-    std::string Label = consume().Text;
+    std::string Label = curText();
+    consume();
     consume(); // ':'
     if (at(TokenKind::KwProcess))
       return parseProcess(std::move(Label), Start);
@@ -268,7 +272,8 @@ ConcStmtPtr Parser::parseConcStmt() {
   }
   // Concurrent signal assignment.
   if (at(TokenKind::Identifier)) {
-    std::string Target = consume().Text;
+    std::string Target = curText();
+    consume();
     std::optional<SliceSpec> Slice = parseSliceSuffix();
     if (!expect(TokenKind::LessEq, "concurrent signal assignment")) {
       skipToSemi();
@@ -294,8 +299,8 @@ ConcStmtPtr Parser::parseProcess(std::string Label, SourceLoc Start) {
   expect(TokenKind::KwEnd, "process statement");
   expect(TokenKind::KwProcess, "process statement");
   if (at(TokenKind::Identifier)) {
-    if (cur().Text != Label)
-      Diags.error(cur().Loc, "process label '" + cur().Text +
+    if (curText() != Label)
+      Diags.error(cur().Loc, "process label '" + curText() +
                                  "' at end does not match '" + Label + "'");
     consume();
   }
@@ -316,8 +321,8 @@ ConcStmtPtr Parser::parseBlock(std::string Label, SourceLoc Start) {
   expect(TokenKind::KwEnd, "block statement");
   expect(TokenKind::KwBlock, "block statement");
   if (at(TokenKind::Identifier)) {
-    if (cur().Text != Label)
-      Diags.error(cur().Loc, "block label '" + cur().Text +
+    if (curText() != Label)
+      Diags.error(cur().Loc, "block label '" + curText() +
                                  "' at end does not match '" + Label + "'");
     consume();
   }
@@ -431,10 +436,10 @@ StmtPtr Parser::parseWait(SourceLoc Start) {
   bool HasOn = false;
   if (accept(TokenKind::KwOn)) {
     HasOn = true;
-    OnNames.push_back(cur().Text);
+    OnNames.push_back(curText());
     expect(TokenKind::Identifier, "wait statement");
     while (accept(TokenKind::Comma)) {
-      OnNames.push_back(cur().Text);
+      OnNames.push_back(curText());
       expect(TokenKind::Identifier, "wait statement");
     }
   }
@@ -449,7 +454,8 @@ StmtPtr Parser::parseWait(SourceLoc Start) {
 
 StmtPtr Parser::parseAssignment() {
   SourceLoc Start = cur().Loc;
-  std::string Target = consume().Text;
+  std::string Target = curText();
+  consume();
   std::optional<SliceSpec> Slice = parseSliceSuffix();
   if (accept(TokenKind::ColonEq)) {
     ExprPtr Value = parseExpr();
@@ -588,23 +594,25 @@ ExprPtr Parser::parsePrimaryImpl() {
                                        SourceRange(Start, cur().Loc));
   }
   if (at(TokenKind::CharLiteral)) {
-    Token T = consume();
+    std::string_view Text = Tokens.text(cur());
+    const StreamToken &T = consume();
     std::optional<StdLogic> V =
-        T.Text.size() == 1 ? stdLogicFromChar(T.Text[0]) : std::nullopt;
+        Text.size() == 1 ? stdLogicFromChar(Text[0]) : std::nullopt;
     if (!V) {
-      Diags.error(T.Loc, "'" + T.Text + "' is not a std_logic value");
+      Diags.error(T.Loc,
+                  "'" + std::string(Text) + "' is not a std_logic value");
       V = StdLogic::U;
     }
     return std::make_unique<LogicLiteralExpr>(*V, SourceRange(T.Loc));
   }
   if (at(TokenKind::StringLiteral)) {
-    Token T = consume();
-    std::optional<LogicVector> V = LogicVector::fromString(T.Text);
+    std::string Text = curText();
+    const StreamToken &T = consume();
+    std::optional<LogicVector> V = LogicVector::fromString(Text);
     if (!V) {
-      Diags.error(T.Loc,
-                  "string literal \"" + T.Text +
-                      "\" contains characters outside std_logic");
-      V = LogicVector(T.Text.size());
+      Diags.error(T.Loc, "string literal \"" + Text +
+                             "\" contains characters outside std_logic");
+      V = LogicVector(Text.size());
     }
     return std::make_unique<VectorLiteralExpr>(std::move(*V),
                                                SourceRange(T.Loc));
@@ -616,15 +624,16 @@ ExprPtr Parser::parsePrimaryImpl() {
     return Sub;
   }
   if (at(TokenKind::Identifier)) {
-    Token T = consume();
+    std::string Name = curText();
+    SourceLoc Loc = consume().Loc;
     if (at(TokenKind::LParen)) {
       std::optional<SliceSpec> Slice = parseSliceSuffix();
       if (Slice)
-        return std::make_unique<SliceExpr>(T.Text, *Slice,
-                                           SourceRange(T.Loc, cur().Loc));
+        return std::make_unique<SliceExpr>(std::move(Name), *Slice,
+                                           SourceRange(Loc, cur().Loc));
       return nullptr;
     }
-    return std::make_unique<NameExpr>(T.Text, SourceRange(T.Loc));
+    return std::make_unique<NameExpr>(std::move(Name), SourceRange(Loc));
   }
   Diags.error(Start, std::string("expected expression, found ") +
                          tokenKindName(cur().K));
@@ -637,7 +646,7 @@ std::optional<SliceSpec> Parser::parseSliceSuffix() {
     return std::nullopt;
   consume();
   SliceSpec Slice;
-  Slice.Z1 = static_cast<int>(cur().IntValue);
+  Slice.Z1 = static_cast<int>(cur().intValue());
   if (!expect(TokenKind::IntLiteral, "slice")) {
     skipToSemi();
     return std::nullopt;
@@ -651,7 +660,7 @@ std::optional<SliceSpec> Parser::parseSliceSuffix() {
     skipToSemi();
     return std::nullopt;
   }
-  Slice.Z2 = static_cast<int>(cur().IntValue);
+  Slice.Z2 = static_cast<int>(cur().intValue());
   if (!expect(TokenKind::IntLiteral, "slice")) {
     skipToSemi();
     return std::nullopt;
@@ -668,22 +677,28 @@ ExprPtr Parser::parseExpression() { return parseExpr(); }
 
 DesignFile vif::parseDesign(const std::string &Source,
                             DiagnosticEngine &Diags) {
-  Lexer Lex(Source, Diags);
-  Parser P(Lex.lexAll(), Diags);
+  return parseDesign(std::string(Source), Diags);
+}
+
+DesignFile vif::parseDesign(std::string &&Source, DiagnosticEngine &Diags) {
+  Parser P(Lexer(std::move(Source), Diags).lex(), Diags);
   return P.parseDesignFile();
 }
 
 StmtPtr vif::parseStatements(const std::string &Source,
                              DiagnosticEngine &Diags) {
-  Lexer Lex(Source, Diags);
-  Parser P(Lex.lexAll(), Diags);
+  Parser P(Lexer(Source, Diags).lex(), Diags);
   return P.parseStatementList();
 }
 
 StatementProgram vif::parseStatementProgram(const std::string &Source,
                                             DiagnosticEngine &Diags) {
-  Lexer Lex(Source, Diags);
-  Parser P(Lex.lexAll(), Diags);
+  return parseStatementProgram(std::string(Source), Diags);
+}
+
+StatementProgram vif::parseStatementProgram(std::string &&Source,
+                                            DiagnosticEngine &Diags) {
+  Parser P(Lexer(std::move(Source), Diags).lex(), Diags);
   StatementProgram Prog;
   Prog.Decls = P.parseDeclarations();
   Prog.Body = P.parseStatementList();

@@ -27,7 +27,9 @@ namespace vif {
 
 class Parser {
 public:
-  Parser(std::vector<Token> Tokens, DiagnosticEngine &Diags);
+  Parser(TokenStream Tokens, DiagnosticEngine &Diags);
+  /// Parses tokens with owning spellings (Lexer::lexAll's result).
+  Parser(const std::vector<Token> &Tokens, DiagnosticEngine &Diags);
 
   /// Parses a whole program (entities and architectures until EOF).
   DesignFile parseDesignFile();
@@ -44,10 +46,12 @@ public:
   std::vector<Decl> parseDeclarations() { return parseDeclList(); }
 
 private:
-  const Token &cur() const { return Tokens[Index]; }
-  const Token &peek(unsigned Ahead = 1) const;
+  const StreamToken &cur() const { return Tokens[Index]; }
+  const StreamToken &peek(unsigned Ahead = 1) const;
   bool at(TokenKind K) const { return cur().is(K); }
-  Token consume();
+  /// The spelling of the current token.
+  std::string curText() const { return std::string(Tokens.text(cur())); }
+  const StreamToken &consume();
   bool accept(TokenKind K);
   bool expect(TokenKind K, const char *Context);
   void skipToSemi();
@@ -87,28 +91,26 @@ private:
   bool enterNesting();
   static constexpr unsigned MaxNestingDepth = 512;
 
-  std::vector<Token> Tokens;
+  TokenStream Tokens;
   DiagnosticEngine &Diags;
   size_t Index = 0;
   unsigned NestingDepth = 0;
 };
 
-/// Convenience: lex and parse \p Source as a full design file.
+/// Convenience: lex and parse \p Source as a full design file. The
+/// rvalue overload hands the text to the lexer instead of copying it.
 DesignFile parseDesign(const std::string &Source, DiagnosticEngine &Diags);
+DesignFile parseDesign(std::string &&Source, DiagnosticEngine &Diags);
 
 /// Convenience: lex and parse \p Source as a statement list.
 StmtPtr parseStatements(const std::string &Source, DiagnosticEngine &Diags);
 
-/// A stand-alone statement program: optional variable/signal declarations
-/// followed by a statement list (the shape of the paper's function-level
-/// examples).
-struct StatementProgram {
-  std::vector<Decl> Decls;
-  StmtPtr Body;
-};
-
-/// Lexes and parses declarations followed by statements.
+/// Lexes and parses declarations followed by statements (a
+/// StatementProgram, ast/Design.h). The rvalue overload hands the text to
+/// the lexer instead of copying it.
 StatementProgram parseStatementProgram(const std::string &Source,
+                                       DiagnosticEngine &Diags);
+StatementProgram parseStatementProgram(std::string &&Source,
                                        DiagnosticEngine &Diags);
 
 } // namespace vif
