@@ -24,7 +24,7 @@ inline ElaboratedProgram mustElaborateStatements(const std::string &Source) {
   StatementProgram Prog = parseStatementProgram(Source, Diags);
   std::optional<ElaboratedProgram> P =
       Diags.hasErrors() ? std::nullopt
-                        : elaborateStatements(*Prog.Body, Diags, &Prog.Decls);
+                        : elaborateStatements(std::move(Prog), Diags);
   if (!P) {
     std::fprintf(stderr, "bench workload failed to elaborate:\n%s\n",
                  Diags.str().c_str());
@@ -53,7 +53,7 @@ inline ElaboratedProgram mustElaborateDesign(const std::string &Source) {
   DiagnosticEngine Diags;
   DesignFile F = parseDesign(Source, Diags);
   std::optional<ElaboratedProgram> P =
-      Diags.hasErrors() ? std::nullopt : elaborateDesign(F, Diags);
+      Diags.hasErrors() ? std::nullopt : elaborateDesign(std::move(F), Diags);
   if (!P) {
     std::fprintf(stderr, "bench workload failed to elaborate:\n%s\n",
                  Diags.str().c_str());

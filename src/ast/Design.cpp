@@ -11,6 +11,67 @@ using namespace vif;
 // Out-of-line virtual anchor.
 ConcStmt::~ConcStmt() = default;
 
+namespace {
+
+std::vector<Decl> cloneDecls(const std::vector<Decl> &Decls) {
+  std::vector<Decl> Out;
+  Out.reserve(Decls.size());
+  for (const Decl &D : Decls)
+    Out.push_back(D.clone());
+  return Out;
+}
+
+std::vector<ConcStmtPtr> cloneStmts(const std::vector<ConcStmtPtr> &Stmts) {
+  std::vector<ConcStmtPtr> Out;
+  Out.reserve(Stmts.size());
+  for (const ConcStmtPtr &S : Stmts)
+    Out.push_back(S->clone());
+  return Out;
+}
+
+} // namespace
+
+Decl Decl::clone() const {
+  Decl D;
+  D.K = K;
+  D.Name = Name;
+  D.Ty = Ty;
+  D.Init = Init ? Init->clone() : nullptr;
+  D.Range = Range;
+  return D;
+}
+
+ConcStmtPtr ProcessStmt::clone() const {
+  return std::make_unique<ProcessStmt>(Label, cloneDecls(Decls),
+                                       Body ? Body->clone() : nullptr,
+                                       range());
+}
+
+ConcStmtPtr BlockStmt::clone() const {
+  return std::make_unique<BlockStmt>(Label, cloneDecls(Decls),
+                                     cloneStmts(Stmts), range());
+}
+
+ConcStmtPtr ConcAssignStmt::clone() const {
+  return std::make_unique<ConcAssignStmt>(
+      Target, Slice, Value ? Value->clone() : nullptr, range());
+}
+
+DesignFile DesignFile::clone() const {
+  DesignFile F;
+  F.Entities = Entities;
+  for (const Architecture &A : Architectures) {
+    Architecture C;
+    C.Name = A.Name;
+    C.EntityName = A.EntityName;
+    C.Decls = cloneDecls(A.Decls);
+    C.Stmts = cloneStmts(A.Stmts);
+    C.Range = A.Range;
+    F.Architectures.push_back(std::move(C));
+  }
+  return F;
+}
+
 const char *vif::portModeSpelling(PortMode Mode) {
   switch (Mode) {
   case PortMode::In:

@@ -63,6 +63,8 @@ struct Decl {
   Type Ty;
   ExprPtr Init; ///< may be null (defaults to 'U' / "U...U")
   SourceRange Range;
+
+  Decl clone() const;
 };
 
 /// Base class of concurrent statements.
@@ -74,6 +76,9 @@ public:
 
   Kind kind() const { return K; }
   SourceRange range() const { return Range; }
+
+  /// Deep copy of this statement and everything below it.
+  virtual std::unique_ptr<ConcStmt> clone() const = 0;
 
 protected:
   ConcStmt(Kind K, SourceRange Range) : K(K), Range(Range) {}
@@ -95,7 +100,12 @@ public:
 
   const std::string &label() const { return Label; }
   const std::vector<Decl> &decls() const { return Decls; }
+  std::vector<Decl> &decls() { return Decls; }
   const Stmt &body() const { return *Body; }
+  /// Moves the body out (elaboration adopts it); body() is invalid after.
+  StmtPtr takeBody() { return std::move(Body); }
+
+  ConcStmtPtr clone() const override;
 
   static bool classof(const ConcStmt *S) {
     return S->kind() == Kind::Process;
@@ -119,7 +129,11 @@ public:
 
   const std::string &label() const { return Label; }
   const std::vector<Decl> &decls() const { return Decls; }
+  std::vector<Decl> &decls() { return Decls; }
   const std::vector<ConcStmtPtr> &stmts() const { return Stmts; }
+  std::vector<ConcStmtPtr> &stmts() { return Stmts; }
+
+  ConcStmtPtr clone() const override;
 
   static bool classof(const ConcStmt *S) { return S->kind() == Kind::Block; }
 
@@ -147,6 +161,10 @@ public:
     return *Slice;
   }
   const Expr &value() const { return *Value; }
+  /// Moves the value out (elaboration adopts it); value() is invalid after.
+  ExprPtr takeValue() { return std::move(Value); }
+
+  ConcStmtPtr clone() const override;
 
   static bool classof(const ConcStmt *S) {
     return S->kind() == Kind::SignalAssign;
@@ -182,6 +200,8 @@ struct DesignFile {
 
   const Entity *findEntity(const std::string &Name) const;
   const Architecture *findArchitecture(const std::string &Name) const;
+
+  DesignFile clone() const;
 };
 
 } // namespace vif

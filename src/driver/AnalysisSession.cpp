@@ -93,21 +93,26 @@ bool AnalysisSession::ensureParsed() {
         StmtAst.emplace(parseStatementProgram(*Text, Diags));
       else
         DesignAst.emplace(parseDesign(*Text, Diags));
-      if (!Diags.hasErrors())
+      if (!Diags.hasErrors()) {
         ParseState = State::Ok;
+      } else {
+        // Nothing reads a tree with errors; do not hold it.
+        StmtAst.reset();
+        DesignAst.reset();
+      }
     }
   }
   return ParseState == State::Ok;
 }
 
 const DesignFile *AnalysisSession::designAst() {
-  if (!ensureParsed() || Opts.Statements)
+  if (!ensureParsed() || !DesignAst)
     return nullptr;
   return &*DesignAst;
 }
 
 const StatementProgram *AnalysisSession::statementAst() {
-  if (!ensureParsed() || !Opts.Statements)
+  if (!ensureParsed() || !StmtAst)
     return nullptr;
   return &*StmtAst;
 }
@@ -118,10 +123,13 @@ const ElaboratedProgram *AnalysisSession::program() {
     ElabState = State::Failed;
     if (ensureParsed()) {
       StageTimer T(Times.ElaborateMs);
+      // Elaboration adopts the tree (bodies and initializers move into
+      // the program); what is left of it is dropped here.
       std::optional<ElaboratedProgram> P =
-          Opts.Statements
-              ? elaborateStatements(*StmtAst->Body, Diags, &StmtAst->Decls)
-              : elaborateDesign(*DesignAst, Diags);
+          Opts.Statements ? elaborateStatements(std::move(*StmtAst), Diags)
+                          : elaborateDesign(std::move(*DesignAst), Diags);
+      StmtAst.reset();
+      DesignAst.reset();
       if (P && !Diags.hasErrors()) {
         Prog.emplace(std::move(*P));
         ElabState = State::Ok;
@@ -278,11 +286,12 @@ const query::FlowQueryEngine *AnalysisSession::queryEngine() {
 
 size_t AnalysisSession::memoryBytes() const {
   size_t Bytes = sizeof(AnalysisSession) + Src.capacity() + Name.capacity();
-  // The parse/elaborate/CFG tier holds trees proportional to the source:
-  // every node, label and flow pair traces back to a handful of source
-  // bytes. 4x the text is a deliberate flat estimate — the artifacts
-  // below are measured exactly and dominate on every warm session.
-  if (ParseState == State::Ok)
+  // The parse tree is proportional to the source: every node traces back
+  // to a handful of source bytes. 4x the text is a deliberate flat
+  // estimate, charged only while the session holds the tree (program()
+  // consumes it) — the artifacts below are measured exactly and dominate
+  // on every warm session.
+  if (DesignAst || StmtAst)
     Bytes += 4 * Src.size();
   if (Ifa)
     Bytes += Ifa->memoryBytes();

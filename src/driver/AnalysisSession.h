@@ -117,9 +117,12 @@ public:
   bool unreadable() const { return SourceState == State::Failed; }
 
   /// The parsed design file (nullptr for statement sessions or on parse
-  /// errors; diagnostics() holds why).
+  /// errors; diagnostics() holds why). Valid until program() runs:
+  /// elaboration adopts the tree and the session drops it, so both return
+  /// nullptr from then on.
   const DesignFile *designAst();
-  /// The parsed statement program (statement sessions only).
+  /// The parsed statement program (statement sessions only). Valid until
+  /// program() runs, like designAst().
   const StatementProgram *statementAst();
 
   /// The elaborated flat process model; nullptr on any earlier failure.
@@ -145,9 +148,9 @@ public:
   /// Deep size of everything this session currently holds, in bytes:
   /// the source text plus the measured footprints of every computed
   /// artifact (ResourceMatrix/BitMatrix/Digraph/PairSet allocations —
-  /// the structures that dominate a warm session). The AST/elaboration/
-  /// CFG tier is estimated at a fixed multiple of the source size (those
-  /// trees are a small constant factor of it) rather than walked. This
+  /// the structures that dominate a warm session). The parse tree, while
+  /// the session holds it (until program() runs), is estimated at a fixed
+  /// multiple of the source size rather than walked. This
   /// is what SessionCache charges an entry against its `--cache-bytes`
   /// budget; it only measures, never computes or flushes anything. Not
   /// thread-safe against concurrent lazy computation — call it while

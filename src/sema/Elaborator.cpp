@@ -9,8 +9,8 @@
 #include "support/Casting.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <unordered_map>
+#include <unordered_set>
 
 using namespace vif;
 
@@ -123,43 +123,47 @@ void vif::collectStmtObjects(const Stmt &S, std::vector<unsigned> &Vars,
 
 namespace {
 
-/// Scope entry for a visible signal.
-struct SignalBinding {
-  std::string Name;
-  unsigned Id;
+/// The signals one lexical scope declares, by source name. A name declared
+/// twice in one scope resolves to its first declaration.
+using SignalScope = std::unordered_map<std::string, unsigned>;
+/// Enclosing scopes, outermost first.
+using ScopeStack = std::vector<SignalScope>;
+
+/// The variables sharing one source name across the program: the first
+/// one declared, and how many there are.
+struct Homonyms {
+  unsigned First = 0;
+  unsigned Count = 0;
 };
+using VariableNames = std::unordered_map<std::string, Homonyms>;
 
 class Elaborator {
 public:
   Elaborator(DiagnosticEngine &Diags) : Diags(Diags) {}
 
-  std::optional<ElaboratedProgram> run(const DesignFile &File,
+  /// Elaborates \p File, moving its process bodies and initializers into
+  /// the program.
+  std::optional<ElaboratedProgram> run(DesignFile &File,
                                        const ElaborateOptions &Opts);
 
 private:
   void declarePort(const Port &P);
-  unsigned declareSignal(const Decl &D, SignalClass Class,
+  unsigned declareSignal(Decl &D, SignalClass Class,
                          const std::string &ScopePrefix);
-  void elabConcStmts(const std::vector<ConcStmtPtr> &Stmts,
-                     std::vector<std::vector<SignalBinding>> &Scopes,
+  void elabConcStmts(std::vector<ConcStmtPtr> &Stmts, ScopeStack &Scopes,
                      const std::string &ScopePrefix);
-  void elabProcess(const ProcessStmt &P,
-                   std::vector<std::vector<SignalBinding>> &Scopes);
-  void elabConcAssign(const ConcAssignStmt &A,
-                      std::vector<std::vector<SignalBinding>> &Scopes);
+  void elabProcess(ProcessStmt &P, const ScopeStack &Scopes);
+  void elabConcAssign(ConcAssignStmt &A, const ScopeStack &Scopes);
 
-  /// Looks a signal name up through the scope stack, innermost first.
-  std::optional<unsigned>
-  lookupSignal(const std::string &Name,
-               const std::vector<std::vector<SignalBinding>> &Scopes) const;
-
-  /// Checks that \p Init is a literal of type \p Ty (or null).
-  ExprPtr checkInitializer(const ExprPtr &Init, const Type &Ty,
-                           const char *What, const std::string &Name);
+  /// Checks that \p Init is a literal of type \p Ty (or null) and returns
+  /// it typed, or null after a diagnostic.
+  ExprPtr checkInitializer(ExprPtr Init, const Type &Ty, const char *What,
+                           const std::string &Name);
 
   DiagnosticEngine &Diags;
   ElaboratedProgram Program;
-  std::set<std::string> UsedSignalNames;
+  std::unordered_set<std::string> UsedSignalNames;
+  VariableNames VarNames;
   unsigned NextConcAssign = 0;
 };
 
@@ -168,11 +172,11 @@ private:
 class ProcessChecker {
 public:
   ProcessChecker(DiagnosticEngine &Diags, ElaboratedProgram &Program,
-                 unsigned ProcessId,
-                 const std::vector<std::vector<SignalBinding>> *SignalScopes,
-                 bool ImplicitDecls)
-      : Diags(Diags), Program(Program), ProcessId(ProcessId),
-        SignalScopes(SignalScopes), ImplicitDecls(ImplicitDecls) {}
+                 VariableNames &VarNames, unsigned ProcessId,
+                 const ScopeStack *SignalScopes, bool ImplicitDecls)
+      : Diags(Diags), Program(Program), VarNames(VarNames),
+        ProcessId(ProcessId), SignalScopes(SignalScopes),
+        ImplicitDecls(ImplicitDecls) {}
 
   /// Declares a process-local variable; reports redeclarations.
   void declareVariable(const std::string &Name, Type Ty, ExprPtr Init,
@@ -185,8 +189,8 @@ public:
   void predeclareSignals(const Stmt &S);
 
   /// Statement-program mode: declares \p D (variable or internal signal)
-  /// before resolution starts.
-  void declareUpFront(const Decl &D);
+  /// before resolution starts, adopting its initializer.
+  void declareUpFront(Decl &D);
 
 private:
   std::optional<Type> checkExpr(Expr &E);
@@ -199,24 +203,40 @@ private:
   void checkWait(WaitStmt &W);
 
   const Type *typeOf(ObjectRef Ref) const;
+  /// Implicit-declaration mode: a new scalar signal named \p Name.
+  unsigned declareImplicitSignal(const std::string &Name, Type Ty,
+                                 ExprPtr Init = nullptr);
 
   DiagnosticEngine &Diags;
   ElaboratedProgram &Program;
+  VariableNames &VarNames;
   unsigned ProcessId;
-  const std::vector<std::vector<SignalBinding>> *SignalScopes;
+  const ScopeStack *SignalScopes;
   bool ImplicitDecls;
-  std::map<std::string, unsigned> LocalVars;
-  std::vector<SignalBinding> ImplicitSignals;
+  std::unordered_map<std::string, unsigned> LocalVars;
+  SignalScope ImplicitSignals;
 };
 
-void ProcessChecker::declareUpFront(const Decl &D) {
+unsigned ProcessChecker::declareImplicitSignal(const std::string &Name,
+                                               Type Ty, ExprPtr Init) {
+  ElabSignal Sig;
+  Sig.Id = static_cast<unsigned>(Program.Signals.size());
+  Sig.Name = Sig.UniqueName = Name;
+  Sig.Ty = Ty;
+  Sig.Init = std::move(Init);
+  ImplicitSignals.emplace(Name, Sig.Id);
+  Program.Signals.push_back(std::move(Sig));
+  return Program.Signals.back().Id;
+}
+
+void ProcessChecker::declareUpFront(Decl &D) {
   assert(ImplicitDecls && "up-front declaration is for statement programs");
   ExprPtr Init;
   if (D.Init) {
     // Statement programs accept literal initializers only, like designs.
     if (isa<LogicLiteralExpr>(D.Init.get()) ||
         isa<VectorLiteralExpr>(D.Init.get()))
-      Init = D.Init->clone();
+      Init = std::move(D.Init);
     else
       Diags.error(D.Range.Begin, "initializer of '" + D.Name +
                                      "' must be a literal");
@@ -225,32 +245,18 @@ void ProcessChecker::declareUpFront(const Decl &D) {
     declareVariable(D.Name, D.Ty, std::move(Init), D.Range.Begin);
     return;
   }
-  for (const SignalBinding &B : ImplicitSignals)
-    if (B.Name == D.Name) {
-      Diags.error(D.Range.Begin, "redeclaration of signal '" + D.Name + "'");
-      return;
-    }
-  ElabSignal Sig;
-  Sig.Id = static_cast<unsigned>(Program.Signals.size());
-  Sig.Name = Sig.UniqueName = D.Name;
-  Sig.Ty = D.Ty;
-  Sig.Init = std::move(Init);
-  Program.Signals.push_back(std::move(Sig));
-  ImplicitSignals.push_back({D.Name, Program.Signals.back().Id});
+  if (ImplicitSignals.count(D.Name)) {
+    Diags.error(D.Range.Begin, "redeclaration of signal '" + D.Name + "'");
+    return;
+  }
+  declareImplicitSignal(D.Name, D.Ty, std::move(Init));
 }
 
 void ProcessChecker::predeclareSignals(const Stmt &S) {
   assert(ImplicitDecls && "predeclaration is for implicit mode only");
   auto DeclareSignal = [&](const std::string &Name) {
-    for (const SignalBinding &B : ImplicitSignals)
-      if (B.Name == Name)
-        return;
-    ElabSignal Sig;
-    Sig.Id = static_cast<unsigned>(Program.Signals.size());
-    Sig.Name = Sig.UniqueName = Name;
-    Sig.Ty = Type::scalar();
-    Program.Signals.push_back(std::move(Sig));
-    ImplicitSignals.push_back({Name, Program.Signals.back().Id});
+    if (!ImplicitSignals.count(Name))
+      declareImplicitSignal(Name, Type::scalar());
   };
   switch (S.kind()) {
   case Stmt::Kind::Null:
@@ -287,19 +293,15 @@ void ProcessChecker::declareVariable(const std::string &Name, Type Ty,
   V.Id = static_cast<unsigned>(Program.Variables.size());
   V.Name = Name;
   // Qualify on collision with a variable of the same name in another
-  // process, so graph nodes stay unambiguous.
-  bool Clash = false;
-  for (const ElabVariable &Other : Program.Variables)
-    if (Other.Name == Name)
-      Clash = true;
+  // process, so graph nodes stay unambiguous. Only the first of a name
+  // is still bare when the second arrives: qualify it retroactively then.
+  Homonyms &Same = VarNames.try_emplace(Name, Homonyms{V.Id, 0}).first->second;
+  bool Clash = ++Same.Count > 1;
   V.UniqueName =
       Clash ? Program.process(ProcessId).Name + "." + Name : Name;
-  if (Clash) {
-    // Retroactively qualify the earlier homonyms as well.
-    for (ElabVariable &Other : Program.Variables)
-      if (Other.Name == Name && Other.UniqueName == Name)
-        Other.UniqueName =
-            Program.process(Other.ProcessId).Name + "." + Name;
+  if (Same.Count == 2) {
+    ElabVariable &First = Program.Variables[Same.First];
+    First.UniqueName = Program.process(First.ProcessId).Name + "." + Name;
   }
   V.Ty = Ty;
   V.Init = std::move(Init);
@@ -324,29 +326,23 @@ std::optional<ObjectRef> ProcessChecker::resolve(const std::string &Name,
   auto It = LocalVars.find(Name);
   if (It != LocalVars.end())
     return ObjectRef::variable(It->second);
-  for (const SignalBinding &B : ImplicitSignals)
-    if (B.Name == Name)
-      return ObjectRef::signal(B.Id);
+  auto Implicit = ImplicitSignals.find(Name);
+  if (Implicit != ImplicitSignals.end())
+    return ObjectRef::signal(Implicit->second);
   if (SignalScopes) {
     for (auto ScopeIt = SignalScopes->rbegin();
-         ScopeIt != SignalScopes->rend(); ++ScopeIt)
-      for (const SignalBinding &B : *ScopeIt)
-        if (B.Name == Name)
-          return ObjectRef::signal(B.Id);
+         ScopeIt != SignalScopes->rend(); ++ScopeIt) {
+      auto Found = ScopeIt->find(Name);
+      if (Found != ScopeIt->end())
+        return ObjectRef::signal(Found->second);
+    }
   }
   if (ImplicitDecls) {
     // Bare-statement mode: fabricate a scalar object on first use.
     // Signal-ness was fixed up front by predeclareSignals; everything else
     // is a variable.
-    if (WantSignal) {
-      ElabSignal S;
-      S.Id = static_cast<unsigned>(Program.Signals.size());
-      S.Name = S.UniqueName = Name;
-      S.Ty = Type::scalar();
-      Program.Signals.push_back(std::move(S));
-      ImplicitSignals.push_back({Name, Program.Signals.back().Id});
-      return ObjectRef::signal(Program.Signals.back().Id);
-    }
+    if (WantSignal)
+      return ObjectRef::signal(declareImplicitSignal(Name, Type::scalar()));
     declareVariable(Name, Type::scalar(), nullptr, Loc);
     return ObjectRef::variable(LocalVars.at(Name));
   }
@@ -603,21 +599,20 @@ void ProcessChecker::checkStmt(Stmt &S) {
 // Design-level elaboration
 //===----------------------------------------------------------------------===//
 
-ExprPtr Elaborator::checkInitializer(const ExprPtr &Init, const Type &Ty,
+ExprPtr Elaborator::checkInitializer(ExprPtr Init, const Type &Ty,
                                      const char *What,
                                      const std::string &Name) {
   if (!Init)
     return nullptr;
-  if (const auto *L = dyn_cast<LogicLiteralExpr>(Init.get())) {
+  if (isa<LogicLiteralExpr>(Init.get())) {
     if (!Ty.isScalar()) {
       Diags.error(Init->range().Begin,
                   std::string("initializer of ") + What + " '" + Name +
                       "' must be a vector literal");
       return nullptr;
     }
-    ExprPtr C = L->clone();
-    C->setType(Type::scalar());
-    return C;
+    Init->setType(Type::scalar());
+    return Init;
   }
   if (const auto *V = dyn_cast<VectorLiteralExpr>(Init.get())) {
     if (!Ty.isVector() || Ty.width() != V->value().size()) {
@@ -627,10 +622,9 @@ ExprPtr Elaborator::checkInitializer(const ExprPtr &Init, const Type &Ty,
                       std::to_string(Ty.width()));
       return nullptr;
     }
-    ExprPtr C = V->clone();
-    C->setType(Type::vector(static_cast<int>(V->value().size()) - 1, 0,
-                            true));
-    return C;
+    Init->setType(Type::vector(static_cast<int>(V->value().size()) - 1, 0,
+                               true));
+    return Init;
   }
   Diags.error(Init->range().Begin,
               std::string("initializer of ") + What + " '" + Name +
@@ -661,7 +655,7 @@ void Elaborator::declarePort(const Port &P) {
   Program.Signals.push_back(std::move(S));
 }
 
-unsigned Elaborator::declareSignal(const Decl &D, SignalClass Class,
+unsigned Elaborator::declareSignal(Decl &D, SignalClass Class,
                                    const std::string &ScopePrefix) {
   ElabSignal S;
   S.Id = static_cast<unsigned>(Program.Signals.size());
@@ -675,14 +669,12 @@ unsigned Elaborator::declareSignal(const Decl &D, SignalClass Class,
   S.UniqueName = Unique;
   S.Ty = D.Ty;
   S.Class = Class;
-  S.Init = checkInitializer(D.Init, D.Ty, "signal", D.Name);
+  S.Init = checkInitializer(std::move(D.Init), D.Ty, "signal", D.Name);
   Program.Signals.push_back(std::move(S));
   return Program.Signals.back().Id;
 }
 
-void Elaborator::elabProcess(
-    const ProcessStmt &P,
-    std::vector<std::vector<SignalBinding>> &Scopes) {
+void Elaborator::elabProcess(ProcessStmt &P, const ScopeStack &Scopes) {
   ElabProcess Proc;
   Proc.Id = static_cast<unsigned>(Program.Processes.size());
   Proc.Name = P.label();
@@ -690,9 +682,9 @@ void Elaborator::elabProcess(
   Program.Processes.push_back(std::move(Proc));
   unsigned Id = Program.Processes.back().Id;
 
-  ProcessChecker Checker(Diags, Program, Id, &Scopes,
+  ProcessChecker Checker(Diags, Program, VarNames, Id, &Scopes,
                          /*ImplicitDecls=*/false);
-  for (const Decl &D : P.decls()) {
+  for (Decl &D : P.decls()) {
     if (D.K == Decl::Kind::Signal) {
       // The VHDL1 grammar routes process-level locals through `variable`;
       // signal declarations belong in blocks. Full VHDL agrees.
@@ -700,13 +692,14 @@ void Elaborator::elabProcess(
                   "signal declarations are not allowed inside processes");
       continue;
     }
-    ExprPtr Init = checkInitializer(D.Init, D.Ty, "variable", D.Name);
+    ExprPtr Init =
+        checkInitializer(std::move(D.Init), D.Ty, "variable", D.Name);
     Checker.declareVariable(D.Name, D.Ty, std::move(Init), D.Range.Begin);
   }
 
   // The paper rewrites `ip: process begin ss end` into `null; while '1' do
   // ss`; materialize exactly that shape so the CFG has an isolated entry.
-  StmtPtr Body = P.body().clone();
+  StmtPtr Body = P.takeBody();
   Checker.checkStmt(*Body);
   std::vector<StmtPtr> Wrapped;
   Wrapped.push_back(std::make_unique<NullStmt>(P.range()));
@@ -719,9 +712,8 @@ void Elaborator::elabProcess(
       std::make_unique<CompoundStmt>(std::move(Wrapped), P.range());
 }
 
-void Elaborator::elabConcAssign(
-    const ConcAssignStmt &A,
-    std::vector<std::vector<SignalBinding>> &Scopes) {
+void Elaborator::elabConcAssign(ConcAssignStmt &A,
+                                const ScopeStack &Scopes) {
   // Rewrite `s <= e` into `ca_N: process begin s <= e; wait on FS(e); end`.
   ElabProcess Proc;
   Proc.Id = static_cast<unsigned>(Program.Processes.size());
@@ -731,13 +723,13 @@ void Elaborator::elabConcAssign(
   Program.Processes.push_back(std::move(Proc));
   unsigned Id = Program.Processes.back().Id;
 
-  ProcessChecker Checker(Diags, Program, Id, &Scopes,
+  ProcessChecker Checker(Diags, Program, VarNames, Id, &Scopes,
                          /*ImplicitDecls=*/false);
 
   auto Assign = std::make_unique<SignalAssignStmt>(
       A.targetName(),
       A.hasSlice() ? std::optional<SliceSpec>(A.slice()) : std::nullopt,
-      A.value().clone(), A.range());
+      A.takeValue(), A.range());
   Checker.checkStmt(*Assign);
 
   // Sensitivity: the free signals of the right-hand side.
@@ -768,11 +760,10 @@ void Elaborator::elabConcAssign(
       std::make_unique<CompoundStmt>(std::move(Wrapped), A.range());
 }
 
-void Elaborator::elabConcStmts(
-    const std::vector<ConcStmtPtr> &Stmts,
-    std::vector<std::vector<SignalBinding>> &Scopes,
-    const std::string &ScopePrefix) {
-  for (const ConcStmtPtr &S : Stmts) {
+void Elaborator::elabConcStmts(std::vector<ConcStmtPtr> &Stmts,
+                               ScopeStack &Scopes,
+                               const std::string &ScopePrefix) {
+  for (ConcStmtPtr &S : Stmts) {
     switch (S->kind()) {
     case ConcStmt::Kind::Process:
       elabProcess(*cast<ProcessStmt>(S.get()), Scopes);
@@ -781,9 +772,9 @@ void Elaborator::elabConcStmts(
       elabConcAssign(*cast<ConcAssignStmt>(S.get()), Scopes);
       break;
     case ConcStmt::Kind::Block: {
-      const auto *B = cast<BlockStmt>(S.get());
-      std::vector<SignalBinding> Local;
-      for (const Decl &D : B->decls()) {
+      auto *B = cast<BlockStmt>(S.get());
+      SignalScope Local;
+      for (Decl &D : B->decls()) {
         if (D.K == Decl::Kind::Variable) {
           Diags.error(D.Range.Begin,
                       "variable declarations are not allowed in blocks");
@@ -791,7 +782,7 @@ void Elaborator::elabConcStmts(
         }
         unsigned Id = declareSignal(D, SignalClass::Internal,
                                     B->label() + ".");
-        Local.push_back({D.Name, Id});
+        Local.try_emplace(D.Name, Id);
       }
       Scopes.push_back(std::move(Local));
       elabConcStmts(B->stmts(), Scopes, ScopePrefix + B->label() + ".");
@@ -802,11 +793,13 @@ void Elaborator::elabConcStmts(
   }
 }
 
-std::optional<ElaboratedProgram> Elaborator::run(const DesignFile &File,
+std::optional<ElaboratedProgram> Elaborator::run(DesignFile &File,
                                                  const ElaborateOptions &Opts) {
-  const Architecture *Arch = nullptr;
+  Architecture *Arch = nullptr;
   if (!Opts.ArchitectureName.empty()) {
-    Arch = File.findArchitecture(Opts.ArchitectureName);
+    // File is ours to consume; the lookup is the const one.
+    Arch = const_cast<Architecture *>(
+        File.findArchitecture(Opts.ArchitectureName));
     if (!Arch) {
       Diags.error(SourceLoc(), "no architecture named '" +
                                    Opts.ArchitectureName + "'");
@@ -830,18 +823,18 @@ std::optional<ElaboratedProgram> Elaborator::run(const DesignFile &File,
   for (const Port &P : Ent->Ports)
     declarePort(P);
 
-  std::vector<std::vector<SignalBinding>> Scopes;
-  std::vector<SignalBinding> TopScope;
+  ScopeStack Scopes;
+  SignalScope TopScope;
   for (const ElabSignal &S : Program.Signals)
-    TopScope.push_back({S.Name, S.Id});
-  for (const Decl &D : Arch->Decls) {
+    TopScope.try_emplace(S.Name, S.Id);
+  for (Decl &D : Arch->Decls) {
     if (D.K == Decl::Kind::Variable) {
       Diags.error(D.Range.Begin,
                   "variable declarations are not allowed in architectures");
       continue;
     }
     unsigned Id = declareSignal(D, SignalClass::Internal, Arch->Name + ".");
-    TopScope.push_back({D.Name, Id});
+    TopScope.try_emplace(D.Name, Id);
   }
   Scopes.push_back(std::move(TopScope));
 
@@ -857,6 +850,12 @@ std::optional<ElaboratedProgram> Elaborator::run(const DesignFile &File,
 std::optional<ElaboratedProgram>
 vif::elaborateDesign(const DesignFile &File, DiagnosticEngine &Diags,
                      const ElaborateOptions &Opts) {
+  return elaborateDesign(File.clone(), Diags, Opts);
+}
+
+std::optional<ElaboratedProgram>
+vif::elaborateDesign(DesignFile &&File, DiagnosticEngine &Diags,
+                     const ElaborateOptions &Opts) {
   Elaborator E(Diags);
   return E.run(File, Opts);
 }
@@ -864,6 +863,16 @@ vif::elaborateDesign(const DesignFile &File, DiagnosticEngine &Diags,
 std::optional<ElaboratedProgram>
 vif::elaborateStatements(const Stmt &Body, DiagnosticEngine &Diags,
                          const std::vector<Decl> *Decls) {
+  StatementProgram Prog;
+  if (Decls)
+    for (const Decl &D : *Decls)
+      Prog.Decls.push_back(D.clone());
+  Prog.Body = Body.clone();
+  return elaborateStatements(std::move(Prog), Diags);
+}
+
+std::optional<ElaboratedProgram>
+vif::elaborateStatements(StatementProgram &&Prog, DiagnosticEngine &Diags) {
   ElaboratedProgram Program;
   ElabProcess Proc;
   Proc.Id = 0;
@@ -871,17 +880,18 @@ vif::elaborateStatements(const Stmt &Body, DiagnosticEngine &Diags,
   Proc.Looped = false;
   Program.Processes.push_back(std::move(Proc));
 
-  ProcessChecker Checker(Diags, Program, 0, nullptr, /*ImplicitDecls=*/true);
-  if (Decls)
-    for (const Decl &D : *Decls)
-      Checker.declareUpFront(D);
-  StmtPtr Cloned = Body.clone();
+  VariableNames VarNames;
+  ProcessChecker Checker(Diags, Program, VarNames, 0, nullptr,
+                         /*ImplicitDecls=*/true);
+  for (Decl &D : Prog.Decls)
+    Checker.declareUpFront(D);
+  StmtPtr Body = std::move(Prog.Body);
   // Declare every `<=`-target and waited-on name as a signal up front so
   // that later reads resolve to the signal rather than implicitly
   // declaring a variable.
-  Checker.predeclareSignals(*Cloned);
-  Checker.checkStmt(*Cloned);
-  Program.Processes[0].Body = std::move(Cloned);
+  Checker.predeclareSignals(*Body);
+  Checker.checkStmt(*Body);
+  Program.Processes[0].Body = std::move(Body);
 
   if (Diags.hasErrors())
     return std::nullopt;

@@ -116,6 +116,12 @@ struct ElaborateOptions {
 };
 
 /// Elaborates \p File; returns nullopt and reports diagnostics on error.
+/// The rvalue overload adopts the tree: process bodies and initializers
+/// move into the program instead of being copied. The const overload
+/// elaborates a copy.
+std::optional<ElaboratedProgram>
+elaborateDesign(DesignFile &&File, DiagnosticEngine &Diags,
+                const ElaborateOptions &Opts = ElaborateOptions());
 std::optional<ElaboratedProgram>
 elaborateDesign(const DesignFile &File, DiagnosticEngine &Diags,
                 const ElaborateOptions &Opts = ElaborateOptions());
@@ -126,6 +132,10 @@ elaborateDesign(const DesignFile &File, DiagnosticEngine &Diags,
 /// internal signal when it is assigned with `<=` or waited on, as a scalar
 /// variable otherwise. This is the harness for the paper's statement-level
 /// examples.
+/// The rvalue overload adopts \p Prog's body and initializers; the other
+/// elaborates a copy of \p Body and \p Decls.
+std::optional<ElaboratedProgram>
+elaborateStatements(StatementProgram &&Prog, DiagnosticEngine &Diags);
 std::optional<ElaboratedProgram>
 elaborateStatements(const Stmt &Body, DiagnosticEngine &Diags,
                     const std::vector<Decl> *Decls = nullptr);

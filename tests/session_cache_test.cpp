@@ -292,6 +292,36 @@ TEST(SessionCache, MemoryBytesGrowsWithArtifacts) {
       << "IFA artifacts must be counted";
 }
 
+TEST(SessionCache, MemoryBytesDropsOnceProgramAdoptsTheTree) {
+  // The parse tier is charged only while the session holds the parse
+  // tree. program() adopts the tree, so the session's figure, and the
+  // cache's byte total measured at release, drop once it has run.
+  for (bool Statements : {false, true}) {
+    SessionOptions Opts;
+    Opts.Statements = Statements;
+    const char *Source = Statements ? "c := b; b := a;" : MuxSource;
+    SessionCache Cache(4);
+    size_t WithTree;
+    {
+      SessionCache::Ref R = Cache.acquire("t", Source, Opts);
+      AnalysisSession &S = R.session();
+      ASSERT_TRUE(Statements ? S.statementAst() != nullptr
+                             : S.designAst() != nullptr);
+      WithTree = S.memoryBytes();
+    }
+    EXPECT_EQ(Cache.bytes(), WithTree);
+    {
+      SessionCache::Ref R = Cache.acquire("t", Source, Opts);
+      AnalysisSession &S = R.session();
+      ASSERT_NE(S.program(), nullptr);
+      EXPECT_EQ(S.designAst(), nullptr);
+      EXPECT_EQ(S.statementAst(), nullptr);
+      EXPECT_LT(S.memoryBytes(), WithTree) << "a freed tree is not charged";
+    }
+    EXPECT_LT(Cache.bytes(), WithTree);
+  }
+}
+
 TEST(Batch, CacheDeduplicatesIdenticalInputs) {
   SessionCache Cache(8);
   std::vector<BatchInput> Inputs = {
