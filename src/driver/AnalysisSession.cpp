@@ -10,9 +10,9 @@
 #include "driver/SessionCache.h"
 
 #include <chrono>
-#include <fstream>
-#include <iostream>
-#include <sstream>
+#include <cstdio>
+
+#include <sys/stat.h>
 
 using namespace vif;
 using namespace vif::driver;
@@ -57,18 +57,25 @@ AnalysisSession AnalysisSession::fromSource(std::string Name,
 }
 
 bool vif::driver::readSourceFile(const std::string &Path, std::string &Out) {
-  if (Path == "-") {
-    std::ostringstream SS;
-    SS << std::cin.rdbuf();
-    Out = SS.str();
-    return true;
-  }
-  std::ifstream In(Path);
-  if (!In)
+  bool Stdin = Path == "-";
+  std::FILE *F = Stdin ? stdin : std::fopen(Path.c_str(), "rb");
+  if (!F)
     return false;
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  Out = SS.str();
+  // A regular file is read with one sized read, straight into Out. Stdin,
+  // a pipe, or a file that grew meanwhile has no size up front: the rest
+  // is appended in chunks. As before, a read error after a successful
+  // open keeps what was read.
+  struct stat St;
+  if (!Stdin && fstat(fileno(F), &St) == 0 && S_ISREG(St.st_mode))
+    Out.resize(static_cast<size_t>(St.st_size));
+  else
+    Out.clear();
+  Out.resize(Out.empty() ? 0 : std::fread(Out.data(), 1, Out.size(), F));
+  char Chunk[64 * 1024];
+  while (size_t N = std::fread(Chunk, 1, sizeof(Chunk), F))
+    Out.append(Chunk, N);
+  if (!Stdin)
+    std::fclose(F);
   return true;
 }
 
