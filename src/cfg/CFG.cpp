@@ -46,7 +46,8 @@ namespace {
 class CFGBuilder {
 public:
   CFGBuilder(std::vector<CFGBlock> &Blocks,
-             std::map<const Stmt *, LabelId> &StmtLabels, unsigned ProcessId)
+             std::vector<std::pair<const Stmt *, LabelId>> &StmtLabels,
+             unsigned ProcessId)
       : Blocks(Blocks), StmtLabels(StmtLabels), ProcessId(ProcessId) {}
 
   struct Segment {
@@ -113,7 +114,7 @@ public:
 private:
   Segment leaf(const Stmt &S, CFGBlock::Kind K, ProcessCFG &P) {
     LabelId L = newBlock(K, &S, nullptr, P);
-    StmtLabels[&S] = L;
+    StmtLabels.emplace_back(&S, L);
     return Segment{L, {L}};
   }
 
@@ -131,7 +132,7 @@ private:
   }
 
   std::vector<CFGBlock> &Blocks;
-  std::map<const Stmt *, LabelId> &StmtLabels;
+  std::vector<std::pair<const Stmt *, LabelId>> &StmtLabels;
   unsigned ProcessId;
 };
 
@@ -151,13 +152,19 @@ ProgramCFG ProgramCFG::build(const ElaboratedProgram &Program) {
     collectStmtObjects(*Proc.Body, P.FreeVars, P.FreeSigs);
     CFG.Procs.push_back(std::move(P));
   }
+  std::sort(CFG.StmtLabels.begin(), CFG.StmtLabels.end());
   CFG.FlowIndexes.resize(CFG.Procs.size());
   return CFG;
 }
 
 LabelId ProgramCFG::labelOf(const Stmt *S) const {
-  auto It = StmtLabels.find(S);
-  assert(It != StmtLabels.end() && "statement has no label");
+  auto It = std::lower_bound(
+      StmtLabels.begin(), StmtLabels.end(), S,
+      [](const std::pair<const Stmt *, LabelId> &E, const Stmt *Key) {
+        return E.first < Key;
+      });
+  assert(It != StmtLabels.end() && It->first == S &&
+         "statement has no label");
   return It->second;
 }
 

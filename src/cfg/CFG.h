@@ -31,7 +31,7 @@
 #include "sema/Elaborator.h"
 
 #include <cstdint>
-#include <map>
+#include <utility>
 #include <memory>
 #include <vector>
 
@@ -133,7 +133,8 @@ public:
 private:
   std::vector<CFGBlock> Blocks; ///< Blocks[l-1] is the block labeled l
   std::vector<ProcessCFG> Procs;
-  std::map<const Stmt *, LabelId> StmtLabels;
+  /// (statement, label) of every elementary block, sorted by statement.
+  std::vector<std::pair<const Stmt *, LabelId>> StmtLabels;
   mutable std::vector<std::unique_ptr<FlowIndex>> FlowIndexes;
 };
 
