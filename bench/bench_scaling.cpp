@@ -158,6 +158,36 @@ BENCHMARK(BM_Scaling_Generated_Frontend)
     ->Range(2, 32)
     ->Complexity();
 
+void BM_Scaling_Elaborate_Copies(benchmark::State &State) {
+  // Elaboration alone over N independent copies of one statement shape
+  // (2N variables that share names with nothing): name resolution and
+  // homonym qualification must stay linear in the declared names. Each
+  // iteration elaborates a fresh copy of the parse tree, made outside the
+  // timed region, the way a session hands its tree over.
+  unsigned N = static_cast<unsigned>(State.range(0));
+  DiagnosticEngine ParseDiags;
+  StatementProgram Parsed =
+      parseStatementProgram(workloads::independentCopies(N), ParseDiags);
+  for (auto _ : State) {
+    State.PauseTiming();
+    StatementProgram Copy;
+    for (const Decl &D : Parsed.Decls)
+      Copy.Decls.push_back(D.clone());
+    Copy.Body = Parsed.Body->clone();
+    DiagnosticEngine Diags;
+    State.ResumeTiming();
+    std::optional<ElaboratedProgram> P =
+        elaborateStatements(std::move(Copy), Diags);
+    benchmark::DoNotOptimize(P->Variables.size());
+  }
+  State.SetComplexityN(N);
+}
+BENCHMARK(BM_Scaling_Elaborate_Copies)
+    ->RangeMultiplier(2)
+    ->Range(2048, 16384)
+    ->Unit(benchmark::kMillisecond)
+    ->Complexity(benchmark::oN);
+
 void BM_Scaling_RDOnly(benchmark::State &State) {
   // Isolates the "three bit-vector frameworks" part of the paper's
   // complexity argument from the closure: Tables 4 and 5 through the
