@@ -50,10 +50,17 @@ public:
              unsigned ProcessId)
       : Blocks(Blocks), StmtLabels(StmtLabels), ProcessId(ProcessId) {}
 
+  /// A built statement: its initial label, and its final labels as the
+  /// top of the Finals stack from FinalsBegin on. Keeping every segment's
+  /// finals on one stack makes the finals of an if the concatenation of
+  /// its branches' for free, so deep elsif chains build in linear time.
   struct Segment {
     LabelId Init;
-    std::vector<LabelId> Finals;
+    size_t FinalsBegin;
   };
+
+  /// The final labels of the segments under construction.
+  std::vector<LabelId> Finals;
 
   Segment buildStmt(const Stmt &S, ProcessCFG &P) {
     switch (S.kind()) {
@@ -77,9 +84,11 @@ public:
       Segment Acc = buildStmt(*C->stmts().front(), P);
       for (size_t I = 1; I < C->stmts().size(); ++I) {
         Segment Next = buildStmt(*C->stmts()[I], P);
-        for (LabelId F : Acc.Finals)
-          P.Flow.emplace_back(F, Next.Init);
-        Acc.Finals = std::move(Next.Finals);
+        for (size_t F = Acc.FinalsBegin; F < Next.FinalsBegin; ++F)
+          P.Flow.emplace_back(Finals[F], Next.Init);
+        // Next's finals replace Acc's.
+        Finals.erase(Finals.begin() + static_cast<ptrdiff_t>(Acc.FinalsBegin),
+                     Finals.begin() + static_cast<ptrdiff_t>(Next.FinalsBegin));
       }
       return Acc;
     }
@@ -90,32 +99,31 @@ public:
       Segment Else = buildStmt(I->elseStmt(), P);
       P.Flow.emplace_back(L, Then.Init);
       P.Flow.emplace_back(L, Else.Init);
-      Segment Seg;
-      Seg.Init = L;
-      Seg.Finals = Then.Finals;
-      Seg.Finals.insert(Seg.Finals.end(), Else.Finals.begin(),
-                        Else.Finals.end());
-      return Seg;
+      // The branches' finals already lie side by side, Then's first.
+      return Segment{L, Then.FinalsBegin};
     }
     case Stmt::Kind::While: {
       const auto *W = cast<WhileStmt>(&S);
       LabelId L = newBlock(CFGBlock::Kind::Cond, &S, &W->cond(), P);
       Segment Body = buildStmt(W->body(), P);
       P.Flow.emplace_back(L, Body.Init);
-      for (LabelId F : Body.Finals)
-        P.Flow.emplace_back(F, L);
-      return Segment{L, {L}};
+      for (size_t F = Body.FinalsBegin; F < Finals.size(); ++F)
+        P.Flow.emplace_back(Finals[F], L);
+      Finals.resize(Body.FinalsBegin);
+      Finals.push_back(L);
+      return Segment{L, Body.FinalsBegin};
     }
     }
     // Unreachable; all kinds covered.
-    return Segment{InitialLabel, {}};
+    return Segment{InitialLabel, Finals.size()};
   }
 
 private:
   Segment leaf(const Stmt &S, CFGBlock::Kind K, ProcessCFG &P) {
     LabelId L = newBlock(K, &S, nullptr, P);
     StmtLabels.emplace_back(&S, L);
-    return Segment{L, {L}};
+    Finals.push_back(L);
+    return Segment{L, Finals.size() - 1};
   }
 
   LabelId newBlock(CFGBlock::Kind K, const Stmt *S, const Expr *Cond,
@@ -146,7 +154,9 @@ ProgramCFG ProgramCFG::build(const ElaboratedProgram &Program) {
     CFGBuilder Builder(CFG.Blocks, CFG.StmtLabels, Proc.Id);
     CFGBuilder::Segment Seg = Builder.buildStmt(*Proc.Body, P);
     P.Init = Seg.Init;
-    P.Finals = std::move(Seg.Finals);
+    P.Finals.assign(Builder.Finals.begin() +
+                        static_cast<ptrdiff_t>(Seg.FinalsBegin),
+                    Builder.Finals.end());
     std::sort(P.Finals.begin(), P.Finals.end());
     std::sort(P.WaitLabels.begin(), P.WaitLabels.end());
     collectStmtObjects(*Proc.Body, P.FreeVars, P.FreeSigs);
