@@ -160,77 +160,86 @@ struct Keyword {
   TokenKind K;
 };
 
-/// Sorted by length, so a lookup compares only same-length spellings.
 constexpr Keyword Keywords[] = {
+    {"architecture", TokenKind::KwArchitecture},
+    {"and", TokenKind::KwAnd},
+    {"begin", TokenKind::KwBegin},
+    {"block", TokenKind::KwBlock},
+    {"downto", TokenKind::KwDownto},
+    {"else", TokenKind::KwElse},
+    {"elsif", TokenKind::KwElsif},
+    {"end", TokenKind::KwEnd},
+    {"entity", TokenKind::KwEntity},
     {"if", TokenKind::KwIf},
     {"in", TokenKind::KwIn},
+    {"inout", TokenKind::KwInout},
     {"is", TokenKind::KwIs},
+    {"loop", TokenKind::KwLoop},
+    {"nand", TokenKind::KwNand},
+    {"nor", TokenKind::KwNor},
+    {"not", TokenKind::KwNot},
+    {"null", TokenKind::KwNull},
     {"of", TokenKind::KwOf},
     {"on", TokenKind::KwOn},
     {"or", TokenKind::KwOr},
-    {"to", TokenKind::KwTo},
-    {"and", TokenKind::KwAnd},
-    {"end", TokenKind::KwEnd},
-    {"nor", TokenKind::KwNor},
-    {"not", TokenKind::KwNot},
     {"out", TokenKind::KwOut},
-    {"xor", TokenKind::KwXor},
-    {"else", TokenKind::KwElse},
-    {"loop", TokenKind::KwLoop},
-    {"nand", TokenKind::KwNand},
-    {"null", TokenKind::KwNull},
     {"port", TokenKind::KwPort},
-    {"then", TokenKind::KwThen},
-    {"wait", TokenKind::KwWait},
-    {"xnor", TokenKind::KwXnor},
-    {"begin", TokenKind::KwBegin},
-    {"block", TokenKind::KwBlock},
-    {"elsif", TokenKind::KwElsif},
-    {"inout", TokenKind::KwInout},
-    {"until", TokenKind::KwUntil},
-    {"while", TokenKind::KwWhile},
-    {"downto", TokenKind::KwDownto},
-    {"entity", TokenKind::KwEntity},
-    {"signal", TokenKind::KwSignal},
     {"process", TokenKind::KwProcess},
-    {"variable", TokenKind::KwVariable},
+    {"signal", TokenKind::KwSignal},
     {"std_logic", TokenKind::KwStdLogic},
-    {"architecture", TokenKind::KwArchitecture},
     {"std_logic_vector", TokenKind::KwStdLogicVector},
+    {"then", TokenKind::KwThen},
+    {"to", TokenKind::KwTo},
+    {"until", TokenKind::KwUntil},
+    {"variable", TokenKind::KwVariable},
+    {"wait", TokenKind::KwWait},
+    {"while", TokenKind::KwWhile},
+    {"xnor", TokenKind::KwXnor},
+    {"xor", TokenKind::KwXor},
 };
 
-constexpr size_t NumKeywords = sizeof(Keywords) / sizeof(Keywords[0]);
-constexpr size_t MaxKeywordLength = 16;
+/// Keywords by a hash of (length, first letter, last letter) that no two
+/// of them share, so a lookup is one probe and at most one compare. A new
+/// keyword that collides fails to compile here.
+struct KeywordTable {
+  static constexpr unsigned Size = 256;
+  uint8_t Slot[Size] = {}; ///< keyword index + 1; 0 is empty
 
-/// FirstKeyword[L] is the index of the first keyword of length >= L.
-struct KeywordIndex {
-  uint8_t FirstKeyword[MaxKeywordLength + 2] = {};
-  constexpr KeywordIndex() {
-    size_t I = 0;
-    for (size_t L = 0; L <= MaxKeywordLength + 1; ++L) {
-      while (I < NumKeywords && Keywords[I].Spelling.size() < L)
-        ++I;
-      FirstKeyword[L] = static_cast<uint8_t>(I);
+  static constexpr unsigned hash(size_t Length, char First, char Last) {
+    return (static_cast<unsigned>(Length) * 31u +
+            static_cast<unsigned char>(First) * 7u +
+            static_cast<unsigned char>(Last)) %
+           Size;
+  }
+
+  constexpr KeywordTable() {
+    for (size_t I = 0; I < sizeof(Keywords) / sizeof(Keywords[0]); ++I) {
+      std::string_view S = Keywords[I].Spelling;
+      unsigned H = hash(S.size(), S.front(), S.back());
+      if (Slot[H] != 0)
+        throw "keyword hash collision";
+      Slot[H] = static_cast<uint8_t>(I + 1);
     }
   }
 };
 
-constexpr KeywordIndex ByLength;
+constexpr KeywordTable KeywordSlots;
 
 /// The keyword spelled by the lowercased, non-empty \p Word, or
-/// Identifier. Same-length keywords differ in their first or last letter,
-/// so those two bytes reject an identifier before any string compare.
+/// Identifier.
 TokenKind keywordKind(std::string_view Word) {
-  if (Word.size() > MaxKeywordLength)
+  unsigned Slot = KeywordSlots.Slot[KeywordTable::hash(
+      Word.size(), Word.front(), Word.back())];
+  if (Slot == 0)
     return TokenKind::Identifier;
-  for (size_t I = ByLength.FirstKeyword[Word.size()],
-              E = ByLength.FirstKeyword[Word.size() + 1];
-       I != E; ++I) {
-    std::string_view KW = Keywords[I].Spelling;
-    if (KW.front() == Word.front() && KW.back() == Word.back() && KW == Word)
-      return Keywords[I].K;
-  }
-  return TokenKind::Identifier;
+  const Keyword &KW = Keywords[Slot - 1];
+  if (KW.Spelling.size() != Word.size())
+    return TokenKind::Identifier;
+  // A byte loop: keywords are short, shorter than a library call's setup.
+  for (size_t I = 0; I < Word.size(); ++I)
+    if (KW.Spelling[I] != Word[I])
+      return TokenKind::Identifier;
+  return KW.K;
 }
 
 } // namespace

@@ -343,12 +343,24 @@ bool Parser::atStmtListEnd() const {
 
 StmtPtr Parser::parseStatementList() {
   SourceLoc Start = cur().Loc;
+  // A one-statement list is that statement: hold the first one aside and
+  // build the vector only when a second arrives.
+  StmtPtr First;
   std::vector<StmtPtr> Stmts;
-  while (!atStmtListEnd())
-    if (StmtPtr S = parseStmt())
-      Stmts.push_back(std::move(S));
-  if (Stmts.size() == 1)
-    return std::move(Stmts.front());
+  while (!atStmtListEnd()) {
+    StmtPtr S = parseStmt();
+    if (!S)
+      continue;
+    if (!First && Stmts.empty()) {
+      First = std::move(S);
+      continue;
+    }
+    if (First)
+      Stmts.push_back(std::move(First));
+    Stmts.push_back(std::move(S));
+  }
+  if (First)
+    return First;
   return std::make_unique<CompoundStmt>(std::move(Stmts),
                                         SourceRange(Start, cur().Loc));
 }
