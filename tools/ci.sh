@@ -182,6 +182,35 @@ fi
 rm -rf "$store_dir"
 echo "large-matrix store step passed"
 
+# Front-end memory guard: a cold `vifc flows --json --jobs 1` on the
+# benchmark's AES core (834 KB, one process) must peak at no more than
+# 29 MB and 9 500 minor faults. Elaboration adopts the parse tree; a second
+# copy of the ~8 MB tree would push the run over both bounds. Skipped
+# under sanitizers, whose shadow memory changes both figures.
+if [ -z "$SANITIZE" ] && command -v python3 >/dev/null; then
+  mem_dir=$(mktemp -d)
+  "$BUILD_DIR/perfbench/perfbench_layers" gen "$mem_dir" >/dev/null
+  # wait4 reads this one child's usage; RUSAGE_CHILDREN would also count
+  # whatever the interpreter reaped before the script ran.
+  python3 - "$BUILD_DIR/vifc" "$mem_dir/aes1.vhd" <<'PY'
+import os
+import subprocess
+import sys
+
+p = subprocess.Popen([sys.argv[1], "flows", "--json", "--jobs", "1",
+                      sys.argv[2]], stdout=subprocess.DEVNULL)
+_, status, ru = os.wait4(p.pid, 0)
+assert os.waitstatus_to_exitcode(status) == 0, "AES core: vifc failed"
+mb = ru.ru_maxrss / 1024.0
+print("AES core: peak RSS %.1f MB, %d minor faults" % (mb, ru.ru_minflt))
+assert mb <= 29, "AES core: peak RSS %.1f MB is over 29 MB" % mb
+assert ru.ru_minflt <= 9500, \
+    "AES core: %d minor faults is over 9 500" % ru.ru_minflt
+PY
+  rm -rf "$mem_dir"
+  echo "front-end memory guard passed"
+fi
+
 # Concurrent serve smoke: N TCP clients against a spawned server with a
 # worker pool — request/response pairing, stats balance, clean shutdown
 # (tools/serve_load_smoke.py).
