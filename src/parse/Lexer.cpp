@@ -295,9 +295,9 @@ void Lexer::skipTrivia() {
       ++L;
       C = 1;
     } else if (Ch == '-' && P + 1 < N && Text[P + 1] == '-') {
-      const void *NL = std::memchr(Text + P, '\n', N - P);
-      size_t End = NL ? static_cast<size_t>(static_cast<const char *>(NL) - Text)
-                      : N;
+      const char *NL =
+          static_cast<const char *>(std::memchr(Text + P, '\n', N - P));
+      size_t End = NL ? static_cast<size_t>(NL - Text) : N;
       C += static_cast<unsigned>(End - P);
       P = End;
     } else {

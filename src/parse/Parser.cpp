@@ -416,6 +416,10 @@ StmtPtr Parser::parseIfImpl(SourceLoc Start) {
     // elsif desugars into a nested if that reuses this 'end if'.
     SourceLoc ElsifLoc = consume().Loc;
     Else = parseIf(ElsifLoc);
+    // Past the nesting budget the elsif arm is only a diagnostic; an if
+    // still needs both branches.
+    if (!Else)
+      Else = std::make_unique<NullStmt>(SourceRange(ElsifLoc));
     return std::make_unique<IfStmt>(std::move(Cond), std::move(Then),
                                     std::move(Else),
                                     SourceRange(Start, cur().Loc));

@@ -203,7 +203,7 @@ private:
   void checkWait(WaitStmt &W);
 
   const Type *typeOf(ObjectRef Ref) const;
-  /// Implicit-declaration mode: a new scalar signal named \p Name.
+  /// Implicit-declaration mode: a new signal \p Name of type \p Ty.
   unsigned declareImplicitSignal(const std::string &Name, Type Ty,
                                  ExprPtr Init = nullptr);
 
