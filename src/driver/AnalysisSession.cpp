@@ -65,7 +65,7 @@ bool vif::driver::readSourceFile(const std::string &Path, std::string &Out) {
   // a pipe, or a file that grew meanwhile has no size up front: the rest
   // is appended in chunks. As before, a read error after a successful
   // open keeps what was read.
-  struct stat St;
+  struct stat St {};
   if (!Stdin && fstat(fileno(F), &St) == 0 && S_ISREG(St.st_mode))
     Out.resize(static_cast<size_t>(St.st_size));
   else

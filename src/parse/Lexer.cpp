@@ -321,7 +321,8 @@ StreamToken Lexer::make(TokenKind K, SourceLoc Loc, size_t Offset,
 TokenStream Lexer::lex() {
   TokenStream Stream;
   // Spellings are 32-bit offsets; a source that long cannot be lexed in
-  // memory anyway (its token vector alone would need 96 GiB).
+  // memory anyway (at five bytes a token, its tokens alone would take
+  // about 20 GiB).
   if (Source.size() >= UINT32_MAX) {
     Diags.error(loc(), "source text too large");
     Pos = Source.size();
