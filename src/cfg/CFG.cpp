@@ -188,6 +188,20 @@ bool ProgramCFG::cfCompatible(LabelId A, LabelId B) const {
   return true;
 }
 
+size_t ProgramCFG::memoryBytes() const {
+  size_t Bytes = Blocks.capacity() * sizeof(CFGBlock) +
+                 Procs.capacity() * sizeof(ProcessCFG) +
+                 StmtLabels.capacity() * sizeof(StmtLabels[0]) +
+                 FlowIndexes.capacity() * sizeof(FlowIndexes[0]);
+  // Every per-process fact is a vector of 32-bit ids (Flow of pairs).
+  for (const ProcessCFG &P : Procs)
+    Bytes += (P.Finals.capacity() + P.Labels.capacity() +
+              P.WaitLabels.capacity() + 2 * P.Flow.capacity() +
+              P.FreeVars.capacity() + P.FreeSigs.capacity()) *
+             sizeof(uint32_t);
+  return Bytes;
+}
+
 std::vector<LabelId> ProgramCFG::allWaitLabels() const {
   std::vector<LabelId> Result;
   for (const ProcessCFG &P : Procs)

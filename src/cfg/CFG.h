@@ -121,6 +121,9 @@ public:
   /// All wait labels of the program, ascending (the paper's WS).
   std::vector<LabelId> allWaitLabels() const;
 
+  /// Heap footprint in bytes, less the flow indexes built on first use.
+  size_t memoryBytes() const;
+
   /// The CSR successor/predecessor adjacency + reverse postorder of
   /// process \p ProcessId (cfg/FlowIndex.h), built on first use and cached
   /// so the dense rd solvers share one copy per design. The slot vector is

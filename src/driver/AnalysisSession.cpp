@@ -90,55 +90,30 @@ const std::string *AnalysisSession::source() {
   return SourceState == State::Ok ? &Src : nullptr;
 }
 
-bool AnalysisSession::ensureParsed() {
-  if (ParseState == State::NotComputed) {
-    ++ArtifactEpoch;
-    ParseState = State::Failed;
-    if (const std::string *Text = source()) {
-      StageTimer T(Times.ParseMs);
-      if (Opts.Statements)
-        StmtAst.emplace(parseStatementProgram(*Text, Diags));
-      else
-        DesignAst.emplace(parseDesign(*Text, Diags));
-      if (!Diags.hasErrors()) {
-        ParseState = State::Ok;
-      } else {
-        // Nothing reads a tree with errors; do not hold it.
-        StmtAst.reset();
-        DesignAst.reset();
-      }
-    }
-  }
-  return ParseState == State::Ok;
-}
-
-const DesignFile *AnalysisSession::designAst() {
-  if (!ensureParsed() || !DesignAst)
-    return nullptr;
-  return &*DesignAst;
-}
-
-const StatementProgram *AnalysisSession::statementAst() {
-  if (!ensureParsed() || !StmtAst)
-    return nullptr;
-  return &*StmtAst;
-}
-
 const ElaboratedProgram *AnalysisSession::program() {
   if (ElabState == State::NotComputed) {
     ++ArtifactEpoch;
     ElabState = State::Failed;
-    if (ensureParsed()) {
+    // The parse tree is local and adopted by the program (bodies and
+    // initializers move); a tree with parse errors is never elaborated.
+    const std::string *Text = source();
+    DesignFile Design;
+    StatementProgram Stmts;
+    if (Text) {
+      StageTimer T(Times.ParseMs);
+      if (Opts.Statements)
+        Stmts = parseStatementProgram(*Text, Diags);
+      else
+        Design = parseDesign(*Text, Diags);
+    }
+    if (Text && !Diags.hasErrors()) {
       StageTimer T(Times.ElaborateMs);
-      // Elaboration adopts the tree (bodies and initializers move into
-      // the program); what is left of it is dropped here.
       std::optional<ElaboratedProgram> P =
-          Opts.Statements ? elaborateStatements(std::move(*StmtAst), Diags)
-                          : elaborateDesign(std::move(*DesignAst), Diags);
-      StmtAst.reset();
-      DesignAst.reset();
+          Opts.Statements ? elaborateStatements(std::move(Stmts), Diags)
+                          : elaborateDesign(std::move(Design), Diags);
       if (P && !Diags.hasErrors()) {
         Prog.emplace(std::move(*P));
+        ProgBytes = Prog->memoryBytes();
         ElabState = State::Ok;
       }
     }
@@ -153,6 +128,7 @@ const ProgramCFG *AnalysisSession::cfg() {
     if (const ElaboratedProgram *P = program()) {
       StageTimer T(Times.CfgMs);
       Cfg.emplace(ProgramCFG::build(*P));
+      CfgBytes = Cfg->memoryBytes();
       CfgState = State::Ok;
     }
   }
@@ -292,14 +268,8 @@ const query::FlowQueryEngine *AnalysisSession::queryEngine() {
 }
 
 size_t AnalysisSession::memoryBytes() const {
-  size_t Bytes = sizeof(AnalysisSession) + Src.capacity() + Name.capacity();
-  // The parse tree is proportional to the source: every node traces back
-  // to a handful of source bytes. 4x the text is a deliberate flat
-  // estimate, charged only while the session holds the tree (program()
-  // consumes it) — the artifacts below are measured exactly and dominate
-  // on every warm session.
-  if (DesignAst || StmtAst)
-    Bytes += 4 * Src.size();
+  size_t Bytes = sizeof(AnalysisSession) + Src.capacity() + Name.capacity() +
+                 ProgBytes + CfgBytes;
   if (Ifa)
     Bytes += Ifa->memoryBytes();
   if (Kemm)

@@ -116,16 +116,10 @@ public:
   /// or elaboration diagnostics.
   bool unreadable() const { return SourceState == State::Failed; }
 
-  /// The parsed design file (nullptr for statement sessions or on parse
-  /// errors; diagnostics() holds why). Valid until program() runs:
-  /// elaboration adopts the tree and the session drops it, so both return
-  /// nullptr from then on.
-  const DesignFile *designAst();
-  /// The parsed statement program (statement sessions only). Valid until
-  /// program() runs, like designAst().
-  const StatementProgram *statementAst();
-
-  /// The elaborated flat process model; nullptr on any earlier failure.
+  /// The elaborated flat process model; nullptr on any earlier failure
+  /// (diagnostics() holds why). Parsing and elaboration are one stage:
+  /// the parse tree lives only inside it, adopted by the program, so the
+  /// session never holds a tree.
   const ElaboratedProgram *program();
   /// Labels/flow/cf facts over program().
   const ProgramCFG *cfg();
@@ -147,10 +141,9 @@ public:
 
   /// Deep size of everything this session currently holds, in bytes:
   /// the source text plus the measured footprints of every computed
-  /// artifact (ResourceMatrix/BitMatrix/Digraph/PairSet allocations —
-  /// the structures that dominate a warm session). The parse tree, while
-  /// the session holds it (until program() runs), is estimated at a fixed
-  /// multiple of the source size rather than walked. This
+  /// artifact — the program and the CFG, measured once when program()
+  /// and cfg() build them, and the analysis results
+  /// (ResourceMatrix/BitMatrix/Digraph/PairSet allocations). This
   /// is what SessionCache charges an entry against its `--cache-bytes`
   /// budget; it only measures, never computes or flushes anything. Not
   /// thread-safe against concurrent lazy computation — call it while
@@ -169,9 +162,6 @@ private:
 
   enum class State : uint8_t { NotComputed, Ok, Failed };
 
-  /// Runs the parse stage if needed; true when an AST is available.
-  bool ensureParsed();
-
   /// The store key for whole-design artifacts: the session cache key of
   /// (source, options). Requires the source to be loaded.
   uint64_t designKey();
@@ -189,7 +179,6 @@ private:
   unsigned ArtifactEpoch = 0;
 
   State SourceState = State::NotComputed;
-  State ParseState = State::NotComputed;
   State ElabState = State::NotComputed;
   State CfgState = State::NotComputed;
   State IfaState = State::NotComputed;
@@ -204,10 +193,10 @@ private:
   bool IfaPartial = false;
 
   std::string Src;
-  std::optional<DesignFile> DesignAst;
-  std::optional<StatementProgram> StmtAst;
   std::optional<ElaboratedProgram> Prog;
   std::optional<ProgramCFG> Cfg;
+  /// Prog->memoryBytes() and Cfg->memoryBytes(), taken as they are built.
+  size_t ProgBytes = 0, CfgBytes = 0;
   std::optional<IFAResult> Ifa;
   std::optional<KemmererResult> Kemm;
   std::optional<AlfpClosureResult> Alfp;

@@ -100,8 +100,9 @@ AlfpClosureResult vif::closeWithAlfp(const ElaboratedProgram &Program,
       P.fact(RDcf, {E.resource(D.N), E.label(D.L), E.label(L)});
     if (CFG.isWaitLabel(L)) {
       P.fact(WS, {E.label(L)});
-      for (const DefPair &D : Native.Active.MayEntry[L])
+      Native.Active.MayEntry.forEachPair(L, [&](DefPair D) {
         P.fact(RDphi, {E.resource(D.N), E.label(D.L), E.label(L)});
+      });
     }
   }
 

@@ -119,16 +119,6 @@ void ResourceMatrix::insertR0Rows(R0Rows New) {
   Entries.swap(Merged);
 }
 
-void ResourceMatrix::insertR0Rows(const std::vector<BitSet> &BitRows,
-                                  const std::vector<uint32_t> &NewUniverse) {
-  R0Rows New;
-  New.Universe = NewUniverse;
-  New.layout(BitRows.size());
-  for (size_t L = 0; L < BitRows.size(); ++L)
-    BitRows[L].forEach([&](size_t I) { New.Bits.set(L, I); });
-  insertR0Rows(std::move(New));
-}
-
 void ResourceMatrix::insertR0Rows(
     const std::vector<std::vector<uint32_t>> &RawRows) {
   R0Rows New;

@@ -39,8 +39,7 @@
 /// through insertR0Rows (driver/ArtifactStore.cpp). The historical std::set
 /// backend is a test-only oracle in tests/oracle/.
 /// The lazy merge mutates on const reads, so a matrix must not be read
-/// from multiple threads concurrently (per-design results never are; see
-/// the LazyPairSets note in rd/DenseDomain.h).
+/// from multiple threads concurrently (per-design results never are).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -133,9 +132,6 @@ public:
   /// The rows are kept as they are when rowsPay, and entered flat
   /// otherwise.
   void insertR0Rows(R0Rows New);
-  /// The same from one BitSet per label over \p Universe.
-  void insertR0Rows(const std::vector<BitSet> &Rows,
-                    const std::vector<uint32_t> &Universe);
   /// The same from per-label rows of ascending raw resource ids (\p
   /// Rows[L] are the resources read at label L) — the reference closure's
   /// sorted-vector rows, numbered over their own union.

@@ -244,23 +244,6 @@ TokenKind keywordKind(std::string_view Word) {
 
 } // namespace
 
-TokenStream::TokenStream(const std::vector<Token> &Owned) {
-  Tokens.reserve(Owned.size());
-  for (const Token &T : Owned) {
-    StreamToken S;
-    S.K = T.K;
-    S.Loc = T.Loc;
-    if (T.is(TokenKind::IntLiteral)) {
-      S.Value = T.IntValue;
-    } else {
-      S.Spelling = {static_cast<uint32_t>(Text.size()),
-                    static_cast<uint32_t>(T.Text.size())};
-      Text += T.Text;
-    }
-    Tokens.push_back(S);
-  }
-}
-
 Lexer::Lexer(std::string Source, DiagnosticEngine &Diags)
     : Source(std::move(Source)), Diags(Diags) {}
 
@@ -309,9 +292,8 @@ void Lexer::skipTrivia() {
   Col = C;
 }
 
-StreamToken Lexer::make(TokenKind K, SourceLoc Loc, size_t Offset,
-                        size_t Length) {
-  StreamToken T;
+Token Lexer::make(TokenKind K, SourceLoc Loc, size_t Offset, size_t Length) {
+  Token T;
   T.K = K;
   T.Loc = Loc;
   T.Spelling = {static_cast<uint32_t>(Offset), static_cast<uint32_t>(Length)};
@@ -335,7 +317,7 @@ TokenStream Lexer::lex() {
     Stream.Tokens.reserve(Source.size() / 3 + 2);
   }
   for (;;) {
-    StreamToken T = lexOne();
+    Token T = lexOne();
     Stream.Tokens.push_back(T);
     if (T.is(TokenKind::Eof))
       break;
@@ -344,20 +326,7 @@ TokenStream Lexer::lex() {
   return Stream;
 }
 
-std::vector<Token> Lexer::lexAll() {
-  TokenStream Stream = lex();
-  std::vector<Token> Tokens(Stream.size());
-  for (size_t I = 0; I < Stream.size(); ++I) {
-    const StreamToken &S = Stream[I];
-    Tokens[I].K = S.K;
-    Tokens[I].Text = std::string(Stream.text(S));
-    Tokens[I].IntValue = S.intValue();
-    Tokens[I].Loc = S.Loc;
-  }
-  return Tokens;
-}
-
-StreamToken Lexer::lexOne() {
+Token Lexer::lexOne() {
   // The error-recovery arms loop back here instead of recursing: recovery
   // once per bad byte must cost a loop iteration, not a stack frame
   // (megabytes of garbage input would otherwise overflow the stack).
@@ -409,7 +378,7 @@ StreamToken Lexer::lexOne() {
       skipInLine(End - Pos);
       if (Overflow)
         Diags.error(Start, "integer literal too large");
-      StreamToken T = make(TokenKind::IntLiteral, Start);
+      Token T = make(TokenKind::IntLiteral, Start);
       T.Value = Value;
       return T;
     }
@@ -432,7 +401,7 @@ StreamToken Lexer::lexOne() {
       while (End < N && Text[End] != '"' && Text[End] != '\n')
         ++End;
       skipInLine(End - Pos);
-      StreamToken T = make(TokenKind::StringLiteral, Start, Body, End - Body);
+      Token T = make(TokenKind::StringLiteral, Start, Body, End - Body);
       if (atEnd() || peek() != '"') {
         Diags.error(Start, "unterminated string literal");
         return T;

@@ -18,7 +18,6 @@
 #include "support/Diagnostics.h"
 
 #include <string>
-#include <vector>
 
 namespace vif {
 
@@ -32,11 +31,8 @@ public:
   /// offending characters are skipped. A lexer lexes once.
   TokenStream lex();
 
-  /// lex(), with each token's spelling copied out of the stream.
-  std::vector<Token> lexAll();
-
 private:
-  StreamToken lexOne();
+  Token lexOne();
   char peek(unsigned Ahead = 0) const;
   char advance();
   /// Consumes the run of \p Len bytes at Pos, none of them a newline.
@@ -50,8 +46,7 @@ private:
 
   /// A token spelled by Source[Offset, Offset + Length); the lexer keeps
   /// sources under 4 GiB, so both fit the token's 32-bit range.
-  StreamToken make(TokenKind K, SourceLoc Loc, size_t Offset = 0,
-                   size_t Length = 0);
+  Token make(TokenKind K, SourceLoc Loc, size_t Offset = 0, size_t Length = 0);
 
   std::string Source;
   DiagnosticEngine &Diags;

@@ -19,18 +19,15 @@ Parser::Parser(TokenStream Tokens, DiagnosticEngine &Diags)
          "token stream must end with Eof");
 }
 
-Parser::Parser(const std::vector<Token> &Tokens, DiagnosticEngine &Diags)
-    : Parser(TokenStream(Tokens), Diags) {}
-
-const StreamToken &Parser::peek(unsigned Ahead) const {
+const Token &Parser::peek(unsigned Ahead) const {
   size_t I = Index + Ahead;
   if (I >= Tokens.size())
     I = Tokens.size() - 1; // Eof
   return Tokens[I];
 }
 
-const StreamToken &Parser::consume() {
-  const StreamToken &T = cur();
+const Token &Parser::consume() {
+  const Token &T = cur();
   if (!at(TokenKind::Eof))
     ++Index;
   return T;
@@ -50,16 +47,6 @@ bool Parser::expect(TokenKind K, const char *Context) {
                              " in " + Context + ", found " +
                              tokenKindName(cur().K));
   return false;
-}
-
-bool Parser::enterNesting() {
-  if (NestingDepth >= MaxNestingDepth) {
-    Diags.error(cur().Loc, "nesting too deep");
-    skipToSemi();
-    return false;
-  }
-  ++NestingDepth;
-  return true;
 }
 
 void Parser::skipToSemi() {
@@ -197,7 +184,7 @@ Architecture Parser::parseArchitecture() {
   A.EntityName = curText();
   expect(TokenKind::Identifier, "architecture body");
   expect(TokenKind::KwIs, "architecture body");
-  A.Decls = parseDeclList();
+  A.Decls = parseDeclarations();
   expect(TokenKind::KwBegin, "architecture body");
   while (!at(TokenKind::KwEnd) && !at(TokenKind::Eof))
     if (ConcStmtPtr S = parseConcStmt())
@@ -216,7 +203,7 @@ Architecture Parser::parseArchitecture() {
   return A;
 }
 
-std::vector<Decl> Parser::parseDeclList() {
+std::vector<Decl> Parser::parseDeclarations() {
   std::vector<Decl> Decls;
   while (at(TokenKind::KwVariable) || at(TokenKind::KwSignal)) {
     Decl D;
@@ -238,7 +225,7 @@ std::vector<Decl> Parser::parseDeclList() {
     expect(TokenKind::Colon, "declaration");
     D.Ty = parseType();
     if (accept(TokenKind::ColonEq))
-      D.Init = parseExpr();
+      D.Init = parseExpression();
     expect(TokenKind::Semi, "declaration");
     for (size_t I = 0; I < Names.size(); ++I) {
       Decl Item;
@@ -279,7 +266,7 @@ ConcStmtPtr Parser::parseConcStmt() {
       skipToSemi();
       return nullptr;
     }
-    ExprPtr Value = parseExpr();
+    ExprPtr Value = parseExpression();
     expect(TokenKind::Semi, "concurrent signal assignment");
     return std::make_unique<ConcAssignStmt>(std::move(Target), Slice,
                                             std::move(Value),
@@ -293,7 +280,7 @@ ConcStmtPtr Parser::parseConcStmt() {
 
 ConcStmtPtr Parser::parseProcess(std::string Label, SourceLoc Start) {
   expect(TokenKind::KwProcess, "process statement");
-  std::vector<Decl> Decls = parseDeclList();
+  std::vector<Decl> Decls = parseDeclarations();
   expect(TokenKind::KwBegin, "process statement");
   StmtPtr Body = parseStatementList();
   expect(TokenKind::KwEnd, "process statement");
@@ -312,7 +299,7 @@ ConcStmtPtr Parser::parseProcess(std::string Label, SourceLoc Start) {
 
 ConcStmtPtr Parser::parseBlock(std::string Label, SourceLoc Start) {
   expect(TokenKind::KwBlock, "block statement");
-  std::vector<Decl> Decls = parseDeclList();
+  std::vector<Decl> Decls = parseDeclarations();
   expect(TokenKind::KwBegin, "block statement");
   std::vector<ConcStmtPtr> Body;
   while (!at(TokenKind::KwEnd) && !at(TokenKind::Eof))
@@ -365,14 +352,6 @@ StmtPtr Parser::parseStatementList() {
                                         SourceRange(Start, cur().Loc));
 }
 
-StmtPtr Parser::parseStmt() {
-  if (!enterNesting())
-    return nullptr;
-  StmtPtr S = parseStmtImpl();
-  --NestingDepth;
-  return S;
-}
-
 StmtPtr Parser::parseStmtImpl() {
   SourceLoc Start = cur().Loc;
   if (accept(TokenKind::KwNull)) {
@@ -399,16 +378,8 @@ StmtPtr Parser::parseStmtImpl() {
   return nullptr;
 }
 
-StmtPtr Parser::parseIf(SourceLoc Start) {
-  if (!enterNesting())
-    return nullptr;
-  StmtPtr S = parseIfImpl(Start);
-  --NestingDepth;
-  return S;
-}
-
 StmtPtr Parser::parseIfImpl(SourceLoc Start) {
-  ExprPtr Cond = parseExpr();
+  ExprPtr Cond = parseExpression();
   expect(TokenKind::KwThen, "if statement");
   StmtPtr Then = parseStatementList();
   StmtPtr Else;
@@ -437,7 +408,7 @@ StmtPtr Parser::parseIfImpl(SourceLoc Start) {
 }
 
 StmtPtr Parser::parseWhile(SourceLoc Start) {
-  ExprPtr Cond = parseExpr();
+  ExprPtr Cond = parseExpression();
   expect(TokenKind::KwLoop, "while loop");
   StmtPtr Body = parseStatementList();
   expect(TokenKind::KwEnd, "while loop");
@@ -461,7 +432,7 @@ StmtPtr Parser::parseWait(SourceLoc Start) {
   }
   ExprPtr Until;
   if (accept(TokenKind::KwUntil))
-    Until = parseExpr();
+    Until = parseExpression();
   expect(TokenKind::Semi, "wait statement");
   return std::make_unique<WaitStmt>(std::move(OnNames), HasOn,
                                     std::move(Until),
@@ -474,14 +445,14 @@ StmtPtr Parser::parseAssignment() {
   consume();
   std::optional<SliceSpec> Slice = parseSliceSuffix();
   if (accept(TokenKind::ColonEq)) {
-    ExprPtr Value = parseExpr();
+    ExprPtr Value = parseExpression();
     expect(TokenKind::Semi, "variable assignment");
     return std::make_unique<VarAssignStmt>(std::move(Target), Slice,
                                            std::move(Value),
                                            SourceRange(Start, cur().Loc));
   }
   if (accept(TokenKind::LessEq)) {
-    ExprPtr Value = parseExpr();
+    ExprPtr Value = parseExpression();
     expect(TokenKind::Semi, "signal assignment");
     return std::make_unique<SignalAssignStmt>(std::move(Target), Slice,
                                               std::move(Value),
@@ -505,7 +476,7 @@ StmtPtr Parser::parseAssignment() {
 // Unlike strict VHDL we allow mixing different logical operators without
 // parentheses (left-associative); this accepts a superset of legal VHDL.
 
-ExprPtr Parser::parseExpr() {
+ExprPtr Parser::parseExpression() {
   ExprPtr LHS = parseRelational();
   for (;;) {
     BinaryOpKind Op;
@@ -591,14 +562,6 @@ ExprPtr Parser::parseMultiplicative() {
   return LHS;
 }
 
-ExprPtr Parser::parsePrimary() {
-  if (!enterNesting())
-    return nullptr;
-  ExprPtr E = parsePrimaryImpl();
-  --NestingDepth;
-  return E;
-}
-
 ExprPtr Parser::parsePrimaryImpl() {
   SourceLoc Start = cur().Loc;
   if (at(TokenKind::KwNot)) {
@@ -611,7 +574,7 @@ ExprPtr Parser::parsePrimaryImpl() {
   }
   if (at(TokenKind::CharLiteral)) {
     std::string_view Text = Tokens.text(cur());
-    const StreamToken &T = consume();
+    const Token &T = consume();
     std::optional<StdLogic> V =
         Text.size() == 1 ? stdLogicFromChar(Text[0]) : std::nullopt;
     if (!V) {
@@ -623,7 +586,7 @@ ExprPtr Parser::parsePrimaryImpl() {
   }
   if (at(TokenKind::StringLiteral)) {
     std::string Text = curText();
-    const StreamToken &T = consume();
+    const Token &T = consume();
     std::optional<LogicVector> V = LogicVector::fromString(Text);
     if (!V) {
       Diags.error(T.Loc, "string literal \"" + Text +
@@ -635,7 +598,7 @@ ExprPtr Parser::parsePrimaryImpl() {
   }
   if (at(TokenKind::LParen)) {
     consume();
-    ExprPtr Sub = parseExpr();
+    ExprPtr Sub = parseExpression();
     expect(TokenKind::RParen, "parenthesized expression");
     return Sub;
   }
@@ -689,30 +652,12 @@ std::optional<SliceSpec> Parser::parseSliceSuffix() {
 // Entry points
 //===----------------------------------------------------------------------===//
 
-ExprPtr Parser::parseExpression() { return parseExpr(); }
-
-DesignFile vif::parseDesign(const std::string &Source,
-                            DiagnosticEngine &Diags) {
-  return parseDesign(std::string(Source), Diags);
-}
-
-DesignFile vif::parseDesign(std::string &&Source, DiagnosticEngine &Diags) {
+DesignFile vif::parseDesign(std::string Source, DiagnosticEngine &Diags) {
   Parser P(Lexer(std::move(Source), Diags).lex(), Diags);
   return P.parseDesignFile();
 }
 
-StmtPtr vif::parseStatements(const std::string &Source,
-                             DiagnosticEngine &Diags) {
-  Parser P(Lexer(Source, Diags).lex(), Diags);
-  return P.parseStatementList();
-}
-
-StatementProgram vif::parseStatementProgram(const std::string &Source,
-                                            DiagnosticEngine &Diags) {
-  return parseStatementProgram(std::string(Source), Diags);
-}
-
-StatementProgram vif::parseStatementProgram(std::string &&Source,
+StatementProgram vif::parseStatementProgram(std::string Source,
                                             DiagnosticEngine &Diags) {
   Parser P(Lexer(std::move(Source), Diags).lex(), Diags);
   StatementProgram Prog;

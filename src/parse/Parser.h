@@ -28,8 +28,6 @@ namespace vif {
 class Parser {
 public:
   Parser(TokenStream Tokens, DiagnosticEngine &Diags);
-  /// Parses tokens with owning spellings (Lexer::lexAll's result).
-  Parser(const std::vector<Token> &Tokens, DiagnosticEngine &Diags);
 
   /// Parses a whole program (entities and architectures until EOF).
   DesignFile parseDesignFile();
@@ -39,19 +37,19 @@ public:
   /// (b) examples).
   StmtPtr parseStatementList();
 
-  /// Parses a single expression (used by tests).
+  /// Parses a single expression.
   ExprPtr parseExpression();
 
   /// Parses a (possibly empty) declaration list.
-  std::vector<Decl> parseDeclarations() { return parseDeclList(); }
+  std::vector<Decl> parseDeclarations();
 
 private:
-  const StreamToken &cur() const { return Tokens[Index]; }
-  const StreamToken &peek(unsigned Ahead = 1) const;
+  const Token &cur() const { return Tokens[Index]; }
+  const Token &peek(unsigned Ahead = 1) const;
   bool at(TokenKind K) const { return cur().is(K); }
   /// The spelling of the current token.
   std::string curText() const { return std::string(Tokens.text(cur())); }
-  const StreamToken &consume();
+  const Token &consume();
   bool accept(TokenKind K);
   bool expect(TokenKind K, const char *Context);
   void skipToSemi();
@@ -60,35 +58,49 @@ private:
   Architecture parseArchitecture();
   std::vector<Port> parsePortList();
   Type parseType();
-  std::vector<Decl> parseDeclList();
   ConcStmtPtr parseConcStmt();
   ConcStmtPtr parseProcess(std::string Label, SourceLoc Start);
   ConcStmtPtr parseBlock(std::string Label, SourceLoc Start);
 
-  StmtPtr parseStmt();
+  StmtPtr parseStmt() { return nested([&] { return parseStmtImpl(); }); }
   StmtPtr parseStmtImpl();
-  StmtPtr parseIf(SourceLoc Start);
+  StmtPtr parseIf(SourceLoc Start) {
+    return nested([&] { return parseIfImpl(Start); });
+  }
   StmtPtr parseIfImpl(SourceLoc Start);
   StmtPtr parseWhile(SourceLoc Start);
   StmtPtr parseWait(SourceLoc Start);
   StmtPtr parseAssignment();
 
-  ExprPtr parseExpr();
   ExprPtr parseRelational();
   ExprPtr parseAdditive();
   ExprPtr parseMultiplicative();
-  ExprPtr parsePrimary();
+  ExprPtr parsePrimary() {
+    return nested([&] { return parsePrimaryImpl(); });
+  }
   ExprPtr parsePrimaryImpl();
   std::optional<SliceSpec> parseSliceSuffix();
 
   /// True if the statement-list terminator set begins at the cursor.
   bool atStmtListEnd() const;
 
-  /// Guards the recursive descent against adversarial nesting (fuzzed
-  /// inputs with tens of thousands of '(' or nested 'if's would otherwise
-  /// overflow the stack). Checked wherever the grammar recurses through
-  /// itself: primaries, statements and elsif chains share the counter.
-  bool enterNesting();
+  /// Runs \p Parse one nesting level deeper. Guards the recursive descent
+  /// against adversarial nesting (fuzzed inputs with tens of thousands of
+  /// '(' or nested 'if's would otherwise overflow the stack): past the
+  /// budget it reports, skips to the next ';' and returns null. Wraps
+  /// wherever the grammar recurses through itself: primaries, statements
+  /// and elsif chains share the counter.
+  template <typename Fn> auto nested(Fn Parse) -> decltype(Parse()) {
+    if (NestingDepth >= MaxNestingDepth) {
+      Diags.error(cur().Loc, "nesting too deep");
+      skipToSemi();
+      return nullptr;
+    }
+    ++NestingDepth;
+    auto Node = Parse();
+    --NestingDepth;
+    return Node;
+  }
   static constexpr unsigned MaxNestingDepth = 512;
 
   TokenStream Tokens;
@@ -97,20 +109,13 @@ private:
   unsigned NestingDepth = 0;
 };
 
-/// Convenience: lex and parse \p Source as a full design file. The
-/// rvalue overload hands the text to the lexer instead of copying it.
-DesignFile parseDesign(const std::string &Source, DiagnosticEngine &Diags);
-DesignFile parseDesign(std::string &&Source, DiagnosticEngine &Diags);
-
-/// Convenience: lex and parse \p Source as a statement list.
-StmtPtr parseStatements(const std::string &Source, DiagnosticEngine &Diags);
+/// Lexes and parses \p Source as a full design file. The lexer keeps
+/// \p Source as its text, so a caller done with it should move it in.
+DesignFile parseDesign(std::string Source, DiagnosticEngine &Diags);
 
 /// Lexes and parses declarations followed by statements (a
-/// StatementProgram, ast/Design.h). The rvalue overload hands the text to
-/// the lexer instead of copying it.
-StatementProgram parseStatementProgram(const std::string &Source,
-                                       DiagnosticEngine &Diags);
-StatementProgram parseStatementProgram(std::string &&Source,
+/// StatementProgram, ast/Design.h), taking \p Source like parseDesign.
+StatementProgram parseStatementProgram(std::string Source,
                                        DiagnosticEngine &Diags);
 
 } // namespace vif

@@ -91,24 +91,10 @@ enum class TokenKind : uint8_t {
 /// Human-readable token-kind name for diagnostics.
 const char *tokenKindName(TokenKind K);
 
-/// A token with its own copy of its spelling, for callers that keep tokens
-/// after the lexer is gone (Lexer::lexAll). The parser reads the compact
-/// StreamToken instead.
-struct Token {
-  TokenKind K = TokenKind::Eof;
-  /// Identifier spelling (lowercased), literal body, or empty.
-  std::string Text;
-  /// Value of IntLiteral tokens.
-  int64_t IntValue = 0;
-  SourceLoc Loc;
-
-  bool is(TokenKind Kind) const { return K == Kind; }
-};
-
 /// One token of a TokenStream, 24 bytes. An IntLiteral carries its value;
 /// any other token the range of the stream's text that spells it (empty
 /// for keywords and punctuation), so lexing allocates nothing per token.
-struct StreamToken {
+struct Token {
   struct Range {
     uint32_t Offset;
     uint32_t Length;
@@ -121,27 +107,22 @@ struct StreamToken {
   };
   TokenKind K = TokenKind::Eof;
 
-  StreamToken() : Value(0) {}
+  Token() : Value(0) {}
 
   bool is(TokenKind Kind) const { return K == Kind; }
   /// The value of an IntLiteral; 0 for any other token.
   int64_t intValue() const { return K == TokenKind::IntLiteral ? Value : 0; }
 };
 
-static_assert(sizeof(StreamToken) <= 24, "a token is three words");
+static_assert(sizeof(Token) <= 24, "a token is three words");
 
 /// The lexer's output: the tokens and the text their spellings index into
 /// (the lexer's copy of the source, identifiers lowercased in place;
 /// literal bodies keep their case). Always ends with an Eof token.
 class TokenStream {
 public:
-  TokenStream() = default;
-  /// A stream over \p Tokens (owning spellings), for callers that built
-  /// tokens by hand or kept Lexer::lexAll's result.
-  explicit TokenStream(const std::vector<Token> &Tokens);
-
   /// Identifier spelling (lowercased), literal body, or empty.
-  std::string_view text(const StreamToken &T) const {
+  std::string_view text(const Token &T) const {
     if (T.is(TokenKind::IntLiteral))
       return {};
     return std::string_view(Text).substr(T.Spelling.Offset,
@@ -150,14 +131,14 @@ public:
 
   size_t size() const { return Tokens.size(); }
   bool empty() const { return Tokens.empty(); }
-  const StreamToken &operator[](size_t I) const { return Tokens[I]; }
-  const StreamToken &back() const { return Tokens.back(); }
+  const Token &operator[](size_t I) const { return Tokens[I]; }
+  const Token &back() const { return Tokens.back(); }
 
 private:
   friend class Lexer;
 
   std::string Text;
-  std::vector<StreamToken> Tokens;
+  std::vector<Token> Tokens;
 };
 
 } // namespace vif

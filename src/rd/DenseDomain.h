@@ -34,7 +34,6 @@
 #include <algorithm>
 #include <array>
 #include <memory>
-#include <unordered_map>
 #include <unordered_set>
 
 namespace vif {
@@ -110,19 +109,17 @@ using ResourceRows = Rows<Resource>;
 
 /// A label-indexed table of PairSets over kept CSR rows: each slot names a
 /// row of one installed PairRows (a process's part, shared with the
-/// artifact it came from), and `Table[L]` materializes a sorted-vector
-/// PairSet on first access. Slots no solve kept read as ∅. operator[]
-/// mutates a materialization cache, so a table must not be read from
-/// multiple threads concurrently; forEachPairOf / forEachPair never touch
-/// it. Installs are sequential (rd/Incremental.cpp installs after the
-/// parallel solves join).
+/// artifact it came from), and `Table[L]` builds a sorted-vector PairSet
+/// from that row. Slots no solve kept read as ∅. Reads never mutate, so
+/// any number of threads may read a table at once. Installs are
+/// sequential (rd/Incremental.cpp installs after the parallel solves
+/// join).
 class LazyPairSets {
 public:
   void resize(size_t N) {
     Part.assign(N, 0);
     Row.assign(N, 0);
     Parts.clear();
-    Cache.clear();
   }
 
   /// Slot Labels[I] reads row I of \p R, for every I.
@@ -132,18 +129,13 @@ public:
     for (uint32_t I = 0; I < Labels.size(); ++I) {
       Part[Labels[I]] = static_cast<uint32_t>(Parts.size());
       Row[Labels[I]] = I;
-      Cache.erase(Labels[I]);
     }
   }
 
-  const PairSet &operator[](size_t L) const {
-    assert(L < Part.size() && "label out of range");
-    auto It = Cache.find(L);
-    if (It != Cache.end())
-      return It->second;
+  PairSet operator[](size_t L) const {
     PairSet S;
     forEachPair(L, [&S](DefPair P) { S.append(P); });
-    return Cache.emplace(L, std::move(S)).first->second;
+    return S;
   }
 
   /// Dense-path query: calls \p F(DefLabel) for every (N, DefLabel) in
@@ -157,15 +149,14 @@ public:
   }
 
   /// Calls \p F(DefPair) for every pair in slot \p L, ascending, without
-  /// materializing the PairSet — so, unlike operator[], safe to call from
-  /// several threads at once.
+  /// materializing the PairSet.
   template <typename Fn> void forEachPair(size_t L, Fn F) const {
     auto [First, Last] = span(L);
     for (; First != Last; ++First)
       F(*First);
   }
 
-  /// Heap footprint in bytes: slot vectors, materialized sets, and each
+  /// Heap footprint in bytes: slot vectors, and each
   /// part counted once across all tables that share it — callers pass one
   /// \p Seen set spanning every table of a result struct.
   size_t memoryBytes(std::unordered_set<const void *> &Seen) const {
@@ -175,8 +166,6 @@ public:
       if (Seen.insert(P.get()).second)
         Bytes += sizeof(PairRows) + P->Start.capacity() * sizeof(uint32_t) +
                  P->Items.capacity() * sizeof(DefPair);
-    for (const auto &[L, S] : Cache)
-      Bytes += sizeof(L) + sizeof(S) + 2 * sizeof(void *) + S.memoryBytes();
     return Bytes;
   }
 
@@ -192,7 +181,6 @@ private:
 
   std::vector<uint32_t> Part, Row; ///< per slot: part + 1 (0: none), row
   std::vector<std::shared_ptr<const PairRows>> Parts;
-  mutable std::unordered_map<size_t, PairSet> Cache;
 };
 
 /// The kill/gen of Table 4 or Table 5 for one process, in factored form:

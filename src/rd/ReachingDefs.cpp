@@ -16,7 +16,7 @@ using namespace vif;
 PairSet ReachingDefsResult::atProcessEnd(const ProcessCFG &P) const {
   PairSet Result;
   for (LabelId L : P.Finals)
-    Result.unionWith(Exit[L]);
+    Exit.forEachPair(L, [&Result](DefPair D) { Result.insert(D); });
   return Result;
 }
 

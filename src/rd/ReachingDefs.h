@@ -129,8 +129,6 @@ WaitAggregates computeWaitAggregates(const ProgramCFG &CFG,
 /// be active at it (under UseMustActiveKill). The one implementation of
 /// Table 5's kill/gen: analyzeIncremental (rd/Incremental.h) calls it for
 /// dirty processes only, and computeReachingDefsKillGen expands it.
-/// \p Active is read without materializing any set, so concurrent calls
-/// for distinct processes are safe.
 ProcessKillGen computeReachingDefsKillGenFor(const ProgramCFG &CFG,
                                              const ProcessCFG &P,
                                              const ActiveSignalsResult &Active,

@@ -44,6 +44,69 @@ std::vector<unsigned> ElaboratedProgram::outputSignals() const {
   return Result;
 }
 
+namespace {
+
+/// Heap bytes behind \p S: none while its text fits the inline buffer.
+size_t stringBytes(const std::string &S) {
+  return S.capacity() > std::string().capacity() ? S.capacity() + 1 : 0;
+}
+
+size_t treeBytes(const Expr *E) {
+  if (const auto *V = dyn_cast<VectorLiteralExpr>(E))
+    return sizeof(*V) + V->value().bits().capacity();
+  if (const auto *N = dyn_cast<NameExpr>(E))
+    return sizeof(*N) + stringBytes(N->name());
+  if (const auto *S = dyn_cast<SliceExpr>(E))
+    return sizeof(*S) + stringBytes(S->name());
+  if (const auto *U = dyn_cast<UnaryExpr>(E))
+    return sizeof(*U) + treeBytes(&U->sub());
+  if (const auto *B = dyn_cast<BinaryExpr>(E))
+    return sizeof(*B) + treeBytes(&B->lhs()) + treeBytes(&B->rhs());
+  return sizeof(LogicLiteralExpr);
+}
+
+size_t treeBytes(const Stmt *S) {
+  if (const auto *A = dyn_cast<AssignStmtBase>(S))
+    return sizeof(VarAssignStmt) + stringBytes(A->targetName()) +
+           treeBytes(&A->value());
+  if (const auto *I = dyn_cast<IfStmt>(S))
+    return sizeof(*I) + treeBytes(&I->cond()) + treeBytes(&I->thenStmt()) +
+           treeBytes(&I->elseStmt());
+  if (const auto *W = dyn_cast<WhileStmt>(S))
+    return sizeof(*W) + treeBytes(&W->cond()) + treeBytes(&W->body());
+  size_t Bytes = sizeof(NullStmt);
+  if (const auto *C = dyn_cast<CompoundStmt>(S)) {
+    Bytes = sizeof(*C) + C->stmts().capacity() * sizeof(StmtPtr);
+    for (const StmtPtr &Sub : C->stmts())
+      Bytes += treeBytes(Sub.get());
+  } else if (const auto *W = dyn_cast<WaitStmt>(S)) {
+    Bytes = sizeof(*W) + W->onNames().capacity() * sizeof(std::string) +
+            W->onSignals().capacity() * sizeof(unsigned) +
+            (W->hasUntil() ? treeBytes(&W->until()) : 0);
+    for (const std::string &N : W->onNames())
+      Bytes += stringBytes(N);
+  }
+  return Bytes;
+}
+
+} // namespace
+
+size_t ElaboratedProgram::memoryBytes() const {
+  size_t Bytes = Signals.capacity() * sizeof(ElabSignal) +
+                 Variables.capacity() * sizeof(ElabVariable) +
+                 Processes.capacity() * sizeof(ElabProcess);
+  for (const ElabSignal &S : Signals)
+    Bytes += stringBytes(S.Name) + stringBytes(S.UniqueName) +
+             (S.Init ? treeBytes(S.Init.get()) : 0);
+  for (const ElabVariable &V : Variables)
+    Bytes += stringBytes(V.Name) + stringBytes(V.UniqueName) +
+             (V.Init ? treeBytes(V.Init.get()) : 0);
+  for (const ElabProcess &P : Processes)
+    Bytes += stringBytes(P.Name) + P.Variables.capacity() * sizeof(unsigned) +
+             treeBytes(P.Body.get());
+  return Bytes;
+}
+
 //===----------------------------------------------------------------------===//
 // Free-object collection
 //===----------------------------------------------------------------------===//

@@ -107,6 +107,9 @@ struct ElaboratedProgram {
   /// Ids of all In/InOut resp. Out/InOut port signals.
   std::vector<unsigned> inputSignals() const;
   std::vector<unsigned> outputSignals() const;
+
+  /// Heap footprint in bytes, the process and initializer trees included.
+  size_t memoryBytes() const;
 };
 
 /// Elaboration options.

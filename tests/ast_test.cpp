@@ -135,7 +135,7 @@ TEST(Diagnostics, CountsAndRendering) {
 ExprPtr parseE(const std::string &S) {
   DiagnosticEngine Diags;
   Lexer L(S, Diags);
-  Parser P(L.lexAll(), Diags);
+  Parser P(L.lex(), Diags);
   ExprPtr E = P.parseExpression();
   EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
   return E;
@@ -180,8 +180,9 @@ TEST(Expr, SliceSpecWidthAndPrinting) {
 
 TEST(Stmt, CloneStatementTree) {
   DiagnosticEngine Diags;
-  StmtPtr S = parseStatements(
-      "if c then x := a; else s <= b; end if; wait on s;", Diags);
+  StmtPtr S = parseStatementProgram(
+                  "if c then x := a; else s <= b; end if; wait on s;", Diags)
+                  .Body;
   ASSERT_FALSE(Diags.hasErrors());
   StmtPtr C = S->clone();
   EXPECT_EQ(stmtToString(*S), stmtToString(*C));
@@ -229,7 +230,7 @@ TEST(Design, FindEntityAndArchitecture) {
 
 TEST(Casting, IsaCastDynCast) {
   DiagnosticEngine Diags;
-  StmtPtr S = parseStatements("x := a;", Diags);
+  StmtPtr S = parseStatementProgram("x := a;", Diags).Body;
   Stmt *Raw = S.get();
   EXPECT_TRUE(isa<VarAssignStmt>(Raw));
   EXPECT_TRUE(isa<AssignStmtBase>(Raw)) << "base classof covers both";

@@ -21,7 +21,7 @@ namespace {
 
 ElaboratedProgram elabStmts(const std::string &Source) {
   DiagnosticEngine Diags;
-  StmtPtr S = parseStatements(Source, Diags);
+  StmtPtr S = parseStatementProgram(Source, Diags).Body;
   auto P = elaborateStatements(*S, Diags);
   EXPECT_TRUE(P.has_value()) << Diags.str();
   return std::move(*P);

@@ -5,9 +5,7 @@
 #         -P cli_golden.cmake
 # from the tests/ directory, so every path in the outputs is relative.
 # Add -DRECORD=ON to (re)write the golden files from the given binary.
-#
-# The batch summary's wall time ("; 0.24 ms") is the only figure that
-# varies between runs; it is masked as "; <ms> ms".
+# Single-FILE text prints no timing, so the runs compare unmasked.
 
 set(failures "")
 
@@ -23,7 +21,6 @@ function(golden name stdin)
                   OUTPUT_VARIABLE out
                   ERROR_VARIABLE err
                   RESULT_VARIABLE rc)
-  string(REGEX REPLACE "; [0-9.e+-]+ ms\n" "; <ms> ms\n" out "${out}")
   set(got "exit: ${rc}\n--- stdout\n${out}--- stderr\n${err}")
   set(file "${GOLDEN}/${name}.txt")
   if(RECORD)

@@ -53,10 +53,6 @@ TEST(AnalysisSession, ArtifactsAreCachedPointerIdentical) {
   ASSERT_NE(Src, nullptr);
   EXPECT_EQ(Src, S.source());
 
-  const DesignFile *Ast = S.designAst();
-  ASSERT_NE(Ast, nullptr);
-  EXPECT_EQ(Ast, S.designAst());
-
   const ElaboratedProgram *P = S.program();
   ASSERT_NE(P, nullptr);
   EXPECT_EQ(P, S.program());
@@ -89,9 +85,6 @@ TEST(AnalysisSession, StatementPrograms) {
   Opts.Statements = true;
   AnalysisSession S =
       AnalysisSession::fromSource("paper-a", "c := b; b := a;", Opts);
-  const StatementProgram *Ast = S.statementAst();
-  ASSERT_NE(Ast, nullptr);
-  EXPECT_EQ(S.designAst(), nullptr);
   const IFAResult *R = S.ifa();
   ASSERT_NE(R, nullptr);
   // The paper's example (a): b flows to c and a to b, but a never to c.

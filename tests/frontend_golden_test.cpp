@@ -111,12 +111,13 @@ std::string escaped(std::string_view S) {
 /// One line per token, then the lexer's diagnostics.
 std::string tokenDump(const std::string &Source) {
   DiagnosticEngine Diags;
-  Lexer L(Source, Diags);
-  std::vector<Token> Tokens = L.lexAll();
+  TokenStream Tokens = Lexer(Source, Diags).lex();
   std::ostringstream OS;
-  for (const Token &T : Tokens)
-    OS << T.Loc.str() << ' ' << tokenKindName(T.K) << ' ' << escaped(T.Text)
-       << ' ' << T.IntValue << '\n';
+  for (size_t I = 0; I < Tokens.size(); ++I) {
+    const Token &T = Tokens[I];
+    OS << T.Loc.str() << ' ' << tokenKindName(T.K) << ' '
+       << escaped(Tokens.text(T)) << ' ' << T.intValue() << '\n';
+  }
   OS << "-- lexer diagnostics\n" << Diags.str();
   return OS.str();
 }

@@ -12,16 +12,16 @@ using namespace vif;
 
 namespace {
 
-std::vector<Token> lex(const std::string &Source, DiagnosticEngine &Diags) {
-  Lexer L(Source, Diags);
-  return L.lexAll();
+TokenStream lex(const std::string &Source, DiagnosticEngine &Diags) {
+  return Lexer(Source, Diags).lex();
 }
 
 std::vector<TokenKind> kinds(const std::string &Source) {
   DiagnosticEngine Diags;
   std::vector<TokenKind> Result;
-  for (const Token &T : lex(Source, Diags))
-    Result.push_back(T.K);
+  TokenStream Tokens = lex(Source, Diags);
+  for (size_t I = 0; I < Tokens.size(); ++I)
+    Result.push_back(Tokens[I].K);
   EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
   return Result;
 }
@@ -43,17 +43,17 @@ TEST(Lexer, IdentifiersLowercased) {
   DiagnosticEngine Diags;
   auto Tokens = lex("FooBar foo_bar2", Diags);
   ASSERT_EQ(Tokens.size(), 3u);
-  EXPECT_EQ(Tokens[0].Text, "foobar");
-  EXPECT_EQ(Tokens[1].Text, "foo_bar2");
+  EXPECT_EQ(Tokens.text(Tokens[0]), "foobar");
+  EXPECT_EQ(Tokens.text(Tokens[1]), "foo_bar2");
 }
 
 TEST(Lexer, IntegerLiterals) {
   DiagnosticEngine Diags;
   auto Tokens = lex("0 7 123", Diags);
   ASSERT_EQ(Tokens.size(), 4u);
-  EXPECT_EQ(Tokens[0].IntValue, 0);
-  EXPECT_EQ(Tokens[1].IntValue, 7);
-  EXPECT_EQ(Tokens[2].IntValue, 123);
+  EXPECT_EQ(Tokens[0].intValue(), 0);
+  EXPECT_EQ(Tokens[1].intValue(), 7);
+  EXPECT_EQ(Tokens[2].intValue(), 123);
 }
 
 TEST(Lexer, CharAndStringLiterals) {
@@ -61,18 +61,19 @@ TEST(Lexer, CharAndStringLiterals) {
   auto Tokens = lex("'1' 'U' \"01ZX\" \"\"", Diags);
   ASSERT_EQ(Tokens.size(), 5u);
   EXPECT_EQ(Tokens[0].K, TokenKind::CharLiteral);
-  EXPECT_EQ(Tokens[0].Text, "1");
-  EXPECT_EQ(Tokens[1].Text, "U");
+  EXPECT_EQ(Tokens.text(Tokens[0]), "1");
+  EXPECT_EQ(Tokens.text(Tokens[1]), "U");
   EXPECT_EQ(Tokens[2].K, TokenKind::StringLiteral);
-  EXPECT_EQ(Tokens[2].Text, "01ZX");
-  EXPECT_EQ(Tokens[3].Text, "");
+  EXPECT_EQ(Tokens.text(Tokens[2]), "01ZX");
+  EXPECT_EQ(Tokens.text(Tokens[3]), "");
   EXPECT_FALSE(Diags.hasErrors());
 }
 
 TEST(Lexer, LiteralBodiesKeepCase) {
   DiagnosticEngine Diags;
   auto Tokens = lex("\"uU\"", Diags);
-  EXPECT_EQ(Tokens[0].Text, "uU") << "literal bodies are case sensitive";
+  EXPECT_EQ(Tokens.text(Tokens[0]), "uU")
+      << "literal bodies are case sensitive";
 }
 
 TEST(Lexer, OperatorsAndPunctuation) {
@@ -128,8 +129,8 @@ TEST(Lexer, ErrorsReportedAndRecovered) {
   EXPECT_TRUE(Diags.hasErrors());
   // The bad character is skipped; both identifiers survive.
   ASSERT_EQ(Tokens.size(), 3u);
-  EXPECT_EQ(Tokens[0].Text, "a");
-  EXPECT_EQ(Tokens[1].Text, "b");
+  EXPECT_EQ(Tokens.text(Tokens[0]), "a");
+  EXPECT_EQ(Tokens.text(Tokens[1]), "b");
 }
 
 TEST(Lexer, UnterminatedString) {

@@ -17,7 +17,7 @@ namespace {
 
 StmtPtr stmts(const std::string &Source) {
   DiagnosticEngine Diags;
-  StmtPtr S = parseStatements(Source, Diags);
+  StmtPtr S = parseStatementProgram(Source, Diags).Body;
   EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
   return S;
 }
@@ -25,7 +25,7 @@ StmtPtr stmts(const std::string &Source) {
 ExprPtr expr(const std::string &Source) {
   DiagnosticEngine Diags;
   Lexer L(Source, Diags);
-  Parser P(L.lexAll(), Diags);
+  Parser P(L.lex(), Diags);
   ExprPtr E = P.parseExpression();
   EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
   return E;
@@ -242,7 +242,7 @@ TEST(Parser, StatementProgramWithDecls) {
 
 TEST(ParserErrors, MissingSemicolon) {
   DiagnosticEngine Diags;
-  parseStatements("a := b", Diags);
+  parseStatementProgram("a := b", Diags);
   EXPECT_TRUE(Diags.hasErrors());
 }
 
@@ -254,7 +254,7 @@ TEST(ParserErrors, MismatchedEndName) {
 
 TEST(ParserErrors, BadSliceDirection) {
   DiagnosticEngine Diags;
-  parseStatements("x(1 upto 2) := y;", Diags);
+  parseStatementProgram("x(1 upto 2) := y;", Diags);
   EXPECT_TRUE(Diags.hasErrors());
 }
 
@@ -313,7 +313,7 @@ TEST(ParserRobustness, DeeplyNestedExpressions) {
     Source += ")";
   Source += ";";
   DiagnosticEngine Diags;
-  StmtPtr S = parseStatements(Source, Diags);
+  StmtPtr S = parseStatementProgram(Source, Diags).Body;
   EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
   ASSERT_TRUE(S);
   EXPECT_EQ(stmtToString(*S), "x := y;\n");
@@ -327,7 +327,7 @@ TEST(ParserRobustness, DeeplyNestedIfs) {
   }
   Source += "x := y;" + Close;
   DiagnosticEngine Diags;
-  StmtPtr S = parseStatements(Source, Diags);
+  StmtPtr S = parseStatementProgram(Source, Diags).Body;
   EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
   ASSERT_TRUE(S);
 }
@@ -340,7 +340,7 @@ TEST(ParserRobustness, PathologicalNestingIsDiagnosed) {
   std::string Parens = "x := " + std::string(100000, '(') + "y" +
                        std::string(100000, ')') + ";";
   DiagnosticEngine D1;
-  parseStatements(Parens, D1);
+  parseStatementProgram(Parens, D1);
   EXPECT_TRUE(D1.hasErrors());
 
   std::string Ifs, Close;
@@ -349,7 +349,7 @@ TEST(ParserRobustness, PathologicalNestingIsDiagnosed) {
     Close += " end if;";
   }
   DiagnosticEngine D2;
-  parseStatements(Ifs + "null;" + Close, D2);
+  parseStatementProgram(Ifs + "null;" + Close, D2);
   EXPECT_TRUE(D2.hasErrors());
 
   // elsif chains recurse per arm and share the same budget; past it they
@@ -358,7 +358,7 @@ TEST(ParserRobustness, PathologicalNestingIsDiagnosed) {
   for (int I = 0; I < 2000; ++I)
     Elsifs += "elsif c then x := y; ";
   DiagnosticEngine D3;
-  parseStatements(Elsifs + "end if;", D3);
+  parseStatementProgram(Elsifs + "end if;", D3);
   EXPECT_TRUE(D3.hasErrors());
 }
 
@@ -368,13 +368,13 @@ TEST(ParserRobustness, PathologicalNestingIsDiagnosed) {
 TEST(ParserRobustness, LongGarbageInputRecoversIteratively) {
   std::string Garbage(2 * 1024 * 1024, '$');
   DiagnosticEngine Diags;
-  parseStatements(Garbage, Diags);
+  parseStatementProgram(Garbage, Diags);
   EXPECT_TRUE(Diags.hasErrors());
 
   // The malformed-char-literal arm recovers through the same loop.
   std::string Ticks(1024 * 1024, '\'');
   DiagnosticEngine D2;
-  parseStatements("x := " + Ticks + ";", D2);
+  parseStatementProgram("x := " + Ticks + ";", D2);
   EXPECT_TRUE(D2.hasErrors());
 }
 
@@ -383,15 +383,15 @@ TEST(ParserRobustness, LongGarbageInputRecoversIteratively) {
 // into a bogus (possibly "valid") slice bound.
 TEST(ParserRobustness, OverlongIntegerLiteralIsDiagnosed) {
   DiagnosticEngine Diags;
-  parseStatements("x := y(99999999999999999999999999999999999 downto 0);",
-                  Diags);
+  parseStatementProgram(
+      "x := y(99999999999999999999999999999999999 downto 0);", Diags);
   EXPECT_TRUE(Diags.hasErrors());
   EXPECT_NE(Diags.str().find("integer literal too large"), std::string::npos)
       << Diags.str();
 
   // The largest representable literal still lexes fine.
   DiagnosticEngine D2;
-  parseStatements("x := y(9223372036854775807 downto 0);", D2);
+  parseStatementProgram("x := y(9223372036854775807 downto 0);", D2);
   EXPECT_EQ(D2.str().find("integer literal too large"), std::string::npos)
       << D2.str();
 }
@@ -404,11 +404,11 @@ class RoundTripTest : public ::testing::TestWithParam<const char *> {};
 
 TEST_P(RoundTripTest, PrintParsePrintIsStable) {
   DiagnosticEngine D1;
-  StmtPtr S1 = parseStatements(GetParam(), D1);
+  StmtPtr S1 = parseStatementProgram(GetParam(), D1).Body;
   ASSERT_FALSE(D1.hasErrors()) << D1.str();
   std::string P1 = stmtToString(*S1);
   DiagnosticEngine D2;
-  StmtPtr S2 = parseStatements(P1, D2);
+  StmtPtr S2 = parseStatementProgram(P1, D2).Body;
   ASSERT_FALSE(D2.hasErrors()) << D2.str() << "\nprinted:\n" << P1;
   EXPECT_EQ(P1, stmtToString(*S2));
 }

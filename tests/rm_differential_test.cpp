@@ -148,9 +148,9 @@ TEST(RmBackendDifferential, ShuffledReplayOnCorpus) {
 }
 
 TEST(RmBackendDifferential, BulkR0RowsAgree) {
-  // insertR0Rows in all three forms — dense vector rows, dense bitset
-  // rows, reference hinted sweep — must land the same entry stream on
-  // top of the same RMlo.
+  // insertR0Rows from per-label vector rows and from R0Rows bit rows, and
+  // the reference hinted sweep, must land the same entry stream on top of
+  // the same RMlo.
   for (const Workload &W : corpus()) {
     ElaboratedProgram P = elaborate(W.Source, W.IsDesign);
     ProgramCFG CFG = ProgramCFG::build(P);
@@ -165,19 +165,16 @@ TEST(RmBackendDifferential, BulkR0RowsAgree) {
       if (E.A == Access::R0)
         Rows[E.L].push_back(E.N.raw());
 
-    // Shared universe for the bitset form.
-    std::vector<uint32_t> Universe;
+    // The bitset form: R0Rows over the rows' shared universe.
+    R0Rows BitRows;
     for (const auto &Row : Rows)
-      Universe.insert(Universe.end(), Row.begin(), Row.end());
-    std::sort(Universe.begin(), Universe.end());
-    Universe.erase(std::unique(Universe.begin(), Universe.end()),
-                   Universe.end());
-    std::vector<BitSet> BitRows(Rows.size(), BitSet(Universe.size()));
+      for (uint32_t Raw : Row)
+        BitRows.name(Raw);
+    BitRows.number();
+    BitRows.layout(Rows.size());
     for (size_t L = 0; L < Rows.size(); ++L)
       for (uint32_t Raw : Rows[L])
-        BitRows[L].set(static_cast<size_t>(
-            std::lower_bound(Universe.begin(), Universe.end(), Raw) -
-            Universe.begin()));
+        BitRows.set(static_cast<LabelId>(L), Raw);
 
     ResourceMatrix DenseVec, DenseBits;
     ReferenceResourceMatrix Ref;
@@ -187,7 +184,7 @@ TEST(RmBackendDifferential, BulkR0RowsAgree) {
       Ref.insert(E.N, E.L, E.A);
     }
     DenseVec.insertR0Rows(Rows);
-    DenseBits.insertR0Rows(BitRows, Universe);
+    DenseBits.insertR0Rows(std::move(BitRows));
     Ref.insertR0Rows(Rows);
 
     std::vector<RMEntry> FromVec = entriesOf(DenseVec);

@@ -358,7 +358,7 @@ TEST(Elaborator, SelectArchitectureByName) {
 
 TEST(ElaborateStatements, ImplicitVariables) {
   DiagnosticEngine Diags;
-  StmtPtr S = parseStatements("c := b; b := a;", Diags);
+  StmtPtr S = parseStatementProgram("c := b; b := a;", Diags).Body;
   auto P = elaborateStatements(*S, Diags);
   ASSERT_TRUE(P.has_value()) << Diags.str();
   EXPECT_EQ(P->Variables.size(), 3u);
@@ -368,7 +368,8 @@ TEST(ElaborateStatements, ImplicitVariables) {
 
 TEST(ElaborateStatements, SignalTargetsBecomeSignals) {
   DiagnosticEngine Diags;
-  StmtPtr S = parseStatements("s <= a; wait on t; b := s;", Diags);
+  StmtPtr S =
+      parseStatementProgram("s <= a; wait on t; b := s;", Diags).Body;
   auto P = elaborateStatements(*S, Diags);
   ASSERT_TRUE(P.has_value()) << Diags.str();
   // s and t are signals; a and b variables.
@@ -390,7 +391,8 @@ TEST(ElaborateStatements, ExplicitDeclsRespected) {
 
 TEST(ElaborateStatements, FreeObjectCollection) {
   DiagnosticEngine Diags;
-  StmtPtr S = parseStatements("if c then a := b; end if;", Diags);
+  StmtPtr S =
+      parseStatementProgram("if c then a := b; end if;", Diags).Body;
   auto P = elaborateStatements(*S, Diags);
   ASSERT_TRUE(P);
   std::vector<unsigned> Vars, Sigs;

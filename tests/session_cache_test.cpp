@@ -292,33 +292,32 @@ TEST(SessionCache, MemoryBytesGrowsWithArtifacts) {
       << "IFA artifacts must be counted";
 }
 
-TEST(SessionCache, MemoryBytesDropsOnceProgramAdoptsTheTree) {
-  // The parse tier is charged only while the session holds the parse
-  // tree. program() adopts the tree, so the session's figure, and the
-  // cache's byte total measured at release, drop once it has run.
+TEST(SessionCache, MemoryBytesChargesProgramAndCfg) {
+  // The elaborated program (which adopts the parse tree) and the CFG are
+  // each measured once, as they are built, and charged from then on: the
+  // session's figure, and the cache's total measured at release, grow by
+  // exactly their bytes.
   for (bool Statements : {false, true}) {
     SessionOptions Opts;
     Opts.Statements = Statements;
     const char *Source = Statements ? "c := b; b := a;" : MuxSource;
     SessionCache Cache(4);
-    size_t WithTree;
+    size_t Bare, WithCfg;
     {
       SessionCache::Ref R = Cache.acquire("t", Source, Opts);
       AnalysisSession &S = R.session();
-      ASSERT_TRUE(Statements ? S.statementAst() != nullptr
-                             : S.designAst() != nullptr);
-      WithTree = S.memoryBytes();
+      Bare = S.memoryBytes();
+      const ElaboratedProgram *P = S.program();
+      ASSERT_NE(P, nullptr);
+      EXPECT_GT(P->memoryBytes(), 0u);
+      EXPECT_EQ(S.memoryBytes(), Bare + P->memoryBytes());
+      const ProgramCFG *C = S.cfg();
+      ASSERT_NE(C, nullptr);
+      EXPECT_GT(C->memoryBytes(), 0u);
+      WithCfg = Bare + P->memoryBytes() + C->memoryBytes();
+      EXPECT_EQ(S.memoryBytes(), WithCfg);
     }
-    EXPECT_EQ(Cache.bytes(), WithTree);
-    {
-      SessionCache::Ref R = Cache.acquire("t", Source, Opts);
-      AnalysisSession &S = R.session();
-      ASSERT_NE(S.program(), nullptr);
-      EXPECT_EQ(S.designAst(), nullptr);
-      EXPECT_EQ(S.statementAst(), nullptr);
-      EXPECT_LT(S.memoryBytes(), WithTree) << "a freed tree is not charged";
-    }
-    EXPECT_LT(Cache.bytes(), WithTree);
+    EXPECT_EQ(Cache.bytes(), WithCfg);
   }
 }
 

@@ -402,13 +402,11 @@ int cmdAnalyze(const Options &Opt, driver::BatchMode Mode) {
     Inputs.push_back({File, std::nullopt});
 
   driver::BatchResult R = driver::runBatch(Inputs, B);
-  // query is new with the batch engine, so it has no single-FILE text
-  // format of its own: it always prints the batch text.
   if (Opt.V1bOut)
     driver::printBatchV1b(std::cout, R, B);
   else if (Opt.Json)
     driver::printBatchJson(std::cout, R, B);
-  else if (Opt.Files.size() == 1 && Mode != driver::BatchMode::Query) {
+  else if (Opt.Files.size() == 1) {
     if (printSingleText(R.Designs.front(), B, Opt.Dot))
       printStoreSummary();
   } else {
