@@ -6,49 +6,27 @@
 
 #include "cfg/CFG.h"
 
-#include "cfg/FlowIndex.h"
 #include "support/Casting.h"
 
 #include <algorithm>
+#include <numeric>
 
 using namespace vif;
 
-// Out of line because the FlowIndex cache member needs the complete type.
-ProgramCFG::ProgramCFG() = default;
-ProgramCFG::~ProgramCFG() = default;
-ProgramCFG::ProgramCFG(ProgramCFG &&) noexcept = default;
-ProgramCFG &ProgramCFG::operator=(ProgramCFG &&) noexcept = default;
-
-const FlowIndex &ProgramCFG::flowIndex(unsigned ProcessId) const {
-  assert(ProcessId < Procs.size() && "process id out of range");
-  // The slot vector is pre-sized (build() sizes it once Procs is final),
-  // so concurrent first accesses for *distinct* processes — the parallel
-  // per-process rd solvers — each build into their own slot and never
-  // reallocate the vector under one another.
-  assert(FlowIndexes.size() == Procs.size() && "flow index slots not sized");
-  if (!FlowIndexes[ProcessId])
-    FlowIndexes[ProcessId] = std::make_unique<FlowIndex>(Procs[ProcessId]);
-  return *FlowIndexes[ProcessId];
-}
-
-std::vector<LabelId> ProcessCFG::predecessors(LabelId L) const {
-  std::vector<LabelId> Result;
-  for (const auto &[From, To] : Flow)
-    if (To == L)
-      Result.push_back(From);
-  return Result;
-}
-
 namespace {
 
+using Edge = std::pair<LabelId, LabelId>;
+
 /// Builds blocks and flow for one process, numbering labels from a shared
-/// counter so labels stay program-unique.
+/// counter so labels stay program-unique and appending the process's flow
+/// edges to the program's.
 class CFGBuilder {
 public:
   CFGBuilder(std::vector<CFGBlock> &Blocks,
              std::vector<std::pair<const Stmt *, LabelId>> &StmtLabels,
-             unsigned ProcessId)
-      : Blocks(Blocks), StmtLabels(StmtLabels), ProcessId(ProcessId) {}
+             std::vector<Edge> &Flow, unsigned ProcessId)
+      : Blocks(Blocks), StmtLabels(StmtLabels), Flow(Flow),
+        ProcessId(ProcessId) {}
 
   /// A built statement: its initial label, and its final labels as the
   /// top of the Finals stack from FinalsBegin on. Keeping every segment's
@@ -65,13 +43,13 @@ public:
   Segment buildStmt(const Stmt &S, ProcessCFG &P) {
     switch (S.kind()) {
     case Stmt::Kind::Null:
-      return leaf(S, CFGBlock::Kind::Null, P);
+      return leaf(S, CFGBlock::Kind::Null);
     case Stmt::Kind::VarAssign:
-      return leaf(S, CFGBlock::Kind::VarAssign, P);
+      return leaf(S, CFGBlock::Kind::VarAssign);
     case Stmt::Kind::SignalAssign:
-      return leaf(S, CFGBlock::Kind::SignalAssign, P);
+      return leaf(S, CFGBlock::Kind::SignalAssign);
     case Stmt::Kind::Wait: {
-      Segment Seg = leaf(S, CFGBlock::Kind::Wait, P);
+      Segment Seg = leaf(S, CFGBlock::Kind::Wait);
       P.WaitLabels.push_back(Seg.Init);
       return Seg;
     }
@@ -80,12 +58,12 @@ public:
       if (C->stmts().empty())
         // An empty sequence behaves like null; give it a real block so the
         // flow algebra stays total.
-        return leaf(S, CFGBlock::Kind::Null, P);
+        return leaf(S, CFGBlock::Kind::Null);
       Segment Acc = buildStmt(*C->stmts().front(), P);
       for (size_t I = 1; I < C->stmts().size(); ++I) {
         Segment Next = buildStmt(*C->stmts()[I], P);
         for (size_t F = Acc.FinalsBegin; F < Next.FinalsBegin; ++F)
-          P.Flow.emplace_back(Finals[F], Next.Init);
+          Flow.emplace_back(Finals[F], Next.Init);
         // Next's finals replace Acc's.
         Finals.erase(Finals.begin() + static_cast<ptrdiff_t>(Acc.FinalsBegin),
                      Finals.begin() + static_cast<ptrdiff_t>(Next.FinalsBegin));
@@ -94,21 +72,21 @@ public:
     }
     case Stmt::Kind::If: {
       const auto *I = cast<IfStmt>(&S);
-      LabelId L = newBlock(CFGBlock::Kind::Cond, &S, &I->cond(), P);
+      LabelId L = newBlock(CFGBlock::Kind::Cond, &S, &I->cond());
       Segment Then = buildStmt(I->thenStmt(), P);
       Segment Else = buildStmt(I->elseStmt(), P);
-      P.Flow.emplace_back(L, Then.Init);
-      P.Flow.emplace_back(L, Else.Init);
+      Flow.emplace_back(L, Then.Init);
+      Flow.emplace_back(L, Else.Init);
       // The branches' finals already lie side by side, Then's first.
       return Segment{L, Then.FinalsBegin};
     }
     case Stmt::Kind::While: {
       const auto *W = cast<WhileStmt>(&S);
-      LabelId L = newBlock(CFGBlock::Kind::Cond, &S, &W->cond(), P);
+      LabelId L = newBlock(CFGBlock::Kind::Cond, &S, &W->cond());
       Segment Body = buildStmt(W->body(), P);
-      P.Flow.emplace_back(L, Body.Init);
+      Flow.emplace_back(L, Body.Init);
       for (size_t F = Body.FinalsBegin; F < Finals.size(); ++F)
-        P.Flow.emplace_back(Finals[F], L);
+        Flow.emplace_back(Finals[F], L);
       Finals.resize(Body.FinalsBegin);
       Finals.push_back(L);
       return Segment{L, Body.FinalsBegin};
@@ -119,15 +97,14 @@ public:
   }
 
 private:
-  Segment leaf(const Stmt &S, CFGBlock::Kind K, ProcessCFG &P) {
-    LabelId L = newBlock(K, &S, nullptr, P);
+  Segment leaf(const Stmt &S, CFGBlock::Kind K) {
+    LabelId L = newBlock(K, &S, nullptr);
     StmtLabels.emplace_back(&S, L);
     Finals.push_back(L);
     return Segment{L, Finals.size() - 1};
   }
 
-  LabelId newBlock(CFGBlock::Kind K, const Stmt *S, const Expr *Cond,
-                   ProcessCFG &P) {
+  LabelId newBlock(CFGBlock::Kind K, const Stmt *S, const Expr *Cond) {
     CFGBlock B;
     B.Label = static_cast<LabelId>(Blocks.size() + 1);
     B.K = K;
@@ -135,12 +112,12 @@ private:
     B.Cond = Cond;
     B.ProcessId = ProcessId;
     Blocks.push_back(B);
-    P.Labels.push_back(B.Label);
     return B.Label;
   }
 
   std::vector<CFGBlock> &Blocks;
   std::vector<std::pair<const Stmt *, LabelId>> &StmtLabels;
+  std::vector<Edge> &Flow;
   unsigned ProcessId;
 };
 
@@ -148,22 +125,72 @@ private:
 
 ProgramCFG ProgramCFG::build(const ElaboratedProgram &Program) {
   ProgramCFG CFG;
+  std::vector<Edge> Flow; // every process's flow(ss), in build order
   for (const ElabProcess &Proc : Program.Processes) {
     ProcessCFG P;
     P.ProcessId = Proc.Id;
-    CFGBuilder Builder(CFG.Blocks, CFG.StmtLabels, Proc.Id);
+    P.FirstLabel = static_cast<LabelId>(CFG.Blocks.size() + 1);
+    CFGBuilder Builder(CFG.Blocks, CFG.StmtLabels, Flow, Proc.Id);
     CFGBuilder::Segment Seg = Builder.buildStmt(*Proc.Body, P);
+    P.NumLabels = static_cast<uint32_t>(CFG.Blocks.size() + 1 - P.FirstLabel);
     P.Init = Seg.Init;
     P.Finals.assign(Builder.Finals.begin() +
                         static_cast<ptrdiff_t>(Seg.FinalsBegin),
                     Builder.Finals.end());
     std::sort(P.Finals.begin(), P.Finals.end());
-    std::sort(P.WaitLabels.begin(), P.WaitLabels.end());
+    // WaitLabels ascend already: labels are handed out in ascending order.
     collectStmtObjects(*Proc.Body, P.FreeVars, P.FreeSigs);
     CFG.Procs.push_back(std::move(P));
   }
   std::sort(CFG.StmtLabels.begin(), CFG.StmtLabels.end());
-  CFG.FlowIndexes.resize(CFG.Procs.size());
+
+  // Counting sort of the edges into CSR rows keyed by one end, holding the
+  // other end's local index. Filling back to front keeps each row in edge
+  // order and leaves Start[L] at the row's beginning.
+  size_t N = CFG.Blocks.size();
+  auto index = [&](bool Forward, std::vector<uint32_t> &Start,
+                   std::vector<uint32_t> &List) {
+    Start.assign(N + 2, 0);
+    for (const auto &[From, To] : Flow)
+      ++Start[Forward ? From : To];
+    std::partial_sum(Start.begin(), Start.end(), Start.begin());
+    List.resize(Flow.size());
+    for (auto E = Flow.rbegin(); E != Flow.rend(); ++E) {
+      auto [Key, Other] = Forward ? *E : Edge{E->second, E->first};
+      List[--Start[Key]] = CFG.process(CFG.processOf(Other)).localOf(Other);
+    }
+  };
+  index(true, CFG.SuccStart, CFG.SuccList);
+  index(false, CFG.PredStart, CFG.PredList);
+
+  // Per process: an iterative postorder DFS from init, reversed in place;
+  // the labels it never reached follow in ascending order.
+  CFG.RPO.resize(N);
+  std::vector<uint8_t> Visited(N + 1, 0);
+  std::vector<std::pair<uint32_t, uint32_t>> Stack; // (node, next succ)
+  for (const ProcessCFG &P : CFG.Procs) {
+    uint32_t *Run = CFG.RPO.data() + (P.FirstLabel - 1), *Out = Run;
+    Visited[P.Init] = 1;
+    Stack.emplace_back(P.localOf(P.Init), 0);
+    while (!Stack.empty()) {
+      auto [Node, Next] = Stack.back();
+      Range S = CFG.succs(P.label(Node));
+      if (Next == S.size()) {
+        *Out++ = Node;
+        Stack.pop_back();
+        continue;
+      }
+      ++Stack.back().second;
+      if (!Visited[P.label(S[Next])]) {
+        Visited[P.label(S[Next])] = 1;
+        Stack.emplace_back(S[Next], 0);
+      }
+    }
+    std::reverse(Run, Out);
+    for (uint32_t I = 0; I < P.NumLabels; ++I)
+      if (!Visited[P.label(I)])
+        *Out++ = I;
+  }
   return CFG;
 }
 
@@ -192,20 +219,23 @@ size_t ProgramCFG::memoryBytes() const {
   size_t Bytes = Blocks.capacity() * sizeof(CFGBlock) +
                  Procs.capacity() * sizeof(ProcessCFG) +
                  StmtLabels.capacity() * sizeof(StmtLabels[0]) +
-                 FlowIndexes.capacity() * sizeof(FlowIndexes[0]);
-  // Every per-process fact is a vector of 32-bit ids (Flow of pairs).
+                 (SuccStart.capacity() + SuccList.capacity() +
+                  PredStart.capacity() + PredList.capacity() +
+                  RPO.capacity()) *
+                     sizeof(uint32_t);
+  // Every per-process fact is a vector of 32-bit ids.
   for (const ProcessCFG &P : Procs)
-    Bytes += (P.Finals.capacity() + P.Labels.capacity() +
-              P.WaitLabels.capacity() + 2 * P.Flow.capacity() +
+    Bytes += (P.Finals.capacity() + P.WaitLabels.capacity() +
               P.FreeVars.capacity() + P.FreeSigs.capacity()) *
              sizeof(uint32_t);
   return Bytes;
 }
 
 std::vector<LabelId> ProgramCFG::allWaitLabels() const {
+  // Each process's run lies above the previous one's, so the
+  // concatenation of the ascending WaitLabels ascends.
   std::vector<LabelId> Result;
   for (const ProcessCFG &P : Procs)
     Result.insert(Result.end(), P.WaitLabels.begin(), P.WaitLabels.end());
-  std::sort(Result.begin(), Result.end());
   return Result;
 }

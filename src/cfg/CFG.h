@@ -30,14 +30,12 @@
 
 #include "sema/Elaborator.h"
 
+#include <cassert>
 #include <cstdint>
 #include <utility>
-#include <memory>
 #include <vector>
 
 namespace vif {
-
-class FlowIndex;
 
 /// A program point label. Real blocks get labels 1..numLabels(); label 0 is
 /// the paper's special "?" pseudo-label standing for "defined by the initial
@@ -60,36 +58,41 @@ struct CFGBlock {
 
   LabelId Label = InitialLabel;
   Kind K = Kind::Null;
-  const Stmt *S = nullptr;  ///< owning statement (null for Cond of if/while? no: the If/While stmt)
+  const Stmt *S = nullptr;  ///< the block's statement; for Cond, the If/While
   const Expr *Cond = nullptr; ///< the test expression for Cond blocks
   unsigned ProcessId = 0;
 
   bool isWait() const { return K == Kind::Wait; }
 };
 
-/// Flow facts for one process.
+/// Flow facts for one process. Its labels are one contiguous run,
+/// FirstLabel .. FirstLabel + NumLabels - 1, and a label's local index is
+/// its offset in the run. flow(ss) lives in the program-wide adjacency of
+/// ProgramCFG (succs/preds).
 struct ProcessCFG {
   unsigned ProcessId = 0;
+  LabelId FirstLabel = InitialLabel;     ///< the lowest label of the run
+  uint32_t NumLabels = 0;                ///< blocks(ss) has this many labels
   LabelId Init = InitialLabel;           ///< init(ss)
   std::vector<LabelId> Finals;           ///< final(ss)
-  std::vector<LabelId> Labels;           ///< all labels, ascending
-  std::vector<std::pair<LabelId, LabelId>> Flow; ///< flow(ss)
   std::vector<LabelId> WaitLabels;       ///< WS(ss), ascending
   std::vector<unsigned> FreeVars;        ///< FV(ss), sorted ids
   std::vector<unsigned> FreeSigs;        ///< FS(ss), sorted ids
 
-  /// Predecessors of \p L under Flow.
-  std::vector<LabelId> predecessors(LabelId L) const;
+  /// The label at local index \p I.
+  LabelId label(uint32_t I) const { return FirstLabel + I; }
+  /// One past the last label of the run.
+  LabelId endLabel() const { return FirstLabel + NumLabels; }
+  /// The local index of \p L, which must be a label of this process.
+  uint32_t localOf(LabelId L) const {
+    assert(L - FirstLabel < NumLabels && "label not in process");
+    return L - FirstLabel;
+  }
 };
 
-/// Whole-program control flow facts.
+/// Whole-program control flow facts, complete once built.
 class ProgramCFG {
 public:
-  ProgramCFG();
-  ~ProgramCFG();
-  ProgramCFG(ProgramCFG &&) noexcept;
-  ProgramCFG &operator=(ProgramCFG &&) noexcept;
-
   /// Builds the CFG for every process of \p Program. The program must have
   /// been elaborated without errors.
   static ProgramCFG build(const ElaboratedProgram &Program);
@@ -121,24 +124,51 @@ public:
   /// All wait labels of the program, ascending (the paper's WS).
   std::vector<LabelId> allWaitLabels() const;
 
-  /// Heap footprint in bytes, less the flow indexes built on first use.
+  /// Heap footprint in bytes.
   size_t memoryBytes() const;
 
-  /// The CSR successor/predecessor adjacency + reverse postorder of
-  /// process \p ProcessId (cfg/FlowIndex.h), built on first use and cached
-  /// so the dense rd solvers share one copy per design. The slot vector is
-  /// pre-sized, so concurrent first accesses are safe as long as they name
-  /// *distinct* processes — exactly the access pattern of the parallel
-  /// per-process rd solvers; two threads racing on the same process id
-  /// would double-build one slot.
-  const FlowIndex &flowIndex(unsigned ProcessId) const;
+  /// A run of local label indices of one process.
+  struct Range {
+    const uint32_t *First;
+    const uint32_t *Last;
+    const uint32_t *begin() const { return First; }
+    const uint32_t *end() const { return Last; }
+    size_t size() const { return static_cast<size_t>(Last - First); }
+    bool empty() const { return First == Last; }
+    uint32_t operator[](size_t I) const { return First[I]; }
+  };
+
+  /// The successors / predecessors of \p L under flow(ss) of its process,
+  /// as local indices, in the order build() met the edges.
+  Range succs(LabelId L) const { return row(SuccStart, SuccList, L); }
+  Range preds(LabelId L) const { return row(PredStart, PredList, L); }
+
+  /// \p P's local indices in reverse postorder from init(ss); labels
+  /// unreachable from init (possible in synthetic CFGs) follow in
+  /// ascending order, so every label appears once.
+  Range rpo(const ProcessCFG &P) const {
+    const uint32_t *First = RPO.data() + (P.FirstLabel - 1);
+    return {First, First + P.NumLabels};
+  }
 
 private:
+  static Range row(const std::vector<uint32_t> &Start,
+                   const std::vector<uint32_t> &List, LabelId L) {
+    assert(L >= 1 && L + 1 < Start.size() && "label out of range");
+    return {List.data() + Start[L], List.data() + Start[L + 1]};
+  }
+
   std::vector<CFGBlock> Blocks; ///< Blocks[l-1] is the block labeled l
   std::vector<ProcessCFG> Procs;
   /// (statement, label) of every elementary block, sorted by statement.
   std::vector<std::pair<const Stmt *, LabelId>> StmtLabels;
-  mutable std::vector<std::unique_ptr<FlowIndex>> FlowIndexes;
+  /// flow(ss) of every process as CSR rows indexed by label: label L's
+  /// successors are SuccList[SuccStart[L] .. SuccStart[L + 1]), and its
+  /// predecessors likewise.
+  std::vector<uint32_t> SuccStart, SuccList, PredStart, PredList;
+  /// Each process's reverse postorder, at its labels' positions: process
+  /// P's occupies RPO[P.FirstLabel - 1 ..] (see rpo()).
+  std::vector<uint32_t> RPO;
 };
 
 } // namespace vif

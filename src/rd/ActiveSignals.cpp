@@ -6,23 +6,20 @@
 
 #include "rd/ActiveSignals.h"
 
-#include "cfg/FlowIndex.h"
 #include "support/Casting.h"
 #include "support/Parallel.h"
 
 #include <algorithm>
 #include <deque>
-#include <map>
 
 using namespace vif;
 
 ProcessKillGen vif::computeActiveKillGenFor(const ProgramCFG &CFG,
                                             const ProcessCFG &P) {
-  const FlowIndex &FI = CFG.flowIndex(P.ProcessId);
-  ProcessKillGen KG(FI.numLabels());
+  ProcessKillGen KG(P.NumLabels);
   // Every signal this process assigns, ascending.
   std::vector<Resource> Assigned;
-  for (LabelId L : P.Labels)
+  for (LabelId L = P.FirstLabel; L < P.endLabel(); ++L)
     if (CFG.block(L).K == CFGBlock::Kind::SignalAssign)
       Assigned.push_back(Resource::signal(
           cast<SignalAssignStmt>(CFG.block(L).S)->targetRef().Id));
@@ -30,8 +27,8 @@ ProcessKillGen vif::computeActiveKillGenFor(const ProgramCFG &CFG,
   Assigned.erase(std::unique(Assigned.begin(), Assigned.end()),
                  Assigned.end());
 
-  for (uint32_t I = 0; I < FI.numLabels(); ++I) {
-    LabelId L = FI.label(I);
+  for (uint32_t I = 0; I < P.NumLabels; ++I) {
+    LabelId L = P.label(I);
     const CFGBlock &B = CFG.block(L);
     switch (B.K) {
     case CFGBlock::Kind::SignalAssign: {
@@ -68,7 +65,7 @@ ReachingDefsKillGen vif::computeActiveKillGen(const ProgramCFG &CFG) {
     for (const PairSet &G : F.Gen)
       Sites.addAll(G);
     Sites.finalize();
-    expandKillGen(CFG, P, F, Sites, KG);
+    expandKillGen(P, F, Sites, KG);
   }
   return KG;
 }
@@ -98,7 +95,7 @@ vif::analyzeActiveSignals(const ElaboratedProgram &Program,
   return R;
 }
 
-size_t vif::solveGenKillReference(const ProcessCFG &P,
+size_t vif::solveGenKillReference(const ProgramCFG &CFG, const ProcessCFG &P,
                                   const ReachingDefsKillGen &KG,
                                   const PairSet &Initial, LazyPairSets &Entry,
                                   LazyPairSets &Exit, LazyPairSets *MustEntry,
@@ -109,14 +106,12 @@ size_t vif::solveGenKillReference(const ProcessCFG &P,
     S.resize(NumSlots);
   std::vector<PairSet> &Exits = Sets[1], &MustExits = Sets[3];
 
-  std::map<LabelId, std::vector<LabelId>> Preds;
-  for (const auto &[From, To] : P.Flow)
-    Preds[To].push_back(From);
-
-  std::deque<LabelId> Work(P.Labels.begin(), P.Labels.end());
+  std::deque<LabelId> Work;
   std::vector<bool> InWork(NumSlots, false);
-  for (LabelId L : P.Labels)
+  for (LabelId L = P.FirstLabel; L < P.endLabel(); ++L) {
+    Work.push_back(L);
     InWork[L] = true;
+  }
 
   size_t Iterations = 0;
   while (!Work.empty()) {
@@ -129,9 +124,9 @@ size_t vif::solveGenKillReference(const ProcessCFG &P,
     if (L == P.Init)
       In = Initial;
     std::vector<const PairSet *> PredMustExits;
-    for (LabelId Pred : Preds[L]) {
-      In.unionWith(Exits[Pred]);
-      PredMustExits.push_back(&MustExits[Pred]);
+    for (uint32_t Pred : CFG.preds(L)) {
+      In.unionWith(Exits[P.label(Pred)]);
+      PredMustExits.push_back(&MustExits[P.label(Pred)]);
     }
     Sets[0][L] = In;
     PairSet Out = std::move(In);
@@ -153,10 +148,10 @@ size_t vif::solveGenKillReference(const ProcessCFG &P,
 
     if (!Changed)
       continue;
-    for (const auto &[From, To] : P.Flow)
-      if (From == L && !InWork[To]) {
-        Work.push_back(To);
-        InWork[To] = true;
+    for (uint32_t Succ : CFG.succs(L))
+      if (!InWork[P.label(Succ)]) {
+        Work.push_back(P.label(Succ));
+        InWork[P.label(Succ)] = true;
       }
   }
 
@@ -164,7 +159,7 @@ size_t vif::solveGenKillReference(const ProcessCFG &P,
   RdProcessArtifact A;
   for (int T = 0; T < (MustEntry ? 4 : 2); ++T) {
     auto R = std::make_shared<PairRows>();
-    for (LabelId L : P.Labels) {
+    for (LabelId L = P.FirstLabel; L < P.endLabel(); ++L) {
       R->Items.insert(R->Items.end(), Sets[T][L].begin(), Sets[T][L].end());
       R->closeRow();
     }
@@ -183,7 +178,7 @@ vif::analyzeActiveSignalsReference(const ElaboratedProgram &Program,
 
   ReachingDefsKillGen KG = computeActiveKillGen(CFG);
   for (const ProcessCFG &P : CFG.processes())
-    R.Iterations += solveGenKillReference(P, KG, PairSet(), R.MayEntry,
+    R.Iterations += solveGenKillReference(CFG, P, KG, PairSet(), R.MayEntry,
                                           R.MayExit, &R.MustEntry,
                                           &R.MustExit);
   return R;

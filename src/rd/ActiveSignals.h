@@ -86,7 +86,7 @@ analyzeActiveSignalsReference(const ElaboratedProgram &Program,
 /// writing eager sets into \p P's slots of \p Entry / \p Exit and, when
 /// \p MustEntry is non-null, the ⋂˙ component into \p MustEntry /
 /// \p MustExit. Returns the number of worklist iterations.
-size_t solveGenKillReference(const ProcessCFG &P,
+size_t solveGenKillReference(const ProgramCFG &CFG, const ProcessCFG &P,
                              const ReachingDefsKillGen &KG,
                              const PairSet &Initial, LazyPairSets &Entry,
                              LazyPairSets &Exit,

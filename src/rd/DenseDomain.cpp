@@ -6,8 +6,6 @@
 
 #include "rd/DenseDomain.h"
 
-#include "cfg/FlowIndex.h"
-
 using namespace vif;
 
 namespace {
@@ -47,8 +45,7 @@ template <bool Must>
 RdProcessArtifact solve(const ProgramCFG &CFG, const ProcessCFG &P,
                         const ProcessKillGen &KG, const PairSet &Initial,
                         const RowKeep &Keep) {
-  const FlowIndex &FI = CFG.flowIndex(P.ProcessId);
-  size_t NL = FI.numLabels();
+  size_t NL = P.NumLabels;
   // The domain: only initial and gen'd pairs can ever be present (⊥ = ∅
   // and the transfer functions add nothing else), of tracked resources.
   bool Prune = !Keep.Full && std::all_of(Keep.Whole.begin(), Keep.Whole.end(),
@@ -68,7 +65,7 @@ RdProcessArtifact solve(const ProgramCFG &CFG, const ProcessCFG &P,
 
   // The kept facts of Entry, Exit, MustEntry and MustExit, this round, in
   // reverse postorder (Pos is each label's place in it).
-  const std::vector<uint32_t> &Order = FI.rpo();
+  ProgramCFG::Range Order = CFG.rpo(P);
   std::vector<uint32_t> Pos(NL);
   for (uint32_t Q = 0; Q < NL; ++Q)
     Pos[Order[Q]] = Q;
@@ -135,7 +132,7 @@ RdProcessArtifact solve(const ProgramCFG &CFG, const ProcessCFG &P,
   std::vector<uint32_t> LastUse(NL, 0), Persist(NL, 0);
   size_t NumPersist = 0;
   for (uint32_t I = 0; I < NL; ++I)
-    for (uint32_t S : FI.succs(I)) {
+    for (uint32_t S : CFG.succs(P.label(I))) {
       if (Pos[S] <= Pos[I] && !Persist[I])
         Persist[I] = static_cast<uint32_t>(++NumPersist);
       LastUse[I] = std::max(LastUse[I], Pos[S]);
@@ -150,7 +147,7 @@ RdProcessArtifact solve(const ProgramCFG &CFG, const ProcessCFG &P,
   for (const DefPair &D : Initial)
     if (size_t B = Dom.indexOf(D); B != DefPairDomain::npos)
       InitRow[B >> 6] |= uint64_t(1) << (B & 63);
-  uint32_t InitLocal = FI.localOf(P.Init);
+  uint32_t InitLocal = P.localOf(P.Init);
 
   for (bool Changed = true; Changed;) {
     Changed = false;
@@ -166,7 +163,7 @@ RdProcessArtifact solve(const ProgramCFG &CFG, const ProcessCFG &P,
       BitMatrix::clear(In.data(), RW);
       if (I == InitLocal)
         bits::orWords(In.data(), InitRow.data(), W);
-      FlowIndex::Range Preds = FI.preds(I);
+      ProgramCFG::Range Preds = CFG.preds(P.label(I));
       for (uint32_t U : Preds)
         bits::orWords(In.data(), ExitOf[U], W);
       if (Must && I != InitLocal && !Preds.empty()) {
@@ -224,12 +221,10 @@ RdProcessArtifact vif::solveGenKill(const ProgramCFG &CFG,
               : solve<false>(CFG, P, KG, Initial, Keep);
 }
 
-void vif::expandKillGen(const ProgramCFG &CFG, const ProcessCFG &P,
-                        const ProcessKillGen &F, const DefPairDomain &Sites,
-                        ReachingDefsKillGen &KG) {
-  const FlowIndex &FI = CFG.flowIndex(P.ProcessId);
-  for (uint32_t I = 0; I < FI.numLabels(); ++I) {
-    LabelId L = FI.label(I);
+void vif::expandKillGen(const ProcessCFG &P, const ProcessKillGen &F,
+                        const DefPairDomain &Sites, ReachingDefsKillGen &KG) {
+  for (uint32_t I = 0; I < P.NumLabels; ++I) {
+    LabelId L = P.label(I);
     PairSet Kill;
     for (Resource N : F.Kill[I]) {
       auto [First, Last] = Sites.rangeOf(N);
@@ -248,5 +243,5 @@ void vif::installProcessRows(const ProcessCFG &P, const RdProcessArtifact &A,
   LazyPairSets *Tables[] = {&Entry, &Exit, MustEntry, MustExit};
   for (int T = 0; T < 4; ++T)
     if (A.Tables[T])
-      Tables[T]->setRows(P.Labels, A.Tables[T]);
+      Tables[T]->setRows(P.FirstLabel, P.NumLabels, A.Tables[T]);
 }

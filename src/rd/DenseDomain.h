@@ -122,13 +122,13 @@ public:
     Parts.clear();
   }
 
-  /// Slot Labels[I] reads row I of \p R, for every I.
-  void setRows(const std::vector<LabelId> &Labels,
+  /// Slot First + I reads row I of \p R, for every I < \p Count.
+  void setRows(LabelId First, uint32_t Count,
                std::shared_ptr<const PairRows> R) {
     Parts.push_back(std::move(R));
-    for (uint32_t I = 0; I < Labels.size(); ++I) {
-      Part[Labels[I]] = static_cast<uint32_t>(Parts.size());
-      Row[Labels[I]] = I;
+    for (uint32_t I = 0; I < Count; ++I) {
+      Part[First + I] = static_cast<uint32_t>(Parts.size());
+      Row[First + I] = I;
     }
   }
 
@@ -184,7 +184,7 @@ private:
 };
 
 /// The kill/gen of Table 4 or Table 5 for one process, in factored form:
-/// rows indexed by the process's local labels (FlowIndex order). Kill[I]
+/// one row per label of the process, in local label order. Kill[I]
 /// lists *killed resources*, ascending: n ∈ Kill[I] means every
 /// definition of n dies at label I. Gen[I] holds the pairs label I
 /// generates. solveGenKill turns each killed resource into its contiguous
@@ -210,9 +210,8 @@ struct ReachingDefsKillGen {
 /// global label slots of \p KG: each killed resource n stands for every
 /// pair of n in \p Sites, and the gens are copied as they are. \p KG's
 /// vectors must already span all labels.
-void expandKillGen(const ProgramCFG &CFG, const ProcessCFG &P,
-                   const ProcessKillGen &F, const DefPairDomain &Sites,
-                   ReachingDefsKillGen &KG);
+void expandKillGen(const ProcessCFG &P, const ProcessKillGen &F,
+                   const DefPairDomain &Sites, ReachingDefsKillGen &KG);
 
 /// Which facts one solve keeps, per local label of the process. The
 /// default keeps every row whole: the full-row view, which only the tests
@@ -241,7 +240,7 @@ struct RowKeep {
 
 /// One process's solution of Table 4 or 5 as far as a RowKeep asked — the
 /// unit rd/Incremental.h caches. Each table has one CSR row per local
-/// label (FlowIndex order), empty where the keep-set skips it.
+/// label (local label order), empty where the keep-set skips it.
 struct RdProcessArtifact {
   enum Table { Entry, Exit, MustEntry, MustExit };
   std::array<std::shared_ptr<const PairRows>, 4> Tables;

@@ -6,7 +6,6 @@
 
 #include "rd/Incremental.h"
 
-#include "cfg/FlowIndex.h"
 #include "support/Casting.h"
 #include "support/Hash.h"
 #include "support/Parallel.h"
@@ -75,14 +74,13 @@ uint64_t hashProcessSlice(const ElaboratedProgram &Program,
     for (auto X : V)
       H.u64(X);
   };
-  ids(P.Labels);
+  H.u64(P.FirstLabel).u64(P.NumLabels);
   ids(P.Finals);
   ids(P.WaitLabels);
   ids(P.FreeVars);
   ids(P.FreeSigs);
-  H.u64(P.Flow.size());
-  for (const auto &[From, To] : P.Flow)
-    H.u64(From).u64(To);
+  for (LabelId L = P.FirstLabel; L < P.endLabel(); ++L)
+    ids(CFG.succs(L));
   // Signal classes affect the design-level Table 9 interface handling;
   // fold them in so artifacts never outlive a reclassification.
   for (unsigned Sig : P.FreeSigs)
@@ -90,7 +88,7 @@ uint64_t hashProcessSlice(const ElaboratedProgram &Program,
   // The statement slice, in label order. Source ranges are deliberately
   // never hashed: edits elsewhere in the file shift them without
   // changing any analysis input.
-  for (LabelId L : P.Labels) {
+  for (LabelId L = P.FirstLabel; L < P.endLabel(); ++L) {
     const CFGBlock &B = CFG.block(L);
     H.u64(L).u64(static_cast<uint64_t>(B.K));
     switch (B.K) {
@@ -196,10 +194,10 @@ RowKeep keepOf(const ElaboratedProgram &Program, const ProgramCFG &CFG,
   if (!Reads)
     return K;
   K.Full = false;
-  K.Whole.reserve(P.Labels.size());
-  K.Reads.Start.reserve(P.Labels.size() + 1);
+  K.Whole.reserve(P.NumLabels);
+  K.Reads.Start.reserve(P.NumLabels + 1);
   bool EndExits = !Table4 && !Program.process(P.ProcessId).Looped;
-  for (LabelId L : P.Labels) {
+  for (LabelId L = P.FirstLabel; L < P.endLabel(); ++L) {
     bool Final = std::count(P.Finals.begin(), P.Finals.end(), L);
     K.Whole.push_back(Table4 ? CFG.isWaitLabel(L) : (EndExits && Final) * 2);
     if (!Table4)
@@ -252,7 +250,7 @@ size_t runPhase(const ProgramCFG &CFG, unsigned Jobs,
     uint64_t K = Key(P);
     auto A = Table.find(K);
     // A layout mismatch (a key collision) is a miss.
-    if (A && !fitsKeep(*A, Keeps[PI], P.Labels.size(), Must))
+    if (A && !fitsKeep(*A, Keeps[PI], P.NumLabels, Must))
       A = nullptr;
     if (A) {
       Reused[PI] = 1;

@@ -6,7 +6,6 @@
 
 #include "rd/ReachingDefs.h"
 
-#include "cfg/FlowIndex.h"
 #include "support/Casting.h"
 
 #include <algorithm>
@@ -87,11 +86,10 @@ ProcessKillGen vif::computeReachingDefsKillGenFor(
     const ProgramCFG &CFG, const ProcessCFG &P,
     const ActiveSignalsResult &Active, const WaitAggregates &Agg,
     const ReachingDefsOptions &Opts) {
-  const FlowIndex &FI = CFG.flowIndex(P.ProcessId);
-  ProcessKillGen KG(FI.numLabels());
+  ProcessKillGen KG(P.NumLabels);
   BitSet May, Must;
-  for (uint32_t I = 0; I < FI.numLabels(); ++I) {
-    LabelId L = FI.label(I);
+  for (uint32_t I = 0; I < P.NumLabels; ++I) {
+    LabelId L = P.label(I);
     const CFGBlock &B = CFG.block(L);
     switch (B.K) {
     case CFGBlock::Kind::VarAssign: {
@@ -150,7 +148,7 @@ vif::computeReachingDefsKillGen(const ProgramCFG &CFG,
       }
     }
     Sites.finalize();
-    expandKillGen(CFG, P, F, Sites, KG);
+    expandKillGen(P, F, Sites, KG);
   }
   return KG;
 }
@@ -168,10 +166,9 @@ RdProcessArtifact vif::solveProcessRd(const ProgramCFG &CFG,
                                       const ProcessCFG &P,
                                       const std::vector<PairSet> &Kill,
                                       const std::vector<PairSet> &Gen) {
-  const FlowIndex &FI = CFG.flowIndex(P.ProcessId);
-  ProcessKillGen KG(FI.numLabels());
-  for (uint32_t I = 0; I < FI.numLabels(); ++I) {
-    LabelId L = FI.label(I);
+  ProcessKillGen KG(P.NumLabels);
+  for (uint32_t I = 0; I < P.NumLabels; ++I) {
+    LabelId L = P.label(I);
     for (const DefPair &D : Kill[L])
       if (KG.Kill[I].empty() || KG.Kill[I].back() != D.N)
         KG.Kill[I].push_back(D.N);
@@ -198,7 +195,7 @@ vif::analyzeReachingDefsReference(const ElaboratedProgram &Program,
   ReachingDefsKillGen KG = computeReachingDefsKillGen(CFG, Active, Opts);
   for (const ProcessCFG &P : CFG.processes())
     R.Iterations +=
-        solveGenKillReference(P, KG, initialDefs(P), R.Entry, R.Exit);
+        solveGenKillReference(CFG, P, KG, initialDefs(P), R.Entry, R.Exit);
   (void)Program;
   return R;
 }

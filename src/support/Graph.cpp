@@ -172,20 +172,22 @@ void Digraph::flushEdges() const {
   // (from, to) order by two counting passes over the node ids: to, then
   // from. The raw list may hold many duplicates (the Kemmerer and ALFP
   // extractions emit one pair per label and read), so the deduplicated
-  // result keeps only its own size and the raw list is released.
-  size_t N = Names.size();
-  std::vector<uint32_t> ToStart =
-      bucketStarts(Pending, N, [](const Edge &E) { return E.second; });
-  std::vector<uint32_t> FromStart =
-      bucketStarts(Pending, N, [](const Edge &E) { return E.first; });
-  {
+  // result keeps only its own size and the raw list is released. A list
+  // that already ascends strictly (a decoded store blob) is taken as is.
+  if (std::adjacent_find(Pending.begin(), Pending.end(),
+                         std::greater_equal<Edge>()) != Pending.end()) {
+    size_t N = Names.size();
+    std::vector<uint32_t> ToStart =
+        bucketStarts(Pending, N, [](const Edge &E) { return E.second; });
+    std::vector<uint32_t> FromStart =
+        bucketStarts(Pending, N, [](const Edge &E) { return E.first; });
     std::vector<Edge> ByTo(Pending.size());
     for (const Edge &E : Pending)
       ByTo[ToStart[E.second]++] = E;
     for (const Edge &E : ByTo)
       Pending[FromStart[E.first]++] = E;
+    Pending.erase(std::unique(Pending.begin(), Pending.end()), Pending.end());
   }
-  Pending.erase(std::unique(Pending.begin(), Pending.end()), Pending.end());
   if (Edges.empty()) {
     Pending.shrink_to_fit();
     Edges.swap(Pending);

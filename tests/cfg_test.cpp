@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "cfg/CFG.h"
-#include "cfg/FlowIndex.h"
 #include "oracle/Oracles.h"
 #include "parse/Parser.h"
 #include "support/Casting.h"
+#include "workloads/AesVhdl.h"
 #include "workloads/Synthetic.h"
 
 #include <gtest/gtest.h>
@@ -35,6 +35,28 @@ ElaboratedProgram elabDesign(const std::string &Source) {
   return std::move(*P);
 }
 
+using Edge = std::pair<LabelId, LabelId>;
+
+/// flow(ss) of \p Proc read off the CFG's successor rows: a set, listed
+/// as sorted (from, to) label pairs.
+std::vector<Edge> flowOf(const ProgramCFG &CFG, const ProcessCFG &Proc) {
+  std::vector<Edge> Flow;
+  for (LabelId L = Proc.FirstLabel; L < Proc.endLabel(); ++L)
+    for (uint32_t To : CFG.succs(L))
+      Flow.emplace_back(L, Proc.label(To));
+  std::sort(Flow.begin(), Flow.end());
+  return Flow;
+}
+
+/// The predecessors of \p L under \p Flow, ascending.
+std::vector<LabelId> predecessors(const std::vector<Edge> &Flow, LabelId L) {
+  std::vector<LabelId> Result;
+  for (const auto &[From, To] : Flow)
+    if (To == L)
+      Result.push_back(From);
+  return Result;
+}
+
 TEST(CFG, StraightLine) {
   ElaboratedProgram P = elabStmts("a := b; c := a; null;");
   ProgramCFG CFG = ProgramCFG::build(P);
@@ -45,10 +67,11 @@ TEST(CFG, StraightLine) {
   ASSERT_EQ(Proc.Finals.size(), 1u);
   EXPECT_EQ(Proc.Finals[0], 3u);
   // flow = {(1,2), (2,3)}.
-  EXPECT_EQ(Proc.Flow.size(), 2u);
-  EXPECT_EQ(Proc.predecessors(2), std::vector<LabelId>{1});
-  EXPECT_EQ(Proc.predecessors(3), std::vector<LabelId>{2});
-  EXPECT_TRUE(Proc.predecessors(1).empty()) << "isolated entry";
+  std::vector<Edge> Flow = flowOf(CFG, Proc);
+  EXPECT_EQ(Flow.size(), 2u);
+  EXPECT_EQ(predecessors(Flow, 2), std::vector<LabelId>{1});
+  EXPECT_EQ(predecessors(Flow, 3), std::vector<LabelId>{2});
+  EXPECT_TRUE(predecessors(Flow, 1).empty()) << "isolated entry";
 }
 
 TEST(CFG, IfProducesBranchAndJoin) {
@@ -59,9 +82,8 @@ TEST(CFG, IfProducesBranchAndJoin) {
   // Blocks: [c]^1, [a:=b]^2, [a:=d]^3, [e:=a]^4.
   EXPECT_EQ(CFG.numLabels(), 4u);
   EXPECT_EQ(CFG.block(1).K, CFGBlock::Kind::Cond);
-  auto Preds4 = Proc.predecessors(4);
-  std::sort(Preds4.begin(), Preds4.end());
-  EXPECT_EQ(Preds4, (std::vector<LabelId>{2, 3}));
+  EXPECT_EQ(predecessors(flowOf(CFG, Proc), 4),
+            (std::vector<LabelId>{2, 3}));
 }
 
 TEST(CFG, WhileLoopsBack) {
@@ -70,12 +92,12 @@ TEST(CFG, WhileLoopsBack) {
   const ProcessCFG &Proc = CFG.process(0);
   // Blocks: [c]^1, [a:=b]^2, [d:=a]^3. Flow: (1,2), (2,1), (1,3)? No —
   // (1,3) is the exit edge: while finals = {1}, then (1,3).
-  std::vector<std::pair<LabelId, LabelId>> Expect = {{1, 2}, {2, 1}, {1, 3}};
+  std::vector<Edge> Flow = flowOf(CFG, Proc);
+  std::vector<Edge> Expect = {{1, 2}, {2, 1}, {1, 3}};
   for (const auto &E : Expect)
-    EXPECT_NE(std::find(Proc.Flow.begin(), Proc.Flow.end(), E),
-              Proc.Flow.end())
+    EXPECT_NE(std::find(Flow.begin(), Flow.end(), E), Flow.end())
         << E.first << "->" << E.second;
-  EXPECT_EQ(Proc.Flow.size(), 3u);
+  EXPECT_EQ(Flow.size(), 3u);
 }
 
 TEST(CFG, WaitLabelsCollected) {
@@ -101,7 +123,8 @@ TEST(CFG, LabelsAreProgramUniqueAcrossProcesses) {
   ASSERT_EQ(CFG.processes().size(), 2u);
   std::vector<LabelId> All;
   for (const ProcessCFG &Proc : CFG.processes())
-    All.insert(All.end(), Proc.Labels.begin(), Proc.Labels.end());
+    for (LabelId L = Proc.FirstLabel; L < Proc.endLabel(); ++L)
+      All.push_back(L);
   std::vector<LabelId> Sorted = All;
   std::sort(Sorted.begin(), Sorted.end());
   EXPECT_TRUE(std::adjacent_find(Sorted.begin(), Sorted.end()) ==
@@ -110,7 +133,7 @@ TEST(CFG, LabelsAreProgramUniqueAcrossProcesses) {
   EXPECT_EQ(All.size(), CFG.numLabels());
   // Every label maps back to its process.
   for (const ProcessCFG &Proc : CFG.processes())
-    for (LabelId L : Proc.Labels)
+    for (LabelId L = Proc.FirstLabel; L < Proc.endLabel(); ++L)
       EXPECT_EQ(CFG.processOf(L), Proc.ProcessId);
 }
 
@@ -125,15 +148,16 @@ TEST(CFG, LoopedProcessHasIsolatedEntry) {
   const ProcessCFG &Proc = CFG.process(0);
   // null; while '1' loop (assign; wait) — entry is the null label with no
   // predecessors.
-  EXPECT_TRUE(Proc.predecessors(Proc.Init).empty());
+  std::vector<Edge> Flow = flowOf(CFG, Proc);
+  EXPECT_TRUE(predecessors(Flow, Proc.Init).empty());
   EXPECT_EQ(CFG.block(Proc.Init).K, CFGBlock::Kind::Null);
   // The while condition is reentered from the wait.
   LabelId CondLabel = 0;
-  for (LabelId L : Proc.Labels)
+  for (LabelId L = Proc.FirstLabel; L < Proc.endLabel(); ++L)
     if (CFG.block(L).K == CFGBlock::Kind::Cond)
       CondLabel = L;
   ASSERT_NE(CondLabel, 0u);
-  auto Preds = Proc.predecessors(CondLabel);
+  auto Preds = predecessors(Flow, CondLabel);
   EXPECT_EQ(Preds.size(), 2u) << "null entry + loop back from wait";
 }
 
@@ -236,23 +260,73 @@ TEST(CFG, StmtLabelLookup) {
   EXPECT_EQ(CFG.labelOf(C->stmts()[1].get()), 2u);
 }
 
-TEST(FlowIndex, ProcessLabelsAreOneRun) {
-  // FlowIndex maps a label to its local index as the offset from the
-  // process's first label, which needs each process's labels to be one
-  // contiguous run.
+TEST(CFG, ProcessLabelsAreOneRun) {
+  // A label's local index is its offset from the process's first label,
+  // which needs each process's labels to be one contiguous run.
   ElaboratedProgram P = elabDesign(workloads::pipelineDesign(3));
   ProgramCFG CFG = ProgramCFG::build(P);
   LabelId Next = 1;
   for (const ProcessCFG &Proc : CFG.processes()) {
-    FlowIndex FI(Proc);
-    ASSERT_EQ(FI.numLabels(), Proc.Labels.size());
-    for (uint32_t I = 0; I < FI.numLabels(); ++I) {
-      EXPECT_EQ(Proc.Labels[I], Next++);
-      EXPECT_EQ(FI.localOf(Proc.Labels[I]), I);
-      EXPECT_EQ(FI.label(I), Proc.Labels[I]);
+    EXPECT_EQ(Proc.FirstLabel, Next);
+    for (uint32_t I = 0; I < Proc.NumLabels; ++I) {
+      EXPECT_EQ(CFG.processOf(Next), Proc.ProcessId);
+      EXPECT_EQ(Proc.localOf(Next), I);
+      EXPECT_EQ(Proc.label(I), Next++);
     }
   }
   EXPECT_EQ(Next, CFG.numLabels() + 1);
+}
+
+TEST(CFG, PredecessorRowsTransposeSuccessorRows) {
+  ElaboratedProgram P = elabDesign(workloads::pipelineDesign(3));
+  ProgramCFG CFG = ProgramCFG::build(P);
+  for (const ProcessCFG &Proc : CFG.processes()) {
+    std::vector<Edge> Backward;
+    for (LabelId L = Proc.FirstLabel; L < Proc.endLabel(); ++L)
+      for (uint32_t From : CFG.preds(L))
+        Backward.emplace_back(Proc.label(From), L);
+    std::sort(Backward.begin(), Backward.end());
+    EXPECT_EQ(Backward, flowOf(CFG, Proc)) << "process " << Proc.ProcessId;
+  }
+}
+
+TEST(CFG, ReversePostorder) {
+  // [c]^1, [a:=b]^2, [d:=a]^3 with flow (1,2), (2,1), (1,3): the DFS from
+  // 1 finishes 2, then 3, then 1.
+  ElaboratedProgram W = elabStmts("while c loop a := b; end loop; d := a;");
+  ProgramCFG WC = ProgramCFG::build(W);
+  ProgramCFG::Range Order = WC.rpo(WC.process(0));
+  EXPECT_EQ(std::vector<uint32_t>(Order.begin(), Order.end()),
+            (std::vector<uint32_t>{0, 2, 1}));
+
+  // In general each process's order is a permutation of its local labels
+  // that starts at init, and in structured code only a loop's way back to
+  // its test leads to an earlier label.
+  std::vector<ElaboratedProgram> Programs;
+  Programs.push_back(elabDesign(workloads::pipelineDesign(3)));
+  Programs.push_back(elabDesign(workloads::shiftRowsDesign()));
+  Programs.push_back(elabDesign(workloads::randomDesign(11, 3, 24, 4)));
+  Programs.push_back(elabStmts("while a loop while b loop c := d; end loop; "
+                               "if e then f := g; end if; end loop; h := f;"));
+  for (const ElaboratedProgram &P : Programs) {
+    ProgramCFG CFG = ProgramCFG::build(P);
+    for (const ProcessCFG &Proc : CFG.processes()) {
+      ProgramCFG::Range RPO = CFG.rpo(Proc);
+      ASSERT_EQ(RPO.size(), Proc.NumLabels);
+      EXPECT_EQ(RPO[0], Proc.localOf(Proc.Init));
+      std::vector<uint32_t> Pos(Proc.NumLabels, Proc.NumLabels);
+      for (uint32_t Q = 0; Q < RPO.size(); ++Q)
+        Pos[RPO[Q]] = Q;
+      EXPECT_EQ(std::count(Pos.begin(), Pos.end(), Proc.NumLabels), 0);
+      for (const auto &[From, To] : flowOf(CFG, Proc))
+        if (Pos[Proc.localOf(To)] <= Pos[Proc.localOf(From)]) {
+          const CFGBlock &B = CFG.block(To);
+          EXPECT_TRUE(B.K == CFGBlock::Kind::Cond &&
+                      B.S->kind() == Stmt::Kind::While)
+              << From << "->" << To << " leads back, but not to a loop test";
+        }
+    }
+  }
 }
 
 } // namespace

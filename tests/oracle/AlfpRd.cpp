@@ -57,8 +57,9 @@ AlfpRdResult vif::solveRdWithAlfp(const ElaboratedProgram &Program,
 
   // --- Facts ---------------------------------------------------------------
   for (const ProcessCFG &Proc : CFG.processes())
-    for (const auto &[From, To] : Proc.Flow)
-      P.fact(Flow, {label(From), label(To)});
+    for (LabelId From = Proc.FirstLabel; From < Proc.endLabel(); ++From)
+      for (uint32_t To : CFG.succs(From))
+        P.fact(Flow, {label(From), label(Proc.label(To))});
 
   ReachingDefsKillGen PhiKG = computeActiveKillGen(CFG);
   ReachingDefsKillGen CfKG = computeReachingDefsKillGen(CFG, Active, Opts);

@@ -144,14 +144,14 @@ std::string vif::keptRowsFailure(const ElaboratedProgram &Program,
   for (const ProcessCFG &P : CFG.processes()) {
     bool EndExits = !Program.process(P.ProcessId).Looped;
     std::set<Resource> Tracked;
-    for (LabelId L : P.Labels)
+    for (LabelId L = P.FirstLabel; L < P.endLabel(); ++L)
       for (Resource N : readsAt(L))
         Tracked.insert(N);
     for (unsigned V : EndExits ? P.FreeVars : std::vector<unsigned>())
       Tracked.insert(Resource::variable(V));
     for (unsigned S : EndExits ? P.FreeSigs : std::vector<unsigned>())
       Tracked.insert(Resource::signal(S));
-    for (LabelId L : P.Labels) {
+    for (LabelId L = P.FirstLabel; L < P.endLabel(); ++L) {
       bool Wait = CFG.isWaitLabel(L);
       bool Final = EndExits && std::count(P.Finals.begin(), P.Finals.end(), L);
       const PairSet None;

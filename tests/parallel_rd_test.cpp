@@ -49,8 +49,8 @@ void expectJobsInvariant(const std::string &Source, bool IsDesign,
   IFAOptions Par = Opts;
   Par.RD.Jobs = 4;
   IFAResult Serial = analyzeInformationFlow(P, CFG, Opts);
-  // Fresh CFG for the parallel run so the two solves share no FlowIndex
-  // cache — first-build happens under contention too.
+  // A second CFG for the parallel run, so the two solves share nothing but
+  // the program: equal results also show that build is deterministic.
   ProgramCFG CFG2 = ProgramCFG::build(P);
   IFAResult Parallel = analyzeInformationFlow(P, CFG2, Par);
 

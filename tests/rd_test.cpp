@@ -374,10 +374,10 @@ void expectKillRowsCoverRanges(const ProgramCFG &CFG,
     DefPairDomain Dom;
     if (Initial)
       Dom.addAll(initialDefs(P));
-    for (LabelId L : P.Labels)
+    for (LabelId L = P.FirstLabel; L < P.endLabel(); ++L)
       Dom.addAll(KG.Gen[L]);
     Dom.finalize();
-    for (LabelId L : P.Labels)
+    for (LabelId L = P.FirstLabel; L < P.endLabel(); ++L)
       for (const DefPair &D : KG.Kill[L]) {
         auto [First, Last] = Dom.rangeOf(D.N);
         for (size_t I = First; I < Last; ++I)

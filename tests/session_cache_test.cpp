@@ -7,6 +7,7 @@
 #include "driver/Batch.h"
 #include "driver/SessionCache.h"
 #include "support/Hash.h"
+#include "workloads/Synthetic.h"
 
 #include <gtest/gtest.h>
 
@@ -319,6 +320,28 @@ TEST(SessionCache, MemoryBytesChargesProgramAndCfg) {
     }
     EXPECT_EQ(Cache.bytes(), WithCfg);
   }
+}
+
+TEST(SessionCache, CfgMemoryIsCompleteWhenBuilt) {
+  // Nothing is added to the CFG after it is built: running the analyses
+  // over it leaves its figure as it was, and the figure covers the flow
+  // rows and reverse postorder it hands out.
+  AnalysisSession S =
+      AnalysisSession::fromSource("pipe", workloads::pipelineDesign(4));
+  const ProgramCFG *C = S.cfg();
+  ASSERT_NE(C, nullptr);
+  ASSERT_GT(C->processes().size(), 1u);
+  size_t Built = C->memoryBytes();
+  ASSERT_NE(S.ifa(), nullptr);
+  EXPECT_EQ(C->memoryBytes(), Built);
+  size_t Exposed = 0;
+  for (const ProcessCFG &P : C->processes()) {
+    Exposed += C->rpo(P).size();
+    for (LabelId L = P.FirstLabel; L < P.endLabel(); ++L)
+      Exposed += C->succs(L).size() + C->preds(L).size();
+  }
+  EXPECT_GT(Exposed, 0u);
+  EXPECT_GE(Built, Exposed * sizeof(uint32_t));
 }
 
 TEST(Batch, CacheDeduplicatesIdenticalInputs) {

@@ -6,10 +6,10 @@
 // TSan-instrumented) that runs the parallel per-process rd fan-out under
 // contention and checks the results against serial runs. Built with
 // -fsanitize=thread when the toolchain supports it and registered as
-// ctest vifc_tsan_rd; any data race in the fan-out — FlowIndex first
-// builds, LazyPairSets slot writes, iteration accounting, the Table 5
-// kill/gen fill reading the shared Table 4 rows, concurrent artifact
-// table lookups — aborts the test through TSan's reporting.
+// ctest vifc_tsan_rd; any data race in the fan-out — concurrent reads of
+// the CFG's flow store, LazyPairSets slot writes, iteration accounting,
+// the Table 5 kill/gen fill reading the shared Table 4 rows, concurrent
+// artifact table lookups — aborts the test through TSan's reporting.
 //
 //===----------------------------------------------------------------------===//
 
@@ -46,8 +46,8 @@ bool checkDesign(const std::string &Source, const char *What) {
   analyzeIncremental(*P, SerialCFG, {}, SerialTable, SerialActive, SerialRD);
 
   for (unsigned Jobs : {2u, 4u, 8u}) {
-    // A fresh CFG per run so the FlowIndex slots are first-built under
-    // contention every time.
+    // A fresh CFG per run: the threads share nothing from an earlier run
+    // but the program, and every result must match the serial one.
     ProgramCFG CFG = ProgramCFG::build(*P);
     ActiveSignalsResult Active = analyzeActiveSignals(*P, CFG, Jobs);
     ReachingDefsOptions Opts;

@@ -163,6 +163,21 @@ cmp -s "$store_dir/aesout1" "$store_dir/aesout2" \
   || { echo "large-matrix store step failed (AES core):"
        cat "$store_dir/aeserr1" "$store_dir/aeserr2"; exit 1; }
 expect_one_design_blob "$store_dir/a" "$store_dir/aeserr1" "AES core"
+# chain/1024 through `vifc flows --statements --format v1b --store`: the
+# restart decodes a 524 800-edge GRPH section, and its frame must equal
+# the priming run's and a run's without --store, byte for byte.
+for run in 1 2; do
+  "$BUILD_DIR/vifc" flows --statements --format v1b --store "$store_dir/c" \
+    "$store_dir/chain1024.vhd" >"$store_dir/chainout$run" \
+    2>"$store_dir/chainerr$run"
+done
+"$BUILD_DIR/vifc" flows --statements --format v1b \
+  "$store_dir/chain1024.vhd" >"$store_dir/chainout0"
+cmp -s "$store_dir/chainout0" "$store_dir/chainout1" \
+  && cmp -s "$store_dir/chainout1" "$store_dir/chainout2" \
+  && grep -q '1 hit(s), 0 miss(es), 0 write(s)' "$store_dir/chainerr2" \
+  || { echo "large-matrix store step failed (chain/1024):"
+       cat "$store_dir/chainerr1" "$store_dir/chainerr2"; exit 1; }
 rmgl_lines=$(sed -n '/^== RMgl/,$p' "$store_dir/out1" | grep -vc '^== ')
 # One FILE and two FILEs print the same RMgl lines per design.
 rmgl_block() { awk '/^== RMgl/ { on = 1; next } /^(== |--$)/ { on = 0 } on' "$1"; }

@@ -362,8 +362,9 @@ int cmdAnalyze(const Options &Opt, driver::BatchMode Mode) {
       std::cerr << "warning: cannot use artifact store directory '"
                 << Opt.StoreDir << "'; continuing without persistence\n";
   }
-  // The one-line store summary printed to stderr after text runs, so
-  // scripted callers can observe hit/miss traffic without parsing JSON.
+  // The one-line store summary printed to stderr after text and v1b runs,
+  // so scripted callers can observe hit/miss traffic without parsing a
+  // document.
   auto printStoreSummary = [&Store] {
     if (!Store)
       return;
@@ -402,9 +403,10 @@ int cmdAnalyze(const Options &Opt, driver::BatchMode Mode) {
     Inputs.push_back({File, std::nullopt});
 
   driver::BatchResult R = driver::runBatch(Inputs, B);
-  if (Opt.V1bOut)
+  if (Opt.V1bOut) {
     driver::printBatchV1b(std::cout, R, B);
-  else if (Opt.Json)
+    printStoreSummary();
+  } else if (Opt.Json)
     driver::printBatchJson(std::cout, R, B);
   else if (Opt.Files.size() == 1) {
     if (printSingleText(R.Designs.front(), B, Opt.Dot))
