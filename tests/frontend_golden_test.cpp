@@ -16,6 +16,15 @@
 //  * diagnostics.txt: the diagnostics text, in order and with locations,
 //    of broken designs and statement programs run through
 //    AnalysisSession::program().
+//  * ast/: the parse tree of every .vhd under tests/inputs/ as ASTPrinter
+//    prints it, then the program elaborated from it (dumpProgram:
+//    objects, process bodies, resolutions and types); ast/workloads.txt
+//    holds line counts and digests of the same dump for the generated
+//    workloads.
+//
+// The elaborate overloads that take a const tree copy it; a test checks
+// that the copy dumps the same as the adopted tree after the source tree
+// is gone.
 //
 // A mismatch (or a missing golden file) writes the actual text under
 // VIFC_ACTUAL_DIR, mirroring the golden layout, and fails; copying that
@@ -24,7 +33,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ast/ASTPrinter.h"
 #include "driver/AnalysisSession.h"
+#include "oracle/Oracles.h"
 #include "parse/Lexer.h"
 #include "parse/Parser.h"
 #include "support/Hash.h"
@@ -37,6 +48,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <vector>
 
@@ -363,6 +375,117 @@ TEST(FrontendGolden, DiagnosticsOfBrokenPrograms) {
     Run(Rel, isStatementProgram(File), slurp(File));
   }
   expectGolden("diagnostics.txt", OS.str());
+}
+
+//===----------------------------------------------------------------------===//
+// Parse trees and elaborated programs
+//===----------------------------------------------------------------------===//
+
+/// The parse tree of \p Source as ASTPrinter prints it (a statement
+/// program: its declarations, then its body), then the program elaborated
+/// by adopting that tree.
+std::string astDump(const std::string &Source, bool Statements) {
+  std::ostringstream OS;
+  DiagnosticEngine Diags;
+  std::optional<ElaboratedProgram> P;
+  if (Statements) {
+    StatementProgram Prog = parseStatementProgram(Source, Diags);
+    if (Diags.hasErrors())
+      return "-- parse failed\n";
+    for (const Decl &D : Prog.Decls)
+      printDecl(OS, D);
+    printStmt(OS, *Prog.Body);
+    P = elaborateStatements(std::move(Prog), Diags);
+  } else {
+    DesignFile File = parseDesign(Source, Diags);
+    if (Diags.hasErrors())
+      return "-- parse failed\n";
+    printDesignFile(OS, File);
+    P = elaborateDesign(std::move(File), Diags);
+  }
+  OS << "-- elaborated\n" << (P ? dumpProgram(*P) : "failed\n");
+  return OS.str();
+}
+
+/// The program elaborated through the const overloads, which copy the
+/// tree; the source tree is destroyed before the program is dumped.
+std::string copiedProgramDump(const std::string &Source, bool Statements) {
+  DiagnosticEngine Diags;
+  std::optional<ElaboratedProgram> P;
+  if (Statements) {
+    auto Prog = std::make_unique<StatementProgram>(
+        parseStatementProgram(Source, Diags));
+    if (Diags.hasErrors())
+      return "-- parse failed\n";
+    P = elaborateStatements(*Prog->Body, Diags, &Prog->Decls);
+  } else {
+    auto File = std::make_unique<DesignFile>(parseDesign(Source, Diags));
+    if (Diags.hasErrors())
+      return "-- parse failed\n";
+    P = elaborateDesign(*File, Diags);
+  }
+  return P ? dumpProgram(*P) : "failed\n";
+}
+
+/// The elaborated half of astDump.
+std::string adoptedProgramDump(const std::string &Source, bool Statements) {
+  std::string Dump = astDump(Source, Statements);
+  size_t At = Dump.find("-- elaborated\n");
+  return At == std::string::npos ? Dump
+                                 : Dump.substr(At + sizeof("-- elaborated"));
+}
+
+struct Workload {
+  const char *Name;
+  bool Statements;
+  std::string Source;
+};
+
+std::vector<Workload> treeWorkloads() {
+  return {
+      {"aesCoreDesign(1)", false, workloads::aesCoreDesign(1)},
+      {"pipelineDesign(64)", false, workloads::pipelineDesign(64)},
+      {"chainStatements(1024)", true, workloads::chainStatements(1024)},
+      {"independentCopies(256)", true, workloads::independentCopies(256)},
+      {"syncMeshDesign(3,2,4)", false, workloads::syncMeshDesign(3, 2, 4)},
+      {"randomPortedDesign(7,4,6,3,2)", false,
+       workloads::randomPortedDesign(7, 4, 6, 3, 2)},
+  };
+}
+
+TEST(FrontendGolden, AstOfEveryInputFile) {
+  for (const fs::path &File : inputFiles()) {
+    std::string Rel = fs::relative(File, VIFC_INPUTS_DIR).string();
+    std::replace(Rel.begin(), Rel.end(), '/', '_');
+    expectGolden("ast/" + Rel + ".txt",
+                 astDump(slurp(File), isStatementProgram(File)));
+  }
+}
+
+TEST(FrontendGolden, AstDigestsOfWorkloads) {
+  std::ostringstream OS;
+  for (const Workload &W : treeWorkloads()) {
+    std::string Dump = astDump(W.Source, W.Statements);
+    size_t Lines = static_cast<size_t>(
+        std::count(Dump.begin(), Dump.end(), '\n'));
+    OS << W.Name << " lines=" << Lines
+       << " digest=" << HashBuilder().str(Dump).hex() << '\n';
+  }
+  expectGolden("ast/workloads.txt", OS.str());
+}
+
+TEST(FrontendGolden, CopiedTreeElaboratesLikeTheAdoptedOne) {
+  for (const fs::path &File : inputFiles()) {
+    std::string Source = slurp(File);
+    bool Statements = isStatementProgram(File);
+    EXPECT_EQ(copiedProgramDump(Source, Statements),
+              adoptedProgramDump(Source, Statements))
+        << File;
+  }
+  for (const Workload &W : treeWorkloads())
+    EXPECT_EQ(copiedProgramDump(W.Source, W.Statements),
+              adoptedProgramDump(W.Source, W.Statements))
+        << W.Name;
 }
 
 } // namespace

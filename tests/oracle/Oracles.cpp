@@ -6,7 +6,11 @@
 
 #include "oracle/Oracles.h"
 
+#include "ast/ASTPrinter.h"
+#include "support/Casting.h"
+
 #include <algorithm>
+#include <sstream>
 
 using namespace vif;
 
@@ -192,4 +196,146 @@ std::string vif::fullRowsFailure(const ProgramCFG &CFG,
       if (!((*T.first)[L] == (*T.second)[L]))
         return std::string(Name) + " disagrees at label " + std::to_string(L);
   return "";
+}
+
+//===----------------------------------------------------------------------===//
+// Elaborated-program dump
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+std::string refStr(ObjectRef R) {
+  if (!R.isResolved())
+    return "@?";
+  return (R.isVariable() ? "@v" : "@s") + std::to_string(R.Id);
+}
+
+void annotateExpr(std::ostream &OS, const Expr &E) {
+  switch (E.kind()) {
+  case Expr::Kind::LogicLiteral:
+  case Expr::Kind::VectorLiteral:
+    printExpr(OS, E);
+    break;
+  case Expr::Kind::Name: {
+    const auto *N = cast<NameExpr>(&E);
+    OS << N->name() << refStr(N->ref());
+    break;
+  }
+  case Expr::Kind::Slice: {
+    const auto *S = cast<SliceExpr>(&E);
+    OS << S->name() << '(' << S->slice().str() << ')' << refStr(S->ref());
+    break;
+  }
+  case Expr::Kind::Unary: {
+    const auto *U = cast<UnaryExpr>(&E);
+    OS << '(' << unaryOpSpelling(U->op()) << ' ';
+    annotateExpr(OS, U->sub());
+    OS << ')';
+    break;
+  }
+  case Expr::Kind::Binary: {
+    const auto *B = cast<BinaryExpr>(&E);
+    OS << '(';
+    annotateExpr(OS, B->lhs());
+    OS << ' ' << binaryOpSpelling(B->op()) << ' ';
+    annotateExpr(OS, B->rhs());
+    OS << ')';
+    break;
+  }
+  }
+  OS << ':' << (E.hasType() ? E.type().str() : std::string("?"));
+}
+
+void annotateStmt(std::ostream &OS, const Stmt &S, unsigned Indent) {
+  std::string Pad(2 * Indent, ' ');
+  switch (S.kind()) {
+  case Stmt::Kind::Null:
+    OS << Pad << "null\n";
+    return;
+  case Stmt::Kind::VarAssign:
+  case Stmt::Kind::SignalAssign: {
+    const auto *A = cast<AssignStmtBase>(&S);
+    OS << Pad << A->targetName();
+    if (A->hasSlice())
+      OS << '(' << A->slice().str() << ')';
+    OS << refStr(A->targetRef())
+       << (S.kind() == Stmt::Kind::VarAssign ? " := " : " <= ");
+    annotateExpr(OS, A->value());
+    OS << '\n';
+    return;
+  }
+  case Stmt::Kind::Wait: {
+    const auto *W = cast<WaitStmt>(&S);
+    OS << Pad << "wait" << (W->hasExplicitOn() ? " on" : "");
+    for (const auto &Name : W->onNames())
+      OS << ' ' << Name;
+    OS << " sigs";
+    for (unsigned Sig : W->onSignals())
+      OS << ' ' << Sig;
+    if (W->hasUntil()) {
+      OS << " until ";
+      annotateExpr(OS, W->until());
+    }
+    OS << '\n';
+    return;
+  }
+  case Stmt::Kind::Compound:
+    OS << Pad << "{\n";
+    for (const auto &Sub : cast<CompoundStmt>(&S)->stmts())
+      annotateStmt(OS, *Sub, Indent + 1);
+    OS << Pad << "}\n";
+    return;
+  case Stmt::Kind::If: {
+    const auto *I = cast<IfStmt>(&S);
+    OS << Pad << "if ";
+    annotateExpr(OS, I->cond());
+    OS << '\n';
+    annotateStmt(OS, I->thenStmt(), Indent + 1);
+    OS << Pad << "else\n";
+    annotateStmt(OS, I->elseStmt(), Indent + 1);
+    return;
+  }
+  case Stmt::Kind::While: {
+    const auto *W = cast<WhileStmt>(&S);
+    OS << Pad << "while ";
+    annotateExpr(OS, W->cond());
+    OS << '\n';
+    annotateStmt(OS, W->body(), Indent + 1);
+    return;
+  }
+  }
+}
+
+} // namespace
+
+std::string vif::dumpProgram(const ElaboratedProgram &Program) {
+  std::ostringstream OS;
+  for (const ElabSignal &S : Program.Signals) {
+    OS << "signal " << S.Id << ' ' << S.Name << ' ' << S.UniqueName << ' '
+       << S.Ty.str() << ' ' << signalClassName(S.Class);
+    if (S.Init) {
+      OS << " := ";
+      annotateExpr(OS, *S.Init);
+    }
+    OS << '\n';
+  }
+  for (const ElabVariable &V : Program.Variables) {
+    OS << "variable " << V.Id << ' ' << V.Name << ' ' << V.UniqueName << ' '
+       << V.Ty.str() << " process " << V.ProcessId;
+    if (V.Init) {
+      OS << " := ";
+      annotateExpr(OS, *V.Init);
+    }
+    OS << '\n';
+  }
+  for (const ElabProcess &P : Program.Processes) {
+    OS << "process " << P.Id << ' ' << P.Name
+       << (P.Looped ? " looped" : " once") << " variables";
+    for (unsigned V : P.Variables)
+      OS << ' ' << V;
+    OS << '\n';
+    printStmt(OS, *P.Body, 1);
+    annotateStmt(OS, *P.Body, 1);
+  }
+  return OS.str();
 }

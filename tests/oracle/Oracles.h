@@ -67,6 +67,14 @@ std::string fullRowsFailure(const ProgramCFG &CFG,
                             const ActiveSignalsResult &RefActive,
                             const ReachingDefsResult &RefRD);
 
+/// The elaborated program as text: every signal and variable with its
+/// type, class and initializer, then every process body as ASTPrinter
+/// prints it, followed by the body again with each name's resolution
+/// (@vN / @sN) and each expression's type annotated. Pins the tree that
+/// elaboration hands the analyses, and shows whether two routes to it
+/// (adopting the parse tree, or copying it) built the same one.
+std::string dumpProgram(const ElaboratedProgram &Program);
+
 /// The historical std::set-backed Resource Matrix, the oracle for the dense
 /// sorted-run backend: driven through the same operation streams, both must
 /// yield identical entry sequences.

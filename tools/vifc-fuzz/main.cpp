@@ -36,7 +36,10 @@
 /// Mutate mode, per seed: corrupt the generated source (truncation, token
 /// splicing, byte flips — src/gen/Mutator.h) and require the frontend to
 /// diagnose cleanly or succeed; crashes, hangs and sanitizer reports are
-/// the failures this mode exists to surface.
+/// the failures this mode exists to surface. A mutant that elaborates
+/// must elaborate the same from a copy of its tree (the const overload,
+/// whose source tree is gone before the copy is read) as from the tree
+/// itself.
 ///
 /// Incremental mode, per seed: route the Table 4/5 solvers through a
 /// ProcessArtifactTable (rd/Incremental.h) — once against a cold table and
@@ -455,15 +458,23 @@ std::string queryFailure(const std::string &Source) {
 /// timeout), not here.
 std::string mutationFailure(const std::string &Mutant) {
   DiagnosticEngine Diags;
-  DesignFile F = parseDesign(Mutant, Diags);
-  if (Diags.hasErrors())
-    return ""; // cleanly diagnosed
-  std::optional<ElaboratedProgram> P = elaborateDesign(F, Diags);
+  std::optional<ElaboratedProgram> P;
+  {
+    DesignFile F = parseDesign(Mutant, Diags);
+    if (Diags.hasErrors())
+      return ""; // cleanly diagnosed
+    P = elaborateDesign(F, Diags);
+  }
   if (!P) {
     if (!Diags.hasErrors())
       return "elaboration failed without diagnostics";
     return "";
   }
+  DiagnosticEngine Again;
+  std::optional<ElaboratedProgram> Adopted =
+      elaborateDesign(parseDesign(Mutant, Again), Again);
+  if (!Adopted || dumpProgram(*Adopted) != dumpProgram(*P))
+    return "elaborating a copy of the tree differs from adopting it";
   // Valid by accident: the analyses must cope too (bounded — mutants are
   // capped at 64KB by the mutator).
   ProgramCFG CFG = ProgramCFG::build(*P);
