@@ -170,10 +170,7 @@ void BM_Scaling_Elaborate_Copies(benchmark::State &State) {
       parseStatementProgram(workloads::independentCopies(N), ParseDiags);
   for (auto _ : State) {
     State.PauseTiming();
-    StatementProgram Copy;
-    for (const Decl &D : Parsed.Decls)
-      Copy.Decls.push_back(D.clone());
-    Copy.Body = Parsed.Body->clone();
+    StatementProgram Copy = Parsed.clone();
     DiagnosticEngine Diags;
     State.ResumeTiming();
     std::optional<ElaboratedProgram> P =

@@ -51,7 +51,10 @@ void printExprPrec(std::ostream &OS, const Expr &E, unsigned ParentPrec) {
     OS << '\'' << toChar(cast<LogicLiteralExpr>(&E)->value()) << '\'';
     return;
   case Expr::Kind::VectorLiteral:
-    OS << '"' << cast<VectorLiteralExpr>(&E)->value().str() << '"';
+    OS << '"';
+    for (StdLogic Bit : cast<VectorLiteralExpr>(&E)->bits())
+      OS << toChar(Bit);
+    OS << '"';
     return;
   case Expr::Kind::Name:
     OS << cast<NameExpr>(&E)->name();
@@ -130,7 +133,7 @@ void vif::printStmt(std::ostream &OS, const Stmt &S, unsigned Indent) {
     return;
   }
   case Stmt::Kind::Compound:
-    for (const StmtPtr &Sub : cast<CompoundStmt>(&S)->stmts())
+    for (const Stmt *Sub : cast<CompoundStmt>(&S)->stmts())
       printStmt(OS, *Sub, Indent);
     return;
   case Stmt::Kind::If: {

@@ -61,10 +61,11 @@ struct Decl {
   Kind K = Kind::Variable;
   std::string Name;
   Type Ty;
-  ExprPtr Init; ///< may be null (defaults to 'U' / "U...U")
+  Expr *Init = nullptr; ///< may be null (defaults to 'U' / "U...U")
   SourceRange Range;
 
-  Decl clone() const;
+  /// A copy whose initializer is cloned into \p Dest.
+  Decl clone(AstArena &Dest) const;
 };
 
 /// Base class of concurrent statements.
@@ -77,8 +78,9 @@ public:
   Kind kind() const { return K; }
   SourceRange range() const { return Range; }
 
-  /// Deep copy of this statement and everything below it.
-  virtual std::unique_ptr<ConcStmt> clone() const = 0;
+  /// Deep copy of this statement and everything below it, its statement
+  /// and expression nodes cloned into \p Dest.
+  virtual std::unique_ptr<ConcStmt> clone(AstArena &Dest) const = 0;
 
 protected:
   ConcStmt(Kind K, SourceRange Range) : K(K), Range(Range) {}
@@ -93,19 +95,18 @@ using ConcStmtPtr = std::unique_ptr<ConcStmt>;
 /// ip : process decl; begin ss; end process ip.
 class ProcessStmt : public ConcStmt {
 public:
-  ProcessStmt(std::string Label, std::vector<Decl> Decls, StmtPtr Body,
+  ProcessStmt(std::string Label, std::vector<Decl> Decls, Stmt *Body,
               SourceRange Range)
       : ConcStmt(Kind::Process, Range), Label(std::move(Label)),
-        Decls(std::move(Decls)), Body(std::move(Body)) {}
+        Decls(std::move(Decls)), Body(Body) {}
 
   const std::string &label() const { return Label; }
   const std::vector<Decl> &decls() const { return Decls; }
   std::vector<Decl> &decls() { return Decls; }
   const Stmt &body() const { return *Body; }
-  /// Moves the body out (elaboration adopts it); body() is invalid after.
-  StmtPtr takeBody() { return std::move(Body); }
+  Stmt &body() { return *Body; }
 
-  ConcStmtPtr clone() const override;
+  ConcStmtPtr clone(AstArena &Dest) const override;
 
   static bool classof(const ConcStmt *S) {
     return S->kind() == Kind::Process;
@@ -114,7 +115,7 @@ public:
 private:
   std::string Label;
   std::vector<Decl> Decls;
-  StmtPtr Body;
+  Stmt *Body;
 };
 
 /// ib : block decl; begin css; end block ib. Blocks introduce local signals
@@ -133,7 +134,7 @@ public:
   const std::vector<ConcStmtPtr> &stmts() const { return Stmts; }
   std::vector<ConcStmtPtr> &stmts() { return Stmts; }
 
-  ConcStmtPtr clone() const override;
+  ConcStmtPtr clone(AstArena &Dest) const override;
 
   static bool classof(const ConcStmt *S) { return S->kind() == Kind::Block; }
 
@@ -149,31 +150,30 @@ private:
 /// exactly that rewriting.
 class ConcAssignStmt : public ConcStmt {
 public:
-  ConcAssignStmt(std::string Target, std::optional<SliceSpec> Slice,
-                 ExprPtr Value, SourceRange Range)
-      : ConcStmt(Kind::SignalAssign, Range), Target(std::move(Target)),
-        Slice(Slice), Value(std::move(Value)) {}
+  ConcAssignStmt(std::string_view Target, std::optional<SliceSpec> Slice,
+                 Expr *Value, SourceRange Range)
+      : ConcStmt(Kind::SignalAssign, Range), Target(Target), Slice(Slice),
+        Value(Value) {}
 
-  const std::string &targetName() const { return Target; }
+  std::string_view targetName() const { return Target; }
   bool hasSlice() const { return Slice.has_value(); }
   const SliceSpec &slice() const {
     assert(Slice && "assignment has no slice");
     return *Slice;
   }
   const Expr &value() const { return *Value; }
-  /// Moves the value out (elaboration adopts it); value() is invalid after.
-  ExprPtr takeValue() { return std::move(Value); }
+  Expr &value() { return *Value; }
 
-  ConcStmtPtr clone() const override;
+  ConcStmtPtr clone(AstArena &Dest) const override;
 
   static bool classof(const ConcStmt *S) {
     return S->kind() == Kind::SignalAssign;
   }
 
 private:
-  std::string Target;
+  std::string_view Target;
   std::optional<SliceSpec> Slice;
-  ExprPtr Value;
+  Expr *Value;
 };
 
 /// architecture ia of ie is [decls] begin css; end ia;
@@ -189,18 +189,24 @@ struct Architecture {
 /// followed by a statement list (the shape of the paper's function-level
 /// examples).
 struct StatementProgram {
+  AstArena Arena; ///< every Expr and Stmt node of the program
   std::vector<Decl> Decls;
-  StmtPtr Body;
+  Stmt *Body = nullptr;
+
+  /// A deep copy in an arena of its own.
+  StatementProgram clone() const;
 };
 
 /// A parsed VHDL1 program: a sequence of entities and architectures.
 struct DesignFile {
+  AstArena Arena; ///< every Expr and Stmt node of the file
   std::vector<Entity> Entities;
   std::vector<Architecture> Architectures;
 
   const Entity *findEntity(const std::string &Name) const;
   const Architecture *findArchitecture(const std::string &Name) const;
 
+  /// A deep copy in an arena of its own.
   DesignFile clone() const;
 };
 

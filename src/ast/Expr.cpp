@@ -10,9 +10,6 @@
 
 using namespace vif;
 
-// Out-of-line virtual anchor.
-Expr::~Expr() = default;
-
 const char *vif::unaryOpSpelling(UnaryOpKind Op) {
   switch (Op) {
   case UnaryOpKind::Not:
@@ -59,47 +56,50 @@ const char *vif::binaryOpSpelling(BinaryOpKind Op) {
   return "?";
 }
 
-namespace {
-
-/// Copies the sema annotations (type) shared by all nodes.
-template <typename NodeT> ExprPtr annotated(std::unique_ptr<NodeT> Node,
-                                            const Expr &Original) {
-  if (Original.hasType())
-    Node->setType(Original.type());
-  return Node;
-}
-
-} // namespace
-
-ExprPtr LogicLiteralExpr::clone() const {
-  return annotated(std::make_unique<LogicLiteralExpr>(Value, range()), *this);
-}
-
-ExprPtr VectorLiteralExpr::clone() const {
-  return annotated(std::make_unique<VectorLiteralExpr>(Value, range()), *this);
-}
-
-ExprPtr NameExpr::clone() const {
-  auto Node = std::make_unique<NameExpr>(Name, range());
-  Node->setRef(Ref);
-  return annotated(std::move(Node), *this);
-}
-
-ExprPtr SliceExpr::clone() const {
-  auto Node = std::make_unique<SliceExpr>(Name, Slice, range());
-  Node->setRef(Ref);
-  return annotated(std::move(Node), *this);
-}
-
-ExprPtr UnaryExpr::clone() const {
-  return annotated(
-      std::make_unique<UnaryExpr>(Op, Sub->clone(), range()), *this);
-}
-
-ExprPtr BinaryExpr::clone() const {
-  return annotated(
-      std::make_unique<BinaryExpr>(Op, LHS->clone(), RHS->clone(), range()),
-      *this);
+Expr *vif::cloneExpr(const Expr &E, AstArena &Dest) {
+  Expr *Copy = nullptr;
+  switch (E.kind()) {
+  case Expr::Kind::LogicLiteral:
+    Copy = Dest.make<LogicLiteralExpr>(cast<LogicLiteralExpr>(&E)->value(),
+                                       E.range());
+    break;
+  case Expr::Kind::VectorLiteral: {
+    const ArenaArray<StdLogic> &Bits = cast<VectorLiteralExpr>(&E)->bits();
+    Copy = Dest.make<VectorLiteralExpr>(Dest.copy(Bits.begin(), Bits.size()),
+                                        E.range());
+    break;
+  }
+  case Expr::Kind::Name: {
+    const auto *N = cast<NameExpr>(&E);
+    auto *C = Dest.make<NameExpr>(Dest.copyString(N->name()), E.range());
+    C->setRef(N->ref());
+    Copy = C;
+    break;
+  }
+  case Expr::Kind::Slice: {
+    const auto *S = cast<SliceExpr>(&E);
+    auto *C = Dest.make<SliceExpr>(Dest.copyString(S->name()), S->slice(),
+                                   E.range());
+    C->setRef(S->ref());
+    Copy = C;
+    break;
+  }
+  case Expr::Kind::Unary: {
+    const auto *U = cast<UnaryExpr>(&E);
+    Copy = Dest.make<UnaryExpr>(U->op(), cloneExpr(U->sub(), Dest),
+                                E.range());
+    break;
+  }
+  case Expr::Kind::Binary: {
+    const auto *B = cast<BinaryExpr>(&E);
+    Copy = Dest.make<BinaryExpr>(B->op(), cloneExpr(B->lhs(), Dest),
+                                 cloneExpr(B->rhs(), Dest), E.range());
+    break;
+  }
+  }
+  if (E.hasType())
+    Copy->setType(E.type());
+  return Copy;
 }
 
 void vif::forEachNameUse(const Expr &E,

@@ -19,6 +19,7 @@
 #ifndef VIF_AST_EXPR_H
 #define VIF_AST_EXPR_H
 
+#include "ast/Arena.h"
 #include "ast/Type.h"
 #include "stdlogic/LogicVector.h"
 #include "stdlogic/StdLogic.h"
@@ -26,9 +27,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <optional>
 #include <string>
+#include <string_view>
 
 namespace vif {
 
@@ -96,7 +96,9 @@ enum class BinaryOpKind : uint8_t {
 const char *unaryOpSpelling(UnaryOpKind Op);
 const char *binaryOpSpelling(BinaryOpKind Op);
 
-/// Base class of all VHDL1 expressions.
+/// Base class of all VHDL1 expressions. Nodes live in an AstArena
+/// (ast/Arena.h) and are trivially destructible: names are views of
+/// arena-held spellings, literal bits and children arena pointers.
 class Expr {
 public:
   enum class Kind : uint8_t {
@@ -108,33 +110,29 @@ public:
     Binary,
   };
 
-  virtual ~Expr();
-
   Kind kind() const { return K; }
   SourceRange range() const { return Range; }
 
   /// The static type, filled in by the elaborator.
-  bool hasType() const { return Ty.has_value(); }
+  bool hasType() const { return HasType; }
   const Type &type() const {
-    assert(Ty && "expression has not been type-checked");
-    return *Ty;
+    assert(HasType && "expression has not been type-checked");
+    return Ty;
   }
-  void setType(Type T) { Ty = T; }
-
-  /// Deep copy, preserving resolution and type annotations.
-  virtual std::unique_ptr<Expr> clone() const = 0;
+  void setType(Type T) {
+    Ty = T;
+    HasType = true;
+  }
 
 protected:
   Expr(Kind K, SourceRange Range) : K(K), Range(Range) {}
-  Expr(const Expr &) = default;
 
 private:
   Kind K;
+  bool HasType = false;
   SourceRange Range;
-  std::optional<Type> Ty;
+  Type Ty;
 };
-
-using ExprPtr = std::unique_ptr<Expr>;
 
 /// A logic-value literal, e.g. '1'.
 class LogicLiteralExpr : public Expr {
@@ -144,7 +142,6 @@ public:
 
   StdLogic value() const { return Value; }
 
-  ExprPtr clone() const override;
   static bool classof(const Expr *E) {
     return E->kind() == Kind::LogicLiteral;
   }
@@ -153,57 +150,59 @@ private:
   StdLogic Value;
 };
 
-/// A vector literal, e.g. "0101".
+/// A vector literal, e.g. "0101": its bits, leftmost first, in the arena.
 class VectorLiteralExpr : public Expr {
 public:
-  VectorLiteralExpr(LogicVector Value, SourceRange Range)
-      : Expr(Kind::VectorLiteral, Range), Value(std::move(Value)) {}
+  VectorLiteralExpr(ArenaArray<StdLogic> Bits, SourceRange Range)
+      : Expr(Kind::VectorLiteral, Range), Bits(Bits) {}
 
-  const LogicVector &value() const { return Value; }
+  const ArenaArray<StdLogic> &bits() const { return Bits; }
+  size_t width() const { return Bits.size(); }
+  /// The bits as a value (a copy).
+  LogicVector value() const {
+    return LogicVector(std::vector<StdLogic>(Bits.begin(), Bits.end()));
+  }
 
-  ExprPtr clone() const override;
   static bool classof(const Expr *E) {
     return E->kind() == Kind::VectorLiteral;
   }
 
 private:
-  LogicVector Value;
+  ArenaArray<StdLogic> Bits;
 };
 
 /// A whole-object reference: x or s.
 class NameExpr : public Expr {
 public:
-  NameExpr(std::string Name, SourceRange Range)
-      : Expr(Kind::Name, Range), Name(std::move(Name)) {}
+  NameExpr(std::string_view Name, SourceRange Range)
+      : Expr(Kind::Name, Range), Name(Name) {}
 
-  const std::string &name() const { return Name; }
+  std::string_view name() const { return Name; }
   ObjectRef ref() const { return Ref; }
   void setRef(ObjectRef R) { Ref = R; }
 
-  ExprPtr clone() const override;
   static bool classof(const Expr *E) { return E->kind() == Kind::Name; }
 
 private:
-  std::string Name;
+  std::string_view Name;
   ObjectRef Ref;
 };
 
 /// A static slice of an object: x(z1 downto z2) or s(z1 to z2).
 class SliceExpr : public Expr {
 public:
-  SliceExpr(std::string Name, SliceSpec Slice, SourceRange Range)
-      : Expr(Kind::Slice, Range), Name(std::move(Name)), Slice(Slice) {}
+  SliceExpr(std::string_view Name, SliceSpec Slice, SourceRange Range)
+      : Expr(Kind::Slice, Range), Name(Name), Slice(Slice) {}
 
-  const std::string &name() const { return Name; }
+  std::string_view name() const { return Name; }
   const SliceSpec &slice() const { return Slice; }
   ObjectRef ref() const { return Ref; }
   void setRef(ObjectRef R) { Ref = R; }
 
-  ExprPtr clone() const override;
   static bool classof(const Expr *E) { return E->kind() == Kind::Slice; }
 
 private:
-  std::string Name;
+  std::string_view Name;
   SliceSpec Slice;
   ObjectRef Ref;
 };
@@ -211,27 +210,25 @@ private:
 /// opum e.
 class UnaryExpr : public Expr {
 public:
-  UnaryExpr(UnaryOpKind Op, ExprPtr Sub, SourceRange Range)
-      : Expr(Kind::Unary, Range), Op(Op), Sub(std::move(Sub)) {}
+  UnaryExpr(UnaryOpKind Op, Expr *Sub, SourceRange Range)
+      : Expr(Kind::Unary, Range), Op(Op), Sub(Sub) {}
 
   UnaryOpKind op() const { return Op; }
   const Expr &sub() const { return *Sub; }
   Expr &sub() { return *Sub; }
 
-  ExprPtr clone() const override;
   static bool classof(const Expr *E) { return E->kind() == Kind::Unary; }
 
 private:
   UnaryOpKind Op;
-  ExprPtr Sub;
+  Expr *Sub;
 };
 
 /// e1 opbm e2 and e1 opa e2.
 class BinaryExpr : public Expr {
 public:
-  BinaryExpr(BinaryOpKind Op, ExprPtr LHS, ExprPtr RHS, SourceRange Range)
-      : Expr(Kind::Binary, Range), Op(Op), LHS(std::move(LHS)),
-        RHS(std::move(RHS)) {}
+  BinaryExpr(BinaryOpKind Op, Expr *LHS, Expr *RHS, SourceRange Range)
+      : Expr(Kind::Binary, Range), Op(Op), LHS(LHS), RHS(RHS) {}
 
   BinaryOpKind op() const { return Op; }
   const Expr &lhs() const { return *LHS; }
@@ -239,14 +236,17 @@ public:
   Expr &lhs() { return *LHS; }
   Expr &rhs() { return *RHS; }
 
-  ExprPtr clone() const override;
   static bool classof(const Expr *E) { return E->kind() == Kind::Binary; }
 
 private:
   BinaryOpKind Op;
-  ExprPtr LHS;
-  ExprPtr RHS;
+  Expr *LHS;
+  Expr *RHS;
 };
+
+/// Deep copy of \p E into \p Dest, resolutions, types and spellings
+/// included: the copy shares nothing with \p E's arena.
+Expr *cloneExpr(const Expr &E, AstArena &Dest);
 
 /// Invokes \p Fn on every NameExpr/SliceExpr in \p E (pre-order).
 void forEachNameUse(const Expr &E,

@@ -22,13 +22,13 @@
 
 #include "ast/Expr.h"
 
-#include <memory>
-#include <string>
-#include <vector>
+#include <optional>
+#include <string_view>
 
 namespace vif {
 
-/// Base class of all VHDL1 sequential statements.
+/// Base class of all VHDL1 sequential statements. Like Expr, nodes live in
+/// an AstArena and are trivially destructible.
 class Stmt {
 public:
   enum class Kind : uint8_t {
@@ -41,13 +41,8 @@ public:
     While,
   };
 
-  virtual ~Stmt();
-
   Kind kind() const { return K; }
   SourceRange range() const { return Range; }
-
-  /// Deep copy, preserving resolution and type annotations.
-  virtual std::unique_ptr<Stmt> clone() const = 0;
 
 protected:
   Stmt(Kind K, SourceRange Range) : K(K), Range(Range) {}
@@ -57,15 +52,12 @@ private:
   SourceRange Range;
 };
 
-using StmtPtr = std::unique_ptr<Stmt>;
-
 /// null.
 class NullStmt : public Stmt {
 public:
   explicit NullStmt(SourceRange Range = SourceRange())
       : Stmt(Kind::Null, Range) {}
 
-  StmtPtr clone() const override;
   static bool classof(const Stmt *S) { return S->kind() == Kind::Null; }
 };
 
@@ -73,11 +65,11 @@ public:
 /// optional static slice and a value expression.
 class AssignStmtBase : public Stmt {
 public:
-  const std::string &targetName() const { return Target; }
-  bool hasSlice() const { return Slice.has_value(); }
+  std::string_view targetName() const { return Target; }
+  bool hasSlice() const { return HasSlice; }
   const SliceSpec &slice() const {
-    assert(Slice && "assignment has no slice");
-    return *Slice;
+    assert(HasSlice && "assignment has no slice");
+    return Slice;
   }
   const Expr &value() const { return *Value; }
   Expr &value() { return *Value; }
@@ -90,16 +82,18 @@ public:
   }
 
 protected:
-  AssignStmtBase(Kind K, std::string Target, std::optional<SliceSpec> Slice,
-                 ExprPtr Value, SourceRange Range)
-      : Stmt(K, Range), Target(std::move(Target)), Slice(Slice),
-        Value(std::move(Value)) {}
+  AssignStmtBase(Kind K, std::string_view Target,
+                 std::optional<SliceSpec> Slice, Expr *Value,
+                 SourceRange Range)
+      : Stmt(K, Range), Target(Target), Value(Value),
+        Slice(Slice.value_or(SliceSpec())), HasSlice(Slice.has_value()) {}
 
 private:
-  std::string Target;
-  std::optional<SliceSpec> Slice;
-  ExprPtr Value;
+  std::string_view Target;
+  Expr *Value;
+  SliceSpec Slice;
   ObjectRef Ref;
+  bool HasSlice;
 };
 
 /// x := e and x(z1 downto z2) := e. The parser cannot distinguish variable
@@ -107,12 +101,10 @@ private:
 /// a variable, "<=" always a signal.
 class VarAssignStmt : public AssignStmtBase {
 public:
-  VarAssignStmt(std::string Target, std::optional<SliceSpec> Slice,
-                ExprPtr Value, SourceRange Range)
-      : AssignStmtBase(Kind::VarAssign, std::move(Target), Slice,
-                       std::move(Value), Range) {}
+  VarAssignStmt(std::string_view Target, std::optional<SliceSpec> Slice,
+                Expr *Value, SourceRange Range)
+      : AssignStmtBase(Kind::VarAssign, Target, Slice, Value, Range) {}
 
-  StmtPtr clone() const override;
   static bool classof(const Stmt *S) { return S->kind() == Kind::VarAssign; }
 };
 
@@ -120,12 +112,10 @@ public:
 /// after the next delta-cycle); the present value is untouched.
 class SignalAssignStmt : public AssignStmtBase {
 public:
-  SignalAssignStmt(std::string Target, std::optional<SliceSpec> Slice,
-                   ExprPtr Value, SourceRange Range)
-      : AssignStmtBase(Kind::SignalAssign, std::move(Target), Slice,
-                       std::move(Value), Range) {}
+  SignalAssignStmt(std::string_view Target, std::optional<SliceSpec> Slice,
+                   Expr *Value, SourceRange Range)
+      : AssignStmtBase(Kind::SignalAssign, Target, Slice, Value, Range) {}
 
-  StmtPtr clone() const override;
   static bool classof(const Stmt *S) {
     return S->kind() == Kind::SignalAssign;
   }
@@ -136,13 +126,13 @@ public:
 /// materializes them so analyses always see both.
 class WaitStmt : public Stmt {
 public:
-  WaitStmt(std::vector<std::string> OnNames, bool HasOn, ExprPtr Until,
+  WaitStmt(ArenaArray<std::string_view> OnNames, bool HasOn, Expr *Until,
            SourceRange Range)
-      : Stmt(Kind::Wait, Range), OnNames(std::move(OnNames)), HasOn(HasOn),
-        Until(std::move(Until)) {}
+      : Stmt(Kind::Wait, Range), OnNames(OnNames), Until(Until),
+        HasOn(HasOn) {}
 
   /// Signal names in the `on` clause as written (possibly empty).
-  const std::vector<std::string> &onNames() const { return OnNames; }
+  const ArenaArray<std::string_view> &onNames() const { return OnNames; }
   bool hasExplicitOn() const { return HasOn; }
 
   bool hasUntil() const { return Until != nullptr; }
@@ -155,46 +145,40 @@ public:
     return *Until;
   }
 
-  /// Resolved ids of the signals waited on (filled by the elaborator,
-  /// including defaulted `on` sets).
-  const std::vector<unsigned> &onSignals() const { return OnSignals; }
-  void setOnSignals(std::vector<unsigned> Sigs) {
-    OnSignals = std::move(Sigs);
-  }
+  /// Resolved ids of the signals waited on, ascending (filled by the
+  /// elaborator, including defaulted `on` sets).
+  const ArenaArray<unsigned> &onSignals() const { return OnSignals; }
+  void setOnSignals(ArenaArray<unsigned> Sigs) { OnSignals = Sigs; }
 
-  StmtPtr clone() const override;
   static bool classof(const Stmt *S) { return S->kind() == Kind::Wait; }
 
 private:
-  std::vector<std::string> OnNames;
+  ArenaArray<std::string_view> OnNames;
+  ArenaArray<unsigned> OnSignals;
+  Expr *Until;
   bool HasOn;
-  ExprPtr Until;
-  std::vector<unsigned> OnSignals;
 };
 
 /// ss1; ss2; ...; ssn.
 class CompoundStmt : public Stmt {
 public:
-  CompoundStmt(std::vector<StmtPtr> Stmts, SourceRange Range)
-      : Stmt(Kind::Compound, Range), Stmts(std::move(Stmts)) {}
+  CompoundStmt(ArenaArray<Stmt *> Stmts, SourceRange Range)
+      : Stmt(Kind::Compound, Range), Stmts(Stmts) {}
 
-  const std::vector<StmtPtr> &stmts() const { return Stmts; }
-  std::vector<StmtPtr> &stmts() { return Stmts; }
+  const ArenaArray<Stmt *> &stmts() const { return Stmts; }
 
-  StmtPtr clone() const override;
   static bool classof(const Stmt *S) { return S->kind() == Kind::Compound; }
 
 private:
-  std::vector<StmtPtr> Stmts;
+  ArenaArray<Stmt *> Stmts;
 };
 
 /// if e then ss1 else ss2. A missing else branch parses as NullStmt, so
 /// Else is never null.
 class IfStmt : public Stmt {
 public:
-  IfStmt(ExprPtr Cond, StmtPtr Then, StmtPtr Else, SourceRange Range)
-      : Stmt(Kind::If, Range), Cond(std::move(Cond)), Then(std::move(Then)),
-        Else(std::move(Else)) {
+  IfStmt(Expr *Cond, Stmt *Then, Stmt *Else, SourceRange Range)
+      : Stmt(Kind::If, Range), Cond(Cond), Then(Then), Else(Else) {
     assert(this->Then && this->Else && "if branches must be non-null");
   }
 
@@ -202,34 +186,37 @@ public:
   Expr &cond() { return *Cond; }
   const Stmt &thenStmt() const { return *Then; }
   const Stmt &elseStmt() const { return *Else; }
+  Stmt &thenStmt() { return *Then; }
+  Stmt &elseStmt() { return *Else; }
 
-  StmtPtr clone() const override;
   static bool classof(const Stmt *S) { return S->kind() == Kind::If; }
 
 private:
-  ExprPtr Cond;
-  StmtPtr Then;
-  StmtPtr Else;
+  Expr *Cond;
+  Stmt *Then;
+  Stmt *Else;
 };
 
 /// while e do ss.
 class WhileStmt : public Stmt {
 public:
-  WhileStmt(ExprPtr Cond, StmtPtr Body, SourceRange Range)
-      : Stmt(Kind::While, Range), Cond(std::move(Cond)),
-        Body(std::move(Body)) {}
+  WhileStmt(Expr *Cond, Stmt *Body, SourceRange Range)
+      : Stmt(Kind::While, Range), Cond(Cond), Body(Body) {}
 
   const Expr &cond() const { return *Cond; }
   Expr &cond() { return *Cond; }
   const Stmt &body() const { return *Body; }
+  Stmt &body() { return *Body; }
 
-  StmtPtr clone() const override;
   static bool classof(const Stmt *S) { return S->kind() == Kind::While; }
 
 private:
-  ExprPtr Cond;
-  StmtPtr Body;
+  Expr *Cond;
+  Stmt *Body;
 };
+
+/// Deep copy of \p S into \p Dest, like cloneExpr.
+Stmt *cloneStmt(const Stmt &S, AstArena &Dest);
 
 } // namespace vif
 

@@ -130,9 +130,9 @@ public:
 private:
   bool rangeValid() const { return Downto ? Left >= Right : Left <= Right; }
 
-  bool IsVector = false;
   int Left = 0;
   int Right = 0;
+  bool IsVector = false;
   bool Downto = true;
 };
 

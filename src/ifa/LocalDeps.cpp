@@ -43,7 +43,7 @@ public:
 
 private:
   void addReads(LabelId L, const Expr *E, const BlockSet &B,
-                const std::vector<unsigned> &ExtraSigs = {}) {
+                const ArenaArray<unsigned> &ExtraSigs = {}) {
     BlockSet Reads = B;
     if (E)
       addExprObjects(*E, Reads);
@@ -89,7 +89,7 @@ private:
     }
     case Stmt::Kind::Compound:
       // [Composition]
-      for (const StmtPtr &Sub : cast<CompoundStmt>(&S)->stmts())
+      for (const Stmt *Sub : cast<CompoundStmt>(&S)->stmts())
         visit(*Sub, B);
       return;
     case Stmt::Kind::If: {

@@ -8,12 +8,13 @@
 
 #include "parse/Lexer.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace vif;
 
-Parser::Parser(TokenStream Tokens, DiagnosticEngine &Diags)
-    : Tokens(std::move(Tokens)), Diags(Diags) {
+Parser::Parser(TokenStream Tokens, AstArena &Arena, DiagnosticEngine &Diags)
+    : Tokens(std::move(Tokens)), Arena(Arena), Diags(Diags) {
   assert(!this->Tokens.empty() &&
          this->Tokens.back().is(TokenKind::Eof) &&
          "token stream must end with Eof");
@@ -49,6 +50,14 @@ bool Parser::expect(TokenKind K, const char *Context) {
   return false;
 }
 
+std::string_view Parser::curName() {
+  std::string_view Text = Tokens.text(cur());
+  auto It = Names.find(Text);
+  if (It != Names.end())
+    return *It;
+  return *Names.insert(Arena.copyString(Text)).first;
+}
+
 void Parser::skipToSemi() {
   while (!at(TokenKind::Eof) && !at(TokenKind::Semi))
     consume();
@@ -59,8 +68,8 @@ void Parser::skipToSemi() {
 // Design units
 //===----------------------------------------------------------------------===//
 
-DesignFile Parser::parseDesignFile() {
-  DesignFile File;
+void Parser::parseDesignFile(DesignFile &File) {
+  assert(&File.Arena == &Arena && "the file must own the parser's arena");
   while (!at(TokenKind::Eof)) {
     if (at(TokenKind::KwEntity)) {
       File.Entities.push_back(parseEntity());
@@ -75,7 +84,6 @@ DesignFile Parser::parseDesignFile() {
                     tokenKindName(cur().K));
     consume();
   }
-  return File;
 }
 
 Entity Parser::parseEntity() {
@@ -233,9 +241,8 @@ std::vector<Decl> Parser::parseDeclarations() {
       Item.Name = Names[I];
       Item.Ty = D.Ty;
       Item.Range = D.Range;
-      // The initializer expression is shared syntax; clone per name.
-      if (D.Init)
-        Item.Init = D.Init->clone();
+      // The names share the one initializer node.
+      Item.Init = D.Init;
       Decls.push_back(std::move(Item));
     }
   }
@@ -259,17 +266,16 @@ ConcStmtPtr Parser::parseConcStmt() {
   }
   // Concurrent signal assignment.
   if (at(TokenKind::Identifier)) {
-    std::string Target = curText();
+    std::string_view Target = curName();
     consume();
     std::optional<SliceSpec> Slice = parseSliceSuffix();
     if (!expect(TokenKind::LessEq, "concurrent signal assignment")) {
       skipToSemi();
       return nullptr;
     }
-    ExprPtr Value = parseExpression();
+    Expr *Value = parseExpression();
     expect(TokenKind::Semi, "concurrent signal assignment");
-    return std::make_unique<ConcAssignStmt>(std::move(Target), Slice,
-                                            std::move(Value),
+    return std::make_unique<ConcAssignStmt>(Target, Slice, Value,
                                             SourceRange(Start, cur().Loc));
   }
   Diags.error(cur().Loc, std::string("expected concurrent statement, found ") +
@@ -282,7 +288,7 @@ ConcStmtPtr Parser::parseProcess(std::string Label, SourceLoc Start) {
   expect(TokenKind::KwProcess, "process statement");
   std::vector<Decl> Decls = parseDeclarations();
   expect(TokenKind::KwBegin, "process statement");
-  StmtPtr Body = parseStatementList();
+  Stmt *Body = parseStatementList();
   expect(TokenKind::KwEnd, "process statement");
   expect(TokenKind::KwProcess, "process statement");
   if (at(TokenKind::Identifier)) {
@@ -293,8 +299,7 @@ ConcStmtPtr Parser::parseProcess(std::string Label, SourceLoc Start) {
   }
   expect(TokenKind::Semi, "process statement");
   return std::make_unique<ProcessStmt>(std::move(Label), std::move(Decls),
-                                       std::move(Body),
-                                       SourceRange(Start, cur().Loc));
+                                       Body, SourceRange(Start, cur().Loc));
 }
 
 ConcStmtPtr Parser::parseBlock(std::string Label, SourceLoc Start) {
@@ -328,35 +333,27 @@ bool Parser::atStmtListEnd() const {
          at(TokenKind::KwElsif) || at(TokenKind::Eof);
 }
 
-StmtPtr Parser::parseStatementList() {
+Stmt *Parser::parseStatementList() {
   SourceLoc Start = cur().Loc;
-  // A one-statement list is that statement: hold the first one aside and
-  // build the vector only when a second arrives.
-  StmtPtr First;
-  std::vector<StmtPtr> Stmts;
-  while (!atStmtListEnd()) {
-    StmtPtr S = parseStmt();
-    if (!S)
-      continue;
-    if (!First && Stmts.empty()) {
-      First = std::move(S);
-      continue;
-    }
-    if (First)
-      Stmts.push_back(std::move(First));
-    Stmts.push_back(std::move(S));
-  }
-  if (First)
-    return First;
-  return std::make_unique<CompoundStmt>(std::move(Stmts),
-                                        SourceRange(Start, cur().Loc));
+  size_t Base = OpenStmts.size();
+  while (!atStmtListEnd())
+    if (Stmt *S = parseStmt())
+      OpenStmts.push_back(S);
+  size_t Count = OpenStmts.size() - Base;
+  // A one-statement list is that statement.
+  Stmt *List = Count == 1 ? OpenStmts[Base]
+                          : Arena.make<CompoundStmt>(
+                                Arena.copy(OpenStmts.data() + Base, Count),
+                                SourceRange(Start, cur().Loc));
+  OpenStmts.resize(Base);
+  return List;
 }
 
-StmtPtr Parser::parseStmtImpl() {
+Stmt *Parser::parseStmtImpl() {
   SourceLoc Start = cur().Loc;
   if (accept(TokenKind::KwNull)) {
     expect(TokenKind::Semi, "null statement");
-    return std::make_unique<NullStmt>(SourceRange(Start, cur().Loc));
+    return Arena.make<NullStmt>(SourceRange(Start, cur().Loc));
   }
   if (at(TokenKind::KwIf)) {
     consume();
@@ -378,11 +375,11 @@ StmtPtr Parser::parseStmtImpl() {
   return nullptr;
 }
 
-StmtPtr Parser::parseIfImpl(SourceLoc Start) {
-  ExprPtr Cond = parseExpression();
+Stmt *Parser::parseIfImpl(SourceLoc Start) {
+  Expr *Cond = parseExpression();
   expect(TokenKind::KwThen, "if statement");
-  StmtPtr Then = parseStatementList();
-  StmtPtr Else;
+  Stmt *Then = parseStatementList();
+  Stmt *Else;
   if (at(TokenKind::KwElsif)) {
     // elsif desugars into a nested if that reuses this 'end if'.
     SourceLoc ElsifLoc = consume().Loc;
@@ -390,73 +387,67 @@ StmtPtr Parser::parseIfImpl(SourceLoc Start) {
     // Past the nesting budget the elsif arm is only a diagnostic; an if
     // still needs both branches.
     if (!Else)
-      Else = std::make_unique<NullStmt>(SourceRange(ElsifLoc));
-    return std::make_unique<IfStmt>(std::move(Cond), std::move(Then),
-                                    std::move(Else),
-                                    SourceRange(Start, cur().Loc));
+      Else = Arena.make<NullStmt>(SourceRange(ElsifLoc));
+    return Arena.make<IfStmt>(Cond, Then, Else,
+                              SourceRange(Start, cur().Loc));
   }
   if (accept(TokenKind::KwElse))
     Else = parseStatementList();
   else
-    Else = std::make_unique<NullStmt>(SourceRange(cur().Loc));
+    Else = Arena.make<NullStmt>(SourceRange(cur().Loc));
   expect(TokenKind::KwEnd, "if statement");
   expect(TokenKind::KwIf, "if statement");
   expect(TokenKind::Semi, "if statement");
-  return std::make_unique<IfStmt>(std::move(Cond), std::move(Then),
-                                  std::move(Else),
-                                  SourceRange(Start, cur().Loc));
+  return Arena.make<IfStmt>(Cond, Then, Else, SourceRange(Start, cur().Loc));
 }
 
-StmtPtr Parser::parseWhile(SourceLoc Start) {
-  ExprPtr Cond = parseExpression();
+Stmt *Parser::parseWhile(SourceLoc Start) {
+  Expr *Cond = parseExpression();
   expect(TokenKind::KwLoop, "while loop");
-  StmtPtr Body = parseStatementList();
+  Stmt *Body = parseStatementList();
   expect(TokenKind::KwEnd, "while loop");
   expect(TokenKind::KwLoop, "while loop");
   expect(TokenKind::Semi, "while loop");
-  return std::make_unique<WhileStmt>(std::move(Cond), std::move(Body),
-                                     SourceRange(Start, cur().Loc));
+  return Arena.make<WhileStmt>(Cond, Body, SourceRange(Start, cur().Loc));
 }
 
-StmtPtr Parser::parseWait(SourceLoc Start) {
-  std::vector<std::string> OnNames;
+Stmt *Parser::parseWait(SourceLoc Start) {
+  OnNames.clear();
   bool HasOn = false;
   if (accept(TokenKind::KwOn)) {
     HasOn = true;
-    OnNames.push_back(curText());
+    OnNames.push_back(curName());
     expect(TokenKind::Identifier, "wait statement");
     while (accept(TokenKind::Comma)) {
-      OnNames.push_back(curText());
+      OnNames.push_back(curName());
       expect(TokenKind::Identifier, "wait statement");
     }
   }
-  ExprPtr Until;
+  ArenaArray<std::string_view> On = Arena.copy(OnNames);
+  Expr *Until = nullptr;
   if (accept(TokenKind::KwUntil))
     Until = parseExpression();
   expect(TokenKind::Semi, "wait statement");
-  return std::make_unique<WaitStmt>(std::move(OnNames), HasOn,
-                                    std::move(Until),
-                                    SourceRange(Start, cur().Loc));
+  return Arena.make<WaitStmt>(On, HasOn, Until,
+                              SourceRange(Start, cur().Loc));
 }
 
-StmtPtr Parser::parseAssignment() {
+Stmt *Parser::parseAssignment() {
   SourceLoc Start = cur().Loc;
-  std::string Target = curText();
+  std::string_view Target = curName();
   consume();
   std::optional<SliceSpec> Slice = parseSliceSuffix();
   if (accept(TokenKind::ColonEq)) {
-    ExprPtr Value = parseExpression();
+    Expr *Value = parseExpression();
     expect(TokenKind::Semi, "variable assignment");
-    return std::make_unique<VarAssignStmt>(std::move(Target), Slice,
-                                           std::move(Value),
-                                           SourceRange(Start, cur().Loc));
+    return Arena.make<VarAssignStmt>(Target, Slice, Value,
+                                     SourceRange(Start, cur().Loc));
   }
   if (accept(TokenKind::LessEq)) {
-    ExprPtr Value = parseExpression();
+    Expr *Value = parseExpression();
     expect(TokenKind::Semi, "signal assignment");
-    return std::make_unique<SignalAssignStmt>(std::move(Target), Slice,
-                                              std::move(Value),
-                                              SourceRange(Start, cur().Loc));
+    return Arena.make<SignalAssignStmt>(Target, Slice, Value,
+                                        SourceRange(Start, cur().Loc));
   }
   Diags.error(cur().Loc, "expected ':=' or '<=' in assignment");
   skipToSemi();
@@ -476,8 +467,8 @@ StmtPtr Parser::parseAssignment() {
 // Unlike strict VHDL we allow mixing different logical operators without
 // parentheses (left-associative); this accepts a superset of legal VHDL.
 
-ExprPtr Parser::parseExpression() {
-  ExprPtr LHS = parseRelational();
+Expr *Parser::parseExpression() {
+  Expr *LHS = parseRelational();
   for (;;) {
     BinaryOpKind Op;
     if (at(TokenKind::KwAnd))
@@ -495,16 +486,15 @@ ExprPtr Parser::parseExpression() {
     else
       return LHS;
     SourceLoc Loc = consume().Loc;
-    ExprPtr RHS = parseRelational();
+    Expr *RHS = parseRelational();
     if (!LHS || !RHS)
-      return LHS ? std::move(LHS) : std::move(RHS);
-    LHS = std::make_unique<BinaryExpr>(Op, std::move(LHS), std::move(RHS),
-                                       SourceRange(Loc));
+      return LHS ? LHS : RHS;
+    LHS = Arena.make<BinaryExpr>(Op, LHS, RHS, SourceRange(Loc));
   }
 }
 
-ExprPtr Parser::parseRelational() {
-  ExprPtr LHS = parseAdditive();
+Expr *Parser::parseRelational() {
+  Expr *LHS = parseAdditive();
   BinaryOpKind Op;
   if (at(TokenKind::Eq))
     Op = BinaryOpKind::Eq;
@@ -521,15 +511,14 @@ ExprPtr Parser::parseRelational() {
   else
     return LHS;
   SourceLoc Loc = consume().Loc;
-  ExprPtr RHS = parseAdditive();
+  Expr *RHS = parseAdditive();
   if (!LHS || !RHS)
-    return LHS ? std::move(LHS) : std::move(RHS);
-  return std::make_unique<BinaryExpr>(Op, std::move(LHS), std::move(RHS),
-                                      SourceRange(Loc));
+    return LHS ? LHS : RHS;
+  return Arena.make<BinaryExpr>(Op, LHS, RHS, SourceRange(Loc));
 }
 
-ExprPtr Parser::parseAdditive() {
-  ExprPtr LHS = parseMultiplicative();
+Expr *Parser::parseAdditive() {
+  Expr *LHS = parseMultiplicative();
   for (;;) {
     BinaryOpKind Op;
     if (at(TokenKind::Plus))
@@ -541,36 +530,35 @@ ExprPtr Parser::parseAdditive() {
     else
       return LHS;
     SourceLoc Loc = consume().Loc;
-    ExprPtr RHS = parseMultiplicative();
+    Expr *RHS = parseMultiplicative();
     if (!LHS || !RHS)
-      return LHS ? std::move(LHS) : std::move(RHS);
-    LHS = std::make_unique<BinaryExpr>(Op, std::move(LHS), std::move(RHS),
-                                       SourceRange(Loc));
+      return LHS ? LHS : RHS;
+    LHS = Arena.make<BinaryExpr>(Op, LHS, RHS, SourceRange(Loc));
   }
 }
 
-ExprPtr Parser::parseMultiplicative() {
-  ExprPtr LHS = parsePrimary();
+Expr *Parser::parseMultiplicative() {
+  Expr *LHS = parsePrimary();
   while (at(TokenKind::Star)) {
     SourceLoc Loc = consume().Loc;
-    ExprPtr RHS = parsePrimary();
+    Expr *RHS = parsePrimary();
     if (!LHS || !RHS)
-      return LHS ? std::move(LHS) : std::move(RHS);
-    LHS = std::make_unique<BinaryExpr>(BinaryOpKind::Mul, std::move(LHS),
-                                       std::move(RHS), SourceRange(Loc));
+      return LHS ? LHS : RHS;
+    LHS = Arena.make<BinaryExpr>(BinaryOpKind::Mul, LHS, RHS,
+                                 SourceRange(Loc));
   }
   return LHS;
 }
 
-ExprPtr Parser::parsePrimaryImpl() {
+Expr *Parser::parsePrimaryImpl() {
   SourceLoc Start = cur().Loc;
   if (at(TokenKind::KwNot)) {
     consume();
-    ExprPtr Sub = parsePrimary();
+    Expr *Sub = parsePrimary();
     if (!Sub)
       return nullptr;
-    return std::make_unique<UnaryExpr>(UnaryOpKind::Not, std::move(Sub),
-                                       SourceRange(Start, cur().Loc));
+    return Arena.make<UnaryExpr>(UnaryOpKind::Not, Sub,
+                                 SourceRange(Start, cur().Loc));
   }
   if (at(TokenKind::CharLiteral)) {
     std::string_view Text = Tokens.text(cur());
@@ -582,42 +570,53 @@ ExprPtr Parser::parsePrimaryImpl() {
                   "'" + std::string(Text) + "' is not a std_logic value");
       V = StdLogic::U;
     }
-    return std::make_unique<LogicLiteralExpr>(*V, SourceRange(T.Loc));
+    return Arena.make<LogicLiteralExpr>(*V, SourceRange(T.Loc));
   }
-  if (at(TokenKind::StringLiteral)) {
-    std::string Text = curText();
-    const Token &T = consume();
-    std::optional<LogicVector> V = LogicVector::fromString(Text);
-    if (!V) {
-      Diags.error(T.Loc, "string literal \"" + Text +
-                             "\" contains characters outside std_logic");
-      V = LogicVector(Text.size());
-    }
-    return std::make_unique<VectorLiteralExpr>(std::move(*V),
-                                               SourceRange(T.Loc));
-  }
+  if (at(TokenKind::StringLiteral))
+    return parseVectorLiteral();
   if (at(TokenKind::LParen)) {
     consume();
-    ExprPtr Sub = parseExpression();
+    Expr *Sub = parseExpression();
     expect(TokenKind::RParen, "parenthesized expression");
     return Sub;
   }
   if (at(TokenKind::Identifier)) {
-    std::string Name = curText();
+    std::string_view Name = curName();
     SourceLoc Loc = consume().Loc;
     if (at(TokenKind::LParen)) {
       std::optional<SliceSpec> Slice = parseSliceSuffix();
       if (Slice)
-        return std::make_unique<SliceExpr>(std::move(Name), *Slice,
-                                           SourceRange(Loc, cur().Loc));
+        return Arena.make<SliceExpr>(Name, *Slice,
+                                     SourceRange(Loc, cur().Loc));
       return nullptr;
     }
-    return std::make_unique<NameExpr>(std::move(Name), SourceRange(Loc));
+    return Arena.make<NameExpr>(Name, SourceRange(Loc));
   }
   Diags.error(Start, std::string("expected expression, found ") +
                          tokenKindName(cur().K));
   consume();
   return nullptr;
+}
+
+Expr *Parser::parseVectorLiteral() {
+  std::string_view Text = Tokens.text(cur());
+  const Token &T = consume();
+  // The bits go straight into the arena; a character outside the
+  // nine-valued alphabet makes the whole literal 'U's after a diagnostic.
+  StdLogic *Bits = Text.empty() ? nullptr
+                                : Arena.allocateArray<StdLogic>(Text.size());
+  for (size_t I = 0; I < Text.size(); ++I) {
+    std::optional<StdLogic> V = stdLogicFromChar(Text[I]);
+    if (!V) {
+      Diags.error(T.Loc, "string literal \"" + std::string(Text) +
+                             "\" contains characters outside std_logic");
+      std::fill(Bits, Bits + Text.size(), StdLogic::U);
+      break;
+    }
+    Bits[I] = *V;
+  }
+  return Arena.make<VectorLiteralExpr>(ArenaArray<StdLogic>(Bits, Text.size()),
+                                       SourceRange(T.Loc));
 }
 
 std::optional<SliceSpec> Parser::parseSliceSuffix() {
@@ -653,14 +652,16 @@ std::optional<SliceSpec> Parser::parseSliceSuffix() {
 //===----------------------------------------------------------------------===//
 
 DesignFile vif::parseDesign(std::string Source, DiagnosticEngine &Diags) {
-  Parser P(Lexer(std::move(Source), Diags).lex(), Diags);
-  return P.parseDesignFile();
+  DesignFile File;
+  Parser P(Lexer(std::move(Source), Diags).lex(), File.Arena, Diags);
+  P.parseDesignFile(File);
+  return File;
 }
 
 StatementProgram vif::parseStatementProgram(std::string Source,
                                             DiagnosticEngine &Diags) {
-  Parser P(Lexer(std::move(Source), Diags).lex(), Diags);
   StatementProgram Prog;
+  Parser P(Lexer(std::move(Source), Diags).lex(), Prog.Arena, Diags);
   Prog.Decls = P.parseDeclarations();
   Prog.Body = P.parseStatementList();
   return Prog;

@@ -8,8 +8,12 @@
 /// Recursive-descent parser for the VHDL1 grammar of Figure 1, using the
 /// concrete VHDL syntax (`if .. then .. end if;`, `while .. loop .. end
 /// loop;`, `wait on a, b until e;`). Errors are reported to the diagnostic
-/// engine; parseDesignFile returns a partial tree which callers must not use
-/// when hasErrors().
+/// engine; after an error the tree is partial and callers must not use it.
+///
+/// Nodes go into the AstArena the parser is given (the one the returned
+/// DesignFile or StatementProgram owns). Each distinct identifier is
+/// copied into it once and every node naming it shares that spelling;
+/// vector-literal bits are written there directly.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,24 +25,27 @@
 #include "support/Diagnostics.h"
 
 #include <optional>
+#include <string_view>
+#include <unordered_set>
 #include <vector>
 
 namespace vif {
 
 class Parser {
 public:
-  Parser(TokenStream Tokens, DiagnosticEngine &Diags);
+  Parser(TokenStream Tokens, AstArena &Arena, DiagnosticEngine &Diags);
 
-  /// Parses a whole program (entities and architectures until EOF).
-  DesignFile parseDesignFile();
+  /// Parses a whole program (entities and architectures until EOF) into
+  /// \p File, whose arena must be the parser's.
+  void parseDesignFile(DesignFile &File);
 
   /// Parses a single sequential statement list (used by tests and by
   /// analyses of stand-alone statement programs such as the paper's (a) and
   /// (b) examples).
-  StmtPtr parseStatementList();
+  Stmt *parseStatementList();
 
   /// Parses a single expression.
-  ExprPtr parseExpression();
+  Expr *parseExpression();
 
   /// Parses a (possibly empty) declaration list.
   std::vector<Decl> parseDeclarations();
@@ -49,6 +56,8 @@ private:
   bool at(TokenKind K) const { return cur().is(K); }
   /// The spelling of the current token.
   std::string curText() const { return std::string(Tokens.text(cur())); }
+  /// The current token's spelling, interned in the arena.
+  std::string_view curName();
   const Token &consume();
   bool accept(TokenKind K);
   bool expect(TokenKind K, const char *Context);
@@ -62,23 +71,24 @@ private:
   ConcStmtPtr parseProcess(std::string Label, SourceLoc Start);
   ConcStmtPtr parseBlock(std::string Label, SourceLoc Start);
 
-  StmtPtr parseStmt() { return nested([&] { return parseStmtImpl(); }); }
-  StmtPtr parseStmtImpl();
-  StmtPtr parseIf(SourceLoc Start) {
+  Stmt *parseStmt() { return nested([&] { return parseStmtImpl(); }); }
+  Stmt *parseStmtImpl();
+  Stmt *parseIf(SourceLoc Start) {
     return nested([&] { return parseIfImpl(Start); });
   }
-  StmtPtr parseIfImpl(SourceLoc Start);
-  StmtPtr parseWhile(SourceLoc Start);
-  StmtPtr parseWait(SourceLoc Start);
-  StmtPtr parseAssignment();
+  Stmt *parseIfImpl(SourceLoc Start);
+  Stmt *parseWhile(SourceLoc Start);
+  Stmt *parseWait(SourceLoc Start);
+  Stmt *parseAssignment();
 
-  ExprPtr parseRelational();
-  ExprPtr parseAdditive();
-  ExprPtr parseMultiplicative();
-  ExprPtr parsePrimary() {
+  Expr *parseRelational();
+  Expr *parseAdditive();
+  Expr *parseMultiplicative();
+  Expr *parsePrimary() {
     return nested([&] { return parsePrimaryImpl(); });
   }
-  ExprPtr parsePrimaryImpl();
+  Expr *parsePrimaryImpl();
+  Expr *parseVectorLiteral();
   std::optional<SliceSpec> parseSliceSuffix();
 
   /// True if the statement-list terminator set begins at the cursor.
@@ -104,9 +114,17 @@ private:
   static constexpr unsigned MaxNestingDepth = 512;
 
   TokenStream Tokens;
+  AstArena &Arena;
   DiagnosticEngine &Diags;
   size_t Index = 0;
   unsigned NestingDepth = 0;
+  /// Arena spellings of the identifiers seen so far.
+  std::unordered_set<std::string_view> Names;
+  /// Statements of the lists being parsed, innermost last: a list copies
+  /// its run into the arena and pops it.
+  std::vector<Stmt *> OpenStmts;
+  /// The `on` names of the wait being parsed.
+  std::vector<std::string_view> OnNames;
 };
 
 /// Lexes and parses \p Source as a full design file. The lexer keeps

@@ -51,59 +51,19 @@ size_t stringBytes(const std::string &S) {
   return S.capacity() > std::string().capacity() ? S.capacity() + 1 : 0;
 }
 
-size_t treeBytes(const Expr *E) {
-  if (const auto *V = dyn_cast<VectorLiteralExpr>(E))
-    return sizeof(*V) + V->value().bits().capacity();
-  if (const auto *N = dyn_cast<NameExpr>(E))
-    return sizeof(*N) + stringBytes(N->name());
-  if (const auto *S = dyn_cast<SliceExpr>(E))
-    return sizeof(*S) + stringBytes(S->name());
-  if (const auto *U = dyn_cast<UnaryExpr>(E))
-    return sizeof(*U) + treeBytes(&U->sub());
-  if (const auto *B = dyn_cast<BinaryExpr>(E))
-    return sizeof(*B) + treeBytes(&B->lhs()) + treeBytes(&B->rhs());
-  return sizeof(LogicLiteralExpr);
-}
-
-size_t treeBytes(const Stmt *S) {
-  if (const auto *A = dyn_cast<AssignStmtBase>(S))
-    return sizeof(VarAssignStmt) + stringBytes(A->targetName()) +
-           treeBytes(&A->value());
-  if (const auto *I = dyn_cast<IfStmt>(S))
-    return sizeof(*I) + treeBytes(&I->cond()) + treeBytes(&I->thenStmt()) +
-           treeBytes(&I->elseStmt());
-  if (const auto *W = dyn_cast<WhileStmt>(S))
-    return sizeof(*W) + treeBytes(&W->cond()) + treeBytes(&W->body());
-  size_t Bytes = sizeof(NullStmt);
-  if (const auto *C = dyn_cast<CompoundStmt>(S)) {
-    Bytes = sizeof(*C) + C->stmts().capacity() * sizeof(StmtPtr);
-    for (const StmtPtr &Sub : C->stmts())
-      Bytes += treeBytes(Sub.get());
-  } else if (const auto *W = dyn_cast<WaitStmt>(S)) {
-    Bytes = sizeof(*W) + W->onNames().capacity() * sizeof(std::string) +
-            W->onSignals().capacity() * sizeof(unsigned) +
-            (W->hasUntil() ? treeBytes(&W->until()) : 0);
-    for (const std::string &N : W->onNames())
-      Bytes += stringBytes(N);
-  }
-  return Bytes;
-}
-
 } // namespace
 
 size_t ElaboratedProgram::memoryBytes() const {
-  size_t Bytes = Signals.capacity() * sizeof(ElabSignal) +
+  size_t Bytes = Arena.blockBytes() +
+                 Signals.capacity() * sizeof(ElabSignal) +
                  Variables.capacity() * sizeof(ElabVariable) +
                  Processes.capacity() * sizeof(ElabProcess);
   for (const ElabSignal &S : Signals)
-    Bytes += stringBytes(S.Name) + stringBytes(S.UniqueName) +
-             (S.Init ? treeBytes(S.Init.get()) : 0);
+    Bytes += stringBytes(S.Name) + stringBytes(S.UniqueName);
   for (const ElabVariable &V : Variables)
-    Bytes += stringBytes(V.Name) + stringBytes(V.UniqueName) +
-             (V.Init ? treeBytes(V.Init.get()) : 0);
+    Bytes += stringBytes(V.Name) + stringBytes(V.UniqueName);
   for (const ElabProcess &P : Processes)
-    Bytes += stringBytes(P.Name) + P.Variables.capacity() * sizeof(unsigned) +
-             treeBytes(P.Body.get());
+    Bytes += stringBytes(P.Name) + P.Variables.capacity() * sizeof(unsigned);
   return Bytes;
 }
 
@@ -161,7 +121,7 @@ void vif::collectStmtObjects(const Stmt &S, std::vector<unsigned> &Vars,
     return;
   }
   case Stmt::Kind::Compound:
-    for (const StmtPtr &Sub : cast<CompoundStmt>(&S)->stmts())
+    for (const Stmt *Sub : cast<CompoundStmt>(&S)->stmts())
       collectStmtObjects(*Sub, Vars, Sigs);
     return;
   case Stmt::Kind::If: {
@@ -187,8 +147,10 @@ void vif::collectStmtObjects(const Stmt &S, std::vector<unsigned> &Vars,
 namespace {
 
 /// The signals one lexical scope declares, by source name. A name declared
-/// twice in one scope resolves to its first declaration.
-using SignalScope = std::unordered_map<std::string, unsigned>;
+/// twice in one scope resolves to its first declaration. Keys view
+/// spellings that outlive elaboration's maps: the tree's (declarations,
+/// ports, arena names).
+using SignalScope = std::unordered_map<std::string_view, unsigned>;
 /// Enclosing scopes, outermost first.
 using ScopeStack = std::vector<SignalScope>;
 
@@ -198,32 +160,36 @@ struct Homonyms {
   unsigned First = 0;
   unsigned Count = 0;
 };
-using VariableNames = std::unordered_map<std::string, Homonyms>;
+using VariableNames = std::unordered_map<std::string_view, Homonyms>;
 
 class Elaborator {
 public:
-  Elaborator(DiagnosticEngine &Diags) : Diags(Diags) {}
+  Elaborator(DiagnosticEngine &Diags, AstArena &Arena)
+      : Diags(Diags), Arena(Arena) {}
 
-  /// Elaborates \p File, moving its process bodies and initializers into
-  /// the program.
+  /// Elaborates \p File, whose arena is the elaborator's; new nodes go
+  /// there too.
   std::optional<ElaboratedProgram> run(DesignFile &File,
                                        const ElaborateOptions &Opts);
 
 private:
-  void declarePort(const Port &P);
+  bool declarePort(const Port &P);
   unsigned declareSignal(Decl &D, SignalClass Class,
                          const std::string &ScopePrefix);
   void elabConcStmts(std::vector<ConcStmtPtr> &Stmts, ScopeStack &Scopes,
                      const std::string &ScopePrefix);
   void elabProcess(ProcessStmt &P, const ScopeStack &Scopes);
   void elabConcAssign(ConcAssignStmt &A, const ScopeStack &Scopes);
+  /// `null; while '1' loop Body end loop` over \p Range.
+  Stmt *loopForever(Stmt *Body, SourceRange Range);
 
   /// Checks that \p Init is a literal of type \p Ty (or null) and returns
   /// it typed, or null after a diagnostic.
-  ExprPtr checkInitializer(ExprPtr Init, const Type &Ty, const char *What,
-                           const std::string &Name);
+  Expr *checkInitializer(Expr *Init, const Type &Ty, const char *What,
+                         const std::string &Name);
 
   DiagnosticEngine &Diags;
+  AstArena &Arena;
   ElaboratedProgram Program;
   std::unordered_set<std::string> UsedSignalNames;
   VariableNames VarNames;
@@ -235,14 +201,16 @@ private:
 class ProcessChecker {
 public:
   ProcessChecker(DiagnosticEngine &Diags, ElaboratedProgram &Program,
-                 VariableNames &VarNames, unsigned ProcessId,
-                 const ScopeStack *SignalScopes, bool ImplicitDecls)
-      : Diags(Diags), Program(Program), VarNames(VarNames),
+                 AstArena &Arena, VariableNames &VarNames,
+                 unsigned ProcessId, const ScopeStack *SignalScopes,
+                 bool ImplicitDecls)
+      : Diags(Diags), Program(Program), Arena(Arena), VarNames(VarNames),
         ProcessId(ProcessId), SignalScopes(SignalScopes),
         ImplicitDecls(ImplicitDecls) {}
 
-  /// Declares a process-local variable; reports redeclarations.
-  void declareVariable(const std::string &Name, Type Ty, ExprPtr Init,
+  /// Declares a process-local variable; reports redeclarations. \p Name
+  /// must outlive the checker.
+  void declareVariable(std::string_view Name, Type Ty, const Expr *Init,
                        SourceLoc Loc);
 
   void checkStmt(Stmt &S);
@@ -253,13 +221,13 @@ public:
 
   /// Statement-program mode: declares \p D (variable or internal signal)
   /// before resolution starts, adopting its initializer.
-  void declareUpFront(Decl &D);
+  void declareUpFront(const Decl &D);
 
 private:
   std::optional<Type> checkExpr(Expr &E);
   std::optional<Type> checkName(NameExpr &E);
   std::optional<Type> checkSlice(SliceExpr &E);
-  std::optional<ObjectRef> resolve(const std::string &Name, SourceLoc Loc,
+  std::optional<ObjectRef> resolve(std::string_view Name, SourceLoc Loc,
                                    bool WantSignal);
   void checkCondition(Expr &E, const char *What);
   void checkAssign(AssignStmtBase &S, bool IsSignal);
@@ -267,57 +235,57 @@ private:
 
   const Type *typeOf(ObjectRef Ref) const;
   /// Implicit-declaration mode: a new signal \p Name of type \p Ty.
-  unsigned declareImplicitSignal(const std::string &Name, Type Ty,
-                                 ExprPtr Init = nullptr);
+  unsigned declareImplicitSignal(std::string_view Name, Type Ty,
+                                 const Expr *Init = nullptr);
 
   DiagnosticEngine &Diags;
   ElaboratedProgram &Program;
+  AstArena &Arena;
   VariableNames &VarNames;
   unsigned ProcessId;
   const ScopeStack *SignalScopes;
   bool ImplicitDecls;
-  std::unordered_map<std::string, unsigned> LocalVars;
+  std::unordered_map<std::string_view, unsigned> LocalVars;
   SignalScope ImplicitSignals;
 };
 
-unsigned ProcessChecker::declareImplicitSignal(const std::string &Name,
-                                               Type Ty, ExprPtr Init) {
+unsigned ProcessChecker::declareImplicitSignal(std::string_view Name,
+                                               Type Ty, const Expr *Init) {
   ElabSignal Sig;
   Sig.Id = static_cast<unsigned>(Program.Signals.size());
-  Sig.Name = Sig.UniqueName = Name;
+  Sig.Name = Sig.UniqueName = std::string(Name);
   Sig.Ty = Ty;
-  Sig.Init = std::move(Init);
+  Sig.Init = Init;
   ImplicitSignals.emplace(Name, Sig.Id);
   Program.Signals.push_back(std::move(Sig));
   return Program.Signals.back().Id;
 }
 
-void ProcessChecker::declareUpFront(Decl &D) {
+void ProcessChecker::declareUpFront(const Decl &D) {
   assert(ImplicitDecls && "up-front declaration is for statement programs");
-  ExprPtr Init;
+  const Expr *Init = nullptr;
   if (D.Init) {
     // Statement programs accept literal initializers only, like designs.
-    if (isa<LogicLiteralExpr>(D.Init.get()) ||
-        isa<VectorLiteralExpr>(D.Init.get()))
-      Init = std::move(D.Init);
+    if (isa<LogicLiteralExpr>(D.Init) || isa<VectorLiteralExpr>(D.Init))
+      Init = D.Init;
     else
       Diags.error(D.Range.Begin, "initializer of '" + D.Name +
                                      "' must be a literal");
   }
   if (D.K == Decl::Kind::Variable) {
-    declareVariable(D.Name, D.Ty, std::move(Init), D.Range.Begin);
+    declareVariable(D.Name, D.Ty, Init, D.Range.Begin);
     return;
   }
   if (ImplicitSignals.count(D.Name)) {
     Diags.error(D.Range.Begin, "redeclaration of signal '" + D.Name + "'");
     return;
   }
-  declareImplicitSignal(D.Name, D.Ty, std::move(Init));
+  declareImplicitSignal(D.Name, D.Ty, Init);
 }
 
 void ProcessChecker::predeclareSignals(const Stmt &S) {
   assert(ImplicitDecls && "predeclaration is for implicit mode only");
-  auto DeclareSignal = [&](const std::string &Name) {
+  auto DeclareSignal = [&](std::string_view Name) {
     if (!ImplicitSignals.count(Name))
       declareImplicitSignal(Name, Type::scalar());
   };
@@ -329,11 +297,11 @@ void ProcessChecker::predeclareSignals(const Stmt &S) {
     DeclareSignal(cast<SignalAssignStmt>(&S)->targetName());
     return;
   case Stmt::Kind::Wait:
-    for (const std::string &Name : cast<WaitStmt>(&S)->onNames())
+    for (std::string_view Name : cast<WaitStmt>(&S)->onNames())
       DeclareSignal(Name);
     return;
   case Stmt::Kind::Compound:
-    for (const StmtPtr &Sub : cast<CompoundStmt>(&S)->stmts())
+    for (const Stmt *Sub : cast<CompoundStmt>(&S)->stmts())
       predeclareSignals(*Sub);
     return;
   case Stmt::Kind::If:
@@ -346,28 +314,28 @@ void ProcessChecker::predeclareSignals(const Stmt &S) {
   }
 }
 
-void ProcessChecker::declareVariable(const std::string &Name, Type Ty,
-                                     ExprPtr Init, SourceLoc Loc) {
+void ProcessChecker::declareVariable(std::string_view Name, Type Ty,
+                                     const Expr *Init, SourceLoc Loc) {
   if (LocalVars.count(Name)) {
-    Diags.error(Loc, "redeclaration of variable '" + Name + "'");
+    Diags.error(Loc, "redeclaration of variable '" + std::string(Name) + "'");
     return;
   }
   ElabVariable V;
   V.Id = static_cast<unsigned>(Program.Variables.size());
-  V.Name = Name;
+  V.Name = std::string(Name);
   // Qualify on collision with a variable of the same name in another
   // process, so graph nodes stay unambiguous. Only the first of a name
   // is still bare when the second arrives: qualify it retroactively then.
   Homonyms &Same = VarNames.try_emplace(Name, Homonyms{V.Id, 0}).first->second;
   bool Clash = ++Same.Count > 1;
-  V.UniqueName =
-      Clash ? Program.process(ProcessId).Name + "." + Name : Name;
+  V.UniqueName = Clash ? Program.process(ProcessId).Name + "." + V.Name
+                       : V.Name;
   if (Same.Count == 2) {
     ElabVariable &First = Program.Variables[Same.First];
-    First.UniqueName = Program.process(First.ProcessId).Name + "." + Name;
+    First.UniqueName = Program.process(First.ProcessId).Name + "." + V.Name;
   }
   V.Ty = Ty;
-  V.Init = std::move(Init);
+  V.Init = Init;
   V.ProcessId = ProcessId;
   LocalVars[Name] = V.Id;
   Program.Variables.push_back(std::move(V));
@@ -383,7 +351,7 @@ const Type *ProcessChecker::typeOf(ObjectRef Ref) const {
   return nullptr;
 }
 
-std::optional<ObjectRef> ProcessChecker::resolve(const std::string &Name,
+std::optional<ObjectRef> ProcessChecker::resolve(std::string_view Name,
                                                  SourceLoc Loc,
                                                  bool WantSignal) {
   auto It = LocalVars.find(Name);
@@ -409,7 +377,7 @@ std::optional<ObjectRef> ProcessChecker::resolve(const std::string &Name,
     declareVariable(Name, Type::scalar(), nullptr, Loc);
     return ObjectRef::variable(LocalVars.at(Name));
   }
-  Diags.error(Loc, "use of undeclared name '" + Name + "'");
+  Diags.error(Loc, "use of undeclared name '" + std::string(Name) + "'");
   return std::nullopt;
 }
 
@@ -425,7 +393,7 @@ std::optional<Type> ProcessChecker::checkName(NameExpr &E) {
   if (E.ref().isSignal() &&
       Program.signal(E.ref().Id).Class == SignalClass::PortOut)
     Diags.error(E.range().Begin,
-                "cannot read 'out' port '" + E.name() + "'");
+                "cannot read 'out' port '" + std::string(E.name()) + "'");
   E.setType(Ty);
   return Ty;
 }
@@ -442,11 +410,12 @@ std::optional<Type> ProcessChecker::checkSlice(SliceExpr &E) {
   if (E.ref().isSignal() &&
       Program.signal(E.ref().Id).Class == SignalClass::PortOut)
     Diags.error(E.range().Begin,
-                "cannot read 'out' port '" + E.name() + "'");
+                "cannot read 'out' port '" + std::string(E.name()) + "'");
   const SliceSpec &Sl = E.slice();
   if (!DeclTy.sliceValid(Sl.Z1, Sl.Z2, Sl.Downto)) {
     Diags.error(E.range().Begin, "slice (" + Sl.str() +
-                                     ") is invalid for '" + E.name() +
+                                     ") is invalid for '" +
+                                     std::string(E.name()) +
                                      "' of type " + DeclTy.str());
     return std::nullopt;
   }
@@ -461,12 +430,12 @@ std::optional<Type> ProcessChecker::checkExpr(Expr &E) {
     E.setType(Type::scalar());
     return Type::scalar();
   case Expr::Kind::VectorLiteral: {
-    const LogicVector &V = cast<VectorLiteralExpr>(&E)->value();
-    if (V.empty()) {
+    size_t Width = cast<VectorLiteralExpr>(&E)->width();
+    if (Width == 0) {
       Diags.error(E.range().Begin, "empty vector literal");
       return std::nullopt;
     }
-    Type Ty = Type::vector(static_cast<int>(V.size()) - 1, 0, true);
+    Type Ty = Type::vector(static_cast<int>(Width) - 1, 0, true);
     E.setType(Ty);
     return Ty;
   }
@@ -555,6 +524,7 @@ void ProcessChecker::checkCondition(Expr &E, const char *What) {
 }
 
 void ProcessChecker::checkAssign(AssignStmtBase &S, bool IsSignal) {
+  auto Target = [&S] { return std::string(S.targetName()); };
   std::optional<ObjectRef> Ref = S.targetRef().isResolved()
                                      ? std::optional<ObjectRef>(S.targetRef())
                                      : resolve(S.targetName(),
@@ -565,19 +535,19 @@ void ProcessChecker::checkAssign(AssignStmtBase &S, bool IsSignal) {
   S.setTargetRef(*Ref);
   if (IsSignal && !Ref->isSignal()) {
     Diags.error(S.range().Begin,
-                "'" + S.targetName() + "' is a variable; use ':=' to assign");
+                "'" + Target() + "' is a variable; use ':=' to assign");
     return;
   }
   if (!IsSignal && !Ref->isVariable()) {
     Diags.error(S.range().Begin,
-                "'" + S.targetName() + "' is a signal; use '<=' to assign");
+                "'" + Target() + "' is a signal; use '<=' to assign");
     return;
   }
   if (Ref->isSignal()) {
     SignalClass Class = Program.signal(Ref->Id).Class;
     if (Class == SignalClass::PortIn)
       Diags.error(S.range().Begin,
-                  "cannot assign to 'in' port '" + S.targetName() + "'");
+                  "cannot assign to 'in' port '" + Target() + "'");
   }
   const Type &DeclTy = *typeOf(*Ref);
   Type TargetTy = DeclTy;
@@ -585,8 +555,8 @@ void ProcessChecker::checkAssign(AssignStmtBase &S, bool IsSignal) {
     const SliceSpec &Sl = S.slice();
     if (!DeclTy.sliceValid(Sl.Z1, Sl.Z2, Sl.Downto)) {
       Diags.error(S.range().Begin, "slice (" + Sl.str() +
-                                       ") is invalid for '" +
-                                       S.targetName() + "' of type " +
+                                       ") is invalid for '" + Target() +
+                                       "' of type " +
                                        DeclTy.str());
       return;
     }
@@ -595,7 +565,7 @@ void ProcessChecker::checkAssign(AssignStmtBase &S, bool IsSignal) {
   if (ValueTy && !TargetTy.assignableFrom(*ValueTy))
     Diags.error(S.range().Begin, "cannot assign " + ValueTy->str() + " to " +
                                      (S.hasSlice() ? "slice of " : "") +
-                                     "'" + S.targetName() + "' of type " +
+                                     "'" + Target() + "' of type " +
                                      DeclTy.str());
 }
 
@@ -604,14 +574,14 @@ void ProcessChecker::checkWait(WaitStmt &W) {
     checkCondition(W.until(), "wait until");
   std::vector<unsigned> OnSigs;
   if (W.hasExplicitOn()) {
-    for (const std::string &Name : W.onNames()) {
+    for (std::string_view Name : W.onNames()) {
       std::optional<ObjectRef> Ref =
           resolve(Name, W.range().Begin, /*WantSignal=*/true);
       if (!Ref)
         continue;
       if (!Ref->isSignal()) {
         Diags.error(W.range().Begin,
-                    "wait 'on' requires signals; '" + Name +
+                    "wait 'on' requires signals; '" + std::string(Name) +
                         "' is a variable");
         continue;
       }
@@ -622,7 +592,7 @@ void ProcessChecker::checkWait(WaitStmt &W) {
     std::vector<unsigned> Vars;
     collectExprObjects(W.until(), Vars, OnSigs);
   }
-  W.setOnSignals(std::move(OnSigs));
+  W.setOnSignals(Arena.copy(OnSigs));
 }
 
 void ProcessChecker::checkStmt(Stmt &S) {
@@ -639,20 +609,20 @@ void ProcessChecker::checkStmt(Stmt &S) {
     checkWait(*cast<WaitStmt>(&S));
     return;
   case Stmt::Kind::Compound:
-    for (StmtPtr &Sub : cast<CompoundStmt>(&S)->stmts())
+    for (Stmt *Sub : cast<CompoundStmt>(&S)->stmts())
       checkStmt(*Sub);
     return;
   case Stmt::Kind::If: {
     auto *I = cast<IfStmt>(&S);
     checkCondition(I->cond(), "if");
-    checkStmt(const_cast<Stmt &>(I->thenStmt()));
-    checkStmt(const_cast<Stmt &>(I->elseStmt()));
+    checkStmt(I->thenStmt());
+    checkStmt(I->elseStmt());
     return;
   }
   case Stmt::Kind::While: {
     auto *W = cast<WhileStmt>(&S);
     checkCondition(W->cond(), "while");
-    checkStmt(const_cast<Stmt &>(W->body()));
+    checkStmt(W->body());
     return;
   }
   }
@@ -662,12 +632,12 @@ void ProcessChecker::checkStmt(Stmt &S) {
 // Design-level elaboration
 //===----------------------------------------------------------------------===//
 
-ExprPtr Elaborator::checkInitializer(ExprPtr Init, const Type &Ty,
-                                     const char *What,
-                                     const std::string &Name) {
+Expr *Elaborator::checkInitializer(Expr *Init, const Type &Ty,
+                                   const char *What,
+                                   const std::string &Name) {
   if (!Init)
     return nullptr;
-  if (isa<LogicLiteralExpr>(Init.get())) {
+  if (isa<LogicLiteralExpr>(Init)) {
     if (!Ty.isScalar()) {
       Diags.error(Init->range().Begin,
                   std::string("initializer of ") + What + " '" + Name +
@@ -677,16 +647,15 @@ ExprPtr Elaborator::checkInitializer(ExprPtr Init, const Type &Ty,
     Init->setType(Type::scalar());
     return Init;
   }
-  if (const auto *V = dyn_cast<VectorLiteralExpr>(Init.get())) {
-    if (!Ty.isVector() || Ty.width() != V->value().size()) {
+  if (const auto *V = dyn_cast<VectorLiteralExpr>(Init)) {
+    if (!Ty.isVector() || Ty.width() != V->width()) {
       Diags.error(Init->range().Begin,
                   std::string("initializer of ") + What + " '" + Name +
                       "' must be a vector literal of width " +
                       std::to_string(Ty.width()));
       return nullptr;
     }
-    Init->setType(Type::vector(static_cast<int>(V->value().size()) - 1, 0,
-                               true));
+    Init->setType(Type::vector(static_cast<int>(V->width()) - 1, 0, true));
     return Init;
   }
   Diags.error(Init->range().Begin,
@@ -695,10 +664,10 @@ ExprPtr Elaborator::checkInitializer(ExprPtr Init, const Type &Ty,
   return nullptr;
 }
 
-void Elaborator::declarePort(const Port &P) {
+bool Elaborator::declarePort(const Port &P) {
   if (!UsedSignalNames.insert(P.Name).second) {
     Diags.error(P.Range.Begin, "duplicate port name '" + P.Name + "'");
-    return;
+    return false;
   }
   ElabSignal S;
   S.Id = static_cast<unsigned>(Program.Signals.size());
@@ -716,6 +685,7 @@ void Elaborator::declarePort(const Port &P) {
     break;
   }
   Program.Signals.push_back(std::move(S));
+  return true;
 }
 
 unsigned Elaborator::declareSignal(Decl &D, SignalClass Class,
@@ -732,9 +702,17 @@ unsigned Elaborator::declareSignal(Decl &D, SignalClass Class,
   S.UniqueName = Unique;
   S.Ty = D.Ty;
   S.Class = Class;
-  S.Init = checkInitializer(std::move(D.Init), D.Ty, "signal", D.Name);
+  S.Init = checkInitializer(D.Init, D.Ty, "signal", D.Name);
   Program.Signals.push_back(std::move(S));
   return Program.Signals.back().Id;
+}
+
+Stmt *Elaborator::loopForever(Stmt *Body, SourceRange Range) {
+  Expr *True = Arena.make<LogicLiteralExpr>(StdLogic::One, Range);
+  True->setType(Type::scalar());
+  Stmt *Wrapped[] = {Arena.make<NullStmt>(Range),
+                     Arena.make<WhileStmt>(True, Body, Range)};
+  return Arena.make<CompoundStmt>(Arena.copy(Wrapped, 2), Range);
 }
 
 void Elaborator::elabProcess(ProcessStmt &P, const ScopeStack &Scopes) {
@@ -745,7 +723,7 @@ void Elaborator::elabProcess(ProcessStmt &P, const ScopeStack &Scopes) {
   Program.Processes.push_back(std::move(Proc));
   unsigned Id = Program.Processes.back().Id;
 
-  ProcessChecker Checker(Diags, Program, VarNames, Id, &Scopes,
+  ProcessChecker Checker(Diags, Program, Arena, VarNames, Id, &Scopes,
                          /*ImplicitDecls=*/false);
   for (Decl &D : P.decls()) {
     if (D.K == Decl::Kind::Signal) {
@@ -755,24 +733,14 @@ void Elaborator::elabProcess(ProcessStmt &P, const ScopeStack &Scopes) {
                   "signal declarations are not allowed inside processes");
       continue;
     }
-    ExprPtr Init =
-        checkInitializer(std::move(D.Init), D.Ty, "variable", D.Name);
-    Checker.declareVariable(D.Name, D.Ty, std::move(Init), D.Range.Begin);
+    Expr *Init = checkInitializer(D.Init, D.Ty, "variable", D.Name);
+    Checker.declareVariable(D.Name, D.Ty, Init, D.Range.Begin);
   }
 
   // The paper rewrites `ip: process begin ss end` into `null; while '1' do
   // ss`; materialize exactly that shape so the CFG has an isolated entry.
-  StmtPtr Body = P.takeBody();
-  Checker.checkStmt(*Body);
-  std::vector<StmtPtr> Wrapped;
-  Wrapped.push_back(std::make_unique<NullStmt>(P.range()));
-  ExprPtr True =
-      std::make_unique<LogicLiteralExpr>(StdLogic::One, P.range());
-  True->setType(Type::scalar());
-  Wrapped.push_back(std::make_unique<WhileStmt>(std::move(True),
-                                                std::move(Body), P.range()));
-  Program.Processes[Id].Body =
-      std::make_unique<CompoundStmt>(std::move(Wrapped), P.range());
+  Checker.checkStmt(P.body());
+  Program.Processes[Id].Body = loopForever(&P.body(), P.range());
 }
 
 void Elaborator::elabConcAssign(ConcAssignStmt &A,
@@ -781,46 +749,36 @@ void Elaborator::elabConcAssign(ConcAssignStmt &A,
   ElabProcess Proc;
   Proc.Id = static_cast<unsigned>(Program.Processes.size());
   Proc.Name = "ca_" + std::to_string(NextConcAssign++) + "_" +
-              A.targetName();
+              std::string(A.targetName());
   Proc.Looped = true;
   Program.Processes.push_back(std::move(Proc));
   unsigned Id = Program.Processes.back().Id;
 
-  ProcessChecker Checker(Diags, Program, VarNames, Id, &Scopes,
+  ProcessChecker Checker(Diags, Program, Arena, VarNames, Id, &Scopes,
                          /*ImplicitDecls=*/false);
 
-  auto Assign = std::make_unique<SignalAssignStmt>(
+  auto *Assign = Arena.make<SignalAssignStmt>(
       A.targetName(),
       A.hasSlice() ? std::optional<SliceSpec>(A.slice()) : std::nullopt,
-      A.takeValue(), A.range());
+      &A.value(), A.range());
   Checker.checkStmt(*Assign);
 
   // Sensitivity: the free signals of the right-hand side.
   std::vector<unsigned> Vars, Sigs;
   if (!Diags.hasErrors())
     collectExprObjects(Assign->value(), Vars, Sigs);
-  std::vector<std::string> OnNames;
-  for (unsigned Sig : Sigs)
-    OnNames.push_back(Program.signal(Sig).Name);
-  auto Wait = std::make_unique<WaitStmt>(std::move(OnNames),
-                                         /*HasOn=*/true, nullptr, A.range());
-  Wait->setOnSignals(std::move(Sigs));
+  std::string_view *OnNames = Arena.allocateArray<std::string_view>(
+      Sigs.size());
+  for (size_t I = 0; I < Sigs.size(); ++I)
+    OnNames[I] = Arena.copyString(Program.signal(Sigs[I]).Name);
+  auto *Wait = Arena.make<WaitStmt>(
+      ArenaArray<std::string_view>(OnNames, Sigs.size()), /*HasOn=*/true,
+      nullptr, A.range());
+  Wait->setOnSignals(Arena.copy(Sigs));
 
-  std::vector<StmtPtr> Body;
-  Body.push_back(std::move(Assign));
-  Body.push_back(std::move(Wait));
-  StmtPtr Compound =
-      std::make_unique<CompoundStmt>(std::move(Body), A.range());
-
-  std::vector<StmtPtr> Wrapped;
-  Wrapped.push_back(std::make_unique<NullStmt>(A.range()));
-  ExprPtr True =
-      std::make_unique<LogicLiteralExpr>(StdLogic::One, A.range());
-  True->setType(Type::scalar());
-  Wrapped.push_back(std::make_unique<WhileStmt>(
-      std::move(True), std::move(Compound), A.range()));
-  Program.Processes[Id].Body =
-      std::make_unique<CompoundStmt>(std::move(Wrapped), A.range());
+  Stmt *Body[] = {Assign, Wait};
+  Program.Processes[Id].Body = loopForever(
+      Arena.make<CompoundStmt>(Arena.copy(Body, 2), A.range()), A.range());
 }
 
 void Elaborator::elabConcStmts(std::vector<ConcStmtPtr> &Stmts,
@@ -858,6 +816,7 @@ void Elaborator::elabConcStmts(std::vector<ConcStmtPtr> &Stmts,
 
 std::optional<ElaboratedProgram> Elaborator::run(DesignFile &File,
                                                  const ElaborateOptions &Opts) {
+  assert(&File.Arena == &Arena && "the file must own the elaborator's arena");
   Architecture *Arch = nullptr;
   if (!Opts.ArchitectureName.empty()) {
     // File is ours to consume; the lookup is the const one.
@@ -883,13 +842,11 @@ std::optional<ElaboratedProgram> Elaborator::run(DesignFile &File,
     return std::nullopt;
   }
 
-  for (const Port &P : Ent->Ports)
-    declarePort(P);
-
   ScopeStack Scopes;
   SignalScope TopScope;
-  for (const ElabSignal &S : Program.Signals)
-    TopScope.try_emplace(S.Name, S.Id);
+  for (const Port &P : Ent->Ports)
+    if (declarePort(P))
+      TopScope.try_emplace(P.Name, Program.Signals.back().Id);
   for (Decl &D : Arch->Decls) {
     if (D.K == Decl::Kind::Variable) {
       Diags.error(D.Range.Begin,
@@ -905,6 +862,7 @@ std::optional<ElaboratedProgram> Elaborator::run(DesignFile &File,
 
   if (Diags.hasErrors())
     return std::nullopt;
+  Program.Arena = std::move(File.Arena);
   return std::move(Program);
 }
 
@@ -919,7 +877,7 @@ vif::elaborateDesign(const DesignFile &File, DiagnosticEngine &Diags,
 std::optional<ElaboratedProgram>
 vif::elaborateDesign(DesignFile &&File, DiagnosticEngine &Diags,
                      const ElaborateOptions &Opts) {
-  Elaborator E(Diags);
+  Elaborator E(Diags, File.Arena);
   return E.run(File, Opts);
 }
 
@@ -929,8 +887,8 @@ vif::elaborateStatements(const Stmt &Body, DiagnosticEngine &Diags,
   StatementProgram Prog;
   if (Decls)
     for (const Decl &D : *Decls)
-      Prog.Decls.push_back(D.clone());
-  Prog.Body = Body.clone();
+      Prog.Decls.push_back(D.clone(Prog.Arena));
+  Prog.Body = cloneStmt(Body, Prog.Arena);
   return elaborateStatements(std::move(Prog), Diags);
 }
 
@@ -944,19 +902,19 @@ vif::elaborateStatements(StatementProgram &&Prog, DiagnosticEngine &Diags) {
   Program.Processes.push_back(std::move(Proc));
 
   VariableNames VarNames;
-  ProcessChecker Checker(Diags, Program, VarNames, 0, nullptr,
+  ProcessChecker Checker(Diags, Program, Prog.Arena, VarNames, 0, nullptr,
                          /*ImplicitDecls=*/true);
-  for (Decl &D : Prog.Decls)
+  for (const Decl &D : Prog.Decls)
     Checker.declareUpFront(D);
-  StmtPtr Body = std::move(Prog.Body);
   // Declare every `<=`-target and waited-on name as a signal up front so
   // that later reads resolve to the signal rather than implicitly
   // declaring a variable.
-  Checker.predeclareSignals(*Body);
-  Checker.checkStmt(*Body);
-  Program.Processes[0].Body = std::move(Body);
+  Checker.predeclareSignals(*Prog.Body);
+  Checker.checkStmt(*Prog.Body);
+  Program.Processes[0].Body = Prog.Body;
 
   if (Diags.hasErrors())
     return std::nullopt;
+  Program.Arena = std::move(Prog.Arena);
   return Program;
 }

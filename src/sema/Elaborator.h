@@ -55,7 +55,7 @@ struct ElabSignal {
   std::string UniqueName; ///< disambiguated across scopes
   Type Ty;
   SignalClass Class = SignalClass::Internal;
-  ExprPtr Init; ///< literal initializer or null ('U'-filled default)
+  const Expr *Init = nullptr; ///< literal initializer or null ('U'-filled)
 
   bool isInput() const {
     return Class == SignalClass::PortIn || Class == SignalClass::PortInOut;
@@ -71,7 +71,7 @@ struct ElabVariable {
   std::string Name;
   std::string UniqueName; ///< qualified with the process name on collision
   Type Ty;
-  ExprPtr Init; ///< literal initializer or null
+  const Expr *Init = nullptr; ///< literal initializer or null
   unsigned ProcessId = 0;
 };
 
@@ -80,13 +80,16 @@ struct ElabVariable {
 struct ElabProcess {
   unsigned Id = 0;
   std::string Name;
-  StmtPtr Body;
+  const Stmt *Body = nullptr;
   std::vector<unsigned> Variables;
   bool Looped = true;
 };
 
-/// The flat program model shared by the simulator and all analyses.
+/// The flat program model shared by the simulator and all analyses. It
+/// owns the arena of the tree it was elaborated from: process bodies and
+/// initializers point into it.
 struct ElaboratedProgram {
+  AstArena Arena;
   std::vector<ElabSignal> Signals;
   std::vector<ElabVariable> Variables;
   std::vector<ElabProcess> Processes;
@@ -108,7 +111,8 @@ struct ElaboratedProgram {
   std::vector<unsigned> inputSignals() const;
   std::vector<unsigned> outputSignals() const;
 
-  /// Heap footprint in bytes, the process and initializer trees included.
+  /// Heap footprint in bytes: the tree's arena blocks plus the program
+  /// tables.
   size_t memoryBytes() const;
 };
 
@@ -119,9 +123,10 @@ struct ElaborateOptions {
 };
 
 /// Elaborates \p File; returns nullopt and reports diagnostics on error.
-/// The rvalue overload adopts the tree: process bodies and initializers
-/// move into the program instead of being copied. The const overload
-/// elaborates a copy.
+/// The rvalue overload adopts the tree: the program takes over \p File's
+/// arena, with the nodes elaboration adds, and no node is copied. The
+/// const overload elaborates a copy in an arena of its own (cloneStmt),
+/// so the program outlives \p File.
 std::optional<ElaboratedProgram>
 elaborateDesign(DesignFile &&File, DiagnosticEngine &Diags,
                 const ElaborateOptions &Opts = ElaborateOptions());
@@ -135,8 +140,8 @@ elaborateDesign(const DesignFile &File, DiagnosticEngine &Diags,
 /// internal signal when it is assigned with `<=` or waited on, as a scalar
 /// variable otherwise. This is the harness for the paper's statement-level
 /// examples.
-/// The rvalue overload adopts \p Prog's body and initializers; the other
-/// elaborates a copy of \p Body and \p Decls.
+/// The rvalue overload adopts \p Prog's arena; the other elaborates a copy
+/// of \p Body and \p Decls in an arena of its own.
 std::optional<ElaboratedProgram>
 elaborateStatements(StatementProgram &&Prog, DiagnosticEngine &Diags);
 std::optional<ElaboratedProgram>

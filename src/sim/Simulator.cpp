@@ -54,7 +54,7 @@ Simulator::Simulator(const ElaboratedProgram &Program, Options Opts)
   Procs.resize(Program.Processes.size());
   for (const ElabProcess &P : Program.Processes) {
     Process &Proc = Procs[P.Id];
-    Proc.Cont.push_back(P.Body.get());
+    Proc.Cont.push_back(P.Body);
     Proc.Active.assign(Program.Signals.size(), std::nullopt);
     Proc.Vars.reserve(Program.Variables.size());
     for (const ElabVariable &V : Program.Variables)
@@ -129,9 +129,9 @@ bool Simulator::execStmt(unsigned ProcId, const Stmt &S) {
     Proc.WaitingAt = cast<WaitStmt>(&S);
     return true;
   case Stmt::Kind::Compound: {
-    const auto &Stmts = cast<CompoundStmt>(&S)->stmts();
-    for (auto It = Stmts.rbegin(); It != Stmts.rend(); ++It)
-      Proc.Cont.push_back(It->get());
+    const ArenaArray<Stmt *> &Stmts = cast<CompoundStmt>(&S)->stmts();
+    for (size_t I = Stmts.size(); I-- > 0;)
+      Proc.Cont.push_back(Stmts[I]);
     return true;
   }
   case Stmt::Kind::If: {

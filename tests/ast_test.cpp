@@ -132,32 +132,77 @@ TEST(Diagnostics, CountsAndRendering) {
 // Expression and statement nodes
 //===----------------------------------------------------------------------===//
 
-ExprPtr parseE(const std::string &S) {
+/// Holds every expression parseE returns, for the test binary's lifetime.
+AstArena Exprs;
+
+Expr *parseE(const std::string &S) {
   DiagnosticEngine Diags;
   Lexer L(S, Diags);
-  Parser P(L.lex(), Diags);
-  ExprPtr E = P.parseExpression();
+  Parser P(L.lex(), Exprs, Diags);
+  Expr *E = P.parseExpression();
   EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
   return E;
 }
 
+TEST(Arena, BlocksGrowGeometricallyAndLargeItemsGetTheirOwn) {
+  AstArena A;
+  EXPECT_EQ(A.blockBytes(), 0u);
+  A.make<NullStmt>();
+  size_t First = A.blockBytes();
+  EXPECT_GT(First, 0u);
+  EXPECT_LE(First, 4096u) << "a tiny tree pays for a small block";
+  // Filling the arena takes geometrically fewer blocks than items: 16 MB
+  // of 16-byte items fits in about 64 blocks at the 256 KB cap, with the
+  // waste below one block.
+  for (size_t I = 0; I < (size_t(1) << 20); ++I)
+    A.allocateArray<uint64_t>(2);
+  EXPECT_GE(A.blockBytes(), size_t(16) << 20);
+  EXPECT_LE(A.blockBytes(), (size_t(16) << 20) + (size_t(512) << 10));
+  // An item larger than half the next block gets a block of its own and
+  // leaves the open block open.
+  size_t Before = A.blockBytes();
+  char *Big = A.allocateArray<char>(size_t(1) << 20);
+  EXPECT_EQ(A.blockBytes(), Before + (size_t(1) << 20));
+  char *Next = A.allocateArray<char>(1);
+  EXPECT_EQ(A.blockBytes(), Before + (size_t(1) << 20));
+  EXPECT_TRUE(Next < Big || Next >= Big + (size_t(1) << 20));
+}
+
+TEST(Arena, MovingKeepsNodesWhereTheyAre) {
+  AstArena A;
+  std::string_view Name = A.copyString("signal_with_a_long_name");
+  auto *N = A.make<NameExpr>(Name, SourceRange());
+  AstArena B = std::move(A);
+  EXPECT_EQ(A.blockBytes(), 0u);
+  EXPECT_EQ(N->name(), "signal_with_a_long_name");
+  // The moved-from arena starts over in blocks of its own.
+  std::string_view Other = A.copyString("x");
+  EXPECT_EQ(Other, "x");
+  EXPECT_GT(A.blockBytes(), 0u);
+  EXPECT_EQ(N->name(), "signal_with_a_long_name");
+}
+
 TEST(Expr, CloneIsDeepAndPreservesAnnotations) {
-  ExprPtr E = parseE("a and (b xor c)");
+  Expr *E = parseE("a and (b xor c)");
   // Resolve/type one node manually and check the clone keeps it.
   E->setType(Type::scalar());
-  auto *Name = cast<NameExpr>(&cast<BinaryExpr>(E.get())->lhs());
+  auto *Name = cast<NameExpr>(&cast<BinaryExpr>(E)->lhs());
   Name->setRef(ObjectRef::variable(42));
-  ExprPtr C = E->clone();
-  EXPECT_NE(C.get(), E.get());
+  AstArena Dest;
+  Expr *C = cloneExpr(*E, Dest);
+  EXPECT_NE(C, E);
   EXPECT_TRUE(C->hasType());
-  const auto *ClonedName = cast<NameExpr>(&cast<BinaryExpr>(C.get())->lhs());
+  const auto *ClonedName = cast<NameExpr>(&cast<BinaryExpr>(C)->lhs());
   EXPECT_NE(ClonedName, Name);
+  EXPECT_EQ(ClonedName->name(), "a");
+  EXPECT_NE(ClonedName->name().data(), Name->name().data())
+      << "the copy's spelling lives in the destination arena";
   EXPECT_TRUE(ClonedName->ref().isVariable());
   EXPECT_EQ(ClonedName->ref().Id, 42u);
 }
 
 TEST(Expr, ForEachNameUseVisitsAllLeaves) {
-  ExprPtr E = parseE("(a and b) xor not c(3 downto 0)");
+  Expr *E = parseE("(a and b) xor not c(3 downto 0)");
   int Names = 0, Slices = 0;
   forEachNameUse(*E, [&](const Expr &Use) {
     if (isa<NameExpr>(&Use))
@@ -180,13 +225,14 @@ TEST(Expr, SliceSpecWidthAndPrinting) {
 
 TEST(Stmt, CloneStatementTree) {
   DiagnosticEngine Diags;
-  StmtPtr S = parseStatementProgram(
-                  "if c then x := a; else s <= b; end if; wait on s;", Diags)
-                  .Body;
+  StatementProgram STree = parseStatementProgram(
+                  "if c then x := a; else s <= b; end if; wait on s;", Diags);
+  Stmt *S = STree.Body;
   ASSERT_FALSE(Diags.hasErrors());
-  StmtPtr C = S->clone();
+  AstArena Dest;
+  Stmt *C = cloneStmt(*S, Dest);
   EXPECT_EQ(stmtToString(*S), stmtToString(*C));
-  EXPECT_NE(S.get(), C.get());
+  EXPECT_NE(S, C);
 }
 
 TEST(Printer, ExprSpellingAndParens) {
@@ -230,8 +276,9 @@ TEST(Design, FindEntityAndArchitecture) {
 
 TEST(Casting, IsaCastDynCast) {
   DiagnosticEngine Diags;
-  StmtPtr S = parseStatementProgram("x := a;", Diags).Body;
-  Stmt *Raw = S.get();
+  StatementProgram STree = parseStatementProgram("x := a;", Diags);
+  Stmt *S = STree.Body;
+  Stmt *Raw = S;
   EXPECT_TRUE(isa<VarAssignStmt>(Raw));
   EXPECT_TRUE(isa<AssignStmtBase>(Raw)) << "base classof covers both";
   EXPECT_FALSE(isa<SignalAssignStmt>(Raw));

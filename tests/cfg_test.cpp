@@ -21,7 +21,8 @@ namespace {
 
 ElaboratedProgram elabStmts(const std::string &Source) {
   DiagnosticEngine Diags;
-  StmtPtr S = parseStatementProgram(Source, Diags).Body;
+  StatementProgram STree = parseStatementProgram(Source, Diags);
+  Stmt *S = STree.Body;
   auto P = elaborateStatements(*S, Diags);
   EXPECT_TRUE(P.has_value()) << Diags.str();
   return std::move(*P);
@@ -255,9 +256,9 @@ TEST(CFG, EmptyCompoundGetsLabel) {
 TEST(CFG, StmtLabelLookup) {
   ElaboratedProgram P = elabStmts("a := b; c := a;");
   ProgramCFG CFG = ProgramCFG::build(P);
-  const auto *C = cast<CompoundStmt>(P.Processes[0].Body.get());
-  EXPECT_EQ(CFG.labelOf(C->stmts()[0].get()), 1u);
-  EXPECT_EQ(CFG.labelOf(C->stmts()[1].get()), 2u);
+  const auto *C = cast<CompoundStmt>(P.Processes[0].Body);
+  EXPECT_EQ(CFG.labelOf(C->stmts()[0]), 1u);
+  EXPECT_EQ(CFG.labelOf(C->stmts()[1]), 2u);
 }
 
 TEST(CFG, ProcessLabelsAreOneRun) {

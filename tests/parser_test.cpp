@@ -11,35 +11,41 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
 using namespace vif;
 
 namespace {
 
-StmtPtr stmts(const std::string &Source) {
+/// Trees parsed by the helpers below; they live as long as the test binary.
+std::deque<StatementProgram> Programs;
+AstArena Exprs;
+
+Stmt *stmts(const std::string &Source) {
   DiagnosticEngine Diags;
-  StmtPtr S = parseStatementProgram(Source, Diags).Body;
+  Stmt *S = Programs.emplace_back(parseStatementProgram(Source, Diags)).Body;
   EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
   return S;
 }
 
-ExprPtr expr(const std::string &Source) {
+Expr *expr(const std::string &Source) {
   DiagnosticEngine Diags;
   Lexer L(Source, Diags);
-  Parser P(L.lex(), Diags);
-  ExprPtr E = P.parseExpression();
+  Parser P(L.lex(), Exprs, Diags);
+  Expr *E = P.parseExpression();
   EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
   return E;
 }
 
 TEST(Parser, NullStatement) {
-  StmtPtr S = stmts("null;");
+  Stmt *S = stmts("null;");
   ASSERT_TRUE(S);
-  EXPECT_TRUE(isa<NullStmt>(S.get()));
+  EXPECT_TRUE(isa<NullStmt>(S));
 }
 
 TEST(Parser, VariableAssignment) {
-  StmtPtr S = stmts("x := y;");
-  auto *A = dyn_cast<VarAssignStmt>(S.get());
+  Stmt *S = stmts("x := y;");
+  auto *A = dyn_cast<VarAssignStmt>(S);
   ASSERT_TRUE(A);
   EXPECT_EQ(A->targetName(), "x");
   EXPECT_FALSE(A->hasSlice());
@@ -47,16 +53,16 @@ TEST(Parser, VariableAssignment) {
 }
 
 TEST(Parser, SignalAssignment) {
-  StmtPtr S = stmts("s <= '1';");
-  auto *A = dyn_cast<SignalAssignStmt>(S.get());
+  Stmt *S = stmts("s <= '1';");
+  auto *A = dyn_cast<SignalAssignStmt>(S);
   ASSERT_TRUE(A);
   EXPECT_EQ(A->targetName(), "s");
   EXPECT_TRUE(isa<LogicLiteralExpr>(&A->value()));
 }
 
 TEST(Parser, SlicedAssignments) {
-  StmtPtr S = stmts("x(7 downto 4) := y(3 downto 0);");
-  auto *A = dyn_cast<VarAssignStmt>(S.get());
+  Stmt *S = stmts("x(7 downto 4) := y(3 downto 0);");
+  auto *A = dyn_cast<VarAssignStmt>(S);
   ASSERT_TRUE(A);
   ASSERT_TRUE(A->hasSlice());
   EXPECT_EQ(A->slice().Z1, 7);
@@ -68,22 +74,22 @@ TEST(Parser, SlicedAssignments) {
 }
 
 TEST(Parser, ToSlices) {
-  StmtPtr S = stmts("x(0 to 3) := y;");
-  auto *A = cast<VarAssignStmt>(S.get());
+  Stmt *S = stmts("x(0 to 3) := y;");
+  auto *A = cast<VarAssignStmt>(S);
   ASSERT_TRUE(A->hasSlice());
   EXPECT_FALSE(A->slice().Downto);
 }
 
 TEST(Parser, SequenceBecomesCompound) {
-  StmtPtr S = stmts("a := b; c := d; null;");
-  auto *C = dyn_cast<CompoundStmt>(S.get());
+  Stmt *S = stmts("a := b; c := d; null;");
+  auto *C = dyn_cast<CompoundStmt>(S);
   ASSERT_TRUE(C);
   EXPECT_EQ(C->stmts().size(), 3u);
 }
 
 TEST(Parser, IfThenElse) {
-  StmtPtr S = stmts("if c = '1' then a := b; else a := d; end if;");
-  auto *I = dyn_cast<IfStmt>(S.get());
+  Stmt *S = stmts("if c = '1' then a := b; else a := d; end if;");
+  auto *I = dyn_cast<IfStmt>(S);
   ASSERT_TRUE(I);
   EXPECT_TRUE(isa<BinaryExpr>(&I->cond()));
   EXPECT_TRUE(isa<VarAssignStmt>(&I->thenStmt()));
@@ -91,43 +97,45 @@ TEST(Parser, IfThenElse) {
 }
 
 TEST(Parser, IfWithoutElseGetsNull) {
-  StmtPtr S = stmts("if c then a := b; end if;");
-  auto *I = cast<IfStmt>(S.get());
+  Stmt *S = stmts("if c then a := b; end if;");
+  auto *I = cast<IfStmt>(S);
   EXPECT_TRUE(isa<NullStmt>(&I->elseStmt()));
 }
 
 TEST(Parser, ElsifChainsDesugar) {
-  StmtPtr S = stmts("if a then x := y;"
+  Stmt *S = stmts("if a then x := y;"
                     " elsif b then x := z;"
                     " else x := w; end if;");
-  auto *I = cast<IfStmt>(S.get());
+  auto *I = cast<IfStmt>(S);
   auto *Nested = dyn_cast<IfStmt>(&I->elseStmt());
   ASSERT_TRUE(Nested);
   EXPECT_TRUE(isa<VarAssignStmt>(&Nested->elseStmt()));
 }
 
 TEST(Parser, WhileLoop) {
-  StmtPtr S = stmts("while g = '0' loop x := y; end loop;");
-  auto *W = dyn_cast<WhileStmt>(S.get());
+  Stmt *S = stmts("while g = '0' loop x := y; end loop;");
+  auto *W = dyn_cast<WhileStmt>(S);
   ASSERT_TRUE(W);
   EXPECT_TRUE(isa<VarAssignStmt>(&W->body()));
 }
 
 TEST(Parser, WaitVariants) {
-  StmtPtr S = stmts("wait on a, b until c = '1'; wait on a; wait until c;"
+  Stmt *S = stmts("wait on a, b until c = '1'; wait on a; wait until c;"
                     " wait;");
-  auto *C = cast<CompoundStmt>(S.get());
+  auto *C = cast<CompoundStmt>(S);
   ASSERT_EQ(C->stmts().size(), 4u);
-  auto *W0 = cast<WaitStmt>(C->stmts()[0].get());
-  EXPECT_EQ(W0->onNames(), (std::vector<std::string>{"a", "b"}));
+  auto *W0 = cast<WaitStmt>(C->stmts()[0]);
+  EXPECT_EQ(std::vector<std::string_view>(W0->onNames().begin(),
+                                          W0->onNames().end()),
+            (std::vector<std::string_view>{"a", "b"}));
   EXPECT_TRUE(W0->hasUntil());
-  auto *W1 = cast<WaitStmt>(C->stmts()[1].get());
+  auto *W1 = cast<WaitStmt>(C->stmts()[1]);
   EXPECT_TRUE(W1->hasExplicitOn());
   EXPECT_FALSE(W1->hasUntil());
-  auto *W2 = cast<WaitStmt>(C->stmts()[2].get());
+  auto *W2 = cast<WaitStmt>(C->stmts()[2]);
   EXPECT_FALSE(W2->hasExplicitOn());
   EXPECT_TRUE(W2->hasUntil());
-  auto *W3 = cast<WaitStmt>(C->stmts()[3].get());
+  auto *W3 = cast<WaitStmt>(C->stmts()[3]);
   EXPECT_FALSE(W3->hasExplicitOn());
   EXPECT_FALSE(W3->hasUntil());
 }
@@ -135,40 +143,40 @@ TEST(Parser, WaitVariants) {
 TEST(Parser, ExpressionPrecedence) {
   // `a xor b and c` groups as (a xor b) and c — logical ops are one level,
   // left associative (documented superset of VHDL).
-  ExprPtr E = expr("a xor b and c");
-  auto *Top = dyn_cast<BinaryExpr>(E.get());
+  Expr *E = expr("a xor b and c");
+  auto *Top = dyn_cast<BinaryExpr>(E);
   ASSERT_TRUE(Top);
   EXPECT_EQ(Top->op(), BinaryOpKind::And);
   // Relational binds tighter than logical.
   E = expr("a = b or c = d");
-  Top = cast<BinaryExpr>(E.get());
+  Top = cast<BinaryExpr>(E);
   EXPECT_EQ(Top->op(), BinaryOpKind::Or);
   EXPECT_EQ(cast<BinaryExpr>(&Top->lhs())->op(), BinaryOpKind::Eq);
   // * over +.
   E = expr("a + b * c");
-  Top = cast<BinaryExpr>(E.get());
+  Top = cast<BinaryExpr>(E);
   EXPECT_EQ(Top->op(), BinaryOpKind::Add);
   EXPECT_EQ(cast<BinaryExpr>(&Top->rhs())->op(), BinaryOpKind::Mul);
 }
 
 TEST(Parser, NotBindsTightest) {
-  ExprPtr E = expr("not a and b");
-  auto *Top = cast<BinaryExpr>(E.get());
+  Expr *E = expr("not a and b");
+  auto *Top = cast<BinaryExpr>(E);
   EXPECT_EQ(Top->op(), BinaryOpKind::And);
   EXPECT_TRUE(isa<UnaryExpr>(&Top->lhs()));
 }
 
 TEST(Parser, Parentheses) {
-  ExprPtr E = expr("a and (b or c)");
-  auto *Top = cast<BinaryExpr>(E.get());
+  Expr *E = expr("a and (b or c)");
+  auto *Top = cast<BinaryExpr>(E);
   EXPECT_EQ(Top->op(), BinaryOpKind::And);
   EXPECT_EQ(cast<BinaryExpr>(&Top->rhs())->op(), BinaryOpKind::Or);
 }
 
 TEST(Parser, ConcatAndLiterals) {
-  ExprPtr E = expr("\"00\" & x(7 downto 7) & '1'");
+  Expr *E = expr("\"00\" & x(7 downto 7) & '1'");
   ASSERT_TRUE(E);
-  EXPECT_TRUE(isa<BinaryExpr>(E.get()));
+  EXPECT_TRUE(isa<BinaryExpr>(E));
 }
 
 TEST(Parser, EntityWithPorts) {
@@ -233,7 +241,7 @@ TEST(Parser, StatementProgramWithDecls) {
       Diags);
   EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
   EXPECT_EQ(P.Decls.size(), 2u);
-  EXPECT_TRUE(isa<VarAssignStmt>(P.Body.get()));
+  EXPECT_TRUE(isa<VarAssignStmt>(P.Body));
 }
 
 //===----------------------------------------------------------------------===//
@@ -313,7 +321,8 @@ TEST(ParserRobustness, DeeplyNestedExpressions) {
     Source += ")";
   Source += ";";
   DiagnosticEngine Diags;
-  StmtPtr S = parseStatementProgram(Source, Diags).Body;
+  StatementProgram Prog = parseStatementProgram(Source, Diags);
+  Stmt *S = Prog.Body;
   EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
   ASSERT_TRUE(S);
   EXPECT_EQ(stmtToString(*S), "x := y;\n");
@@ -327,7 +336,8 @@ TEST(ParserRobustness, DeeplyNestedIfs) {
   }
   Source += "x := y;" + Close;
   DiagnosticEngine Diags;
-  StmtPtr S = parseStatementProgram(Source, Diags).Body;
+  StatementProgram Prog = parseStatementProgram(Source, Diags);
+  Stmt *S = Prog.Body;
   EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
   ASSERT_TRUE(S);
 }
@@ -404,11 +414,13 @@ class RoundTripTest : public ::testing::TestWithParam<const char *> {};
 
 TEST_P(RoundTripTest, PrintParsePrintIsStable) {
   DiagnosticEngine D1;
-  StmtPtr S1 = parseStatementProgram(GetParam(), D1).Body;
+  StatementProgram Prog1 = parseStatementProgram(GetParam(), D1);
+  Stmt *S1 = Prog1.Body;
   ASSERT_FALSE(D1.hasErrors()) << D1.str();
   std::string P1 = stmtToString(*S1);
   DiagnosticEngine D2;
-  StmtPtr S2 = parseStatementProgram(P1, D2).Body;
+  StatementProgram Prog2 = parseStatementProgram(P1, D2);
+  Stmt *S2 = Prog2.Body;
   ASSERT_FALSE(D2.hasErrors()) << D2.str() << "\nprinted:\n" << P1;
   EXPECT_EQ(P1, stmtToString(*S2));
 }

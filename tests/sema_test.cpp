@@ -63,17 +63,17 @@ TEST(Elaborator, ConcurrentAssignBecomesProcess) {
   ASSERT_EQ(P->Processes.size(), 1u);
   EXPECT_TRUE(P->Processes[0].Looped);
   // Shape: null; while '1' loop (q <= clk; wait on clk) end loop.
-  const auto *C = dyn_cast<CompoundStmt>(P->Processes[0].Body.get());
+  const auto *C = dyn_cast<CompoundStmt>(P->Processes[0].Body);
   ASSERT_TRUE(C);
   ASSERT_EQ(C->stmts().size(), 2u);
-  EXPECT_TRUE(isa<NullStmt>(C->stmts()[0].get()));
-  const auto *W = dyn_cast<WhileStmt>(C->stmts()[1].get());
+  EXPECT_TRUE(isa<NullStmt>(C->stmts()[0]));
+  const auto *W = dyn_cast<WhileStmt>(C->stmts()[1]);
   ASSERT_TRUE(W);
   const auto *Body = dyn_cast<CompoundStmt>(&W->body());
   ASSERT_TRUE(Body);
   ASSERT_EQ(Body->stmts().size(), 2u);
-  EXPECT_TRUE(isa<SignalAssignStmt>(Body->stmts()[0].get()));
-  const auto *Wait = dyn_cast<WaitStmt>(Body->stmts()[1].get());
+  EXPECT_TRUE(isa<SignalAssignStmt>(Body->stmts()[0]));
+  const auto *Wait = dyn_cast<WaitStmt>(Body->stmts()[1]);
   ASSERT_TRUE(Wait);
   // Sensitive to FS(e) = {clk}.
   ASSERT_EQ(Wait->onSignals().size(), 1u);
@@ -132,10 +132,10 @@ TEST(Elaborator, WaitDefaultsMaterialized) {
     end rtl;)");
   ASSERT_TRUE(P);
   // The wait has no 'on' clause; S defaults to FS(a = b) = {a, b}.
-  const auto *C = cast<CompoundStmt>(P->Processes[0].Body.get());
-  const auto *W = cast<WhileStmt>(C->stmts()[1].get());
+  const auto *C = cast<CompoundStmt>(P->Processes[0].Body);
+  const auto *W = cast<WhileStmt>(C->stmts()[1]);
   const auto *Body = cast<CompoundStmt>(&W->body());
-  const auto *Wait = cast<WaitStmt>(Body->stmts()[1].get());
+  const auto *Wait = cast<WaitStmt>(Body->stmts()[1]);
   ASSERT_EQ(Wait->onSignals().size(), 2u);
   EXPECT_EQ(P->signal(Wait->onSignals()[0]).Name, "a");
   EXPECT_EQ(P->signal(Wait->onSignals()[1]).Name, "b");
@@ -358,7 +358,8 @@ TEST(Elaborator, SelectArchitectureByName) {
 
 TEST(ElaborateStatements, ImplicitVariables) {
   DiagnosticEngine Diags;
-  StmtPtr S = parseStatementProgram("c := b; b := a;", Diags).Body;
+  StatementProgram STree = parseStatementProgram("c := b; b := a;", Diags);
+  Stmt *S = STree.Body;
   auto P = elaborateStatements(*S, Diags);
   ASSERT_TRUE(P.has_value()) << Diags.str();
   EXPECT_EQ(P->Variables.size(), 3u);
@@ -368,8 +369,8 @@ TEST(ElaborateStatements, ImplicitVariables) {
 
 TEST(ElaborateStatements, SignalTargetsBecomeSignals) {
   DiagnosticEngine Diags;
-  StmtPtr S =
-      parseStatementProgram("s <= a; wait on t; b := s;", Diags).Body;
+  StatementProgram STree = parseStatementProgram("s <= a; wait on t; b := s;", Diags);
+  Stmt *S = STree.Body;
   auto P = elaborateStatements(*S, Diags);
   ASSERT_TRUE(P.has_value()) << Diags.str();
   // s and t are signals; a and b variables.
@@ -391,8 +392,8 @@ TEST(ElaborateStatements, ExplicitDeclsRespected) {
 
 TEST(ElaborateStatements, FreeObjectCollection) {
   DiagnosticEngine Diags;
-  StmtPtr S =
-      parseStatementProgram("if c then a := b; end if;", Diags).Body;
+  StatementProgram STree = parseStatementProgram("if c then a := b; end if;", Diags);
+  Stmt *S = STree.Body;
   auto P = elaborateStatements(*S, Diags);
   ASSERT_TRUE(P);
   std::vector<unsigned> Vars, Sigs;
