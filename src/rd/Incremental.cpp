@@ -27,10 +27,10 @@ void hashExpr(HashBuilder &H, const Expr &E) {
     H.u64(static_cast<uint64_t>(cast<LogicLiteralExpr>(&E)->value()));
     break;
   case Expr::Kind::VectorLiteral: {
-    const LogicVector &V = cast<VectorLiteralExpr>(&E)->value();
-    H.u64(V.size());
-    for (StdLogic B : V.bits())
-      H.u64(static_cast<uint64_t>(B));
+    // The bits are one contiguous byte run in the tree's arena.
+    const ArenaArray<StdLogic> &Bits = cast<VectorLiteralExpr>(&E)->bits();
+    H.u64(Bits.size());
+    H.bytes(Bits.begin(), Bits.size());
     break;
   }
   case Expr::Kind::Name: {
