@@ -160,28 +160,34 @@ IFAResult vif::composeInformationFlow(const ElaboratedProgram &Program,
   R.RD = std::move(RD);
 
   size_t NumLabels = CFG.numLabels();
-  R.RDDagger.resize(NumLabels + 1);
-  R.RDDaggerPhi.resize(NumLabels + 1);
+  R.RDDagger = PairRows(NumLabels + 1);
+  R.RDDaggerPhi = PairRows(NumLabels + 1);
+  R.RDDagger.closeRow(); // label 0
+  R.RDDaggerPhi.closeRow();
 
   // Table 7: specialize the RD results to actual uses. Driven by the small
   // per-label read sets, answered straight off the dense RD representation
   // (forEachPairOf), so the full Entry sets are never materialized here.
+  // The read sets ascend by resource, so each label's row comes out in
+  // DefPair order.
   {
     LabelIndexedRM LoIdx(R.RMlo);
     for (LabelId L = 1; L <= NumLabels; ++L) {
       for (uint32_t Raw : LoIdx.at(L, Access::R0)) {
         Resource N = Resource::fromRaw(Raw);
         R.RD.Entry.forEachPairOf(L, N, [&](LabelId DefL) {
-          R.RDDagger[L].append(DefPair{N, DefL});
+          R.RDDagger.Items.push_back(DefPair{N, DefL});
         });
       }
+      R.RDDagger.closeRow();
       if (CFG.isWaitLabel(L))
         for (uint32_t Raw : LoIdx.at(L, Access::R1)) {
           Resource N = Resource::fromRaw(Raw);
           R.Active.MayEntry.forEachPairOf(L, N, [&](LabelId DefL) {
-            R.RDDaggerPhi[L].append(DefPair{N, DefL});
+            R.RDDaggerPhi.Items.push_back(DefPair{N, DefL});
           });
         }
+      R.RDDaggerPhi.closeRow();
     }
   }
 

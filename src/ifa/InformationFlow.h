@@ -76,9 +76,10 @@ struct IFAResult {
   ResourceMatrix RMlo;
   ResourceMatrix RMgl;
 
-  /// RD†(l) / RD†ϕ(l), indexed by label.
-  std::vector<PairSet> RDDagger;
-  std::vector<PairSet> RDDaggerPhi;
+  /// RD†(l) / RD†ϕ(l), one CSR row per label 0..numLabels (row 0 and the
+  /// rows of labels that read nothing are empty).
+  PairRows RDDagger;
+  PairRows RDDaggerPhi;
 
   /// The information-flow graph: an edge n1 -> n2 iff information may flow
   /// from n1 to n2. Non-transitive in general.
@@ -97,13 +98,8 @@ struct IFAResult {
   /// Heap footprint in bytes across matrices, RD† tables, the flow graph
   /// and the underlying RD results (cache byte-budget accounting).
   size_t memoryBytes() const {
-    size_t Dagger = (RDDagger.capacity() + RDDaggerPhi.capacity()) *
-                    sizeof(PairSet);
-    for (const PairSet &S : RDDagger)
-      Dagger += S.memoryBytes();
-    for (const PairSet &S : RDDaggerPhi)
-      Dagger += S.memoryBytes();
-    return RMlo.memoryBytes() + RMgl.memoryBytes() + Dagger +
+    return RMlo.memoryBytes() + RMgl.memoryBytes() +
+           RDDagger.memoryBytes() + RDDaggerPhi.memoryBytes() +
            Graph.memoryBytes() +
            OutgoingLabels.size() *
                (sizeof(std::pair<Resource, LabelId>) + 4 * sizeof(void *)) +

@@ -33,6 +33,7 @@
 
 #include <algorithm>
 #include <array>
+#include <iterator>
 #include <memory>
 #include <unordered_set>
 
@@ -90,46 +91,75 @@ private:
 };
 
 /// Rows of ascending items in CSR form: row I is Items[Start[I] ..
-/// Start[I + 1]). Carries the kept rows of a solve (PairRows) and the
-/// Table 7 read sets it is handed (ResourceRows).
+/// Start[I + 1]). Carries the kept rows of a solve (PairRows), the
+/// Table 7 read sets it is handed (ResourceRows) and Table 7's RD† and
+/// RD†ϕ (one row per label).
 template <typename T> struct Rows {
   std::vector<uint32_t> Start{0};
   std::vector<T> Items;
   Rows() = default;
   explicit Rows(size_t NumRows) { Start.reserve(NumRows + 1); }
 
+  /// One row, iterable.
+  struct Row {
+    const T *First, *Last;
+    const T *begin() const { return First; }
+    const T *end() const { return Last; }
+    size_t size() const { return static_cast<size_t>(Last - First); }
+    bool empty() const { return First == Last; }
+  };
+
   size_t numRows() const { return Start.size() - 1; }
   const T *begin(size_t I) const { return Items.data() + Start[I]; }
   const T *end(size_t I) const { return Items.data() + Start[I + 1]; }
+  Row operator[](size_t I) const {
+    assert(I < numRows() && "row out of range");
+    return {begin(I), end(I)};
+  }
   /// Ends the row being appended to Items.
   void closeRow() { Start.push_back(static_cast<uint32_t>(Items.size())); }
+
+  /// Heap footprint in bytes.
+  size_t memoryBytes() const {
+    return Start.capacity() * sizeof(uint32_t) + Items.capacity() * sizeof(T);
+  }
 };
 using PairRows = Rows<DefPair>;
 using ResourceRows = Rows<Resource>;
 
-/// A label-indexed table of PairSets over kept CSR rows: each slot names a
-/// row of one installed PairRows (a process's part, shared with the
-/// artifact it came from), and `Table[L]` builds a sorted-vector PairSet
-/// from that row. Slots no solve kept read as ∅. Reads never mutate, so
-/// any number of threads may read a table at once. Installs are
-/// sequential (rd/Incremental.cpp installs after the parallel solves
-/// join).
+/// A label-indexed table of PairSets over kept CSR rows: each installed
+/// run of slots reads the rows of one PairRows (a process's part, shared
+/// with the artifact it came from), and `Table[L]` builds a sorted-vector
+/// PairSet from slot L's row. The table holds one (First, Count, Part)
+/// run per install, never a word per slot; slots no run covers read as ∅.
+/// Reads never mutate, so any number of threads may read a table at
+/// once. Installs are sequential (rd/Incremental.cpp installs after the
+/// parallel solves join).
 class LazyPairSets {
 public:
   void resize(size_t N) {
-    Part.assign(N, 0);
-    Row.assign(N, 0);
-    Parts.clear();
+    Slots = N;
+    Runs.clear();
   }
 
-  /// Slot First + I reads row I of \p R, for every I < \p Count.
+  /// Slot First + I reads row I of \p R, for every I < \p Count. A run
+  /// installed at the same First replaces the earlier one; runs must not
+  /// overlap otherwise.
   void setRows(LabelId First, uint32_t Count,
                std::shared_ptr<const PairRows> R) {
-    Parts.push_back(std::move(R));
-    for (uint32_t I = 0; I < Count; ++I) {
-      Part[First + I] = static_cast<uint32_t>(Parts.size());
-      Row[First + I] = I;
+    assert(First + Count <= Slots && "run past the table's slots");
+    auto It = std::lower_bound(
+        Runs.begin(), Runs.end(), First,
+        [](const Run &X, LabelId L) { return X.First < L; });
+    if (It != Runs.end() && It->First == First) {
+      *It = Run{First, Count, std::move(R)};
+      return;
     }
+    assert((It == Runs.end() || First + Count <= It->First) &&
+           (It == Runs.begin() ||
+            std::prev(It)->First + std::prev(It)->Count <= First) &&
+           "overlapping runs");
+    Runs.insert(It, Run{First, Count, std::move(R)});
   }
 
   PairSet operator[](size_t L) const {
@@ -156,31 +186,42 @@ public:
       F(*First);
   }
 
-  /// Heap footprint in bytes: slot vectors, and each
+  /// Heap footprint in bytes: the run list, and each
   /// part counted once across all tables that share it — callers pass one
   /// \p Seen set spanning every table of a result struct.
   size_t memoryBytes(std::unordered_set<const void *> &Seen) const {
-    size_t Bytes = (Part.capacity() + Row.capacity()) * sizeof(uint32_t) +
-                   Parts.capacity() * sizeof(Parts[0]);
-    for (const auto &P : Parts)
-      if (Seen.insert(P.get()).second)
-        Bytes += sizeof(PairRows) + P->Start.capacity() * sizeof(uint32_t) +
-                 P->Items.capacity() * sizeof(DefPair);
+    size_t Bytes = Runs.capacity() * sizeof(Run);
+    for (const Run &R : Runs)
+      if (Seen.insert(R.Part.get()).second)
+        Bytes += sizeof(PairRows) + R.Part->memoryBytes();
     return Bytes;
   }
 
 private:
-  /// Slot \p L's kept row (empty when no solve kept it).
+  /// Slots First .. First + Count - 1 read rows 0 .. Count - 1 of Part.
+  struct Run {
+    LabelId First;
+    uint32_t Count;
+    std::shared_ptr<const PairRows> Part;
+  };
+
+  /// Slot \p L's kept row (empty when no run covers it).
   std::pair<const DefPair *, const DefPair *> span(size_t L) const {
-    assert(L < Part.size() && "label out of range");
-    if (!Part[L])
+    assert(L < Slots && "label out of range");
+    auto It = std::upper_bound(
+        Runs.begin(), Runs.end(), L,
+        [](size_t Slot, const Run &X) { return Slot < X.First; });
+    if (It == Runs.begin())
       return {nullptr, nullptr};
-    const PairRows &R = *Parts[Part[L] - 1];
-    return {R.begin(Row[L]), R.end(Row[L])};
+    --It;
+    if (L >= It->First + It->Count)
+      return {nullptr, nullptr};
+    size_t Row = L - It->First;
+    return {It->Part->begin(Row), It->Part->end(Row)};
   }
 
-  std::vector<uint32_t> Part, Row; ///< per slot: part + 1 (0: none), row
-  std::vector<std::shared_ptr<const PairRows>> Parts;
+  size_t Slots = 0;
+  std::vector<Run> Runs; ///< ascending First
 };
 
 /// The kill/gen of Table 4 or Table 5 for one process, in factored form:

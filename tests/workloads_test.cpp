@@ -229,9 +229,7 @@ TEST(Synthetic, AesCoreKeepsOnlyWhatTableSevenReads) {
   Analyzed A = elaborate(workloads::aesCoreDesign(1), true);
   IFAResult R = analyzeInformationFlow(A.Program, A.CFG);
   EXPECT_LE(R.RD.memoryBytes() + R.Active.memoryBytes(), size_t(8) << 20);
-  size_t Dagger = 0;
-  for (const PairSet &S : R.RDDagger)
-    Dagger += S.size();
+  size_t Dagger = R.RDDagger.Items.size();
   EXPECT_EQ(Dagger, 29233u);
   EXPECT_EQ(R.Graph.numNodes(), 251u);
   // The extraction hands over one pair per edge (it once pushed 876 052
@@ -266,9 +264,7 @@ TEST(Synthetic, AesCoreTenRoundsEndToEnd) {
   IFAResult R = analyzeInformationFlow(A.Program, A.CFG);
   EXPECT_EQ(R.Graph.numNodes(), 251u);
   EXPECT_EQ(R.Graph.numEdges(), 23440u);
-  size_t Dagger = 0;
-  for (const PairSet &S : R.RDDagger)
-    Dagger += S.size();
+  size_t Dagger = R.RDDagger.Items.size();
   EXPECT_EQ(Dagger, 104105u);
 }
 
