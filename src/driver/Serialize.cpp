@@ -188,8 +188,11 @@ void vif::driver::writeBatchDocument(std::ostream &OS, const BatchResult &R,
     J.member("violations", R.NumViolations);
   J.member("wallMs", R.WallMs);
   J.endObject();
-  if (Opts.Cache)
+  if (Opts.Cache) {
     writeCacheObject(J, *Opts.Cache);
+    if (const ArtifactStore *Store = Opts.Cache->artifactStore())
+      writeStoreObject(J, *Store);
+  }
   J.endObject();
 }
 

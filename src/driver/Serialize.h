@@ -55,11 +55,13 @@ void writeCacheObject(JsonWriter &J, const SessionCache &Cache);
 class ArtifactStore;
 
 /// The "store" statistics object — on-disk artifact hits/misses/writes
-/// and byte traffic (serve stats documents when `--store` is configured).
+/// and byte traffic (serve stats documents and batch documents when
+/// `--store` is configured).
 void writeStoreObject(JsonWriter &J, const ArtifactStore &Store);
 
 /// One complete batch document (the `--json` output of check/flows/rm/
-/// report): schema, command, designs array, summary.
+/// report): schema, command, designs array, summary, then the cache
+/// object and, when the cache has an artifact store, the store object.
 void writeBatchDocument(std::ostream &OS, const BatchResult &R,
                         const BatchOptions &Opts,
                         JsonStyle Style = JsonStyle::Pretty);

@@ -175,6 +175,8 @@ public:
     ArtTable = Table;
     ArtStore = Store;
   }
+  /// The store set by setArtifacts, or null.
+  const ArtifactStore *artifactStore() const { return ArtStore; }
 
   Stats stats() const;
   size_t size() const;

@@ -152,4 +152,27 @@ if(NOT servefile_out MATCHES "takes no FILE")
   message(FATAL_ERROR "vifc serve with FILE not diagnosed:\n${servefile_out}")
 endif()
 
+# --json runs report their --store traffic in a top-level store object:
+# the priming run misses and writes the design blob, the second is a pure
+# hit. Without --store there is no store object.
+set(store_dir "${CMAKE_CURRENT_BINARY_DIR}/cli_smoke_store")
+file(REMOVE_RECURSE "${store_dir}")
+foreach(want "0 1 1" "1 0 0")
+  run_vifc(store_json flows --json --store ${store_dir})
+  string(JSON hits GET "${store_json}" store hits)
+  string(JSON misses GET "${store_json}" store misses)
+  string(JSON writes GET "${store_json}" store writes)
+  if(NOT "${hits} ${misses} ${writes}" STREQUAL "${want}")
+    message(FATAL_ERROR "vifc flows --json --store: store hits/misses/writes "
+                        "${hits} ${misses} ${writes}, want ${want}:\n"
+                        "${store_json}")
+  endif()
+endforeach()
+file(REMOVE_RECURSE "${store_dir}")
+string(JSON no_store ERROR_VARIABLE no_store_err GET "${json_out}" store)
+if(NOT no_store_err)
+  message(FATAL_ERROR "vifc flows --json without --store has a store "
+                      "object:\n${json_out}")
+endif()
+
 message(STATUS "vifc CLI smoke test passed")

@@ -13,6 +13,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "driver/ArtifactStore.h"
 #include "driver/Serialize.h"
 #include "driver/Serve.h"
 #include "gen/Generator.h"
@@ -994,6 +995,23 @@ TEST(SchemaConformance, EveryDocumentTypeStaysWithinTheSpec) {
       SStore.handleLine(
           R"({"command":"flows","contentKey":"ffffffffffffffff"})"),
       "serve/unknown-content-key");
+
+  // A batch document over a cache with a store, as `--json --store`
+  // prints it: the top-level store object.
+  {
+    ArtifactStore Store(StoreDir);
+    SessionCache StoreCache(4);
+    StoreCache.setArtifacts(nullptr, &Store);
+    BatchOptions Opts;
+    Opts.Mode = BatchMode::Flows;
+    Opts.Cache = &StoreCache;
+    Opts.CaptureRenderedText = false;
+    BatchResult R = runBatch({{"mux", std::string(MuxSource)}}, Opts);
+    std::ostringstream OS;
+    printBatchJson(OS, R, Opts);
+    EXPECT_NE(OS.str().find("\"store\""), std::string::npos);
+    checkDocument(OS.str(), "batch/store");
+  }
   std::filesystem::remove_all(StoreDir);
 
   // Sim document.
