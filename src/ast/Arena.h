@@ -54,7 +54,6 @@ public:
     return Data[I];
   }
   const T &front() const { return (*this)[0]; }
-  const T &back() const { return (*this)[Count - 1]; }
 
 private:
   const T *Data = nullptr;

@@ -94,8 +94,8 @@ const ElaboratedProgram *AnalysisSession::program() {
   if (ElabState == State::NotComputed) {
     ++ArtifactEpoch;
     ElabState = State::Failed;
-    // The parse tree is local and adopted by the program (bodies and
-    // initializers move); a tree with parse errors is never elaborated.
+    // The parse tree is local and adopted by the program (it takes over
+    // the tree's arena); a tree with parse errors is never elaborated.
     const std::string *Text = source();
     DesignFile Design;
     StatementProgram Stmts;
