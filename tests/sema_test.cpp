@@ -7,6 +7,7 @@
 #include "parse/Parser.h"
 #include "sema/Elaborator.h"
 #include "support/Casting.h"
+#include "workloads/AesVhdl.h"
 
 #include <gtest/gtest.h>
 
@@ -330,6 +331,19 @@ TEST(Elaborator, InitializersMustBeLiterals) {
       q <= b;
     end rtl;)",
               "must be a literal");
+}
+
+TEST(Elaborator, ProgramAdoptsTheTreeArena) {
+  // The program's figure is its tree's arena blocks plus its tables. On
+  // the AES core that is 5.3 MB; it was 6.9 MB while every node was a
+  // heap block of its own.
+  DiagnosticEngine Diags;
+  std::optional<ElaboratedProgram> P = elaborateDesign(
+      parseDesign(workloads::aesCoreDesign(1), Diags), Diags);
+  ASSERT_TRUE(P.has_value()) << Diags.str();
+  EXPECT_GT(P->Arena.blockBytes(), 0u);
+  EXPECT_LT(P->Arena.blockBytes(), P->memoryBytes());
+  EXPECT_LE(P->memoryBytes(), size_t(5500000));
 }
 
 TEST(Elaborator, MissingEntity) {
