@@ -244,6 +244,11 @@ private:
   Expr *RHS;
 };
 
+// Literals, names and binary operators are most of a large tree's nodes.
+static_assert(sizeof(VectorLiteralExpr) <= 48 && sizeof(NameExpr) <= 56 &&
+                  sizeof(BinaryExpr) <= 56,
+              "the hot expression nodes stay compact");
+
 /// Deep copy of \p E into \p Dest, resolutions, types and spellings
 /// included: the copy shares nothing with \p E's arena.
 Expr *cloneExpr(const Expr &E, AstArena &Dest);

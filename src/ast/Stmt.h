@@ -215,6 +215,10 @@ private:
   Stmt *Body;
 };
 
+static_assert(sizeof(VarAssignStmt) <= 72 && sizeof(SignalAssignStmt) <= 72,
+              "assignments, a large tree's commonest statements, stay "
+              "compact");
+
 /// Deep copy of \p S into \p Dest, like cloneExpr.
 Stmt *cloneStmt(const Stmt &S, AstArena &Dest);
 
