@@ -144,10 +144,13 @@ public:
 
   /// Slot First + I reads row I of \p R, for every I < \p Count. A run
   /// installed at the same First replaces the earlier one; runs must not
-  /// overlap otherwise.
+  /// overlap otherwise. A run of no slots (a process without labels) is
+  /// not kept.
   void setRows(LabelId First, uint32_t Count,
                std::shared_ptr<const PairRows> R) {
     assert(First + Count <= Slots && "run past the table's slots");
+    if (Count == 0)
+      return;
     auto It = std::lower_bound(
         Runs.begin(), Runs.end(), First,
         [](const Run &X, LabelId L) { return X.First < L; });
