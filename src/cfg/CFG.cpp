@@ -124,15 +124,17 @@ private:
 } // namespace
 
 ProgramCFG ProgramCFG::build(const ElaboratedProgram &Program) {
-  ProgramCFG CFG;
+  std::vector<CFGBlock> Blocks;
+  std::vector<ProcessCFG> Procs;
+  std::vector<std::pair<const Stmt *, LabelId>> StmtLabels;
   std::vector<Edge> Flow; // every process's flow(ss), in build order
   for (const ElabProcess &Proc : Program.Processes) {
     ProcessCFG P;
     P.ProcessId = Proc.Id;
-    P.FirstLabel = static_cast<LabelId>(CFG.Blocks.size() + 1);
-    CFGBuilder Builder(CFG.Blocks, CFG.StmtLabels, Flow, Proc.Id);
+    P.FirstLabel = static_cast<LabelId>(Blocks.size() + 1);
+    CFGBuilder Builder(Blocks, StmtLabels, Flow, Proc.Id);
     CFGBuilder::Segment Seg = Builder.buildStmt(*Proc.Body, P);
-    P.NumLabels = static_cast<uint32_t>(CFG.Blocks.size() + 1 - P.FirstLabel);
+    P.NumLabels = static_cast<uint32_t>(Blocks.size() + 1 - P.FirstLabel);
     P.Init = Seg.Init;
     P.Finals.assign(Builder.Finals.begin() +
                         static_cast<ptrdiff_t>(Seg.FinalsBegin),
@@ -140,9 +142,20 @@ ProgramCFG ProgramCFG::build(const ElaboratedProgram &Program) {
     std::sort(P.Finals.begin(), P.Finals.end());
     // WaitLabels ascend already: labels are handed out in ascending order.
     collectStmtObjects(*Proc.Body, P.FreeVars, P.FreeSigs);
-    CFG.Procs.push_back(std::move(P));
+    Procs.push_back(std::move(P));
   }
-  std::sort(CFG.StmtLabels.begin(), CFG.StmtLabels.end());
+  std::sort(StmtLabels.begin(), StmtLabels.end());
+  ProgramCFG CFG = fromFlow(std::move(Blocks), std::move(Procs), Flow);
+  CFG.StmtLabels = std::move(StmtLabels);
+  return CFG;
+}
+
+ProgramCFG ProgramCFG::fromFlow(std::vector<CFGBlock> Blocks,
+                                std::vector<ProcessCFG> Procs,
+                                const std::vector<Edge> &Flow) {
+  ProgramCFG CFG;
+  CFG.Blocks = std::move(Blocks);
+  CFG.Procs = std::move(Procs);
 
   // Counting sort of the edges into CSR rows keyed by one end, holding the
   // other end's local index. Filling back to front keeps each row in edge

@@ -97,6 +97,15 @@ public:
   /// been elaborated without errors.
   static ProgramCFG build(const ElaboratedProgram &Program);
 
+  /// A CFG from explicit blocks (Blocks[l-1] is label l), processes (each
+  /// a contiguous run of labels) and flow edges in order: build() is this
+  /// over the elaborated program. Blocks may carry no statement, so the
+  /// tests also hand-build flow shapes the builder never emits (self-loops,
+  /// duplicate edges) with it.
+  static ProgramCFG
+  fromFlow(std::vector<CFGBlock> Blocks, std::vector<ProcessCFG> Procs,
+           const std::vector<std::pair<LabelId, LabelId>> &Flow);
+
   const std::vector<ProcessCFG> &processes() const { return Procs; }
   const ProcessCFG &process(unsigned Id) const {
     assert(Id < Procs.size() && "process id out of range");

@@ -139,10 +139,9 @@ IFAResult vif::analyzeInformationFlow(const ElaboratedProgram &Program,
     Active = analyzeActiveSignalsReference(Program, CFG);
     RD = analyzeReachingDefsReference(Program, CFG, Active, Opts.RD);
   } else {
-    ProcessArtifactTable Fresh;
     ResourceRows Reads = tableSevenReads(RMlo, CFG.numLabels());
-    analyzeIncremental(Program, CFG, Opts.RD, Table ? *Table : Fresh, Active,
-                       RD, Stats, &Reads);
+    analyzeIncremental(Program, CFG, Opts.RD, Table, Active, RD, Stats,
+                       &Reads);
   }
   return composeInformationFlow(Program, CFG, Opts, std::move(RMlo),
                                 std::move(Active), std::move(RD));

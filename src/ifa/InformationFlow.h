@@ -110,8 +110,8 @@ struct IFAResult {
 /// Runs the full pipeline: local dependencies, reaching definitions,
 /// closure, graph extraction. Tables 4 and 5 run through the one driver,
 /// rd::analyzeIncremental, reusing per-process artifacts from \p Table
-/// (a fresh throwaway table when null, i.e. a cold run) and adding its
-/// reuse counts to \p Stats when non-null. Under Opts.RD.ReferenceSolver
+/// (none when null: a cold run, which solves every process and builds no
+/// key) and adding its reuse counts to \p Stats when non-null. Under Opts.RD.ReferenceSolver
 /// they run through the sorted-vector reference solvers instead, leaving
 /// \p Table and \p Stats untouched.
 IFAResult analyzeInformationFlow(const ElaboratedProgram &Program,

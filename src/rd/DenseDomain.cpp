@@ -48,8 +48,7 @@ RdProcessArtifact solve(const ProgramCFG &CFG, const ProcessCFG &P,
   size_t NL = P.NumLabels;
   // The domain: only initial and gen'd pairs can ever be present (⊥ = ∅
   // and the transfer functions add nothing else), of tracked resources.
-  bool Prune = !Keep.Full && std::all_of(Keep.Whole.begin(), Keep.Whole.end(),
-                                         [](uint8_t W) { return !W; });
+  bool Prune = Keep.prunes();
   std::vector<Resource> Only = Keep.Reads.Items;
   std::sort(Only.begin(), Only.end());
   DefPairDomain Dom;
@@ -126,23 +125,48 @@ RdProcessArtifact solve(const ProgramCFG &CFG, const ProcessCFG &P,
   };
 
   // The schedule: a label with a retreating out-edge (to itself or an
-  // earlier label in reverse postorder) owns a persistent exit row; any
-  // other label with successors takes a pool row, released once the label
-  // at position LastUse[I] (its last forward successor) has read it.
-  std::vector<uint32_t> LastUse(NL, 0), Persist(NL, 0);
+  // earlier label in reverse postorder) owns a persistent exit row, which
+  // no other label aliases or steals. Every other exit lives in a pool
+  // row that counts the forward reads still pending on it (Fanout, the
+  // label's successors, per exit published) and returns to the pool when
+  // the count drops to zero. Row ids below NumPersist are persistent.
+  std::vector<uint32_t> Persist(NL, 0), Fanout(NL, 0);
   size_t NumPersist = 0;
-  for (uint32_t I = 0; I < NL; ++I)
-    for (uint32_t S : CFG.succs(P.label(I))) {
+  for (uint32_t I = 0; I < NL; ++I) {
+    ProgramCFG::Range Succs = CFG.succs(P.label(I));
+    Fanout[I] = static_cast<uint32_t>(Succs.size());
+    for (uint32_t S : Succs)
       if (Pos[S] <= Pos[I] && !Persist[I])
         Persist[I] = static_cast<uint32_t>(++NumPersist);
-      LastUse[I] = std::max(LastUse[I], Pos[S]);
-    }
-  std::vector<uint64_t> Persistent(NumPersist * RW), In(RW), Out(RW);
-  std::vector<uint64_t *> ExitOf(NL, nullptr), Free;
+  }
+  constexpr uint32_t Released = ~uint32_t(0);
+  std::vector<uint64_t> Persistent(NumPersist * RW);
+  std::vector<uint64_t *> RowAt(NumPersist);
+  std::vector<uint32_t> Pending(NumPersist, Released), ExitOf(NL, 0), Free;
+  for (uint32_t R = 0; R < NumPersist; ++R)
+    RowAt[R] = Persistent.data() + R * RW;
   for (uint32_t I = 0; I < NL; ++I)
     if (Persist[I])
-      ExitOf[I] = Persistent.data() + (Persist[I] - 1) * RW;
+      ExitOf[I] = Persist[I] - 1;
   std::vector<std::vector<uint64_t>> Pool;
+  auto take = [&] {
+    if (Free.empty()) {
+      Free.push_back(static_cast<uint32_t>(RowAt.size()));
+      RowAt.push_back(Pool.emplace_back(RW).data());
+      Pending.push_back(Released);
+    }
+    uint32_t R = Free.back();
+    Free.pop_back();
+    Pending[R] = 0;
+    return R;
+  };
+  // Returns pool row R once no read is pending on it (idempotent).
+  auto settle = [&](uint32_t R) {
+    if (R >= NumPersist && Pending[R] == 0) {
+      Pending[R] = Released;
+      Free.push_back(R);
+    }
+  };
   std::vector<uint64_t> InitRow(W);
   for (const DefPair &D : Initial)
     if (size_t B = Dom.indexOf(D); B != DefPairDomain::npos)
@@ -156,56 +180,98 @@ RdProcessArtifact solve(const ProgramCFG &CFG, const ProcessCFG &P,
       S.Buf.clear();
     for (uint32_t Q = 0; Q < NL; ++Q) {
       uint32_t I = Order[Q];
-      // The entry: the may half is Initial at init plus the union of the
-      // predecessor exits; the must half keeps ∅ at init (the
-      // program-start path carries no facts and dominates the ⋂˙), and ⋂˙
-      // over an empty predecessor family is ∅ as well.
-      BitMatrix::clear(In.data(), RW);
-      if (I == InitLocal)
-        bits::orWords(In.data(), InitRow.data(), W);
       ProgramCFG::Range Preds = CFG.preds(P.label(I));
+      // The entry: a lone predecessor's exit row, read in place. Else the
+      // may half is Initial at init plus the union of the predecessor
+      // exits, and the must half their intersection, except that it keeps
+      // ∅ at init (the program-start path carries no facts and dominates
+      // the ⋂˙) and ⋂˙ over an empty predecessor family is ∅ as well.
+      // That is built in a predecessor row this label reads last, or else
+      // in a fresh row that starts as a copy of the first predecessor's.
+      uint32_t In = Released;
       for (uint32_t U : Preds)
-        bits::orWords(In.data(), ExitOf[U], W);
-      if (Must && I != InitLocal && !Preds.empty()) {
-        BitMatrix::copy(In.data() + W, ExitOf[Preds.First[0]] + W, W);
-        for (const uint32_t *U = Preds.First + 1; U != Preds.Last; ++U)
-          BitMatrix::andWith(In.data() + W, ExitOf[*U] + W, W);
-      }
-      for (uint32_t U : Preds)
-        if (!Persist[U] && LastUse[U] == Q && ExitOf[U]) {
-          Free.push_back(ExitOf[U]);
-          ExitOf[U] = nullptr;
+        if (!Persist[U])
+          --Pending[ExitOf[U]];
+      if (I != InitLocal && Preds.size() == 1) {
+        In = ExitOf[Preds[0]];
+      } else {
+        for (uint32_t U : Preds)
+          if (!Persist[U] && Pending[ExitOf[U]] == 0) {
+            In = ExitOf[U];
+            break;
+          }
+        uint32_t Base = In;
+        if (In == Released) {
+          In = take();
+          if (Preds.empty()) {
+            BitMatrix::clear(RowAt[In], RW);
+          } else {
+            Base = ExitOf[Preds[0]];
+            BitMatrix::copy(RowAt[In], RowAt[Base], RW);
+          }
         }
+        uint64_t *Row = RowAt[In];
+        for (uint32_t U : Preds)
+          if (ExitOf[U] != Base) {
+            bits::orWords(Row, RowAt[ExitOf[U]], W);
+            if (Must)
+              BitMatrix::andWith(Row + W, RowAt[ExitOf[U]] + W, W);
+          }
+        if (I == InitLocal) {
+          bits::orWords(Row, InitRow.data(), W);
+          if (Must)
+            BitMatrix::clear(Row + W, W);
+        }
+        for (uint32_t U : Preds)
+          if (ExitOf[U] != In)
+            settle(ExitOf[U]);
+      }
       for (const Range *R = Kept.begin(I); R != Kept.end(I); ++R) {
-        Entry.emit(In.data(), *R);
+        Entry.emit(RowAt[In], *R);
         if (Must)
-          MustEntry.emit(In.data() + W, *R);
+          MustEntry.emit(RowAt[In] + W, *R);
       }
 
-      // The exit, into a fresh pool row when a later label reads it.
-      uint64_t *Row = Out.data();
-      if (!Persist[I] && LastUse[I] > Q) {
-        if (Free.empty())
-          Free.push_back(Pool.emplace_back(RW).data());
-        ExitOf[I] = Row = Free.back();
-        Free.pop_back();
-      }
-      BitMatrix::copy(Row, In.data(), RW);
-      transfer(I, Row);
-      if (Must)
-        transfer(I, Row + W);
-      if (whole(I, 2)) {
-        Exit.emit(Row, {0, K});
+      // The exit, when a successor, the exit table or the round's change
+      // test reads it: the entry row itself when the transfer is the
+      // identity (unless that is another label's persistent row) or when
+      // no other read is pending on it, else a copy into a fresh row.
+      uint32_t Out = In;
+      if (Persist[I] || Fanout[I] || whole(I, 2)) {
+        bool Identity = Kill.begin(I) == Kill.end(I) &&
+                        GenBits.begin(I) == GenBits.end(I);
+        bool Pooled = In >= NumPersist;
+        if (Identity ? !Pooled && !Persist[I]
+                     : !Pooled || Pending[In] != 0) {
+          Out = take();
+          BitMatrix::copy(RowAt[Out], RowAt[In], RW);
+        }
+        uint64_t *Row = RowAt[Out];
+        transfer(I, Row);
         if (Must)
-          MustExit.emit(Row + W, {0, K});
+          transfer(I, Row + W);
+        if (whole(I, 2)) {
+          Exit.emit(Row, {0, K});
+          if (Must)
+            MustExit.emit(Row + W, {0, K});
+        }
+        if (Persist[I]) {
+          if (uint64_t *Own = RowAt[ExitOf[I]];
+              !BitMatrix::equal(Own, Row, RW)) {
+            BitMatrix::copy(Own, Row, RW);
+            Changed = true;
+          }
+        } else {
+          ExitOf[I] = Out;
+          Pending[Out] += Fanout[I];
+        }
       }
-      if (Persist[I] && !BitMatrix::equal(ExitOf[I], Row, RW)) {
-        BitMatrix::copy(ExitOf[I], Row, RW);
-        Changed = true;
-      }
+      settle(In);
+      settle(Out);
       for (RowSink &S : Sinks)
         S.At[Q + 1] = static_cast<uint32_t>(S.Buf.size());
     }
+    assert(Free.size() == Pool.size() && "a pool row outlived its reads");
   }
   return finish();
 }

@@ -276,6 +276,13 @@ struct RowKeep {
   std::vector<uint8_t> Whole; ///< per label: bit 0 entry, bit 1 exit whole
   ResourceRows Reads; ///< per label: what a non-whole entry row keeps
 
+  /// Whether a solve prunes its domain to the resources Reads names: no
+  /// row is kept whole.
+  bool prunes() const {
+    return !Full && std::none_of(Whole.begin(), Whole.end(),
+                                 [](uint8_t W) { return W != 0; });
+  }
+
   bool keepsExits() const {
     return Full || std::any_of(Whole.begin(), Whole.end(),
                                [](uint8_t W) { return W & 2; });
@@ -313,12 +320,24 @@ struct RdProcessArtifact {
 /// predecessors' exits of this round and retreating ones' of the last;
 /// it stops after the first round in which no retreating-edge source's
 /// exit changed, whose rows are then the fixpoint. Only those sources'
-/// exits persist across rounds; every other exit lives in a recycled pool
-/// row from its label until its last forward successor has read it. So
-/// at most (retreating sources + the widest RPO cut of forward edges + 2)
-/// rows of the domain's width are live, never labels × domain, and each
-/// round emits only the facts \p Keep asks for. Iterations counts
-/// labels × rounds (0 for an empty domain).
+/// exits persist across rounds, in rows no other label aliases or
+/// steals. Every other exit lives in a recycled pool row that counts the
+/// forward reads still pending on it and returns to the pool when the
+/// count reaches zero. Rows are shared down the CFG, in this order:
+///  * a non-init label with one predecessor reads that row in place as
+///    its entry (no clear, union or copy); any other label builds its
+///    entry in a predecessor row it is the last reader of, else in a
+///    fresh row;
+///  * a label whose transfer is the identity (no kill range, no gen bit)
+///    publishes its entry row as its exit;
+///  * the last pending reader of a row transforms it in place;
+///  * anyone else copies it into a fresh row first.
+/// A label whose exit nobody reads (no successor, not kept, not a
+/// retreating source) computes none. A row lives from its first writer
+/// to its last reader, so at most (retreating sources + the widest RPO
+/// cut of forward edges + 1) rows of the domain's width are live, never
+/// labels × domain, and each round emits only the facts \p Keep asks
+/// for. Iterations counts labels × rounds (0 for an empty domain).
 RdProcessArtifact solveGenKill(const ProgramCFG &CFG, const ProcessCFG &P,
                                const ProcessKillGen &KG,
                                const PairSet &Initial, bool Must,

@@ -11,6 +11,7 @@
 #include "support/Parallel.h"
 
 #include <algorithm>
+#include <optional>
 
 using namespace vif;
 
@@ -179,11 +180,19 @@ void ProcessArtifactTable::insert(uint64_t Key,
 
 namespace {
 
-/// Folds a BitSet into a hash as (count, ascending indices) — the
-/// canonical form, independent of universe padding.
+/// Folds a BitSet into a hash by its words, trimmed of trailing zero
+/// words: the canonical form, independent of universe padding.
 void hashBitSet(HashBuilder &H, const BitSet &S) {
-  H.u64(S.count());
-  S.forEach([&H](size_t I) { H.u64(I); });
+  H.words(S.words().data(), S.words().size());
+}
+
+/// The signal ids that \p K's rows name, over a universe of \p NumSignals.
+BitSet trackedSignals(const RowKeep &K, size_t NumSignals) {
+  BitSet S(NumSignals);
+  for (Resource N : K.Reads.Items)
+    if (N.kind() == Resource::Kind::Signal && N.id() < NumSignals)
+      S.set(N.id());
+  return S;
 }
 
 /// The production keep-set of process \p P for Table 4 or 5 (see
@@ -231,13 +240,13 @@ bool fitsKeep(const RdProcessArtifact &A, const RowKeep &K, size_t NL,
 
 /// One phase of analyzeIncremental — Table 4 or Table 5 — for every
 /// process: look its artifact up under Key(P), else Solve(P) and insert
-/// it; then install it into the given tables. Misses solve in parallel
-/// (each reads only its own process); installs run after the join, in
-/// process order. Returns how many artifacts were reused; adds the
-/// iteration total to \p Iterations.
+/// it (without a table, just Solve(P)); then install it into the given
+/// tables. Misses solve in parallel (each reads only its own process);
+/// installs run after the join, in process order. Returns how many
+/// artifacts were reused; adds the iteration total to \p Iterations.
 template <typename KeyFn, typename SolveFn>
 size_t runPhase(const ProgramCFG &CFG, unsigned Jobs,
-                ProcessArtifactTable &Table, bool Must,
+                ProcessArtifactTable *Table, bool Must,
                 const std::vector<RowKeep> &Keeps, KeyFn Key, SolveFn Solve,
                 LazyPairSets &Entry, LazyPairSets &Exit,
                 LazyPairSets *MustEntry, LazyPairSets *MustExit,
@@ -247,8 +256,12 @@ size_t runPhase(const ProgramCFG &CFG, unsigned Jobs,
   std::vector<uint8_t> Reused(NumProcs, 0);
   parallelFor(Jobs, NumProcs, [&](size_t PI) {
     const ProcessCFG &P = CFG.processes()[PI];
+    if (!Table) {
+      Arts[PI] = std::make_shared<RdProcessArtifact>(Solve(P));
+      return;
+    }
     uint64_t K = Key(P);
-    auto A = Table.find(K);
+    auto A = Table->find(K);
     // A layout mismatch (a key collision) is a miss.
     if (A && !fitsKeep(*A, Keeps[PI], P.NumLabels, Must))
       A = nullptr;
@@ -256,7 +269,7 @@ size_t runPhase(const ProgramCFG &CFG, unsigned Jobs,
       Reused[PI] = 1;
     } else {
       auto Solved = std::make_shared<RdProcessArtifact>(Solve(P));
-      Table.insert(K, Solved);
+      Table->insert(K, Solved);
       A = std::move(Solved);
     }
     Arts[PI] = std::move(A);
@@ -274,7 +287,7 @@ size_t runPhase(const ProgramCFG &CFG, unsigned Jobs,
 void vif::analyzeIncremental(const ElaboratedProgram &Program,
                              const ProgramCFG &CFG,
                              const ReachingDefsOptions &Opts,
-                             ProcessArtifactTable &Table,
+                             ProcessArtifactTable *Table,
                              ActiveSignalsResult &Active,
                              ReachingDefsResult &RD, IncrementalStats *Stats,
                              const ResourceRows *Reads) {
@@ -286,7 +299,10 @@ void vif::analyzeIncremental(const ElaboratedProgram &Program,
   RD.Entry.resize(NumLabels + 1);
   RD.Exit.resize(NumLabels + 1);
 
-  std::vector<uint64_t> Slice = hashProcessSlices(Program, CFG);
+  // Keys are only built, and slices only hashed, for a table to use.
+  std::vector<uint64_t> Slice;
+  if (Table)
+    Slice = hashProcessSlices(Program, CFG);
   std::vector<RowKeep> ActKeep, RdKeep;
   for (const ProcessCFG &P : CFG.processes()) {
     ActKeep.push_back(keepOf(Program, CFG, P, Reads, /*Table4=*/true));
@@ -315,7 +331,8 @@ void vif::analyzeIncremental(const ElaboratedProgram &Program,
   // Phase 2: Table 5 artifacts, keyed by the slice plus everything the
   // wait kill/gen sets read from outside the process: the "others"
   // unions of the wait aggregates and the two options that shape them.
-  // (The slice fixes the read sets the kept rows are restricted to.)
+  // (The slice fixes the read sets the kept rows are restricted to, and
+  // with them the signals a pruned solve's waits track.)
   WaitAggregates Agg = computeWaitAggregates(CFG, Active, Opts);
   size_t RdReused = runPhase(
       CFG, Opts.Jobs, Table, /*Must=*/false, RdKeep,
@@ -328,9 +345,15 @@ void vif::analyzeIncremental(const ElaboratedProgram &Program,
         return KH.boolean(!Reads).value();
       },
       [&](const ProcessCFG &P) {
-        return solveGenKill(
-            CFG, P, computeReachingDefsKillGenFor(CFG, P, Active, Agg, Opts),
-            initialDefs(P), /*Must=*/false, RdKeep[P.ProcessId]);
+        const RowKeep &K = RdKeep[P.ProcessId];
+        std::optional<BitSet> Tracked;
+        if (K.prunes())
+          Tracked = trackedSignals(K, Agg.OthersMay[P.ProcessId].size());
+        return solveGenKill(CFG, P,
+                            computeReachingDefsKillGenFor(
+                                CFG, P, Active, Agg, Opts,
+                                Tracked ? &*Tracked : nullptr),
+                            initialDefs(P), /*Must=*/false, K);
       },
       RD.Entry, RD.Exit, nullptr, nullptr, RD.Iterations);
 

@@ -21,11 +21,11 @@
 /// retained rows; the downstream Table 7 / Table 8 pipeline then reruns
 /// over the recomposed inputs (ifa::composeInformationFlow).
 ///
-/// analyzeIncremental is the one production Table 4/5 driver: a cold
-/// analysis is analyzeIncremental over a fresh, throwaway table
-/// (ifa::analyzeInformationFlow), which simply misses on every process.
-/// It has no validation modes: the cf quantifications are always factored
-/// (computeWaitAggregates once per design, then
+/// analyzeIncremental is the one production Table 4/5 driver. A cold
+/// analysis (ifa::analyzeInformationFlow without a table) runs it with no
+/// table at all: it solves every process and hashes, keys and looks up
+/// nothing. It has no validation modes: the cf quantifications are
+/// always factored (computeWaitAggregates once per design, then
 /// computeReachingDefsKillGenFor per dirty process, both in
 /// rd/ReachingDefs.h), and the sorted-vector reference solvers are a
 /// separate path that ifa::analyzeInformationFlow selects.
@@ -113,8 +113,10 @@ struct IncrementalStats {
 
 /// Computes the Table 4 and Table 5 results for \p Program through the
 /// artifact table: per process, reuse a keyed artifact when present,
-/// otherwise solve and retain it. Results (including iteration totals) do
-/// not depend on which artifacts were reused, nor on Opts.Jobs.
+/// otherwise solve and retain it. A null \p Table is a cold run: every
+/// process is solved, and no slice hash or key is computed. Results
+/// (including iteration totals) do not depend on the table, on which
+/// artifacts were reused, nor on Opts.Jobs.
 /// Opts.ReferenceSolver is not consulted here — it selects
 /// ifa::analyzeInformationFlow's reference path instead of this driver.
 ///
@@ -127,10 +129,23 @@ struct IncrementalStats {
 void analyzeIncremental(const ElaboratedProgram &Program,
                         const ProgramCFG &CFG,
                         const ReachingDefsOptions &Opts,
-                        ProcessArtifactTable &Table,
+                        ProcessArtifactTable *Table,
                         ActiveSignalsResult &Active, ReachingDefsResult &RD,
                         IncrementalStats *Stats = nullptr,
                         const ResourceRows *Reads = nullptr);
+
+/// analyzeIncremental through \p Table (the form the tests and
+/// perfbench/layers.cpp call).
+inline void analyzeIncremental(const ElaboratedProgram &Program,
+                               const ProgramCFG &CFG,
+                               const ReachingDefsOptions &Opts,
+                               ProcessArtifactTable &Table,
+                               ActiveSignalsResult &Active,
+                               ReachingDefsResult &RD,
+                               IncrementalStats *Stats = nullptr,
+                               const ResourceRows *Reads = nullptr) {
+  analyzeIncremental(Program, CFG, Opts, &Table, Active, RD, Stats, Reads);
+}
 
 } // namespace vif
 

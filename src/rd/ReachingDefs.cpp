@@ -85,7 +85,7 @@ WaitAggregates vif::computeWaitAggregates(const ProgramCFG &CFG,
 ProcessKillGen vif::computeReachingDefsKillGenFor(
     const ProgramCFG &CFG, const ProcessCFG &P,
     const ActiveSignalsResult &Active, const WaitAggregates &Agg,
-    const ReachingDefsOptions &Opts) {
+    const ReachingDefsOptions &Opts, const BitSet *Tracked) {
   ProcessKillGen KG(P.NumLabels);
   BitSet May, Must;
   for (uint32_t I = 0; I < P.NumLabels; ++I) {
@@ -105,6 +105,10 @@ ProcessKillGen vif::computeReachingDefsKillGenFor(
       Must = Agg.OthersMust[P.ProcessId];
       signalsInto(Active.MayEntry, L, May);
       signalsInto(Active.MustEntry, L, Must);
+      if (Tracked) {
+        May.intersectWith(*Tracked);
+        Must.intersectWith(*Tracked);
+      }
       May.forEach([&](size_t Sig) {
         KG.Gen[I].append(
             DefPair{Resource::signal(static_cast<unsigned>(Sig)), L});

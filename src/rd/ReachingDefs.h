@@ -129,11 +129,18 @@ WaitAggregates computeWaitAggregates(const ProgramCFG &CFG,
 /// be active at it (under UseMustActiveKill). The one implementation of
 /// Table 5's kill/gen: analyzeIncremental (rd/Incremental.h) calls it for
 /// dirty processes only, and computeReachingDefsKillGen expands it.
+///
+/// With \p Tracked (signal ids, \p Agg's universe) a wait generates and
+/// kills only the signals in it. That is exact for a solve whose domain
+/// holds no other signal (RowKeep::prunes over \p P's read set): an
+/// untracked gen never enters the domain, and an untracked kill clears
+/// an empty range.
 ProcessKillGen computeReachingDefsKillGenFor(const ProgramCFG &CFG,
                                              const ProcessCFG &P,
                                              const ActiveSignalsResult &Active,
                                              const WaitAggregates &Agg,
-                                             const ReachingDefsOptions &Opts);
+                                             const ReachingDefsOptions &Opts,
+                                             const BitSet *Tracked = nullptr);
 
 /// The Table 5 kill/gen sets of every label as explicit pairs: the
 /// oracle-only view of computeReachingDefsKillGenFor. A killed variable x

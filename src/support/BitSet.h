@@ -166,6 +166,9 @@ public:
   }
   bool operator!=(const BitSet &O) const { return !(*this == O); }
 
+  /// The backing words, bit I in word I / 64; bits past size() are clear.
+  const std::vector<uint64_t> &words() const { return Words; }
+
   /// Heap footprint in bytes (cache byte-budget accounting).
   size_t memoryBytes() const { return Words.capacity() * sizeof(uint64_t); }
 

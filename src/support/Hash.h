@@ -48,6 +48,16 @@ public:
   }
 
   HashBuilder &u64(uint64_t V) { return bytes(&V, sizeof(V)); }
+
+  /// The words \p W[0 .. N) trimmed of trailing zero words, length-prefixed:
+  /// a bit set folds the same under any universe padding.
+  HashBuilder &words(const uint64_t *W, size_t N) {
+    while (N && !W[N - 1])
+      --N;
+    u64(N);
+    return bytes(W, N * sizeof(uint64_t));
+  }
+
   HashBuilder &boolean(bool B) { return u64(B ? 1 : 0); }
 
   uint64_t value() const { return H; }

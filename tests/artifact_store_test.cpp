@@ -24,6 +24,7 @@
 #include "driver/ArtifactStore.h"
 #include "driver/Serve.h"
 #include "driver/SessionCache.h"
+#include "gen/Generator.h"
 #include "parse/Parser.h"
 #include "support/BinaryIO.h"
 #include "support/Hash.h"
@@ -826,11 +827,87 @@ TEST(Incremental, UnchangedReanalysisReusesEverything) {
 // Layout checks on per-process artifacts served from the table
 //===----------------------------------------------------------------------===//
 
-/// Folds a BitSet into a key as rd/Incremental.cpp does: (count,
-/// ascending indices).
+/// Folds a BitSet into a key as rd/Incremental.cpp does: its words,
+/// trimmed of trailing zero words.
 void hashBitSet(HashBuilder &H, const BitSet &S) {
-  H.u64(S.count());
-  S.forEach([&H](size_t I) { H.u64(I); });
+  H.words(S.words().data(), S.words().size());
+}
+
+/// A cold run (no table) solves every process, reuses none, and gives
+/// the RD†, RMgl and graph of a run through a fresh table.
+void expectColdMatchesFreshTable(const ElaboratedProgram &P,
+                                 const std::string &What) {
+  ProgramCFG CFG = ProgramCFG::build(P);
+  size_t Procs = CFG.processes().size();
+  IncrementalStats ColdStats, TableStats;
+  IFAResult Cold = analyzeInformationFlow(P, CFG, {}, nullptr, &ColdStats);
+  ProcessArtifactTable Fresh;
+  IFAResult Keyed = analyzeInformationFlow(P, CFG, {}, &Fresh, &TableStats);
+  EXPECT_EQ(ColdStats.ActiveSolved, Procs) << What;
+  EXPECT_EQ(ColdStats.RdSolved, Procs) << What;
+  EXPECT_EQ(ColdStats.ActiveReused + ColdStats.RdReused, 0u) << What;
+  EXPECT_EQ(Fresh.hits() + Fresh.misses(), 2 * Procs) << What;
+  EXPECT_EQ(Cold.RD.Iterations, Keyed.RD.Iterations) << What;
+  EXPECT_EQ(Cold.Active.Iterations, Keyed.Active.Iterations) << What;
+  EXPECT_EQ(Cold.RDDagger.Start, Keyed.RDDagger.Start) << What;
+  EXPECT_EQ(Cold.RDDagger.Items, Keyed.RDDagger.Items) << What;
+  EXPECT_EQ(Cold.RDDaggerPhi.Items, Keyed.RDDaggerPhi.Items) << What;
+  EXPECT_TRUE(Cold.RMgl == Keyed.RMgl) << What;
+  auto edges = [](const IFAResult &R) {
+    std::string Out;
+    R.Graph.forEachSortedEdge([&Out](std::string_view F, std::string_view T) {
+      Out.append(F).append(" -> ").append(T).append("\n");
+    });
+    return Out;
+  };
+  EXPECT_EQ(edges(Cold), edges(Keyed)) << What;
+}
+
+TEST(Incremental, ColdRunWithoutATableMatchesAFreshTable) {
+  auto design = [](const std::string &Source, const std::string &What) {
+    DiagnosticEngine Diags;
+    DesignFile F = parseDesign(Source, Diags);
+    std::optional<ElaboratedProgram> P = elaborateDesign(F, Diags);
+    ASSERT_TRUE(P.has_value()) << What << ": " << Diags.str();
+    expectColdMatchesFreshTable(*P, What);
+  };
+  auto statements = [](const std::string &Source, const std::string &What) {
+    DiagnosticEngine Diags;
+    StatementProgram Prog = parseStatementProgram(Source, Diags);
+    std::optional<ElaboratedProgram> P =
+        elaborateStatements(*Prog.Body, Diags, &Prog.Decls);
+    ASSERT_TRUE(P.has_value()) << What << ": " << Diags.str();
+    expectColdMatchesFreshTable(*P, What);
+  };
+  statements(workloads::shiftRowsStatements(), "shiftRows");
+  statements(workloads::addRoundKeyStatements(), "addRoundKey");
+  statements(workloads::subBytesStatements(2), "subBytes/2");
+  statements(workloads::mixColumnsStatements(), "mixColumns");
+  design(workloads::shiftRowsDesign(), "shiftRows design");
+  design(workloads::leakyCoreDesign(), "leaky core");
+  design(workloads::aesCoreDesign(1), "AES core, 1 round");
+  design(workloads::pipelineDesign(64), "pipeline/64");
+  for (uint64_t Seed = 1; Seed <= 16; ++Seed)
+    design(gen::generateDesign(Seed), "gen " + std::to_string(Seed));
+}
+
+TEST(Incremental, KeyFoldIgnoresUniversePadding) {
+  BitSet Narrow(70), Wide(1000), Other(1000);
+  for (size_t I : {3u, 65u}) {
+    Narrow.set(I);
+    Wide.set(I);
+    Other.set(I);
+  }
+  Other.set(900);
+  auto key = [](const BitSet &S) {
+    HashBuilder H;
+    hashBitSet(H, S);
+    return H.value();
+  };
+  EXPECT_EQ(key(Narrow), key(Wide));
+  EXPECT_NE(key(Wide), key(Other));
+  EXPECT_EQ(key(BitSet(0)), key(BitSet(512)));
+  EXPECT_NE(key(BitSet(64)), key(Narrow));
 }
 
 /// \p R with \p F applied to a copy of its rows (null stays null).

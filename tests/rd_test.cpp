@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 using namespace vif;
 
 namespace {
@@ -465,6 +467,193 @@ TEST(ReachingDefs, AtProcessEnd) {
   EXPECT_TRUE(End.contains(var(A.Program, "x", 1)));
   EXPECT_TRUE(End.contains(var(A.Program, "x", 3)));
   EXPECT_TRUE(End.contains(var(A.Program, "a", InitialLabel)));
+}
+
+//===----------------------------------------------------------------------===//
+// Kernel shapes: solveGenKill against the reference solver on hand-built
+// flow graphs, one for each rule of its row schedule
+//===----------------------------------------------------------------------===//
+
+using Edges = std::vector<std::pair<LabelId, LabelId>>;
+constexpr unsigned ShapeVars = 3;
+
+/// What label L does to variable L % ShapeVars: nothing (an identity
+/// transfer), kill and gen it, or gen it without a kill.
+enum class Act { None, KillGen, Gen };
+
+/// One process of \p N blocks, labels 1..N, with \p Init and \p Flow.
+ProgramCFG shapeCFG(uint32_t N, LabelId Init, const Edges &Flow) {
+  std::vector<CFGBlock> Blocks(N);
+  for (uint32_t I = 0; I < N; ++I)
+    Blocks[I].Label = I + 1;
+  ProcessCFG P;
+  P.FirstLabel = 1;
+  P.NumLabels = N;
+  P.Init = Init;
+  return ProgramCFG::fromFlow(std::move(Blocks), {P}, Flow);
+}
+
+ProcessKillGen shapeKillGen(uint32_t N, const std::function<Act(LabelId)> &F) {
+  ProcessKillGen KG(N);
+  for (LabelId L = 1; L <= N; ++L) {
+    Resource X = Resource::variable(L % ShapeVars);
+    if (F(L) == Act::KillGen)
+      KG.Kill[L - 1].push_back(X);
+    if (F(L) != Act::None)
+      KG.Gen[L - 1].append(DefPair{X, L});
+  }
+  return KG;
+}
+
+/// \p Set restricted to the resources in \p Reads.
+PairSet restrictTo(const PairSet &Set, const std::vector<Resource> &Reads) {
+  PairSet R;
+  for (const DefPair &D : Set)
+    if (std::count(Reads.begin(), Reads.end(), D.N))
+      R.append(D);
+  return R;
+}
+
+/// solveGenKill on \p CFG's one process equals solveGenKillReference over
+/// the expanded kill/gen, with and without the must component, for the
+/// full-row view and for a pruned keep (each entry row restricted to one
+/// or two variables, variable 2 read nowhere, so the domain drops it).
+void expectShapeMatchesReference(const ProgramCFG &CFG,
+                                 const std::function<Act(LabelId)> &F,
+                                 const std::string &What) {
+  const ProcessCFG &P = CFG.process(0);
+  uint32_t N = P.NumLabels;
+  ProcessKillGen KG = shapeKillGen(N, F);
+  PairSet Initial;
+  for (unsigned V = 0; V < ShapeVars; ++V)
+    Initial.insert(DefPair{Resource::variable(V), InitialLabel});
+  DefPairDomain Sites;
+  Sites.addAll(Initial);
+  for (const PairSet &G : KG.Gen)
+    Sites.addAll(G);
+  Sites.finalize();
+  ReachingDefsKillGen Explicit;
+  Explicit.Kill.resize(N + 1);
+  Explicit.Gen.resize(N + 1);
+  expandKillGen(P, KG, Sites, Explicit);
+
+  RowKeep Pruned;
+  Pruned.Full = false;
+  Pruned.Whole.assign(N, 0);
+  std::vector<std::vector<Resource>> Reads(N + 1);
+  for (LabelId L = 1; L <= N; ++L) {
+    Reads[L] = {Resource::variable(0)};
+    if (L % 2)
+      Reads[L].push_back(Resource::variable(1));
+    Pruned.Reads.Items.insert(Pruned.Reads.Items.end(), Reads[L].begin(),
+                              Reads[L].end());
+    Pruned.Reads.closeRow();
+  }
+
+  for (bool Must : {false, true}) {
+    std::string Name = What + (Must ? " must" : " may");
+    LazyPairSets Ref[4];
+    for (LazyPairSets &T : Ref)
+      T.resize(N + 1);
+    solveGenKillReference(CFG, P, Explicit, Initial, Ref[0], Ref[1],
+                          Must ? &Ref[2] : nullptr, Must ? &Ref[3] : nullptr);
+    for (bool Full : {true, false}) {
+      RdProcessArtifact A = solveGenKill(CFG, P, KG, Initial, Must,
+                                         Full ? RowKeep() : Pruned);
+      LazyPairSets Got[4];
+      for (LazyPairSets &T : Got)
+        T.resize(N + 1);
+      installProcessRows(P, A, Got[0], Got[1], &Got[2], &Got[3]);
+      for (int T = 0; T < 4; ++T) {
+        if (!RdProcessArtifact::present(T, Full, Must))
+          continue;
+        for (LabelId L = 1; L <= N; ++L) {
+          PairSet Want = Full ? Ref[T][L] : restrictTo(Ref[T][L], Reads[L]);
+          EXPECT_TRUE(Got[T][L] == Want)
+              << Name << (Full ? " full" : " pruned") << ": table " << T
+              << " at label " << L;
+        }
+      }
+    }
+  }
+}
+
+Act byLabel(LabelId L) { return static_cast<Act>(L % 3); }
+
+TEST(KernelShapes, StraightChain) {
+  Edges Flow;
+  for (LabelId L = 1; L < 12; ++L)
+    Flow.emplace_back(L, L + 1);
+  expectShapeMatchesReference(shapeCFG(12, 1, Flow), byLabel, "chain");
+}
+
+TEST(KernelShapes, WideElsifChain) {
+  // Condition k at label 2k - 1 (an identity), its arm at 2k; the last
+  // condition's else arm at 513; every arm joins at 514, which ends at 515.
+  constexpr uint32_t Arms = 256, Else = 2 * Arms + 1, Join = Else + 1;
+  Edges Flow;
+  for (uint32_t K = 1; K <= Arms; ++K) {
+    Flow.emplace_back(2 * K - 1, 2 * K);
+    Flow.emplace_back(2 * K - 1, K == Arms ? Else : 2 * K + 1);
+    Flow.emplace_back(2 * K, Join);
+  }
+  Flow.emplace_back(Else, Join);
+  Flow.emplace_back(Join, Join + 1);
+  expectShapeMatchesReference(
+      shapeCFG(Join + 1, 1, Flow),
+      [](LabelId L) { return L % 2 && L < Else ? Act::None : Act::KillGen; },
+      "elsif");
+}
+
+TEST(KernelShapes, Diamond) {
+  expectShapeMatchesReference(
+      shapeCFG(5, 1, {{1, 2}, {1, 3}, {2, 4}, {3, 4}, {4, 5}}), byLabel,
+      "diamond");
+  expectShapeMatchesReference(
+      shapeCFG(5, 1, {{1, 2}, {1, 3}, {2, 4}, {3, 4}, {4, 5}}),
+      [](LabelId L) { return L == 4 ? Act::None : Act::KillGen; },
+      "diamond, identity join");
+}
+
+TEST(KernelShapes, Loops) {
+  // A self-loop.
+  expectShapeMatchesReference(shapeCFG(3, 1, {{1, 2}, {2, 2}, {2, 3}}),
+                              byLabel, "self-loop");
+  // A loop entered only at the init label, which is its header.
+  expectShapeMatchesReference(
+      shapeCFG(4, 1, {{1, 2}, {2, 3}, {3, 1}, {1, 4}}), byLabel,
+      "init header");
+  // An unreachable loop whose header's one predecessor is its latch.
+  expectShapeMatchesReference(
+      shapeCFG(4, 1, {{1, 2}, {3, 4}, {4, 3}, {4, 2}}), byLabel,
+      "unreachable loop");
+  // Nested loops: the inner header 3 is persistent (its exit edge goes
+  // back to the outer header), and its lone successor 4, an identity,
+  // reads that row in place but must not alias it.
+  for (Act Four : {Act::None, Act::KillGen})
+    expectShapeMatchesReference(
+        shapeCFG(6, 1,
+                 {{1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 3}, {3, 2}, {2, 6}}),
+        [Four](LabelId L) { return L == 4 ? Four : Act::KillGen; },
+        "nested loops");
+}
+
+TEST(KernelShapes, InitLabelWithAPredecessor) {
+  // Init 2 sits in the middle; 1 reaches it and is unreachable itself.
+  expectShapeMatchesReference(shapeCFG(4, 2, {{1, 2}, {2, 3}, {3, 4}}),
+                              byLabel, "init with a predecessor");
+  expectShapeMatchesReference(shapeCFG(3, 1, {{1, 2}, {2, 1}, {2, 3}}),
+                              [](LabelId) { return Act::None; },
+                              "identity loop through init");
+}
+
+TEST(KernelShapes, DuplicateEdges) {
+  expectShapeMatchesReference(
+      shapeCFG(4, 1, {{1, 2}, {1, 2}, {2, 3}, {2, 3}, {3, 1}, {3, 4}}),
+      byLabel, "duplicates");
+  expectShapeMatchesReference(
+      shapeCFG(3, 1, {{1, 2}, {1, 2}, {2, 3}}),
+      [](LabelId) { return Act::None; }, "identity duplicates");
 }
 
 //===----------------------------------------------------------------------===//

@@ -64,6 +64,50 @@ else
   echo "python3 not found; skipping chain1024 JSON check"
 fi
 
+# Both Table 4/5 paths agree on the benchmark's inputs: a cold CLI run
+# (no artifact table: nothing keyed, every process solved) must print the
+# v1b frame that `vifc serve --store` (per-process artifact table) sends
+# for the same file, on a first request, a repeat and a one-stage edit of
+# pipeline/256. Requests carry no id, so frames have no IDNT section.
+if command -v python3 >/dev/null; then
+  paths_dir=$(mktemp -d)
+  "$BUILD_DIR/perfbench/perfbench_layers" gen "$paths_dir" >/dev/null
+  python3 - "$BUILD_DIR/vifc" "$paths_dir" <<'PY'
+import json
+import struct
+import subprocess
+import sys
+
+vifc, d = sys.argv[1], sys.argv[2]
+pipe, aes, edit = d + "/pipeline256.vhd", d + "/aes1.vhd", d + "/edit.vhd"
+with open(pipe) as f:
+    base = f.read()
+old = "\n    s_100 <= s_99;\n"
+assert base.count(old) == 1, "pipeline256: stage 100 not found"
+with open(edit, "w") as f:
+    f.write(base.replace(old, "\n    s_100 <= s_99 and s_3 and s_7;\n"))
+paths = [pipe, pipe, edit, aes, aes]
+lines = b"".join(json.dumps({"schema": "vifc.v1", "command": "flows",
+                             "path": p, "format": "v1b"}).encode() + b"\n"
+                 for p in paths)
+out = subprocess.run([vifc, "serve", "--store", d + "/store"], input=lines,
+                     stdout=subprocess.PIPE, check=True).stdout
+off = 0
+for i, p in enumerate(paths):
+    assert out[off:off + 4] == b"VIFB", "request %d: no v1b frame" % i
+    n = struct.unpack_from("<Q", out, off + 8)[0]
+    frame, off = out[off:off + n], off + n + 1
+    cold = subprocess.run([vifc, "flows", "--format", "v1b", p],
+                          stdout=subprocess.PIPE, check=True).stdout
+    assert frame == cold, "request %d (%s): serve and cold frames differ" % (
+        i, p)
+PY
+  rm -rf "$paths_dir"
+  echo "cold and table paths agree"
+else
+  echo "python3 not found; skipping the cold/table path check"
+fi
+
 # Differential fuzz smoke straight through the CLI (ctest's
 # vifc_fuzz_smoke covers seeds 1-200; this fixed range extends it and
 # proves the reproducer interface works from a shell).
