@@ -111,9 +111,9 @@ struct IFAResult {
 /// closure, graph extraction. Tables 4 and 5 run through the one driver,
 /// rd::analyzeIncremental, reusing per-process artifacts from \p Table
 /// (none when null: a cold run, which solves every process and builds no
-/// key) and adding its reuse counts to \p Stats when non-null. Under Opts.RD.ReferenceSolver
-/// they run through the sorted-vector reference solvers instead, leaving
-/// \p Table and \p Stats untouched.
+/// key) and adding its reuse counts to \p Stats when non-null. Under
+/// Opts.RD.ReferenceSolver they run through the sorted-vector reference
+/// solvers instead, leaving \p Table and \p Stats untouched.
 IFAResult analyzeInformationFlow(const ElaboratedProgram &Program,
                                  const ProgramCFG &CFG,
                                  const IFAOptions &Opts = IFAOptions(),
