@@ -334,8 +334,11 @@ TEST(Digraph, SortedViewsMatchAComparisonSort) {
     NamePairs Want;
     // Numbered names whose string order differs from their numeric order
     // (x_10 < x_2), inserted in shuffled order, so ids, numbers and ranks
-    // all disagree.
-    unsigned N = 1 + Rng() % 40;
+    // all disagree. Every tenth graph is large (up to ~3 000 nodes, a rank
+    // bitmap of up to 47 words) and has hub rows, so rows both longer and
+    // shorter than the bitmap's word count occur.
+    bool Large = Trial % 10 == 9;
+    unsigned N = Large ? 1000 + Rng() % 2000 : 1 + Rng() % 40;
     std::vector<unsigned> Numbers(N);
     for (unsigned I = 0; I < N; ++I)
       Numbers[I] = I;
@@ -354,8 +357,29 @@ TEST(Digraph, SortedViewsMatchAComparisonSort) {
       }
       return List;
     };
+    // Sources with distinct targets: one row of each length around the
+    // bitmap's word count, and a few of up to N.
+    auto HubEdges = [&] {
+      std::vector<std::pair<Digraph::NodeId, Digraph::NodeId>> List;
+      std::vector<Digraph::NodeId> Targets(G.numNodes());
+      for (Digraph::NodeId I = 0; I < Targets.size(); ++I)
+        Targets[I] = I;
+      size_t Words = (G.numNodes() + 63) / 64;
+      for (size_t Degree : {Words - 1, Words, Words + 1, size_t(Rng() % N),
+                            size_t(Rng() % N), size_t(G.numNodes())}) {
+        Digraph::NodeId From = Rng() % G.numNodes();
+        std::shuffle(Targets.begin(), Targets.end(), Rng);
+        for (size_t K = 0; K < Degree; ++K) {
+          List.emplace_back(From, Targets[K]);
+          Want.emplace_back(G.name(From), G.name(Targets[K]));
+        }
+      }
+      return List;
+    };
 
     G.addEdges(RandomEdges(Rng() % (3 * N)));
+    if (Large)
+      G.addEdges(HubEdges());
     for (const auto &[From, To] : RandomEdges(Rng() % 4))
       G.addEdge(From, To);
     expectViewsMatch(G, Want, Trial);
@@ -372,6 +396,8 @@ TEST(Digraph, SortedViewsMatchAComparisonSort) {
       G.addNode(Name);
     expectViewsMatch(G, Want, Trial);
     G.addEdges(RandomEdges(Rng() % N + 1));
+    if (Large)
+      G.addEdges(HubEdges());
     expectViewsMatch(G, Want, Trial);
   }
 }

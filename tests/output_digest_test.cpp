@@ -14,7 +14,9 @@
 /// differently — fails here. The blob digests are of store format 3 (a
 /// format change re-pins them, and only them). chainStatements(300)
 /// emits more than 64 KB of JSON, so its documents cross the stream
-/// writer's chunk boundaries.
+/// writer's chunk boundaries. independentCopies(256) and the blob of
+/// chainStatements(1024) pin the flow graph's node ids and edge storage
+/// order on the sparse and the dense shape.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -114,6 +116,28 @@ TEST(OutputDigest, AesCore) {
   expectDigests("aes1", workloads::aesCoreDesign(1), false,
                 {"cb67388a0228ceb9", "471a9d21f4b4b6c0", "48a9004c0a3ac0a5",
                  "7dd1344983c716d2"});
+}
+
+TEST(OutputDigest, SparseRows) {
+  // Each statement copies one variable into another, so every row of the
+  // flow graph holds one edge among 512 nodes: the sparse shape.
+  expectDigests("copies256", workloads::independentCopies(256), true,
+                {"add70bfb03a9c818", "c336f5de3b148988", "cef78679d09a4929",
+                 "254a9e0d01ab025a"});
+}
+
+TEST(OutputDigest, DenseRowsBlob) {
+  // chainStatements(1024) is the dense transitive shape (524 800 edges):
+  // its blob pins the node ids and the edge storage order the extraction
+  // writes. The documents are 42 MB, so only the blob is pinned here.
+  BatchOptions Opts;
+  Opts.Session.Statements = true;
+  AnalysisSession S = AnalysisSession::fromSource(
+      "chain1024", workloads::chainStatements(1024), Opts.Session);
+  const IFAResult *R = S.ifa();
+  ASSERT_NE(R, nullptr);
+  EXPECT_EQ(R->Graph.numEdges(), 524800u);
+  EXPECT_EQ(digest(encodeDesignArtifact(*R)), "5bc2f4ded92311b5");
 }
 
 TEST(OutputDigest, EscapedNodeNamesThroughTheEdgeTable) {
