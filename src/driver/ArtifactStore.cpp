@@ -258,23 +258,33 @@ bool decodeGraph(std::string_view Blob, Digraph &G) {
   }
   if (G.numNodes() != N) // duplicate names can only come from corruption
     return false;
-  std::vector<std::pair<Digraph::NodeId, Digraph::NodeId>> Edges;
-  Edges.reserve(R.remaining()); // an edge takes at least a byte
-  for (Digraph::NodeId From = 0; From < N; ++From) {
-    uint32_t Degree = R.varint();
-    if (!R.ok() || Degree > N || Degree > R.remaining())
-      return false;
-    uint64_t To = 0;
-    for (uint32_t K = 0; K < Degree; ++K) {
-      uint32_t D = R.varint();
-      To += D;
-      if ((K && D == 0) || To >= N)
+  // Two walks over the successor lists: the first checks them and counts
+  // the edges, so the second fills a list of exactly that size, which the
+  // graph adopts without a shrinking copy.
+  auto Walk = [N](ByteReader R, auto &&Emit) {
+    for (Digraph::NodeId From = 0; From < N; ++From) {
+      uint32_t Degree = R.varint();
+      if (!R.ok() || Degree > N || Degree > R.remaining())
         return false;
-      Edges.emplace_back(From, static_cast<Digraph::NodeId>(To));
+      uint64_t To = 0;
+      for (uint32_t K = 0; K < Degree; ++K) {
+        uint32_t D = R.varint();
+        To += D;
+        if ((K && D == 0) || To >= N)
+          return false;
+        Emit(From, static_cast<Digraph::NodeId>(To));
+      }
     }
-  }
-  if (!R.ok() || !R.atEnd())
+    return R.ok() && R.atEnd();
+  };
+  size_t NumEdges = 0;
+  if (!Walk(R, [&](Digraph::NodeId, Digraph::NodeId) { ++NumEdges; }))
     return false;
+  std::vector<std::pair<Digraph::NodeId, Digraph::NodeId>> Edges;
+  Edges.reserve(NumEdges);
+  Walk(R, [&](Digraph::NodeId From, Digraph::NodeId To) {
+    Edges.emplace_back(From, To);
+  });
   G.addEdges(std::move(Edges));
   return true;
 }

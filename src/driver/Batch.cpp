@@ -70,7 +70,8 @@ void recordGraph(DesignResult &D, const Digraph &G) {
   D.NumEdges = G.numEdges();
   // Borrow the graph instead of copying its edge list; materialize the
   // sorted views now, while the producing session is still exclusively
-  // held, so every later read through D.Graph is a pure read.
+  // held, so every later read through D.Graph is a pure read. The
+  // session's own ifa() graph has them already, built under its phase.
   G.ensureSortedViews();
   D.Graph = &G;
 }

@@ -412,52 +412,81 @@ IFAResult vif::composeInformationFlow(const ElaboratedProgram &Program,
 
     // Graph extraction straight off the bitset rows: the rows carry every
     // R0 entry (they were seeded from RMgl and only grew), so the
-    // pre-adoption view is only consulted for the M0/M1 runs. Each
-    // modified node gathers its predecessors as one word-OR of the
-    // label's row, so every edge is emitted exactly once. Node ids keep
-    // their first-sighting order — per label the first mod, then the read
-    // bits not named before, then the other mods — because the store's
-    // design blobs record the graph by node id.
+    // pre-adoption view is only consulted for the M0/M1 runs. Node ids
+    // keep their first-sighting order — per label the first mod, then the
+    // read bits not named before, then the other mods — because the
+    // store's design blobs record the graph by node id. PredsOf holds each
+    // modified node's reads (one word-OR per label), and the edge list is
+    // written from it in ascending (from, to) id order, so the graph
+    // adopts it without sorting: each source's run starts after the
+    // out-degrees of the sources before it, and PredsOf is transposed 64
+    // targets at a time into one word per read bit, whose set bits are
+    // that read's targets in the block, ascending.
     Digraph G;
     {
-      FlowNodeTable Nodes(Program, G);
-      LabelIndexedRM GlIdx(R.RMgl);
       std::vector<Digraph::NodeId> ReadNode(K);
-      BitMatrix Scratch(2, K);
-      uint64_t *Named = Scratch.row(0), *Fresh = Scratch.row(1);
-      // (modified node, label) per M0/M1 entry at a label with reads.
-      std::vector<std::pair<Digraph::NodeId, LabelId>> ModsAt;
-      for (LabelId L = InitialLabel; L <= GlIdx.maxLabel(); ++L) {
-        const uint64_t *Reads = R0.row(L);
-        if (BitMatrix::none(Reads, W))
-          continue;
-        bool ReadsNamed = false;
-        for (Access MA : {Access::M0, Access::M1})
-          for (uint32_t M : GlIdx.at(L, MA)) {
-            ModsAt.emplace_back(Nodes.nodeOf(M), L);
-            if (ReadsNamed)
-              continue;
-            ReadsNamed = true;
-            BitMatrix::copy(Fresh, Reads, W);
-            BitMatrix::subtract(Fresh, Named, W);
-            BitMatrix::forEachBit(Fresh, W, [&](size_t I) {
-              ReadNode[I] = Nodes.nodeOf(Universe[I]);
-            });
-            BitMatrix::orInto(Named, Fresh, W);
-          }
+      BitMatrix PredsOf;
+      {
+        // The naming tables die before the edge list is written, so the
+        // list and its scratch reuse their memory.
+        FlowNodeTable Nodes(Program, G);
+        LabelIndexedRM GlIdx(R.RMgl);
+        BitMatrix Scratch(2, K);
+        uint64_t *Named = Scratch.row(0), *Fresh = Scratch.row(1);
+        // (modified node, label) per M0/M1 entry at a label with reads.
+        std::vector<std::pair<Digraph::NodeId, LabelId>> ModsAt;
+        for (LabelId L = InitialLabel; L <= GlIdx.maxLabel(); ++L) {
+          const uint64_t *Reads = R0.row(L);
+          if (BitMatrix::none(Reads, W))
+            continue;
+          bool ReadsNamed = false;
+          for (Access MA : {Access::M0, Access::M1})
+            for (uint32_t M : GlIdx.at(L, MA)) {
+              ModsAt.emplace_back(Nodes.nodeOf(M), L);
+              if (ReadsNamed)
+                continue;
+              ReadsNamed = true;
+              BitMatrix::copy(Fresh, Reads, W);
+              BitMatrix::subtract(Fresh, Named, W);
+              BitMatrix::forEachBit(Fresh, W, [&](size_t I) {
+                ReadNode[I] = Nodes.nodeOf(Universe[I]);
+              });
+              BitMatrix::orInto(Named, Fresh, W);
+            }
+        }
+        PredsOf.reset(G.numNodes(), K);
+        for (const auto &[To, L] : ModsAt)
+          BitMatrix::orInto(PredsOf.row(To), R0.row(L), W);
       }
-      BitMatrix PredsOf(G.numNodes(), K);
-      for (const auto &[To, L] : ModsAt)
-        BitMatrix::orInto(PredsOf.row(To), R0.row(L), W);
-      size_t NumEdges = 0;
-      for (Digraph::NodeId To = 0; To < PredsOf.numRows(); ++To)
-        NumEdges += BitMatrix::count(PredsOf.row(To), W);
-      std::vector<std::pair<Digraph::NodeId, Digraph::NodeId>> EdgeList;
-      EdgeList.reserve(NumEdges);
-      for (Digraph::NodeId To = 0; To < PredsOf.numRows(); ++To)
-        BitMatrix::forEachBit(PredsOf.row(To), W, [&](size_t I) {
-          EdgeList.emplace_back(ReadNode[I], To);
-        });
+      size_t NumNodes = PredsOf.numRows();
+      std::vector<uint32_t> Cursor(NumNodes + 1, 0);
+      for (Digraph::NodeId To = 0; To < NumNodes; ++To)
+        BitMatrix::forEachBit(PredsOf.row(To), W,
+                              [&](size_t I) { ++Cursor[ReadNode[I] + 1]; });
+      for (size_t From = 0; From < NumNodes; ++From)
+        Cursor[From + 1] += Cursor[From];
+      std::vector<std::pair<Digraph::NodeId, Digraph::NodeId>> EdgeList(
+          Cursor[NumNodes]);
+      std::vector<uint64_t> TargetsOf(K, 0);
+      std::vector<uint32_t> Touched;
+      for (Digraph::NodeId Base = 0; Base < NumNodes; Base += 64) {
+        Digraph::NodeId End = std::min<size_t>(Base + 64, NumNodes);
+        for (Digraph::NodeId To = Base; To < End; ++To)
+          BitMatrix::forEachBit(PredsOf.row(To), W, [&](size_t I) {
+            if (!TargetsOf[I])
+              Touched.push_back(static_cast<uint32_t>(I));
+            TargetsOf[I] |= uint64_t(1) << (To - Base);
+          });
+        for (uint32_t I : Touched) {
+          Digraph::NodeId From = ReadNode[I];
+          uint32_t &At = Cursor[From];
+          for (uint64_t Word = TargetsOf[I]; Word; Word &= Word - 1)
+            EdgeList[At++] = {From, Base + static_cast<Digraph::NodeId>(
+                                               __builtin_ctzll(Word))};
+          TargetsOf[I] = 0;
+        }
+        Touched.clear();
+      }
       G.addEdges(std::move(EdgeList));
     }
     R.Graph = std::move(G);

@@ -225,19 +225,48 @@ void Digraph::ensureEdgeOrder() const {
   std::lock_guard<std::mutex> Lock(*ViewMutex);
   if (EdgeOrderValid.load(std::memory_order_relaxed))
     return;
-  // (rank[from], rank[to]) order by the same two counting passes over
-  // the ranks, scattering edge indices.
-  size_t N = Names.size();
-  auto FromRank = [this](const Edge &E) { return RankOf[E.first]; };
-  auto ToRank = [this](const Edge &E) { return RankOf[E.second]; };
-  std::vector<uint32_t> ToStart = bucketStarts(Edges, N, ToRank);
-  std::vector<uint32_t> FromStart = bucketStarts(Edges, N, FromRank);
-  std::vector<uint32_t> ByTo(Edges.size());
-  for (uint32_t I = 0; I < Edges.size(); ++I)
-    ByTo[ToStart[ToRank(Edges[I])]++] = I;
+  // (rank[from], rank[to]) order one source row at a time: Edges is in
+  // (from, to) id order, so a source's edges are one contiguous run, and
+  // the runs are visited in rank order. A run at least as long as a
+  // bitmap over the N ranks has words orders its targets through that
+  // bitmap, whose scan it pays for; a shorter run sorts (rank, index)
+  // keys. Only node-sized scratch is allocated besides EdgeOrder itself.
+  size_t N = Names.size(), Words = (N + 63) / 64;
+  std::vector<uint32_t> RowStart(N + 1, 0);
+  auto RowEnd = Edges.begin();
+  for (size_t From = 0; From < N; ++From) {
+    RowEnd = std::partition_point(RowEnd, Edges.end(), [From](const Edge &E) {
+      return E.first <= From;
+    });
+    RowStart[From + 1] = static_cast<uint32_t>(RowEnd - Edges.begin());
+  }
+  std::vector<uint64_t> Bitmap(Words, 0);
+  std::vector<uint32_t> IndexAt(N);
+  std::vector<uint64_t> Keys;
   EdgeOrder.resize(Edges.size());
-  for (uint32_t I : ByTo)
-    EdgeOrder[FromStart[FromRank(Edges[I])]++] = I;
+  uint32_t *Out = EdgeOrder.data();
+  for (NodeId From : RankOrder) {
+    uint32_t Begin = RowStart[From], End = RowStart[From + 1];
+    if (End - Begin >= Words) {
+      for (uint32_t I = Begin; I < End; ++I) {
+        NodeId Rank = RankOf[Edges[I].second];
+        Bitmap[Rank >> 6] |= uint64_t(1) << (Rank & 63);
+        IndexAt[Rank] = I;
+      }
+      for (size_t WI = 0; WI < Words; ++WI) {
+        for (uint64_t Word = Bitmap[WI]; Word; Word &= Word - 1)
+          *Out++ = IndexAt[(WI << 6) + __builtin_ctzll(Word)];
+        Bitmap[WI] = 0;
+      }
+    } else {
+      Keys.clear();
+      for (uint32_t I = Begin; I < End; ++I)
+        Keys.push_back(uint64_t(RankOf[Edges[I].second]) << 32 | I);
+      std::sort(Keys.begin(), Keys.end());
+      for (uint64_t Key : Keys)
+        *Out++ = static_cast<uint32_t>(Key);
+    }
+  }
   EdgeOrderValid.store(true, std::memory_order_release);
 }
 

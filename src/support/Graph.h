@@ -50,10 +50,13 @@ class BitMatrix;
 /// graphs, the Warshall closure below) never pays per-edge ordered-set
 /// node allocations. Sorted iteration orders are likewise cached lazily: a
 /// lexicographic node-rank permutation and an edge permutation sorted by
-/// (rank[from], rank[to]) are computed once and reused. Both edge orders
-/// are two stable counting passes over node-sized buckets (minor key,
-/// then major key), so a flush and the first sorted emission are linear
-/// in edges plus nodes; only the node ranking compares strings. The lazy
+/// (rank[from], rank[to]) are computed once and reused. A flush takes a
+/// list that already ascends strictly (the flow-graph extraction, a
+/// decoded blob) as is and sorts any other by two stable counting passes
+/// over node-sized buckets. The edge permutation visits the source rows
+/// in rank order and orders each row's targets by rank, through a bitmap
+/// over the ranks or, for a row shorter than its word count, a small
+/// sort; only the node ranking compares strings. The lazy
 /// merge mutates on const reads, but builds are internally synchronized:
 /// each view flips an atomic flag under a per-graph mutex (double-checked),
 /// so concurrent const readers — e.g. two query threads touching the same
