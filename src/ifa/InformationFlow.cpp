@@ -12,8 +12,7 @@
 #include <algorithm>
 #include <deque>
 #include <iterator>
-#include <unordered_map>
-#include <unordered_set>
+#include <tuple>
 
 using namespace vif;
 
@@ -89,28 +88,88 @@ Digraph vif::extractFlowGraph(const ResourceMatrix &RM,
 
 namespace {
 
-/// Builds the static copy graph described in the header: an edge
-/// (Src -> Dst) means every (n, Src, R0) entry of RMgl induces
-/// (n, Dst, R0). Adjacency is a dense vector indexed by source label;
-/// duplicate detection is a hash probe on the packed edge.
+/// The static copy graph described in the header, in CSR form: an edge
+/// (Src -> Dst) means every (n, Src, R0) entry of RMgl induces (n, Dst,
+/// R0). Edges are collected as pairs, then bucketed by source (a stable
+/// counting sort, so a row keeps the order its targets were first added
+/// in) and deduplicated per row; self edges copy nothing and are dropped.
 struct CopyGraph {
-  /// Adjacency: for each source label, the labels it feeds.
-  std::vector<std::vector<LabelId>> Succs;
-  std::unordered_set<uint64_t> Present;
+  std::vector<std::pair<LabelId, LabelId>> Pending;
+  /// Row Src: the labels Src feeds (after finish).
+  Rows<LabelId> Succs;
 
   void addEdge(LabelId Src, LabelId Dst) {
-    if (Src == Dst)
-      return;
-    if (!Present.insert((static_cast<uint64_t>(Src) << 32) | Dst).second)
-      return;
-    if (Succs.size() <= Src)
-      Succs.resize(static_cast<size_t>(Src) + 1);
-    Succs[Src].push_back(Dst);
+    if (Src != Dst)
+      Pending.emplace_back(Src, Dst);
   }
 
-  bool hasSuccs(LabelId Src) const {
-    return Src < Succs.size() && !Succs[Src].empty();
+  /// Builds the rows of labels 0 .. \p NumLabels - 1 from the pairs.
+  void finish(size_t NumLabels) {
+    std::vector<uint32_t> &Start = Succs.Start;
+    Start.assign(NumLabels + 1, 0);
+    for (const auto &E : Pending)
+      ++Start[E.first + 1];
+    for (size_t L = 0; L < NumLabels; ++L)
+      Start[L + 1] += Start[L];
+    std::vector<uint32_t> Mark(Start.begin(), Start.end() - 1);
+    Succs.Items.resize(Pending.size());
+    for (const auto &[Src, Dst] : Pending)
+      Succs.Items[Mark[Src]++] = Dst;
+    Pending = {};
+    // Mark[Dst] == Src + 1 once row Src holds Dst.
+    std::fill(Mark.begin(), Mark.end(), 0);
+    uint32_t Out = 0;
+    for (size_t Src = 0; Src < NumLabels; ++Src) {
+      uint32_t First = Start[Src], Last = Start[Src + 1];
+      Start[Src] = Out;
+      for (uint32_t I = First; I < Last; ++I)
+        if (LabelId Dst = Succs.Items[I]; Mark[Dst] != Src + 1) {
+          Mark[Dst] = static_cast<uint32_t>(Src + 1);
+          Succs.Items[Out++] = Dst;
+        }
+    }
+    Start[NumLabels] = Out;
+    Succs.Items.resize(Out);
   }
+
+  bool hasSuccs(LabelId Src) const { return !Succs[Src].empty(); }
+};
+
+/// RD†ϕ indexed by resource: for every resource raw id, all its (wait
+/// label l_j, def label l'') pairs, as one list sorted by resource whose
+/// runs are found by binary search.
+class PhiIndex {
+public:
+  struct Entry {
+    uint32_t Raw;
+    LabelId LJ, PhiL;
+    bool operator<(const Entry &O) const {
+      return std::tie(Raw, LJ, PhiL) < std::tie(O.Raw, O.LJ, O.PhiL);
+    }
+  };
+
+  PhiIndex(const PairRows &RDDaggerPhi, const std::vector<LabelId> &Waits) {
+    for (LabelId LJ : Waits)
+      for (const DefPair &Phi : RDDaggerPhi[LJ])
+        List.push_back(Entry{Phi.N.raw(), LJ, Phi.L});
+    std::sort(List.begin(), List.end());
+  }
+
+  /// The pairs of \p N, in (l_j, l'') order.
+  Rows<Entry>::Row of(Resource N) const {
+    auto Lo = std::lower_bound(List.begin(), List.end(), N.raw(),
+                               [](const Entry &E, uint32_t R) {
+                                 return E.Raw < R;
+                               });
+    auto Hi = std::find_if(Lo, List.end(), [&](const Entry &E) {
+      return E.Raw != N.raw();
+    });
+    return {List.data() + (Lo - List.begin()),
+            List.data() + (Hi - List.begin())};
+  }
+
+private:
+  std::vector<Entry> List;
 };
 
 } // namespace
@@ -221,19 +280,8 @@ IFAResult vif::composeInformationFlow(const ElaboratedProgram &Program,
   // l_j is then restricted to each foreign process's last wait.
   //
   // The RD†ϕ tables are queried per resource here and again for the
-  // outgoing rules below, so build the resource-indexed view once: for
-  // every resource raw id, all its (wait label l_j, def label l'') pairs.
-  std::vector<LabelId> WaitLabels = CFG.allWaitLabels();
-  std::unordered_map<uint32_t, std::vector<std::pair<LabelId, LabelId>>>
-      PhiByResource;
-  for (LabelId LJ : WaitLabels)
-    for (const DefPair &Phi : R.RDDaggerPhi[LJ])
-      PhiByResource[Phi.N.raw()].emplace_back(LJ, Phi.L);
-  auto PhiOf = [&PhiByResource](Resource N)
-      -> const std::vector<std::pair<LabelId, LabelId>> * {
-    auto It = PhiByResource.find(N.raw());
-    return It == PhiByResource.end() ? nullptr : &It->second;
-  };
+  // outgoing rules below, so build the resource-indexed view once.
+  PhiIndex PhiOf(R.RDDaggerPhi, CFG.allWaitLabels());
 
   std::vector<LabelId> LastWaitOf(CFG.processes().size(), InitialLabel);
   for (const ProcessCFG &Proc : CFG.processes())
@@ -243,17 +291,14 @@ IFAResult vif::composeInformationFlow(const ElaboratedProgram &Program,
     for (const DefPair &P : R.RDDagger[L]) {
       if (P.L == InitialLabel || !CFG.isWaitLabel(P.L))
         continue;
-      const auto *Phis = PhiOf(P.N);
-      if (!Phis)
-        continue;
-      for (const auto &[LJ, PhiL] : *Phis) {
-        if (!CFG.cfCompatible(P.L, LJ))
+      for (const PhiIndex::Entry &Phi : PhiOf.of(P.N)) {
+        if (!CFG.cfCompatible(P.L, Phi.LJ))
           continue;
         if (Opts.RD.HsiehLevitanCrossFlow &&
-            CFG.processOf(LJ) != CFG.processOf(P.L) &&
-            LJ != LastWaitOf[CFG.processOf(LJ)])
+            CFG.processOf(Phi.LJ) != CFG.processOf(P.L) &&
+            Phi.LJ != LastWaitOf[CFG.processOf(Phi.LJ)])
           continue;
-        Copies.addEdge(PhiL, L);
+        Copies.addEdge(Phi.PhiL, L);
       }
     }
 
@@ -283,11 +328,8 @@ IFAResult vif::composeInformationFlow(const ElaboratedProgram &Program,
       Resource N = Resource::signal(Sig);
       LabelId LOut = outgoingLabel(N);
       R.RMgl.insert(N.outgoing(), LOut, Access::M1);
-      if (const auto *Phis = PhiOf(N))
-        for (const auto &[LJ, PhiL] : *Phis) {
-          (void)LJ; // any wait feeds the outgoing pseudo-label
-          Copies.addEdge(PhiL, LOut);
-        }
+      for (const PhiIndex::Entry &Phi : PhiOf.of(N))
+        Copies.addEdge(Phi.PhiL, LOut); // any wait feeds l_{n•}
     }
   }
 
@@ -336,10 +378,11 @@ IFAResult vif::composeInformationFlow(const ElaboratedProgram &Program,
   // sources first and re-propagates every downstream suffix per source —
   // O(n³) worth of copying on an n-assignment chain instead of O(n²)).
   LabelId MaxLabel = NextLabel - 1;
+  Copies.finish(static_cast<size_t>(MaxLabel) + 1);
   std::deque<LabelId> Work;
   std::vector<char> InWork(static_cast<size_t>(MaxLabel) + 1, 0);
-  for (LabelId Src = 0; Src < Copies.Succs.size(); ++Src)
-    if (!Copies.Succs[Src].empty()) {
+  for (LabelId Src = 0; Src <= MaxLabel; ++Src)
+    if (Copies.hasSuccs(Src)) {
       Work.push_back(Src);
       InWork[Src] = 1;
     }

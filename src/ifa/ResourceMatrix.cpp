@@ -33,6 +33,17 @@ void R0Rows::number() {
   Named = {};
 }
 
+ResourceMatrix::ResourceMatrix(std::vector<RMEntry> List)
+    : Entries(std::move(List)) {
+  if (std::adjacent_find(Entries.begin(), Entries.end(),
+                         [](const RMEntry &A, const RMEntry &B) {
+                           return !(A < B);
+                         }) == Entries.end())
+    return;
+  std::sort(Entries.begin(), Entries.end());
+  Entries.erase(std::unique(Entries.begin(), Entries.end()), Entries.end());
+}
+
 bool ResourceMatrix::insert(Resource N, LabelId L, Access A) {
   if (inRows(L, A)) {
     auto It = std::lower_bound(Universe.begin(), Universe.end(), N.raw());

@@ -116,10 +116,11 @@ public:
   class const_iterator;
 
   ResourceMatrix() = default;
-  /// A matrix holding exactly \p Sorted, which must be strictly ascending
-  /// (the store's decoder checks that as it reads).
-  explicit ResourceMatrix(std::vector<RMEntry> Sorted)
-      : Entries(std::move(Sorted)) {}
+  /// A matrix holding exactly the entries of \p List, adopted as they are
+  /// when they ascend strictly (the store's decoder checks that as it
+  /// reads, and Table 6 emits them so), else sorted and deduplicated
+  /// first.
+  explicit ResourceMatrix(std::vector<RMEntry> List);
 
   /// Returns true if the entry was new. An R0 entry at a row label must
   /// name a resource of the rows' universe.

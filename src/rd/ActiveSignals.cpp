@@ -37,19 +37,21 @@ ProcessKillGen vif::computeActiveKillGenFor(const ProgramCFG &CFG,
       // Whole assignments kill every assignment to s in this process;
       // slice assignments only generate (Table 4 lists no kill for them).
       if (!A->hasSlice())
-        KG.Kill[I].push_back(S);
-      KG.Gen[I].append(DefPair{S, L});
+        KG.Kill.Items.push_back(S);
+      KG.Gen.Items.push_back(DefPair{S, L});
       break;
     }
     case CFGBlock::Kind::Wait:
       // Synchronization consumes all active values of the process.
-      KG.Kill[I] = Assigned;
+      KG.Kill.Items.insert(KG.Kill.Items.end(), Assigned.begin(),
+                           Assigned.end());
       break;
     case CFGBlock::Kind::Null:
     case CFGBlock::Kind::VarAssign:
     case CFGBlock::Kind::Cond:
       break;
     }
+    KG.closeLabel();
   }
   return KG;
 }
@@ -62,8 +64,8 @@ ReachingDefsKillGen vif::computeActiveKillGen(const ProgramCFG &CFG) {
     ProcessKillGen F = computeActiveKillGenFor(CFG, P);
     // A killed signal's definitions are its assignments: the gens.
     DefPairDomain Sites;
-    for (const PairSet &G : F.Gen)
-      Sites.addAll(G);
+    for (const DefPair &D : F.Gen.Items)
+      Sites.add(D);
     Sites.finalize();
     expandKillGen(P, F, Sites, KG);
   }

@@ -8,9 +8,40 @@
 
 using namespace vif;
 
+void DefPairDomain::finalize() {
+  std::sort(Pairs.begin(), Pairs.end());
+  Pairs.erase(std::unique(Pairs.begin(), Pairs.end()), Pairs.end());
+  Res.clear();
+  Start.assign(1, 0);
+  for (uint32_t I = 0; I < Pairs.size(); ++I)
+    if (I == 0 || Pairs[I].N != Pairs[I - 1].N) {
+      if (I)
+        Start.push_back(I);
+      Res.push_back(Pairs[I].N);
+    }
+  if (!Pairs.empty())
+    Start.push_back(static_cast<uint32_t>(Pairs.size()));
+}
+
+void DefPairDomain::compact() {
+  uint32_t Out = 0;
+  for (size_t B = 0; B < Res.size(); ++B) {
+    auto First = Pairs.begin() + Start[B], Last = Pairs.begin() + Start[B + 1];
+    if (!std::is_sorted(First, Last))
+      std::sort(First, Last);
+    Start[B] = Out;
+    for (auto It = First; It != Last; ++It)
+      if (It == First || !(*It == Pairs[Out - 1]))
+        Pairs[Out++] = *It;
+  }
+  Start[Res.size()] = Out;
+  Pairs.resize(Out);
+}
+
 namespace {
 
-using Range = std::pair<size_t, size_t>;
+/// An index range [first, second) of a DefPairDomain.
+using Range = std::pair<uint32_t, uint32_t>;
 
 /// One table's kept pairs of the current round, in schedule order: the
 /// label at RPO position Q emitted Buf[At[Q] .. At[Q + 1]).
@@ -20,7 +51,7 @@ struct RowSink {
   std::vector<uint32_t> At;
 
   /// Emits the set bits of \p Row in the index range \p R.
-  void emit(const uint64_t *Row, Range R) {
+  void emit(const uint64_t *Row, std::pair<size_t, size_t> R) {
     for (size_t WI = R.first >> 6; WI << 6 < R.second; ++WI)
       for (uint64_t Word = Row[WI]; Word; Word &= Word - 1) {
         size_t B = (WI << 6) + static_cast<size_t>(__builtin_ctzll(Word));
@@ -48,35 +79,44 @@ RdProcessArtifact solve(const ProgramCFG &CFG, const ProcessCFG &P,
   size_t NL = P.NumLabels;
   // The domain: only initial and gen'd pairs can ever be present (⊥ = ∅
   // and the transfer functions add nothing else), of tracked resources.
-  bool Prune = Keep.prunes();
-  std::vector<Resource> Only = Keep.Reads.Items;
-  std::sort(Only.begin(), Only.end());
+  // Gens arrive in label order after the initial (n, ?) pairs, so a
+  // counting sort by resource over the process's own resources orders it.
+  std::vector<Resource> Own;
+  Own.reserve(P.FreeVars.size() + P.FreeSigs.size());
+  for (unsigned V : P.FreeVars)
+    Own.push_back(Resource::variable(V));
+  for (unsigned S : P.FreeSigs)
+    Own.push_back(Resource::signal(S));
   DefPairDomain Dom;
-  auto track = [&](const DefPair &D) {
-    if (!Prune || std::binary_search(Only.begin(), Only.end(), D.N))
-      Dom.add(D);
-  };
-  std::for_each(Initial.begin(), Initial.end(), track);
-  for (const PairSet &G : KG.Gen)
-    std::for_each(G.begin(), G.end(), track);
-  Dom.finalize();
+  Dom.build(
+      std::move(Own),
+      [&](auto F) {
+        std::for_each(Initial.begin(), Initial.end(), F);
+        std::for_each(KG.Gen.Items.begin(), KG.Gen.Items.end(), F);
+      },
+      Keep.prunes() ? &Keep.Reads.Items : nullptr);
   size_t K = Dom.size(), W = (K + 63) / 64, RW = Must ? 2 * W : W;
 
   // The kept facts of Entry, Exit, MustEntry and MustExit, this round, in
-  // reverse postorder (Pos is each label's place in it).
+  // reverse postorder (Pos is each label's place in it). Only the tables
+  // the solve emits get a sink.
   ProgramCFG::Range Order = CFG.rpo(P);
   std::vector<uint32_t> Pos(NL);
   for (uint32_t Q = 0; Q < NL; ++Q)
     Pos[Order[Q]] = Q;
   std::vector<RowSink> Sinks(4, RowSink{Dom, {}, {}});
-  for (RowSink &S : Sinks)
-    S.At.assign(NL + 1, 0);
+  std::vector<RowSink *> Live;
+  for (int T = 0; T < 4; ++T)
+    if (RdProcessArtifact::present(T, Keep.keepsExits(), Must)) {
+      Sinks[T].At.assign(NL + 1, 0);
+      Live.push_back(&Sinks[T]);
+    }
   RowSink &Entry = Sinks[0], &Exit = Sinks[1], &MustEntry = Sinks[2],
           &MustExit = Sinks[3];
   RdProcessArtifact A;
   auto finish = [&] {
     for (int T = 0; T < 4; ++T)
-      if (RdProcessArtifact::present(T, Keep.keepsExits(), Must))
+      if (!Sinks[T].At.empty())
         A.Tables[T] = Sinks[T].take(Pos);
     return std::move(A);
   };
@@ -88,14 +128,14 @@ RdProcessArtifact solve(const ProgramCFG &CFG, const ProcessCFG &P,
   // killed resource's whole range; adjacent ranges merged, empty ones
   // dropped), the indices GenBits sets and the ranges Kept keeps.
   Rows<Range> Kill(NL), Kept(NL);
-  Rows<size_t> GenBits(NL);
-  auto addRange = [](Rows<Range> &V, Range R) {
+  Rows<uint32_t> GenBits(NL);
+  auto addRange = [](Rows<Range> &V, std::pair<size_t, size_t> R) {
     if (R.first == R.second)
       return;
     if (V.Items.size() > V.Start.back() && V.Items.back().second == R.first)
-      V.Items.back().second = R.second;
+      V.Items.back().second = static_cast<uint32_t>(R.second);
     else
-      V.Items.push_back(R);
+      V.Items.emplace_back(R.first, R.second);
   };
   auto whole = [&](uint32_t I, uint8_t Bit) {
     return Keep.Full || (Keep.Whole[I] & Bit);
@@ -105,13 +145,12 @@ RdProcessArtifact solve(const ProgramCFG &CFG, const ProcessCFG &P,
       addRange(Kill, Dom.rangeOf(N));
     for (const DefPair &D : KG.Gen[I])
       if (size_t B = Dom.indexOf(D); B != DefPairDomain::npos)
-        GenBits.Items.push_back(B);
+        GenBits.Items.push_back(static_cast<uint32_t>(B));
     if (whole(I, 1))
       addRange(Kept, {0, K});
     else
-      for (const Resource *N = Keep.Reads.begin(I); N != Keep.Reads.end(I);
-           ++N)
-        addRange(Kept, Dom.rangeOf(*N));
+      for (Resource N : Keep.Reads[I])
+        addRange(Kept, Dom.rangeOf(N));
     Kill.closeRow();
     GenBits.closeRow();
     Kept.closeRow();
@@ -120,8 +159,8 @@ RdProcessArtifact solve(const ProgramCFG &CFG, const ProcessCFG &P,
   auto transfer = [&](uint32_t I, uint64_t *Row) {
     for (const Range *R = Kill.begin(I); R != Kill.end(I); ++R)
       BitMatrix::clearRange(Row, R->first, R->second);
-    for (const size_t *B = GenBits.begin(I); B != GenBits.end(I); ++B)
-      Row[*B >> 6] |= uint64_t(1) << (*B & 63);
+    for (uint32_t B : GenBits[I])
+      Row[B >> 6] |= uint64_t(1) << (B & 63);
   };
 
   // The schedule: a label with a retreating out-edge (to itself or an
@@ -176,8 +215,8 @@ RdProcessArtifact solve(const ProgramCFG &CFG, const ProcessCFG &P,
   for (bool Changed = true; Changed;) {
     Changed = false;
     A.Iterations += NL;
-    for (RowSink &S : Sinks)
-      S.Buf.clear();
+    for (RowSink *S : Live)
+      S->Buf.clear();
     for (uint32_t Q = 0; Q < NL; ++Q) {
       uint32_t I = Order[Q];
       ProgramCFG::Range Preds = CFG.preds(P.label(I));
@@ -268,8 +307,8 @@ RdProcessArtifact solve(const ProgramCFG &CFG, const ProcessCFG &P,
       }
       settle(In);
       settle(Out);
-      for (RowSink &S : Sinks)
-        S.At[Q + 1] = static_cast<uint32_t>(S.Buf.size());
+      for (RowSink *S : Live)
+        S->At[Q + 1] = static_cast<uint32_t>(S->Buf.size());
     }
     assert(Free.size() == Pool.size() && "a pool row outlived its reads");
   }
@@ -297,8 +336,11 @@ void vif::expandKillGen(const ProcessCFG &P, const ProcessKillGen &F,
       for (size_t J = First; J < Last; ++J)
         Kill.append(Sites.pair(J));
     }
+    PairSet Gen;
+    for (const DefPair &D : F.Gen[I])
+      Gen.append(D);
     KG.Kill[L] = std::move(Kill);
-    KG.Gen[L] = F.Gen[I];
+    KG.Gen[L] = std::move(Gen);
   }
 }
 

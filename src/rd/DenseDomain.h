@@ -41,7 +41,15 @@ namespace vif {
 
 /// A sorted, deduplicated universe of DefPairs with dense indices. The
 /// numbering follows DefPair order, so materialized PairSets come out in
-/// exactly the order the sorted-vector representation maintains.
+/// exactly the order the sorted-vector representation maintains. Besides
+/// the pairs it keeps their distinct resources, ascending, and where each
+/// one's run of pairs starts: rangeOf and indexOf look a resource up
+/// there, never in the pairs themselves.
+///
+/// Two builds give the same domain. The solver's, build(), is a stable
+/// counting sort of pairs that arrive in label order into buckets named
+/// by the process's resources. The oracle views add pairs in any order
+/// and finalize() sorts them.
 class DefPairDomain {
 public:
   void add(DefPair P) { Pairs.push_back(P); }
@@ -50,12 +58,22 @@ public:
       Pairs.push_back(P);
   }
 
-  /// Sorts + dedups; must be called once after the last add and before any
-  /// query.
-  void finalize() {
-    std::sort(Pairs.begin(), Pairs.end());
-    Pairs.erase(std::unique(Pairs.begin(), Pairs.end()), Pairs.end());
-  }
+  /// Sorts + dedups what was added; must be called once after the last
+  /// add and before any query.
+  void finalize();
+
+  /// The counting-sort build. \p ForEach(F) calls F(DefPair) on every
+  /// candidate pair, labels non-decreasing (initial (n, ?) pairs first,
+  /// then the gens in label order); it runs two or three times. \p R
+  /// lists the resources that name the buckets, ascending and distinct (a
+  /// process's FV ∪ FS); a pair of another resource adds a bucket for it.
+  /// A stable scatter then leaves each bucket in DefPair order; a bucket
+  /// that is not (pairs out of label order) is sorted, and repeated pairs
+  /// are dropped. With \p Tracked, only pairs of the resources it names
+  /// (in any order, repeats allowed) enter the domain.
+  template <typename Fn>
+  void build(std::vector<Resource> R, Fn ForEach,
+             const std::vector<Resource> *Tracked = nullptr);
 
   size_t size() const { return Pairs.size(); }
 
@@ -68,32 +86,96 @@ public:
   static constexpr size_t npos = ~size_t(0);
 
   size_t indexOf(DefPair P) const {
-    auto It = std::lower_bound(Pairs.begin(), Pairs.end(), P);
-    if (It == Pairs.end() || !(*It == P))
+    auto [First, Last] = rangeOf(P.N);
+    auto It = std::lower_bound(Pairs.begin() + First, Pairs.begin() + Last,
+                               P);
+    if (It == Pairs.begin() + Last || !(*It == P))
       return npos;
     return static_cast<size_t>(It - Pairs.begin());
   }
 
   /// The contiguous index range [First, Last) of pairs whose resource is
-  /// \p N (possibly empty).
+  /// \p N; empty, at the place \p N's pairs would take, when there are
+  /// none.
   std::pair<size_t, size_t> rangeOf(Resource N) const {
-    auto Lo = std::lower_bound(Pairs.begin(), Pairs.end(),
-                               DefPair{N, InitialLabel});
-    auto Hi = std::upper_bound(
-        Lo, Pairs.end(), N,
-        [](Resource R, const DefPair &P) { return R < P.N; });
-    return {static_cast<size_t>(Lo - Pairs.begin()),
-            static_cast<size_t>(Hi - Pairs.begin())};
+    size_t B = static_cast<size_t>(
+        std::lower_bound(Res.begin(), Res.end(), N) - Res.begin());
+    if (B == Res.size() || Res[B] != N)
+      return {Start[B], Start[B]};
+    return {Start[B], Start[B + 1]};
   }
 
 private:
+  /// The bucket of \p N in Res, or npos.
+  size_t bucketOf(Resource N) const {
+    auto It = std::lower_bound(Res.begin(), Res.end(), N);
+    return It == Res.end() || *It != N ? npos
+                                       : static_cast<size_t>(It - Res.begin());
+  }
+  /// Sorts each bucket that is out of order and drops repeated pairs,
+  /// moving the bucket starts to match.
+  void compact();
+
   std::vector<DefPair> Pairs;
+  std::vector<Resource> Res;         ///< bucket resources, ascending
+  std::vector<uint32_t> Start{0};    ///< bucket B is Pairs[Start[B] ..
+                                     ///< Start[B + 1])
 };
 
+template <typename Fn>
+void DefPairDomain::build(std::vector<Resource> R, Fn ForEach,
+                          const std::vector<Resource> *Tracked) {
+  Res = std::move(R);
+  std::vector<uint32_t> BucketOf;
+  std::vector<Resource> Extra;
+  ForEach([&](const DefPair &D) {
+    size_t B = bucketOf(D.N);
+    if (B == npos)
+      Extra.push_back(D.N);
+    BucketOf.push_back(static_cast<uint32_t>(B));
+  });
+  if (!Extra.empty()) {
+    std::sort(Extra.begin(), Extra.end());
+    Extra.erase(std::unique(Extra.begin(), Extra.end()), Extra.end());
+    std::vector<Resource> Merged;
+    Merged.reserve(Res.size() + Extra.size());
+    std::merge(Res.begin(), Res.end(), Extra.begin(), Extra.end(),
+               std::back_inserter(Merged));
+    Res.swap(Merged);
+    BucketOf.clear();
+    ForEach([&](const DefPair &D) {
+      BucketOf.push_back(static_cast<uint32_t>(bucketOf(D.N)));
+    });
+  }
+  std::vector<uint8_t> Kept;
+  if (Tracked) {
+    Kept.assign(Res.size(), 0);
+    for (Resource N : *Tracked)
+      if (size_t B = bucketOf(N); B != npos)
+        Kept[B] = 1;
+  }
+  auto kept = [&](uint32_t B) { return !Tracked || Kept[B]; };
+  Start.assign(Res.size() + 1, 0);
+  for (uint32_t B : BucketOf)
+    Start[B + 1] += kept(B);
+  for (size_t B = 0; B < Res.size(); ++B)
+    Start[B + 1] += Start[B];
+  Pairs.resize(Start.back());
+  // The stable scatter: each bucket's next free slot.
+  std::vector<uint32_t> Cursor(Start.begin(), Start.end() - 1);
+  size_t J = 0;
+  ForEach([&](const DefPair &D) {
+    uint32_t B = BucketOf[J++];
+    if (kept(B))
+      Pairs[Cursor[B]++] = D;
+  });
+  compact();
+}
+
 /// Rows of ascending items in CSR form: row I is Items[Start[I] ..
-/// Start[I + 1]). Carries the kept rows of a solve (PairRows), the
-/// Table 7 read sets it is handed (ResourceRows) and Table 7's RD† and
-/// RD†ϕ (one row per label).
+/// Start[I + 1]). Carries a process's kill/gen (ProcessKillGen), the kept
+/// rows of a solve (PairRows), the Table 7 read sets it is handed
+/// (ResourceRows) and Table 7's RD† and RD†ϕ (one row per label).
 template <typename T> struct Rows {
   std::vector<uint32_t> Start{0};
   std::vector<T> Items;
@@ -228,17 +310,24 @@ private:
 };
 
 /// The kill/gen of Table 4 or Table 5 for one process, in factored form:
-/// one row per label of the process, in local label order. Kill[I]
-/// lists *killed resources*, ascending: n ∈ Kill[I] means every
-/// definition of n dies at label I. Gen[I] holds the pairs label I
-/// generates. solveGenKill turns each killed resource into its contiguous
+/// two CSR tables with one row per label of the process, in local label
+/// order, filled one label at a time (closeLabel). Kill's row I lists
+/// *killed resources*, ascending: n in it means every definition of n
+/// dies at label I. Gen's row I holds the pairs label I generates,
+/// ascending. solveGenKill turns each killed resource into its contiguous
 /// DefPairDomain range, so the production path never builds a kill pair.
 struct ProcessKillGen {
-  std::vector<std::vector<Resource>> Kill;
-  std::vector<PairSet> Gen;
+  Rows<Resource> Kill;
+  Rows<DefPair> Gen;
 
   explicit ProcessKillGen(size_t NumLabels = 0)
       : Kill(NumLabels), Gen(NumLabels) {}
+
+  /// Ends the rows of the label being filled.
+  void closeLabel() {
+    Kill.closeRow();
+    Gen.closeRow();
+  }
 };
 
 /// The kill/gen sets of Table 4 or Table 5 as explicit pairs, vectors

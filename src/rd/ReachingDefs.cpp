@@ -95,9 +95,9 @@ ProcessKillGen vif::computeReachingDefsKillGenFor(
     case CFGBlock::Kind::VarAssign: {
       const auto *A = cast<VarAssignStmt>(B.S);
       Resource X = Resource::variable(A->targetRef().Id);
-      KG.Gen[I].append(DefPair{X, L});
       if (!A->hasSlice())
-        KG.Kill[I].push_back(X);
+        KG.Kill.Items.push_back(X);
+      KG.Gen.Items.push_back(DefPair{X, L});
       break;
     }
     case CFGBlock::Kind::Wait: {
@@ -110,12 +110,13 @@ ProcessKillGen vif::computeReachingDefsKillGenFor(
         Must.intersectWith(*Tracked);
       }
       May.forEach([&](size_t Sig) {
-        KG.Gen[I].append(
+        KG.Gen.Items.push_back(
             DefPair{Resource::signal(static_cast<unsigned>(Sig)), L});
       });
       if (Opts.UseMustActiveKill)
         Must.forEach([&](size_t Sig) {
-          KG.Kill[I].push_back(Resource::signal(static_cast<unsigned>(Sig)));
+          KG.Kill.Items.push_back(
+              Resource::signal(static_cast<unsigned>(Sig)));
         });
       break;
     }
@@ -124,6 +125,7 @@ ProcessKillGen vif::computeReachingDefsKillGenFor(
     case CFGBlock::Kind::Cond:
       break;
     }
+    KG.closeLabel();
   }
   return KG;
 }
@@ -142,14 +144,13 @@ vif::computeReachingDefsKillGen(const ProgramCFG &CFG,
     // a variable (its gens) or every wait label of the process for a
     // signal — wS(ss_i), where a present value can be defined.
     DefPairDomain Sites;
-    for (uint32_t I = 0; I < F.Kill.size(); ++I) {
-      Sites.addAll(F.Gen[I]);
-      for (Resource N : F.Kill[I]) {
-        Sites.add(DefPair{N, InitialLabel});
-        if (N.isSignal())
-          for (LabelId W : P.WaitLabels)
-            Sites.add(DefPair{N, W});
-      }
+    for (const DefPair &D : F.Gen.Items)
+      Sites.add(D);
+    for (Resource N : F.Kill.Items) {
+      Sites.add(DefPair{N, InitialLabel});
+      if (N.isSignal())
+        for (LabelId W : P.WaitLabels)
+          Sites.add(DefPair{N, W});
     }
     Sites.finalize();
     expandKillGen(P, F, Sites, KG);
@@ -174,9 +175,11 @@ RdProcessArtifact vif::solveProcessRd(const ProgramCFG &CFG,
   for (uint32_t I = 0; I < P.NumLabels; ++I) {
     LabelId L = P.label(I);
     for (const DefPair &D : Kill[L])
-      if (KG.Kill[I].empty() || KG.Kill[I].back() != D.N)
-        KG.Kill[I].push_back(D.N);
-    KG.Gen[I] = Gen[L];
+      if (KG.Kill.Items.size() == KG.Kill.Start.back() ||
+          KG.Kill.Items.back() != D.N)
+        KG.Kill.Items.push_back(D.N);
+    KG.Gen.Items.insert(KG.Gen.Items.end(), Gen[L].begin(), Gen[L].end());
+    KG.closeLabel();
   }
   return solveGenKill(CFG, P, KG, initialDefs(P), /*Must=*/false);
 }

@@ -12,7 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <random>
 
 using namespace vif;
 
@@ -493,14 +495,23 @@ ProgramCFG shapeCFG(uint32_t N, LabelId Init, const Edges &Flow) {
   return ProgramCFG::fromFlow(std::move(Blocks), {P}, Flow);
 }
 
-ProcessKillGen shapeKillGen(uint32_t N, const std::function<Act(LabelId)> &F) {
+/// A signal no label generates and no initial pair names.
+const Resource Ghost = Resource::signal(9);
+
+/// With \p KillGhost, every killing label also kills Ghost, whose domain
+/// range is empty.
+ProcessKillGen shapeKillGen(uint32_t N, const std::function<Act(LabelId)> &F,
+                            bool KillGhost = false) {
   ProcessKillGen KG(N);
   for (LabelId L = 1; L <= N; ++L) {
     Resource X = Resource::variable(L % ShapeVars);
     if (F(L) == Act::KillGen)
-      KG.Kill[L - 1].push_back(X);
+      KG.Kill.Items.push_back(X);
+    if (F(L) == Act::KillGen && KillGhost)
+      KG.Kill.Items.push_back(Ghost);
     if (F(L) != Act::None)
-      KG.Gen[L - 1].append(DefPair{X, L});
+      KG.Gen.Items.push_back(DefPair{X, L});
+    KG.closeLabel();
   }
   return KG;
 }
@@ -520,17 +531,18 @@ PairSet restrictTo(const PairSet &Set, const std::vector<Resource> &Reads) {
 /// or two variables, variable 2 read nowhere, so the domain drops it).
 void expectShapeMatchesReference(const ProgramCFG &CFG,
                                  const std::function<Act(LabelId)> &F,
-                                 const std::string &What) {
+                                 const std::string &What,
+                                 bool KillGhost = false) {
   const ProcessCFG &P = CFG.process(0);
   uint32_t N = P.NumLabels;
-  ProcessKillGen KG = shapeKillGen(N, F);
+  ProcessKillGen KG = shapeKillGen(N, F, KillGhost);
   PairSet Initial;
   for (unsigned V = 0; V < ShapeVars; ++V)
     Initial.insert(DefPair{Resource::variable(V), InitialLabel});
   DefPairDomain Sites;
   Sites.addAll(Initial);
-  for (const PairSet &G : KG.Gen)
-    Sites.addAll(G);
+  for (const DefPair &D : KG.Gen.Items)
+    Sites.add(D);
   Sites.finalize();
   ReachingDefsKillGen Explicit;
   Explicit.Kill.resize(N + 1);
@@ -647,6 +659,17 @@ TEST(KernelShapes, InitLabelWithAPredecessor) {
                               "identity loop through init");
 }
 
+TEST(KernelShapes, KillOfAResourceNeverGenerated) {
+  // Ghost is killed at every killing label but never generated and never
+  // initial: its range in the domain is empty, and clears nothing.
+  Edges Flow;
+  for (LabelId L = 1; L < 8; ++L)
+    Flow.emplace_back(L, L + 1);
+  Flow.emplace_back(6, 3);
+  expectShapeMatchesReference(shapeCFG(8, 1, Flow), byLabel, "ghost kill",
+                              /*KillGhost=*/true);
+}
+
 TEST(KernelShapes, DuplicateEdges) {
   expectShapeMatchesReference(
       shapeCFG(4, 1, {{1, 2}, {1, 2}, {2, 3}, {2, 3}, {3, 1}, {3, 4}}),
@@ -691,6 +714,102 @@ TEST(DefPairDomain, RangeOfIsEachResourcesContiguousRun) {
   auto [First, Last] = Dom.rangeOf(Resource::variable(9));
   EXPECT_EQ(First, Last) << "absent resource: empty range";
   EXPECT_EQ(DefPairDomain().rangeOf(X), (std::pair<size_t, size_t>{0, 0}));
+}
+
+/// The solver's counting-sort domain against sort + unique + binary
+/// search: the same pairs, and the same rangeOf and indexOf answers for
+/// every resource and pair of the universe, present or not.
+void expectCountingSortMatchesSorting(const std::vector<DefPair> &Pairs,
+                                      const std::vector<Resource> &Own,
+                                      const std::vector<Resource> *Tracked,
+                                      const std::vector<Resource> &Universe,
+                                      LabelId MaxLabel,
+                                      const std::string &What) {
+  std::vector<DefPair> Want;
+  for (const DefPair &D : Pairs)
+    if (!Tracked || std::count(Tracked->begin(), Tracked->end(), D.N))
+      Want.push_back(D);
+  std::sort(Want.begin(), Want.end());
+  Want.erase(std::unique(Want.begin(), Want.end()), Want.end());
+
+  DefPairDomain Dom;
+  Dom.build(
+      Own, [&](auto F) { std::for_each(Pairs.begin(), Pairs.end(), F); },
+      Tracked);
+  ASSERT_EQ(Dom.size(), Want.size()) << What;
+  for (size_t I = 0; I < Want.size(); ++I)
+    EXPECT_TRUE(Dom.pair(I) == Want[I]) << What << ": pair " << I;
+  for (Resource N : Universe) {
+    size_t First = std::lower_bound(Want.begin(), Want.end(),
+                                    DefPair{N, InitialLabel}) -
+                   Want.begin();
+    size_t Last = First;
+    while (Last < Want.size() && Want[Last].N == N)
+      ++Last;
+    EXPECT_EQ(Dom.rangeOf(N), (std::pair<size_t, size_t>{First, Last}))
+        << What << ": resource " << N.raw();
+    for (LabelId L = InitialLabel; L <= MaxLabel; ++L) {
+      DefPair D{N, L};
+      auto It = std::lower_bound(Want.begin(), Want.end(), D);
+      size_t Index = It != Want.end() && *It == D
+                         ? static_cast<size_t>(It - Want.begin())
+                         : DefPairDomain::npos;
+      EXPECT_EQ(Dom.indexOf(D), Index)
+          << What << ": pair (" << N.raw() << ", " << L << ")";
+    }
+  }
+}
+
+TEST(DefPairDomain, CountingSortEqualsSortingOnRandomMultisets) {
+  // Variables 0..5 and signals 0..5; the buckets name variables 0..3 and
+  // signals 1..4 (FV ∪ FS), so variables 4, 5 and signals 0, 5 take the
+  // path for resources outside them, and signal 4 has no pair at all (a
+  // resource killed but never generated).
+  std::vector<Resource> Universe, Own;
+  for (unsigned Id = 0; Id < 6; ++Id)
+    Universe.push_back(Resource::variable(Id));
+  for (unsigned Id = 0; Id < 6; ++Id)
+    Universe.push_back(Resource::signal(Id));
+  for (unsigned Id = 0; Id < 4; ++Id)
+    Own.push_back(Resource::variable(Id));
+  for (unsigned Id = 1; Id < 5; ++Id)
+    Own.push_back(Resource::signal(Id));
+  constexpr LabelId MaxLabel = 12;
+  std::mt19937 Rng(7);
+  for (int Round = 0; Round < 60; ++Round) {
+    // Initial (n, ?) pairs first, then gens in label order, repeats
+    // allowed; every third round shuffled out of label order.
+    std::vector<DefPair> Pairs;
+    for (Resource N : Universe)
+      if (N != Resource::signal(4) && Rng() % 3 == 0)
+        Pairs.push_back(DefPair{N, InitialLabel});
+    size_t NumGens = Rng() % 40;
+    std::vector<DefPair> Gens;
+    for (size_t I = 0; I < NumGens; ++I) {
+      Resource N = Universe[Rng() % Universe.size()];
+      if (N != Resource::signal(4))
+        Gens.push_back(DefPair{N, 1 + static_cast<LabelId>(Rng() % MaxLabel)});
+    }
+    std::stable_sort(Gens.begin(), Gens.end(),
+                     [](const DefPair &A, const DefPair &B) {
+                       return A.L < B.L;
+                     });
+    Pairs.insert(Pairs.end(), Gens.begin(), Gens.end());
+    if (Round % 3 == 2)
+      std::shuffle(Pairs.begin(), Pairs.end(), Rng);
+    std::string What = "round " + std::to_string(Round);
+    expectCountingSortMatchesSorting(Pairs, Own, nullptr, Universe, MaxLabel,
+                                     What);
+    std::vector<Resource> Tracked = {Resource::signal(2), Resource::variable(5),
+                                     Resource::variable(1),
+                                     Resource::signal(2), Resource::signal(4)};
+    expectCountingSortMatchesSorting(Pairs, Own, &Tracked, Universe, MaxLabel,
+                                     What + " tracked");
+  }
+  expectCountingSortMatchesSorting({}, Own, nullptr, Universe, MaxLabel,
+                                   "empty");
+  expectCountingSortMatchesSorting({}, {}, nullptr, Universe, MaxLabel,
+                                   "empty, no buckets");
 }
 
 TEST(PairSet, DottedIntersectionOfEmptyFamilyIsEmpty) {

@@ -17,6 +17,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ifa/AlfpClosure.h"
 #include "ifa/InformationFlow.h"
 #include "ifa/Kemmerer.h"
 #include "oracle/Oracles.h"
@@ -407,6 +408,99 @@ TEST(ClosureDifferential, EndOutVariant) {
                       EndOut);
   expectClosuresAgree({"ladder", workloads::tempReuseLadder(4, 4), false},
                       EndOut);
+}
+
+/// The copy edges of [Present values] and [Synchronized values] as the
+/// rules name them, one per premise instance, repeats and self edges
+/// included.
+std::vector<std::pair<LabelId, LabelId>> ruleCopyEdges(const IFAResult &R,
+                                                       const ProgramCFG &CFG) {
+  std::vector<std::pair<LabelId, LabelId>> Edges;
+  for (LabelId L = 1; L <= CFG.numLabels(); ++L)
+    for (const DefPair &P : R.RDDagger[L]) {
+      if (P.L == InitialLabel)
+        continue;
+      Edges.emplace_back(P.L, L);
+      if (!CFG.isWaitLabel(P.L))
+        continue;
+      for (LabelId LJ : CFG.allWaitLabels())
+        if (CFG.cfCompatible(P.L, LJ))
+          for (const DefPair &Phi : R.RDDaggerPhi[LJ])
+            if (Phi.N == P.N)
+              Edges.emplace_back(Phi.L, L);
+    }
+  return Edges;
+}
+
+TEST(ClosureDifferential, RepeatedAndSelfCopyEdges) {
+  // Both rules name the same copy edge more than once: y reads s and t,
+  // defined at the same wait ([Present values] twice), and s defined at
+  // two waits whose RD†ϕ both hold s's one assignment ([Synchronized
+  // values] twice). The loop body reads the x it defines (a self edge),
+  // and q / the end of the statement program get outgoing pseudo-labels.
+  std::vector<Workload> Cases = {
+      {"statements",
+       "x := a; while c loop x := x xor b; end loop; s <= x; t <= a; "
+       "if c then wait on s; else wait on s, t; end if; y := s xor t; "
+       "s <= y; wait on s; z := s xor y;",
+       false},
+      {"design",
+       "entity e is port(clk : in std_logic; a : in std_logic; "
+       "q : out std_logic); end e;\n"
+       "architecture rtl of e is\n"
+       "  signal s, t : std_logic;\n"
+       "begin\n"
+       "  p1 : process\n"
+       "    variable x : std_logic;\n"
+       "  begin\n"
+       "    x := x xor a; s <= x; t <= a;\n"
+       "    if clk = '1' then wait on clk; else wait on a; end if;\n"
+       "  end process p1;\n"
+       "  p2 : process\n"
+       "    variable y : std_logic;\n"
+       "  begin\n"
+       "    y := s xor t; q <= y; wait on s, t;\n"
+       "    y := s; q <= y; wait on clk;\n"
+       "  end process p2;\n"
+       "end rtl;",
+       true}};
+  for (const Workload &W : Cases) {
+    ElaboratedProgram P = elaborate(W.Source, W.IsDesign);
+    ProgramCFG CFG = ProgramCFG::build(P);
+    for (int Mode = 0; Mode < 3; ++Mode) {
+      IFAOptions Opts;
+      Opts.Improved = Mode != 2;
+      Opts.ProgramEndOutgoing = Mode != 1 && !W.IsDesign;
+      std::string What = std::string(W.Name) + " mode " +
+                         std::to_string(Mode);
+      IFAOptions RefOpts = Opts;
+      RefOpts.ReferenceClosure = true;
+      IFAResult Dense = analyzeInformationFlow(P, CFG, Opts);
+      IFAResult Ref = analyzeInformationFlow(P, CFG, RefOpts);
+
+      // The shapes the case is for are really there.
+      std::vector<std::pair<LabelId, LabelId>> Edges =
+          ruleCopyEdges(Dense, CFG);
+      EXPECT_TRUE(std::any_of(Edges.begin(), Edges.end(), [](const auto &E) {
+        return E.first == E.second;
+      })) << What << ": no self edge";
+      std::sort(Edges.begin(), Edges.end());
+      EXPECT_NE(std::adjacent_find(Edges.begin(), Edges.end()), Edges.end())
+          << What << ": no repeated edge";
+      // l_{q•} under --improved, l_{n•} per variable and signal at the
+      // end of the statement program under --end-out.
+      if (Opts.ProgramEndOutgoing || (Opts.Improved && W.IsDesign))
+        EXPECT_FALSE(Dense.OutgoingLabels.empty()) << What;
+
+      EXPECT_TRUE(Dense.RMgl == Ref.RMgl) << What << ": RMgl differs";
+      EXPECT_TRUE(Dense.Graph.sameFlows(Ref.Graph)) << What << ": graph";
+      // The ALFP encoding derives RMgl from the rules themselves, with no
+      // copy graph in between.
+      AlfpClosureResult Alfp = closeWithAlfp(P, CFG, Dense, Opts);
+      ASSERT_TRUE(Alfp.Solved) << Alfp.Error;
+      EXPECT_TRUE(Alfp.RMgl == Dense.RMgl) << What << ": ALFP differs";
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -243,39 +243,45 @@ echo "large-matrix store step passed"
 
 # Memory guards: a cold `vifc flows --json --jobs 1` on the
 # benchmark's AES core (834 KB, one process) must peak at no more than
-# 20 MB and 5 300 minor faults (18.5 MB and ~4 870 measured, plus under
-# 10%). Elaboration adopts the parse tree's arena; a second copy of the
-# ~5 MB tree, or a tree back in per-node heap blocks, would push the run
-# over both bounds. Skipped under sanitizers, whose shadow memory changes
-# both figures.
+# 17.5 MB and 4 600 minor faults (15.9 MB and ~4 190 measured, plus under
+# 10%). Elaboration adopts the parse tree's arena, and Tables 4-6 and the
+# Table 8 copy graph are flat rows; a second copy of the ~5 MB tree, or a
+# heap object per label or per copy edge again, would push the run over
+# both bounds. A direct child's peak RSS starts at the interpreter's image
+# at exec, so the RSS is read through perfbench_layers spawn; its fault
+# count is its own, so a direct child's wait4 reads that. Skipped under
+# sanitizers, whose shadow memory changes both figures.
 if [ -z "$SANITIZE" ] && command -v python3 >/dev/null; then
   mem_dir=$(mktemp -d)
   "$BUILD_DIR/perfbench/perfbench_layers" gen "$mem_dir" >/dev/null
   # wait4 reads this one child's usage; RUSAGE_CHILDREN would also count
   # whatever the interpreter reaped before the script ran.
-  python3 - "$BUILD_DIR/vifc" "$mem_dir/aes1.vhd" <<'PY'
+  python3 - "$BUILD_DIR/vifc" "$mem_dir/aes1.vhd" \
+    "$BUILD_DIR/perfbench/perfbench_layers" <<'PY'
 import os
 import subprocess
 import sys
 
-p = subprocess.Popen([sys.argv[1], "flows", "--json", "--jobs", "1",
-                      sys.argv[2]], stdout=subprocess.DEVNULL)
+vifc, aes, spawner = sys.argv[1:4]
+args = [vifc, "flows", "--json", "--jobs", "1", aes]
+out = subprocess.run([spawner, "spawn", os.devnull, os.devnull] + args,
+                     stdout=subprocess.PIPE, check=True).stdout.split()
+assert out[0] == b"0", "AES core: vifc failed"
+mb = int(out[2]) / 1024.0
+p = subprocess.Popen(args, stdout=subprocess.DEVNULL)
 _, status, ru = os.wait4(p.pid, 0)
 assert os.waitstatus_to_exitcode(status) == 0, "AES core: vifc failed"
-mb = ru.ru_maxrss / 1024.0
 print("AES core: peak RSS %.1f MB, %d minor faults" % (mb, ru.ru_minflt))
-assert mb <= 20, "AES core: peak RSS %.1f MB is over 20 MB" % mb
-assert ru.ru_minflt <= 5300, \
-    "AES core: %d minor faults is over 5 300" % ru.ru_minflt
+assert mb <= 17.5, "AES core: peak RSS %.1f MB is over 17.5 MB" % mb
+assert ru.ru_minflt <= 4600, \
+    "AES core: %d minor faults is over 4 600" % ru.ru_minflt
 PY
   # The same guard on the benchmark's chain/1024 statement program (524 800
   # edges): at most 12 MB and 2 300 minor faults (11.1 MB and ~2 030
   # measured). The flow graph is extracted already in storage order and
   # its name order is built row by row; a sorting pass over an edge-sized
-  # buffer again would push the run over both bounds. A direct child's
-  # peak RSS starts at the interpreter's image at exec, so the RSS is read
-  # through perfbench_layers spawn; its fault count is its own, so a
-  # direct child's wait4 reads that.
+  # buffer again would push the run over both bounds. RSS and faults are
+  # read as for the AES core.
   python3 - "$BUILD_DIR/vifc" "$mem_dir/chain1024.vhd" \
     "$BUILD_DIR/perfbench/perfbench_layers" <<'PY'
 import os
