@@ -489,8 +489,9 @@ TEST(ClosureDifferential, RepeatedAndSelfCopyEdges) {
           << What << ": no repeated edge";
       // l_{q•} under --improved, l_{n•} per variable and signal at the
       // end of the statement program under --end-out.
-      if (Opts.ProgramEndOutgoing || (Opts.Improved && W.IsDesign))
+      if (Opts.ProgramEndOutgoing || (Opts.Improved && W.IsDesign)) {
         EXPECT_FALSE(Dense.OutgoingLabels.empty()) << What;
+      }
 
       EXPECT_TRUE(Dense.RMgl == Ref.RMgl) << What << ": RMgl differs";
       EXPECT_TRUE(Dense.Graph.sameFlows(Ref.Graph)) << What << ": graph";
