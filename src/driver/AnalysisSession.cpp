@@ -91,9 +91,53 @@ const std::string *AnalysisSession::source() {
 }
 
 const ElaboratedProgram *AnalysisSession::program() {
-  if (ElabState == State::NotComputed) {
+  WorkRead = true;
+  return buildProgram();
+}
+
+const ProgramCFG *AnalysisSession::cfg() {
+  WorkRead = true;
+  return buildCfg();
+}
+
+const IFAResult *AnalysisSession::ifa() {
+  WorkRead = true;
+  const IFAResult *R = buildIfa();
+  // A store-served result already holds the matrices; a dropped one gets
+  // them back.
+  if (R && Tier == IfaTier::Graph)
+    upgradeIfa();
+  return R;
+}
+
+const ReachingDefsResult *AnalysisSession::reachingDefs() {
+  WorkRead = true;
+  const IFAResult *R = buildIfa();
+  if (R && Tier != IfaTier::Full)
+    upgradeIfa();
+  return R ? &R->RD : nullptr;
+}
+
+const ProgramCounts *AnalysisSession::counts() {
+  if (ElabState == State::NotComputed)
+    buildProgram();
+  return ElabState == State::Ok ? &Counts : nullptr;
+}
+
+const Digraph *AnalysisSession::graph() {
+  const IFAResult *R = buildIfa();
+  return R ? &R->Graph : nullptr;
+}
+
+const ElaboratedProgram *AnalysisSession::buildProgram() {
+  // A program built once and dropped since is rebuilt; its front end
+  // repeats the diagnostics the first run reported, so they are dropped.
+  bool Rebuild = ElabState == State::Ok && !Prog;
+  if (ElabState == State::NotComputed || Rebuild) {
     ++ArtifactEpoch;
     ElabState = State::Failed;
+    DiagnosticEngine Repeated;
+    DiagnosticEngine &D = Rebuild ? Repeated : Diags;
     // The parse tree is local and adopted by the program (it takes over
     // the tree's arena); a tree with parse errors is never elaborated.
     const std::string *Text = source();
@@ -102,18 +146,20 @@ const ElaboratedProgram *AnalysisSession::program() {
     if (Text) {
       StageTimer T(Times.ParseMs);
       if (Opts.Statements)
-        Stmts = parseStatementProgram(*Text, Diags);
+        Stmts = parseStatementProgram(*Text, D);
       else
-        Design = parseDesign(*Text, Diags);
+        Design = parseDesign(*Text, D);
     }
-    if (Text && !Diags.hasErrors()) {
+    if (Text && !D.hasErrors()) {
       StageTimer T(Times.ElaborateMs);
       std::optional<ElaboratedProgram> P =
-          Opts.Statements ? elaborateStatements(std::move(Stmts), Diags)
-                          : elaborateDesign(std::move(Design), Diags);
-      if (P && !Diags.hasErrors()) {
+          Opts.Statements ? elaborateStatements(std::move(Stmts), D)
+                          : elaborateDesign(std::move(Design), D);
+      if (P && !D.hasErrors()) {
         Prog.emplace(std::move(*P));
         ProgBytes = Prog->memoryBytes();
+        Counts = {Prog->Processes.size(), Prog->Signals.size(),
+                  Prog->Variables.size()};
         ElabState = State::Ok;
       }
     }
@@ -121,11 +167,11 @@ const ElaboratedProgram *AnalysisSession::program() {
   return ElabState == State::Ok ? &*Prog : nullptr;
 }
 
-const ProgramCFG *AnalysisSession::cfg() {
-  if (CfgState == State::NotComputed) {
+const ProgramCFG *AnalysisSession::buildCfg() {
+  if (CfgState == State::NotComputed || (CfgState == State::Ok && !Cfg)) {
     ++ArtifactEpoch;
     CfgState = State::Failed;
-    if (const ElaboratedProgram *P = program()) {
+    if (const ElaboratedProgram *P = buildProgram()) {
       StageTimer T(Times.CfgMs);
       Cfg.emplace(ProgramCFG::build(*P));
       CfgBytes = Cfg->memoryBytes();
@@ -139,11 +185,11 @@ uint64_t AnalysisSession::designKey() {
   return sessionCacheKey(Src, Opts);
 }
 
-const IFAResult *AnalysisSession::ifa() {
+const IFAResult *AnalysisSession::buildIfa() {
   if (IfaState == State::NotComputed) {
     ++ArtifactEpoch;
     IfaState = State::Failed;
-    if (program() && cfg()) {
+    if (buildProgram() && buildCfg()) {
       // Whole-design store hit: the matrices and the flow graph come back
       // without running any solver. The RD tier stays empty until some
       // consumer actually asks for it (reachingDefs()/alfp() upgrade).
@@ -155,7 +201,7 @@ const IFAResult *AnalysisSession::ifa() {
             })) {
           R.Graph.ensureSortedViews();
           Ifa.emplace(std::move(R));
-          IfaPartial = true;
+          Tier = IfaTier::Matrices;
           IfaState = State::Ok;
         }
       }
@@ -186,13 +232,20 @@ IFAResult AnalysisSession::solveIfa() {
 }
 
 void AnalysisSession::upgradeIfa() {
-  // Recompute the solver tier and graft it into the partial result. The
-  // matrices and the flow graph keep their identity — consumers hold
-  // pointers into them — and are byte-equal to the recomputed ones by the
-  // store-key guarantee (same source, same options, same pipeline).
+  // Recompute the solver tier and graft what the partial result lacks.
+  // The flow graph (and the matrices, when held) keep their identity —
+  // consumers hold pointers into them — and are byte-equal to the
+  // recomputed ones by the store-key guarantee (same source, same
+  // options, same pipeline). A dropped program and CFG are rebuilt
+  // first.
   ++ArtifactEpoch;
-  IfaPartial = false;
+  buildCfg();
   IFAResult Full = solveIfa();
+  if (Tier == IfaTier::Graph) {
+    Ifa->RMlo = std::move(Full.RMlo);
+    Ifa->RMgl = std::move(Full.RMgl);
+  }
+  Tier = IfaTier::Full;
   Ifa->RDDagger = std::move(Full.RDDagger);
   Ifa->RDDaggerPhi = std::move(Full.RDDaggerPhi);
   Ifa->OutgoingLabels = std::move(Full.OutgoingLabels);
@@ -200,21 +253,31 @@ void AnalysisSession::upgradeIfa() {
   Ifa->RD = std::move(Full.RD);
 }
 
-const ReachingDefsResult *AnalysisSession::reachingDefs() {
-  const IFAResult *R = ifa();
-  if (R && IfaPartial) {
-    upgradeIfa();
-    R = &*Ifa;
-  }
-  return R ? &R->RD : nullptr;
+void AnalysisSession::dropUnreadWork() {
+  if (WorkRead || IfaState != State::Ok || !holdsWork())
+    return;
+  ++ArtifactEpoch;
+  Prog.reset();
+  Cfg.reset();
+  ProgBytes = CfgBytes = 0;
+  // Member by member: the graph stays untouched, since readers holding a
+  // keepAlive read it without the entry lock.
+  Ifa->RMlo = ResourceMatrix();
+  Ifa->RMgl = ResourceMatrix();
+  Ifa->RDDagger = PairRows();
+  Ifa->RDDaggerPhi = PairRows();
+  Ifa->OutgoingLabels.clear();
+  Ifa->Active = ActiveSignalsResult();
+  Ifa->RD = ReachingDefsResult();
+  Tier = IfaTier::Graph;
 }
 
 const KemmererResult *AnalysisSession::kemmerer() {
   if (KemmererState == State::NotComputed) {
     ++ArtifactEpoch;
     KemmererState = State::Failed;
-    const ElaboratedProgram *P = program();
-    const ProgramCFG *C = cfg();
+    const ElaboratedProgram *P = buildProgram();
+    const ProgramCFG *C = buildCfg();
     if (P && C) {
       StageTimer T(Times.KemmererMs);
       Kemm.emplace(analyzeKemmerer(*P, *C));
@@ -228,16 +291,15 @@ const AlfpClosureResult *AnalysisSession::alfp() {
   if (AlfpState == State::NotComputed) {
     ++ArtifactEpoch;
     AlfpState = State::Failed;
-    const IFAResult *Native = ifa();
-    if (Native && IfaPartial) {
-      // The ALFP re-derivation consumes the RD tier a partial result
-      // does not carry.
+    const IFAResult *Native = buildIfa();
+    // The ALFP re-derivation consumes the RD tier a partial result does
+    // not carry.
+    if (Native && Tier != IfaTier::Full)
       upgradeIfa();
-      Native = &*Ifa;
-    }
     if (Native) {
       StageTimer T(Times.AlfpMs);
-      Alfp.emplace(closeWithAlfp(*program(), *cfg(), *Native, Opts.Ifa));
+      Alfp.emplace(closeWithAlfp(*buildProgram(), *buildCfg(), *Native,
+                                 Opts.Ifa));
       AlfpState = State::Ok;
     }
   }
@@ -248,7 +310,7 @@ const query::FlowQueryEngine *AnalysisSession::queryEngine() {
   if (QueryState == State::NotComputed) {
     ++ArtifactEpoch;
     QueryState = State::Failed;
-    if (const IFAResult *R = ifa()) {
+    if (const IFAResult *R = buildIfa()) {
       if (Blobs) {
         StageTimer T(Times.StoreMs);
         if (Blobs->load("qidx", designKey(), [&](std::string_view Payload) {
@@ -275,10 +337,17 @@ const query::FlowQueryEngine *AnalysisSession::queryEngine() {
 }
 
 size_t AnalysisSession::memoryBytes() const {
+  size_t Bytes = answerBytes() + ProgBytes + CfgBytes;
+  if (Ifa && Tier != IfaTier::Graph)
+    Bytes += Ifa->memoryBytes() - Ifa->Graph.memoryBytes();
+  return Bytes;
+}
+
+size_t AnalysisSession::answerBytes() const {
   size_t Bytes = sizeof(AnalysisSession) + Src.capacity() + Name.capacity() +
-                 ProgBytes + CfgBytes;
+                 Diags.memoryBytes();
   if (Ifa)
-    Bytes += Ifa->memoryBytes();
+    Bytes += Ifa->Graph.memoryBytes();
   if (Kemm)
     Bytes += Kemm->memoryBytes();
   if (Alfp)

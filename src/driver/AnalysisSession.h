@@ -11,9 +11,17 @@
 /// the batch runner (and through it the CLI and serve), tests and
 /// benches share the same pipeline instead of re-wiring it by hand.
 /// Failed stages are cached too: a session never re-parses a broken
-/// design and never reports the same diagnostic twice. Repeated accessor
-/// calls return the same object (pointer-identical), which downstream
-/// caching layers rely on.
+/// design and never reports the same diagnostic twice.
+///
+/// A session holds two tiers. The answer tier is what requests are
+/// answered from: the source, the diagnostics, the front end's verdict
+/// and the program's counts, the flow graph with its sorted views, the
+/// query engine and the Kemmerer/ALFP results. The work tier is what
+/// builds the graph: the program, the CFG, RMlo/RMgl and the RD tier.
+/// A session drops only what it never handed out: once the graph exists
+/// and no caller has read the work tier (program(), cfg(), ifa(),
+/// reachingDefs()), dropUnreadWork() frees it, and a later work accessor
+/// rebuilds it. Every object a caller was handed stays where it was.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -65,6 +73,14 @@ struct SessionOptions {
   IFAOptions Ifa;
 };
 
+/// The elaborated program's shape, what `check` reports. It outlives the
+/// program itself (see AnalysisSession::counts()).
+struct ProgramCounts {
+  size_t Processes = 0;
+  size_t Signals = 0;
+  size_t Variables = 0;
+};
+
 /// Reads \p Path into \p Out ("-" drains stdin); false on I/O failure.
 /// The same reader AnalysisSession::source() uses, exposed so callers
 /// that need the content up front (the content-addressed SessionCache)
@@ -100,10 +116,12 @@ public:
   /// whole-design store hit that skipped the solvers entirely).
   const IncrementalStats &incrementalStats() const { return IncStats; }
 
-  /// True while ifa() holds a store-served partial result (matrices and
-  /// flow graph only). reachingDefs()/alfp() upgrade it in place — the
-  /// graph and matrices keep their identity, the RD tier is filled in.
-  bool ifaPartial() const { return IfaPartial; }
+  /// True while ifa() holds less than the full result: a store-served
+  /// one (matrices and flow graph only), or one whose work tier was
+  /// dropped (flow graph only). A work accessor that needs the missing
+  /// part upgrades it in place — the parts already held keep their
+  /// identity, the rest is filled in.
+  bool ifaPartial() const { return Tier != IfaTier::Full; }
 
   const std::string &name() const { return Name; }
   const SessionOptions &options() const { return Opts; }
@@ -119,15 +137,23 @@ public:
   /// The elaborated flat process model; nullptr on any earlier failure
   /// (diagnostics() holds why). Parsing and elaboration are one stage:
   /// the parse tree lives only inside it, adopted by the program, so the
-  /// session never holds a tree.
+  /// session never holds a tree. A work accessor: the session keeps its
+  /// work tier from the first call on.
   const ElaboratedProgram *program();
-  /// Labels/flow/cf facts over program().
+  /// Labels/flow/cf facts over program(). A work accessor.
   const ProgramCFG *cfg();
   /// The RD-guided Information Flow analysis under options().Ifa,
-  /// including the RD intermediates and the flow graph.
+  /// including the RD intermediates and the flow graph. A work accessor.
   const IFAResult *ifa();
   /// The underlying Reaching Definitions results (computed with ifa()).
+  /// A work accessor.
   const ReachingDefsResult *reachingDefs();
+  /// The program's counts; nullptr on any front-end failure. Runs the
+  /// front end once, and never again for the counts.
+  const ProgramCounts *counts();
+  /// ifa()'s flow graph, without reading the work tier; nullptr on
+  /// failure. The graph keeps its identity for the session's lifetime.
+  const Digraph *graph();
   /// Kemmerer's transitive-closure baseline.
   const KemmererResult *kemmerer();
   /// The ALFP re-derivation of ifa()'s closure. Non-null whenever the
@@ -140,15 +166,28 @@ public:
   const query::FlowQueryEngine *queryEngine();
 
   /// Deep size of everything this session currently holds, in bytes:
-  /// the source text plus the measured footprints of every computed
-  /// artifact — the program and the CFG, measured once when program()
-  /// and cfg() build them, and the analysis results
+  /// the source text, the diagnostics, plus the measured footprints of
+  /// every computed artifact — the program and the CFG, measured once
+  /// when they are built, and the analysis results
   /// (ResourceMatrix/BitMatrix/Digraph/PairSet allocations). This
   /// is what SessionCache charges an entry against its `--cache-bytes`
   /// budget; it only measures, never computes or flushes anything. Not
   /// thread-safe against concurrent lazy computation — call it while
   /// holding the session's cache-entry lock.
   size_t memoryBytes() const;
+  /// The part of memoryBytes() the answer tier holds: all of it once the
+  /// work tier is dropped.
+  size_t answerBytes() const;
+  /// True while the session holds any of its work tier.
+  bool holdsWork() const {
+    return Prog || Cfg || (Ifa && Tier != IfaTier::Graph);
+  }
+
+  /// Frees the work tier when the flow graph is built and no caller has
+  /// read the work tier. SessionCache calls it at every release, under
+  /// the entry lock. The graph and every other answer-tier object stay in
+  /// place, so readers that borrow them without the lock are undisturbed.
+  void dropUnreadWork();
 
   /// Bumped every time a lazy stage runs (successfully or not), so
   /// holders can tell whether memoryBytes() could have changed since
@@ -161,15 +200,24 @@ private:
   AnalysisSession() = default;
 
   enum class State : uint8_t { NotComputed, Ok, Failed };
+  /// What ifa() holds: everything, the store-served matrices and graph,
+  /// or the graph alone once the work tier is dropped.
+  enum class IfaTier : uint8_t { Full, Matrices, Graph };
 
   /// The store key for whole-design artifacts: the session cache key of
   /// (source, options). Requires the source to be loaded.
   uint64_t designKey();
-  /// The solver path of ifa() and upgradeIfa(): the full pipeline over
-  /// program()/cfg(), reusing per-process artifacts through Artifacts
-  /// when wired (IncStats records how).
+  /// The bodies of program(), cfg() and ifa(), which the session's own
+  /// calls use: they build (or rebuild) the stage without marking the
+  /// work tier as read. buildIfa() returns whatever tier ifa() holds.
+  const ElaboratedProgram *buildProgram();
+  const ProgramCFG *buildCfg();
+  const IFAResult *buildIfa();
+  /// The solver path of buildIfa() and upgradeIfa(): the full pipeline
+  /// over the program and the CFG, reusing per-process artifacts through
+  /// Artifacts when wired (IncStats records how).
   IFAResult solveIfa();
-  /// Fills a partial ifa() result's RD tier in place (see ifaPartial()).
+  /// Fills a partial ifa() result in place (see ifaPartial()).
   void upgradeIfa();
 
   std::string Name;
@@ -190,9 +238,13 @@ private:
   ProcessArtifactTable *Artifacts = nullptr;
   ArtifactStore *Blobs = nullptr;
   IncrementalStats IncStats;
-  bool IfaPartial = false;
+  IfaTier Tier = IfaTier::Full;
+  /// Set by the first work accessor call; the work tier is kept from then
+  /// on.
+  bool WorkRead = false;
 
   std::string Src;
+  ProgramCounts Counts;
   std::optional<ElaboratedProgram> Prog;
   std::optional<ProgramCFG> Cfg;
   /// Prog->memoryBytes() and Cfg->memoryBytes(), taken as they are built.

@@ -85,11 +85,14 @@ DesignResult resultFromSession(AnalysisSession &S, const std::string &Name,
   D.Name = Name;
   std::string AlfpError;
 
-  const ElaboratedProgram *P = S.program();
-  if (P) {
-    D.NumProcesses = P->Processes.size();
-    D.NumSignals = P->Signals.size();
-    D.NumVariables = P->Variables.size();
+  // Check, native flows, query and a report without its text read only
+  // the session's answer tier (counts, graph, query engine), so the
+  // session may drop its work tier at release; the other modes read the
+  // program or the matrices, and the session keeps them.
+  if (const ProgramCounts *C = S.counts()) {
+    D.NumProcesses = C->Processes;
+    D.NumSignals = C->Signals;
+    D.NumVariables = C->Variables;
     switch (Opts.Mode) {
     case BatchMode::Check:
       D.Ok = true;
@@ -97,8 +100,8 @@ DesignResult resultFromSession(AnalysisSession &S, const std::string &Name,
     case BatchMode::Flows:
       switch (Opts.Method) {
       case FlowMethod::Native:
-        if (const IFAResult *R = S.ifa()) {
-          recordGraph(D, R->Graph);
+        if (const Digraph *G = S.graph()) {
+          recordGraph(D, *G);
           D.Ok = true;
         }
         break;
@@ -114,7 +117,7 @@ DesignResult resultFromSession(AnalysisSession &S, const std::string &Name,
             // The ALFP flow graph is extracted per request, not stored in
             // the session, so the result owns it outright.
             auto G = std::make_shared<Digraph>(
-                extractFlowGraph(A->RMgl, *P));
+                extractFlowGraph(A->RMgl, *S.program()));
             recordGraph(D, *G);
             D.Owner = std::move(G);
             D.Ok = true;
@@ -133,19 +136,19 @@ DesignResult resultFromSession(AnalysisSession &S, const std::string &Name,
         D.RMglEntries = R->RMgl.size();
         D.RMlo = &R->RMlo;
         D.RMgl = &R->RMgl;
-        D.Program = P;
+        D.Program = S.program();
         D.Ok = true;
       }
       break;
     case BatchMode::Report:
-      if (const IFAResult *R = S.ifa()) {
-        recordGraph(D, R->Graph);
-        D.Violations = checkFlowPolicy(R->Graph, Opts.Policy);
+      if (const Digraph *G = S.graph()) {
+        recordGraph(D, *G);
+        D.Violations = checkFlowPolicy(*G, Opts.Policy);
         if (Opts.CaptureRenderedText) {
           ReportOptions RepOpts;
           RepOpts.Policy = Opts.Policy;
           RepOpts.Violations = &D.Violations;
-          D.ReportText = auditReport(*P, *R, RepOpts);
+          D.ReportText = auditReport(*S.program(), *S.ifa(), RepOpts);
         }
         D.Ok = true;
       }

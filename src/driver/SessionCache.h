@@ -74,9 +74,10 @@ public:
   /// and holds its per-entry lock, so concurrent batch workers that land
   /// on the same content serialize their lazy computations instead of
   /// racing. Release it (let it go out of scope) promptly — releasing is
-  /// also when the entry's byte size is (re)measured and the byte budget
-  /// enforced, so sizes account for whatever artifacts the holder just
-  /// computed.
+  /// also when a session whose work tier nobody read drops it
+  /// (AnalysisSession::dropUnreadWork), and when the entry's byte size is
+  /// (re)measured and the byte budget enforced, so sizes account for
+  /// whatever artifacts the holder just computed or dropped.
   class Ref {
   public:
     Ref(Ref &&) = default;
@@ -125,15 +126,17 @@ public:
     Ref(SessionCache *C, std::shared_ptr<Entry> E, bool Hit)
         : C(C), E(std::move(E)), Hit(Hit), Lock(this->E->M) {}
 
-    /// Measures the session (still under the entry lock), unlocks, then
-    /// reports the size to the cache — which may evict over-budget
-    /// entries, possibly including this one. Releases that computed
-    /// nothing new (the artifact epoch is unchanged) skip both the deep
-    /// measure and the cache round trip, so the pure-hit path costs no
-    /// more than the unlock.
+    /// Drops the session's unread work tier and measures the session
+    /// (both still under the entry lock), unlocks, then reports the size
+    /// to the cache — which may evict over-budget entries, possibly
+    /// including this one. Releases that computed nothing new (the
+    /// artifact epoch is unchanged) skip both the deep measure and the
+    /// cache round trip, so the pure-hit path costs no more than the
+    /// unlock.
     void release() {
       if (!E)
         return;
+      E->S.dropUnreadWork();
       unsigned Epoch = E->S.artifactEpoch();
       bool Changed = Epoch != E->MeasuredEpoch;
       size_t Bytes = 0;

@@ -41,3 +41,10 @@ std::string DiagnosticEngine::str() const {
   print(OS);
   return OS.str();
 }
+
+size_t DiagnosticEngine::memoryBytes() const {
+  size_t Bytes = Diags.capacity() * sizeof(Diagnostic);
+  for (const Diagnostic &D : Diags)
+    Bytes += D.Message.capacity();
+  return Bytes;
+}

@@ -62,6 +62,10 @@ public:
   /// Concatenation of all rendered diagnostics; convenient in tests.
   std::string str() const;
 
+  /// Heap footprint in bytes: the diagnostic array and every message's
+  /// buffer (cache byte-budget accounting).
+  size_t memoryBytes() const;
+
 private:
   std::vector<Diagnostic> Diags;
   unsigned NumErrors = 0;

@@ -16,8 +16,11 @@
 #include "driver/ArtifactStore.h"
 #include "driver/Serialize.h"
 #include "driver/Serve.h"
+#include "driver/V1b.h"
 #include "gen/Generator.h"
 #include "support/JsonParse.h"
+#include "workloads/AesVhdl.h"
+#include "workloads/Synthetic.h"
 
 #include <gtest/gtest.h>
 
@@ -526,6 +529,187 @@ TEST(Serve, ConcurrentGeneratedDesignsMatchSerialReplay) {
   EXPECT_EQ(Cache.stats().Hits, Threads * N - N);
   EXPECT_EQ(Cache.stats().Evictions, 0u);
   EXPECT_EQ(Cache.size(), N);
+}
+
+//===----------------------------------------------------------------------===//
+// Answers after the work tier is dropped
+//===----------------------------------------------------------------------===//
+
+struct TierInput {
+  std::string Name;
+  std::string Source;
+  bool Statements = false;
+};
+
+/// Every .vhd under tests/inputs (corpus included), pipeline/64, the
+/// generated designs 1-16 and the AES components.
+std::vector<TierInput> tierInputs() {
+  std::vector<TierInput> In;
+  std::vector<std::filesystem::path> Files;
+  for (const auto &E :
+       std::filesystem::recursive_directory_iterator(VIFC_INPUTS_DIR))
+    if (E.path().extension() == ".vhd")
+      Files.push_back(E.path());
+  std::sort(Files.begin(), Files.end());
+  for (const std::filesystem::path &F : Files) {
+    std::ifstream IS(F, std::ios::binary);
+    std::ostringstream SS;
+    SS << IS.rdbuf();
+    In.push_back({F.filename().string(), SS.str()});
+  }
+  In.push_back({"pipeline64", workloads::pipelineDesign(64)});
+  for (uint64_t Seed = 1; Seed <= 16; ++Seed)
+    In.push_back({"gen" + std::to_string(Seed), gen::generateDesign(Seed)});
+  In.push_back({"shiftRows", workloads::shiftRowsStatements(), true});
+  In.push_back({"addRoundKey", workloads::addRoundKeyStatements(), true});
+  In.push_back({"subBytes", workloads::subBytesStatements(2), true});
+  In.push_back({"mixColumns", workloads::mixColumnsStatements(), true});
+  In.push_back({"shiftRowsDesign", workloads::shiftRowsDesign()});
+  In.push_back({"leakyCore", workloads::leakyCoreDesign()});
+  return In;
+}
+
+/// One answer as every renderer prints it: the diagnostics, the
+/// single-design text, the v1b frame and the compact JSON document, with
+/// timings zeroed and no cache fields.
+std::string renderAnswer(DesignResult D, const BatchOptions &Opts) {
+  std::ostringstream OS;
+  OS << D.Ok << '\n' << D.Diagnostics;
+  if (D.Ok)
+    printDesignText(OS, D, Opts, /*Shape=*/true);
+  BatchOptions Plain = Opts;
+  Plain.Cache = nullptr;
+  D.Timings = StageTimings();
+  D.CacheHit = false;
+  std::string Frame;
+  writeV1bDesign(Frame, D, Plain);
+  OS << Frame;
+  BatchResult R;
+  R.NumOk = D.Ok ? 1 : 0;
+  R.NumFailed = D.Ok ? 0 : 1;
+  R.Designs.push_back(std::move(D));
+  writeBatchDocument(OS, R, Plain, JsonStyle::Compact);
+  return OS.str();
+}
+
+/// The requests replayed on one entry: flows, then rm, report (with and
+/// without its text), flows through Kemmerer and ALFP, query and check.
+/// The ALFP engine is slow past about a thousand RMlo entries (seconds
+/// on gen13 and gen16), so those inputs leave it out.
+std::vector<BatchOptions> tierSteps(const TierInput &In) {
+  BatchInput Input{In.Name, In.Source};
+  BatchOptions Probe;
+  Probe.Session.Statements = In.Statements;
+  Probe.Mode = BatchMode::Matrices;
+  DesignResult Rm = analyzeDesign(Input, Probe);
+  // The query and the policy ask about the graph's first edge.
+  Probe.Mode = BatchMode::Flows;
+  DesignResult Flows = analyzeDesign(Input, Probe);
+  std::string From = "none", To = "none";
+  if (Flows.Graph && Flows.NumEdges) {
+    bool First = true;
+    Flows.Graph->forEachSortedEdge([&](std::string_view F, std::string_view T) {
+      if (First)
+        From = F, To = T;
+      First = false;
+    });
+  }
+  BatchOptions Base;
+  Base.Session.Statements = In.Statements;
+  std::vector<BatchOptions> Steps;
+  auto Add = [&](BatchMode M, FlowMethod Method, bool Text) {
+    BatchOptions O = Base;
+    O.Mode = M;
+    O.Method = Method;
+    O.CaptureRenderedText = Text;
+    O.QueryFrom = From;
+    O.QueryTo = To;
+    O.Policy.Forbidden.push_back({From, To});
+    Steps.push_back(O);
+  };
+  Add(BatchMode::Flows, FlowMethod::Native, false);
+  Add(BatchMode::Matrices, FlowMethod::Native, true);
+  Add(BatchMode::Report, FlowMethod::Native, true);
+  Add(BatchMode::Report, FlowMethod::Native, false);
+  Add(BatchMode::Flows, FlowMethod::Kemmerer, false);
+  Add(BatchMode::Query, FlowMethod::Native, false);
+  Add(BatchMode::Check, FlowMethod::Native, false);
+  if (!Rm.Ok || Rm.RMloEntries <= 1000)
+    Add(BatchMode::Flows, FlowMethod::Alfp, false);
+  return Steps;
+}
+
+TEST(ServeTiers, EveryCommandAnswersAlikeAfterTheDrop) {
+  // A flows request leaves its entry holding only the answer tier. Every
+  // later command on that entry — the whole sequence on one entry, and
+  // each command alone right after flows — must print what it prints on
+  // a fresh cache, with and without a store behind the cache.
+  std::string Dir = testing::TempDir() + "serve_tiers_store";
+  std::filesystem::remove_all(Dir);
+  for (const TierInput &In : tierInputs()) {
+    BatchInput Input{In.Name, In.Source};
+    std::vector<BatchOptions> Steps = tierSteps(In);
+    std::vector<std::string> Fresh;
+    for (BatchOptions O : Steps) {
+      SessionCache Cache(4);
+      O.Cache = &Cache;
+      Fresh.push_back(renderAnswer(analyzeDesign(Input, O), O));
+    }
+    for (bool WithStore : {false, true}) {
+      SCOPED_TRACE(In.Name + (WithStore ? " (store)" : ""));
+      ArtifactStore Store(Dir);
+      ProcessArtifactTable Table;
+      auto Replay = [&](const std::vector<size_t> &Order) {
+        SessionCache Cache(4);
+        if (WithStore)
+          Cache.setArtifacts(&Table, &Store);
+        for (size_t I : Order) {
+          BatchOptions O = Steps[I];
+          O.Cache = &Cache;
+          EXPECT_EQ(renderAnswer(analyzeDesign(Input, O), O), Fresh[I])
+              << "step " << I;
+        }
+        EXPECT_EQ(Cache.size(), 1u);
+      };
+      // The ALFP step, when present, is last and runs only alone.
+      std::vector<size_t> Sequence;
+      for (size_t I = 0; I < 7; ++I)
+        Sequence.push_back(I);
+      Replay(Sequence);
+      for (size_t I = 1; I < Steps.size(); ++I)
+        Replay({0, I, 0});
+    }
+  }
+  std::filesystem::remove_all(Dir);
+}
+
+TEST(ServeTiers, StatsReportTheAnswerTier) {
+  // Through the server: a flows request leaves `cache.bytes` at the
+  // session's answer tier, and an rm request on the same entry brings the
+  // work tier back for good.
+  Server S;
+  ASSERT_EQ(str(parseResponse(S.handleLine(muxRequest("flows", 1))),
+                "status"),
+            "ok");
+  size_t AfterFlows = S.cache().bytes();
+  {
+    SessionCache::Ref R = S.cache().acquire("mux", MuxSource,
+                                            SessionOptions());
+    ASSERT_TRUE(R.hit());
+    EXPECT_FALSE(R.session().holdsWork());
+    EXPECT_EQ(AfterFlows, R.session().answerBytes());
+  }
+  JsonValue Stats = parseResponse(S.handleLine(R"({"command":"stats"})"));
+  EXPECT_DOUBLE_EQ(Stats.find("cache")->find("bytes")->asNumber(),
+                   double(AfterFlows));
+  ASSERT_EQ(str(parseResponse(S.handleLine(muxRequest("rm", 2))), "status"),
+            "ok");
+  EXPECT_GT(S.cache().bytes(), AfterFlows);
+  ASSERT_EQ(str(parseResponse(S.handleLine(muxRequest("flows", 3))),
+                "status"),
+            "ok");
+  SessionCache::Ref R = S.cache().acquire("mux", MuxSource, SessionOptions());
+  EXPECT_TRUE(R.session().holdsWork()) << "rm read the work tier";
 }
 
 //===----------------------------------------------------------------------===//

@@ -322,6 +322,167 @@ TEST(SessionCache, MemoryBytesChargesProgramAndCfg) {
   }
 }
 
+TEST(SessionCache, MemoryBytesChargesDiagnostics) {
+  // The diagnostics are kept with the answer tier, so they are charged:
+  // a front end that reports many errors weighs at least their message
+  // bytes more than the bare source.
+  std::string Source = "entity e is port(q : out std_logic); end e;\n"
+                       "architecture rtl of e is begin p : process begin\n";
+  for (int I = 0; I < 64; ++I)
+    Source += "  q <= undeclared_" + std::to_string(I) + ";\n";
+  Source += "  wait; end process p; end rtl;\n";
+  AnalysisSession S = AnalysisSession::fromSource("errs", Source);
+  size_t Bare = S.memoryBytes();
+  EXPECT_EQ(S.program(), nullptr);
+  ASSERT_EQ(S.diagnostics().all().size(), 64u);
+  size_t Messages = 0;
+  for (const Diagnostic &D : S.diagnostics().all())
+    Messages += D.Message.size();
+  EXPECT_GE(S.memoryBytes(), Bare + Messages);
+}
+
+TEST(SessionCache, FlowsKeepsOnlyTheAnswerTier) {
+  // A flows request reads the graph and the counts, never the work tier,
+  // so the entry it leaves weighs what a session holding only the answer
+  // tier weighs: the full session's bytes less the program, the CFG and
+  // every IFA part but the graph.
+  std::string Source = workloads::pipelineDesign(16);
+  AnalysisSession Full = AnalysisSession::fromSource("pipe", Source);
+  const IFAResult *R = Full.ifa();
+  ASSERT_NE(R, nullptr);
+  size_t Work = Full.program()->memoryBytes() + Full.cfg()->memoryBytes() +
+                R->memoryBytes() - R->Graph.memoryBytes();
+
+  SessionCache Cache(4);
+  BatchOptions Opts;
+  Opts.Mode = BatchMode::Flows;
+  Opts.Cache = &Cache;
+  DesignResult D = analyzeDesign(BatchInput{"pipe", Source}, Opts);
+  ASSERT_TRUE(D.Ok);
+  EXPECT_EQ(D.NumEdges, R->Graph.numEdges());
+  EXPECT_EQ(D.NumProcesses, Full.program()->Processes.size());
+  EXPECT_EQ(Cache.bytes(), Full.memoryBytes() - Work);
+
+  SessionCache::Ref Again = Cache.acquire("pipe", Source, SessionOptions());
+  ASSERT_TRUE(Again.hit());
+  AnalysisSession &S = Again.session();
+  EXPECT_FALSE(S.holdsWork()) << "no program, CFG or matrices held";
+  EXPECT_EQ(S.memoryBytes(), S.answerBytes());
+  EXPECT_TRUE(S.ifaPartial());
+  // A work accessor rebuilds the tier: the front end runs again, its
+  // repeated diagnostics are not kept twice.
+  double ParseMs = S.timings().ParseMs;
+  std::string Diags = S.diagnostics().str();
+  ASSERT_NE(S.program(), nullptr);
+  EXPECT_GT(S.timings().ParseMs, ParseMs);
+  EXPECT_EQ(S.diagnostics().str(), Diags);
+  EXPECT_EQ(S.ifa()->RMgl.size(), R->RMgl.size());
+  EXPECT_FALSE(S.ifaPartial());
+}
+
+TEST(SessionCache, CheckThenFlowsSharesOneFrontEnd) {
+  // check builds no graph, so the session keeps its program for the
+  // flows request that follows.
+  SessionCache Cache(4);
+  BatchOptions Opts;
+  Opts.Cache = &Cache;
+  Opts.Mode = BatchMode::Check;
+  ASSERT_TRUE(analyzeDesign(BatchInput{"mux", std::string(MuxSource)}, Opts)
+                  .Ok);
+  double ParseMs;
+  {
+    SessionCache::Ref R = Cache.acquire("mux", MuxSource, SessionOptions());
+    EXPECT_TRUE(R.session().holdsWork());
+    ParseMs = R.session().timings().ParseMs;
+  }
+  Opts.Mode = BatchMode::Flows;
+  DesignResult D = analyzeDesign(BatchInput{"mux", std::string(MuxSource)},
+                                 Opts);
+  ASSERT_TRUE(D.Ok);
+  EXPECT_EQ(D.Timings.ParseMs, ParseMs) << "the front end ran once";
+  SessionCache::Ref R = Cache.acquire("mux", MuxSource, SessionOptions());
+  EXPECT_FALSE(R.session().holdsWork());
+}
+
+TEST(SessionCache, HandedOutPointersSurviveTheDrop) {
+  // Every answer-tier object keeps its address across the release that
+  // drops the work tier, and across the rebuild a work accessor makes.
+  SessionCache Cache(4);
+  std::string Source = workloads::pipelineDesign(6);
+  SessionOptions Opts;
+  const Digraph *G;
+  const query::FlowQueryEngine *Q;
+  const KemmererResult *K;
+  const ProgramCounts *C;
+  {
+    SessionCache::Ref R = Cache.acquire("pipe", Source, Opts);
+    AnalysisSession &S = R.session();
+    G = S.graph();
+    Q = S.queryEngine();
+    K = S.kemmerer();
+    C = S.counts();
+    ASSERT_TRUE(G && Q && K && C);
+    EXPECT_TRUE(S.holdsWork());
+  }
+  const IFAResult *Ifa;
+  {
+    SessionCache::Ref R = Cache.acquire("pipe", Source, Opts);
+    AnalysisSession &S = R.session();
+    EXPECT_FALSE(S.holdsWork());
+    EXPECT_EQ(S.graph(), G);
+    EXPECT_EQ(S.queryEngine(), Q);
+    EXPECT_EQ(S.kemmerer(), K);
+    EXPECT_EQ(S.counts(), C);
+    Ifa = S.ifa();
+    ASSERT_NE(Ifa, nullptr);
+    EXPECT_EQ(&Ifa->Graph, G);
+    EXPECT_TRUE(Q->reaches("s_0", "s_6"));
+  }
+  {
+    // Read once, kept from then on.
+    SessionCache::Ref R = Cache.acquire("pipe", Source, Opts);
+    EXPECT_TRUE(R.session().holdsWork());
+    EXPECT_EQ(R.session().ifa(), Ifa);
+    EXPECT_EQ(R.session().graph(), G);
+  }
+}
+
+TEST(SessionCache, BudgetHoldsTwiceAsManyDroppedSessions) {
+  // A budget that holds four full pipeline/64 sessions holds at least
+  // eight that dropped their work tier.
+  std::string Base = workloads::pipelineDesign(64);
+  SessionOptions Opts;
+  size_t Full;
+  {
+    SessionCache Probe(2);
+    {
+      SessionCache::Ref R = Probe.acquire("probe", Base, Opts);
+      ASSERT_NE(R.session().ifa(), nullptr);
+    }
+    Full = Probe.bytes();
+  }
+  size_t Budget = 4 * Full + Full / 2;
+  auto Variant = [&](int I) {
+    return Base + "-- v" + std::to_string(I) + "\n";
+  };
+
+  SessionCache Read(64, Budget);
+  for (int I = 0; I < 10; ++I) {
+    SessionCache::Ref R = Read.acquire("v", Variant(I), Opts);
+    ASSERT_NE(R.session().ifa(), nullptr);
+  }
+  EXPECT_LE(Read.size(), 4u) << "sessions whose work tier was read";
+
+  SessionCache Dropped(64, Budget);
+  BatchOptions B;
+  B.Mode = BatchMode::Flows;
+  B.Cache = &Dropped;
+  for (int I = 0; I < 10; ++I)
+    ASSERT_TRUE(analyzeDesign(BatchInput{"v", Variant(I)}, B).Ok);
+  EXPECT_GE(Dropped.size(), 8u);
+  EXPECT_LE(Dropped.bytes(), Budget);
+}
+
 TEST(SessionCache, CfgMemoryIsCompleteWhenBuilt) {
   // Nothing is added to the CFG after it is built: running the analyses
   // over it leaves its figure as it was, and the figure covers the flow

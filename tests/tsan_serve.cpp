@@ -6,13 +6,16 @@
 // TSan-instrumented) that hammers one shared driver::Server from many
 // threads: handleLine directly (the transport-agnostic core), serveFd
 // over per-thread socketpairs, and the cache byte accounting on Ref
-// release. Any data race — the request/in-flight counters, SessionCache
-// LRU and byte totals, lazy per-entry pipeline runs, shutdown flag —
-// aborts the test through TSan's reporting. Built with -fsanitize=thread
-// when the toolchain supports it and registered as ctest vifc_tsan_serve.
+// release (with the work tier a session drops there and a later request
+// rebuilds). Any data race — the request/in-flight counters,
+// SessionCache LRU and byte totals, lazy per-entry pipeline runs,
+// shutdown flag — aborts the test through TSan's reporting. Built with
+// -fsanitize=thread when the toolchain supports it and registered as
+// ctest vifc_tsan_serve.
 //
 //===----------------------------------------------------------------------===//
 
+#include "driver/Batch.h"
 #include "driver/Serve.h"
 #include "query/FlowQueryEngine.h"
 #include "support/BitSet.h"
@@ -54,10 +57,13 @@ std::string escapeJson(const std::string &Source) {
   return Out;
 }
 
-std::string flowsRequest(const std::string &Source, int Id) {
+std::string flowsRequest(const std::string &Source, int Id,
+                         const std::string &Command = "flows",
+                         const std::string &Options = "") {
   return "{\"schema\":\"vifc.v1\",\"id\":" + std::to_string(Id) +
-         ",\"command\":\"flows\",\"source\":\"" + escapeJson(Source) +
-         "\"}";
+         ",\"command\":\"" + Command + "\",\"source\":\"" +
+         escapeJson(Source) + "\"" +
+         (Options.empty() ? "" : ",\"options\":" + Options) + "}";
 }
 
 std::string queryRequest(const std::string &Source, int Id,
@@ -215,6 +221,58 @@ bool hammerQueryRequests() {
   return true;
 }
 
+/// Flows, Kemmerer flows and rm requests racing on the same content.
+/// Flows leaves an entry holding only its answer tier, Kemmerer rebuilds
+/// the program and the entry drops it again at release, and rm rebuilds
+/// the whole work tier for good. Meanwhile one thread holds a flows
+/// result's keepAlive and reads its graph without the entry lock. Each
+/// round is a new design, so every round drops and rebuilds afresh.
+bool hammerDropAndRebuild() {
+  constexpr unsigned Threads = 5, Requests = 6, Rounds = 4;
+  Server S;
+  std::atomic<unsigned> Failures{0};
+  for (unsigned Round = 0; Round < Rounds; ++Round) {
+    std::string Source = workloads::pipelineDesign(4 + Round);
+    std::vector<std::string> Reqs = {
+        flowsRequest(Source, 1),
+        flowsRequest(Source, 2, "flows", R"({"method":"kemmerer"})"),
+        flowsRequest(Source, 3, "rm")};
+    BatchOptions Opts;
+    Opts.Mode = BatchMode::Flows;
+    Opts.Cache = &S.cache();
+    DesignResult Held = analyzeDesign(BatchInput{"held", Source}, Opts);
+    if (!Held.Ok || !Held.Graph)
+      return false;
+    size_t Edges = Held.NumEdges;
+    std::vector<std::thread> Workers;
+    for (unsigned T = 0; T < Threads; ++T)
+      Workers.emplace_back([&S, &Reqs, &Failures, T] {
+        for (unsigned R = 0; R < Requests; ++R) {
+          std::string Response = S.handleLine(Reqs[(T + R) % Reqs.size()]);
+          if (Response.find("\"status\":\"ok\"") == std::string::npos)
+            ++Failures;
+        }
+      });
+    Workers.emplace_back([&Held, &Failures, Edges] {
+      for (unsigned R = 0; R < 20; ++R) {
+        size_t Seen = 0;
+        Held.Graph->forEachSortedEdge(
+            [&Seen](std::string_view, std::string_view) { ++Seen; });
+        if (Seen != Edges)
+          ++Failures;
+      }
+    });
+    for (std::thread &W : Workers)
+      W.join();
+  }
+  if (Failures.load() != 0) {
+    std::fprintf(stderr, "tsan_serve: %u drop/rebuild requests failed\n",
+                 Failures.load());
+    return false;
+  }
+  return true;
+}
+
 /// Many threads materializing one shared Digraph's lazy views (sorted
 /// edges, ranks, reachability closure, a full query engine) — the borrow
 /// pattern recordGraph/FlowQueryEngine rely on under the worker pool.
@@ -289,6 +347,7 @@ int main() {
   for (int Round = 0; Round < 3 && Ok; ++Round) {
     Ok = Ok && hammerHandleLine();
     Ok = Ok && hammerQueryRequests();
+    Ok = Ok && hammerDropAndRebuild();
     Ok = Ok && hammerGraphViews();
     Ok = Ok && hammerServeFd();
     Ok = Ok && hammerWorkerPool();

@@ -302,6 +302,40 @@ assert mb <= 12, "chain/1024: peak RSS %.1f MB is over 12 MB" % mb
 assert ru.ru_minflt <= 2300, \
     "chain/1024: %d minor faults is over 2 300" % ru.ru_minflt
 PY
+  # The same guard on a warm server: 25 distinct one-stage edits of the
+  # benchmark's pipeline/256, fed to `vifc serve --store` over stdio, must
+  # peak at no more than 19 MB (17.5 MB measured; 27.2 MB while every
+  # cached session kept its program, CFG, matrices and RD tier). Each edit
+  # stays cached, so a session that kept its work tier after the flow
+  # graph was built again would push the run over the bound.
+  python3 - "$BUILD_DIR/vifc" "$mem_dir" \
+    "$BUILD_DIR/perfbench/perfbench_layers" <<'PY'
+import json
+import os
+import subprocess
+import sys
+
+vifc, d, spawner = sys.argv[1:4]
+with open(d + "/pipeline256.vhd") as f:
+    base = f.read()
+with open(d + "/edits.txt", "w") as f:
+    for stage in range(3, 253, 10):
+        old = "\n    s_%d <= s_%d;\n" % (stage, stage - 1)
+        assert base.count(old) == 1, "pipeline256: stage %d not found" % stage
+        src = base.replace(old, "\n    s_%d <= s_%d and s_%d;\n" % (
+            stage, stage - 1, stage - 2))
+        f.write(json.dumps({"command": "flows", "source": src,
+                            "format": "v1b"}) + "\n")
+with open(d + "/edits.txt") as f:
+    out = subprocess.run([spawner, "spawn", os.devnull, os.devnull, vifc,
+                          "serve", "--store", d + "/store"],
+                         stdin=f, stdout=subprocess.PIPE,
+                         check=True).stdout.split()
+assert out[0] == b"0", "serve edits: vifc failed"
+mb = int(out[2]) / 1024.0
+print("serve edits: peak RSS %.1f MB" % mb)
+assert mb <= 19, "serve edits: peak RSS %.1f MB is over 19 MB" % mb
+PY
   rm -rf "$mem_dir"
   echo "memory guards passed"
 fi
