@@ -71,14 +71,6 @@ void BM_Fig3_Kemmerer(benchmark::State &State) {
 }
 BENCHMARK(BM_Fig3_Kemmerer);
 
-void BM_Fig3_FrontEnd(benchmark::State &State) {
-  for (auto _ : State) {
-    ElaboratedProgram P = mustElaborateStatements(ProgramB);
-    benchmark::DoNotOptimize(P.Variables.size());
-  }
-}
-BENCHMARK(BM_Fig3_FrontEnd);
-
 } // namespace
 
 int main(int argc, char **argv) {

@@ -211,6 +211,27 @@ BENCHMARK(BM_Scaling_RDOnly)
     ->Range(8, 1024)
     ->Complexity();
 
+void BM_Incremental_FullReuse(benchmark::State &State) {
+  // An unchanged re-analysis against a warm artifact table, as a cached
+  // session's table serves it: zero Table 4/5 solves, slice hashing plus
+  // the Table 7/8 recompose. The floor any one-process edit converges to.
+  unsigned N = static_cast<unsigned>(State.range(0));
+  ElaboratedProgram P = mustElaborateDesign(workloads::pipelineDesign(N));
+  ProgramCFG CFG = ProgramCFG::build(P);
+  ProcessArtifactTable Table;
+  analyzeInformationFlow(P, CFG, {}, &Table);
+  for (auto _ : State) {
+    IncrementalStats Stats;
+    IFAResult R = analyzeInformationFlow(P, CFG, {}, &Table, &Stats);
+    benchmark::DoNotOptimize(R.Graph.numEdges());
+  }
+  State.SetComplexityN(N);
+}
+BENCHMARK(BM_Incremental_FullReuse)
+    ->RangeMultiplier(4)
+    ->Range(64, 1024)
+    ->Complexity();
+
 } // namespace
 
 BENCHMARK_MAIN();

@@ -189,10 +189,11 @@ const IFAResult *AnalysisSession::buildIfa() {
   if (IfaState == State::NotComputed) {
     ++ArtifactEpoch;
     IfaState = State::Failed;
-    if (buildProgram() && buildCfg()) {
+    if (buildProgram()) {
       // Whole-design store hit: the matrices and the flow graph come back
-      // without running any solver. The RD tier stays empty until some
-      // consumer actually asks for it (reachingDefs()/alfp() upgrade).
+      // without running any solver or building the CFG. The RD tier and
+      // the CFG stay empty until some consumer actually asks for them
+      // (reachingDefs()/alfp() upgrade, cfg() and kemmerer() build).
       if (Blobs) {
         StageTimer T(Times.StoreMs);
         IFAResult R;
@@ -206,6 +207,7 @@ const IFAResult *AnalysisSession::buildIfa() {
         }
       }
       if (IfaState != State::Ok) {
+        buildCfg();
         Ifa.emplace(solveIfa());
         {
           // The graph's sorted views are part of making it: building them

@@ -148,7 +148,7 @@ DesignResult resultFromSession(AnalysisSession &S, const std::string &Name,
           ReportOptions RepOpts;
           RepOpts.Policy = Opts.Policy;
           RepOpts.Violations = &D.Violations;
-          D.ReportText = auditReport(*S.program(), *S.ifa(), RepOpts);
+          D.ReportText = auditReport(*S.program(), *G, RepOpts);
         }
         D.Ok = true;
       }

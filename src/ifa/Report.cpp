@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <ostream>
 #include <sstream>
 #include <string_view>
 #include <unordered_map>
@@ -27,11 +26,9 @@ bool isOutgoingNode(std::string_view N) {
 
 } // namespace
 
-void vif::writeAuditReport(std::ostream &OS,
-                           const ElaboratedProgram &Program,
-                           const IFAResult &Result,
-                           const ReportOptions &Opts) {
-  const Digraph &G = Result.Graph;
+std::string vif::auditReport(const ElaboratedProgram &Program,
+                             const Digraph &G, const ReportOptions &Opts) {
+  std::ostringstream OS;
   OS << "=== Information Flow Audit Report ===\n";
   OS << "design: " << Program.Processes.size() << " process(es), "
      << Program.Signals.size() << " signal(s), "
@@ -150,12 +147,5 @@ void vif::writeAuditReport(std::ostream &OS,
                                : "FAIL — impermissible flows present")
        << '\n';
   }
-}
-
-std::string vif::auditReport(const ElaboratedProgram &Program,
-                             const IFAResult &Result,
-                             const ReportOptions &Opts) {
-  std::ostringstream OS;
-  writeAuditReport(OS, Program, Result, Opts);
   return OS.str();
 }

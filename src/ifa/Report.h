@@ -15,10 +15,9 @@
 #ifndef VIF_IFA_REPORT_H
 #define VIF_IFA_REPORT_H
 
-#include "ifa/InformationFlow.h"
 #include "ifa/Policy.h"
+#include "sema/Elaborator.h"
 
-#include <iosfwd>
 #include <string>
 
 namespace vif {
@@ -35,14 +34,8 @@ struct ReportOptions {
   const std::vector<PolicyViolation> *Violations = nullptr;
 };
 
-/// Writes the audit report for \p Result to \p OS.
-void writeAuditReport(std::ostream &OS, const ElaboratedProgram &Program,
-                      const IFAResult &Result,
-                      const ReportOptions &Opts = ReportOptions());
-
-/// Convenience string form.
-std::string auditReport(const ElaboratedProgram &Program,
-                        const IFAResult &Result,
+/// The audit report for \p Graph, the flow graph of \p Program.
+std::string auditReport(const ElaboratedProgram &Program, const Digraph &Graph,
                         const ReportOptions &Opts = ReportOptions());
 
 } // namespace vif

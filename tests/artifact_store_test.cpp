@@ -22,6 +22,7 @@
 
 #include "driver/AnalysisSession.h"
 #include "driver/ArtifactStore.h"
+#include "driver/Batch.h"
 #include "driver/Serve.h"
 #include "driver/SessionCache.h"
 #include "gen/Generator.h"
@@ -767,6 +768,68 @@ TEST(RestartSurvival, RdRequestUpgradesThePartialResultInPlace) {
   EXPECT_EQ(S.ifa(), R);
   EXPECT_EQ(&S.ifa()->Graph, GraphBefore);
   EXPECT_EQ(RD->Iterations, ColdIterations);
+}
+
+TEST(RestartSurvival, DesignHitSkipsTheCfgUntilAsked) {
+  TempStoreDir Dir;
+  std::string Source = workloads::pipelineDesign(4);
+  std::string Cold;
+  size_t ColdLabels = 0;
+  {
+    ArtifactStore Store(Dir.Path);
+    AnalysisSession S =
+        AnalysisSession::fromSource("pipe.vhd", Source, SessionOptions());
+    S.setArtifacts(nullptr, &Store);
+    Cold = renderIfa(S);
+    ColdLabels = S.cfg()->numLabels();
+    EXPECT_GT(S.timings().CfgMs, 0.0);
+  }
+
+  // The hit answers from the blob and the program alone: no CFG is built.
+  ArtifactStore Store(Dir.Path);
+  AnalysisSession S =
+      AnalysisSession::fromSource("pipe.vhd", Source, SessionOptions());
+  S.setArtifacts(nullptr, &Store);
+  EXPECT_EQ(renderIfa(S), Cold);
+  EXPECT_EQ(Store.counters().Hits, 1u);
+  EXPECT_EQ(S.timings().CfgMs, 0.0);
+  EXPECT_EQ(S.timings().IfaMs, 0.0);
+
+  // A later consumer still gets the CFG, built on demand.
+  const ProgramCFG *C = S.cfg();
+  ASSERT_NE(C, nullptr);
+  EXPECT_EQ(C->numLabels(), ColdLabels);
+}
+
+TEST(RestartSurvival, DesignHitPrintsRmAndAlfpAsACleanRun) {
+  // `rm` and `flows --alfp` read the matrices, the RD tier and the CFG a
+  // dsgn hit does not build; they must print what a run without a store
+  // prints.
+  std::string Source = workloads::pipelineDesign(4);
+  auto render = [&](BatchMode Mode, FlowMethod Method, ArtifactStore *Store) {
+    SessionCache Cache;
+    Cache.setArtifacts(nullptr, Store);
+    BatchOptions Opts;
+    Opts.Mode = Mode;
+    Opts.Method = Method;
+    Opts.Cache = &Cache;
+    BatchResult R = runBatch({{"pipe.vhd", Source}}, Opts);
+    EXPECT_EQ(R.NumOk, 1u);
+    std::ostringstream OS;
+    printDesignText(OS, R.Designs[0], Opts, /*Shape=*/true);
+    return OS.str();
+  };
+  for (auto [Mode, Method] : {std::pair{BatchMode::Matrices, FlowMethod::Native},
+                              std::pair{BatchMode::Flows, FlowMethod::Alfp}}) {
+    TempStoreDir Dir;
+    std::string Clean = render(Mode, Method, nullptr);
+    ArtifactStore Prime(Dir.Path);
+    EXPECT_EQ(render(Mode, Method, &Prime), Clean);
+    ArtifactStore Store(Dir.Path);
+    EXPECT_EQ(render(Mode, Method, &Store), Clean);
+    EXPECT_EQ(Store.counters().Hits, 1u);
+    EXPECT_EQ(Store.counters().Writes, 0u);
+  }
 }
 
 TEST(Incremental, EditingOneProcessResolvesExactlyOne) {

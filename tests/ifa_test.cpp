@@ -526,7 +526,7 @@ TEST(Report, ContainsStatsInterfaceAndVerdict) {
   ReportOptions RepOpts;
   RepOpts.Policy.Forbidden.push_back({"secret", "q"});
   RepOpts.Policy.Forbidden.push_back({"clk", "secret"});
-  std::string Text = auditReport(A.Program, A.R, RepOpts);
+  std::string Text = auditReport(A.Program, A.R.Graph, RepOpts);
 
   EXPECT_NE(Text.find("transitive"), std::string::npos)
       << "transitivity verdict present (this particular graph happens to "
@@ -545,7 +545,7 @@ TEST(Report, PassVerdictAndIsolatedNodes) {
   Analyzed A = analyzeStmts("x := a; dead := dead;");
   ReportOptions RepOpts;
   RepOpts.Policy.Forbidden.push_back({"a", "dead"});
-  std::string Text = auditReport(A.Program, A.R, RepOpts);
+  std::string Text = auditReport(A.Program, A.R.Graph, RepOpts);
   EXPECT_NE(Text.find("verdict: PASS"), std::string::npos);
   EXPECT_NE(Text.find("dead: in=1 out=1"), std::string::npos)
       << "self-flow counts on both sides";
@@ -553,7 +553,7 @@ TEST(Report, PassVerdictAndIsolatedNodes) {
 
 TEST(Report, OmitsPolicySectionWhenEmpty) {
   Analyzed A = analyzeStmts("b := a;");
-  std::string Text = auditReport(A.Program, A.R);
+  std::string Text = auditReport(A.Program, A.R.Graph);
   EXPECT_EQ(Text.find("-- policy"), std::string::npos);
   EXPECT_NE(Text.find("a -> b"), std::string::npos);
 }

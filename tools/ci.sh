@@ -359,37 +359,32 @@ else
   echo "python3 not found; skipping schema check"
 fi
 
-# Bench smoke: the perf binaries must keep running end-to-end so they can't
-# silently rot between perf PRs. Committed baselines live in
+# Bench smoke: every bench binary must keep running end to end, so none
+# can silently rot between perf PRs. Committed baselines live in
 # bench/baselines/ (see bench/baselines/README.md for how to regenerate).
-# Skipped under sanitizers: instrumented timings are meaningless.
+# Skipped under sanitizers: instrumented timings are meaningless. A bare
+# number of seconds is the --benchmark_min_time form every Google
+# Benchmark release accepts; 1.7 rejects a suffixed one.
+benches=("$BUILD_DIR"/bench_*)
 if [ -n "$SANITIZE" ]; then
   echo "sanitized build ($SANITIZE); skipping bench smoke and compare"
-elif [ -x "$BUILD_DIR/bench_fig5" ]; then
-  "$BUILD_DIR/bench_fig5" --benchmark_min_time=0.01x >/dev/null
-  echo "bench smoke passed (bench_fig5)"
+elif [ -x "${benches[0]}" ]; then
+  for b in "${benches[@]}"; do
+    "$b" --benchmark_min_time=0.01 >/dev/null
+  done
+  echo "bench smoke passed (${#benches[@]} binaries)"
 else
-  echo "bench_fig5 not built (Google Benchmark absent); skipping bench smoke"
+  echo "no bench binary built (Google Benchmark absent); skipping bench smoke"
 fi
 
-# Opt-in bench regression check: VIFC_BENCH_COMPARE=1 re-runs the key
-# binaries and diffs them against bench/baselines/ via
-# tools/bench_compare.py. Off by default — baselines are machine-
-# dependent, so this only means something on the machine that produced
-# them. Override bench_compare.py's default allowed slowdown with
-# VIFC_BENCH_TOLERANCE (ratio).
+# Opt-in bench regression check: VIFC_BENCH_COMPARE=1 runs every bench
+# binary and diffs it against bench/baselines/ via tools/bench_compare.py.
+# Off by default: baselines are machine-dependent, so this only means
+# something on the machine that produced them. Override bench_compare.py's
+# default allowed slowdown with VIFC_BENCH_TOLERANCE (ratio).
 if [ -z "$SANITIZE" ] && [ "${VIFC_BENCH_COMPARE:-0}" = "1" ] &&
-   [ -x "$BUILD_DIR/bench_fig5" ]; then
-  mkdir -p "$BUILD_DIR/bench-json"
-  for b in bench_fig5 bench_scaling bench_alfp bench_ablation \
-           bench_bitset bench_serve bench_query bench_incremental \
-           bench_aes; do
-    name=$(sed -e 's/bench_fig5/BENCH_closure/' -e 's/bench_/BENCH_/' <<<"$b")
-    "$BUILD_DIR/$b" --benchmark_format=json --benchmark_min_time=0.1 \
-      2>/dev/null > "$BUILD_DIR/bench-json/$name.json"
-  done
-  python3 tools/bench_compare.py "$BUILD_DIR"/bench-json/*.json \
-    --baselines bench/baselines \
+   [ -x "${benches[0]}" ]; then
+  python3 tools/bench_compare.py "$BUILD_DIR" \
     ${VIFC_BENCH_TOLERANCE:+--tolerance "$VIFC_BENCH_TOLERANCE"}
   echo "bench compare passed"
 fi
